@@ -16,10 +16,11 @@ from .model import (
     GoldViewDef,
     HubJoin,
     ModelSpec,
+    VersionsJoin,
 )
 from .storage import Record, Warehouse
 from .tables import gold_manifest, hub_manifest, star_manifest
-from .values import value_to_string, values_equal
+from .values import key_part, row_key, top_per_partition, value_to_string
 
 SCD2_DELIMITER = "#"
 
@@ -31,31 +32,12 @@ class GoldBuildResult:
     built_at: datetime
 
 
-def top_per_partition(rows: list[Record], partition: tuple[str, ...],
-                      order: tuple[tuple[str, str], ...]) -> list[Record]:
-    def null_low(value):
-        return (value is not None, value)
-
-    ranked = list(rows)
-    for column, direction in reversed(order):
-        ranked.sort(key=lambda r: null_low(r.get(column)), reverse=direction == "desc")
-    seen: set = set()
-    out = []
-    for row in ranked:
-        key = tuple(value_to_string(row[c]) if row.get(c) is not None else None
-                    for c in partition)
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
 def current_rows(rows: list[Record], partition: tuple[str, ...],
                  order: tuple[tuple[str, str], ...]) -> list[Record]:
     """Rank, then filter: the top row per partition, dropped entirely when
     that top row is flagged deleted — a deleted latest version removes the
     partition rather than exposing an older one."""
-    return [row for row in top_per_partition(rows, partition, order)
+    return [row for row in top_per_partition(rows, lambda row: row_key(row, partition), order)
             if not row.get("delete_flag")]
 
 
@@ -102,33 +84,32 @@ def _silver_rows(warehouse: Warehouse, spec: ModelSpec, table: str) -> list[Reco
     return warehouse.read_rows(silver, table)
 
 
-def _apply_joins(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-                 contexts: list[dict[str, Record | None]]) -> list[dict[str, Record | None]]:
-    vc_base_hub = spec.hub(view.base) if view.base_kind == "hub" else None
-    for join in view.joins:
-        if isinstance(join, HubJoin):
-            hub = spec.hub(join.hub)
-            rows = _silver_rows(warehouse, spec, hub.table_name)
-            index = {row[hub.key_column]: row for row in rows}
-            joined = []
-            for ctx in contexts:
-                value = _first_value(ctx, join.on_column)
-                match = index.get(value) if value is not None else None
-                if match is None and join.how == "inner":
-                    continue
-                ctx = dict(ctx)
-                ctx[join.hub] = match
-                joined.append(ctx)
-            contexts = joined
-        elif isinstance(join, CurrentStarJoin):
-            if vc_base_hub is None:
-                raise GoldBuildError(f"{view.name}: join_current requires a hub base")
-            star = spec.star(join.star)
-            rows = current_rows(_silver_rows(warehouse, spec, star.table_name),
-                                join.partition_by, join.order_by)
-            contexts = _left_join_star(contexts, rows, join.on_column, join.star,
-                                       vc_base_hub.key_column)
-    return contexts
+def _index(rows: list[Record], column: str) -> dict[object, list[Record]]:
+    """Rows by the key part of one column, in row order; null keys never match."""
+    index: dict[object, list[Record]] = {}
+    for row in rows:
+        if row.get(column) is not None:
+            index.setdefault(key_part(row[column]), []).append(row)
+    return index
+
+
+def _fan_out(contexts: list[dict[str, Record | None]], name: str, matches_of,
+             inner: bool = False) -> list[dict[str, Record | None]]:
+    """Join one table into the contexts under `name`: a context repeats once
+    per row of `matches_of(ctx)`, in that order. With no match (None or
+    empty) it keeps a null `name`, or is dropped when the join is inner."""
+    joined = []
+    for ctx in contexts:
+        matches = matches_of(ctx)
+        if not matches:
+            if inner:
+                continue
+            matches = (None,)
+        for match in matches:
+            fanned = dict(ctx)
+            fanned[name] = match
+            joined.append(fanned)
+    return joined
 
 
 def _first_value(ctx: dict[str, Record | None], column: str):
@@ -138,24 +119,60 @@ def _first_value(ctx: dict[str, Record | None], column: str):
     return None
 
 
-def _left_join_star(contexts, star_rows, on_column, star_name, base_key_column):
-    index: dict[object, list[Record]] = {}
-    for row in star_rows:
-        index.setdefault(row.get(on_column), []).append(row)
-    joined = []
-    for ctx in contexts:
-        value = _first_value(ctx, base_key_column)
-        matches = index.get(value, []) if value is not None else []
-        if not matches:
-            ctx = dict(ctx)
-            ctx[star_name] = None
-            joined.append(ctx)
-        else:
-            for match in matches:
-                fanned = dict(ctx)
-                fanned[star_name] = match
-                joined.append(fanned)
-    return joined
+def _apply_joins(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
+                 contexts: list[dict[str, Record | None]]) -> list[dict[str, Record | None]]:
+    for join in view.joins:
+        if isinstance(join, HubJoin):
+            hub = spec.hub(join.hub)
+            index = _index(_silver_rows(warehouse, spec, hub.table_name), hub.key_column)
+            contexts = _fan_out(
+                contexts, join.hub,
+                lambda ctx: index.get(key_part(_first_value(ctx, join.on_column))),
+                inner=join.how == "inner")
+        else:  # CurrentStarJoin
+            contexts = _join_current(warehouse, spec, view, join, contexts)
+    return contexts
+
+
+def _join_current(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
+                  join: CurrentStarJoin | VersionsJoin,
+                  contexts: list[dict[str, Record | None]]) -> list[dict[str, Record | None]]:
+    """Left join the current rows of a star to a hub base."""
+    if view.base_kind != "hub":
+        raise GoldBuildError(f"{view.name}: join_current requires a hub base")
+    star = spec.star(join.star)
+    rows = current_rows(_silver_rows(warehouse, spec, star.table_name),
+                        join.partition_by, join.order_by)
+    index = _index(rows, join.on_column)
+    base_key = spec.hub(view.base).key_column
+    return _fan_out(contexts, join.star,
+                    lambda ctx: index.get(key_part(_first_value(ctx, base_key))))
+
+
+def _temporal_join(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
+                   vc: _ViewContext, contexts):
+    """Left join an scd2 dimension: the rows of the fact's hub key whose
+    [valid_from, valid_to] interval holds the fact's time, in dimension order.
+    A null valid_to is open-ended; a null valid_from never matches."""
+    temporal = view.temporal
+    dim = spec.view(temporal.dim)
+    gold_schema = spec.schema_names["gold"]
+    if not warehouse.table_exists(gold_schema, dim.table_name):
+        raise GoldBuildError(f"{view.name}: referenced dimension {dim.name} "
+                             "is not built yet")
+    index = _index(warehouse.read_rows(gold_schema, dim.table_name),
+                   spec.hub(dim.base).key_column)
+
+    def matches(ctx):
+        versions = index.get(key_part(vc.resolve(ctx, temporal.key_ref)))
+        at = vc.resolve(ctx, temporal.time_ref)
+        if versions is None or at is None:
+            return None
+        return [row for row in versions
+                if row.get("valid_from") is not None and row["valid_from"] <= at
+                and (row.get("valid_to") is None or at <= row["valid_to"])]
+
+    return _fan_out(contexts, dim.name, matches)
 
 
 def _project(vc: _ViewContext, view: GoldViewDef,
@@ -177,96 +194,22 @@ def _project(vc: _ViewContext, view: GoldViewDef,
     return out
 
 
-def build_scd1_dim(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-                   now: datetime) -> GoldBuildResult:
-    vc = _ViewContext(warehouse, spec, view)
-    base_hub = spec.hub(view.base)
-    contexts: list[dict[str, Record | None]] = [
-        {view.base: row} for row in _silver_rows(warehouse, spec, base_hub.table_name)]
-    contexts = _apply_joins(warehouse, spec, view, contexts)
-    rows = _project(vc, view, contexts)
-    warehouse.replace_table(gold_manifest(spec, view), rows)
-    return GoldBuildResult(view.name, len(rows), now)
-
-
-def build_scd2_dim(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-                   now: datetime) -> GoldBuildResult:
-    vc = _ViewContext(warehouse, spec, view)
-    base_hub = spec.hub(view.base)
-    contexts: list[dict[str, Record | None]] = [
-        {view.base: row} for row in _silver_rows(warehouse, spec, base_hub.table_name)]
-    contexts = _apply_joins(warehouse, spec, view, contexts)
-    versions = view.versions
-    star = spec.star(versions.star)
-    retained = current_rows(_silver_rows(warehouse, spec, star.table_name),
-                            versions.partition_by, versions.order_by)
-    contexts = _left_join_star(contexts, retained, versions.on_column, versions.star,
-                               base_hub.key_column)
-    rows = _project(vc, view, contexts)
-    warehouse.replace_table(gold_manifest(spec, view), rows)
-    return GoldBuildResult(view.name, len(rows), now)
-
-
-def build_fact(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
+def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
                now: datetime) -> GoldBuildResult:
+    """One pipeline for every kind: base rows, joins, versions, the temporal
+    join, then projection; each step runs when the view declares it."""
     vc = _ViewContext(warehouse, spec, view)
-    base_star = spec.star(view.base)
+    base = spec.hub(view.base) if view.base_kind == "hub" else spec.star(view.base)
     contexts: list[dict[str, Record | None]] = [
-        {view.base: row} for row in _silver_rows(warehouse, spec, base_star.table_name)]
+        {view.base: row} for row in _silver_rows(warehouse, spec, base.table_name)]
     contexts = _apply_joins(warehouse, spec, view, contexts)
+    if view.versions is not None:
+        contexts = _join_current(warehouse, spec, view, view.versions, contexts)
     if view.temporal is not None:
         contexts = _temporal_join(warehouse, spec, view, vc, contexts)
     rows = _project(vc, view, contexts)
     warehouse.replace_table(gold_manifest(spec, view), rows)
     return GoldBuildResult(view.name, len(rows), now)
-
-
-def _temporal_join(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-                   vc: _ViewContext, contexts):
-    temporal = view.temporal
-    dim = spec.view(temporal.dim)
-    gold_schema = spec.schema_names["gold"]
-    if not warehouse.table_exists(gold_schema, dim.table_name):
-        raise GoldBuildError(f"{view.name}: referenced dimension {dim.name} "
-                             "is not built yet")
-    dim_rows = warehouse.read_rows(gold_schema, dim.table_name)
-    dim_key_column = spec.hub(dim.base).key_column
-
-    joined = []
-    for ctx in contexts:
-        key = vc.resolve(ctx, temporal.key_ref)
-        at = vc.resolve(ctx, temporal.time_ref)
-        matches = []
-        if key is not None and at is not None:
-            for row in dim_rows:
-                if not values_equal(row.get(dim_key_column), key):
-                    continue
-                valid_from = row.get("valid_from")
-                if valid_from is None or at < valid_from:
-                    continue
-                valid_to = row.get("valid_to")
-                if valid_to is not None and at > valid_to:
-                    continue  # null valid_to is the open-ended current version
-                matches.append(row)
-        if not matches:
-            ctx = dict(ctx)
-            ctx[dim.name] = None
-            joined.append(ctx)
-        else:
-            for match in matches:
-                fanned = dict(ctx)
-                fanned[dim.name] = match
-                joined.append(fanned)
-    return joined
-
-
-def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-               now: datetime) -> GoldBuildResult:
-    if view.kind == "scd1_dim":
-        return build_scd1_dim(warehouse, spec, view, now)
-    if view.kind == "scd2_dim":
-        return build_scd2_dim(warehouse, spec, view, now)
-    return build_fact(warehouse, spec, view, now)
 
 
 def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,

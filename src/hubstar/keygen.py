@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import EvalError
-from .expr import EvalContext, Expr, column_refs, evaluate, format_ts_compact, sha256_hex
+from .expr import EvalContext, column_refs, evaluate, format_ts_compact, sha256_hex
 from .model import KeyFormula
 
 __all__ = ["KeyFormula", "compute_hub_key", "format_ts_compact", "next_system_key", "sha256_hex"]
@@ -28,29 +28,6 @@ def compute_hub_key(formula: KeyFormula, record, load_source: int,
     if not isinstance(key, str) or not key:
         raise EvalError(f"key formula produced {key!r}, expected a non-empty string")
     return key
-
-
-def business_key_exprs(formula: KeyFormula) -> tuple[str, ...]:
-    return tuple(sorted(column_refs(formula.expression)))
-
-
-def substitute_columns(expression: Expr, replacements: dict[str, Expr]) -> Expr:
-    """Rewrite column references, used to inline a hub's key formula at a
-    foreign-key call site where the business keys come from other expressions."""
-    from . import expr as ex
-
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, ex.Col):
-            if node.name not in replacements:
-                raise EvalError(f"no replacement for business key {node.name!r}")
-            return replacements[node.name]
-        if isinstance(node, ex.Call):
-            return ex.Call(node.func, tuple(walk(a) for a in node.args))
-        if isinstance(node, ex.Cast):
-            return ex.Cast(walk(node.operand), node.target)
-        return node
-
-    return walk(expression)
 
 
 def next_system_key(counter_path: Path) -> str:

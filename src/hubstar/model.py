@@ -62,10 +62,6 @@ class SourceDef:
                 return col
         return None
 
-    @property
-    def scalar_columns(self) -> tuple[ColumnDef, ...]:
-        return tuple(c for c in self.columns if isinstance(c, ColumnDef))
-
 
 @dataclass(frozen=True)
 class KeyFormula:

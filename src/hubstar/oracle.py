@@ -17,15 +17,9 @@ from dataclasses import dataclass
 from .errors import HubStarError
 from .keygen import compute_hub_key
 from .model import HubDef, HubMapping, ModelSpec, StarDef, StarMapping
-from .silver import (
-    DEFAULT_KEY,
-    default_row,
-    evaluate_hub_mapping,
-    evaluate_star_mapping,
-    null_safe_distinct,
-)
-from .storage import Record, Warehouse, _key_part
-from .values import EPOCH
+from .silver import default_row, evaluate_hub_mapping, evaluate_star_mapping
+from .storage import Record, Warehouse
+from .values import EPOCH, row_key, show_key, values_equal
 
 
 @dataclass(frozen=True)
@@ -39,22 +33,18 @@ class StateDiff:
         return not (self.missing_rows or self.extra_rows or self.mismatched_rows)
 
 
-def _row_key(row: Record, key_columns: tuple[str, ...]) -> tuple:
-    return tuple(_key_part(row.get(c)) for c in key_columns)
-
-
 def diff_states(actual: list[Record], expected: list[Record],
                 key_columns: tuple[str, ...],
                 compare_columns: tuple[str, ...]) -> StateDiff:
-    actual_by_key = {_row_key(r, key_columns): r for r in actual}
-    expected_by_key = {_row_key(r, key_columns): r for r in expected}
+    actual_by_key = {row_key(r, key_columns): r for r in actual}
+    expected_by_key = {row_key(r, key_columns): r for r in expected}
     missing = tuple(sorted(k for k in expected_by_key if k not in actual_by_key))
     extra = tuple(sorted(k for k in actual_by_key if k not in expected_by_key))
     mismatched = []
     for key in sorted(k for k in expected_by_key if k in actual_by_key):
         a, e = actual_by_key[key], expected_by_key[key]
         for column in compare_columns:
-            if null_safe_distinct(a.get(column), e.get(column)):
+            if not values_equal(a.get(column), e.get(column)):
                 mismatched.append((key, column, a.get(column), e.get(column)))
     return StateDiff(missing, extra, tuple(mismatched))
 
@@ -67,7 +57,7 @@ def expected_hub_state(bronze_history: list[Record], spec: ModelSpec, hub: HubDe
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
     for position, bronze_row in enumerate(bronze_history):
         payload = evaluate_hub_mapping(warehouse, spec, hub, mapping, bronze_row)
-        bk = _row_key(payload, hub.business_key_names)
+        bk = row_key(payload, hub.business_key_names)
         groups.setdefault(bk, []).append((position, bronze_row, payload))
 
     rows = [default_row(spec, hub)]
@@ -149,7 +139,7 @@ def expected_star_state(bronze_history: list[Record], spec: ModelSpec, star: Sta
                 "load_timestamp": EPOCH,
             }
             row.update(payload)
-            latest[_row_key(row, star.key_columns)] = row
+            latest[row_key(row, star.key_columns)] = row
     return list(latest.values())
 
 
@@ -216,15 +206,11 @@ def check_against_oracle(warehouse: Warehouse, spec: ModelSpec,
 def _describe(table: str, diff: StateDiff) -> list[str]:
     lines = []
     for key in diff.missing_rows:
-        lines.append(f"{table}: missing row {_show(key)}")
+        lines.append(f"{table}: missing row {show_key(key)}")
     for key in diff.extra_rows:
-        lines.append(f"{table}: unexpected row {_show(key)}")
+        lines.append(f"{table}: unexpected row {show_key(key)}")
     for key, column, actual, expected in diff.mismatched_rows:
-        lines.append(f"{table}: {_show(key)} column {column}: "
+        lines.append(f"{table}: {show_key(key)} column {column}: "
                      f"engine={actual!r} oracle={expected!r}")
     return lines
 
-
-def _show(key: tuple) -> str:
-    parts = [p[1] if isinstance(p, tuple) else repr(p) for p in key]
-    return "(" + ", ".join(parts) + ")"

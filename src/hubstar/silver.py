@@ -16,6 +16,8 @@ from . import expr as ex
 from .errors import LoadError
 from .keygen import compute_hub_key, next_system_key, sha256_hex
 from .model import (
+    DEFAULT_HUB_KEY,
+    SYSTEM_LOAD_SOURCE,
     FkResolution,
     HubDef,
     HubMapping,
@@ -30,9 +32,15 @@ from .model import (
 )
 from .storage import Record, Warehouse
 from .tables import bronze_manifest, hub_manifest, item_key_type, star_manifest
-from .values import EPOCH, coerce_scalar, value_to_string, values_equal
-
-DEFAULT_KEY = "-1"
+from .values import (
+    EPOCH,
+    coerce_scalar,
+    key_part,
+    row_key,
+    top_per_partition,
+    value_to_string,
+    values_equal,
+)
 
 
 @dataclass(frozen=True)
@@ -44,11 +52,6 @@ class LoadResult:
     updated: int
     unchanged_skipped: int
     new_hwm: datetime
-
-
-def null_safe_distinct(a, b) -> bool:
-    """IS DISTINCT FROM: false iff both null or both equal."""
-    return not values_equal(a, b)
 
 
 def type_neutral(ctype: str):
@@ -66,19 +69,19 @@ def type_neutral(ctype: str):
 
 def default_row(spec: ModelSpec, hub: HubDef) -> Record:
     row: Record = {
-        "load_source": 0,
+        "load_source": SYSTEM_LOAD_SOURCE,
         "capture_timestamp": EPOCH,
         "load_timestamp": EPOCH,
         "initial_capture_timestamp": EPOCH,
     }
     if hub.has_delete_flag:
         row["delete_flag"] = 0
-    row[hub.key_column] = DEFAULT_KEY
+    row[hub.key_column] = DEFAULT_HUB_KEY
     for bk in hub.business_keys:
         row[bk.name] = type_neutral(bk.type)
     for desc in hub.descriptives:
         if desc.fk_hub is not None:
-            row[desc.name] = DEFAULT_KEY
+            row[desc.name] = DEFAULT_HUB_KEY
         elif desc.nullable:
             row[desc.name] = None
         else:
@@ -90,7 +93,7 @@ def init_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef):
     """Seed the hub with its default row; refuses to run twice."""
     silver = spec.schema_names["silver"]
     for row in warehouse.read_rows(silver, hub.table_name):
-        if row.get(hub.key_column) == DEFAULT_KEY:
+        if row.get(hub.key_column) == DEFAULT_HUB_KEY:
             raise LoadError(f"{hub.table_name}: default row already present")
     warehouse.append_rows(silver, hub.table_name, [default_row(spec, hub)])
 
@@ -131,7 +134,7 @@ def resolve_fk(warehouse: Warehouse | None, spec: ModelSpec, res: FkResolution,
                          item=item, item_key=item_key)
     values = [ex.evaluate(arg, ctx) for arg in res.args]
     if any(v is None for v in values):
-        return DEFAULT_KEY
+        return DEFAULT_HUB_KEY
     bk_record = {}
     for bk, value in zip(target.business_keys, values):
         try:
@@ -151,7 +154,7 @@ def resolve_fk(warehouse: Warehouse | None, spec: ModelSpec, res: FkResolution,
             if target.bk_scope == "local" and row.get("load_source") != effective_source:
                 continue
             return row[target.key_column]
-    return DEFAULT_KEY
+    return DEFAULT_HUB_KEY
 
 
 def evaluate_hub_mapping(warehouse: Warehouse | None, spec: ModelSpec, hub: HubDef,
@@ -187,102 +190,41 @@ def _coerce_mapped(value, ctype: str, column: str):
         raise LoadError(f"column {column}: {exc}") from exc
 
 
-def rank_survivors(staged: list[tuple[int, Record, Record]],
-                   dedup_order: tuple[tuple[str, str], ...],
-                   partition_of) -> list[tuple[int, Record, Record]]:
-    """rn = 1 per partition: order by dedup_order, then capture_timestamp
-    descending, then bronze position; returned in bronze order."""
-
-    def null_low(value):
-        return (value is not None, value)
-
-    rows = sorted(staged, key=lambda t: t[0])
-    rows.sort(key=lambda t: t[1]["capture_timestamp"], reverse=True)
-    for column, direction in reversed(dedup_order):
-        rows.sort(key=lambda t: null_low(t[1].get(column)), reverse=direction == "desc")
-    seen: set = set()
-    survivors = []
-    for entry in rows:
-        key = partition_of(entry)
-        if key not in seen:
-            seen.add(key)
-            survivors.append(entry)
-    survivors.sort(key=lambda t: t[0])
-    return survivors
-
-
-def _partition_value(value):
-    if isinstance(value, Decimal):
-        return str(value.normalize())
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(Decimal(value).normalize())
-    return value
-
-
-def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
-             mapping: HubMapping, now: datetime) -> LoadResult:
-    silver = spec.schema_names["silver"]
+def _new_bronze_rows(warehouse: Warehouse, spec: ModelSpec, source: str,
+                     hwm: datetime) -> list[Record]:
+    """Bronze rows of one source captured strictly above the high-water mark."""
     bronze = spec.schema_names["bronze"]
-    source = spec.source(mapping.source)
-    hwm = warehouse.max_capture_timestamp(silver, hub.table_name)
+    if not warehouse.table_exists(bronze, source):
+        return []
+    return [r for r in warehouse.read_rows(bronze, source) if r["capture_timestamp"] > hwm]
 
-    bronze_rows: list[Record] = []
-    if warehouse.table_exists(bronze, mapping.source):
-        bronze_rows = [r for r in warehouse.read_rows(bronze, mapping.source)
-                       if r["capture_timestamp"] > hwm]
-    staged = [(i, row, evaluate_hub_mapping(warehouse, spec, hub, mapping, row))
-              for i, row in enumerate(bronze_rows)]
 
-    def partition(entry):
-        _i, _row, payload = entry
-        return tuple(_partition_value(payload[name]) for name in hub.business_key_names)
+def _merge(warehouse: Warehouse, schema: str, table: str,
+           existing: dict[object, Record], candidates: list[tuple[object, Record, Record]],
+           compare_columns: list[str], load_source: int, now: datetime,
+           new_row) -> tuple[int, int, int]:
+    """Merge (key, bronze row, payload) candidates into a silver table and
+    return the (inserted, updated, unchanged) counts.
 
-    survivors = rank_survivors(staged, mapping.dedup_order, partition)
-
-    existing = warehouse.read_rows(silver, hub.table_name)
-    compare_columns = [d.name for d in hub.descriptives]
-    if hub.has_delete_flag:
-        compare_columns.append("delete_flag")
-
-    if hub.key_type == "computed":
-        index = {row[hub.key_column]: row for row in existing}
-    else:
-        index = {tuple(_partition_value(row[name]) for name in hub.business_key_names): row
-                 for row in existing}
-
+    A key missing from `existing` inserts the load metadata plus
+    `new_row(key, bronze row, payload)`, which runs only on insert, so system
+    keys are minted for new rows alone. A present key is rewritten only when
+    some compare column differs under null-safe equality.
+    """
     inserted = updated = unchanged = 0
     writes: list[Record] = []
-    for _i, bronze_row, payload in survivors:
-        for name in hub.business_key_names:
-            if payload[name] is None:
-                raise LoadError(f"{hub.table_name}: business key {name} is null "
-                                f"in {mapping.source} row")
-        if hub.key_type == "computed":
-            key = compute_hub_key(hub.key_formula, payload, source.load_source_id)
-            target = index.get(key)
-        else:
-            bk = tuple(_partition_value(payload[name]) for name in hub.business_key_names)
-            target = index.get(bk)
-            key = target[hub.key_column] if target is not None else None
+    for key, bronze_row, payload in candidates:
+        target = existing.get(key)
         if target is None:
-            if key is None:
-                key = next_system_key(warehouse.counter_path(silver, hub.table_name))
             row: Record = {
-                "load_source": source.load_source_id,
+                "load_source": load_source,
                 "capture_timestamp": bronze_row["capture_timestamp"],
                 "load_timestamp": now,
-                "initial_capture_timestamp": bronze_row["capture_timestamp"],
             }
-            if hub.has_delete_flag:
-                row["delete_flag"] = payload["delete_flag"]
-            row[hub.key_column] = key
-            for name in hub.business_key_names:
-                row[name] = payload[name]
-            for desc in hub.descriptives:
-                row[desc.name] = payload[desc.name]
+            row.update(new_row(key, bronze_row, payload))
             writes.append(row)
             inserted += 1
-        elif any(null_safe_distinct(target.get(c), payload[c]) for c in compare_columns):
+        elif any(not values_equal(target.get(c), payload[c]) for c in compare_columns):
             row = dict(target)
             for c in compare_columns:
                 row[c] = payload[c]
@@ -292,8 +234,55 @@ def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
             updated += 1
         else:
             unchanged += 1
+    warehouse.upsert_rows(schema, table, writes)
+    return inserted, updated, unchanged
 
-    warehouse.upsert_rows(silver, hub.table_name, writes)
+
+def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
+             mapping: HubMapping, now: datetime) -> LoadResult:
+    silver = spec.schema_names["silver"]
+    load_source = spec.source(mapping.source).load_source_id
+    hwm = warehouse.max_capture_timestamp(silver, hub.table_name)
+    bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
+    staged = [(i, row, evaluate_hub_mapping(warehouse, spec, hub, mapping, row))
+              for i, row in enumerate(bronze_rows)]
+
+    # rn = 1 per business key: dedup terms, then latest capture, then the
+    # earliest bronze row; the survivors go back into bronze order.
+    survivors = top_per_partition(staged, lambda e: row_key(e[2], hub.business_key_names),
+                                  mapping.dedup_order + (("capture_timestamp", "desc"),),
+                                  fields=lambda e: e[1])
+    survivors.sort(key=lambda e: e[0])
+
+    existing = warehouse.read_rows(silver, hub.table_name)
+    if hub.key_type == "computed":
+        index = {row[hub.key_column]: row for row in existing}
+    else:
+        index = {row_key(row, hub.business_key_names): row for row in existing}
+
+    candidates = []
+    for _i, bronze_row, payload in survivors:
+        for name in hub.business_key_names:
+            if payload[name] is None:
+                raise LoadError(f"{hub.table_name}: business key {name} is null "
+                                f"in {mapping.source} row")
+        if hub.key_type == "computed":
+            key = compute_hub_key(hub.key_formula, payload, load_source)
+        else:
+            key = row_key(payload, hub.business_key_names)
+        candidates.append((key, bronze_row, payload))
+
+    def new_row(key, bronze_row: Record, payload: Record) -> Record:
+        if hub.key_type != "computed":
+            key = next_system_key(warehouse.counter_path(silver, hub.table_name))
+        return {"initial_capture_timestamp": bronze_row["capture_timestamp"],
+                hub.key_column: key, **payload}
+
+    compare_columns = [d.name for d in hub.descriptives]
+    if hub.has_delete_flag:
+        compare_columns.append("delete_flag")
+    inserted, updated, unchanged = _merge(warehouse, silver, hub.table_name, index, candidates,
+                                          compare_columns, load_source, now, new_row)
     new_hwm = warehouse.max_capture_timestamp(silver, hub.table_name)
     return LoadResult(table=f"{silver}.{hub.table_name}", source=mapping.source,
                       scanned=len(bronze_rows), inserted=inserted, updated=updated,
@@ -390,19 +379,10 @@ def star_hwm(warehouse: Warehouse, spec: ModelSpec, star: StarDef) -> datetime:
 def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
               mapping: StarMapping, now: datetime) -> LoadResult:
     silver = spec.schema_names["silver"]
-    bronze = spec.schema_names["bronze"]
-    source = spec.source(mapping.source)
-    hwm = star_hwm(warehouse, spec, star)
-
-    bronze_rows: list[Record] = []
-    if warehouse.table_exists(bronze, mapping.source):
-        bronze_rows = [r for r in warehouse.read_rows(bronze, mapping.source)
-                       if r["capture_timestamp"] > hwm]
-
-    staged: list[tuple[Record, Record]] = []  # (bronze row, payload)
-    for bronze_row in bronze_rows:
-        for payload in evaluate_star_mapping(warehouse, spec, star, mapping, bronze_row):
-            staged.append((bronze_row, payload))
+    bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source,
+                                   star_hwm(warehouse, spec, star))
+    staged = [(bronze_row, payload) for bronze_row in bronze_rows
+              for payload in evaluate_star_mapping(warehouse, spec, star, mapping, bronze_row)]
 
     def composite_key(bronze_row: Record, payload: Record) -> tuple:
         parts = []
@@ -411,7 +391,7 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
                 else payload.get(name)
             if value is None:
                 raise LoadError(f"{star.table_name}: composite key column {name} is null")
-            parts.append(_partition_value(value))
+            parts.append(key_part(value))
         return tuple(parts)
 
     # In-batch duplicates of a full composite key: last by bronze order wins.
@@ -419,45 +399,17 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
     for bronze_row, payload in staged:
         latest[composite_key(bronze_row, payload)] = (bronze_row, payload)
 
-    existing = warehouse.read_rows(silver, star.table_name)
-    index = {tuple(_partition_value(row[name]) for name in star.key_columns): row
-             for row in existing}
-    payload_columns = [c for c in (p.column for p in star.participants)
-                       if c not in star.key_columns]
-    payload_columns += [d.name for d in star.descriptives]
+    existing = {row_key(row, star.key_columns): row
+                for row in warehouse.read_rows(silver, star.table_name)}
+    compare_columns = [c for c in star.participant_columns if c not in star.key_columns]
+    compare_columns += [d.name for d in star.descriptives]
     if star.has_delete_flag:
-        payload_columns.append("delete_flag")
-
-    inserted = updated = unchanged = 0
-    writes: list[Record] = []
-    for key, (bronze_row, payload) in latest.items():
-        target = index.get(key)
-        if target is None:
-            row: Record = {
-                "load_source": source.load_source_id,
-                "capture_timestamp": bronze_row["capture_timestamp"],
-                "load_timestamp": now,
-            }
-            if star.has_delete_flag:
-                row["delete_flag"] = payload["delete_flag"]
-            for p in star.participants:
-                row[p.column] = payload[p.column]
-            for desc in star.descriptives:
-                row[desc.name] = payload[desc.name]
-            writes.append(row)
-            inserted += 1
-        elif any(null_safe_distinct(target.get(c), payload[c]) for c in payload_columns):
-            row = dict(target)
-            for c in payload_columns:
-                row[c] = payload[c]
-            row["capture_timestamp"] = bronze_row["capture_timestamp"]
-            row["load_timestamp"] = now
-            writes.append(row)
-            updated += 1
-        else:
-            unchanged += 1
-
-    warehouse.upsert_rows(silver, star.table_name, writes)
+        compare_columns.append("delete_flag")
+    inserted, updated, unchanged = _merge(
+        warehouse, silver, star.table_name, existing,
+        [(key, bronze_row, payload) for key, (bronze_row, payload) in latest.items()],
+        compare_columns, spec.source(mapping.source).load_source_id, now,
+        lambda _key, _bronze_row, payload: payload)
     new_hwm = star_hwm(warehouse, spec, star)
     return LoadResult(table=f"{silver}.{star.table_name}", source=mapping.source,
                       scanned=len(staged), inserted=inserted, updated=updated,

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import StorageError
-from .values import format_timestamp, parse_timestamp, values_equal
+from .values import format_timestamp, parse_timestamp, row_key, show_key, values_equal
 
 Record = dict[str, Any]
 
@@ -283,22 +283,19 @@ class Warehouse:
         if not rows:
             return
 
-        def pk(record: Record) -> tuple:
-            return tuple(_key_part(record.get(c)) for c in manifest.primary_key)
-
         seen: set[tuple] = set()
         for record in rows:
-            key = pk(record)
+            key = row_key(record, manifest.primary_key)
             if key in seen:
-                raise StorageError(
-                    f"duplicate primary key within one batch for {schema}.{table}: {key}")
+                raise StorageError(f"duplicate primary key within one batch for "
+                                   f"{schema}.{table}: {show_key(key)}")
             seen.add(key)
 
         existing = self.read_rows(schema, table)
-        index = {pk(r): i for i, r in enumerate(existing)}
+        index = {row_key(r, manifest.primary_key): i for i, r in enumerate(existing)}
         appended: list[Record] = []
         for record in rows:
-            pos = index.get(pk(record))
+            pos = index.get(row_key(record, manifest.primary_key))
             if pos is None:
                 appended.append(record)
             else:
@@ -340,33 +337,31 @@ class Warehouse:
         def dupes(columns: tuple[str, ...]) -> list[tuple]:
             seen: dict[tuple, int] = {}
             for r in rows:
-                key = tuple(_key_part(r.get(c)) for c in columns)
+                key = row_key(r, columns)
                 seen[key] = seen.get(key, 0) + 1
             return sorted(k for k, n in seen.items() if n > 1)
 
         if manifest.primary_key:
             for key in dupes(manifest.primary_key):
-                problems.append(f"{qualified}: duplicate primary key {_show_key(key)}")
+                problems.append(f"{qualified}: duplicate primary key {show_key(key)}")
         for unique_cols in manifest.unique:
             for key in dupes(unique_cols):
-                problems.append(f"{qualified}: duplicate value {_show_key(key)} "
+                problems.append(f"{qualified}: duplicate value {show_key(key)} "
                                 f"for unique ({', '.join(unique_cols)})")
         for fk in manifest.foreign_keys:
             if not self.table_exists(fk.ref_schema, fk.ref_table):
                 problems.append(f"{qualified}: foreign key references missing table "
                                 f"{fk.ref_schema}.{fk.ref_table}")
                 continue
-            targets = {
-                tuple(_key_part(r.get(c)) for c in fk.ref_columns)
-                for r in self.read_rows(fk.ref_schema, fk.ref_table)
-            }
+            targets = {row_key(r, fk.ref_columns)
+                       for r in self.read_rows(fk.ref_schema, fk.ref_table)}
             for r in rows:
-                key = tuple(_key_part(r.get(c)) for c in fk.columns)
+                key = row_key(r, fk.columns)
                 if any(part is None for part in key):
                     continue
                 if key not in targets:
                     problems.append(
-                        f"{qualified}: ({', '.join(fk.columns)}) = {_show_key(key)} "
+                        f"{qualified}: ({', '.join(fk.columns)}) = {show_key(key)} "
                         f"not found in {fk.ref_schema}.{fk.ref_table}")
         return problems
 
@@ -376,18 +371,3 @@ class Warehouse:
             problems.extend(self.check_constraints(schema, table))
         return problems
 
-
-def _key_part(value: Any):
-    """Hashable, equality-stable form of a value for key comparisons."""
-    if isinstance(value, Decimal):
-        return ("num", str(value.normalize()))
-    if isinstance(value, int) and not isinstance(value, bool):
-        return ("num", str(Decimal(value).normalize()))
-    if isinstance(value, datetime):
-        return ("ts", format_timestamp(value))
-    return value
-
-
-def _show_key(key: tuple) -> str:
-    parts = [p[1] if isinstance(p, tuple) else repr(p) for p in key]
-    return "(" + ", ".join(parts) + ")"

@@ -1,4 +1,5 @@
-"""Scalar value handling: types, timestamps, coercion, canonical rendering.
+"""Scalar value handling: types, timestamps, coercion, canonical rendering,
+and the key equality and ranking rules every layer shares.
 
 Every persisted value is one of: integer (int), decimal (Decimal), string
 (str), boolean (bool), timestamp (tz-aware UTC datetime), or None. Bronze
@@ -151,11 +152,63 @@ def value_to_string(value) -> str:
     raise EvalError(f"cannot stringify {type(value).__name__}")
 
 
+def key_part(value):
+    """The one rule for key equality: a hashable form that compares equal
+    exactly when two values denote the same key.
+
+    Integers and decimals compare numerically: `2` equals `Decimal("2.00")`
+    and `Decimal("-0")` equals `0`. The "num" tag keeps a boolean from ever
+    equalling a number. Timestamps are aware datetimes, which already compare
+    and hash by instant. Everything else is its own key.
+    """
+    if isinstance(value, (int, Decimal)) and not isinstance(value, bool):
+        return ("num", value)
+    return value
+
+
+def row_key(record, columns) -> tuple:
+    """The key parts of `columns` in one record."""
+    return tuple(key_part(record.get(c)) for c in columns)
+
+
+def show_key(key: tuple) -> str:
+    """A row key for messages: numbers and timestamps bare, the rest as repr."""
+    parts = []
+    for part in key:
+        if isinstance(part, tuple):
+            part = part[1]
+        parts.append(repr(part) if part is None or isinstance(part, (str, bool))
+                     else value_to_string(part))
+    return "(" + ", ".join(parts) + ")"
+
+
 def values_equal(a, b) -> bool:
-    """Equality used by change detection; Decimal/int compare numerically."""
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, (int, Decimal)) and not isinstance(a, bool) and \
-       isinstance(b, (int, Decimal)) and not isinstance(b, bool):
-        return Decimal(a) == Decimal(b)
-    return a == b
+    """Null-safe equality for change detection: the key rule of `key_part`."""
+    return key_part(a) == key_part(b)
+
+
+def top_per_partition(entries: list, partition, order: tuple[tuple[str, str], ...],
+                      fields=lambda entry: entry) -> list:
+    """Row number 1 per partition, returned in ranked order.
+
+    `order` holds (column, "asc" | "desc") terms read from `fields(entry)`;
+    nulls sort low, so first under asc and last under desc. Ties keep input
+    order, because every sort is stable. `partition(entry)` gives the
+    partition key, normally built with `row_key`.
+    """
+    ranked = list(entries)
+    for column, direction in reversed(order):
+        ranked.sort(key=lambda e: _null_low(fields(e).get(column)),
+                    reverse=direction == "desc")
+    seen: set = set()
+    top = []
+    for entry in ranked:
+        key = partition(entry)
+        if key not in seen:
+            seen.add(key)
+            top.append(entry)
+    return top
+
+
+def _null_low(value):
+    return (value is not None, value)

@@ -17,9 +17,10 @@ from hubstar import (
     parse_model,
 )
 from hubstar.errors import GoldBuildError
-from hubstar.gold import GoldBuildResult, current_rows, top_per_partition
+from hubstar.gold import GoldBuildResult, current_rows
 from hubstar.keygen import sha256_hex
 from hubstar.model import validate_model
+from hubstar.values import row_key, top_per_partition
 
 MODEL = parse_model('''product goldtest
 
@@ -240,16 +241,20 @@ def test_model_is_valid():
 # -- ranking helpers ------------------------------------------------------------
 
 
+def by_k(row):
+    return row_key(row, ("k",))
+
+
 def test_top_per_partition_orders_and_keeps_one_row_each():
     rows = [
         {"k": "a", "rank": 1, "v": "low"},
         {"k": "a", "rank": 3, "v": "high"},
         {"k": "b", "rank": 2, "v": "only"},
     ]
-    top = top_per_partition(rows, ("k",), (("rank", "desc"),))
-    assert {(r["k"], r["v"]) for r in top} == {("a", "high"), ("b", "only")}
-    bottom = top_per_partition(rows, ("k",), (("rank", "asc"),))
-    assert {(r["k"], r["v"]) for r in bottom} == {("a", "low"), ("b", "only")}
+    top = top_per_partition(rows, by_k, (("rank", "desc"),))
+    assert [(r["k"], r["v"]) for r in top] == [("a", "high"), ("b", "only")]
+    bottom = top_per_partition(rows, by_k, (("rank", "asc"),))
+    assert [(r["k"], r["v"]) for r in bottom] == [("a", "low"), ("b", "only")]
 
 
 def test_top_per_partition_sorts_nulls_low():
@@ -257,7 +262,7 @@ def test_top_per_partition_sorts_nulls_low():
         {"k": "a", "rank": None, "v": "null"},
         {"k": "a", "rank": 1, "v": "one"},
     ]
-    top = top_per_partition(rows, ("k",), (("rank", "desc"),))
+    top = top_per_partition(rows, by_k, (("rank", "desc"),))
     assert top[0]["v"] == "one"
 
 

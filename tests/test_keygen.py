@@ -5,13 +5,12 @@ from datetime import datetime, timezone
 import pytest
 
 from hubstar.errors import EvalError
-from hubstar.expr import Cast, Col, Lit, parse_expr, render_expr
+from hubstar.expr import parse_expr
 from hubstar.keygen import (
     KeyFormula,
     compute_hub_key,
     next_system_key,
     sha256_hex,
-    substitute_columns,
 )
 from hubstar.lexer import TokenStream, tokenize
 
@@ -64,16 +63,6 @@ def test_delimiter_collision_is_rejected():
     f = formula('concat("#", order_number, line)')
     with pytest.raises(EvalError, match="delimiter collision"):
         compute_hub_key(f, {"order_number": "A#B", "line": "1"}, load_source=1)
-
-
-def test_substitute_columns_inlines_foreign_expressions():
-    expr = parse_expr(TokenStream(tokenize("sha256(cast(customer_id as string))")))
-    inlined = substitute_columns(expr, {"customer_id": Col("buyer_id")})
-    assert render_expr(inlined) == "sha256(cast(buyer_id as string))"
-    swapped = substitute_columns(expr, {"customer_id": Cast(Lit(7), "integer")})
-    assert render_expr(swapped) == "sha256(cast(cast(7 as integer) as string))"
-    with pytest.raises(EvalError, match="no replacement"):
-        substitute_columns(expr, {})
 
 
 def test_next_system_key_counts_up_and_survives_restart(tmp_path):

@@ -16,10 +16,9 @@ from hubstar.silver import (
     default_row,
     explode_collection,
     init_hub,
-    rank_survivors,
     type_neutral,
 )
-from hubstar.values import EPOCH
+from hubstar.values import EPOCH, row_key, top_per_partition
 
 MODEL = parse_model('''product mergetest
 
@@ -377,8 +376,12 @@ def staged(*rows):
     return [(i, row, row) for i, row in enumerate(rows)]
 
 
-def by_partition(entry):
-    return entry[2]["k"]
+def rank(rows, dedup_order):
+    """Silver's ranking call: dedup terms, then capture_timestamp desc, over
+    entries in bronze order, so ties fall to the earlier bronze row."""
+    return top_per_partition(rows, lambda e: row_key(e[2], ("k",)),
+                             dedup_order + (("capture_timestamp", "desc"),),
+                             fields=lambda e: e[1])
 
 
 def test_rank_orders_by_capture_desc_then_bronze_position(wh):
@@ -387,7 +390,7 @@ def test_rank_orders_by_capture_desc_then_bronze_position(wh):
         {"k": "a", "capture_timestamp": utc(2024, 1, 3), "v": "first"},
         {"k": "a", "capture_timestamp": utc(2024, 1, 3), "v": "second"},
     )
-    survivors = rank_survivors(rows, (), by_partition)
+    survivors = rank(rows, ())
     # Equal captures tie-break on bronze position, earliest first.
     assert [e[2]["v"] for e in survivors] == ["first"]
 
@@ -397,7 +400,7 @@ def test_dedup_terms_outrank_the_capture_timestamp(wh):
         {"k": "a", "capture_timestamp": utc(2024, 1, 9), "rank": 1, "v": "late"},
         {"k": "a", "capture_timestamp": utc(2024, 1, 1), "rank": 5, "v": "high"},
     )
-    survivors = rank_survivors(rows, (("rank", "desc"),), by_partition)
+    survivors = rank(rows, (("rank", "desc"),))
     assert [e[2]["v"] for e in survivors] == ["high"]
 
 
@@ -406,19 +409,20 @@ def test_dedup_sorts_nulls_low_in_both_directions(wh):
         {"k": "a", "capture_timestamp": utc(2024, 1, 1), "rank": None, "v": "null"},
         {"k": "a", "capture_timestamp": utc(2024, 1, 1), "rank": 2, "v": "two"},
     )
-    top_desc = rank_survivors(rows, (("rank", "desc"),), by_partition)
+    top_desc = rank(rows, (("rank", "desc"),))
     assert top_desc[0][2]["v"] == "two"
-    top_asc = rank_survivors(rows, (("rank", "asc"),), by_partition)
+    top_asc = rank(rows, (("rank", "asc"),))
     assert top_asc[0][2]["v"] == "null"
 
 
-def test_survivors_come_back_in_bronze_order(wh):
-    rows = staged(
-        {"k": "b", "capture_timestamp": utc(2024, 1, 2), "v": "b1"},
-        {"k": "a", "capture_timestamp": utc(2024, 1, 2), "v": "a1"},
-    )
-    survivors = rank_survivors(rows, (), by_partition)
-    assert [e[2]["v"] for e in survivors] == ["b1", "a1"]
+def test_survivors_come_back_in_bronze_order(wh, feed):
+    # Ranking puts person 2 first (later capture); the hub still appends in
+    # bronze order, which keeps file order independent of the ranking.
+    feed("people", PEOPLE_HEADER
+         + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n"
+         + "2,Bo,Rome,D2,2024-03-01T09:00:00Z,0\n")
+    load_all(wh, MODEL, now=NOW)
+    assert list(people_rows(wh)) == [person_key(1), person_key(2)]
 
 
 # -- star loading ---------------------------------------------------------------

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hubstar.errors import EvalError
 from hubstar.values import (
     EPOCH,
     coerce_scalar,
     format_timestamp,
+    key_part,
     parse_timestamp,
+    row_key,
+    show_key,
+    top_per_partition,
     value_to_string,
     values_equal,
 )
@@ -100,3 +106,82 @@ def test_values_equal_is_null_safe_and_numeric():
     assert not values_equal(1, Decimal("1.01"))
     assert values_equal("a", "a")
     assert not values_equal(True, "true")
+
+
+# -- the key rule ---------------------------------------------------------------
+
+_ZONES = (timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-5, minutes=-30)))
+_INSTANTS = (utc(2024, 3, 1, 8, 0), utc(2024, 3, 1, 8, 0, 0, 500), utc(1970, 1, 1))
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(),
+    st.sampled_from([Decimal("-0"), Decimal("0"), Decimal("0.00"), Decimal("-0.0"),
+                     Decimal("1"), Decimal("1.0"), Decimal("1.00"), Decimal("-1.0"),
+                     Decimal("2.50"), Decimal("2.5"), Decimal("1E+2"), Decimal("100.0")]),
+    st.decimals(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "0", "1", "true", "a"]),
+    st.text(max_size=3),
+    st.builds(lambda instant, zone: instant.astimezone(zone),
+              st.sampled_from(_INSTANTS), st.sampled_from(_ZONES)),
+    st.datetimes(timezones=st.sampled_from(_ZONES)),
+)
+
+
+def _kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, Decimal)):
+        return "number"
+    return type(value).__name__
+
+
+def _same_key(a, b) -> bool:
+    """The documented rule, stated independently of key_part: same kind, and
+    numbers compare by value, timestamps by instant, the rest strictly."""
+    if _kind(a) != _kind(b):
+        return False
+    if _kind(a) == "number":
+        return Decimal(a) == Decimal(b)
+    return a == b
+
+
+@given(scalars, scalars)
+def test_values_equal_agrees_with_key_part(a, b):
+    same = _same_key(a, b)
+    assert values_equal(a, b) == same
+    assert (key_part(a) == key_part(b)) == same
+    if same:  # equal keys must land in the same dict slot
+        assert hash(key_part(a)) == hash(key_part(b))
+
+
+@pytest.mark.parametrize("a,b,same", [
+    (True, 1, False),
+    (False, 0, False),
+    (Decimal("-0"), 0, True),
+    (Decimal("-0.00"), Decimal("0E+3"), True),
+    (Decimal("1.0"), Decimal("1.00"), True),
+    (10**30 + 1, Decimal(10**30), False),
+    (utc(2024, 1, 1, 12), datetime(2024, 1, 1, 14, tzinfo=timezone(timedelta(hours=2))), True),
+    ("1", 1, False),
+    (None, "", False),
+])
+def test_key_rule_edge_cases(a, b, same):
+    assert values_equal(a, b) == same
+    assert (row_key({"c": a}, ("c",)) == row_key({"c": b}, ("c",))) == same
+
+
+def test_show_key_renders_numbers_and_timestamps_bare():
+    key = row_key({"n": Decimal("1.50"), "t": utc(2024, 3, 1), "s": "x", "z": None},
+                  ("n", "t", "s", "z"))
+    assert show_key(key) == "(1.50, 2024-03-01T00:00:00Z, 'x', None)"
+
+
+def test_top_per_partition_groups_decimals_by_value():
+    rows = [{"k": Decimal("1.0"), "rank": 1}, {"k": Decimal("1.00"), "rank": 2}]
+    top = top_per_partition(rows, lambda r: row_key(r, ("k",)), (("rank", "desc"),))
+    assert top == [rows[1]]
