@@ -18,7 +18,7 @@ from .dsl import load_model
 from .errors import HubStarError, ParseError
 from .gold import build_all
 from .model import ModelSpec, validate_model
-from .oracle import check_against_oracle
+from .oracle import check_against_oracle, skip_reason
 from .silver import LoadResult, init_warehouse, load_all
 from .storage import Warehouse, _encode_collection
 from .values import parse_timestamp, value_to_string
@@ -195,10 +195,11 @@ def _cmd_check(args) -> int:
     silver = spec.schema_names["silver"]
     problems = warehouse.check_all(silver)
     if args.against_oracle:
-        for element in list(spec.hubs) + list(spec.stars):
-            if len(element.source_mappings) > 1:
-                print(f"note: {element.name} has several source mappings; "
-                      "oracle comparison skipped", file=sys.stderr)
+        for element in spec.hubs + spec.stars:
+            reason = skip_reason(element)
+            if reason is not None:
+                print(f"note: {element.name} {reason}; oracle comparison skipped",
+                      file=sys.stderr)
         problems += check_against_oracle(warehouse, spec)
     for line in sorted(problems):
         print(line)

@@ -18,7 +18,6 @@ from .model import (
     CollectionColumn,
     ColumnDef,
     ColumnRef,
-    CurrentStarJoin,
     DescriptiveDef,
     FkResolution,
     GoldViewDef,
@@ -33,10 +32,10 @@ from .model import (
     OutputColumn,
     SourceDef,
     StarDef,
+    StarJoin,
     StarMapping,
     TemporalJoin,
     TimeParticipant,
-    VersionsJoin,
     default_schema_names,
 )
 from .values import SCALAR_TYPES
@@ -532,10 +531,10 @@ class _Parser:
                     self.fail(f"join mode must be inner or left, got {htok.text!r}", htok)
                 joins.append(HubJoin(hub, on, htok.text))
             elif tok.text == "join_current":
-                joins.append(CurrentStarJoin(*self.parse_star_join_tail()))
+                joins.append(StarJoin(*self.parse_star_join_tail()))
             elif tok.text == "versions":
                 self.once(versions, tok, "versions")
-                versions = VersionsJoin(*self.parse_star_join_tail())
+                versions = StarJoin(*self.parse_star_join_tail())
             elif tok.text == "temporal_join":
                 self.once(temporal, tok, "temporal_join")
                 dim = self.ident("dim view name").text
@@ -758,7 +757,7 @@ def _render_gold(view: GoldViewDef) -> str:
     return "\n".join(lines)
 
 
-def _render_star_join_tail(join: CurrentStarJoin | VersionsJoin) -> str:
+def _render_star_join_tail(join: StarJoin) -> str:
     order = ", ".join(f"{c} {d}" for c, d in join.order_by)
     return (f"star {join.star} on {join.on_column} "
             f"partition_by ({', '.join(join.partition_by)}) "

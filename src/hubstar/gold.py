@@ -11,15 +11,9 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import GoldBuildError
-from .model import (
-    CurrentStarJoin,
-    GoldViewDef,
-    HubJoin,
-    ModelSpec,
-    VersionsJoin,
-)
+from .model import GoldViewDef, HubJoin, ModelSpec, StarJoin
 from .storage import Record, Warehouse
-from .tables import gold_manifest, hub_manifest, star_manifest
+from .tables import gold_manifest, ref_table, view_tables
 from .values import key_part, row_key, top_per_partition, value_to_string
 
 SCD2_DELIMITER = "#"
@@ -44,36 +38,16 @@ def current_rows(rows: list[Record], partition: tuple[str, ...],
 class _ViewContext:
     """Resolves column references across the tables a view reads."""
 
-    def __init__(self, warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef):
-        self.warehouse = warehouse
-        self.spec = spec
+    def __init__(self, spec: ModelSpec, view: GoldViewDef):
         self.view = view
-        self.columns: dict[str, tuple[str, ...]] = {}
-        if view.base_kind == "hub":
-            self.columns[view.base] = hub_manifest(spec, spec.hub(view.base)).column_names
-        else:
-            self.columns[view.base] = star_manifest(spec, spec.star(view.base)).column_names
-        for join in view.joins:
-            if isinstance(join, HubJoin):
-                self.columns[join.hub] = hub_manifest(spec, spec.hub(join.hub)).column_names
-            else:
-                self.columns[join.star] = star_manifest(spec, spec.star(join.star)).column_names
-        if view.versions is not None:
-            star = spec.star(view.versions.star)
-            self.columns[view.versions.star] = star_manifest(spec, star).column_names
-        if view.temporal is not None:
-            dim = spec.view(view.temporal.dim)
-            self.columns[dim.name] = gold_manifest(spec, dim).column_names
+        self.tables = view_tables(spec, view)
 
     def resolve(self, ctx: dict[str, Record | None], ref) -> object:
-        if ref.table is not None:
-            row = ctx.get(ref.table)
-            return None if row is None else row.get(ref.column)
-        for name, cols in self.columns.items():
-            if ref.column in cols:
-                row = ctx.get(name)
-                return None if row is None else row.get(ref.column)
-        raise GoldBuildError(f"{self.view.name}: no table exposes column {ref.column!r}")
+        name = ref_table(self.tables, ref)
+        if name is None:
+            raise GoldBuildError(f"{self.view.name}: no table exposes column {ref.column!r}")
+        row = ctx.get(name)
+        return None if row is None else row.get(ref.column)
 
 
 def _silver_rows(warehouse: Warehouse, spec: ModelSpec, table: str) -> list[Record]:
@@ -129,13 +103,13 @@ def _apply_joins(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
                 contexts, join.hub,
                 lambda ctx: index.get(key_part(_first_value(ctx, join.on_column))),
                 inner=join.how == "inner")
-        else:  # CurrentStarJoin
+        else:
             contexts = _join_current(warehouse, spec, view, join, contexts)
     return contexts
 
 
 def _join_current(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-                  join: CurrentStarJoin | VersionsJoin,
+                  join: StarJoin,
                   contexts: list[dict[str, Record | None]]) -> list[dict[str, Record | None]]:
     """Left join the current rows of a star to a hub base."""
     if view.base_kind != "hub":
@@ -198,7 +172,7 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
                now: datetime) -> GoldBuildResult:
     """One pipeline for every kind: base rows, joins, versions, the temporal
     join, then projection; each step runs when the view declares it."""
-    vc = _ViewContext(warehouse, spec, view)
+    vc = _ViewContext(spec, view)
     base = spec.hub(view.base) if view.base_kind == "hub" else spec.star(view.base)
     contexts: list[dict[str, Record | None]] = [
         {view.base: row} for row in _silver_rows(warehouse, spec, base.table_name)]

@@ -22,6 +22,13 @@ SYSTEM_LOAD_SOURCE = 0
 
 LAYERS = ("bronze", "silver", "gold")
 
+Column = tuple[str, str, bool]  # a silver column's (name, type, nullable)
+
+
+def _metadata_columns(names: tuple[str, ...], has_delete_flag: bool) -> tuple[Column, ...]:
+    columns = tuple((n, "integer" if n == "load_source" else "timestamp", False) for n in names)
+    return columns + ((("delete_flag", "integer", False),) if has_delete_flag else ())
+
 
 class ModelError(HubStarError):
     """Unsatisfiable model-level request (e.g. cyclic load order)."""
@@ -97,6 +104,13 @@ class DescriptiveDef:
     nullable: bool = True
     fk_hub: str | None = None
 
+    @property
+    def column(self) -> Column:
+        """A foreign key holds the referenced hub's key, never null."""
+        if self.fk_hub is not None:
+            return (self.name, "string", False)
+        return (self.name, self.type, self.nullable)
+
 
 @dataclass(frozen=True)
 class HubMapping:
@@ -137,6 +151,15 @@ class HubDef:
     def business_key_names(self) -> tuple[str, ...]:
         return tuple(bk.name for bk in self.business_keys)
 
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        """Silver columns in file order: metadata, delete flag, key,
+        business keys, then descriptives."""
+        return (_metadata_columns(HUB_METADATA, self.has_delete_flag)
+                + ((self.key_column, "string", False),)
+                + tuple((bk.name, bk.type, False) for bk in self.business_keys)
+                + tuple(d.column for d in self.descriptives))
+
 
 @dataclass(frozen=True)
 class ItemKeyRule:
@@ -145,6 +168,10 @@ class ItemKeyRule:
     sequence_field: str | None = None
     attributes: tuple[str, ...] = ()
     hashed: bool = False
+
+
+def item_key_type(rule: ItemKeyRule) -> str:
+    return "string" if rule.mode == "concat_of_attributes" else "integer"
 
 
 @dataclass(frozen=True)
@@ -195,6 +222,22 @@ class StarDef:
                 return p
         return None
 
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        """Silver columns in file order: metadata, delete flag, participant
+        keys, then descriptives. A time participant outside the composite
+        key may be null."""
+        participants = []
+        for p in self.participants:
+            if isinstance(p, HubParticipant):
+                participants.append((p.column, "string", False))
+            elif isinstance(p, TimeParticipant):
+                participants.append((p.column, "timestamp", p.column not in self.key_columns))
+            else:
+                participants.append((p.column, item_key_type(p.rule), False))
+        return (_metadata_columns(STAR_METADATA, self.has_delete_flag) + tuple(participants)
+                + tuple(d.column for d in self.descriptives))
+
 
 @dataclass(frozen=True)
 class ColumnRef:
@@ -216,18 +259,9 @@ class HubJoin:
 
 
 @dataclass(frozen=True)
-class CurrentStarJoin:
-    """Left join to the rn=1, delete_flag=0 rows of a star (SCD1 source)."""
-
-    star: str
-    on_column: str
-    partition_by: tuple[str, ...]
-    order_by: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class VersionsJoin:
-    """Left join to deduplicated star versions (SCD2 source)."""
+class StarJoin:
+    """Left join to the rn=1, delete_flag=0 rows of a star: an SCD1 source
+    in `GoldViewDef.joins`, the SCD2 versions in `GoldViewDef.versions`."""
 
     star: str
     on_column: str
@@ -251,8 +285,8 @@ class GoldViewDef:
     kind: str  # scd1_dim | scd2_dim | fact
     base_kind: str  # hub | star
     base: str
-    joins: tuple[HubJoin | CurrentStarJoin, ...] = ()
-    versions: VersionsJoin | None = None
+    joins: tuple[HubJoin | StarJoin, ...] = ()
+    versions: StarJoin | None = None
     temporal: TemporalJoin | None = None
     scd2_key: tuple[ColumnRef, ...] = ()
     outputs: tuple[OutputColumn, ...] = ()
@@ -260,6 +294,23 @@ class GoldViewDef:
     @property
     def table_name(self) -> str:
         return self.name
+
+    @property
+    def read_tables(self) -> tuple[tuple[str, str, bool], ...]:
+        """(kind, name, left-joined) of every table the view reads, in the
+        order bare column references resolve: base, joins, versions, then
+        the temporal dimension. Kind is hub, star or gold."""
+        tables = [(self.base_kind, self.base, False)]
+        for join in self.joins:
+            if isinstance(join, HubJoin):
+                tables.append(("hub", join.hub, join.how == "left"))
+            else:
+                tables.append(("star", join.star, True))
+        if self.versions is not None:
+            tables.append(("star", self.versions.star, True))
+        if self.temporal is not None:
+            tables.append(("gold", self.temporal.dim, True))
+        return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -501,35 +552,14 @@ def _check_fk_resolution(ck: _Checker, loc: str, source: SourceDef | None,
 
 
 def _check_fk_cycles(ck: _Checker):
-    graph = {
+    cycle = _find_cycle({
         hub.name: sorted({d.fk_hub for d in hub.descriptives
                           if d.fk_hub is not None and ck.spec.hub(d.fk_hub) is not None})
         for hub in ck.spec.hubs
-    }
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        state[node] = 1
-        stack.append(node)
-        for dep in graph[node]:
-            if state.get(dep) == 1:
-                return stack[stack.index(dep):] + [dep]
-            if state.get(dep, 0) == 0:
-                cycle = visit(dep)
-                if cycle:
-                    return cycle
-        stack.pop()
-        state[node] = 2
-        return None
-
-    for name in graph:
-        if state.get(name, 0) == 0:
-            cycle = visit(name)
-            if cycle:
-                ck.add("hub_fk_cycle", f"hub {cycle[0]}",
-                       "cyclic foreign-key chain: " + " -> ".join(cycle))
-                return
+    })
+    if cycle:
+        ck.add("hub_fk_cycle", f"hub {cycle[0]}",
+               "cyclic foreign-key chain: " + " -> ".join(cycle))
 
 
 def _check_star(ck: _Checker, star: StarDef):
@@ -632,44 +662,19 @@ def _check_item_rule(ck: _Checker, loc: str, rule: ItemKeyRule, collection: Coll
 
 
 def _gold_tables(ck: _Checker, view: GoldViewDef) -> dict[str, list[str]]:
-    """Model-level column listing for every table the view touches,
-    keyed by model element name, in resolution order (base first)."""
+    """Column names of every table the view reads that exists in the
+    model, keyed by element name, in resolution order (base first)."""
     spec = ck.spec
     tables: dict[str, list[str]] = {}
-
-    def hub_columns(hub: HubDef) -> list[str]:
-        meta = list(HUB_METADATA) + (["delete_flag"] if hub.has_delete_flag else [])
-        return meta + [hub.key_column] + list(hub.business_key_names) + [d.name for d in hub.descriptives]
-
-    def star_columns(star: StarDef) -> list[str]:
-        meta = list(STAR_METADATA) + (["delete_flag"] if star.has_delete_flag else [])
-        return meta + list(star.participant_columns) + [d.name for d in star.descriptives]
-
-    if view.base_kind == "hub":
-        hub = spec.hub(view.base)
-        if hub is not None:
-            tables[view.base] = hub_columns(hub)
-    else:
-        star = spec.star(view.base)
-        if star is not None:
-            tables[view.base] = star_columns(star)
-    for join in view.joins:
-        if isinstance(join, HubJoin):
-            hub = spec.hub(join.hub)
-            if hub is not None:
-                tables[join.hub] = hub_columns(hub)
-        else:
-            star = spec.star(join.star)
-            if star is not None:
-                tables[join.star] = star_columns(star)
-    if view.versions is not None:
-        star = spec.star(view.versions.star)
-        if star is not None:
-            tables[view.versions.star] = star_columns(star)
-    if view.temporal is not None:
-        dim = spec.view(view.temporal.dim)
-        if dim is not None:
-            tables[dim.name] = [o.name for o in dim.outputs]
+    for kind, name, _left in view.read_tables:
+        if kind == "gold":
+            dim = spec.view(name)
+            if dim is not None:
+                tables[name] = [o.name for o in dim.outputs]
+            continue
+        element = spec.hub(name) if kind == "hub" else spec.star(name)
+        if element is not None:
+            tables[name] = [column for column, _type, _nullable in element.columns]
     return tables
 
 
@@ -777,7 +782,7 @@ def resolve_load_order(spec: ModelSpec) -> list[str]:
         ready = sorted((n for n in remaining if deps[n] <= done),
                        key=lambda n: order_index[n])
         if not ready:
-            cycle = _find_cycle({n: deps[n] & remaining for n in remaining})
+            cycle = _find_cycle({n: sorted(deps[n] & remaining) for n in sorted(remaining)})
             raise ModelError("cyclic hub dependencies: " + " -> ".join(cycle))
         node = ready[0]
         result.append(node)
@@ -786,14 +791,16 @@ def resolve_load_order(spec: ModelSpec) -> list[str]:
     return result
 
 
-def _find_cycle(graph: dict[str, set[str]]) -> list[str]:
+def _find_cycle(graph: dict[str, list[str]]) -> list[str] | None:
+    """The first cycle a depth-first search meets, walking nodes and their
+    dependencies in the order given, as a path that repeats its first node."""
     state: dict[str, int] = {}
     stack: list[str] = []
 
     def visit(node: str) -> list[str] | None:
         state[node] = 1
         stack.append(node)
-        for dep in sorted(graph.get(node, ())):
+        for dep in graph.get(node, ()):
             if state.get(dep) == 1:
                 return stack[stack.index(dep):] + [dep]
             if state.get(dep, 0) == 0:
@@ -804,9 +811,9 @@ def _find_cycle(graph: dict[str, set[str]]) -> list[str]:
         state[node] = 2
         return None
 
-    for name in sorted(graph):
+    for name in graph:
         if state.get(name, 0) == 0:
             found = visit(name)
             if found:
                 return found
-    return ["<none>"]
+    return None

@@ -28,10 +28,11 @@ from .model import (
     StarDef,
     StarMapping,
     TimeParticipant,
+    item_key_type,
     resolve_load_order,
 )
-from .storage import Record, Warehouse
-from .tables import bronze_manifest, hub_manifest, item_key_type, star_manifest
+from .storage import Record, Warehouse, high_water_mark
+from .tables import bronze_manifest, hub_manifest, star_manifest
 from .values import (
     EPOCH,
     coerce_scalar,
@@ -201,10 +202,11 @@ def _new_bronze_rows(warehouse: Warehouse, spec: ModelSpec, source: str,
 
 def _merge(warehouse: Warehouse, schema: str, table: str,
            existing: dict[object, Record], candidates: list[tuple[object, Record, Record]],
-           compare_columns: list[str], load_source: int, now: datetime,
-           new_row) -> tuple[int, int, int]:
+           compare_columns: list[str], load_source: int, now: datetime, hwm: datetime,
+           new_row) -> tuple[int, int, int, datetime]:
     """Merge (key, bronze row, payload) candidates into a silver table and
-    return the (inserted, updated, unchanged) counts.
+    return the (inserted, updated, unchanged) counts and the new high-water
+    mark: the latest of `hwm` and the capture times written.
 
     A key missing from `existing` inserts the load metadata plus
     `new_row(key, bronze row, payload)`, which runs only on insert, so system
@@ -235,14 +237,15 @@ def _merge(warehouse: Warehouse, schema: str, table: str,
         else:
             unchanged += 1
     warehouse.upsert_rows(schema, table, writes)
-    return inserted, updated, unchanged
+    return inserted, updated, unchanged, high_water_mark(writes, f"{schema}.{table}", hwm)
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
              mapping: HubMapping, now: datetime) -> LoadResult:
     silver = spec.schema_names["silver"]
     load_source = spec.source(mapping.source).load_source_id
-    hwm = warehouse.max_capture_timestamp(silver, hub.table_name)
+    existing = warehouse.read_rows(silver, hub.table_name)
+    hwm = high_water_mark(existing, f"{silver}.{hub.table_name}")
     bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
     staged = [(i, row, evaluate_hub_mapping(warehouse, spec, hub, mapping, row))
               for i, row in enumerate(bronze_rows)]
@@ -254,7 +257,6 @@ def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
                                   fields=lambda e: e[1])
     survivors.sort(key=lambda e: e[0])
 
-    existing = warehouse.read_rows(silver, hub.table_name)
     if hub.key_type == "computed":
         index = {row[hub.key_column]: row for row in existing}
     else:
@@ -281,9 +283,9 @@ def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
     compare_columns = [d.name for d in hub.descriptives]
     if hub.has_delete_flag:
         compare_columns.append("delete_flag")
-    inserted, updated, unchanged = _merge(warehouse, silver, hub.table_name, index, candidates,
-                                          compare_columns, load_source, now, new_row)
-    new_hwm = warehouse.max_capture_timestamp(silver, hub.table_name)
+    inserted, updated, unchanged, new_hwm = _merge(
+        warehouse, silver, hub.table_name, index, candidates, compare_columns,
+        load_source, now, hwm, new_row)
     return LoadResult(table=f"{silver}.{hub.table_name}", source=mapping.source,
                       scanned=len(bronze_rows), inserted=inserted, updated=updated,
                       unchanged_skipped=unchanged, new_hwm=new_hwm)
@@ -370,17 +372,13 @@ def evaluate_star_mapping(warehouse: Warehouse | None, spec: ModelSpec, star: St
     return out
 
 
-def star_hwm(warehouse: Warehouse, spec: ModelSpec, star: StarDef) -> datetime:
-    """Stars have no default rows: an empty star means load everything."""
-    rows = warehouse.read_rows(spec.schema_names["silver"], star.table_name)
-    return max((r["capture_timestamp"] for r in rows), default=EPOCH)
-
-
 def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
               mapping: StarMapping, now: datetime) -> LoadResult:
     silver = spec.schema_names["silver"]
-    bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source,
-                                   star_hwm(warehouse, spec, star))
+    rows = warehouse.read_rows(silver, star.table_name)
+    # Stars have no default rows: an empty star means load everything.
+    hwm = high_water_mark(rows, f"{silver}.{star.table_name}", EPOCH)
+    bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
     staged = [(bronze_row, payload) for bronze_row in bronze_rows
               for payload in evaluate_star_mapping(warehouse, spec, star, mapping, bronze_row)]
 
@@ -399,18 +397,16 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
     for bronze_row, payload in staged:
         latest[composite_key(bronze_row, payload)] = (bronze_row, payload)
 
-    existing = {row_key(row, star.key_columns): row
-                for row in warehouse.read_rows(silver, star.table_name)}
+    existing = {row_key(row, star.key_columns): row for row in rows}
     compare_columns = [c for c in star.participant_columns if c not in star.key_columns]
     compare_columns += [d.name for d in star.descriptives]
     if star.has_delete_flag:
         compare_columns.append("delete_flag")
-    inserted, updated, unchanged = _merge(
+    inserted, updated, unchanged, new_hwm = _merge(
         warehouse, silver, star.table_name, existing,
         [(key, bronze_row, payload) for key, (bronze_row, payload) in latest.items()],
-        compare_columns, spec.source(mapping.source).load_source_id, now,
+        compare_columns, spec.source(mapping.source).load_source_id, now, hwm,
         lambda _key, _bronze_row, payload: payload)
-    new_hwm = star_hwm(warehouse, spec, star)
     return LoadResult(table=f"{silver}.{star.table_name}", source=mapping.source,
                       scanned=len(staged), inserted=inserted, updated=updated,
                       unchanged_skipped=unchanged, new_hwm=new_hwm)

@@ -178,6 +178,18 @@ def decode_row(manifest: TableManifest, line: str) -> Record:
     return record
 
 
+def high_water_mark(rows: Iterable[Record], table: str,
+                    empty: datetime | None = None) -> datetime:
+    """The latest non-null capture_timestamp among `rows`. With none, the
+    mark is `empty`; when that is None too (a hub, which always holds its
+    default row), the table was never initialized and this raises."""
+    mark = max((r["capture_timestamp"] for r in rows if r.get("capture_timestamp") is not None),
+               default=empty)
+    if mark is None:
+        raise StorageError(f"{table}: no high-water mark; initialize default rows first")
+    return mark
+
+
 def _atomic_write(path: Path, content: bytes):
     if path.exists() and path.read_bytes() == content:
         return  # byte-identical; leave the file (and its mtime) alone
@@ -311,12 +323,7 @@ class Warehouse:
                 if all(values_equal(r.get(col), want) for col, want in where.items())]
 
     def max_capture_timestamp(self, schema: str, table: str) -> datetime:
-        rows = self.read_rows(schema, table)
-        stamps = [r["capture_timestamp"] for r in rows if r.get("capture_timestamp") is not None]
-        if not stamps:
-            raise StorageError(
-                f"{schema}.{table}: no high-water mark; initialize default rows first")
-        return max(stamps)
+        return high_water_mark(self.read_rows(schema, table), f"{schema}.{table}")
 
     def check_constraints(self, schema: str, table: str) -> list[str]:
         """Audit one table against its declared constraints; returns

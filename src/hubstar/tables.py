@@ -10,11 +10,9 @@ from __future__ import annotations
 from .errors import HubStarError
 from .model import (
     CollectionColumn,
-    CurrentStarJoin,
+    ColumnRef,
     GoldViewDef,
     HubDef,
-    HubJoin,
-    ItemKeyRule,
     ModelSpec,
     SourceDef,
     StarDef,
@@ -40,161 +38,84 @@ def bronze_manifest(spec: ModelSpec, source: SourceDef) -> TableManifest:
                          columns=tuple(columns))
 
 
-def hub_manifest(spec: ModelSpec, hub: HubDef) -> TableManifest:
+def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef,
+                     references: list[tuple[str, str]], primary_key: tuple[str, ...],
+                     unique: tuple[tuple[str, ...], ...] = ()) -> TableManifest:
+    """The element's own column layout plus a foreign key for each
+    (column, referenced hub) pair."""
     silver = spec.schema_names["silver"]
-    columns = [
-        ColumnSpec("load_source", "integer", nullable=False),
-        ColumnSpec("capture_timestamp", "timestamp", nullable=False),
-        ColumnSpec("load_timestamp", "timestamp", nullable=False),
-        ColumnSpec("initial_capture_timestamp", "timestamp", nullable=False),
-    ]
-    if hub.has_delete_flag:
-        columns.append(ColumnSpec("delete_flag", "integer", nullable=False))
-    columns.append(ColumnSpec(hub.key_column, "string", nullable=False))
-    for bk in hub.business_keys:
-        columns.append(ColumnSpec(bk.name, bk.type, nullable=False))
     foreign_keys = []
-    for desc in hub.descriptives:
-        if desc.fk_hub is not None:
-            columns.append(ColumnSpec(desc.name, "string", nullable=False))
-            target = spec.hub(desc.fk_hub)
-            foreign_keys.append(ForeignKeySpec(
-                (desc.name,), silver, target.table_name, (target.key_column,)))
-        else:
-            columns.append(ColumnSpec(desc.name, desc.type, nullable=desc.nullable))
+    for column, hub_name in references:
+        target = spec.hub(hub_name)
+        foreign_keys.append(ForeignKeySpec(
+            (column,), silver, target.table_name, (target.key_column,)))
+    return TableManifest(
+        schema=silver,
+        table=element.table_name,
+        columns=tuple(ColumnSpec(name, ctype, nullable=nullable)
+                      for name, ctype, nullable in element.columns),
+        primary_key=primary_key,
+        unique=unique,
+        foreign_keys=tuple(foreign_keys),
+    )
+
+
+def _descriptive_references(element: HubDef | StarDef) -> list[tuple[str, str]]:
+    return [(d.name, d.fk_hub) for d in element.descriptives if d.fk_hub is not None]
+
+
+def hub_manifest(spec: ModelSpec, hub: HubDef) -> TableManifest:
     bk_unique = hub.business_key_names
     if hub.bk_scope == "local":
         bk_unique = ("load_source",) + bk_unique
-    return TableManifest(
-        schema=silver,
-        table=hub.table_name,
-        columns=tuple(columns),
-        primary_key=(hub.key_column,),
-        unique=(bk_unique,),
-        foreign_keys=tuple(foreign_keys),
-    )
-
-
-def item_key_type(rule: ItemKeyRule) -> str:
-    return "string" if rule.mode == "concat_of_attributes" else "integer"
+    return _silver_manifest(spec, hub, _descriptive_references(hub),
+                            (hub.key_column,), (bk_unique,))
 
 
 def star_manifest(spec: ModelSpec, star: StarDef) -> TableManifest:
-    from .model import HubParticipant, ItemParticipant, TimeParticipant
+    references = [(p.column, p.hub) for p in star.hub_participants]
+    return _silver_manifest(spec, star, references + _descriptive_references(star),
+                            tuple(star.key_columns))
 
-    silver = spec.schema_names["silver"]
-    columns = [
-        ColumnSpec("load_source", "integer", nullable=False),
-        ColumnSpec("capture_timestamp", "timestamp", nullable=False),
-        ColumnSpec("load_timestamp", "timestamp", nullable=False),
-    ]
-    if star.has_delete_flag:
-        columns.append(ColumnSpec("delete_flag", "integer", nullable=False))
-    foreign_keys = []
-    keyed = set(star.key_columns)
-    for p in star.participants:
-        if isinstance(p, HubParticipant):
-            columns.append(ColumnSpec(p.column, "string", nullable=False))
-            target = spec.hub(p.hub)
-            foreign_keys.append(ForeignKeySpec(
-                (p.column,), silver, target.table_name, (target.key_column,)))
-        elif isinstance(p, TimeParticipant):
-            columns.append(ColumnSpec(p.column, "timestamp", nullable=p.column not in keyed))
-        elif isinstance(p, ItemParticipant):
-            columns.append(ColumnSpec(p.column, item_key_type(p.rule), nullable=False))
-    for desc in star.descriptives:
-        if desc.fk_hub is not None:
-            columns.append(ColumnSpec(desc.name, "string", nullable=False))
-            target = spec.hub(desc.fk_hub)
-            foreign_keys.append(ForeignKeySpec(
-                (desc.name,), silver, target.table_name, (target.key_column,)))
+
+ColumnTypes = dict[str, tuple[str, bool]]  # column -> (type, nullable)
+
+
+def view_tables(spec: ModelSpec, view: GoldViewDef) -> dict[str, ColumnTypes]:
+    """Column types of every table the view reads, in `read_tables` order.
+    A left-joined table has every column nullable; the base and inner hub
+    joins keep their declared nullability."""
+    tables: dict[str, ColumnTypes] = {}
+    for kind, name, left in view.read_tables:
+        if kind == "gold":
+            columns = [(c.name, c.type, c.nullable)
+                       for c in gold_manifest(spec, spec.view(name)).columns]
         else:
-            columns.append(ColumnSpec(desc.name, desc.type, nullable=desc.nullable))
-    return TableManifest(
-        schema=silver,
-        table=star.table_name,
-        columns=tuple(columns),
-        primary_key=tuple(star.key_columns),
-        foreign_keys=tuple(foreign_keys),
-    )
-
-
-def _hub_types(spec: ModelSpec, hub: HubDef) -> dict[str, tuple[str, bool]]:
-    types: dict[str, tuple[str, bool]] = {
-        "load_source": ("integer", False),
-        "capture_timestamp": ("timestamp", False),
-        "load_timestamp": ("timestamp", False),
-        "initial_capture_timestamp": ("timestamp", False),
-    }
-    if hub.has_delete_flag:
-        types["delete_flag"] = ("integer", False)
-    types[hub.key_column] = ("string", False)
-    for bk in hub.business_keys:
-        types[bk.name] = (bk.type, False)
-    for desc in hub.descriptives:
-        if desc.fk_hub is not None:
-            types[desc.name] = ("string", False)
-        else:
-            types[desc.name] = (desc.type, desc.nullable)
-    return types
-
-
-def _star_types(spec: ModelSpec, star: StarDef) -> dict[str, tuple[str, bool]]:
-    manifest = star_manifest(spec, star)
-    return {c.name: (c.type, c.nullable) for c in manifest.columns}
-
-
-def _view_tables(spec: ModelSpec, view: GoldViewDef) -> dict[str, dict[str, tuple[str, bool]]]:
-    """Column types per model element the view reads, base first. Joined
-    tables get every column marked nullable (left-join semantics); inner
-    hub joins keep their declared nullability."""
-    tables: dict[str, dict[str, tuple[str, bool]]] = {}
-
-    def add(name: str, types: dict[str, tuple[str, bool]], force_nullable: bool):
-        if force_nullable:
-            types = {c: (t, True) for c, (t, _n) in types.items()}
-        tables[name] = types
-
-    if view.base_kind == "hub":
-        add(view.base, _hub_types(spec, spec.hub(view.base)), False)
-    else:
-        add(view.base, _star_types(spec, spec.star(view.base)), False)
-    for join in view.joins:
-        if isinstance(join, HubJoin):
-            add(join.hub, _hub_types(spec, spec.hub(join.hub)), join.how == "left")
-        elif isinstance(join, CurrentStarJoin):
-            add(join.star, _star_types(spec, spec.star(join.star)), True)
-    if view.versions is not None:
-        add(view.versions.star, _star_types(spec, spec.star(view.versions.star)), True)
-    if view.temporal is not None:
-        dim = spec.view(view.temporal.dim)
-        dim_manifest = gold_manifest(spec, dim)
-        add(dim.name, {c.name: (c.type, True) for c in dim_manifest.columns}, True)
+            columns = (spec.hub(name) if kind == "hub" else spec.star(name)).columns
+        tables[name] = {column: (ctype, nullable or left)
+                        for column, ctype, nullable in columns}
     return tables
 
 
-def resolve_output_type(spec: ModelSpec, view: GoldViewDef, name: str) -> tuple[str, bool]:
-    tables = _view_tables(spec, view)
-    out = next((o for o in view.outputs if o.name == name), None)
-    if out is None:
-        raise HubStarError(f"view {view.name} has no output {name!r}")
-    if out.ref is None:
-        return ("string", False)  # the concatenated scd2 key
-    if out.ref.table is not None:
-        types = tables.get(out.ref.table, {})
-        if out.ref.column in types:
-            return types[out.ref.column]
-    else:
-        for types in tables.values():
-            if out.ref.column in types:
-                return types[out.ref.column]
-    raise HubStarError(f"view {view.name}: cannot resolve output {name!r}")
+def ref_table(tables: dict[str, ColumnTypes], ref: ColumnRef) -> str | None:
+    """The table a column reference reads: the one it names, or else the
+    first table in view order that has the column."""
+    if ref.table is not None:
+        return ref.table
+    return next((name for name, types in tables.items() if ref.column in types), None)
 
 
 def gold_manifest(spec: ModelSpec, view: GoldViewDef) -> TableManifest:
+    tables = view_tables(spec, view)
     columns = []
     for out in view.outputs:
-        ctype, nullable = resolve_output_type(spec, view, out.name)
+        if out.ref is None:
+            ctype, nullable = "string", False  # the concatenated scd2 key
+        else:
+            types = tables.get(ref_table(tables, out.ref), {})
+            if out.ref.column not in types:
+                raise HubStarError(f"view {view.name}: cannot resolve output {out.name!r}")
+            ctype, nullable = types[out.ref.column]
         if view.kind == "scd2_dim" and out.name == "valid_to":
             nullable = True  # the open current version
         columns.append(ColumnSpec(out.name, ctype, nullable=nullable))

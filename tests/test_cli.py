@@ -189,6 +189,69 @@ def test_check_against_oracle_passes_on_a_clean_warehouse(cli_wh, capsys):
     assert captured.err == ""  # every element is single-mapping: no skip notes
 
 
+SKIPPED = '''product skipped
+
+source people {
+  load_source 1
+  format csv
+  column person_id integer
+  column device_code string
+  column seen_at timestamp
+  capture cdc_column seen_at
+}
+
+source visits {
+  load_source 2
+  format csv
+  column person_id integer
+  column seen_at timestamp
+  capture cdc_column seen_at
+}
+
+hub device {
+  key system_generated
+  business_key global (device_code string)
+  source_mapping people {
+    map device_code = device_code
+  }
+}
+
+hub person {
+  key computed sha256(cast(person_id as string))
+  business_key global (person_id integer)
+  source_mapping people {
+    map person_id = person_id
+  }
+}
+
+hub traveler {
+  key computed concat("#", load_source(), cast(person_id as string))
+  business_key local (person_id integer)
+  source_mapping people {
+    map person_id = person_id
+  }
+  source_mapping visits {
+    map person_id = person_id
+  }
+}
+'''
+
+
+def test_check_against_oracle_notes_every_element_it_skips(tmp_path, capsys):
+    model = tmp_path / "skipped.hsm"
+    model.write_text(SKIPPED, encoding="utf-8")
+    root = str(tmp_path / "wh")
+    assert main(["init", "--model", str(model), "--root", root]) == 0
+    capsys.readouterr()
+    rc = main(["check", "--model", str(model), "--root", root, "--against-oracle"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.out == "ok\n"
+    assert captured.err.splitlines() == [
+        "note: device has a system-generated key; oracle comparison skipped",
+        "note: traveler has several source mappings; oracle comparison skipped",
+    ]
+
+
 def test_check_reports_findings_and_exits_nonzero(cli_wh, tmp_path, capsys):
     # A warehouse that was initialized but never loaded has empty bronze and
     # just the default rows: that is clean too, so vandalize a table copy.

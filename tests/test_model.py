@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from hubstar import parse_model, validate_model
+from hubstar.errors import HubStarError
 from hubstar.model import resolve_load_order
 
 MINI = '''product demo
@@ -213,6 +214,27 @@ hub beta {
 }
 '''
     assert check(text) == ["hub_fk_cycle"]
+
+
+def test_cycle_messages_walk_declaration_order_and_name_order():
+    spec = parse_model(MINI + '''
+hub beta {
+  key computed cast(b_id as string)
+  business_key global (b_id integer)
+  descriptive alpha_key references alpha
+}
+
+hub alpha {
+  key computed cast(a_id as string)
+  business_key global (a_id integer)
+  descriptive beta_key references beta
+}
+''').spec
+    cycles = [v for v in validate_model(spec).violations if v.rule == "hub_fk_cycle"]
+    assert [(v.location, v.message) for v in cycles] == [
+        ("hub beta", "cyclic foreign-key chain: beta -> alpha -> beta")]
+    with pytest.raises(HubStarError, match="^cyclic hub dependencies: alpha -> beta -> alpha$"):
+        resolve_load_order(spec)
 
 
 # --- mapping rules -----------------------------------------------------------------

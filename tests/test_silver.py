@@ -560,3 +560,35 @@ def test_missing_collection_column_explodes_to_nothing():
     rule = ItemKeyRule("positional", "items")
     assert explode_collection({"items": None}, rule) == []
     assert explode_collection({}, rule) == []
+
+
+# -- table reads ----------------------------------------------------------------
+
+
+def test_noop_reload_reads_each_silver_table_once_per_mapping(
+        tmp_path, monkeypatch, retail_spec, retail_data):
+    from collections import Counter
+
+    from hubstar import storage
+
+    from conftest import run_pipeline
+
+    warehouse = run_pipeline(tmp_path, retail_spec, retail_data, gold=False)
+    silver = retail_spec.schema_names["silver"]
+    reads: Counter = Counter()
+    writes: list = []
+    read_rows = storage.Warehouse.read_rows
+
+    def counted(self, schema, table):
+        if schema == silver:
+            reads[table] += 1
+        return read_rows(self, schema, table)
+
+    monkeypatch.setattr(storage.Warehouse, "read_rows", counted)
+    monkeypatch.setattr(storage, "_atomic_write", lambda path, content: writes.append(path))
+    results = load_all(warehouse, retail_spec, now=NOW)
+
+    assert all(r.scanned == 0 for r in results)
+    assert writes == []
+    elements = retail_spec.hubs + retail_spec.stars
+    assert reads == {e.table_name: len(e.source_mappings) for e in elements}
