@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import GoldBuildError
-from .model import GoldViewDef, HubJoin, ModelSpec, StarJoin
+from .model import ColumnRef, GoldViewDef, HubJoin, ModelSpec, StarJoin
 from .storage import Record, Warehouse
 from .tables import gold_manifest, ref_table, view_tables
 from .values import key_part, row_key, top_per_partition, value_to_string
@@ -86,29 +86,22 @@ def _fan_out(contexts: list[dict[str, Record | None]], name: str, matches_of,
     return joined
 
 
-def _first_value(ctx: dict[str, Record | None], column: str):
-    for row in ctx.values():
-        if row is not None and column in row:
-            return row[column]
-    return None
-
-
-def _apply_joins(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
+def _apply_joins(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef, vc: _ViewContext,
                  contexts: list[dict[str, Record | None]]) -> list[dict[str, Record | None]]:
     for join in view.joins:
         if isinstance(join, HubJoin):
             hub = spec.hub(join.hub)
             index = _index(_silver_rows(warehouse, spec, hub.table_name), hub.key_column)
-            contexts = _fan_out(
-                contexts, join.hub,
-                lambda ctx: index.get(key_part(_first_value(ctx, join.on_column))),
-                inner=join.how == "inner")
+            on = ColumnRef(None, join.on_column)
+            contexts = _fan_out(contexts, join.hub,
+                                lambda ctx: index.get(key_part(vc.resolve(ctx, on))),
+                                inner=join.how == "inner")
         else:
-            contexts = _join_current(warehouse, spec, view, join, contexts)
+            contexts = _join_current(warehouse, spec, view, vc, join, contexts)
     return contexts
 
 
-def _join_current(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
+def _join_current(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef, vc: _ViewContext,
                   join: StarJoin,
                   contexts: list[dict[str, Record | None]]) -> list[dict[str, Record | None]]:
     """Left join the current rows of a star to a hub base."""
@@ -118,9 +111,9 @@ def _join_current(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     rows = current_rows(_silver_rows(warehouse, spec, star.table_name),
                         join.partition_by, join.order_by)
     index = _index(rows, join.on_column)
-    base_key = spec.hub(view.base).key_column
+    base_key = ColumnRef(view.base, spec.hub(view.base).key_column)
     return _fan_out(contexts, join.star,
-                    lambda ctx: index.get(key_part(_first_value(ctx, base_key))))
+                    lambda ctx: index.get(key_part(vc.resolve(ctx, base_key))))
 
 
 def _temporal_join(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
@@ -176,9 +169,9 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     base = spec.hub(view.base) if view.base_kind == "hub" else spec.star(view.base)
     contexts: list[dict[str, Record | None]] = [
         {view.base: row} for row in _silver_rows(warehouse, spec, base.table_name)]
-    contexts = _apply_joins(warehouse, spec, view, contexts)
+    contexts = _apply_joins(warehouse, spec, view, vc, contexts)
     if view.versions is not None:
-        contexts = _join_current(warehouse, spec, view, view.versions, contexts)
+        contexts = _join_current(warehouse, spec, view, vc, view.versions, contexts)
     if view.temporal is not None:
         contexts = _temporal_join(warehouse, spec, view, vc, contexts)
     rows = _project(vc, view, contexts)

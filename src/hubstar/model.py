@@ -8,6 +8,7 @@ across concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as ex
 from .errors import HubStarError
@@ -151,14 +152,24 @@ class HubDef:
     def business_key_names(self) -> tuple[str, ...]:
         return tuple(bk.name for bk in self.business_keys)
 
-    @property
-    def columns(self) -> tuple[Column, ...]:
-        """Silver columns in file order: metadata, delete flag, key,
-        business keys, then descriptives."""
-        return (_metadata_columns(HUB_METADATA, self.has_delete_flag)
-                + ((self.key_column, "string", False),)
-                + tuple((bk.name, bk.type, False) for bk in self.business_keys)
+    @cached_property
+    def mapped_columns(self) -> tuple[Column, ...]:
+        """The columns a source mapping fills: business keys, then
+        descriptives."""
+        return (tuple((bk.name, bk.type, False) for bk in self.business_keys)
                 + tuple(d.column for d in self.descriptives))
+
+    @cached_property
+    def columns(self) -> tuple[Column, ...]:
+        """Silver columns in file order: metadata, delete flag, key, then
+        the mapped columns."""
+        return (_metadata_columns(HUB_METADATA, self.has_delete_flag)
+                + ((self.key_column, "string", False),) + self.mapped_columns)
+
+    @cached_property
+    def references(self) -> dict[str, str]:
+        """Column -> hub for every column that holds a hub's key."""
+        return {d.name: d.fk_hub for d in self.descriptives if d.fk_hub is not None}
 
 
 @dataclass(frozen=True)
@@ -211,22 +222,22 @@ class StarDef:
     def participant_columns(self) -> tuple[str, ...]:
         return tuple(p.column for p in self.participants)
 
-    @property
+    @cached_property
     def hub_participants(self) -> tuple[HubParticipant, ...]:
         return tuple(p for p in self.participants if isinstance(p, HubParticipant))
 
-    @property
+    @cached_property
     def item_participant(self) -> ItemParticipant | None:
         for p in self.participants:
             if isinstance(p, ItemParticipant):
                 return p
         return None
 
-    @property
-    def columns(self) -> tuple[Column, ...]:
-        """Silver columns in file order: metadata, delete flag, participant
-        keys, then descriptives. A time participant outside the composite
-        key may be null."""
+    @cached_property
+    def mapped_columns(self) -> tuple[Column, ...]:
+        """The columns a source mapping fills: participant keys, then
+        descriptives. A time participant outside the composite key may be
+        null."""
         participants = []
         for p in self.participants:
             if isinstance(p, HubParticipant):
@@ -235,8 +246,20 @@ class StarDef:
                 participants.append((p.column, "timestamp", p.column not in self.key_columns))
             else:
                 participants.append((p.column, item_key_type(p.rule), False))
-        return (_metadata_columns(STAR_METADATA, self.has_delete_flag) + tuple(participants)
-                + tuple(d.column for d in self.descriptives))
+        return tuple(participants) + tuple(d.column for d in self.descriptives)
+
+    @cached_property
+    def columns(self) -> tuple[Column, ...]:
+        """Silver columns in file order: metadata, delete flag, then the
+        mapped columns."""
+        return _metadata_columns(STAR_METADATA, self.has_delete_flag) + self.mapped_columns
+
+    @cached_property
+    def references(self) -> dict[str, str]:
+        """Column -> hub for every column that holds a hub's key: hub
+        participants, then `references` descriptives."""
+        hubs = [(p.column, p.hub) for p in self.hub_participants]
+        return dict(hubs + [(d.name, d.fk_hub) for d in self.descriptives if d.fk_hub is not None])
 
 
 @dataclass(frozen=True)
@@ -322,17 +345,28 @@ class ModelSpec:
     stars: tuple[StarDef, ...] = ()
     gold_views: tuple[GoldViewDef, ...] = ()
 
+    @cached_property
+    def _named(self) -> dict[tuple[str, str], SourceDef | HubDef | StarDef | GoldViewDef]:
+        """The first definition of each kind and name. Loads look sources
+        and hubs up once per bronze row, so a scan would cost per row."""
+        named = {}
+        for kind, defs in (("source", self.sources), ("hub", self.hubs),
+                           ("star", self.stars), ("view", self.gold_views)):
+            for d in defs:
+                named.setdefault((kind, d.name), d)
+        return named
+
     def source(self, name: str) -> SourceDef | None:
-        return next((s for s in self.sources if s.name == name), None)
+        return self._named.get(("source", name))
 
     def hub(self, name: str) -> HubDef | None:
-        return next((h for h in self.hubs if h.name == name), None)
+        return self._named.get(("hub", name))
 
     def star(self, name: str) -> StarDef | None:
-        return next((s for s in self.stars if s.name == name), None)
+        return self._named.get(("star", name))
 
     def view(self, name: str) -> GoldViewDef | None:
-        return next((v for v in self.gold_views if v.name == name), None)
+        return self._named.get(("view", name))
 
 
 def default_schema_names(product_name: str) -> dict[str, str]:
@@ -460,9 +494,7 @@ def _check_hub(ck: _Checker, hub: HubDef):
     elif hub.key_formula is not None:
         ck.add("hub_key_formula_unexpected", loc,
                "system_generated hubs do not take a key formula")
-    for desc in hub.descriptives:
-        if desc.fk_hub is not None:
-            _check_fk_target(ck, loc, desc.name, desc.fk_hub)
+    _check_references(ck, loc, hub)
     for mapping in hub.source_mappings:
         _check_hub_mapping(ck, hub, mapping)
 
@@ -480,15 +512,21 @@ def _check_key_formula(ck: _Checker, hub: HubDef, loc: str):
         ck.add("key_formula_delimiter", loc, "concat key formulas must declare a delimiter")
 
 
-def _check_fk_target(ck: _Checker, loc: str, column: str, hub_name: str):
-    target = ck.spec.hub(hub_name)
-    if target is None:
-        ck.add("fk_unknown_hub", loc, f"{column!r} references unknown hub {hub_name!r}")
-        return
-    if target.key_type == "system_generated" and target.bk_scope == "local":
-        ck.add("fk_unresolvable_target", loc,
-               f"{column!r} references {hub_name!r}: system-generated keys with local "
-               "business keys cannot be resolved from source values")
+def _check_references(ck: _Checker, loc: str, element: HubDef | StarDef):
+    """Every reference column names a known hub whose keys can be resolved
+    from source values. A star participant naming an unknown hub reports
+    `star_unknown_hub`."""
+    participants = element.participant_columns if isinstance(element, StarDef) else ()
+    for column, hub_name in element.references.items():
+        target = ck.spec.hub(hub_name)
+        if target is None and column in participants:
+            ck.add("star_unknown_hub", loc, f"participant references unknown hub {hub_name!r}")
+        elif target is None:
+            ck.add("fk_unknown_hub", loc, f"{column!r} references unknown hub {hub_name!r}")
+        elif target.key_type == "system_generated" and target.bk_scope == "local":
+            ck.add("fk_unresolvable_target", loc,
+                   f"{column!r} references {hub_name!r}: system-generated keys with local "
+                   "business keys cannot be resolved from source values")
 
 
 def _check_expr_columns(ck: _Checker, loc: str, source: SourceDef | None,
@@ -513,26 +551,10 @@ def _check_hub_mapping(ck: _Checker, hub: HubDef, mapping: HubMapping):
     source = ck.spec.source(mapping.source)
     if source is None:
         ck.add("mapping_unknown_source", loc, f"unknown source {mapping.source!r}")
-    targets = set(hub.business_key_names) | {d.name for d in hub.descriptives}
-    fk_names = {d.name for d in hub.descriptives if d.fk_hub is not None}
-    for column in mapping.column_exprs:
-        if column not in targets:
-            ck.add("mapping_unknown_target", loc, f"mapped column {column!r} is not a hub column")
-        if column in fk_names:
-            ck.add("mapping_unknown_target", loc,
-                   f"{column!r} is a foreign key; map it with an fk resolution")
-        _check_expr_columns(ck, loc, source, mapping.column_exprs[column], False, None)
+    _check_mapping_columns(ck, loc, hub, mapping, source, False, None)
     missing = set(hub.business_key_names) - set(mapping.column_exprs)
     for name in sorted(missing):
         ck.add("mapping_bk_coverage", loc, f"business key {name!r} is not mapped")
-    for column, res in mapping.fk_resolutions.items():
-        desc = next((d for d in hub.descriptives if d.name == column), None)
-        if desc is None or desc.fk_hub is None:
-            ck.add("mapping_fk_target", loc, f"{column!r} is not a foreign-key descriptive")
-        elif desc.fk_hub != res.hub:
-            ck.add("mapping_fk_target", loc,
-                   f"{column!r} is declared against hub {desc.fk_hub!r}, mapping says {res.hub!r}")
-        _check_fk_resolution(ck, loc, source, res, False, None)
     if source is not None:
         declared = {c.name for c in source.columns}
         for column, _direction in mapping.dedup_order:
@@ -540,21 +562,40 @@ def _check_hub_mapping(ck: _Checker, hub: HubDef, mapping: HubMapping):
                 ck.add("dedup_unknown_column", loc, f"dedup column {column!r} not in source")
 
 
-def _check_fk_resolution(ck: _Checker, loc: str, source: SourceDef | None,
-                         res: FkResolution, exploding: bool, collection: CollectionColumn | None):
-    target = ck.spec.hub(res.hub)
-    if target is not None and len(res.args) != len(target.business_keys):
-        ck.add("mapping_fk_target", loc,
-               f"hub {res.hub!r} takes {len(target.business_keys)} business key(s), "
-               f"got {len(res.args)}")
-    for arg in res.args:
-        _check_expr_columns(ck, loc, source, arg, exploding, collection)
+def _check_mapping_columns(ck: _Checker, loc: str, element: HubDef | StarDef,
+                           mapping: HubMapping | StarMapping, source: SourceDef | None,
+                           exploding: bool, collection: CollectionColumn | None):
+    """`map` fills a mapped column that holds no hub key; a hub's `fk` or a
+    star's `key` resolves one that does, with the business keys of the hub
+    it references."""
+    kind, clause = ("hub", "fk") if isinstance(element, HubDef) else ("star", "key")
+    targets = {name for name, _type, _nullable in element.mapped_columns}
+    for column, expression in mapping.column_exprs.items():
+        if column in element.references:
+            ck.add("mapping_unknown_target", loc,
+                   f"{column!r} holds a hub key; resolve it with {clause}")
+        elif column not in targets:
+            ck.add("mapping_unknown_target", loc, f"mapped column {column!r} is not a {kind} column")
+        _check_expr_columns(ck, loc, source, expression, exploding, collection)
+    for column, res in mapping.fk_resolutions.items():
+        hub_name = element.references.get(column)
+        if hub_name is None:
+            ck.add("mapping_fk_target", loc, f"{column!r} holds no hub key")
+        elif hub_name != res.hub:
+            ck.add("mapping_fk_target", loc,
+                   f"{column!r} references hub {hub_name!r}, mapping says {res.hub!r}")
+        target = ck.spec.hub(res.hub)
+        if target is not None and len(res.args) != len(target.business_keys):
+            ck.add("mapping_fk_target", loc,
+                   f"hub {res.hub!r} takes {len(target.business_keys)} business key(s), "
+                   f"got {len(res.args)}")
+        for arg in res.args:
+            _check_expr_columns(ck, loc, source, arg, exploding, collection)
 
 
 def _check_fk_cycles(ck: _Checker):
     cycle = _find_cycle({
-        hub.name: sorted({d.fk_hub for d in hub.descriptives
-                          if d.fk_hub is not None and ck.spec.hub(d.fk_hub) is not None})
+        hub.name: sorted({h for h in hub.references.values() if ck.spec.hub(h) is not None})
         for hub in ck.spec.hubs
     })
     if cycle:
@@ -572,11 +613,7 @@ def _check_star(ck: _Checker, star: StarDef):
     item_count = sum(1 for p in star.participants if isinstance(p, ItemParticipant))
     if item_count > 1:
         ck.add("star_multiple_items", loc, "at most one item participant per star")
-    for p in star.hub_participants:
-        if ck.spec.hub(p.hub) is None:
-            ck.add("star_unknown_hub", loc, f"participant references unknown hub {p.hub!r}")
-        else:
-            _check_fk_target(ck, loc, p.column, p.hub)
+    _check_references(ck, loc, star)
     if not star.key_columns:
         ck.add("star_key_empty", loc, "composite key must not be empty")
     allowed = set(star.participant_columns) | {"capture_timestamp"}
@@ -590,9 +627,6 @@ def _check_star(ck: _Checker, star: StarDef):
     for name in own:
         if name in RESERVED_COLUMNS:
             ck.add("reserved_column", loc, f"column name {name!r} is reserved for metadata")
-    for desc in star.descriptives:
-        if desc.fk_hub is not None:
-            _check_fk_target(ck, loc, desc.name, desc.fk_hub)
     for mapping in star.source_mappings:
         _check_star_mapping(ck, star, mapping)
 
@@ -621,23 +655,7 @@ def _check_star_mapping(ck: _Checker, star: StarDef, mapping: StarMapping):
     if item is not None and collection is not None:
         _check_item_rule(ck, loc, item.rule, collection)
 
-    hub_cols = {p.column: p for p in star.hub_participants}
-    targets = set(star.participant_columns) | {d.name for d in star.descriptives}
-    for column, expression in mapping.column_exprs.items():
-        if column not in targets:
-            ck.add("mapping_unknown_target", loc, f"mapped column {column!r} is not a star column")
-        if column in hub_cols:
-            ck.add("mapping_unknown_target", loc,
-                   f"{column!r} is a hub key column; map it with a key resolution")
-        _check_expr_columns(ck, loc, source, expression, exploding, collection)
-    for column, res in mapping.fk_resolutions.items():
-        p = hub_cols.get(column)
-        if p is None:
-            ck.add("mapping_fk_target", loc, f"{column!r} is not a hub participant column")
-        elif p.hub != res.hub:
-            ck.add("mapping_fk_target", loc,
-                   f"{column!r} belongs to hub {p.hub!r}, mapping says {res.hub!r}")
-        _check_fk_resolution(ck, loc, source, res, exploding, collection)
+    _check_mapping_columns(ck, loc, star, mapping, source, exploding, collection)
     mapped = set(mapping.column_exprs) | set(mapping.fk_resolutions)
     if item is not None:
         mapped.add(item.column)  # filled by the explosion
@@ -761,19 +779,13 @@ def _check_gold(ck: _Checker, view: GoldViewDef):
 def resolve_load_order(spec: ModelSpec) -> list[str]:
     """Topological load plan over hubs and stars (model element names).
 
-    Hubs precede the hubs that FK-reference them and the stars they
-    participate in; ties fall back to declaration order.
+    A hub precedes every hub and star with a column that references it;
+    ties fall back to declaration order, hubs before stars.
     """
-    order_index: dict[str, int] = {}
-    deps: dict[str, set[str]] = {}
-    for i, hub in enumerate(spec.hubs):
-        order_index[hub.name] = i
-        deps[hub.name] = {d.fk_hub for d in hub.descriptives
-                          if d.fk_hub is not None and spec.hub(d.fk_hub) is not None
-                          and d.fk_hub != hub.name}
-    for j, star in enumerate(spec.stars):
-        order_index[star.name] = len(spec.hubs) + j
-        deps[star.name] = {p.hub for p in star.hub_participants if spec.hub(p.hub) is not None}
+    elements = spec.hubs + spec.stars
+    order_index = {e.name: i for i, e in enumerate(elements)}
+    deps = {e.name: {h for h in e.references.values() if spec.hub(h) is not None and h != e.name}
+            for e in elements}
 
     result: list[str] = []
     done: set[str] = set()

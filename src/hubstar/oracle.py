@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import HubStarError
 from .keygen import compute_hub_key
 from .model import HubDef, HubMapping, ModelSpec, StarDef, StarMapping
-from .silver import default_row, evaluate_hub_mapping, evaluate_star_mapping
+from .silver import default_row, evaluate_mapping
 from .storage import Record, Warehouse
 from .values import EPOCH, row_key, show_key, values_equal
 
@@ -56,9 +56,9 @@ def expected_hub_state(bronze_history: list[Record], spec: ModelSpec, hub: HubDe
     source = spec.source(mapping.source)
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
     for position, bronze_row in enumerate(bronze_history):
-        payload = evaluate_hub_mapping(warehouse, spec, hub, mapping, bronze_row)
-        bk = row_key(payload, hub.business_key_names)
-        groups.setdefault(bk, []).append((position, bronze_row, payload))
+        for payload in evaluate_mapping(warehouse, spec, hub, mapping, bronze_row):
+            bk = row_key(payload, hub.business_key_names)
+            groups.setdefault(bk, []).append((position, bronze_row, payload))
 
     rows = [default_row(spec, hub)]
     for bk in sorted(groups, key=lambda k: groups[k][0][0]):  # first-appearance order
@@ -72,16 +72,11 @@ def expected_hub_state(bronze_history: list[Record], spec: ModelSpec, hub: HubDe
             "load_timestamp": EPOCH,
             "initial_capture_timestamp": first_capture,
         }
-        if hub.has_delete_flag:
-            row["delete_flag"] = payload["delete_flag"]
         if hub.key_type != "computed":
             raise HubStarError("oracle covers computed-key hubs only")
         row[hub.key_column] = compute_hub_key(hub.key_formula, payload,
                                               source.load_source_id)
-        for name in hub.business_key_names:
-            row[name] = payload[name]
-        for desc in hub.descriptives:
-            row[desc.name] = payload[desc.name]
+        row.update(payload)
         rows.append(row)
     return rows
 
@@ -132,7 +127,7 @@ def expected_star_state(bronze_history: list[Record], spec: ModelSpec, star: Sta
     source = spec.source(mapping.source)
     latest: dict[tuple, Record] = {}
     for bronze_row in bronze_history:
-        for payload in evaluate_star_mapping(warehouse, spec, star, mapping, bronze_row):
+        for payload in evaluate_mapping(warehouse, spec, star, mapping, bronze_row):
             row: Record = {
                 "load_source": source.load_source_id,
                 "capture_timestamp": bronze_row["capture_timestamp"],
@@ -147,8 +142,7 @@ def hub_compare_columns(hub: HubDef, include_volatile: bool = False) -> tuple[st
     """Columns the oracle can vouch for. capture/initial_capture depend on
     batching (unchanged re-deliveries do not advance them), so they are
     compared only when the caller knows the history was loaded in one batch."""
-    columns = ["load_source"] + list(hub.business_key_names) + \
-        [d.name for d in hub.descriptives]
+    columns = ["load_source"] + [name for name, _type, _nullable in hub.mapped_columns]
     if hub.has_delete_flag:
         columns.append("delete_flag")
     if include_volatile:
@@ -157,9 +151,8 @@ def hub_compare_columns(hub: HubDef, include_volatile: bool = False) -> tuple[st
 
 
 def star_compare_columns(star: StarDef, include_volatile: bool = False) -> tuple[str, ...]:
-    columns = ["load_source"] + [c for c in star.participant_columns
-                                 if c not in star.key_columns] + \
-        [d.name for d in star.descriptives]
+    columns = ["load_source"] + [name for name, _type, _nullable in star.mapped_columns
+                                 if name not in star.key_columns]
     if star.has_delete_flag:
         columns.append("delete_flag")
     if include_volatile and "capture_timestamp" not in star.key_columns:

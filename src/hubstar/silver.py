@@ -21,14 +21,10 @@ from .model import (
     FkResolution,
     HubDef,
     HubMapping,
-    HubParticipant,
     ItemKeyRule,
-    ItemParticipant,
     ModelSpec,
     StarDef,
     StarMapping,
-    TimeParticipant,
-    item_key_type,
     resolve_load_order,
 )
 from .storage import Record, Warehouse, high_water_mark
@@ -69,24 +65,19 @@ def type_neutral(ctype: str):
 
 
 def default_row(spec: ModelSpec, hub: HubDef) -> Record:
-    row: Record = {
-        "load_source": SYSTEM_LOAD_SOURCE,
-        "capture_timestamp": EPOCH,
-        "load_timestamp": EPOCH,
-        "initial_capture_timestamp": EPOCH,
-    }
-    if hub.has_delete_flag:
-        row["delete_flag"] = 0
-    row[hub.key_column] = DEFAULT_HUB_KEY
-    for bk in hub.business_keys:
-        row[bk.name] = type_neutral(bk.type)
-    for desc in hub.descriptives:
-        if desc.fk_hub is not None:
-            row[desc.name] = DEFAULT_HUB_KEY
-        elif desc.nullable:
-            row[desc.name] = None
+    """The hub's `-1` row: the system load source, live, its own key and
+    every reference column `-1`, other columns null or, where they may not
+    be, a type-neutral stand-in (the epoch for load metadata)."""
+    row: Record = {}
+    for name, ctype, nullable in hub.columns:
+        if name == hub.key_column or name in hub.references:
+            row[name] = DEFAULT_HUB_KEY
+        elif name == "load_source":
+            row[name] = SYSTEM_LOAD_SOURCE
+        elif name == "delete_flag":
+            row[name] = 0
         else:
-            row[desc.name] = type_neutral(desc.type)
+            row[name] = None if nullable else type_neutral(ctype)
     return row
 
 
@@ -158,142 +149,6 @@ def resolve_fk(warehouse: Warehouse | None, spec: ModelSpec, res: FkResolution,
     return DEFAULT_HUB_KEY
 
 
-def evaluate_hub_mapping(warehouse: Warehouse | None, spec: ModelSpec, hub: HubDef,
-                         mapping: HubMapping, bronze_row: Record) -> Record:
-    """Business keys plus descriptives (FKs resolved) for one bronze row."""
-    source = spec.source(mapping.source)
-    load_source = source.load_source_id
-    ctx = ex.EvalContext(record=bronze_row, load_source=load_source)
-    payload: Record = {}
-    for bk in hub.business_keys:
-        value = ex.evaluate(mapping.column_exprs[bk.name], ctx)
-        payload[bk.name] = _coerce_mapped(value, bk.type, bk.name)
-    for desc in hub.descriptives:
-        if desc.fk_hub is not None:
-            payload[desc.name] = resolve_fk(warehouse, spec, mapping.fk_resolutions[desc.name],
-                                            bronze_row, load_source)
-        elif desc.name in mapping.column_exprs:
-            value = ex.evaluate(mapping.column_exprs[desc.name], ctx)
-            payload[desc.name] = _coerce_mapped(value, desc.type, desc.name)
-        else:
-            payload[desc.name] = None
-    if hub.has_delete_flag:
-        payload["delete_flag"] = bronze_row.get("delete_flag") or 0
-    return payload
-
-
-def _coerce_mapped(value, ctype: str, column: str):
-    if value is None:
-        return None
-    try:
-        return coerce_scalar(value, ctype)
-    except ValueError as exc:
-        raise LoadError(f"column {column}: {exc}") from exc
-
-
-def _new_bronze_rows(warehouse: Warehouse, spec: ModelSpec, source: str,
-                     hwm: datetime) -> list[Record]:
-    """Bronze rows of one source captured strictly above the high-water mark."""
-    bronze = spec.schema_names["bronze"]
-    if not warehouse.table_exists(bronze, source):
-        return []
-    return [r for r in warehouse.read_rows(bronze, source) if r["capture_timestamp"] > hwm]
-
-
-def _merge(warehouse: Warehouse, schema: str, table: str,
-           existing: dict[object, Record], candidates: list[tuple[object, Record, Record]],
-           compare_columns: list[str], load_source: int, now: datetime, hwm: datetime,
-           new_row) -> tuple[int, int, int, datetime]:
-    """Merge (key, bronze row, payload) candidates into a silver table and
-    return the (inserted, updated, unchanged) counts and the new high-water
-    mark: the latest of `hwm` and the capture times written.
-
-    A key missing from `existing` inserts the load metadata plus
-    `new_row(key, bronze row, payload)`, which runs only on insert, so system
-    keys are minted for new rows alone. A present key is rewritten only when
-    some compare column differs under null-safe equality.
-    """
-    inserted = updated = unchanged = 0
-    writes: list[Record] = []
-    for key, bronze_row, payload in candidates:
-        target = existing.get(key)
-        if target is None:
-            row: Record = {
-                "load_source": load_source,
-                "capture_timestamp": bronze_row["capture_timestamp"],
-                "load_timestamp": now,
-            }
-            row.update(new_row(key, bronze_row, payload))
-            writes.append(row)
-            inserted += 1
-        elif any(not values_equal(target.get(c), payload[c]) for c in compare_columns):
-            row = dict(target)
-            for c in compare_columns:
-                row[c] = payload[c]
-            row["capture_timestamp"] = bronze_row["capture_timestamp"]
-            row["load_timestamp"] = now
-            writes.append(row)
-            updated += 1
-        else:
-            unchanged += 1
-    warehouse.upsert_rows(schema, table, writes)
-    return inserted, updated, unchanged, high_water_mark(writes, f"{schema}.{table}", hwm)
-
-
-def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
-             mapping: HubMapping, now: datetime) -> LoadResult:
-    silver = spec.schema_names["silver"]
-    load_source = spec.source(mapping.source).load_source_id
-    existing = warehouse.read_rows(silver, hub.table_name)
-    hwm = high_water_mark(existing, f"{silver}.{hub.table_name}")
-    bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
-    staged = [(i, row, evaluate_hub_mapping(warehouse, spec, hub, mapping, row))
-              for i, row in enumerate(bronze_rows)]
-
-    # rn = 1 per business key: dedup terms, then latest capture, then the
-    # earliest bronze row; the survivors go back into bronze order.
-    survivors = top_per_partition(staged, lambda e: row_key(e[2], hub.business_key_names),
-                                  mapping.dedup_order + (("capture_timestamp", "desc"),),
-                                  fields=lambda e: e[1])
-    survivors.sort(key=lambda e: e[0])
-
-    if hub.key_type == "computed":
-        index = {row[hub.key_column]: row for row in existing}
-    else:
-        index = {row_key(row, hub.business_key_names): row for row in existing}
-
-    candidates = []
-    for _i, bronze_row, payload in survivors:
-        for name in hub.business_key_names:
-            if payload[name] is None:
-                raise LoadError(f"{hub.table_name}: business key {name} is null "
-                                f"in {mapping.source} row")
-        if hub.key_type == "computed":
-            key = compute_hub_key(hub.key_formula, payload, load_source)
-        else:
-            key = row_key(payload, hub.business_key_names)
-        candidates.append((key, bronze_row, payload))
-
-    def new_row(key, bronze_row: Record, payload: Record) -> Record:
-        if hub.key_type != "computed":
-            key = next_system_key(warehouse.counter_path(silver, hub.table_name))
-        return {"initial_capture_timestamp": bronze_row["capture_timestamp"],
-                hub.key_column: key, **payload}
-
-    compare_columns = [d.name for d in hub.descriptives]
-    if hub.has_delete_flag:
-        compare_columns.append("delete_flag")
-    inserted, updated, unchanged, new_hwm = _merge(
-        warehouse, silver, hub.table_name, index, candidates, compare_columns,
-        load_source, now, hwm, new_row)
-    return LoadResult(table=f"{silver}.{hub.table_name}", source=mapping.source,
-                      scanned=len(bronze_rows), inserted=inserted, updated=updated,
-                      unchanged_skipped=unchanged, new_hwm=new_hwm)
-
-
-# -- stars ---------------------------------------------------------------------
-
-
 def mapping_collection(star: StarDef, mapping: StarMapping) -> ItemKeyRule | None:
     """The item rule with the mapping's collection column filled in."""
     item = star.item_participant
@@ -332,44 +187,146 @@ def explode_collection(parent: Record, rule: ItemKeyRule) -> list[tuple[dict, ob
     return out
 
 
-def evaluate_star_mapping(warehouse: Warehouse | None, spec: ModelSpec, star: StarDef,
-                          mapping: StarMapping, bronze_row: Record) -> list[Record]:
-    """All star-row payloads one bronze row produces (several when exploding)."""
-    source = spec.source(mapping.source)
-    load_source = source.load_source_id
-    rule = mapping_collection(star, mapping)
-    if rule is not None:
-        pairs = explode_collection(bronze_row, rule)
-    else:
-        pairs = [(None, None)]
-
+def evaluate_mapping(warehouse: Warehouse | None, spec: ModelSpec, element: HubDef | StarDef,
+                     mapping: HubMapping | StarMapping, bronze_row: Record) -> list[Record]:
+    """The payloads one bronze row yields: one for a hub, one per exploded
+    item for a star. A payload holds every mapped column, plus the delete
+    flag when the element has one. A reference column holds the key the
+    mapping resolves, or `-1` when it resolves none; the item column holds
+    the item key; any other column its `map` expression, or null."""
+    load_source = spec.source(mapping.source).load_source_id
+    rule = mapping_collection(element, mapping) if isinstance(element, StarDef) else None
+    pairs = explode_collection(bronze_row, rule) if rule is not None else [(None, None)]
+    item_column = element.item_participant.column if rule is not None else None
+    references, exprs = element.references, mapping.column_exprs
     out: list[Record] = []
     for item, item_key in pairs:
-        ctx = ex.EvalContext(record=bronze_row, load_source=load_source,
-                             item=item, item_key=item_key)
+        ctx = ex.EvalContext(bronze_row, load_source, item, item_key)
         payload: Record = {}
-        for p in star.participants:
-            if isinstance(p, HubParticipant):
-                payload[p.column] = resolve_fk(warehouse, spec, mapping.fk_resolutions[p.column],
-                                               bronze_row, load_source, item, item_key)
-            elif isinstance(p, TimeParticipant):
-                value = ex.evaluate(mapping.column_exprs[p.column], ctx)
-                payload[p.column] = _coerce_mapped(value, "timestamp", p.column)
-            elif isinstance(p, ItemParticipant):
-                payload[p.column] = _coerce_mapped(item_key, item_key_type(p.rule), p.column)
-        for desc in star.descriptives:
-            if desc.fk_hub is not None:
-                payload[desc.name] = resolve_fk(warehouse, spec, mapping.fk_resolutions[desc.name],
-                                                bronze_row, load_source, item, item_key)
-            elif desc.name in mapping.column_exprs:
-                value = ex.evaluate(mapping.column_exprs[desc.name], ctx)
-                payload[desc.name] = _coerce_mapped(value, desc.type, desc.name)
+        for name, ctype, _nullable in element.mapped_columns:
+            if name in references:
+                res = mapping.fk_resolutions.get(name)
+                payload[name] = DEFAULT_HUB_KEY if res is None else resolve_fk(
+                    warehouse, spec, res, bronze_row, load_source, item, item_key)
+            elif name == item_column:
+                payload[name] = _coerce_mapped(item_key, ctype, name)
+            elif name in exprs:
+                payload[name] = _coerce_mapped(ex.evaluate(exprs[name], ctx), ctype, name)
             else:
-                payload[desc.name] = None
-        if star.has_delete_flag:
+                payload[name] = None
+        if element.has_delete_flag:
             payload["delete_flag"] = bronze_row.get("delete_flag") or 0
         out.append(payload)
     return out
+
+
+def _coerce_mapped(value, ctype: str, column: str):
+    if value is None:
+        return None
+    try:
+        return coerce_scalar(value, ctype)
+    except ValueError as exc:
+        raise LoadError(f"column {column}: {exc}") from exc
+
+
+def _new_bronze_rows(warehouse: Warehouse, spec: ModelSpec, source: str,
+                     hwm: datetime) -> list[Record]:
+    """Bronze rows of one source captured strictly above the high-water mark."""
+    bronze = spec.schema_names["bronze"]
+    if not warehouse.table_exists(bronze, source):
+        return []
+    return [r for r in warehouse.read_rows(bronze, source) if r["capture_timestamp"] > hwm]
+
+
+def _merge(warehouse: Warehouse, schema: str, table: str,
+           existing: dict[object, Record], candidates: list[tuple[object, Record, Record]],
+           identity: tuple[str, ...], load_source: int, now: datetime, hwm: datetime,
+           new_row) -> tuple[int, int, int, datetime]:
+    """Merge (key, bronze row, payload) candidates into a silver table and
+    return the (inserted, updated, unchanged) counts and the new high-water
+    mark: the latest of `hwm` and the capture times written.
+
+    A key missing from `existing` inserts the load metadata plus
+    `new_row(key, bronze row, payload)`, which runs only on insert, so system
+    keys are minted for new rows alone. A present key is rewritten only when
+    some payload column outside `identity` (the columns the key comes from)
+    differs under null-safe equality.
+    """
+    inserted = updated = unchanged = 0
+    writes: list[Record] = []
+    for key, bronze_row, payload in candidates:
+        target = existing.get(key)
+        changes = {c: v for c, v in payload.items() if c not in identity}
+        if target is None:
+            row: Record = {
+                "load_source": load_source,
+                "capture_timestamp": bronze_row["capture_timestamp"],
+                "load_timestamp": now,
+            }
+            row.update(new_row(key, bronze_row, payload))
+            writes.append(row)
+            inserted += 1
+        elif any(not values_equal(target.get(c), v) for c, v in changes.items()):
+            row = {**target, **changes}
+            row["capture_timestamp"] = bronze_row["capture_timestamp"]
+            row["load_timestamp"] = now
+            writes.append(row)
+            updated += 1
+        else:
+            unchanged += 1
+    warehouse.upsert_rows(schema, table, writes)
+    return inserted, updated, unchanged, high_water_mark(writes, f"{schema}.{table}", hwm)
+
+
+def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
+             mapping: HubMapping, now: datetime) -> LoadResult:
+    silver = spec.schema_names["silver"]
+    load_source = spec.source(mapping.source).load_source_id
+    existing = warehouse.read_rows(silver, hub.table_name)
+    hwm = high_water_mark(existing, f"{silver}.{hub.table_name}")
+    bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
+    staged = [(i, row, payload) for i, row in enumerate(bronze_rows)
+              for payload in evaluate_mapping(warehouse, spec, hub, mapping, row)]
+
+    # rn = 1 per business key: dedup terms, then latest capture, then the
+    # earliest bronze row; the survivors go back into bronze order.
+    survivors = top_per_partition(staged, lambda e: row_key(e[2], hub.business_key_names),
+                                  mapping.dedup_order + (("capture_timestamp", "desc"),),
+                                  fields=lambda e: e[1])
+    survivors.sort(key=lambda e: e[0])
+
+    if hub.key_type == "computed":
+        index = {row[hub.key_column]: row for row in existing}
+    else:
+        index = {row_key(row, hub.business_key_names): row for row in existing}
+
+    candidates = []
+    for _i, bronze_row, payload in survivors:
+        for name in hub.business_key_names:
+            if payload[name] is None:
+                raise LoadError(f"{hub.table_name}: business key {name} is null "
+                                f"in {mapping.source} row")
+        if hub.key_type == "computed":
+            key = compute_hub_key(hub.key_formula, payload, load_source)
+        else:
+            key = row_key(payload, hub.business_key_names)
+        candidates.append((key, bronze_row, payload))
+
+    def new_row(key, bronze_row: Record, payload: Record) -> Record:
+        if hub.key_type != "computed":
+            key = next_system_key(warehouse.counter_path(silver, hub.table_name))
+        return {"initial_capture_timestamp": bronze_row["capture_timestamp"],
+                hub.key_column: key, **payload}
+
+    inserted, updated, unchanged, new_hwm = _merge(
+        warehouse, silver, hub.table_name, index, candidates, hub.business_key_names,
+        load_source, now, hwm, new_row)
+    return LoadResult(table=f"{silver}.{hub.table_name}", source=mapping.source,
+                      scanned=len(bronze_rows), inserted=inserted, updated=updated,
+                      unchanged_skipped=unchanged, new_hwm=new_hwm)
+
+
+# -- stars ---------------------------------------------------------------------
 
 
 def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
@@ -380,7 +337,7 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
     hwm = high_water_mark(rows, f"{silver}.{star.table_name}", EPOCH)
     bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
     staged = [(bronze_row, payload) for bronze_row in bronze_rows
-              for payload in evaluate_star_mapping(warehouse, spec, star, mapping, bronze_row)]
+              for payload in evaluate_mapping(warehouse, spec, star, mapping, bronze_row)]
 
     def composite_key(bronze_row: Record, payload: Record) -> tuple:
         parts = []
@@ -398,14 +355,10 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
         latest[composite_key(bronze_row, payload)] = (bronze_row, payload)
 
     existing = {row_key(row, star.key_columns): row for row in rows}
-    compare_columns = [c for c in star.participant_columns if c not in star.key_columns]
-    compare_columns += [d.name for d in star.descriptives]
-    if star.has_delete_flag:
-        compare_columns.append("delete_flag")
     inserted, updated, unchanged, new_hwm = _merge(
         warehouse, silver, star.table_name, existing,
         [(key, bronze_row, payload) for key, (bronze_row, payload) in latest.items()],
-        compare_columns, spec.source(mapping.source).load_source_id, now, hwm,
+        star.key_columns, spec.source(mapping.source).load_source_id, now, hwm,
         lambda _key, _bronze_row, payload: payload)
     return LoadResult(table=f"{silver}.{star.table_name}", source=mapping.source,
                       scanned=len(staged), inserted=inserted, updated=updated,

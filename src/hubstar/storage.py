@@ -160,6 +160,10 @@ def _decode_scalar(raw: Any, ctype: str) -> Any:
     return raw
 
 
+def _encode_rows(manifest: TableManifest, rows: Iterable[Record]) -> bytes:
+    return "".join(encode_row(manifest, r) + "\n" for r in rows).encode("utf-8")
+
+
 def decode_row(manifest: TableManifest, line: str) -> Record:
     doc = json.loads(line, parse_float=Decimal)
     record: Record = {}
@@ -220,15 +224,21 @@ class Warehouse:
         return sorted(p.name for p in schema_dir.iterdir()
                       if (p / MANIFEST_FILE).is_file())
 
-    def create_table(self, manifest: TableManifest, replace: bool = False):
+    def _write_manifest(self, manifest: TableManifest):
         table_dir = self.table_dir(manifest.schema, manifest.table)
-        if self.table_exists(manifest.schema, manifest.table) and not replace:
-            raise StorageError(f"table {manifest.schema}.{manifest.table} already exists")
         table_dir.mkdir(parents=True, exist_ok=True)
         body = json.dumps(manifest.to_json(), indent=2) + "\n"
         _atomic_write(table_dir / MANIFEST_FILE, body.encode("utf-8"))
-        if replace or not (table_dir / DATA_FILE).exists():
-            _atomic_write(table_dir / DATA_FILE, b"")
+
+    def create_table(self, manifest: TableManifest):
+        """Write a new table's manifest and an empty data file; refuses to
+        clobber an existing table."""
+        if self.table_exists(manifest.schema, manifest.table):
+            raise StorageError(f"table {manifest.schema}.{manifest.table} already exists")
+        self._write_manifest(manifest)
+        data = self.table_dir(manifest.schema, manifest.table) / DATA_FILE
+        if not data.exists():
+            _atomic_write(data, b"")
 
     def replace_table(self, manifest: TableManifest, rows: list[Record]):
         """Create-or-overwrite a table with exactly these rows (gold builds).
@@ -236,24 +246,8 @@ class Warehouse:
         Writes go through the byte-comparison in _atomic_write, so rebuilding
         identical content leaves the files untouched.
         """
-        table_dir = self.table_dir(manifest.schema, manifest.table)
-        table_dir.mkdir(parents=True, exist_ok=True)
-        body = json.dumps(manifest.to_json(), indent=2) + "\n"
-        _atomic_write(table_dir / MANIFEST_FILE, body.encode("utf-8"))
+        self._write_manifest(manifest)
         self._write_all(manifest, rows)
-
-    def drop_table(self, schema: str, table: str):
-        table_dir = self.table_dir(schema, table)
-        if not self.table_exists(schema, table):
-            raise StorageError(f"no such table {schema}.{table}")
-        for name in (MANIFEST_FILE, DATA_FILE, COUNTER_FILE):
-            path = table_dir / name
-            if path.exists():
-                path.unlink()
-        try:
-            table_dir.rmdir()
-        except OSError:
-            pass  # stray files are left for the operator to inspect
 
     def manifest(self, schema: str, table: str) -> TableManifest:
         path = self.table_dir(schema, table) / MANIFEST_FILE
@@ -275,16 +269,18 @@ class Warehouse:
         return rows
 
     def _write_all(self, manifest: TableManifest, rows: Iterable[Record]):
-        body = "".join(encode_row(manifest, r) + "\n" for r in rows)
         _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE,
-                      body.encode("utf-8"))
+                      _encode_rows(manifest, rows))
 
     def append_rows(self, schema: str, table: str, rows: list[Record]):
+        """Join the encoded rows onto the data file's bytes, which are never
+        decoded: the file holds canonical lines, so this equals encoding
+        every row in one write."""
         if not rows:
             return
-        manifest = self.manifest(schema, table)
-        existing = self.read_rows(schema, table)
-        self._write_all(manifest, existing + rows)
+        data = self.table_dir(schema, table) / DATA_FILE
+        existing = data.read_bytes() if data.is_file() else b""
+        _atomic_write(data, existing + _encode_rows(self.manifest(schema, table), rows))
 
     def upsert_rows(self, schema: str, table: str, rows: list[Record]):
         """Replace rows whose primary key already exists (keeping their

@@ -38,14 +38,13 @@ def bronze_manifest(spec: ModelSpec, source: SourceDef) -> TableManifest:
                          columns=tuple(columns))
 
 
-def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef,
-                     references: list[tuple[str, str]], primary_key: tuple[str, ...],
+def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef, primary_key: tuple[str, ...],
                      unique: tuple[tuple[str, ...], ...] = ()) -> TableManifest:
-    """The element's own column layout plus a foreign key for each
-    (column, referenced hub) pair."""
+    """The element's own column layout plus a foreign key for each of its
+    reference columns."""
     silver = spec.schema_names["silver"]
     foreign_keys = []
-    for column, hub_name in references:
+    for column, hub_name in element.references.items():
         target = spec.hub(hub_name)
         foreign_keys.append(ForeignKeySpec(
             (column,), silver, target.table_name, (target.key_column,)))
@@ -60,22 +59,15 @@ def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef,
     )
 
 
-def _descriptive_references(element: HubDef | StarDef) -> list[tuple[str, str]]:
-    return [(d.name, d.fk_hub) for d in element.descriptives if d.fk_hub is not None]
-
-
 def hub_manifest(spec: ModelSpec, hub: HubDef) -> TableManifest:
     bk_unique = hub.business_key_names
     if hub.bk_scope == "local":
         bk_unique = ("load_source",) + bk_unique
-    return _silver_manifest(spec, hub, _descriptive_references(hub),
-                            (hub.key_column,), (bk_unique,))
+    return _silver_manifest(spec, hub, (hub.key_column,), (bk_unique,))
 
 
 def star_manifest(spec: ModelSpec, star: StarDef) -> TableManifest:
-    references = [(p.column, p.hub) for p in star.hub_participants]
-    return _silver_manifest(spec, star, references + _descriptive_references(star),
-                            tuple(star.key_columns))
+    return _silver_manifest(spec, star, tuple(star.key_columns))
 
 
 ColumnTypes = dict[str, tuple[str, bool]]  # column -> (type, nullable)

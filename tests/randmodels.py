@@ -217,9 +217,15 @@ class ModelSampler:
         descriptives = []
         for _ in range(rng.randint(0, 3)):
             dname = self.name("d")
-            req = " required" if rng.random() < 0.3 else ""
-            lines.append(f"{self.pad()}descriptive {dname} {rng.choice(_SCALARS)}{req}")
-            descriptives.append(dname)
+            if self.hubs and rng.random() < 0.25:
+                # a reference column, resolved with `key` like a participant
+                target = rng.choice(self.hubs)["name"]
+                lines.append(f"{self.pad()}descriptive {dname} references {target}")
+                hub_parts.append((target, dname))
+            else:
+                req = " required" if rng.random() < 0.3 else ""
+                lines.append(f"{self.pad()}descriptive {dname} {rng.choice(_SCALARS)}{req}")
+                descriptives.append(dname)
         if rng.random() < 0.3:
             lines.append(f"{self.pad()}delete_flag")
         if self.sources and rng.random() < 0.7:

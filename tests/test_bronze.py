@@ -157,6 +157,23 @@ def test_ingest_is_append_only(wh, tmp_path):
     assert len(wh.read_rows("raw_demo", "events")) == 2
 
 
+def test_ingest_decodes_no_bronze_rows(wh, tmp_path, monkeypatch):
+    path = write(tmp_path, "events.csv",
+                 "event_id,label,changed_at,removed\n1,a,2024-03-01,0\n")
+    ingest_file(wh, MODEL, "events", path, now=NOW, mtime=MTIME)
+    reads = []
+    read_rows = Warehouse.read_rows
+
+    def counted(self, schema, table):
+        reads.append(f"{schema}.{table}")
+        return read_rows(self, schema, table)
+
+    monkeypatch.setattr(Warehouse, "read_rows", counted)
+    ingest_file(wh, MODEL, "events", path, now=NOW, mtime=MTIME)
+    assert reads == []
+    assert len(wh.read_rows("raw_demo", "events")) == 2
+
+
 def test_ingest_rejects_future_captures(wh, tmp_path):
     path = write(tmp_path, "events.csv",
                  "event_id,label,changed_at,removed\n1,a,2030-01-01,0\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -19,7 +20,7 @@ from hubstar import (
 from hubstar.errors import GoldBuildError
 from hubstar.gold import GoldBuildResult, current_rows
 from hubstar.keygen import sha256_hex
-from hubstar.model import validate_model
+from hubstar.model import HubJoin, validate_model
 from hubstar.values import row_key, top_per_partition
 
 MODEL = parse_model('''product goldtest
@@ -423,3 +424,11 @@ def test_fact_refuses_to_build_before_its_dimension(tmp_path):
     init_warehouse(wh, MODEL)
     with pytest.raises(GoldBuildError, match="dim_person2 is not built yet"):
         build_view(wh, MODEL, MODEL.view("fact_orders"), now=NOW)
+
+
+def test_join_on_a_column_no_table_exposes_is_an_error(gw):
+    # Raises before anything is written, so the shared warehouse stays as built.
+    view = MODEL.view("fact_orders_loose")
+    broken = replace(view, joins=(HubJoin("person", "no_such_key", "left"),))
+    with pytest.raises(GoldBuildError, match="no table exposes column 'no_such_key'"):
+        build_view(gw, MODEL, broken, now=NOW)

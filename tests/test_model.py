@@ -279,6 +279,32 @@ def test_fk_descriptives_are_mapped_with_fk_not_map():
     assert check(text) == ["mapping_unknown_target"]
 
 
+STAR_REFERENCE = MINI + SECOND_HUB + '''
+star tagged {
+  participant thing
+  key (thing_key)
+  descriptive second_key references second
+  source_mapping things {
+    key thing_key = thing(thing_id)
+    key second_key = second(thing_id)
+  }
+}
+'''
+
+
+def test_star_reference_descriptives_are_resolved_with_key_not_map():
+    assert check(STAR_REFERENCE) == []
+    assert check(STAR_REFERENCE.replace("key second_key = second(thing_id)",
+                                        "map second_key = thing_id")) == \
+        ["mapping_unknown_target"]
+    # key against a column that holds no hub key
+    assert check(STAR_REFERENCE.replace("  key (thing_key)",
+                                        "  key (thing_key)\n  descriptive note string")
+                 .replace("key second_key = second(thing_id)",
+                          "key second_key = second(thing_id)\n    key note = second(thing_id)")) == \
+        ["mapping_fk_target"]
+
+
 def test_fk_resolution_target_checks():
     # fk against a plain descriptive
     assert check(MINI.replace("map thing_name = thing_name",

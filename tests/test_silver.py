@@ -8,7 +8,14 @@ from decimal import Decimal
 
 import pytest
 
-from hubstar import Warehouse, ingest_file, init_warehouse, load_all, parse_model
+from hubstar import (
+    Warehouse,
+    check_against_oracle,
+    ingest_file,
+    init_warehouse,
+    load_all,
+    parse_model,
+)
 from hubstar.errors import LoadError
 from hubstar.keygen import sha256_hex
 from hubstar.model import ItemKeyRule, validate_model
@@ -364,6 +371,77 @@ def test_fk_with_null_argument_points_at_default_row(wh, feed):
     load_all(wh, MODEL, now=NOW)
     rows = wh.read_rows(SILVER, "star_person_visit")
     assert [r["person_key"] for r in rows] == ["-1"]
+
+
+# A hub `references` descriptive its mapping leaves unresolved, and a star
+# `references` descriptive resolved with `key`.
+REFERENCES = parse_model('''product refs
+
+source custs {
+  load_source 1
+  format csv
+  column cust_id integer
+  column seg string
+  column at timestamp
+  capture cdc_column at
+}
+
+hub seg {
+  key computed seg
+  business_key global (seg string)
+  source_mapping custs {
+    map seg = seg
+  }
+}
+
+hub cust {
+  key computed cast(cust_id as string)
+  business_key global (cust_id integer)
+  descriptive seg_key references seg
+  source_mapping custs {
+    map cust_id = cust_id
+  }
+}
+
+star cust_seg {
+  participant cust
+  key (cust_key)
+  descriptive seg_key references seg
+  source_mapping custs {
+    key cust_key = cust(cust_id)
+    key seg_key = seg(seg)
+  }
+}
+''').spec
+
+
+@pytest.fixture()
+def references_wh(tmp_path):
+    assert validate_model(REFERENCES).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, REFERENCES)
+    path = tmp_path / "custs.csv"
+    path.write_text("cust_id,seg,at\n1,gold,2024-01-01T00:00:00Z\n"
+                    "2,silver,2024-01-02T00:00:00Z\n", encoding="utf-8")
+    ingest_file(warehouse, REFERENCES, "custs", path, now=NOW)
+    load_all(warehouse, REFERENCES, now=NOW)
+    return warehouse
+
+
+def test_unresolved_hub_reference_points_at_the_default_row(references_wh):
+    silver = REFERENCES.schema_names["silver"]
+    rows = references_wh.read_rows(silver, "hub_cust")
+    assert {r["cust_key"]: r["seg_key"] for r in rows} == {"-1": "-1", "1": "-1", "2": "-1"}
+    assert check_against_oracle(references_wh, REFERENCES) == []
+    assert references_wh.check_all(silver) == []
+
+
+def test_star_reference_descriptive_resolves_with_key(references_wh):
+    silver = REFERENCES.schema_names["silver"]
+    rows = references_wh.read_rows(silver, "star_cust_seg")
+    assert {r["cust_key"]: r["seg_key"] for r in rows} == {"1": "gold", "2": "silver"}
+    assert check_against_oracle(references_wh, REFERENCES) == []
+    assert references_wh.check_all(silver) == []
 
 
 # -- version ranking ------------------------------------------------------------

@@ -83,25 +83,34 @@ def test_collection_columns_round_trip(tmp_path):
 
 
 def test_create_table_refuses_to_clobber(wh):
+    wh.append_rows("lab", "samples", [ROW])
     with pytest.raises(StorageError, match="already exists"):
         wh.create_table(manifest())
-    wh.append_rows("lab", "samples", [ROW])
-    wh.create_table(manifest(), replace=True)
-    assert wh.read_rows("lab", "samples") == []
+    assert wh.read_rows("lab", "samples") == [ROW]
 
 
 def test_missing_table_raises(wh):
     with pytest.raises(StorageError, match="no such table"):
         wh.read_rows("lab", "nothing")
     with pytest.raises(StorageError, match="no such table"):
-        wh.drop_table("lab", "nothing")
+        wh.append_rows("lab", "nothing", [ROW])
 
 
-def test_list_tables_and_drop(wh):
+def test_list_tables(wh):
     assert wh.list_tables("lab") == ["samples"]
     assert wh.list_tables("void") == []
-    wh.drop_table("lab", "samples")
-    assert wh.list_tables("lab") == []
+
+
+def test_appends_hold_the_bytes_of_one_write(wh, tmp_path):
+    rows = [ROW, {"sample_id": "s-2", "price": Decimal("-0.10")},
+            {"sample_id": "s-3", "taken_at": datetime(2024, 5, 2, tzinfo=timezone.utc)},
+            {"sample_id": "søk", "fresh": False}]
+    for chunk in (rows[:1], [], rows[1:3], rows[3:]):
+        wh.append_rows("lab", "samples", chunk)
+    once = Warehouse(tmp_path / "once")
+    once.replace_table(manifest(), rows)
+    data = ("lab", "samples", "data")
+    assert wh.root.joinpath(*data).read_bytes() == once.root.joinpath(*data).read_bytes()
 
 
 def test_upsert_replaces_in_place_and_appends(wh):
