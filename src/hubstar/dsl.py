@@ -81,10 +81,7 @@ class _Parser:
         raise ParseError(message, tok.line, tok.column)
 
     def keyword(self) -> Token:
-        tok = self.s.peek()
-        if tok.kind != IDENT:
-            self.fail(f"expected a keyword, found {tok.text!r}", tok)
-        return self.s.next()
+        return self.ident("a keyword")
 
     def ident(self, what: str) -> Token:
         tok = self.s.peek()
@@ -115,6 +112,26 @@ class _Parser:
     def once(self, slot, tok: Token, what: str):
         if slot is not None:
             self.fail(f"duplicate {what}", tok)
+
+    def comma_list(self, parse_item, parenthesised: bool = True) -> tuple:
+        """One or more items separated by commas, in parentheses or bare."""
+        if parenthesised:
+            self.s.expect(SYMBOL, "(")
+        items = [parse_item()]
+        while self.s.at(SYMBOL, ","):
+            self.s.next()
+            items.append(parse_item())
+        if parenthesised:
+            self.s.expect(SYMBOL, ")")
+        return tuple(items)
+
+    def assignment(self, into: dict, what: str, parse_value):
+        """`<column> = <value>` into `into`; a column may be assigned once."""
+        col_tok = self.ident(what)
+        if col_tok.text in into:
+            self.fail(f"column {col_tok.text!r} mapped twice", col_tok)
+        self.s.expect(SYMBOL, "=")
+        into[col_tok.text] = parse_value()
 
     # -- top level --------------------------------------------------------
 
@@ -205,7 +222,7 @@ class _Parser:
                 capture.append(CaptureSource(kind, column))
             elif tok.text == "delete_flag_column":
                 self.once(delete_col, tok, "delete_flag_column")
-                delete_col = self.ident("column name").text
+                delete_col = self.column_name()
             else:
                 self.fail(f"unknown keyword {tok.text!r} in source block", tok)
             self.s.end_line()
@@ -218,16 +235,10 @@ class _Parser:
                          tuple(capture), delete_col)
 
     def parse_source_column(self) -> ColumnDef | CollectionColumn:
-        name = self.ident("column name").text
+        name = self.column_name()
         ttok = self.ident("column type")
         if ttok.text == "array":
-            self.s.expect(SYMBOL, "(")
-            fields = [self.parse_typed_name("field")]
-            while self.s.at(SYMBOL, ","):
-                self.s.next()
-                fields.append(self.parse_typed_name("field"))
-            self.s.expect(SYMBOL, ")")
-            return CollectionColumn(name, tuple(fields))
+            return CollectionColumn(name, self.comma_list(lambda: self.parse_typed_name("field")))
         if ttok.text not in SCALAR_TYPES:
             self.fail(f"unknown type {ttok.text!r}", ttok)
         return ColumnDef(name, ttok.text)
@@ -271,7 +282,7 @@ class _Parser:
                 if stok.text not in ("global", "local"):
                     self.fail(f"business_key scope must be global or local, got {stok.text!r}", stok)
                 bk_scope = stok.text
-                business_keys = self.parse_typed_list()
+                business_keys = self.comma_list(lambda: self.parse_typed_name("column"))
             elif tok.text == "descriptive":
                 descriptives.append(self.parse_descriptive())
             elif tok.text == "delete_flag":
@@ -296,15 +307,6 @@ class _Parser:
             source_mappings=tuple(mappings),
         )
 
-    def parse_typed_list(self) -> tuple[ColumnDef, ...]:
-        self.s.expect(SYMBOL, "(")
-        out = [self.parse_typed_name("column")]
-        while self.s.at(SYMBOL, ","):
-            self.s.next()
-            out.append(self.parse_typed_name("column"))
-        self.s.expect(SYMBOL, ")")
-        return tuple(out)
-
     def parse_descriptive(self) -> DescriptiveDef:
         name = self.ident("descriptive name").text
         tok = self.ident("type or 'references'")
@@ -328,21 +330,13 @@ class _Parser:
         while not self.at_block_end():
             tok = self.keyword()
             if tok.text == "map":
-                col_tok = self.ident("target column")
-                if col_tok.text in column_exprs:
-                    self.fail(f"column {col_tok.text!r} mapped twice", col_tok)
-                self.s.expect(SYMBOL, "=")
-                column_exprs[col_tok.text] = ex.parse_expr(self.s)
+                self.assignment(column_exprs, "target column", lambda: ex.parse_expr(self.s))
             elif tok.text == "fk":
-                col_tok = self.ident("target column")
-                if col_tok.text in fks:
-                    self.fail(f"column {col_tok.text!r} mapped twice", col_tok)
-                self.s.expect(SYMBOL, "=")
-                fks[col_tok.text] = self.parse_fk_resolution()
+                self.assignment(fks, "target column", self.parse_fk_resolution)
             elif tok.text == "dedup_by":
                 if dedup:
                     self.fail("duplicate dedup_by", tok)
-                dedup = self.parse_order_terms(parenthesised=False)
+                dedup = self.comma_list(self.parse_order_term, parenthesised=False)
             else:
                 self.fail(f"unknown keyword {tok.text!r} in mapping block", tok)
             self.s.end_line()
@@ -351,35 +345,22 @@ class _Parser:
 
     def parse_fk_resolution(self) -> FkResolution:
         hub = self.ident("hub name").text
-        self.s.expect(SYMBOL, "(")
-        args = [ex.parse_expr(self.s)]
-        while self.s.at(SYMBOL, ","):
-            self.s.next()
-            args.append(ex.parse_expr(self.s))
-        self.s.expect(SYMBOL, ")")
+        args = self.comma_list(lambda: ex.parse_expr(self.s))
         override = None
         if self.s.at(IDENT, "source"):
             self.s.next()
             override = self.s.expect(INT).value
-        return FkResolution(hub, tuple(args), override)
+        return FkResolution(hub, args, override)
 
-    def parse_order_terms(self, parenthesised: bool) -> tuple[tuple[str, str], ...]:
-        if parenthesised:
-            self.s.expect(SYMBOL, "(")
-        terms = []
-        while True:
-            col = self.ident("column name").text
-            dtok = self.ident("asc or desc")
-            if dtok.text not in ("asc", "desc"):
-                self.fail(f"expected asc or desc, found {dtok.text!r}", dtok)
-            terms.append((col, dtok.text))
-            if self.s.at(SYMBOL, ","):
-                self.s.next()
-                continue
-            break
-        if parenthesised:
-            self.s.expect(SYMBOL, ")")
-        return tuple(terms)
+    def parse_order_term(self) -> tuple[str, str]:
+        col = self.column_name()
+        dtok = self.ident("asc or desc")
+        if dtok.text not in ("asc", "desc"):
+            self.fail(f"expected asc or desc, found {dtok.text!r}", dtok)
+        return col, dtok.text
+
+    def column_name(self) -> str:
+        return self.ident("column name").text
 
     # -- star ---------------------------------------------------------------
 
@@ -399,7 +380,7 @@ class _Parser:
             elif tok.text == "key":
                 if key_columns:
                     self.fail("duplicate key", tok)
-                key_columns = self.parse_ident_list()
+                key_columns = self.comma_list(self.column_name)
             elif tok.text == "descriptive":
                 descriptives.append(self.parse_descriptive())
             elif tok.text == "delete_flag":
@@ -423,14 +404,14 @@ class _Parser:
     def parse_participant(self):
         tok = self.ident("participant")
         if tok.text == "time":
-            return TimeParticipant(self.ident("column name").text)
+            return TimeParticipant(self.column_name())
         if tok.text == "item":
-            column = self.ident("column name").text
+            column = self.column_name()
             return ItemParticipant(column, self.parse_item_rule())
         column = f"{tok.text}_key"
         if self.s.at(IDENT, "as"):
             self.s.next()
-            column = self.ident("column name").text
+            column = self.column_name()
         return HubParticipant(tok.text, column)
 
     def parse_item_rule(self) -> ItemKeyRule:
@@ -443,27 +424,13 @@ class _Parser:
             self.s.expect(SYMBOL, ")")
             return ItemKeyRule("explicit_sequence", sequence_field=field)
         if tok.text == "concat":
-            self.s.expect(SYMBOL, "(")
-            attrs = [self.ident("item attribute").text]
-            while self.s.at(SYMBOL, ","):
-                self.s.next()
-                attrs.append(self.ident("item attribute").text)
-            self.s.expect(SYMBOL, ")")
+            attrs = self.comma_list(lambda: self.ident("item attribute").text)
             hashed = False
             if self.s.at(IDENT, "hashed"):
                 self.s.next()
                 hashed = True
-            return ItemKeyRule("concat_of_attributes", attributes=tuple(attrs), hashed=hashed)
+            return ItemKeyRule("concat_of_attributes", attributes=attrs, hashed=hashed)
         self.fail(f"unknown item key mode {tok.text!r}", tok)
-
-    def parse_ident_list(self) -> tuple[str, ...]:
-        self.s.expect(SYMBOL, "(")
-        out = [self.ident("column name").text]
-        while self.s.at(SYMBOL, ","):
-            self.s.next()
-            out.append(self.ident("column name").text)
-        self.s.expect(SYMBOL, ")")
-        return tuple(out)
 
     def parse_star_mapping(self) -> StarMapping:
         source = self.ident("source name").text
@@ -477,17 +444,9 @@ class _Parser:
                 self.once(explode, tok, "explode")
                 explode = self.ident("collection column").text
             elif tok.text == "key":
-                col_tok = self.ident("participant column")
-                if col_tok.text in fks:
-                    self.fail(f"column {col_tok.text!r} mapped twice", col_tok)
-                self.s.expect(SYMBOL, "=")
-                fks[col_tok.text] = self.parse_fk_resolution()
+                self.assignment(fks, "participant column", self.parse_fk_resolution)
             elif tok.text == "map":
-                col_tok = self.ident("target column")
-                if col_tok.text in column_exprs:
-                    self.fail(f"column {col_tok.text!r} mapped twice", col_tok)
-                self.s.expect(SYMBOL, "=")
-                column_exprs[col_tok.text] = ex.parse_expr(self.s)
+                self.assignment(column_exprs, "target column", lambda: ex.parse_expr(self.s))
             else:
                 self.fail(f"unknown keyword {tok.text!r} in mapping block", tok)
             self.s.end_line()
@@ -546,7 +505,7 @@ class _Parser:
             elif tok.text == "scd2_key":
                 if scd2_key:
                     self.fail("duplicate scd2_key", tok)
-                scd2_key = self.parse_ref_list()
+                scd2_key = self.comma_list(self.parse_column_ref)
             elif tok.text == "output":
                 out_name = self.ident("output name").text
                 if self.s.at(SYMBOL, "="):
@@ -584,27 +543,17 @@ class _Parser:
         self.s.expect(IDENT, "on")
         on = self.ident("column").text
         self.s.expect(IDENT, "partition_by")
-        partition = self.parse_ident_list()
+        partition = self.comma_list(self.column_name)
         self.s.expect(IDENT, "order_by")
-        order = self.parse_order_terms(parenthesised=True)
+        order = self.comma_list(self.parse_order_term)
         return star, on, partition, order
 
     def parse_column_ref(self) -> ColumnRef:
         first = self.ident("column reference").text
         if self.s.at(SYMBOL, "."):
             self.s.next()
-            return ColumnRef(first, self.ident("column name").text)
+            return ColumnRef(first, self.column_name())
         return ColumnRef(None, first)
-
-    def parse_ref_list(self) -> tuple[ColumnRef, ...]:
-        self.s.expect(SYMBOL, "(")
-        out = [self.parse_column_ref()]
-        while self.s.at(SYMBOL, ","):
-            self.s.next()
-            out.append(self.parse_column_ref())
-        self.s.expect(SYMBOL, ")")
-        return tuple(out)
-
 
 # -- rendering ----------------------------------------------------------------
 

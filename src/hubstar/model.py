@@ -565,15 +565,19 @@ def _check_hub_mapping(ck: _Checker, hub: HubDef, mapping: HubMapping):
 def _check_mapping_columns(ck: _Checker, loc: str, element: HubDef | StarDef,
                            mapping: HubMapping | StarMapping, source: SourceDef | None,
                            exploding: bool, collection: CollectionColumn | None):
-    """`map` fills a mapped column that holds no hub key; a hub's `fk` or a
-    star's `key` resolves one that does, with the business keys of the hub
-    it references."""
+    """`map` fills a mapped column that holds no hub key and no item key; a
+    hub's `fk` or a star's `key` resolves one that holds a hub key, with the
+    business keys of the hub it references."""
     kind, clause = ("hub", "fk") if isinstance(element, HubDef) else ("star", "key")
     targets = {name for name, _type, _nullable in element.mapped_columns}
+    item = element.item_participant if isinstance(element, StarDef) else None
     for column, expression in mapping.column_exprs.items():
         if column in element.references:
             ck.add("mapping_unknown_target", loc,
                    f"{column!r} holds a hub key; resolve it with {clause}")
+        elif item is not None and column == item.column:
+            ck.add("mapping_unknown_target", loc,
+                   f"{column!r} holds the item key; the explosion fills it")
         elif column not in targets:
             ck.add("mapping_unknown_target", loc, f"mapped column {column!r} is not a {kind} column")
         _check_expr_columns(ck, loc, source, expression, exploding, collection)
@@ -759,6 +763,8 @@ def _check_gold(ck: _Checker, view: GoldViewDef):
     if view.temporal is not None:
         refs.append(("temporal key", view.temporal.key_ref))
         refs.append(("temporal time", view.temporal.time_ref))
+    refs.extend((f"join {join.hub} on", ColumnRef(None, join.on_column))
+                for join in view.joins if isinstance(join, HubJoin))
     for what, ref in refs:
         if ref.table is not None:
             if ref.table not in tables:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import HubStarError
 from .keygen import compute_hub_key
 from .model import HubDef, HubMapping, ModelSpec, StarDef, StarMapping
-from .silver import default_row, evaluate_mapping
+from .silver import default_row, evaluate_mapping, hub_key_lookup
 from .storage import Record, Warehouse
 from .values import EPOCH, row_key, show_key, values_equal
 
@@ -54,9 +54,10 @@ def expected_hub_state(bronze_history: list[Record], spec: ModelSpec, hub: HubDe
     """Final hub rows implied by the full history: latest version per
     business key, default row prepended. No batching, no HWM."""
     source = spec.source(mapping.source)
+    find_key = hub_key_lookup(warehouse, spec)
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
     for position, bronze_row in enumerate(bronze_history):
-        for payload in evaluate_mapping(warehouse, spec, hub, mapping, bronze_row):
+        for payload in evaluate_mapping(find_key, spec, hub, mapping, bronze_row):
             bk = row_key(payload, hub.business_key_names)
             groups.setdefault(bk, []).append((position, bronze_row, payload))
 
@@ -125,9 +126,10 @@ def expected_star_state(bronze_history: list[Record], spec: ModelSpec, star: Sta
                         mapping: StarMapping, warehouse: Warehouse | None = None) -> list[Record]:
     """Explode and map every bronze row; last write per composite key wins."""
     source = spec.source(mapping.source)
+    find_key = hub_key_lookup(warehouse, spec)
     latest: dict[tuple, Record] = {}
     for bronze_row in bronze_history:
-        for payload in evaluate_mapping(warehouse, spec, star, mapping, bronze_row):
+        for payload in evaluate_mapping(find_key, spec, star, mapping, bronze_row):
             row: Record = {
                 "load_source": source.load_source_id,
                 "capture_timestamp": bronze_row["capture_timestamp"],

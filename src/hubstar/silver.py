@@ -34,6 +34,7 @@ from .values import (
     coerce_scalar,
     key_part,
     row_key,
+    show_key,
     top_per_partition,
     value_to_string,
     values_equal,
@@ -116,11 +117,35 @@ def init_warehouse(warehouse: Warehouse, spec: ModelSpec) -> list[str]:
 # -- mapping evaluation (shared with the conformance oracle) -------------------
 
 
-def resolve_fk(warehouse: Warehouse | None, spec: ModelSpec, res: FkResolution,
-               record: Record, load_source: int,
-               item: dict | None = None, item_key=None) -> str:
+def hub_key_lookup(warehouse: Warehouse | None, spec: ModelSpec):
+    """`find(hub, business keys, load source)` -> the key of the first row,
+    in file order, of a system-generated-key hub with those business keys
+    (and that load source, for a `local` hub), or "-1". Such keys cannot be
+    recomputed, so each hub is read once, on its first lookup."""
+    indexes: dict[str, dict[tuple, str]] = {}
+
+    def find(target: HubDef, bk_record: Record, load_source: int) -> str:
+        local = target.bk_scope == "local"
+        index = indexes.get(target.name)
+        if index is None:
+            if warehouse is None:
+                raise LoadError(f"fk to {target.name}: system-generated keys need warehouse access")
+            index = indexes[target.name] = {}
+            for row in warehouse.read_rows(spec.schema_names["silver"], target.table_name):
+                scope = row.get("load_source") if local else None
+                index.setdefault((scope, *row_key(row, target.business_key_names)),
+                                 row[target.key_column])
+        scope = load_source if local else None
+        return index.get((scope, *row_key(bk_record, target.business_key_names)),
+                         DEFAULT_HUB_KEY)
+    return find
+
+
+def resolve_fk(find_key, spec: ModelSpec, res: FkResolution, record: Record,
+               load_source: int, item: dict | None = None, item_key=None) -> str:
     """Foreign-key column value: the referenced hub's key computed from
-    source-side business-key expressions, or "-1" when any of them is null."""
+    source-side business-key expressions, or "-1" when any of them is null.
+    A system-generated key is looked up with `find_key` (`hub_key_lookup`)."""
     target = spec.hub(res.hub)
     ctx = ex.EvalContext(record=record, load_source=load_source,
                          item=item, item_key=item_key)
@@ -136,17 +161,7 @@ def resolve_fk(warehouse: Warehouse | None, spec: ModelSpec, res: FkResolution,
     effective_source = res.source_override if res.source_override is not None else load_source
     if target.key_type == "computed":
         return compute_hub_key(target.key_formula, bk_record, effective_source)
-    # System-generated keys cannot be recomputed; find the row by business key.
-    if warehouse is None:
-        raise LoadError(f"fk to {res.hub}: system-generated keys need warehouse access")
-    silver = spec.schema_names["silver"]
-    for row in warehouse.read_rows(silver, target.table_name):
-        if all(values_equal(row.get(bk.name), bk_record[bk.name])
-               for bk in target.business_keys):
-            if target.bk_scope == "local" and row.get("load_source") != effective_source:
-                continue
-            return row[target.key_column]
-    return DEFAULT_HUB_KEY
+    return find_key(target, bk_record, effective_source)
 
 
 def mapping_collection(star: StarDef, mapping: StarMapping) -> ItemKeyRule | None:
@@ -187,13 +202,14 @@ def explode_collection(parent: Record, rule: ItemKeyRule) -> list[tuple[dict, ob
     return out
 
 
-def evaluate_mapping(warehouse: Warehouse | None, spec: ModelSpec, element: HubDef | StarDef,
+def evaluate_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
                      mapping: HubMapping | StarMapping, bronze_row: Record) -> list[Record]:
     """The payloads one bronze row yields: one for a hub, one per exploded
     item for a star. A payload holds every mapped column, plus the delete
     flag when the element has one. A reference column holds the key the
     mapping resolves, or `-1` when it resolves none; the item column holds
-    the item key; any other column its `map` expression, or null."""
+    the item key; any other column its `map` expression, or null. `find_key`
+    (`hub_key_lookup`) finds references into system-generated-key hubs."""
     load_source = spec.source(mapping.source).load_source_id
     rule = mapping_collection(element, mapping) if isinstance(element, StarDef) else None
     pairs = explode_collection(bronze_row, rule) if rule is not None else [(None, None)]
@@ -207,7 +223,7 @@ def evaluate_mapping(warehouse: Warehouse | None, spec: ModelSpec, element: HubD
             if name in references:
                 res = mapping.fk_resolutions.get(name)
                 payload[name] = DEFAULT_HUB_KEY if res is None else resolve_fk(
-                    warehouse, spec, res, bronze_row, load_source, item, item_key)
+                    find_key, spec, res, bronze_row, load_source, item, item_key)
             elif name == item_column:
                 payload[name] = _coerce_mapped(item_key, ctype, name)
             elif name in exprs:
@@ -238,55 +254,71 @@ def _new_bronze_rows(warehouse: Warehouse, spec: ModelSpec, source: str,
     return [r for r in warehouse.read_rows(bronze, source) if r["capture_timestamp"] > hwm]
 
 
-def _merge(warehouse: Warehouse, schema: str, table: str,
-           existing: dict[object, Record], candidates: list[tuple[object, Record, Record]],
+def _merge(warehouse: Warehouse, schema: str, table: str, rows: list[Record],
+           key_columns: tuple[str, ...], candidates: list[tuple[tuple, Record, Record]],
            identity: tuple[str, ...], load_source: int, now: datetime, hwm: datetime,
            new_row) -> tuple[int, int, int, datetime]:
-    """Merge (key, bronze row, payload) candidates into a silver table and
-    return the (inserted, updated, unchanged) counts and the new high-water
-    mark: the latest of `hwm` and the capture times written.
+    """Merge (key, bronze row, payload) candidates into `rows`, the silver
+    table as read, in file order, and return the (inserted, updated,
+    unchanged) counts and the new high-water mark: the latest of `hwm` and
+    the capture times written.
 
-    A key missing from `existing` inserts the load metadata plus
-    `new_row(key, bronze row, payload)`, which runs only on insert, so system
-    keys are minted for new rows alone. A present key is rewritten only when
-    some payload column outside `identity` (the columns the key comes from)
-    differs under null-safe equality.
+    A candidate matches the row whose `key_columns` give its key. With no
+    match it inserts the load metadata plus `new_row(key, bronze row,
+    payload)`, which runs only on insert, so system keys are minted for new
+    rows alone; the row goes on the end. A match is rewritten in place only
+    when some payload column outside `identity` (the columns the key comes
+    from) differs under null-safe equality. Two writes to one key fail the
+    load before anything is written; otherwise a load that writes replaces
+    the table once, and one that does not leaves it alone.
     """
+    index = {row_key(row, key_columns): i for i, row in enumerate(rows)}
     inserted = updated = unchanged = 0
-    writes: list[Record] = []
+    writes: dict[tuple, Record] = {}
     for key, bronze_row, payload in candidates:
-        target = existing.get(key)
+        position = index.get(key)
         changes = {c: v for c, v in payload.items() if c not in identity}
-        if target is None:
+        if position is None:
             row: Record = {
                 "load_source": load_source,
                 "capture_timestamp": bronze_row["capture_timestamp"],
                 "load_timestamp": now,
             }
             row.update(new_row(key, bronze_row, payload))
-            writes.append(row)
             inserted += 1
-        elif any(not values_equal(target.get(c), v) for c, v in changes.items()):
-            row = {**target, **changes}
+        elif any(not values_equal(rows[position].get(c), v) for c, v in changes.items()):
+            row = {**rows[position], **changes}
             row["capture_timestamp"] = bronze_row["capture_timestamp"]
             row["load_timestamp"] = now
-            writes.append(row)
             updated += 1
         else:
             unchanged += 1
-    warehouse.upsert_rows(schema, table, writes)
-    return inserted, updated, unchanged, high_water_mark(writes, f"{schema}.{table}", hwm)
+            continue
+        if key in writes:
+            raise LoadError(f"duplicate primary key within one batch for "
+                            f"{schema}.{table}: {show_key(key)}")
+        writes[key] = row
+    for key, row in writes.items():
+        position = index.get(key)
+        if position is None:
+            rows.append(row)
+        else:
+            rows[position] = row
+    if writes:
+        warehouse.replace_table(warehouse.manifest(schema, table), rows)
+    return inserted, updated, unchanged, high_water_mark(writes.values(), f"{schema}.{table}", hwm)
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
              mapping: HubMapping, now: datetime) -> LoadResult:
     silver = spec.schema_names["silver"]
     load_source = spec.source(mapping.source).load_source_id
-    existing = warehouse.read_rows(silver, hub.table_name)
-    hwm = high_water_mark(existing, f"{silver}.{hub.table_name}")
+    rows = warehouse.read_rows(silver, hub.table_name)
+    hwm = high_water_mark(rows, f"{silver}.{hub.table_name}")
     bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
+    find_key = hub_key_lookup(warehouse, spec)
     staged = [(i, row, payload) for i, row in enumerate(bronze_rows)
-              for payload in evaluate_mapping(warehouse, spec, hub, mapping, row)]
+              for payload in evaluate_mapping(find_key, spec, hub, mapping, row)]
 
     # rn = 1 per business key: dedup terms, then latest capture, then the
     # earliest bronze row; the survivors go back into bronze order.
@@ -295,32 +327,28 @@ def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
                                   fields=lambda e: e[1])
     survivors.sort(key=lambda e: e[0])
 
-    if hub.key_type == "computed":
-        index = {row[hub.key_column]: row for row in existing}
-    else:
-        index = {row_key(row, hub.business_key_names): row for row in existing}
-
+    computed = hub.key_type == "computed"
     candidates = []
     for _i, bronze_row, payload in survivors:
         for name in hub.business_key_names:
             if payload[name] is None:
                 raise LoadError(f"{hub.table_name}: business key {name} is null "
                                 f"in {mapping.source} row")
-        if hub.key_type == "computed":
-            key = compute_hub_key(hub.key_formula, payload, load_source)
+        if computed:
+            key = (compute_hub_key(hub.key_formula, payload, load_source),)
         else:
             key = row_key(payload, hub.business_key_names)
         candidates.append((key, bronze_row, payload))
 
     def new_row(key, bronze_row: Record, payload: Record) -> Record:
-        if hub.key_type != "computed":
-            key = next_system_key(warehouse.counter_path(silver, hub.table_name))
+        key = key[0] if computed else next_system_key(warehouse.counter_path(silver, hub.table_name))
         return {"initial_capture_timestamp": bronze_row["capture_timestamp"],
                 hub.key_column: key, **payload}
 
     inserted, updated, unchanged, new_hwm = _merge(
-        warehouse, silver, hub.table_name, index, candidates, hub.business_key_names,
-        load_source, now, hwm, new_row)
+        warehouse, silver, hub.table_name, rows,
+        (hub.key_column,) if computed else hub.business_key_names, candidates,
+        hub.business_key_names, load_source, now, hwm, new_row)
     return LoadResult(table=f"{silver}.{hub.table_name}", source=mapping.source,
                       scanned=len(bronze_rows), inserted=inserted, updated=updated,
                       unchanged_skipped=unchanged, new_hwm=new_hwm)
@@ -336,8 +364,9 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
     # Stars have no default rows: an empty star means load everything.
     hwm = high_water_mark(rows, f"{silver}.{star.table_name}", EPOCH)
     bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
+    find_key = hub_key_lookup(warehouse, spec)
     staged = [(bronze_row, payload) for bronze_row in bronze_rows
-              for payload in evaluate_mapping(warehouse, spec, star, mapping, bronze_row)]
+              for payload in evaluate_mapping(find_key, spec, star, mapping, bronze_row)]
 
     def composite_key(bronze_row: Record, payload: Record) -> tuple:
         parts = []
@@ -354,9 +383,8 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
     for bronze_row, payload in staged:
         latest[composite_key(bronze_row, payload)] = (bronze_row, payload)
 
-    existing = {row_key(row, star.key_columns): row for row in rows}
     inserted, updated, unchanged, new_hwm = _merge(
-        warehouse, silver, star.table_name, existing,
+        warehouse, silver, star.table_name, rows, star.key_columns,
         [(key, bronze_row, payload) for key, (bronze_row, payload) in latest.items()],
         star.key_columns, spec.source(mapping.source).load_source_id, now, hwm,
         lambda _key, _bronze_row, payload: payload)

@@ -241,7 +241,8 @@ class Warehouse:
             _atomic_write(data, b"")
 
     def replace_table(self, manifest: TableManifest, rows: list[Record]):
-        """Create-or-overwrite a table with exactly these rows (gold builds).
+        """Create-or-overwrite a table with exactly these rows (silver loads
+        that write, gold builds).
 
         Writes go through the byte-comparison in _atomic_write, so rebuilding
         identical content leaves the files untouched.
@@ -281,6 +282,9 @@ class Warehouse:
         data = self.table_dir(schema, table) / DATA_FILE
         existing = data.read_bytes() if data.is_file() else b""
         _atomic_write(data, existing + _encode_rows(self.manifest(schema, table), rows))
+
+    # Nothing in hubstar calls upsert_rows, scan or max_capture_timestamp;
+    # they stay because the benchmark's tracer (bench/spans.py) wraps them.
 
     def upsert_rows(self, schema: str, table: str, rows: list[Record]):
         """Replace rows whose primary key already exists (keeping their

@@ -264,7 +264,7 @@ def test_check_reports_findings_and_exits_nonzero(cli_wh, tmp_path, capsys):
     wh = Warehouse(root)
     rows = wh.read_rows("hs_retail", "hub_product")
     rows[-1]["product_name"] = None  # declared required
-    wh.upsert_rows("hs_retail", "hub_product", rows)
+    wh.replace_table(wh.manifest("hs_retail", "hub_product"), rows)
     capsys.readouterr()
 
     assert main(["check", "--model", MODEL, "--root", str(root)]) == 1

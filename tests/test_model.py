@@ -410,6 +410,27 @@ star lines {
 ''') == ["star_mapping_explode"]
 
 
+def test_item_column_is_filled_by_the_explosion_not_by_map():
+    withcol = MINI.replace("format csv", "format ndjson").replace(
+        "column updated_at timestamp",
+        "column updated_at timestamp\n  column parts array(label string)")
+    star = '''
+star lines {
+  participant thing
+  participant item seq positional
+  key (thing_key, seq)
+  source_mapping things {
+    explode parts
+    key thing_key = thing(thing_id)
+  }
+}
+'''
+    assert check(withcol + star) == []
+    assert check(withcol + star.replace("key thing_key = thing(thing_id)",
+                                        "key thing_key = thing(thing_id)\n    map seq = 99")) == \
+        ["mapping_unknown_target"]
+
+
 def test_star_mapping_must_cover_key_columns():
     assert check(MINI + '''
 star addr {
@@ -559,6 +580,23 @@ gold d {
   output nowhere
 }
 ''') == ["gold_output_unknown_ref"] * 3
+
+
+def test_gold_hub_join_column_must_resolve():
+    view = '''
+gold d {
+  kind scd1_dim
+  base hub thing
+  join hub second on second_key left
+  output thing_key
+}
+'''
+    text = (GOLD_BASE + SECOND_HUB).replace(
+        "descriptive thing_name string",
+        "descriptive thing_name string\n  descriptive second_key references second")
+    assert check(text + view) == []
+    assert check(text + view.replace("on second_key", "on second_kye")) == \
+        ["gold_output_unknown_ref"]
 
 
 def test_gold_outputs_required_and_unique():

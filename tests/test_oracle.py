@@ -187,9 +187,9 @@ def test_unchanged_redeliveries_disturb_only_the_capture_timestamp(wh, feed):
 
 def test_tampered_descriptive_is_reported_with_both_values(wh, feed):
     load_sample(wh, feed)
-    row = next(r for r in wh.read_rows(SILVER, "hub_person") if r["person_key"] == PK1)
-    row["city"] = "Narnia"
-    wh.upsert_rows(SILVER, "hub_person", [row])
+    rows = wh.read_rows(SILVER, "hub_person")
+    next(r for r in rows if r["person_key"] == PK1)["city"] = "Narnia"
+    wh.replace_table(wh.manifest(SILVER, "hub_person"), rows)
 
     problems = check_against_oracle(wh, MODEL)
     assert len(problems) == 1
@@ -232,7 +232,7 @@ def test_star_state_is_checked_with_last_write_wins(wh, feed):
     assert [r["note"] for r in rows] == ["final"]
 
     rows[0]["note"] = "draft"
-    wh.upsert_rows(SILVER, "star_person_visit", rows)
+    wh.replace_table(wh.manifest(SILVER, "star_person_visit"), rows)
     problems = check_against_oracle(wh, MODEL)
     assert len(problems) == 1
     assert problems[0].startswith("star_person_visit: ")
@@ -245,5 +245,5 @@ def test_multi_mapping_and_system_keyed_elements_are_outside_the_remit(wh, feed)
     for table in ("hub_device", "hub_traveler"):
         rows = wh.read_rows(SILVER, table)
         rows[-1]["load_source"] = 77
-        wh.upsert_rows(SILVER, table, rows)
+        wh.replace_table(wh.manifest(SILVER, table), rows)
     assert check_against_oracle(wh, MODEL) == []

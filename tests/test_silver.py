@@ -3,6 +3,7 @@ null-safe change detection, default rows, and collection explosion."""
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -16,7 +17,9 @@ from hubstar import (
     load_all,
     parse_model,
 )
-from hubstar.errors import LoadError
+from hubstar import retail_fixture as rf
+from hubstar import storage
+from hubstar.errors import HubStarError, LoadError
 from hubstar.keygen import sha256_hex
 from hubstar.model import ItemKeyRule, validate_model
 from hubstar.silver import (
@@ -277,6 +280,21 @@ def test_unchanged_redelivery_touches_nothing(wh, feed):
     assert wh.read_rows(SILVER, "hub_person") == before
 
 
+def test_update_keeps_its_file_position_and_insert_appends(wh, feed):
+    feed("people", PEOPLE_HEADER
+         + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n"
+         + "2,Bo,Rio,D2,2024-03-01T09:00:00Z,0\n")
+    load_all(wh, MODEL, now=NOW)
+    feed("people", PEOPLE_HEADER
+         + "3,Cy,Ume,D3,2024-03-02T08:00:00Z,0\n"
+         + "1,Ana,Bergen,D1,2024-03-02T09:00:00Z,0\n")
+    person = result_for(load_all(wh, MODEL, now=NOW), "hub_person")
+    assert (person.inserted, person.updated) == (1, 1)
+    rows = people_rows(wh)
+    assert list(rows) == [person_key(1), person_key(2), person_key(3)]
+    assert rows[person_key(1)]["city"] == "Bergen"
+
+
 def test_null_transitions_count_as_changes_in_both_directions(wh, feed):
     # A blank integer cell lands as null (blank strings stay empty strings).
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,\n")
@@ -323,6 +341,44 @@ def test_null_business_key_is_a_load_error(wh, feed):
         load_all(wh, MODEL, now=NOW)
 
 
+# A key formula that leaves out a business key: two business keys, one hub key.
+NARROW_KEY = parse_model('''product narrow
+
+source regs {
+  load_source 1
+  format csv
+  column region string
+  column code string
+  column at timestamp
+  capture cdc_column at
+}
+
+hub reg {
+  key computed region
+  business_key global (region string, code string)
+  source_mapping regs {
+    map region = region
+    map code = code
+  }
+}
+''').spec
+
+
+def test_two_writes_to_one_key_fail_the_load_and_leave_the_table(tmp_path):
+    assert validate_model(NARROW_KEY).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, NARROW_KEY)
+    path = tmp_path / "regs.csv"
+    path.write_text("region,code,at\nnorth,a,2024-01-01T00:00:00Z\n"
+                    "north,b,2024-01-02T00:00:00Z\n", encoding="utf-8")
+    ingest_file(warehouse, NARROW_KEY, "regs", path, now=NOW)
+    data = warehouse.table_dir(NARROW_KEY.schema_names["silver"], "hub_reg") / "data"
+    before = data.read_bytes()
+    with pytest.raises(HubStarError, match=r"duplicate primary key within one batch .*'north'"):
+        load_all(warehouse, NARROW_KEY, now=NOW)
+    assert data.read_bytes() == before
+
+
 # -- system-generated keys ------------------------------------------------------
 
 
@@ -356,6 +412,17 @@ def test_fk_to_system_generated_hub_resolves_by_business_key_lookup(wh, feed):
                for r in wh.read_rows(SILVER, "hub_device")}
     assert rows[person_key(1)]["device_key"] == devices["D2"]
     assert rows[person_key(2)]["device_key"] == devices["D1"]
+
+
+def test_references_into_a_system_keyed_hub_read_it_once_per_mapping(wh, feed, table_reads):
+    feed("people", PEOPLE_HEADER + "".join(
+        f"{i},P{i},Oslo,D{i % 2},2024-03-01T08:00:0{i}Z,0\n" for i in range(1, 6)))
+    load_all(wh, MODEL, now=NOW)
+    # The device load itself, then the person load's one business-key index.
+    assert table_reads[SILVER, "hub_device"] == 2
+    table_reads.clear()
+    assert check_against_oracle(wh, MODEL) == []
+    assert table_reads[SILVER, "hub_device"] == 1  # the oracle's person element
 
 
 def test_fk_with_null_argument_points_at_default_row(wh, feed):
@@ -643,30 +710,46 @@ def test_missing_collection_column_explodes_to_nothing():
 # -- table reads ----------------------------------------------------------------
 
 
-def test_noop_reload_reads_each_silver_table_once_per_mapping(
-        tmp_path, monkeypatch, retail_spec, retail_data):
-    from collections import Counter
-
-    from hubstar import storage
-
-    from conftest import run_pipeline
-
-    warehouse = run_pipeline(tmp_path, retail_spec, retail_data, gold=False)
-    silver = retail_spec.schema_names["silver"]
+@pytest.fixture()
+def table_reads(monkeypatch):
+    """Counts `Warehouse.read_rows` calls by (schema, table)."""
     reads: Counter = Counter()
-    writes: list = []
     read_rows = storage.Warehouse.read_rows
 
     def counted(self, schema, table):
-        if schema == silver:
-            reads[table] += 1
+        reads[schema, table] += 1
         return read_rows(self, schema, table)
 
     monkeypatch.setattr(storage.Warehouse, "read_rows", counted)
-    monkeypatch.setattr(storage, "_atomic_write", lambda path, content: writes.append(path))
-    results = load_all(warehouse, retail_spec, now=NOW)
+    return reads
 
-    assert all(r.scanned == 0 for r in results)
-    assert writes == []
+
+@pytest.mark.parametrize("writes", [False, True], ids=["noop", "writes"])
+def test_a_load_reads_each_silver_table_once_per_mapping(
+        tmp_path, monkeypatch, table_reads, retail_spec, retail_data, writes):
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, retail_spec)
+    for n, jobs in enumerate(rf.write_batches(retail_data, tmp_path / "inbox", 2)):
+        for job in jobs:
+            ingest_file(warehouse, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+        if n == 0 or not writes:
+            load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+
+    silver = retail_spec.schema_names["silver"]
+    written: list = []
+    atomic_write = storage._atomic_write
+
+    def recorded(path, content):
+        written.append(path)
+        atomic_write(path, content)
+
+    monkeypatch.setattr(storage, "_atomic_write", recorded)
+    table_reads.clear()
+    results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+
+    assert any(r.scanned for r in results) == writes
+    assert bool(written) == writes
     elements = retail_spec.hubs + retail_spec.stars
-    assert reads == {e.table_name: len(e.source_mappings) for e in elements}
+    assert {table: n for (schema, table), n in table_reads.items() if schema == silver} == \
+        {e.table_name: len(e.source_mappings) for e in elements}
