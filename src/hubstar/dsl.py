@@ -66,12 +66,6 @@ def load_model(path: Path | str) -> ModelDocument:
 class _Parser:
     def __init__(self, stream: TokenStream):
         self.s = stream
-        self.product: str | None = None
-        self.schemas: dict[str, str] | None = None
-        self.sources: list[SourceDef] = []
-        self.hubs: list[HubDef] = []
-        self.stars: list[StarDef] = []
-        self.gold: list[GoldViewDef] = []
         self.spans: dict[tuple[str, str], tuple[int, int]] = {}
         self.names: dict[str, Token] = {}
 
@@ -84,10 +78,25 @@ class _Parser:
         return self.ident("a keyword")
 
     def ident(self, what: str) -> Token:
-        tok = self.s.peek()
+        tok = self.s.next()
         if tok.kind != IDENT:
             self.fail(f"expected {what}, found {tok.text!r}", tok)
-        return self.s.next()
+        return tok
+
+    def choice(self, what: str, options, refusal: str) -> str:
+        """An identifier among `options`; any other is `<refusal> '<word>'`."""
+        tok = self.ident(what)
+        if tok.text not in options:
+            self.fail(f"{refusal} {tok.text!r}", tok)
+        return tok.text
+
+    def accept(self, kind: str, text: str) -> bool:
+        """Consume the next token if it is `text`; say whether it was."""
+        tok = self.s.peek()
+        if tok.kind != kind or tok.text != text:
+            return False
+        self.s.next()
+        return True
 
     def open_block(self):
         self.s.expect(SYMBOL, "{")
@@ -98,75 +107,109 @@ class _Parser:
         self.s.skip_newlines()
         return self.s.at(SYMBOL, "}")
 
-    def close_block(self):
-        self.s.expect(SYMBOL, "}")
-        self.s.end_line()
+    def block(self, what: str, clauses: dict, once: tuple[str, ...] = (),
+              keyed: tuple[str, ...] = ()) -> dict:
+        """`{`, one clause per line, `}`. The line end after `}` is left to the
+        caller: the loop of the enclosing block, or a definition that checks
+        its clauses once its line is complete.
 
-    def claim_name(self, kind: str, tok: Token):
+        `clauses` maps each keyword to the parser of the rest of its line.
+        The result maps a keyword in `once`, which may appear once, to its
+        value; a keyword in `keyed`, whose parser returns `(column, value)`
+        and whose column may appear once per keyword, to a column -> value
+        dict; and every other keyword that appeared to its values in order.
+        Clauses whose values must interleave across keywords append to a
+        list their parsers share instead.
+        """
+        self.open_block()
+        found: dict = {}
+        while not self.at_block_end():
+            tok = self.keyword()
+            key = tok.text
+            if key not in clauses:
+                self.fail(f"unknown keyword {key!r} in {what} block", tok)
+            if key in once:
+                if key in found:
+                    self.fail(f"duplicate {key}", tok)
+                found[key] = clauses[key]()
+            elif key in keyed:
+                values = found.setdefault(key, {})
+                col_tok = self.s.peek()
+                if col_tok.kind == IDENT and col_tok.text in values:
+                    self.fail(f"column {col_tok.text!r} mapped twice", col_tok)
+                column, value = clauses[key]()
+                values[column] = value
+            else:
+                found.setdefault(key, []).append(clauses[key]())
+            self.s.end_line()
+        self.s.expect(SYMBOL, "}")
+        return found
+
+    def claim_name(self, kind: str, what: str) -> Token:
+        tok = self.ident(f"{what} name")
         if tok.text in self.names:
             prev = self.names[tok.text]
             self.fail(f"duplicate name {tok.text!r} (first used at line {prev.line})", tok)
         self.names[tok.text] = tok
         self.spans[(kind, tok.text)] = (tok.line, tok.column)
-
-    def once(self, slot, tok: Token, what: str):
-        if slot is not None:
-            self.fail(f"duplicate {what}", tok)
+        return tok
 
     def comma_list(self, parse_item, parenthesised: bool = True) -> tuple:
         """One or more items separated by commas, in parentheses or bare."""
         if parenthesised:
             self.s.expect(SYMBOL, "(")
         items = [parse_item()]
-        while self.s.at(SYMBOL, ","):
-            self.s.next()
+        while self.accept(SYMBOL, ","):
             items.append(parse_item())
         if parenthesised:
             self.s.expect(SYMBOL, ")")
         return tuple(items)
 
-    def assignment(self, into: dict, what: str, parse_value):
-        """`<column> = <value>` into `into`; a column may be assigned once."""
-        col_tok = self.ident(what)
-        if col_tok.text in into:
-            self.fail(f"column {col_tok.text!r} mapped twice", col_tok)
+    def assignment(self, what: str, parse_value) -> tuple:
+        """`<column> = <value>` as a `(column, value)` pair."""
+        column = self.ident(what).text
         self.s.expect(SYMBOL, "=")
-        into[col_tok.text] = parse_value()
+        return column, parse_value()
+
+    def expression(self) -> ex.Expr:
+        return ex.parse_expr(self.s)
+
+    def column_name(self) -> str:
+        return self.ident("column name").text
 
     # -- top level --------------------------------------------------------
 
     def parse(self) -> ModelDocument:
+        product = schemas = None
+        parsers = {"source": self.parse_source, "hub": self.parse_hub,
+                   "star": self.parse_star, "gold": self.parse_gold}
+        definitions: dict[str, list] = {kind: [] for kind in parsers}
         self.s.skip_newlines()
         while not self.s.at("eof"):
             tok = self.keyword()
             if tok.text == "product":
-                self.once(self.product, tok, "product")
-                self.product = self.ident("product name").text
+                if product is not None:
+                    self.fail("duplicate product", tok)
+                product = self.ident("product name").text
                 self.s.end_line()
             elif tok.text == "schemas":
-                self.once(self.schemas, tok, "schemas block")
-                self.schemas = self.parse_schemas()
-            elif tok.text == "source":
-                self.sources.append(self.parse_source())
-            elif tok.text == "hub":
-                self.hubs.append(self.parse_hub())
-            elif tok.text == "star":
-                self.stars.append(self.parse_star())
-            elif tok.text == "gold":
-                self.gold.append(self.parse_gold())
+                if schemas is not None:
+                    self.fail("duplicate schemas block", tok)
+                schemas = self.parse_schemas()
+            elif tok.text in parsers:
+                definitions[tok.text].append(parsers[tok.text]())
             else:
                 self.fail(f"unknown top-level keyword {tok.text!r}", tok)
             self.s.skip_newlines()
-        if self.product is None:
+        if product is None:
             raise ParseError("model must declare a product", 1, 1)
-        schemas = self.schemas or default_schema_names(self.product)
         spec = ModelSpec(
-            product_name=self.product,
-            schema_names=schemas,
-            sources=tuple(self.sources),
-            hubs=tuple(self.hubs),
-            stars=tuple(self.stars),
-            gold_views=tuple(self.gold),
+            product_name=product,
+            schema_names=schemas or default_schema_names(product),
+            sources=tuple(definitions["source"]),
+            hubs=tuple(definitions["hub"]),
+            stars=tuple(definitions["star"]),
+            gold_views=tuple(definitions["gold"]),
         )
         return ModelDocument(spec, self.spans)
 
@@ -181,7 +224,8 @@ class _Parser:
                 self.fail(f"duplicate layer {tok.text!r}", tok)
             names[tok.text] = self.s.expect(STRING).text
             self.s.end_line()
-        self.close_block()
+        self.s.expect(SYMBOL, "}")
+        self.s.end_line()
         for layer in ("bronze", "silver", "gold"):
             if layer not in names:
                 raise ParseError(f"schemas block missing the {layer} layer", 1, 1)
@@ -190,215 +234,126 @@ class _Parser:
     # -- source -----------------------------------------------------------
 
     def parse_source(self) -> SourceDef:
-        name_tok = self.ident("source name")
-        self.claim_name("source", name_tok)
-        self.open_block()
-        load_source = None
-        fmt = None
-        columns: list[ColumnDef | CollectionColumn] = []
-        capture: list[CaptureSource] = []
-        delete_col = None
-        while not self.at_block_end():
-            tok = self.keyword()
-            if tok.text == "load_source":
-                self.once(load_source, tok, "load_source")
-                load_source = self.s.expect(INT).value
-            elif tok.text == "format":
-                self.once(fmt, tok, "format")
-                ftok = self.ident("format")
-                if ftok.text not in ("csv", "ndjson"):
-                    self.fail(f"unknown format {ftok.text!r}", ftok)
-                fmt = ftok.text
-            elif tok.text == "column":
-                columns.append(self.parse_source_column())
-            elif tok.text == "capture":
-                ktok = self.ident("capture rule")
-                kind = _CAPTURE_WORDS.get(ktok.text)
-                if kind is None:
-                    self.fail(f"unknown capture rule {ktok.text!r}", ktok)
-                column = None
-                if kind in ("cdc_column", "last_modified_column"):
-                    column = self.ident("capture column").text
-                capture.append(CaptureSource(kind, column))
-            elif tok.text == "delete_flag_column":
-                self.once(delete_col, tok, "delete_flag_column")
-                delete_col = self.column_name()
-            else:
-                self.fail(f"unknown keyword {tok.text!r} in source block", tok)
-            self.s.end_line()
-        self.close_block()
-        if load_source is None:
+        name_tok = self.claim_name("source", "source")
+        found = self.block("source", {
+            "load_source": lambda: self.s.expect(INT).value,
+            "format": lambda: self.choice("format", ("csv", "ndjson"), "unknown format"),
+            "column": self.parse_source_column,
+            "capture": self.parse_capture,
+            "delete_flag_column": self.column_name,
+        }, once=("load_source", "format", "delete_flag_column"))
+        self.s.end_line()
+        if "load_source" not in found:
             self.fail("source must declare load_source", name_tok)
-        if fmt is None:
+        if "format" not in found:
             self.fail("source must declare a format", name_tok)
-        return SourceDef(name_tok.text, load_source, fmt, tuple(columns),
-                         tuple(capture), delete_col)
+        return SourceDef(name_tok.text, found["load_source"], found["format"],
+                         tuple(found.get("column", ())), tuple(found.get("capture", ())),
+                         found.get("delete_flag_column"))
 
     def parse_source_column(self) -> ColumnDef | CollectionColumn:
         name = self.column_name()
-        ttok = self.ident("column type")
-        if ttok.text == "array":
+        type_ = self.choice("column type", ("array",) + SCALAR_TYPES, "unknown type")
+        if type_ == "array":
             return CollectionColumn(name, self.comma_list(lambda: self.parse_typed_name("field")))
-        if ttok.text not in SCALAR_TYPES:
-            self.fail(f"unknown type {ttok.text!r}", ttok)
-        return ColumnDef(name, ttok.text)
+        return ColumnDef(name, type_)
 
     def parse_typed_name(self, what: str) -> ColumnDef:
         name = self.ident(f"{what} name").text
-        ttok = self.ident(f"{what} type")
-        if ttok.text not in SCALAR_TYPES:
-            self.fail(f"unknown type {ttok.text!r}", ttok)
-        return ColumnDef(name, ttok.text)
+        return ColumnDef(name, self.choice(f"{what} type", SCALAR_TYPES, "unknown type"))
+
+    def parse_capture(self) -> CaptureSource:
+        kind = _CAPTURE_WORDS[self.choice("capture rule", _CAPTURE_WORDS, "unknown capture rule")]
+        if kind in ("cdc_column", "last_modified_column"):
+            return CaptureSource(kind, self.ident("capture column").text)
+        return CaptureSource(kind, None)
 
     # -- hub ----------------------------------------------------------------
 
     def parse_hub(self) -> HubDef:
-        name_tok = self.ident("hub name")
-        self.claim_name("hub", name_tok)
-        self.open_block()
-        key_type = None
-        formula = None
-        bk_scope = None
-        business_keys: tuple[ColumnDef, ...] = ()
-        descriptives: list[DescriptiveDef] = []
-        delete_flag = False
-        mappings: list[HubMapping] = []
-        while not self.at_block_end():
-            tok = self.keyword()
-            if tok.text == "key":
-                self.once(key_type, tok, "key")
-                ktok = self.ident("key kind")
-                if ktok.text == "computed":
-                    key_type = "computed"
-                    formula = KeyFormula.from_expression(ex.parse_expr(self.s))
-                elif ktok.text == "system_generated":
-                    key_type = "system_generated"
-                else:
-                    self.fail(f"unknown key kind {ktok.text!r}", ktok)
-            elif tok.text == "business_key":
-                if business_keys:
-                    self.fail("duplicate business_key", tok)
-                stok = self.ident("scope")
-                if stok.text not in ("global", "local"):
-                    self.fail(f"business_key scope must be global or local, got {stok.text!r}", stok)
-                bk_scope = stok.text
-                business_keys = self.comma_list(lambda: self.parse_typed_name("column"))
-            elif tok.text == "descriptive":
-                descriptives.append(self.parse_descriptive())
-            elif tok.text == "delete_flag":
-                delete_flag = True
-            elif tok.text == "source_mapping":
-                mappings.append(self.parse_hub_mapping())
-                continue  # block consumed its trailing newline
-            else:
-                self.fail(f"unknown keyword {tok.text!r} in hub block", tok)
-            self.s.end_line()
-        self.close_block()
-        if key_type is None:
+        name_tok = self.claim_name("hub", "hub")
+        found = self.block("hub", {
+            "key": self.parse_hub_key,
+            "business_key": self.parse_business_key,
+            "descriptive": self.parse_descriptive,
+            "delete_flag": lambda: True,
+            "source_mapping": self.parse_hub_mapping,
+        }, once=("key", "business_key"))
+        self.s.end_line()
+        if "key" not in found:
             self.fail("hub must declare a key", name_tok)
+        key_type, formula = found["key"]
+        bk_scope, business_keys = found.get("business_key", ("global", ()))
         return HubDef(
             name=name_tok.text,
             business_keys=business_keys,
-            bk_scope=bk_scope or "global",
+            bk_scope=bk_scope,
             key_type=key_type,
             key_formula=formula,
-            descriptives=tuple(descriptives),
-            has_delete_flag=delete_flag,
-            source_mappings=tuple(mappings),
+            descriptives=tuple(found.get("descriptive", ())),
+            has_delete_flag="delete_flag" in found,
+            source_mappings=tuple(found.get("source_mapping", ())),
         )
+
+    def parse_hub_key(self) -> tuple[str, KeyFormula | None]:
+        kind = self.choice("key kind", ("computed", "system_generated"), "unknown key kind")
+        if kind == "computed":
+            return kind, KeyFormula.from_expression(self.expression())
+        return kind, None
+
+    def parse_business_key(self) -> tuple[str, tuple[ColumnDef, ...]]:
+        scope = self.choice("scope", ("global", "local"),
+                            "business_key scope must be global or local, got")
+        return scope, self.comma_list(lambda: self.parse_typed_name("column"))
 
     def parse_descriptive(self) -> DescriptiveDef:
         name = self.ident("descriptive name").text
-        tok = self.ident("type or 'references'")
-        if tok.text == "references":
-            hub = self.ident("hub name").text
-            return DescriptiveDef(name, "string", nullable=False, fk_hub=hub)
-        if tok.text not in SCALAR_TYPES:
-            self.fail(f"unknown type {tok.text!r}", tok)
-        required = False
-        if self.s.at(IDENT, "required"):
-            self.s.next()
-            required = True
-        return DescriptiveDef(name, tok.text, nullable=not required)
+        type_ = self.choice("type or 'references'", ("references",) + SCALAR_TYPES,
+                            "unknown type")
+        if type_ == "references":
+            return DescriptiveDef(name, "string", nullable=False,
+                                  fk_hub=self.ident("hub name").text)
+        return DescriptiveDef(name, type_, nullable=not self.accept(IDENT, "required"))
 
     def parse_hub_mapping(self) -> HubMapping:
         source = self.ident("source name").text
-        self.open_block()
-        column_exprs: dict[str, ex.Expr] = {}
-        fks: dict[str, FkResolution] = {}
-        dedup: tuple[tuple[str, str], ...] = ()
-        while not self.at_block_end():
-            tok = self.keyword()
-            if tok.text == "map":
-                self.assignment(column_exprs, "target column", lambda: ex.parse_expr(self.s))
-            elif tok.text == "fk":
-                self.assignment(fks, "target column", self.parse_fk_resolution)
-            elif tok.text == "dedup_by":
-                if dedup:
-                    self.fail("duplicate dedup_by", tok)
-                dedup = self.comma_list(self.parse_order_term, parenthesised=False)
-            else:
-                self.fail(f"unknown keyword {tok.text!r} in mapping block", tok)
-            self.s.end_line()
-        self.close_block()
-        return HubMapping(source, column_exprs, fks, dedup)
+        found = self.block("mapping", {
+            "map": lambda: self.assignment("target column", self.expression),
+            "fk": lambda: self.assignment("target column", self.parse_fk_resolution),
+            "dedup_by": lambda: self.comma_list(self.parse_order_term, parenthesised=False),
+        }, once=("dedup_by",), keyed=("map", "fk"))
+        return HubMapping(source, found.get("map", {}), found.get("fk", {}),
+                          found.get("dedup_by", ()))
 
     def parse_fk_resolution(self) -> FkResolution:
         hub = self.ident("hub name").text
-        args = self.comma_list(lambda: ex.parse_expr(self.s))
-        override = None
-        if self.s.at(IDENT, "source"):
-            self.s.next()
-            override = self.s.expect(INT).value
+        args = self.comma_list(self.expression)
+        override = self.s.expect(INT).value if self.accept(IDENT, "source") else None
         return FkResolution(hub, args, override)
 
     def parse_order_term(self) -> tuple[str, str]:
         col = self.column_name()
-        dtok = self.ident("asc or desc")
-        if dtok.text not in ("asc", "desc"):
-            self.fail(f"expected asc or desc, found {dtok.text!r}", dtok)
-        return col, dtok.text
-
-    def column_name(self) -> str:
-        return self.ident("column name").text
+        return col, self.choice("asc or desc", ("asc", "desc"), "expected asc or desc, found")
 
     # -- star ---------------------------------------------------------------
 
     def parse_star(self) -> StarDef:
-        name_tok = self.ident("star name")
-        self.claim_name("star", name_tok)
-        self.open_block()
-        participants: list = []
-        key_columns: tuple[str, ...] = ()
-        descriptives: list[DescriptiveDef] = []
-        delete_flag = False
-        mappings: list[StarMapping] = []
-        while not self.at_block_end():
-            tok = self.keyword()
-            if tok.text == "participant":
-                participants.append(self.parse_participant())
-            elif tok.text == "key":
-                if key_columns:
-                    self.fail("duplicate key", tok)
-                key_columns = self.comma_list(self.column_name)
-            elif tok.text == "descriptive":
-                descriptives.append(self.parse_descriptive())
-            elif tok.text == "delete_flag":
-                delete_flag = True
-            elif tok.text == "source_mapping":
-                mappings.append(self.parse_star_mapping())
-                continue
-            else:
-                self.fail(f"unknown keyword {tok.text!r} in star block", tok)
-            self.s.end_line()
-        self.close_block()
+        name_tok = self.claim_name("star", "star")
+        found = self.block("star", {
+            "participant": self.parse_participant,
+            "key": lambda: self.comma_list(self.column_name),
+            "descriptive": self.parse_descriptive,
+            "delete_flag": lambda: True,
+            "source_mapping": self.parse_star_mapping,
+        }, once=("key",))
+        self.s.end_line()
         return StarDef(
             name=name_tok.text,
-            participants=tuple(participants),
-            key_columns=key_columns,
-            descriptives=tuple(descriptives),
-            has_delete_flag=delete_flag,
-            source_mappings=tuple(mappings),
+            participants=tuple(found.get("participant", ())),
+            key_columns=found.get("key", ()),
+            descriptives=tuple(found.get("descriptive", ())),
+            has_delete_flag="delete_flag" in found,
+            source_mappings=tuple(found.get("source_mapping", ())),
         )
 
     def parse_participant(self):
@@ -408,10 +363,7 @@ class _Parser:
         if tok.text == "item":
             column = self.column_name()
             return ItemParticipant(column, self.parse_item_rule())
-        column = f"{tok.text}_key"
-        if self.s.at(IDENT, "as"):
-            self.s.next()
-            column = self.column_name()
+        column = self.column_name() if self.accept(IDENT, "as") else f"{tok.text}_key"
         return HubParticipant(tok.text, column)
 
     def parse_item_rule(self) -> ItemKeyRule:
@@ -425,119 +377,70 @@ class _Parser:
             return ItemKeyRule("explicit_sequence", sequence_field=field)
         if tok.text == "concat":
             attrs = self.comma_list(lambda: self.ident("item attribute").text)
-            hashed = False
-            if self.s.at(IDENT, "hashed"):
-                self.s.next()
-                hashed = True
-            return ItemKeyRule("concat_of_attributes", attributes=attrs, hashed=hashed)
+            return ItemKeyRule("concat_of_attributes", attributes=attrs,
+                               hashed=self.accept(IDENT, "hashed"))
         self.fail(f"unknown item key mode {tok.text!r}", tok)
 
     def parse_star_mapping(self) -> StarMapping:
         source = self.ident("source name").text
-        self.open_block()
-        explode = None
-        column_exprs: dict[str, ex.Expr] = {}
-        fks: dict[str, FkResolution] = {}
-        while not self.at_block_end():
-            tok = self.keyword()
-            if tok.text == "explode":
-                self.once(explode, tok, "explode")
-                explode = self.ident("collection column").text
-            elif tok.text == "key":
-                self.assignment(fks, "participant column", self.parse_fk_resolution)
-            elif tok.text == "map":
-                self.assignment(column_exprs, "target column", lambda: ex.parse_expr(self.s))
-            else:
-                self.fail(f"unknown keyword {tok.text!r} in mapping block", tok)
-            self.s.end_line()
-        self.close_block()
-        return StarMapping(source, explode, column_exprs, fks)
+        found = self.block("mapping", {
+            "explode": lambda: self.ident("collection column").text,
+            "key": lambda: self.assignment("participant column", self.parse_fk_resolution),
+            "map": lambda: self.assignment("target column", self.expression),
+        }, once=("explode",), keyed=("key", "map"))
+        return StarMapping(source, found.get("explode"), found.get("map", {}),
+                           found.get("key", {}))
 
     # -- gold -----------------------------------------------------------------
 
     def parse_gold(self) -> GoldViewDef:
-        name_tok = self.ident("view name")
-        self.claim_name("gold", name_tok)
-        self.open_block()
-        kind = None
-        base = None
-        joins: list = []
-        versions = None
-        temporal = None
-        scd2_key: tuple[ColumnRef, ...] = ()
-        outputs: list[OutputColumn] = []
-        while not self.at_block_end():
-            tok = self.keyword()
-            if tok.text == "kind":
-                self.once(kind, tok, "kind")
-                ktok = self.ident("view kind")
-                if ktok.text not in ("scd1_dim", "scd2_dim", "fact"):
-                    self.fail(f"unknown view kind {ktok.text!r}", ktok)
-                kind = ktok.text
-            elif tok.text == "base":
-                self.once(base, tok, "base")
-                btok = self.ident("hub or star")
-                if btok.text not in ("hub", "star"):
-                    self.fail("base must name a hub or a star", btok)
-                base = (btok.text, self.ident("base name").text)
-            elif tok.text == "join":
-                self.s.expect(IDENT, "hub")
-                hub = self.ident("hub name").text
-                self.s.expect(IDENT, "on")
-                on = self.ident("column").text
-                htok = self.ident("inner or left")
-                if htok.text not in ("inner", "left"):
-                    self.fail(f"join mode must be inner or left, got {htok.text!r}", htok)
-                joins.append(HubJoin(hub, on, htok.text))
-            elif tok.text == "join_current":
-                joins.append(StarJoin(*self.parse_star_join_tail()))
-            elif tok.text == "versions":
-                self.once(versions, tok, "versions")
-                versions = StarJoin(*self.parse_star_join_tail())
-            elif tok.text == "temporal_join":
-                self.once(temporal, tok, "temporal_join")
-                dim = self.ident("dim view name").text
-                self.s.expect(IDENT, "key")
-                key_ref = self.parse_column_ref()
-                self.s.expect(IDENT, "time")
-                time_ref = self.parse_column_ref()
-                temporal = TemporalJoin(dim, key_ref, time_ref)
-            elif tok.text == "scd2_key":
-                if scd2_key:
-                    self.fail("duplicate scd2_key", tok)
-                scd2_key = self.comma_list(self.parse_column_ref)
-            elif tok.text == "output":
-                out_name = self.ident("output name").text
-                if self.s.at(SYMBOL, "="):
-                    self.s.next()
-                    if self.s.at(IDENT, "scd2_key"):
-                        self.s.next()
-                        outputs.append(OutputColumn(out_name, None))
-                    else:
-                        outputs.append(OutputColumn(out_name, self.parse_column_ref()))
-                else:
-                    outputs.append(OutputColumn(out_name, ColumnRef(None, out_name)))
-            else:
-                self.fail(f"unknown keyword {tok.text!r} in gold block", tok)
-            self.s.end_line()
-        self.close_block()
-        if kind is None:
+        name_tok = self.claim_name("gold", "view")
+        joins: list[HubJoin | StarJoin] = []
+        found = self.block("gold", {
+            "kind": lambda: self.choice("view kind", ("scd1_dim", "scd2_dim", "fact"),
+                                        "unknown view kind"),
+            "base": self.parse_base,
+            "join": lambda: joins.append(self.parse_hub_join()),
+            "join_current": lambda: joins.append(self.parse_star_join()),
+            "versions": self.parse_star_join,
+            "temporal_join": self.parse_temporal_join,
+            "scd2_key": lambda: self.comma_list(self.parse_column_ref),
+            "output": self.parse_output,
+        }, once=("kind", "base", "versions", "temporal_join", "scd2_key"))
+        self.s.end_line()
+        if "kind" not in found:
             self.fail("gold view must declare a kind", name_tok)
-        if base is None:
+        if "base" not in found:
             self.fail("gold view must declare a base", name_tok)
+        base_kind, base = found["base"]
         return GoldViewDef(
             name=name_tok.text,
-            kind=kind,
-            base_kind=base[0],
-            base=base[1],
+            kind=found["kind"],
+            base_kind=base_kind,
+            base=base,
             joins=tuple(joins),
-            versions=versions,
-            temporal=temporal,
-            scd2_key=scd2_key,
-            outputs=tuple(outputs),
+            versions=found.get("versions"),
+            temporal=found.get("temporal_join"),
+            scd2_key=found.get("scd2_key", ()),
+            outputs=tuple(found.get("output", ())),
         )
 
-    def parse_star_join_tail(self):
+    def parse_base(self) -> tuple[str, str]:
+        tok = self.ident("hub or star")
+        if tok.text not in ("hub", "star"):
+            self.fail("base must name a hub or a star", tok)
+        return tok.text, self.ident("base name").text
+
+    def parse_hub_join(self) -> HubJoin:
+        self.s.expect(IDENT, "hub")
+        hub = self.ident("hub name").text
+        self.s.expect(IDENT, "on")
+        on = self.ident("column").text
+        how = self.choice("inner or left", ("inner", "left"),
+                          "join mode must be inner or left, got")
+        return HubJoin(hub, on, how)
+
+    def parse_star_join(self) -> StarJoin:
         self.s.expect(IDENT, "star")
         star = self.ident("star name").text
         self.s.expect(IDENT, "on")
@@ -545,13 +448,26 @@ class _Parser:
         self.s.expect(IDENT, "partition_by")
         partition = self.comma_list(self.column_name)
         self.s.expect(IDENT, "order_by")
-        order = self.comma_list(self.parse_order_term)
-        return star, on, partition, order
+        return StarJoin(star, on, partition, self.comma_list(self.parse_order_term))
+
+    def parse_temporal_join(self) -> TemporalJoin:
+        dim = self.ident("dim view name").text
+        self.s.expect(IDENT, "key")
+        key_ref = self.parse_column_ref()
+        self.s.expect(IDENT, "time")
+        return TemporalJoin(dim, key_ref, self.parse_column_ref())
+
+    def parse_output(self) -> OutputColumn:
+        name = self.ident("output name").text
+        if not self.accept(SYMBOL, "="):
+            return OutputColumn(name, ColumnRef(None, name))
+        if self.accept(IDENT, "scd2_key"):
+            return OutputColumn(name, None)
+        return OutputColumn(name, self.parse_column_ref())
 
     def parse_column_ref(self) -> ColumnRef:
         first = self.ident("column reference").text
-        if self.s.at(SYMBOL, "."):
-            self.s.next()
+        if self.accept(SYMBOL, "."):
             return ColumnRef(first, self.column_name())
         return ColumnRef(None, first)
 

@@ -11,8 +11,7 @@ from .model import KeyFormula
 __all__ = ["KeyFormula", "compute_hub_key", "format_ts_compact", "next_system_key", "sha256_hex"]
 
 
-def compute_hub_key(formula: KeyFormula, record, load_source: int,
-                    item=None, item_key=None) -> str:
+def compute_hub_key(formula: KeyFormula, record, load_source: int) -> str:
     """Evaluate a key formula over one record's business-key values.
 
     Every referenced business key must be present: a hub row cannot be
@@ -22,8 +21,7 @@ def compute_hub_key(formula: KeyFormula, record, load_source: int,
     for name in sorted(column_refs(formula.expression)):
         if record.get(name) is None:
             raise EvalError(f"business key must have value: {name!r} is null")
-    ctx = EvalContext(record=record, load_source=load_source,
-                      item=item, item_key=item_key, key_mode=True)
+    ctx = EvalContext(record=record, load_source=load_source, key_mode=True)
     key = evaluate(formula.expression, ctx)
     if not isinstance(key, str) or not key:
         raise EvalError(f"key formula produced {key!r}, expected a non-empty string")

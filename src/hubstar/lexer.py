@@ -7,11 +7,10 @@ comment running to end of line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-
-SYMBOLS = "{}(),=."
 
 IDENT = "ident"
 INT = "int"
@@ -19,6 +18,18 @@ STRING = "string"
 SYMBOL = "symbol"
 NEWLINE = "newline"
 EOF = "eof"
+
+_STRING_BODY = r'(?:[^"\\\n]|\\["\\n])*'
+# Spaces and a comment, then one token: the alternatives are tried in order.
+# `word` is checked below; the last three catch the end of the text, a string
+# that does not close and any character nothing else takes.
+_SCANNER = re.compile(rf"""[ \t\r]*(?:\#[^\n]*)?(?:
+    (?P<word>[^\W\d]\w*)
+  | (?P<symbol>[{{}}(),=.]) | (?P<newline>\n) | (?P<int>-?\d+)
+  | (?P<string>"{_STRING_BODY}") | (?P<end>\Z) | (?P<open_string>"{_STRING_BODY})
+  | (?P<other>.))""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
 
 
 @dataclass(frozen=True)
@@ -38,94 +49,43 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Produce the token list, collapsing blank lines to single newlines."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def emit(kind: str, text: str, ln: int, cl: int):
-        if kind == NEWLINE and (not tokens or tokens[-1].kind == NEWLINE):
-            return
-        tokens.append(Token(kind, text, ln, cl))
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            emit(NEWLINE, "\n", line, col)
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch in SYMBOLS:
-            emit(SYMBOL, ch, line, col)
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                c = source[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("dangling escape", line, col)
-                    esc = source[i + 1]
-                    if esc == '"':
-                        buf.append('"')
-                    elif esc == "\\":
-                        buf.append("\\")
-                    elif esc == "n":
-                        buf.append("\n")
-                    else:
-                        raise ParseError(f"unknown escape \\{esc}", line, col)
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            emit(STRING, "".join(buf), start_line, start_col)
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            start_col = col
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            emit(INT, source[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word != word.lower():
-                raise ParseError(f"identifiers are lowercase: {word!r}", line, start_col)
-            emit(IDENT, word, line, start_col)
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-
-    emit(NEWLINE, "\n", line, col)
-    tokens.append(Token(EOF, "", line, col))
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(source):
+        kind = m.lastgroup
+        text = m.group(kind)
+        column = m.start(kind) - line_start + 1
+        if kind == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", line, column)
+            if text != text.lower():
+                raise ParseError(f"identifiers are lowercase: {text!r}", line, column)
+            tokens.append(Token(IDENT, text, line, column))
+        elif kind == "symbol":
+            tokens.append(Token(SYMBOL, text, line, column))
+        elif kind == "newline":
+            if tokens and tokens[-1].kind != NEWLINE:
+                tokens.append(Token(NEWLINE, text, line, column))
+            line, line_start = line + 1, m.end()
+        elif kind == "int":
+            tokens.append(Token(INT, text, line, column))
+        elif kind == "string":
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], text[1:-1])
+            tokens.append(Token(STRING, value, line, column))
+        elif kind == "end":
+            break
+        elif kind == "open_string":
+            # the string stops at a line end or at a backslash it cannot read
+            stop = source[m.end():m.end() + 2]
+            if not stop or stop[0] == "\n":
+                raise ParseError("unterminated string literal", line, column)
+            message = f"unknown escape {stop}" if len(stop) == 2 else "dangling escape"
+            raise ParseError(message, line, m.end() - line_start + 1)
+        else:
+            raise ParseError(f"unexpected character {text!r}", line, column)
+    column = len(source) - line_start + 1
+    if tokens and tokens[-1].kind != NEWLINE:
+        tokens.append(Token(NEWLINE, "\n", line, column))
+    tokens.append(Token(EOF, "", line, column))
     return tokens
 
 

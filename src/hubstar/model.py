@@ -505,6 +505,12 @@ def _check_key_formula(ck: _Checker, hub: HubDef, loc: str):
     for name in sorted(unknown):
         ck.add("key_formula_unknown_column", loc,
                f"key formula references {name!r}, not a business key")
+    for name in sorted(ex.item_field_refs(formula.expression)):
+        ck.add("key_formula_unknown_column", loc,
+               f"key formula references item.{name}, not a business key")
+    if ex.uses_function(formula.expression, "item_seq"):
+        ck.add("key_formula_unknown_column", loc,
+               "key formula calls item_seq(), not a business key")
     if hub.bk_scope == "local" and not ex.uses_function(formula.expression, "load_source"):
         ck.add("key_formula_local_needs_source", loc,
                "local business keys require load_source() in the key formula")
@@ -536,6 +542,8 @@ def _check_expr_columns(ck: _Checker, loc: str, source: SourceDef | None,
     declared = {c.name for c in source.columns}
     for name in sorted(ex.column_refs(expression) - declared):
         ck.add("mapping_unknown_column", loc, f"expression references unknown column {name!r}")
+    if not exploding and ex.uses_function(expression, "item_seq"):
+        ck.add("item_ref_outside_collection", loc, "item_seq() requires an exploded collection")
     item_fields = ex.item_field_refs(expression)
     if item_fields and not exploding:
         ck.add("item_ref_outside_collection", loc,
@@ -765,6 +773,16 @@ def _check_gold(ck: _Checker, view: GoldViewDef):
         refs.append(("temporal time", view.temporal.time_ref))
     refs.extend((f"join {join.hub} on", ColumnRef(None, join.on_column))
                 for join in view.joins if isinstance(join, HubJoin))
+    star_joins = [("join_current", j) for j in view.joins if isinstance(j, StarJoin)]
+    if view.versions is not None:
+        star_joins.append(("versions", view.versions))
+    for clause, join in star_joins:
+        if spec.star(join.star) is None:
+            continue  # reported as gold_join_unknown
+        columns = ([("on", join.on_column)] + [("partition_by", c) for c in join.partition_by]
+                   + [("order_by", c) for c, _direction in join.order_by])
+        refs.extend((f"{clause} {join.star} {part}", ColumnRef(join.star, column))
+                    for part, column in columns)
     for what, ref in refs:
         if ref.table is not None:
             if ref.table not in tables:

@@ -88,6 +88,14 @@ def test_validate_reports_parse_errors(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("parse error: ")
 
 
+def test_validate_reports_a_character_the_lexer_refuses(tmp_path, capsys):
+    # "²" is a digit to str.isdigit, but not one int() reads
+    path = tmp_path / "digit.hsm"
+    path.write_text("product p\n\nsource s {\n  load_source \u00b2\n}\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "parse error: 4:15: unexpected character '\u00b2'\n"
+
+
 # -- root resolution ----------------------------------------------------------
 
 

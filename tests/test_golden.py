@@ -8,6 +8,11 @@ earlier version of the engine. Data entries are keyed `<schema>.<table>`,
 manifest entries `<schema>.<table>/manifest`. The determinism criteria in
 test_acceptance compare two runs of the same code; this test compares the
 code with its past, so a refactor that changes any stored byte fails here.
+
+The front end is pinned the same way: `golden_dsl.json` holds, for each of
+1,000 seeded mutations of the retail model text, its `ParseError` string
+(position included) or the sha256 of `render_model` of what it parses to,
+as an earlier version of the front end gave them.
 """
 from __future__ import annotations
 
@@ -18,13 +23,19 @@ from pathlib import Path
 
 import pytest
 
+from hubstar import parse_model, render_model
 from hubstar import retail_fixture as rf
+from hubstar.errors import ParseError
 
-from conftest import run_pipeline
+from conftest import FIXTURE_MODEL, run_pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "golden_retail.json"
 BATCHES = 4
 MANIFEST_SUFFIX = "/manifest"
+FRONT_END_GOLDEN = GOLDEN.with_name("golden_dsl.json")
+MUTANTS = 1000
+# inserted characters: every token class, an accented letter and its capital
+INSERTS = '{}(),=."\\#-_ \t\n\r09azAZ%\u00e9\u00c9'
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +70,46 @@ def test_silver_and_gold_bytes_match_recorded_digests(digests):
 
 def test_every_manifest_matches_recorded_digests(digests):
     assert _select(digests, manifests=True) == _select(_recorded(), manifests=True)
+
+
+def _mutants(text: str, count: int, seed: int = 6):
+    """`count` copies of `text`, each with one to three random edits: a line
+    duplicated, dropped or truncated, or a character inserted or deleted."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        mutant = text
+        for _ in range(rng.randint(1, 3)):
+            lines = mutant.splitlines(keepends=True)
+            i = rng.randrange(len(lines))
+            at = rng.randrange(len(mutant))
+            edit = rng.randrange(5)
+            if edit == 0:
+                lines.insert(i, lines[i])
+            elif edit == 1:
+                del lines[i]
+            elif edit == 2:
+                lines[i] = lines[i][:rng.randrange(len(lines[i]))]
+            mutant = "".join(lines)
+            if edit == 3:
+                mutant = mutant[:at] + rng.choice(INSERTS) + mutant[at:]
+            elif edit == 4:
+                mutant = mutant[:at] + mutant[at + 1:]
+        yield mutant
+
+
+def _front_end_outcomes() -> list[str]:
+    outcomes = []
+    for text in _mutants(FIXTURE_MODEL.read_text(encoding="utf-8"), MUTANTS):
+        try:
+            rendered = render_model(parse_model(text).spec)
+        except ParseError as err:
+            outcomes.append(str(err))
+        else:
+            outcomes.append(hashlib.sha256(rendered.encode("utf-8")).hexdigest())
+    return outcomes
+
+
+def test_front_end_matches_recorded_outcomes():
+    recorded = json.loads(FRONT_END_GOLDEN.read_text(encoding="utf-8"))
+    for i, (got, want) in enumerate(zip(_front_end_outcomes(), recorded, strict=True)):
+        assert got == want, f"mutant {i}"

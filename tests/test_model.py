@@ -250,6 +250,20 @@ def test_item_references_need_an_exploded_collection():
     assert check(MINI.replace("map thing_name = thing_name",
                               "map thing_name = item.label")) == \
         ["item_ref_outside_collection"]
+    item_seq = "cast(item_seq() as string)"
+    assert check(MINI.replace("map thing_name = thing_name",
+                              f"map thing_name = {item_seq}")) == \
+        ["item_ref_outside_collection"]
+    assert check(GOLD_BASE.replace("map addr = addr", f"map addr = {item_seq}")) == \
+        ["item_ref_outside_collection"]
+
+
+@pytest.mark.parametrize("formula", ["sha256(cast(item.thing_id as string))",
+                                     "sha256(cast(item_seq() as string))"],
+                         ids=["item_field", "item_seq"])
+def test_key_formulas_take_no_item_references(formula):
+    assert check(MINI.replace("sha256(cast(thing_id as string))", formula)) == \
+        ["key_formula_unknown_column"]
 
 
 def test_mapping_unknown_source():
@@ -596,6 +610,32 @@ gold d {
         "descriptive thing_name string\n  descriptive second_key references second")
     assert check(text + view) == []
     assert check(text + view.replace("on second_key", "on second_kye")) == \
+        ["gold_output_unknown_ref"]
+
+
+GOOD_SCD1 = '''
+gold dim_thing {
+  kind scd1_dim
+  base hub thing
+  join_current star thing_move on thing_key partition_by (thing_key) order_by (valid_from desc)
+  output thing_key
+  output addr
+}
+'''
+
+
+@pytest.mark.parametrize("view,column", [
+    (GOOD_SCD1, "on thing_key"),
+    (GOOD_SCD1, "partition_by (thing_key"),
+    (GOOD_SCD1, "order_by (valid_from"),
+    (GOOD_SCD2, "on thing_key"),
+    (GOOD_SCD2, "partition_by (thing_key"),
+    (GOOD_SCD2, "order_by (capture_timestamp"),
+], ids=[f"{join}-{kind}" for join in ("join_current", "versions")
+        for kind in ("on", "partition_by", "order_by")])
+def test_star_join_columns_must_be_columns_of_the_joined_star(view, column):
+    assert check(GOLD_BASE + view) == []
+    assert check(GOLD_BASE + view.replace(column, column + "_typo")) == \
         ["gold_output_unknown_ref"]
 
 
