@@ -129,8 +129,21 @@ class StarMapping:
     fk_resolutions: dict[str, FkResolution] = field(default_factory=dict)
 
 
+class _Element:
+    """What hubs and stars share: how a silver row is identified, and which
+    of its columns a load may change."""
+
+    @cached_property
+    def tracked_columns(self) -> tuple[str, ...]:
+        """The columns an update may change: the mapped columns outside the
+        identity, then the delete flag."""
+        mapped = tuple(name for name, _type, _nullable in self.mapped_columns
+                       if name not in self.identity)
+        return mapped + (("delete_flag",) if self.has_delete_flag else ())
+
+
 @dataclass(frozen=True)
-class HubDef:
+class HubDef(_Element):
     name: str
     business_keys: tuple[ColumnDef, ...]
     bk_scope: str  # global | local
@@ -151,6 +164,19 @@ class HubDef:
     @property
     def business_key_names(self) -> tuple[str, ...]:
         return tuple(bk.name for bk in self.business_keys)
+
+    @cached_property
+    def business_identity(self) -> tuple[str, ...]:
+        """The columns that tell members apart by source values: the
+        business keys, after `load_source` under `local` scope."""
+        return (("load_source",) if self.bk_scope == "local" else ()) + self.business_key_names
+
+    @cached_property
+    def identity(self) -> tuple[str, ...]:
+        """The columns that match a silver row: the key column of a computed
+        hub, the business identity of a system-keyed one, whose keys cannot
+        be recomputed."""
+        return (self.key_column,) if self.key_type == "computed" else self.business_identity
 
     @cached_property
     def mapped_columns(self) -> tuple[Column, ...]:
@@ -206,7 +232,7 @@ Participant = HubParticipant | TimeParticipant | ItemParticipant
 
 
 @dataclass(frozen=True)
-class StarDef:
+class StarDef(_Element):
     name: str
     participants: tuple[Participant, ...]
     key_columns: tuple[str, ...]
@@ -217,6 +243,11 @@ class StarDef:
     @property
     def table_name(self) -> str:
         return f"star_{self.name}"
+
+    @property
+    def identity(self) -> tuple[str, ...]:
+        """The columns that match a silver row: the composite key."""
+        return self.key_columns
 
     @property
     def participant_columns(self) -> tuple[str, ...]:

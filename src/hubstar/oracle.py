@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HubStarError
 from .keygen import compute_hub_key
-from .model import HubDef, HubMapping, ModelSpec, StarDef, StarMapping
+from .model import HubDef, ModelSpec, StarDef
 from .silver import default_row, evaluate_mapping, hub_key_lookup
 from .storage import Record, Warehouse
 from .values import EPOCH, row_key, show_key, values_equal
@@ -49,49 +48,59 @@ def diff_states(actual: list[Record], expected: list[Record],
     return StateDiff(missing, extra, tuple(mismatched))
 
 
-def expected_hub_state(bronze_history: list[Record], spec: ModelSpec, hub: HubDef,
-                       mapping: HubMapping, warehouse: Warehouse | None = None) -> list[Record]:
-    """Final hub rows implied by the full history: latest version per
-    business key, default row prepended. No batching, no HWM."""
+def expected_state(warehouse: Warehouse, spec: ModelSpec,
+                   element: HubDef | StarDef) -> list[Record]:
+    """Final rows implied by the full bronze history of the element's one
+    source mapping, if it has one: a hub's default row, then the top version
+    of each identity in first-appearance order. No batching, no HWM. A hub
+    version ranks by its `dedup_by` terms, then latest capture, then the
+    earliest payload in bronze order; a star version by latest capture, then
+    the last payload."""
+    hub = isinstance(element, HubDef)
+    rows = [default_row(spec, element)] if hub else []
+    if not element.source_mappings:
+        return rows
+    mapping = element.source_mappings[0]
     source = spec.source(mapping.source)
+    bronze = spec.schema_names["bronze"]
+    history = (warehouse.read_rows(bronze, mapping.source)
+               if warehouse.table_exists(bronze, mapping.source) else [])
     find_key = hub_key_lookup(warehouse, spec)
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
-    for position, bronze_row in enumerate(bronze_history):
-        for payload in evaluate_mapping(find_key, spec, hub, mapping, bronze_row):
-            bk = row_key(payload, hub.business_key_names)
-            groups.setdefault(bk, []).append((position, bronze_row, payload))
-
-    rows = [default_row(spec, hub)]
-    for bk in sorted(groups, key=lambda k: groups[k][0][0]):  # first-appearance order
-        entries = groups[bk]
-        top = min(entries, key=lambda t: _hub_rank_key(t, mapping.dedup_order))
-        position, bronze_row, payload = top
-        first_capture = min(e[1]["capture_timestamp"] for e in entries)
+    payloads = [(bronze_row, payload) for bronze_row in history
+                for payload in evaluate_mapping(find_key, spec, element, mapping, bronze_row)]
+    for position, (bronze_row, payload) in enumerate(payloads):
         row: Record = {
             "load_source": source.load_source_id,
             "capture_timestamp": bronze_row["capture_timestamp"],
             "load_timestamp": EPOCH,
-            "initial_capture_timestamp": first_capture,
+            **payload,
         }
-        if hub.key_type != "computed":
-            raise HubStarError("oracle covers computed-key hubs only")
-        row[hub.key_column] = compute_hub_key(hub.key_formula, payload,
-                                              source.load_source_id)
-        row.update(payload)
+        if hub and element.key_type == "computed":
+            row[element.key_column] = compute_hub_key(element.key_formula, payload,
+                                                      source.load_source_id)
+        groups.setdefault(row_key(row, element.identity), []).append((position, bronze_row, row))
+
+    dedup_order = mapping.dedup_order if hub else ()
+    for entries in groups.values():  # dicts keep first-appearance order
+        _position, _bronze_row, row = min(
+            entries, key=lambda entry: _rank_key(entry, dedup_order, last_wins=not hub))
+        if hub:
+            row["initial_capture_timestamp"] = min(e[1]["capture_timestamp"] for e in entries)
         rows.append(row)
     return rows
 
 
-def _hub_rank_key(entry: tuple[int, Record, Record],
-                  dedup_order: tuple[tuple[str, str], ...]):
+def _rank_key(entry: tuple[int, Record, Record], dedup_order: tuple[tuple[str, str], ...],
+              last_wins: bool):
     """Comparable ranking key: smaller sorts first, i.e. wins."""
-    position, bronze_row, _payload = entry
+    position, bronze_row, _row = entry
     parts = []
     for column, direction in dedup_order:
         value = bronze_row.get(column)
         parts.append(_Ranked(value, descending=direction == "desc"))
     parts.append(_Ranked(bronze_row["capture_timestamp"], descending=True))
-    parts.append(position)
+    parts.append(-position if last_wins else position)
     return tuple(parts)
 
 
@@ -122,56 +131,24 @@ class _Ranked:
         return a < b
 
 
-def expected_star_state(bronze_history: list[Record], spec: ModelSpec, star: StarDef,
-                        mapping: StarMapping, warehouse: Warehouse | None = None) -> list[Record]:
-    """Explode and map every bronze row; last write per composite key wins."""
-    source = spec.source(mapping.source)
-    find_key = hub_key_lookup(warehouse, spec)
-    latest: dict[tuple, Record] = {}
-    for bronze_row in bronze_history:
-        for payload in evaluate_mapping(find_key, spec, star, mapping, bronze_row):
-            row: Record = {
-                "load_source": source.load_source_id,
-                "capture_timestamp": bronze_row["capture_timestamp"],
-                "load_timestamp": EPOCH,
-            }
-            row.update(payload)
-            latest[row_key(row, star.key_columns)] = row
-    return list(latest.values())
-
-
-def hub_compare_columns(hub: HubDef, include_volatile: bool = False) -> tuple[str, ...]:
-    """Columns the oracle can vouch for. capture/initial_capture depend on
-    batching (unchanged re-deliveries do not advance them), so they are
-    compared only when the caller knows the history was loaded in one batch."""
-    columns = ["load_source"] + [name for name, _type, _nullable in hub.mapped_columns]
-    if hub.has_delete_flag:
-        columns.append("delete_flag")
+def compare_columns(element: HubDef | StarDef, include_volatile: bool = False) -> tuple[str, ...]:
+    """Columns the oracle can vouch for: the load source and the columns a
+    load may change. The capture times depend on batching (unchanged
+    re-deliveries do not advance them), so they are compared only when the
+    caller knows the history was loaded in one batch."""
+    columns = ("load_source",) + element.tracked_columns
     if include_volatile:
-        columns += ["capture_timestamp", "initial_capture_timestamp"]
-    return tuple(columns)
-
-
-def star_compare_columns(star: StarDef, include_volatile: bool = False) -> tuple[str, ...]:
-    columns = ["load_source"] + [name for name, _type, _nullable in star.mapped_columns
-                                 if name not in star.key_columns]
-    if star.has_delete_flag:
-        columns.append("delete_flag")
-    if include_volatile and "capture_timestamp" not in star.key_columns:
-        columns.append("capture_timestamp")
-    return tuple(columns)
+        present = {name for name, _type, _nullable in element.columns}
+        columns += tuple(c for c in ("capture_timestamp", "initial_capture_timestamp")
+                         if c in present and c not in element.identity)
+    return columns
 
 
 def skip_reason(element: HubDef | StarDef) -> str | None:
     """Why the oracle leaves an element unchecked, or None when it checks
-    it. It replays exactly one source mapping, and it cannot recompute the
-    keys a system-generated hub mints."""
+    it: it replays at most one source mapping."""
     if len(element.source_mappings) > 1:
         return "has several source mappings"
-    if not element.source_mappings:
-        return "has no source mapping"
-    if isinstance(element, HubDef) and element.key_type != "computed":
-        return "has a system-generated key"
     return None
 
 
@@ -182,32 +159,15 @@ def check_against_oracle(warehouse: Warehouse, spec: ModelSpec,
     `skip_reason` are outside the oracle's remit; the CLI reports them as
     skipped, not here."""
     silver = spec.schema_names["silver"]
-    bronze = spec.schema_names["bronze"]
     problems: list[str] = []
-
-    def history(source_name: str) -> list[Record]:
-        if not warehouse.table_exists(bronze, source_name):
-            return []
-        return warehouse.read_rows(bronze, source_name)
-
-    for hub in spec.hubs:
-        if skip_reason(hub) is not None:
+    for element in spec.hubs + spec.stars:
+        if skip_reason(element) is not None:
             continue
-        mapping = hub.source_mappings[0]
-        expected = expected_hub_state(history(mapping.source), spec, hub, mapping, warehouse)
-        actual = warehouse.read_rows(silver, hub.table_name)
-        diff = diff_states(actual, expected, (hub.key_column,),
-                           hub_compare_columns(hub, include_volatile))
-        problems.extend(_describe(hub.table_name, diff))
-    for star in spec.stars:
-        if skip_reason(star) is not None:
-            continue
-        mapping = star.source_mappings[0]
-        expected = expected_star_state(history(mapping.source), spec, star, mapping, warehouse)
-        actual = warehouse.read_rows(silver, star.table_name)
-        diff = diff_states(actual, expected, star.key_columns,
-                           star_compare_columns(star, include_volatile))
-        problems.extend(_describe(star.table_name, diff))
+        expected = expected_state(warehouse, spec, element)
+        actual = warehouse.read_rows(silver, element.table_name)
+        diff = diff_states(actual, expected, element.identity,
+                           compare_columns(element, include_volatile))
+        problems.extend(_describe(element.table_name, diff))
     return problems
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -328,13 +329,16 @@ def _extension(source: str) -> str:
 
 
 def write_source_files(fixture: RetailFixture, directory: Path | str) -> dict[str, Path]:
-    """One complete file per source; returns {source: path}."""
+    """One complete file per source, each with mtime DEFAULT_MTIME; returns
+    {source: path}."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
+    stamp = DEFAULT_MTIME.timestamp()
     for source in ("customers", "sales_orders", "products", "loyalty_segments"):
         path = directory / f"{source}.{_extension(source)}"
         path.write_text(source_text(fixture, source), encoding="utf-8")
+        os.utime(path, (stamp, stamp))
         paths[source] = path
     return paths
 

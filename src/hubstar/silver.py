@@ -1,9 +1,11 @@
 """Silver loads: default rows, incremental hub merges, and star loading.
 
 The merge semantics: select bronze rows above the table's capture high-water
-mark, rank candidate versions per business key, then insert new keys and
-update changed descriptives under null-safe comparison — unchanged
-re-deliveries touch nothing, which keeps repeated loads byte-stable.
+mark, keep the top-ranked candidate version per business key (hubs) or
+composite key (stars), match it to a stored row by the element's identity,
+then insert new rows and update changed columns under null-safe comparison —
+unchanged re-deliveries touch nothing, which keeps repeated loads
+byte-stable.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
+from itertools import count
 
 from . import expr as ex
 from .errors import LoadError
-from .keygen import compute_hub_key, next_system_key, sha256_hex
+from .keygen import compute_hub_key, sha256_hex
 from .model import (
     DEFAULT_HUB_KEY,
     SYSTEM_LOAD_SOURCE,
@@ -32,7 +35,6 @@ from .tables import bronze_manifest, hub_manifest, star_manifest
 from .values import (
     EPOCH,
     coerce_scalar,
-    key_part,
     row_key,
     show_key,
     top_per_partition,
@@ -117,26 +119,20 @@ def init_warehouse(warehouse: Warehouse, spec: ModelSpec) -> list[str]:
 # -- mapping evaluation (shared with the conformance oracle) -------------------
 
 
-def hub_key_lookup(warehouse: Warehouse | None, spec: ModelSpec):
+def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
     """`find(hub, business keys, load source)` -> the key of the first row,
-    in file order, of a system-generated-key hub with those business keys
-    (and that load source, for a `local` hub), or "-1". Such keys cannot be
-    recomputed, so each hub is read once, on its first lookup."""
+    in file order, of a system-generated-key hub whose identity those values
+    give, or "-1". Such keys cannot be recomputed, so each hub is read once,
+    on its first lookup."""
     indexes: dict[str, dict[tuple, str]] = {}
 
     def find(target: HubDef, bk_record: Record, load_source: int) -> str:
-        local = target.bk_scope == "local"
         index = indexes.get(target.name)
         if index is None:
-            if warehouse is None:
-                raise LoadError(f"fk to {target.name}: system-generated keys need warehouse access")
             index = indexes[target.name] = {}
             for row in warehouse.read_rows(spec.schema_names["silver"], target.table_name):
-                scope = row.get("load_source") if local else None
-                index.setdefault((scope, *row_key(row, target.business_key_names)),
-                                 row[target.key_column])
-        scope = load_source if local else None
-        return index.get((scope, *row_key(bk_record, target.business_key_names)),
+                index.setdefault(row_key(row, target.identity), row[target.key_column])
+        return index.get(row_key({**bk_record, "load_source": load_source}, target.identity),
                          DEFAULT_HUB_KEY)
     return find
 
@@ -245,58 +241,83 @@ def _coerce_mapped(value, ctype: str, column: str):
         raise LoadError(f"column {column}: {exc}") from exc
 
 
-def _new_bronze_rows(warehouse: Warehouse, spec: ModelSpec, source: str,
-                     hwm: datetime) -> list[Record]:
-    """Bronze rows of one source captured strictly above the high-water mark."""
+def _stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
+           mapping: HubMapping | StarMapping, hwm: datetime,
+           nonnull: tuple[str, ...], what: str) -> tuple[int, list[tuple[int, Record, Record]]]:
+    """The number of bronze rows of the mapping's source captured strictly
+    above the high-water mark, and their staged entries in bronze order:
+    (position, bronze row, candidate), one per payload, where the candidate
+    is the payload plus its load source and capture time. A null in any
+    `nonnull` column of a candidate fails the load, naming it as `what`."""
     bronze = spec.schema_names["bronze"]
-    if not warehouse.table_exists(bronze, source):
-        return []
-    return [r for r in warehouse.read_rows(bronze, source) if r["capture_timestamp"] > hwm]
+    if not warehouse.table_exists(bronze, mapping.source):
+        return 0, []
+    bronze_rows = [r for r in warehouse.read_rows(bronze, mapping.source)
+                   if r["capture_timestamp"] > hwm]
+    find_key = hub_key_lookup(warehouse, spec)
+    load_source = spec.source(mapping.source).load_source_id
+    staged = []
+    for bronze_row in bronze_rows:
+        for payload in evaluate_mapping(find_key, spec, element, mapping, bronze_row):
+            candidate = {"load_source": load_source,
+                         "capture_timestamp": bronze_row["capture_timestamp"], **payload}
+            for name in nonnull:
+                if candidate[name] is None:
+                    raise LoadError(f"{element.table_name}: {what} {name} is null "
+                                    f"in {mapping.source} row")
+            staged.append((len(staged), bronze_row, candidate))
+    return len(bronze_rows), staged
 
 
-def _merge(warehouse: Warehouse, schema: str, table: str, rows: list[Record],
-           key_columns: tuple[str, ...], candidates: list[tuple[tuple, Record, Record]],
-           identity: tuple[str, ...], load_source: int, now: datetime, hwm: datetime,
-           new_row) -> tuple[int, int, int, datetime]:
-    """Merge (key, bronze row, payload) candidates into `rows`, the silver
-    table as read, in file order, and return the (inserted, updated,
-    unchanged) counts and the new high-water mark: the latest of `hwm` and
-    the capture times written.
+def _top(staged: list[tuple[int, Record, Record]], partition: tuple[str, ...],
+         order: tuple[tuple[str, str], ...]) -> list[Record]:
+    """The candidate ranked first per value of its `partition` columns, by
+    `order` on the bronze row, in staged order. Ties go to the entry that
+    comes first in `staged`."""
+    survivors = top_per_partition(staged, lambda e: row_key(e[2], partition), order,
+                                  fields=lambda e: e[1])
+    return [candidate for _n, _bronze_row, candidate in sorted(survivors, key=lambda e: e[0])]
 
-    A candidate matches the row whose `key_columns` give its key. With no
-    match it inserts the load metadata plus `new_row(key, bronze row,
-    payload)`, which runs only on insert, so system keys are minted for new
-    rows alone; the row goes on the end. A match is rewritten in place only
-    when some payload column outside `identity` (the columns the key comes
-    from) differs under null-safe equality. Two writes to one key fail the
-    load before anything is written; otherwise a load that writes replaces
-    the table once, and one that does not leaves it alone.
+
+_LATEST_CAPTURE = (("capture_timestamp", "desc"),)
+
+
+def _merge(warehouse: Warehouse, schema: str, element: HubDef | StarDef, rows: list[Record],
+           candidates: list[Record], now: datetime, hwm: datetime,
+           new_row=lambda candidate: {}) -> tuple[int, int, int, datetime]:
+    """Merge candidate rows into `rows`, the silver table as read, in file
+    order, and return the (inserted, updated, unchanged) counts and the new
+    high-water mark: the latest of `hwm` and the capture times written.
+
+    A candidate matches the row with the same `element.identity`. With no
+    match it inserts the candidate, its load time and `new_row(candidate)`,
+    which runs only on insert, so system keys are minted for new rows alone;
+    the row goes on the end. A match is rewritten in place, keeping its load
+    source, only when some `element.tracked_columns` value differs under
+    null-safe equality. Two writes to one row fail the load before anything
+    is written; otherwise a load that writes replaces the table once, and one
+    that does not leaves it alone.
     """
-    index = {row_key(row, key_columns): i for i, row in enumerate(rows)}
+    identity, tracked = element.identity, element.tracked_columns
+    index = {row_key(row, identity): i for i, row in enumerate(rows)}
     inserted = updated = unchanged = 0
     writes: dict[tuple, Record] = {}
-    for key, bronze_row, payload in candidates:
+    for candidate in candidates:
+        key = row_key(candidate, identity)
         position = index.get(key)
-        changes = {c: v for c, v in payload.items() if c not in identity}
         if position is None:
-            row: Record = {
-                "load_source": load_source,
-                "capture_timestamp": bronze_row["capture_timestamp"],
-                "load_timestamp": now,
-            }
-            row.update(new_row(key, bronze_row, payload))
+            row = {**candidate, "load_timestamp": now, **new_row(candidate)}
             inserted += 1
-        elif any(not values_equal(rows[position].get(c), v) for c, v in changes.items()):
-            row = {**rows[position], **changes}
-            row["capture_timestamp"] = bronze_row["capture_timestamp"]
-            row["load_timestamp"] = now
+        elif any(not values_equal(rows[position].get(c), candidate[c]) for c in tracked):
+            row = {**rows[position], **{c: candidate[c] for c in tracked},
+                   "capture_timestamp": candidate["capture_timestamp"], "load_timestamp": now}
             updated += 1
         else:
             unchanged += 1
             continue
         if key in writes:
             raise LoadError(f"duplicate primary key within one batch for "
-                            f"{schema}.{table}: {show_key(key)}")
+                            f"{schema}.{element.table_name}: {show_key(key)}")
         writes[key] = row
     for key, row in writes.items():
         position = index.get(key)
@@ -305,52 +326,36 @@ def _merge(warehouse: Warehouse, schema: str, table: str, rows: list[Record],
         else:
             rows[position] = row
     if writes:
-        warehouse.replace_table(warehouse.manifest(schema, table), rows)
-    return inserted, updated, unchanged, high_water_mark(writes.values(), f"{schema}.{table}", hwm)
+        warehouse.replace_table(warehouse.manifest(schema, element.table_name), rows)
+    return (inserted, updated, unchanged,
+            high_water_mark(writes.values(), f"{schema}.{element.table_name}", hwm))
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
              mapping: HubMapping, now: datetime) -> LoadResult:
     silver = spec.schema_names["silver"]
-    load_source = spec.source(mapping.source).load_source_id
     rows = warehouse.read_rows(silver, hub.table_name)
     hwm = high_water_mark(rows, f"{silver}.{hub.table_name}")
-    bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
-    find_key = hub_key_lookup(warehouse, spec)
-    staged = [(i, row, payload) for i, row in enumerate(bronze_rows)
-              for payload in evaluate_mapping(find_key, spec, hub, mapping, row)]
-
+    scanned, staged = _stage(warehouse, spec, hub, mapping, hwm,
+                             hub.business_key_names, "business key")
     # rn = 1 per business key: dedup terms, then latest capture, then the
-    # earliest bronze row; the survivors go back into bronze order.
-    survivors = top_per_partition(staged, lambda e: row_key(e[2], hub.business_key_names),
-                                  mapping.dedup_order + (("capture_timestamp", "desc"),),
-                                  fields=lambda e: e[1])
-    survivors.sort(key=lambda e: e[0])
+    # earliest bronze row.
+    candidates = _top(staged, hub.business_key_names, mapping.dedup_order + _LATEST_CAPTURE)
+    if hub.key_type == "computed":
+        for candidate in candidates:
+            candidate[hub.key_column] = compute_hub_key(hub.key_formula, candidate,
+                                                        candidate["load_source"])
+    else:  # mint from the largest key held, the default row's -1 counting as 0
+        minted = count(1 + max([0, *(int(row[hub.key_column]) for row in rows)]))
 
-    computed = hub.key_type == "computed"
-    candidates = []
-    for _i, bronze_row, payload in survivors:
-        for name in hub.business_key_names:
-            if payload[name] is None:
-                raise LoadError(f"{hub.table_name}: business key {name} is null "
-                                f"in {mapping.source} row")
-        if computed:
-            key = (compute_hub_key(hub.key_formula, payload, load_source),)
-        else:
-            key = row_key(payload, hub.business_key_names)
-        candidates.append((key, bronze_row, payload))
-
-    def new_row(key, bronze_row: Record, payload: Record) -> Record:
-        key = key[0] if computed else next_system_key(warehouse.counter_path(silver, hub.table_name))
-        return {"initial_capture_timestamp": bronze_row["capture_timestamp"],
-                hub.key_column: key, **payload}
+    def new_row(candidate: Record) -> Record:
+        key = candidate[hub.key_column] if hub.key_type == "computed" else str(next(minted))
+        return {"initial_capture_timestamp": candidate["capture_timestamp"], hub.key_column: key}
 
     inserted, updated, unchanged, new_hwm = _merge(
-        warehouse, silver, hub.table_name, rows,
-        (hub.key_column,) if computed else hub.business_key_names, candidates,
-        hub.business_key_names, load_source, now, hwm, new_row)
+        warehouse, silver, hub, rows, candidates, now, hwm, new_row)
     return LoadResult(table=f"{silver}.{hub.table_name}", source=mapping.source,
-                      scanned=len(bronze_rows), inserted=inserted, updated=updated,
+                      scanned=scanned, inserted=inserted, updated=updated,
                       unchanged_skipped=unchanged, new_hwm=new_hwm)
 
 
@@ -363,31 +368,12 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
     rows = warehouse.read_rows(silver, star.table_name)
     # Stars have no default rows: an empty star means load everything.
     hwm = high_water_mark(rows, f"{silver}.{star.table_name}", EPOCH)
-    bronze_rows = _new_bronze_rows(warehouse, spec, mapping.source, hwm)
-    find_key = hub_key_lookup(warehouse, spec)
-    staged = [(bronze_row, payload) for bronze_row in bronze_rows
-              for payload in evaluate_mapping(find_key, spec, star, mapping, bronze_row)]
-
-    def composite_key(bronze_row: Record, payload: Record) -> tuple:
-        parts = []
-        for name in star.key_columns:
-            value = bronze_row["capture_timestamp"] if name == "capture_timestamp" \
-                else payload.get(name)
-            if value is None:
-                raise LoadError(f"{star.table_name}: composite key column {name} is null")
-            parts.append(key_part(value))
-        return tuple(parts)
-
-    # In-batch duplicates of a full composite key: last by bronze order wins.
-    latest: dict[tuple, tuple[Record, Record]] = {}
-    for bronze_row, payload in staged:
-        latest[composite_key(bronze_row, payload)] = (bronze_row, payload)
-
+    _scanned, staged = _stage(warehouse, spec, star, mapping, hwm,
+                              star.identity, "composite key column")
+    # rn = 1 per composite key: latest capture, then the last bronze row.
     inserted, updated, unchanged, new_hwm = _merge(
-        warehouse, silver, star.table_name, rows, star.key_columns,
-        [(key, bronze_row, payload) for key, (bronze_row, payload) in latest.items()],
-        star.key_columns, spec.source(mapping.source).load_source_id, now, hwm,
-        lambda _key, _bronze_row, payload: payload)
+        warehouse, silver, star, rows, _top(staged[::-1], star.identity, _LATEST_CAPTURE),
+        now, hwm)
     return LoadResult(table=f"{silver}.{star.table_name}", source=mapping.source,
                       scanned=len(staged), inserted=inserted, updated=updated,
                       unchanged_skipped=unchanged, new_hwm=new_hwm)

@@ -23,7 +23,6 @@ Record = dict[str, Any]
 
 MANIFEST_FILE = "manifest"
 DATA_FILE = "data"
-COUNTER_FILE = "_counter"
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,6 @@ class Warehouse:
 
     def table_dir(self, schema: str, table: str) -> Path:
         return self.root / schema / table
-
-    def counter_path(self, schema: str, table: str) -> Path:
-        return self.table_dir(schema, table) / COUNTER_FILE
 
     def table_exists(self, schema: str, table: str) -> bool:
         return (self.table_dir(schema, table) / MANIFEST_FILE).is_file()

@@ -60,10 +60,7 @@ def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef, primary_key: tu
 
 
 def hub_manifest(spec: ModelSpec, hub: HubDef) -> TableManifest:
-    bk_unique = hub.business_key_names
-    if hub.bk_scope == "local":
-        bk_unique = ("load_source",) + bk_unique
-    return _silver_manifest(spec, hub, (hub.key_column,), (bk_unique,))
+    return _silver_manifest(spec, hub, (hub.key_column,), (hub.business_identity,))
 
 
 def star_manifest(spec: ModelSpec, star: StarDef) -> TableManifest:

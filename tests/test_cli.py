@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import shlex
 
 import pytest
 
@@ -254,8 +255,8 @@ def test_check_against_oracle_notes_every_element_it_skips(tmp_path, capsys):
     rc = main(["check", "--model", str(model), "--root", root, "--against-oracle"])
     captured = capsys.readouterr()
     assert rc == 0 and captured.out == "ok\n"
+    # The system-keyed device hub is checked by its business key.
     assert captured.err.splitlines() == [
-        "note: device has a system-generated key; oracle comparison skipped",
         "note: traveler has several source mappings; oracle comparison skipped",
     ]
 
@@ -332,3 +333,72 @@ def test_show_honors_the_limit(cli_wh, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert all(json.loads(line) for line in lines)
+
+
+# -- the README quick start -------------------------------------------------------
+
+README = FIXTURE_MODEL.parent.parent / "README.md"
+
+
+def quick_start_steps() -> list[tuple[str, list[str]]]:
+    """(command, output lines) for each `$` line of the README's quick-start
+    block, with `\\` continuations joined."""
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = section.split("```console\n", 1)[1].split("```", 1)[0]
+    lines = iter(block.splitlines())
+    steps: list[tuple[str, list[str]]] = []
+    for line in lines:
+        if line.startswith("$ "):
+            command = line[2:]
+            while command.endswith("\\"):
+                command = command[:-1] + next(lines).strip()
+            steps.append((command, []))
+        elif line:
+            steps[-1][1].append(line)
+    return steps
+
+
+def matches_transcript(output: list[str], expected: list[str]) -> bool:
+    """`...` in the README stands for any run of lines."""
+    if "..." not in expected:
+        return output == expected
+    cut = expected.index("...")
+    head, tail = expected[:cut], expected[cut + 1:]
+    return (len(output) >= len(head) + len(tail) and output[:len(head)] == head
+            and output[len(output) - len(tail):] == tail)
+
+
+def test_readme_quick_start_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "fixtures" / "retail.hsm").write_bytes(FIXTURE_MODEL.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    steps = quick_start_steps()
+    assert sum(command.startswith("hubstar ") for command, _ in steps) >= 7
+    ingest: list[str] = []
+    for command, expected in steps:
+        words = shlex.split(command)
+        if words[0] == "pip":
+            continue
+        if words[0] == "export":
+            name, _, _value = words[1].partition("=")
+            monkeypatch.setenv(name, str(tmp_path / "wh"))  # not the README's /tmp path
+        elif words[:2] == ["python3", "-c"]:
+            exec(words[2], {})
+        elif words[0] == "#":  # "ingest the other three sources the same way"
+            for path in sorted(tmp_path.glob("extracts/*")):
+                if path.stem != ingest[ingest.index("--source") + 1]:
+                    argv = list(ingest)
+                    argv[argv.index("--source") + 1] = path.stem
+                    argv[argv.index("--input") + 1] = f"extracts/{path.name}"
+                    assert main(argv) == 0, argv
+        else:
+            assert words[0] == "hubstar", command
+            capsys.readouterr()
+            assert main(words[1:]) == 0, command
+            captured = capsys.readouterr()
+            output = (captured.out + captured.err).splitlines()
+            assert matches_transcript(output, expected), (command, output)
+            if words[1] == "ingest":
+                ingest = words[1:]
+        if words[0] != "hubstar":
+            assert expected == [], command

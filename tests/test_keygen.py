@@ -9,7 +9,6 @@ from hubstar.expr import parse_expr
 from hubstar.keygen import (
     KeyFormula,
     compute_hub_key,
-    next_system_key,
     sha256_hex,
 )
 from hubstar.lexer import TokenStream, tokenize
@@ -64,11 +63,3 @@ def test_delimiter_collision_is_rejected():
     with pytest.raises(EvalError, match="delimiter collision"):
         compute_hub_key(f, {"order_number": "A#B", "line": "1"}, load_source=1)
 
-
-def test_next_system_key_counts_up_and_survives_restart(tmp_path):
-    counter = tmp_path / "counter"
-    assert next_system_key(counter) == "1"
-    assert next_system_key(counter) == "2"
-    # a fresh reader picks up where the file left off
-    assert counter.read_text().strip() == "2"
-    assert next_system_key(counter) == "3"

@@ -180,9 +180,9 @@ def test_unchanged_redeliveries_disturb_only_the_capture_timestamp(wh, feed):
     assert check_against_oracle(wh, MODEL) == []
 
     problems = check_against_oracle(wh, MODEL, include_volatile=True)
-    assert len(problems) == 1
-    assert "hub_person" in problems[0]
-    assert "column capture_timestamp" in problems[0]
+    assert len(problems) == 2
+    assert [p.split(":")[0] for p in problems] == ["hub_device", "hub_person"]
+    assert all("column capture_timestamp" in p for p in problems)
 
 
 def test_tampered_descriptive_is_reported_with_both_values(wh, feed):
@@ -239,11 +239,72 @@ def test_star_state_is_checked_with_last_write_wins(wh, feed):
     assert "engine='draft' oracle='final'" in problems[0]
 
 
-def test_multi_mapping_and_system_keyed_elements_are_outside_the_remit(wh, feed):
+def test_multi_mapping_elements_are_outside_the_remit(wh, feed):
     load_sample(wh, feed)
-    # Vandalize both: neither is the oracle's to judge.
-    for table in ("hub_device", "hub_traveler"):
-        rows = wh.read_rows(SILVER, table)
-        rows[-1]["load_source"] = 77
-        wh.replace_table(wh.manifest(SILVER, table), rows)
+    # Vandalize the multi-mapping hub: it alone is not the oracle's to judge.
+    rows = wh.read_rows(SILVER, "hub_traveler")
+    rows[-1]["load_source"] = 77
+    wh.replace_table(wh.manifest(SILVER, "hub_traveler"), rows)
     assert check_against_oracle(wh, MODEL) == []
+
+
+def test_system_keyed_hub_is_checked_by_its_business_key(wh, feed):
+    load_sample(wh, feed)
+    rows = wh.read_rows(SILVER, "hub_device")
+    assert [r["device_code"] for r in rows] == ["null", "D1", "D2"]
+    rows[-1]["load_source"] = 77
+    wh.replace_table(wh.manifest(SILVER, "hub_device"), rows)
+    assert check_against_oracle(wh, MODEL) == [
+        "hub_device: ('D2') column load_source: engine=77 oracle=1"]
+
+
+def visit(day: str, note: str, captured: str) -> str:
+    return (f'{{"person_id": 1, "visit_day": "{day}", "note": "{note}",'
+            f' "captured_at": "{captured}"}}\n')
+
+
+def test_star_keeps_the_latest_capture_of_a_batch_and_never_reapplies_older_ones(wh, feed):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    # The later capture comes first in bronze order.
+    feed("visits", visit("2024-04-01T00:00:00Z", "a", "2024-04-01T13:00:00Z")
+         + visit("2024-04-01T00:00:00Z", "b", "2024-04-01T12:00:00Z"))
+    load_all(wh, MODEL, now=NOW)
+    assert [r["note"] for r in wh.read_rows(SILVER, "star_person_visit")] == ["a"]
+
+    feed("visits", visit("2024-04-02T00:00:00Z", "c", "2024-04-02T09:00:00Z"))
+    load_all(wh, MODEL, now=NOW)
+    rows = wh.read_rows(SILVER, "star_person_visit")
+    assert [(r["visit_day"].day, r["note"]) for r in rows] == [(1, "a"), (2, "c")]
+    assert check_against_oracle(wh, MODEL) == []
+
+
+UNMAPPED = parse_model('''product unmapped
+
+hub badge {
+  key computed badge_code
+  business_key global (badge_code string)
+  descriptive colour string
+}
+
+star badge_scan {
+  participant badge
+  key (badge_key)
+}
+''').spec
+
+
+def test_elements_without_mapping_hold_only_a_hubs_default_row(tmp_path):
+    assert validate_model(UNMAPPED).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, UNMAPPED)
+    assert check_against_oracle(warehouse, UNMAPPED, include_volatile=True) == []
+
+    silver = UNMAPPED.schema_names["silver"]
+    rows = warehouse.read_rows(silver, "hub_badge")
+    rows[0]["colour"] = "red"
+    warehouse.replace_table(warehouse.manifest(silver, "hub_badge"), rows)
+    warehouse.append_rows(silver, "star_badge_scan", [{
+        "load_source": 1, "capture_timestamp": NOW, "load_timestamp": NOW, "badge_key": "-1"}])
+    assert check_against_oracle(warehouse, UNMAPPED) == [
+        "hub_badge: ('-1') column colour: engine='red' oracle=None",
+        "star_badge_scan: unexpected row ('-1')"]

@@ -422,7 +422,66 @@ def test_references_into_a_system_keyed_hub_read_it_once_per_mapping(wh, feed, t
     assert table_reads[SILVER, "hub_device"] == 2
     table_reads.clear()
     assert check_against_oracle(wh, MODEL) == []
-    assert table_reads[SILVER, "hub_device"] == 1  # the oracle's person element
+    # The oracle's device element, then its person element's one index.
+    assert table_reads[SILVER, "hub_device"] == 2
+
+
+# A system-keyed hub whose business key is local to its source, fed by two.
+LOCAL_CODES = parse_model('''product localcodes
+
+source a {
+  load_source 1
+  format csv
+  column code string
+  column label string
+  column at timestamp
+  capture cdc_column at
+}
+
+source b {
+  load_source 2
+  format csv
+  column code string
+  column label string
+  column at timestamp
+  capture cdc_column at
+}
+
+hub item {
+  key system_generated
+  business_key local (code string)
+  descriptive label string
+  source_mapping a {
+    map code = code
+    map label = label
+  }
+  source_mapping b {
+    map code = code
+    map label = label
+  }
+}
+''').spec
+
+
+def test_local_system_keyed_hub_keeps_one_row_per_source_and_code(tmp_path):
+    assert validate_model(LOCAL_CODES).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, LOCAL_CODES)
+    # b captures later: the hub's one high-water mark would hide an older b row.
+    for source, day in (("a", 1), ("b", 2)):
+        path = tmp_path / f"{source}.csv"
+        path.write_text(f"code,label,at\nx,from-{source},2024-01-0{day}T00:00:00Z\n",
+                        encoding="utf-8")
+        ingest_file(warehouse, LOCAL_CODES, source, path, now=NOW)
+    load_all(warehouse, LOCAL_CODES, now=NOW)
+    load_all(warehouse, LOCAL_CODES, now=NOW)  # a reload changes nothing
+
+    silver = LOCAL_CODES.schema_names["silver"]
+    rows = warehouse.read_rows(silver, "hub_item")
+    assert [(r["item_key"], r["load_source"], r["code"], r["label"]) for r in rows] == [
+        ("-1", 0, "null", None), ("1", 1, "x", "from-a"), ("2", 2, "x", "from-b")]
+    assert warehouse.check_all(silver) == []
+    assert check_against_oracle(warehouse, LOCAL_CODES) == []
 
 
 def test_fk_with_null_argument_points_at_default_row(wh, feed):
