@@ -120,17 +120,18 @@ def init_warehouse(warehouse: Warehouse, spec: ModelSpec) -> list[str]:
 
 
 def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
-    """`find(hub, business keys, load source)` -> the key of the first row,
-    in file order, of a system-generated-key hub whose identity those values
-    give, or "-1". Such keys cannot be recomputed, so each hub is read once,
-    on its first lookup."""
+    """`find(hub, business keys, load source)` -> the key of the first
+    member, in file order, of a system-generated-key hub whose identity those
+    values give, or "-1". Such keys cannot be recomputed, so each hub is read
+    once, on its first lookup."""
     indexes: dict[str, dict[tuple, str]] = {}
 
     def find(target: HubDef, bk_record: Record, load_source: int) -> str:
         index = indexes.get(target.name)
         if index is None:
             index = indexes[target.name] = {}
-            for row in warehouse.read_rows(spec.schema_names["silver"], target.table_name):
+            rows = warehouse.read_rows(spec.schema_names["silver"], target.table_name)
+            for _position, row in _members(target, rows):
                 index.setdefault(row_key(row, target.identity), row[target.key_column])
         return index.get(row_key({**bk_record, "load_source": load_source}, target.identity),
                          DEFAULT_HUB_KEY)
@@ -252,8 +253,7 @@ def _stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     bronze = spec.schema_names["bronze"]
     if not warehouse.table_exists(bronze, mapping.source):
         return 0, []
-    bronze_rows = [r for r in warehouse.read_rows(bronze, mapping.source)
-                   if r["capture_timestamp"] > hwm]
+    bronze_rows = warehouse.read_rows(bronze, mapping.source, captured_after=hwm)
     find_key = hub_key_lookup(warehouse, spec)
     load_source = spec.source(mapping.source).load_source_id
     staged = []
@@ -282,6 +282,14 @@ def _top(staged: list[tuple[int, Record, Record]], partition: tuple[str, ...],
 _LATEST_CAPTURE = (("capture_timestamp", "desc"),)
 
 
+def _members(element: HubDef | StarDef, rows: list[Record]):
+    """(position, row) for every row of `rows` but a hub's `-1` default row,
+    which no source row matches: its business keys are stand-ins."""
+    hub = isinstance(element, HubDef)
+    return [(position, row) for position, row in enumerate(rows)
+            if not hub or row[element.key_column] != DEFAULT_HUB_KEY]
+
+
 def _merge(warehouse: Warehouse, schema: str, element: HubDef | StarDef, rows: list[Record],
            candidates: list[Record], now: datetime, hwm: datetime,
            new_row=lambda candidate: {}) -> tuple[int, int, int, datetime]:
@@ -289,17 +297,19 @@ def _merge(warehouse: Warehouse, schema: str, element: HubDef | StarDef, rows: l
     order, and return the (inserted, updated, unchanged) counts and the new
     high-water mark: the latest of `hwm` and the capture times written.
 
-    A candidate matches the row with the same `element.identity`. With no
-    match it inserts the candidate, its load time and `new_row(candidate)`,
-    which runs only on insert, so system keys are minted for new rows alone;
-    the row goes on the end. A match is rewritten in place, keeping its load
-    source, only when some `element.tracked_columns` value differs under
-    null-safe equality. Two writes to one row fail the load before anything
-    is written; otherwise a load that writes replaces the table once, and one
-    that does not leaves it alone.
+    A candidate matches the member (any row but a hub's default row) with
+    the same `element.identity`. With no match it inserts the candidate, its
+    load time and `new_row(candidate)`, which runs only on insert, so system
+    keys are minted for new rows alone; the row goes on the end. A match is
+    rewritten in place, keeping its load source, only when some
+    `element.tracked_columns` value differs under null-safe equality. Two
+    writes to one row fail the load before anything is written; otherwise a
+    load that writes encodes only the rows it writes, in one append that
+    splices its updates in place, and one that does not leaves the table
+    alone.
     """
     identity, tracked = element.identity, element.tracked_columns
-    index = {row_key(row, identity): i for i, row in enumerate(rows)}
+    index = {row_key(row, identity): i for i, row in _members(element, rows)}
     inserted = updated = unchanged = 0
     writes: dict[tuple, Record] = {}
     for candidate in candidates:
@@ -319,14 +329,12 @@ def _merge(warehouse: Warehouse, schema: str, element: HubDef | StarDef, rows: l
             raise LoadError(f"duplicate primary key within one batch for "
                             f"{schema}.{element.table_name}: {show_key(key)}")
         writes[key] = row
-    for key, row in writes.items():
-        position = index.get(key)
-        if position is None:
-            rows.append(row)
-        else:
-            rows[position] = row
     if writes:
-        warehouse.replace_table(warehouse.manifest(schema, element.table_name), rows)
+        warehouse.append_rows(schema, element.table_name,
+                              [row for key, row in writes.items() if key not in index],
+                              replace={index[key]: row for key, row in writes.items()
+                                       if key in index},
+                              lines=len(rows))
     return (inserted, updated, unchanged,
             high_water_mark(writes.values(), f"{schema}.{element.table_name}", hwm))
 
@@ -343,8 +351,12 @@ def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
     candidates = _top(staged, hub.business_key_names, mapping.dedup_order + _LATEST_CAPTURE)
     if hub.key_type == "computed":
         for candidate in candidates:
-            candidate[hub.key_column] = compute_hub_key(hub.key_formula, candidate,
-                                                        candidate["load_source"])
+            key = compute_hub_key(hub.key_formula, candidate, candidate["load_source"])
+            if key == DEFAULT_HUB_KEY:
+                raise LoadError(f"{hub.table_name}: key formula gives the default row's key "
+                                f"{key} for {show_key(row_key(candidate, hub.business_key_names))}"
+                                f" in {mapping.source}")
+            candidate[hub.key_column] = key
     else:  # mint from the largest key held, the default row's -1 counting as 0
         minted = count(1 + max([0, *(int(row[hub.key_column]) for row in rows)]))
 

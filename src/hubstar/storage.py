@@ -1,5 +1,8 @@
 """File-backed warehouse: schemas are directories, tables are a manifest
 plus a JSON-lines data file, and every write is a whole-file atomic rename.
+Stored lines are canonical, so writes splice encoded lines into a file's
+bytes and reads can take a bronze line's capture time from its prefix
+without decoding the rest.
 
 Constraints declared in a manifest are never enforced on the write path;
 `check_constraints` audits them after the fact, mirroring how analytical
@@ -17,12 +20,15 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import StorageError
-from .values import format_timestamp, parse_timestamp, row_key, show_key, values_equal
+from .values import format_timestamp, parse_stored_timestamp, row_key, show_key, values_equal
 
 Record = dict[str, Any]
 
 MANIFEST_FILE = "manifest"
 DATA_FILE = "data"
+# How every canonical bronze line begins: `tables.bronze_manifest` puts the
+# capture time first, and it is never null.
+CAPTURE_PREFIX = '{"capture_timestamp":"'
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,7 @@ def _decode_scalar(raw: Any, ctype: str) -> Any:
     if raw is None:
         return None
     if ctype == "timestamp":
-        return parse_timestamp(raw)
+        return parse_stored_timestamp(raw)
     if ctype == "decimal" and not isinstance(raw, Decimal):
         return Decimal(str(raw))
     return raw
@@ -237,8 +243,7 @@ class Warehouse:
             _atomic_write(data, b"")
 
     def replace_table(self, manifest: TableManifest, rows: list[Record]):
-        """Create-or-overwrite a table with exactly these rows (silver loads
-        that write, gold builds).
+        """Create-or-overwrite a table with exactly these rows (gold builds).
 
         Writes go through the byte-comparison in _atomic_write, so rebuilding
         identical content leaves the files untouched.
@@ -252,32 +257,63 @@ class Warehouse:
             raise StorageError(f"no such table {schema}.{table}")
         return TableManifest.from_json(json.loads(path.read_text(encoding="utf-8")))
 
-    def read_rows(self, schema: str, table: str) -> list[Record]:
+    def read_rows(self, schema: str, table: str,
+                  captured_after: datetime | None = None) -> list[Record]:
+        """The table's rows in file order. With `captured_after`, only those
+        whose capture_timestamp is strictly later; a line that begins with
+        CAPTURE_PREFIX is decoded only when its capture time passes."""
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         if not data.is_file():
             return []
         rows = []
+        start = len(CAPTURE_PREFIX)
         with data.open(encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                if captured_after is None:
                     rows.append(decode_row(manifest, line))
+                elif line.startswith(CAPTURE_PREFIX):
+                    captured = parse_stored_timestamp(line[start:line.index('"', start)])
+                    if captured > captured_after:
+                        rows.append(decode_row(manifest, line))
+                else:  # not canonical: decode to find the capture time
+                    row = decode_row(manifest, line)
+                    if row["capture_timestamp"] > captured_after:
+                        rows.append(row)
         return rows
 
     def _write_all(self, manifest: TableManifest, rows: Iterable[Record]):
         _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE,
                       _encode_rows(manifest, rows))
 
-    def append_rows(self, schema: str, table: str, rows: list[Record]):
-        """Join the encoded rows onto the data file's bytes, which are never
-        decoded: the file holds canonical lines, so this equals encoding
-        every row in one write."""
-        if not rows:
+    def append_rows(self, schema: str, table: str, rows: list[Record],
+                    replace: Mapping[int, Record] | None = None, lines: int | None = None):
+        """Put each row of `replace` in place of the line at its position,
+        counted from 0 as `read_rows` returns them, and add `rows` after the
+        last line, in one write. Lines not replaced are kept as bytes and never
+        decoded: the file holds canonical lines, so this equals encoding every
+        row. `lines` is the number of lines the caller read; a file that holds
+        another number raises StorageError and is left as it is."""
+        replace = replace or {}
+        if not rows and not replace:
             return
+        manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         existing = data.read_bytes() if data.is_file() else b""
-        _atomic_write(data, existing + _encode_rows(self.manifest(schema, table), rows))
+        if replace or lines is not None:
+            kept = [line for line in existing.splitlines() if line.strip()]
+            if lines is not None and len(kept) != lines:
+                raise StorageError(f"{schema}.{table}: data holds {len(kept)} rows, "
+                                   f"not the {lines} read; nothing written")
+            for position, row in replace.items():
+                if not 0 <= position < len(kept):
+                    raise StorageError(f"{schema}.{table}: no row at position {position}")
+                kept[position] = encode_row(manifest, row).encode("utf-8")
+            existing = b"".join(line + b"\n" for line in kept)
+        _atomic_write(data, existing + _encode_rows(manifest, rows))
 
     # Nothing in hubstar calls upsert_rows, scan or max_capture_timestamp;
     # they stay because the benchmark's tracer (bench/spans.py) wraps them.

@@ -484,6 +484,61 @@ def test_local_system_keyed_hub_keeps_one_row_per_source_and_code(tmp_path):
     assert check_against_oracle(warehouse, LOCAL_CODES) == []
 
 
+def one_hub_model(key: str, key_type: str):
+    return parse_model(f'''product defaults
+
+source s {{
+  load_source 1
+  format csv
+  column code {key_type}
+  column label string
+  column at timestamp
+  capture cdc_column at
+}}
+
+hub item {{
+  key {key}
+  business_key global (code {key_type})
+  descriptive label string
+  source_mapping s {{
+    map code = code
+    map label = label
+  }}
+}}
+''').spec
+
+
+def load_codes(tmp_path, spec, *codes):
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, spec)
+    path = tmp_path / "s.csv"
+    path.write_text("code,label,at\n" + "".join(
+        f"{code},hello,2024-01-01T00:00:00Z\n" for code in codes), encoding="utf-8")
+    ingest_file(warehouse, spec, "s", path, now=NOW)
+    return warehouse, load_all(warehouse, spec, now=NOW)
+
+
+def test_business_keys_equal_to_the_default_rows_stand_ins_mint_a_member(tmp_path):
+    spec = one_hub_model("system_generated", "string")
+    assert validate_model(spec).ok
+    warehouse, (item,) = load_codes(tmp_path, spec, "abc", "null")
+    assert (item.inserted, item.updated) == (2, 0)
+    silver = spec.schema_names["silver"]
+    data = warehouse.table_dir(silver, "hub_item") / "data"
+    default_line = storage.encode_row(warehouse.manifest(silver, "hub_item"),
+                                      default_row(spec, spec.hub("item")))
+    assert data.read_text(encoding="utf-8").splitlines()[0] == default_line
+    assert check_against_oracle(warehouse, spec) == []
+
+
+def test_a_computed_key_equal_to_the_default_rows_fails_the_load(tmp_path):
+    spec = one_hub_model("computed cast(code as string)", "integer")
+    assert validate_model(spec).ok
+    with pytest.raises(LoadError, match="key formula gives the default row's key -1 for "
+                                        r"\(-1\) in s"):
+        load_codes(tmp_path, spec, 7, -1)
+
+
 def test_fk_with_null_argument_points_at_default_row(wh, feed):
     # An empty string is still a value, so it earns a device of its own; only
     # a true null defaults. The star FK below sees a null person_id.
@@ -775,17 +830,30 @@ def table_reads(monkeypatch):
     reads: Counter = Counter()
     read_rows = storage.Warehouse.read_rows
 
-    def counted(self, schema, table):
+    def counted(self, schema, table, **kwargs):
         reads[schema, table] += 1
-        return read_rows(self, schema, table)
+        return read_rows(self, schema, table, **kwargs)
 
     monkeypatch.setattr(storage.Warehouse, "read_rows", counted)
     return reads
 
 
+@pytest.fixture()
+def rows_coded(monkeypatch):
+    """Counts rows decoded and encoded by storage, by (function, schema)."""
+    calls: Counter = Counter()
+    for name in ("decode_row", "encode_row"):
+        def counted(manifest, line_or_row, original=getattr(storage, name), name=name):
+            calls[name, manifest.schema] += 1
+            return original(manifest, line_or_row)
+
+        monkeypatch.setattr(storage, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("writes", [False, True], ids=["noop", "writes"])
 def test_a_load_reads_each_silver_table_once_per_mapping(
-        tmp_path, monkeypatch, table_reads, retail_spec, retail_data, writes):
+        tmp_path, monkeypatch, table_reads, rows_coded, retail_spec, retail_data, writes):
     warehouse = Warehouse(tmp_path / "wh")
     init_warehouse(warehouse, retail_spec)
     for n, jobs in enumerate(rf.write_batches(retail_data, tmp_path / "inbox", 2)):
@@ -805,6 +873,7 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
 
     monkeypatch.setattr(storage, "_atomic_write", recorded)
     table_reads.clear()
+    rows_coded.clear()
     results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
 
     assert any(r.scanned for r in results) == writes
@@ -812,3 +881,7 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
     elements = retail_spec.hubs + retail_spec.stars
     assert {table: n for (schema, table), n in table_reads.items() if schema == silver} == \
         {e.table_name: len(e.source_mappings) for e in elements}
+    # Bronze at or below each mark is never decoded, and only the silver rows
+    # a load writes are encoded.
+    assert bool(rows_coded["decode_row", retail_spec.schema_names["bronze"]]) == writes
+    assert rows_coded["encode_row", silver] == sum(r.inserted + r.updated for r in results)

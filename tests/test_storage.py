@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+from hubstar import storage
 from hubstar.errors import StorageError
 from hubstar.storage import ColumnSpec, ForeignKeySpec, TableManifest, Warehouse
 
@@ -111,6 +112,68 @@ def test_appends_hold_the_bytes_of_one_write(wh, tmp_path):
     once.replace_table(manifest(), rows)
     data = ("lab", "samples", "data")
     assert wh.root.joinpath(*data).read_bytes() == once.root.joinpath(*data).read_bytes()
+
+
+def test_appends_that_replace_lines_hold_the_bytes_of_one_write(wh, tmp_path):
+    rows = [ROW, {"sample_id": "s-2", "count": 2}, {"sample_id": "s-3", "fresh": False}]
+    wh.append_rows("lab", "samples", rows)
+    merged = [rows[0], {"sample_id": "s-2", "count": 5, "price": Decimal("0.10")},
+              {"sample_id": "s-3"}, {"sample_id": "s-4", "taken_at": ROW["taken_at"]}]
+    wh.append_rows("lab", "samples", merged[3:], replace={1: merged[1], 2: merged[2]},
+                   lines=3)
+    once = Warehouse(tmp_path / "once")
+    once.replace_table(manifest(), merged)
+    data = ("lab", "samples", "data")
+    assert wh.root.joinpath(*data).read_bytes() == once.root.joinpath(*data).read_bytes()
+    assert wh.read_rows("lab", "samples") == once.read_rows("lab", "samples")
+
+
+@pytest.mark.parametrize("grown", [True, False], ids=["grown", "shrunk"])
+def test_appends_refuse_a_file_whose_line_count_changed(wh, grown):
+    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}])
+    read = len(wh.read_rows("lab", "samples"))
+    if grown:  # another writer appended
+        wh.append_rows("lab", "samples", [{"sample_id": "s-3"}])
+    else:
+        wh.replace_table(manifest(), [ROW])
+    data = wh.table_dir("lab", "samples") / "data"
+    before, inode = data.read_bytes(), data.stat().st_ino
+    with pytest.raises(StorageError, match=r"lab\.samples: data holds \d rows, not the 2 read"):
+        wh.append_rows("lab", "samples", [{"sample_id": "s-9"}],
+                       replace={0: {"sample_id": "s-1", "count": 9}}, lines=read)
+    with pytest.raises(StorageError, match="not the 2 read"):  # an insert alone too
+        wh.append_rows("lab", "samples", [{"sample_id": "s-9"}], lines=read)
+    assert (data.read_bytes(), data.stat().st_ino) == (before, inode)
+
+
+def test_reads_above_a_capture_time_decode_only_those_lines(tmp_path, monkeypatch):
+    warehouse = Warehouse(tmp_path)
+    warehouse.create_table(TableManifest(
+        schema="raw", table="events",
+        columns=(ColumnSpec("capture_timestamp", "timestamp", nullable=False),
+                 ColumnSpec("label", "string"))))
+    times = [datetime(2024, 5, 1, 12, 0, 0, micro, tzinfo=timezone.utc)
+             for micro in (0, 500000, 0, 250000)]
+    times[2] = times[2].replace(second=1)
+    warehouse.append_rows("raw", "events", [
+        {"capture_timestamp": at, "label": str(n)} for n, at in enumerate(times)])
+    with (warehouse.table_dir("raw", "events") / "data").open("a", encoding="utf-8") as fh:
+        fh.write('{"label": "4", "capture_timestamp": "2024-05-01T13:00:00Z"}\n')
+    decoded = []
+    decode_row = storage.decode_row
+
+    def counted(manifest, line):
+        decoded.append(line)
+        return decode_row(manifest, line)
+
+    monkeypatch.setattr(storage, "decode_row", counted)
+    after = warehouse.read_rows("raw", "events", captured_after=times[1])
+    assert [r["label"] for r in after] == ["2", "4"]  # strictly above: "1" is not
+    # Line 2, and line 4, hand-written, whose capture time is not its prefix.
+    assert len(decoded) == 2
+    # "…:00Z" sorts after "…:00.5Z" as text; the comparison is by instant.
+    assert [r["label"] for r in warehouse.read_rows(
+        "raw", "events", captured_after=times[0])] == ["1", "2", "3", "4"]
 
 
 def test_upsert_replaces_in_place_and_appends(wh):

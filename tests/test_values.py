@@ -13,6 +13,7 @@ from hubstar.values import (
     coerce_scalar,
     format_timestamp,
     key_part,
+    parse_stored_timestamp,
     parse_timestamp,
     row_key,
     show_key,
@@ -52,6 +53,47 @@ def test_format_timestamp_is_canonical_and_round_trips():
     assert format_timestamp(utc(2024, 3, 1, 0, 0, 0, 250000)) == "2024-03-01T00:00:00.25Z"
     # naive datetimes are treated as UTC
     assert format_timestamp(datetime(2024, 3, 1)) == "2024-03-01T00:00:00Z"
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("value", value, value.tzinfo is timezone.utc)
+
+
+offsets = st.builds(lambda minutes: timezone(timedelta(minutes=minutes)),
+                    st.integers(-23 * 60 - 59, 23 * 60 + 59))
+
+
+@given(st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                    timezones=st.just(timezone.utc) | offsets))
+def test_stored_timestamps_read_as_parse_timestamp_reads_them(dt):
+    text = format_timestamp(dt)
+    assert _outcome(parse_stored_timestamp, text) == _outcome(parse_timestamp, text)
+    if dt.year >= 1000:  # earlier years format with fewer than four digits
+        assert _outcome(parse_stored_timestamp, text) == ("value", dt, True)
+
+
+# Strings `datetime.fromisoformat` reads (or reads differently) that the
+# canonical form excludes: each must give parse_timestamp's result or error.
+@pytest.mark.parametrize("text", [
+    "2024-01-01T00:00:00,5Z",  # comma fraction
+    "2024-W01-1T00:00:00Z",  # week date
+    "20240101T000000Z",  # basic format
+    "2024-01-01T000000.5Z",  # basic time
+    "2024-01-01",  # date only
+    "2024-01-01T00:00:00+05:30",  # offset
+    "2024-01-01 00:00:00Z",  # space separator
+    "2024-01-01T00:00:00.1234567Z",  # seven fraction digits
+    "2024-01-01T00:00:00.500000Z",  # trailing zeros
+    "2024-01-01T24:00:00Z",  # out of range
+    "2024-02-30T00:00:00Z",
+    "\u0662\u0660\u0662\u0664-01-01T00:00:00Z",  # non-ASCII digits
+])
+def test_non_canonical_timestamps_keep_parse_timestamps_outcome(text):
+    assert _outcome(parse_stored_timestamp, text) == _outcome(parse_timestamp, text)
 
 
 def test_coerce_scalar_nulls():
