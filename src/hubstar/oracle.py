@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .keygen import compute_hub_key
 from .model import HubDef, ModelSpec, StarDef
-from .silver import default_row, evaluate_mapping, hub_key_lookup
+from .silver import default_row, evaluate_mapping, hub_key_lookup, is_default_row
 from .storage import Record, Warehouse
 from .values import EPOCH, row_key, show_key, values_equal
 
@@ -165,10 +165,24 @@ def check_against_oracle(warehouse: Warehouse, spec: ModelSpec,
             continue
         expected = expected_state(warehouse, spec, element)
         actual = warehouse.read_rows(silver, element.table_name)
-        diff = diff_states(actual, expected, element.identity,
-                           compare_columns(element, include_volatile))
-        problems.extend(_describe(element.table_name, diff))
+        for (key_columns, actual_part), (_, expected_part) in zip(
+                _parts(element, actual), _parts(element, expected)):
+            diff = diff_states(actual_part, expected_part, key_columns,
+                               compare_columns(element, include_volatile))
+            problems.extend(_describe(element.table_name, diff))
     return problems
+
+
+def _parts(element: HubDef | StarDef, rows: list[Record]) -> list[tuple[tuple, list[Record]]]:
+    """(key columns, rows) to diff `rows` by, as the loads match them: a
+    hub's default row by its key, as a member may share its business keys,
+    and every other row by the element's identity."""
+    if not isinstance(element, HubDef):
+        return [(element.identity, rows)]
+    defaults, members = [], []
+    for row in rows:
+        (defaults if is_default_row(element, row) else members).append(row)
+    return [((element.key_column,), defaults), (element.identity, members)]
 
 
 def _describe(table: str, diff: StateDiff) -> list[str]:

@@ -282,12 +282,17 @@ def _top(staged: list[tuple[int, Record, Record]], partition: tuple[str, ...],
 _LATEST_CAPTURE = (("capture_timestamp", "desc"),)
 
 
+def is_default_row(element: HubDef | StarDef, row: Record) -> bool:
+    """Whether `row` is a hub's `-1` default row, which no source row
+    matches: its business keys are stand-ins, which a member may share. A
+    row with no key (the oracle's system-keyed members) is a member."""
+    return isinstance(element, HubDef) and row.get(element.key_column) == DEFAULT_HUB_KEY
+
+
 def _members(element: HubDef | StarDef, rows: list[Record]):
-    """(position, row) for every row of `rows` but a hub's `-1` default row,
-    which no source row matches: its business keys are stand-ins."""
-    hub = isinstance(element, HubDef)
+    """(position, row) for every row of `rows` but a hub's default row."""
     return [(position, row) for position, row in enumerate(rows)
-            if not hub or row[element.key_column] != DEFAULT_HUB_KEY]
+            if not is_default_row(element, row)]
 
 
 def _merge(warehouse: Warehouse, schema: str, element: HubDef | StarDef, rows: list[Record],

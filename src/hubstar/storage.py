@@ -2,7 +2,9 @@
 plus a JSON-lines data file, and every write is a whole-file atomic rename.
 Stored lines are canonical, so writes splice encoded lines into a file's
 bytes and reads can take a bronze line's capture time from its prefix
-without decoding the rest.
+without decoding the rest. A Warehouse remembers the decoded rows of the
+tables it splices, so a later read of one decodes only the lines written
+since, as long as the file still holds the bytes it wrote.
 
 Constraints declared in a manifest are never enforced on the write path;
 `check_constraints` audits them after the fact, mirroring how analytical
@@ -11,18 +13,22 @@ stores treat PRIMARY KEY / FOREIGN KEY as documentation plus tooling.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal
+from hashlib import sha256
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import StorageError
+from .model import DEFAULT_HUB_KEY
 from .values import format_timestamp, parse_stored_timestamp, row_key, show_key, values_equal
 
 Record = dict[str, Any]
+TableKey = tuple[str, str]  # (schema, table)
 
 MANIFEST_FILE = "manifest"
 DATA_FILE = "data"
@@ -199,6 +205,12 @@ def high_water_mark(rows: Iterable[Record], table: str,
     return mark
 
 
+def _lines(text: Iterable[str]) -> Iterator[str]:
+    """The non-blank lines of a data file read in text mode, stripped: the
+    lines that rows are decoded from and that row positions count."""
+    return filter(None, map(str.strip, text))
+
+
 def _atomic_write(path: Path, content: bytes):
     if path.exists() and path.read_bytes() == content:
         return  # byte-identical; leave the file (and its mtime) alone
@@ -212,6 +224,15 @@ class Warehouse:
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
+        # Each manifest as last read: its bytes and what they parse to.
+        self._manifests: dict[TableKey, tuple[bytes, TableManifest]] = {}
+        # Each table this object spliced (append_rows with `lines`): its
+        # manifest, the sha256 of the bytes written and the row of each line,
+        # None until a read decodes it.
+        self._spliced: dict[TableKey, tuple[TableManifest, bytes, list[Record | None]]] = {}
+        # The last whole-table read that _spliced did not serve, until the next
+        # one starts: what a first splice of that table starts from.
+        self._last_read: tuple[TableKey, TableManifest, bytes, list[Record]] | None = None
 
     def table_dir(self, schema: str, table: str) -> Path:
         return self.root / schema / table
@@ -252,30 +273,54 @@ class Warehouse:
         self._write_all(manifest, rows)
 
     def manifest(self, schema: str, table: str) -> TableManifest:
+        """The table's manifest, parsed once for each content it has."""
         path = self.table_dir(schema, table) / MANIFEST_FILE
         if not path.is_file():
             raise StorageError(f"no such table {schema}.{table}")
-        return TableManifest.from_json(json.loads(path.read_text(encoding="utf-8")))
+        content = path.read_bytes()
+        known = self._manifests.get((schema, table))
+        if known is None or known[0] != content:
+            parsed = TableManifest.from_json(json.loads(content.decode("utf-8")))
+            known = self._manifests[schema, table] = (content, parsed)
+        return known[1]
 
     def read_rows(self, schema: str, table: str,
                   captured_after: datetime | None = None) -> list[Record]:
-        """The table's rows in file order. With `captured_after`, only those
-        whose capture_timestamp is strictly later; a line that begins with
-        CAPTURE_PREFIX is decoded only when its capture time passes."""
+        """The table's rows in file order, in a new list. The rows themselves
+        may be shared with other reads through this object, so callers must
+        not mutate them.
+
+        A table this object spliced decodes only the lines written since
+        then, while its manifest and data file hold what they held then; any
+        other file is decoded whole. With `captured_after`, only rows whose
+        capture_timestamp is strictly later are returned; a line that begins
+        with CAPTURE_PREFIX is decoded only when its capture time passes."""
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         if not data.is_file():
             return []
+        if captured_after is None:
+            key = (schema, table)
+            content = data.read_bytes()
+            lines = _lines(io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
+            spliced = self._spliced.get(key)
+            if spliced is None or spliced[:2] != (manifest, sha256(content).digest()):
+                self._spliced.pop(key, None)
+                self._last_read = None  # freed before this decode, not after
+                rows = [decode_row(manifest, line) for line in lines]
+                self._last_read = (key, manifest, content, rows)
+                return list(rows)
+            rows = spliced[2]
+            if None in rows:
+                for position, line in enumerate(lines):
+                    if rows[position] is None:
+                        rows[position] = decode_row(manifest, line)
+            return list(rows)
         rows = []
         start = len(CAPTURE_PREFIX)
         with data.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if captured_after is None:
-                    rows.append(decode_row(manifest, line))
-                elif line.startswith(CAPTURE_PREFIX):
+            for line in _lines(fh):
+                if line.startswith(CAPTURE_PREFIX):
                     captured = parse_stored_timestamp(line[start:line.index('"', start)])
                     if captured > captured_after:
                         rows.append(decode_row(manifest, line))
@@ -296,13 +341,20 @@ class Warehouse:
         last line, in one write. Lines not replaced are kept as bytes and never
         decoded: the file holds canonical lines, so this equals encoding every
         row. `lines` is the number of lines the caller read; a file that holds
-        another number raises StorageError and is left as it is."""
+        another number raises StorageError and is left as it is.
+
+        With `lines`, the next `read_rows` of the table through this object
+        decodes only the lines this call wrote, provided the rows of the other
+        lines came from this object's last read of the bytes it splices."""
         replace = replace or {}
         if not rows and not replace:
             return
+        key = (schema, table)
+        spliced = self._spliced.pop(key, None)
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
-        existing = data.read_bytes() if data.is_file() else b""
+        before = data.read_bytes() if data.is_file() else b""
+        existing = before
         if replace or lines is not None:
             kept = [line for line in existing.splitlines() if line.strip()]
             if lines is not None and len(kept) != lines:
@@ -313,7 +365,19 @@ class Warehouse:
                     raise StorageError(f"{schema}.{table}: no row at position {position}")
                 kept[position] = encode_row(manifest, row).encode("utf-8")
             existing = b"".join(line + b"\n" for line in kept)
-        _atomic_write(data, existing + _encode_rows(manifest, rows))
+        content = existing + _encode_rows(manifest, rows)
+        _atomic_write(data, content)
+        if lines is None:
+            return
+        if spliced is not None and spliced[:2] == (manifest, sha256(before).digest()):
+            known = spliced[2]
+        elif self._last_read is not None and self._last_read[:3] == (key, manifest, before):
+            known, self._last_read = self._last_read[3], None
+        else:
+            known = [None] * lines
+        for position in replace:
+            known[position] = None
+        self._spliced[key] = (manifest, sha256(content).digest(), known + [None] * len(rows))
 
     # Nothing in hubstar calls upsert_rows, scan or max_capture_timestamp;
     # they stay because the benchmark's tracer (bench/spans.py) wraps them.
@@ -373,7 +437,7 @@ class Warehouse:
                 problems.append(f"{qualified}: column {col.name} is not nullable "
                                 f"but holds {nulls} null(s)")
 
-        def dupes(columns: tuple[str, ...]) -> list[tuple]:
+        def dupes(rows: list[Record], columns: tuple[str, ...]) -> list[tuple]:
             seen: dict[tuple, int] = {}
             for r in rows:
                 key = row_key(r, columns)
@@ -381,10 +445,14 @@ class Warehouse:
             return sorted(k for k, n in seen.items() if n > 1)
 
         if manifest.primary_key:
-            for key in dupes(manifest.primary_key):
+            for key in dupes(rows, manifest.primary_key):
                 problems.append(f"{qualified}: duplicate primary key {show_key(key)}")
         for unique_cols in manifest.unique:
-            for key in dupes(unique_cols):
+            # A hub's `-1` default row holds stand-ins for its business keys,
+            # which a member may share, so it is left out.
+            members = [r for r in rows
+                       if tuple(map(r.get, manifest.primary_key)) != (DEFAULT_HUB_KEY,)]
+            for key in dupes(members, unique_cols):
                 problems.append(f"{qualified}: duplicate value {show_key(key)} "
                                 f"for unique ({', '.join(unique_cols)})")
         for fk in manifest.foreign_keys:

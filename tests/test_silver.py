@@ -531,6 +531,30 @@ def test_business_keys_equal_to_the_default_rows_stand_ins_mint_a_member(tmp_pat
     assert check_against_oracle(warehouse, spec) == []
 
 
+def test_a_member_sharing_the_default_rows_business_keys_is_no_duplicate(tmp_path):
+    spec = one_hub_model("system_generated", "string")
+    warehouse, _results = load_codes(tmp_path, spec, "abc", "null")
+    silver = spec.schema_names["silver"]
+    assert warehouse.check_all(silver) == []
+
+    # Two members with one business key are still a duplicate.
+    member = next(r for r in warehouse.read_rows(silver, "hub_item") if r["code"] == "abc")
+    warehouse.append_rows(silver, "hub_item", [{**member, "item_key": "3"}])
+    assert warehouse.check_all(silver) == [
+        "hs_defaults.hub_item: duplicate value ('abc') for unique (code)"]
+
+
+def test_the_oracle_compares_the_default_row_beside_a_member_with_its_business_keys(tmp_path):
+    spec = one_hub_model("system_generated", "string")
+    warehouse, _results = load_codes(tmp_path, spec, "abc", "null")
+    silver = spec.schema_names["silver"]
+    rows = warehouse.read_rows(silver, "hub_item")
+    warehouse.append_rows(silver, "hub_item", [], replace={0: {**rows[0], "label": "stray"}},
+                          lines=len(rows))
+    assert check_against_oracle(warehouse, spec) == [
+        "hub_item: ('-1') column label: engine='stray' oracle=None"]
+
+
 def test_a_computed_key_equal_to_the_default_rows_fails_the_load(tmp_path):
     spec = one_hub_model("computed cast(code as string)", "integer")
     assert validate_model(spec).ok
@@ -885,3 +909,30 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
     # a load writes are encoded.
     assert bool(rows_coded["decode_row", retail_spec.schema_names["bronze"]]) == writes
     assert rows_coded["encode_row", silver] == sum(r.inserted + r.updated for r in results)
+
+
+def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
+        tmp_path, rows_coded, retail_spec, retail_data):
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, retail_spec)
+    silver = retail_spec.schema_names["silver"]
+    written = []
+    for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 2):
+        for job in jobs:
+            ingest_file(warehouse, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+        rows_coded.clear()
+        results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+        written.append((rows_coded["decode_row", silver],
+                        sum(r.inserted + r.updated for r in results)))
+    (_first_decoded, first_written), (second_decoded, second_written) = written
+    assert first_written and second_written
+    assert second_decoded == first_written
+
+    rows_coded.clear()
+    results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+    assert not any(r.inserted or r.updated for r in results)
+    assert rows_coded["decode_row", silver] == second_written
+    rows_coded.clear()
+    load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+    assert sum(rows_coded.values()) == 0

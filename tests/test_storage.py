@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import json
 import os
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
 
+from hubstar import check_against_oracle, ingest_file, init_warehouse, load_all
+from hubstar import retail_fixture as rf
 from hubstar import storage
 from hubstar.errors import StorageError
 from hubstar.storage import ColumnSpec, ForeignKeySpec, TableManifest, Warehouse
+from hubstar.values import format_timestamp
+
+from conftest import run_pipeline
 
 
 def manifest(**overrides) -> TableManifest:
@@ -174,6 +180,110 @@ def test_reads_above_a_capture_time_decode_only_those_lines(tmp_path, monkeypatc
     # "…:00Z" sorts after "…:00.5Z" as text; the comparison is by instant.
     assert [r["label"] for r in warehouse.read_rows(
         "raw", "events", captured_after=times[0])] == ["1", "2", "3", "4"]
+
+
+def test_a_manifest_is_parsed_once_for_each_content(wh, monkeypatch):
+    parsed = []
+    from_json = TableManifest.from_json
+    monkeypatch.setattr(TableManifest, "from_json",
+                        staticmethod(lambda doc: parsed.append(doc) or from_json(doc)))
+    for _ in range(3):
+        wh.read_rows("lab", "samples")
+    assert len(parsed) == 1
+    Warehouse(wh.root).replace_table(manifest(unique=(("count",),)), [])  # another writer
+    assert wh.manifest("lab", "samples").unique == (("count",),)
+    assert len(parsed) == 2
+
+
+def test_a_read_after_a_splice_decodes_only_the_lines_it_wrote(wh, monkeypatch):
+    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}, {"sample_id": "s-3"}])
+    rows = wh.read_rows("lab", "samples")
+    decoded = []
+    decode_row = storage.decode_row
+    monkeypatch.setattr(storage, "decode_row",
+                        lambda manifest, line: decoded.append(line) or decode_row(manifest, line))
+    wh.append_rows("lab", "samples", [{"sample_id": "s-4"}],
+                   replace={1: {"sample_id": "s-2", "count": 2}}, lines=len(rows))
+    after = wh.read_rows("lab", "samples")
+    assert [line[:len('{"sample_id":"s-2"')] for line in decoded] == [
+        '{"sample_id":"s-2"', '{"sample_id":"s-4"']
+    assert after == Warehouse(wh.root).read_rows("lab", "samples")
+    assert after[0] is rows[0] and after[2] is rows[2]  # shared, so never to be mutated
+    assert after is not wh.read_rows("lab", "samples")
+    assert len(decoded) == 2 + 4  # the fresh Warehouse decoded every line
+
+
+def test_a_spliced_table_whose_manifest_changed_is_decoded_again(wh):
+    wh.append_rows("lab", "samples", [ROW])
+    rows = wh.read_rows("lab", "samples")
+    wh.append_rows("lab", "samples", [{"sample_id": "s-2"}], lines=len(rows))
+    wider = manifest(columns=manifest().columns + (ColumnSpec("note", "string"),))
+    # Another writer widens the manifest and leaves the data bytes as they are.
+    (wh.table_dir("lab", "samples") / "manifest").write_text(
+        json.dumps(wider.to_json(), indent=2) + "\n", encoding="utf-8")
+    assert [row["note"] for row in wh.read_rows("lab", "samples")] == [None, None]
+
+
+def test_rows_read_through_one_warehouse_equal_a_fresh_read(
+        tmp_path, monkeypatch, retail_spec, retail_data):
+    read: set = set()
+    read_rows = Warehouse.read_rows
+
+    def recorded(self, schema, table, **kwargs):
+        read.add((schema, table))
+        return read_rows(self, schema, table, **kwargs)
+
+    monkeypatch.setattr(Warehouse, "read_rows", recorded)
+    warehouse = run_pipeline(tmp_path / "wh", retail_spec, retail_data, batches=4)
+    assert check_against_oracle(warehouse, retail_spec) == []
+    for schema in retail_spec.schema_names.values():
+        assert warehouse.check_all(schema) == []
+    silver = retail_spec.schema_names["silver"]
+    assert {(silver, e.table_name) for e in retail_spec.hubs + retail_spec.stars} <= read
+    for schema, table in sorted(read):
+        assert read_rows(warehouse, schema, table) == \
+            read_rows(Warehouse(warehouse.root), schema, table), f"{schema}.{table}"
+
+
+@pytest.mark.parametrize("writer", ["warehouse", "hand"])
+def test_a_spliced_table_changed_by_another_writer_is_read_from_its_bytes(
+        tmp_path, retail_spec, retail_data, writer):
+    root = tmp_path / "wh"
+    warehouse = Warehouse(root)
+    init_warehouse(warehouse, retail_spec)
+    silver = retail_spec.schema_names["silver"]
+
+    def load(through, jobs):
+        for job in jobs:
+            ingest_file(through, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+        load_all(through, retail_spec, now=rf.DEFAULT_NOW)
+
+    first, second, third = rf.write_batches(retail_data, tmp_path / "inbox", 3)
+    load(warehouse, first)
+    assert warehouse.read_rows(silver, "hub_customer")[1]["load_timestamp"] == rf.DEFAULT_NOW
+    if writer == "warehouse":
+        load(Warehouse(root), second)
+    else:  # same length, same mtime: only the bytes tell
+        data = warehouse.table_dir(silver, "hub_customer") / "data"
+        before = data.stat()
+        field = b'"load_timestamp":"'
+        stamp, earlier = (format_timestamp(at).encode() for at in
+                          (rf.DEFAULT_NOW, rf.DEFAULT_NOW - timedelta(days=1)))
+        lines = data.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(field + stamp, field + earlier)
+        data.write_bytes(b"\n".join(lines))
+        os.utime(data, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = data.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert warehouse.read_rows(silver, "hub_customer")[1]["load_timestamp"] == \
+            rf.DEFAULT_NOW - timedelta(days=1)
+        load(warehouse, second)
+    load(warehouse, third)
+    assert check_against_oracle(warehouse, retail_spec) == []
+    for element in retail_spec.hubs + retail_spec.stars:
+        assert warehouse.read_rows(silver, element.table_name) == \
+            Warehouse(root).read_rows(silver, element.table_name)
 
 
 def test_upsert_replaces_in_place_and_appends(wh):
