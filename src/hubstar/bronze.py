@@ -37,28 +37,18 @@ def parse_source_file(source: SourceDef, text: str) -> list[dict]:
 def _parse_csv(source: SourceDef, text: str) -> list[dict]:
     reader = csv.DictReader(io.StringIO(text))
     declared = {c.name for c in source.columns}
-    header = reader.fieldnames or []
-    for name in header:
+    for name in reader.fieldnames or []:
         if name not in declared:
             raise IngestError(f"{source.name}: unknown column {name!r} in header")
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        record = {}
-        for col in source.columns:
-            raw = row.get(col.name)
-            if isinstance(col, CollectionColumn):
-                raise IngestError(f"{source.name}: collection column {col.name!r} "
-                                  "cannot be read from csv")
-            try:
-                record[col.name] = coerce_scalar(raw, col.type)
-            except ValueError as exc:
-                raise IngestError(f"{source.name} line {lineno}, "
-                                  f"column {col.name}: {exc}") from exc
-        records.append(record)
-    return records
+    for col in source.columns:
+        if isinstance(col, CollectionColumn):
+            raise IngestError(f"{source.name}: collection column {col.name!r} "
+                              "cannot be read from csv")
+    return [_coerce_record(source, row, lineno) for lineno, row in enumerate(reader, start=2)]
 
 
 def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
+    declared = {c.name for c in source.columns}
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -70,23 +60,28 @@ def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
             raise IngestError(f"{source.name} line {lineno}: {exc}") from exc
         if not isinstance(doc, dict):
             raise IngestError(f"{source.name} line {lineno}: record is not an object")
-        declared = {c.name for c in source.columns}
         for key in doc:
             if key not in declared:
                 raise IngestError(f"{source.name} line {lineno}: unknown column {key!r}")
-        record = {}
-        for col in source.columns:
-            raw = doc.get(col.name)
-            try:
-                if isinstance(col, CollectionColumn):
-                    record[col.name] = _coerce_collection(col, raw)
-                else:
-                    record[col.name] = coerce_scalar(raw, col.type)
-            except ValueError as exc:
-                raise IngestError(f"{source.name} line {lineno}, "
-                                  f"column {col.name}: {exc}") from exc
-        records.append(record)
+        records.append(_coerce_record(source, doc, lineno))
     return records
+
+
+def _coerce_record(source: SourceDef, raw: dict, lineno: int) -> dict:
+    """One source row coerced to the declared column types; a value that
+    does not coerce is reported with its line and column."""
+    record = {}
+    for col in source.columns:
+        value = raw.get(col.name)
+        try:
+            if isinstance(col, CollectionColumn):
+                record[col.name] = _coerce_collection(col, value)
+            else:
+                record[col.name] = coerce_scalar(value, col.type)
+        except ValueError as exc:
+            raise IngestError(f"{source.name} line {lineno}, "
+                              f"column {col.name}: {exc}") from exc
+    return record
 
 
 def _coerce_collection(col: CollectionColumn, raw):

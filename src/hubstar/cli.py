@@ -242,6 +242,8 @@ def _csv_cell(value, column) -> str:
 def _cmd_show(args) -> int:
     from .storage import encode_row
 
+    if args.limit < 0:
+        raise HubStarError(f"--limit must not be negative, got {args.limit}")
     warehouse = _warehouse(args)
     schema, table = _split_qualified(args.table)
     manifest = warehouse.manifest(schema, table)

@@ -233,50 +233,30 @@ def _apply(call: Call, ctx: EvalContext):
     raise EvalError(f"unknown function {name!r}")
 
 
+def nodes(expr: Expr):
+    """Every node of the expression, in pre-order (a node before its operands)."""
+    yield expr
+    if isinstance(expr, Cast):
+        yield from nodes(expr.operand)
+    elif isinstance(expr, Call):
+        for arg in expr.args:
+            yield from nodes(arg)
+
+
 def column_refs(expr: Expr) -> set[str]:
     """All bronze/business-key column names the expression reads."""
-    out: set[str] = set()
-    _walk(expr, out, None)
-    return out
+    return {node.name for node in nodes(expr) if isinstance(node, Col)}
 
 
 def item_field_refs(expr: Expr) -> set[str]:
-    out: set[str] = set()
-    _walk(expr, None, out)
-    return out
-
-
-def _walk(expr: Expr, cols: set[str] | None, items: set[str] | None):
-    if isinstance(expr, Col) and cols is not None:
-        cols.add(expr.name)
-    elif isinstance(expr, ItemField) and items is not None:
-        items.add(expr.name)
-    elif isinstance(expr, Cast):
-        _walk(expr.operand, cols, items)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            _walk(arg, cols, items)
+    return {node.name for node in nodes(expr) if isinstance(node, ItemField)}
 
 
 def uses_function(expr: Expr, name: str) -> bool:
-    if isinstance(expr, Call):
-        if expr.func == name:
-            return True
-        return any(uses_function(a, name) for a in expr.args)
-    if isinstance(expr, Cast):
-        return uses_function(expr.operand, name)
-    return False
+    return any(isinstance(node, Call) and node.func == name for node in nodes(expr))
 
 
 def first_concat_delimiter(expr: Expr) -> str | None:
     """Delimiter of the outermost concat, if any (used for scd2-style keys)."""
-    if isinstance(expr, Call):
-        if expr.func == "concat":
-            return expr.args[0].value
-        for arg in expr.args:
-            found = first_concat_delimiter(arg)
-            if found is not None:
-                return found
-    if isinstance(expr, Cast):
-        return first_concat_delimiter(expr.operand)
-    return None
+    concats = (node for node in nodes(expr) if isinstance(node, Call) and node.func == "concat")
+    return next((node.args[0].value for node in concats), None)

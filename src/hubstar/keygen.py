@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import EvalError
-from .expr import EvalContext, column_refs, evaluate, format_ts_compact, sha256_hex
+from .expr import EvalContext, evaluate, format_ts_compact, sha256_hex
 from .model import KeyFormula
 
 __all__ = ["KeyFormula", "compute_hub_key", "format_ts_compact", "sha256_hex"]
@@ -16,7 +16,7 @@ def compute_hub_key(formula: KeyFormula, record, load_source: int) -> str:
     identified by a partial key, so nulls are an error here rather than
     the skip-the-operand behaviour concat has elsewhere.
     """
-    for name in sorted(column_refs(formula.expression)):
+    for name in formula.columns:
         if record.get(name) is None:
             raise EvalError(f"business key must have value: {name!r} is null")
     ctx = EvalContext(record=record, load_source=load_source, key_mode=True)

@@ -83,6 +83,11 @@ class KeyFormula:
         delim = ex.first_concat_delimiter(expression)
         return KeyFormula(expression, delim if delim is not None else "#")
 
+    @cached_property
+    def columns(self) -> tuple[str, ...]:
+        """The business keys the formula reads, sorted by name."""
+        return tuple(sorted(ex.column_refs(self.expression)))
+
 
 @dataclass(frozen=True)
 class FkResolution:

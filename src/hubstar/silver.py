@@ -138,14 +138,11 @@ def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
     return find
 
 
-def resolve_fk(find_key, spec: ModelSpec, res: FkResolution, record: Record,
-               load_source: int, item: dict | None = None, item_key=None) -> str:
+def resolve_fk(find_key, spec: ModelSpec, res: FkResolution, ctx: ex.EvalContext) -> str:
     """Foreign-key column value: the referenced hub's key computed from
-    source-side business-key expressions, or "-1" when any of them is null.
-    A system-generated key is looked up with `find_key` (`hub_key_lookup`)."""
+    source-side business-key expressions in `ctx`, or "-1" when any of them
+    is null. A system-generated key is looked up with `find_key` (`hub_key_lookup`)."""
     target = spec.hub(res.hub)
-    ctx = ex.EvalContext(record=record, load_source=load_source,
-                         item=item, item_key=item_key)
     values = [ex.evaluate(arg, ctx) for arg in res.args]
     if any(v is None for v in values):
         return DEFAULT_HUB_KEY
@@ -155,7 +152,7 @@ def resolve_fk(find_key, spec: ModelSpec, res: FkResolution, record: Record,
             bk_record[bk.name] = coerce_scalar(value, bk.type)
         except ValueError as exc:
             raise LoadError(f"fk to {res.hub}: {exc}") from exc
-    effective_source = res.source_override if res.source_override is not None else load_source
+    effective_source = res.source_override if res.source_override is not None else ctx.load_source
     if target.key_type == "computed":
         return compute_hub_key(target.key_formula, bk_record, effective_source)
     return find_key(target, bk_record, effective_source)
@@ -220,7 +217,7 @@ def evaluate_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
             if name in references:
                 res = mapping.fk_resolutions.get(name)
                 payload[name] = DEFAULT_HUB_KEY if res is None else resolve_fk(
-                    find_key, spec, res, bronze_row, load_source, item, item_key)
+                    find_key, spec, res, ctx)
             elif name == item_column:
                 payload[name] = _coerce_mapped(item_key, ctype, name)
             elif name in exprs:

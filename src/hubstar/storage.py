@@ -89,9 +89,6 @@ class TableManifest:
     unique: tuple[tuple[str, ...], ...] = ()
     foreign_keys: tuple[ForeignKeySpec, ...] = field(default_factory=tuple)
 
-    def column(self, name: str) -> ColumnSpec | None:
-        return next((c for c in self.columns if c.name == name), None)
-
     @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
@@ -270,7 +267,8 @@ class Warehouse:
         identical content leaves the files untouched.
         """
         self._write_manifest(manifest)
-        self._write_all(manifest, rows)
+        _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE,
+                      _encode_rows(manifest, rows))
 
     def manifest(self, schema: str, table: str) -> TableManifest:
         """The table's manifest, parsed once for each content it has."""
@@ -330,10 +328,6 @@ class Warehouse:
                         rows.append(row)
         return rows
 
-    def _write_all(self, manifest: TableManifest, rows: Iterable[Record]):
-        _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE,
-                      _encode_rows(manifest, rows))
-
     def append_rows(self, schema: str, table: str, rows: list[Record],
                     replace: Mapping[int, Record] | None = None, lines: int | None = None):
         """Put each row of `replace` in place of the line at its position,
@@ -384,31 +378,27 @@ class Warehouse:
 
     def upsert_rows(self, schema: str, table: str, rows: list[Record]):
         """Replace rows whose primary key already exists (keeping their
-        position), append the rest. The incoming batch must not repeat a key."""
+        position), append the rest, in one splice. The incoming batch must not
+        repeat a key."""
         manifest = self.manifest(schema, table)
         if not manifest.primary_key:
             raise StorageError(f"{schema}.{table} has no primary key; use append_rows")
-        if not rows:
-            return
-
+        existing = self.read_rows(schema, table)
+        index = {row_key(r, manifest.primary_key): i for i, r in enumerate(existing)}
         seen: set[tuple] = set()
+        replace: dict[int, Record] = {}
+        appended: list[Record] = []
         for record in rows:
             key = row_key(record, manifest.primary_key)
             if key in seen:
                 raise StorageError(f"duplicate primary key within one batch for "
                                    f"{schema}.{table}: {show_key(key)}")
             seen.add(key)
-
-        existing = self.read_rows(schema, table)
-        index = {row_key(r, manifest.primary_key): i for i, r in enumerate(existing)}
-        appended: list[Record] = []
-        for record in rows:
-            pos = index.get(row_key(record, manifest.primary_key))
-            if pos is None:
-                appended.append(record)
+            if key in index:
+                replace[index[key]] = record
             else:
-                existing[pos] = record
-        self._write_all(manifest, existing + appended)
+                appended.append(record)
+        self.append_rows(schema, table, appended, replace=replace, lines=len(existing))
 
     def scan(self, schema: str, table: str,
              where: Mapping[str, Any] | None = None) -> list[Record]:
@@ -424,11 +414,46 @@ class Warehouse:
     def check_constraints(self, schema: str, table: str) -> list[str]:
         """Audit one table against its declared constraints; returns
         human-readable violation lines, empty when clean."""
-        manifest = self.manifest(schema, table)
-        rows = self.read_rows(schema, table)
-        problems: list[str] = []
-        qualified = f"{schema}.{table}"
+        return _Audit(self, schema, [table]).problems()
 
+    def check_all(self, schema: str) -> list[str]:
+        return _Audit(self, schema, self.list_tables(schema)).problems()
+
+
+class _Audit:
+    """The constraint checks of some tables of one schema, reading every
+    table once. The rows read to check a table give the key sets that
+    foreign keys into it match against, so a table that one of them
+    references before its turn is checked then."""
+
+    def __init__(self, warehouse: Warehouse, schema: str, tables: list[str]):
+        self.warehouse = warehouse
+        self.schema = schema
+        self.tables = tables
+        self.wanted: dict[TableKey, set[tuple[str, ...]]] = {}
+        for table in tables:
+            for fk in warehouse.manifest(schema, table).foreign_keys:
+                self.wanted.setdefault((fk.ref_schema, fk.ref_table), set()).add(fk.ref_columns)
+        self.key_sets: dict[tuple[str, str, tuple[str, ...]], set[tuple]] = {}
+        self.found: dict[str, list[str]] = {}
+
+    def problems(self) -> list[str]:
+        for table in self.tables:
+            if table not in self.found:
+                self.check(table)
+        return [line for table in self.tables for line in self.found[table]]
+
+    def read(self, schema: str, table: str) -> list[Record]:
+        rows = self.warehouse.read_rows(schema, table)
+        for columns in self.wanted.get((schema, table), ()):
+            self.key_sets[schema, table, columns] = {row_key(r, columns) for r in rows}
+        return rows
+
+    def check(self, table: str):
+        manifest = self.warehouse.manifest(self.schema, table)
+        rows = self.read(self.schema, table)
+        problems = self.found[table] = []
+        qualified = f"{self.schema}.{table}"
         for col in manifest.columns:
             if col.nullable:
                 continue
@@ -436,45 +461,41 @@ class Warehouse:
             if nulls:
                 problems.append(f"{qualified}: column {col.name} is not nullable "
                                 f"but holds {nulls} null(s)")
-
-        def dupes(rows: list[Record], columns: tuple[str, ...]) -> list[tuple]:
-            seen: dict[tuple, int] = {}
-            for r in rows:
-                key = row_key(r, columns)
-                seen[key] = seen.get(key, 0) + 1
-            return sorted(k for k, n in seen.items() if n > 1)
-
         if manifest.primary_key:
-            for key in dupes(rows, manifest.primary_key):
+            for key in _duplicates(rows, manifest.primary_key):
                 problems.append(f"{qualified}: duplicate primary key {show_key(key)}")
         for unique_cols in manifest.unique:
             # A hub's `-1` default row holds stand-ins for its business keys,
             # which a member may share, so it is left out.
             members = [r for r in rows
                        if tuple(map(r.get, manifest.primary_key)) != (DEFAULT_HUB_KEY,)]
-            for key in dupes(members, unique_cols):
+            for key in _duplicates(members, unique_cols):
                 problems.append(f"{qualified}: duplicate value {show_key(key)} "
                                 f"for unique ({', '.join(unique_cols)})")
         for fk in manifest.foreign_keys:
-            if not self.table_exists(fk.ref_schema, fk.ref_table):
+            if not self.warehouse.table_exists(fk.ref_schema, fk.ref_table):
                 problems.append(f"{qualified}: foreign key references missing table "
                                 f"{fk.ref_schema}.{fk.ref_table}")
                 continue
-            targets = {row_key(r, fk.ref_columns)
-                       for r in self.read_rows(fk.ref_schema, fk.ref_table)}
+            ref = (fk.ref_schema, fk.ref_table, fk.ref_columns)
+            if ref not in self.key_sets:
+                if fk.ref_schema == self.schema and fk.ref_table in self.tables:
+                    self.check(fk.ref_table)
+                else:
+                    self.read(fk.ref_schema, fk.ref_table)
             for r in rows:
                 key = row_key(r, fk.columns)
                 if any(part is None for part in key):
                     continue
-                if key not in targets:
+                if key not in self.key_sets[ref]:
                     problems.append(
                         f"{qualified}: ({', '.join(fk.columns)}) = {show_key(key)} "
                         f"not found in {fk.ref_schema}.{fk.ref_table}")
-        return problems
 
-    def check_all(self, schema: str) -> list[str]:
-        problems = []
-        for table in self.list_tables(schema):
-            problems.extend(self.check_constraints(schema, table))
-        return problems
 
+def _duplicates(rows: list[Record], columns: tuple[str, ...]) -> list[tuple]:
+    seen: dict[tuple, int] = {}
+    for r in rows:
+        key = row_key(r, columns)
+        seen[key] = seen.get(key, 0) + 1
+    return sorted(k for k, n in seen.items() if n > 1)

@@ -71,13 +71,15 @@ def parse_stored_timestamp(text: str) -> datetime:
 def format_timestamp(ts: datetime) -> str:
     """Render a UTC timestamp as ISO-8601 with a Z suffix.
 
-    Sub-second digits appear only when nonzero, so rendering is canonical.
+    The year is padded to four digits, which strftime does not promise, and
+    sub-second digits appear only when nonzero, so rendering is canonical.
     """
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     else:
         ts = ts.astimezone(timezone.utc)
-    base = ts.strftime("%Y-%m-%dT%H:%M:%S")
+    base = (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+            f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}")
     if ts.microsecond:
         base += f".{ts.microsecond:06d}".rstrip("0")
     return base + "Z"

@@ -335,6 +335,15 @@ def test_show_honors_the_limit(cli_wh, capsys):
     assert all(json.loads(line) for line in lines)
 
 
+def test_show_refuses_a_negative_limit(cli_wh, capsys):
+    rc = main(["show", "--root", cli_wh, "--table", "raw_retail.customers",
+               "--limit", "-2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit must not be negative" in captured.err
+
+
 # -- the README quick start -------------------------------------------------------
 
 README = FIXTURE_MODEL.parent.parent / "README.md"

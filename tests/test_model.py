@@ -78,6 +78,11 @@ gold dim_thing2 {
 }
 '''
 
+# MINI's source as ndjson with a collection column to explode
+WITH_PARTS = MINI.replace("format csv", "format ndjson").replace(
+    "column updated_at timestamp",
+    "column updated_at timestamp\n  column parts array(label string)")
+
 
 def check(text: str) -> list[str]:
     return [v.rule for v in validate_model(parse_model(text).spec).violations]
@@ -159,6 +164,9 @@ def test_hub_reserved_column():
     text = MINI.replace("descriptive thing_name string\n",
                         "descriptive load_timestamp timestamp\n")
     assert check(text.replace("    map thing_name = thing_name\n", "")) == ["reserved_column"]
+    star = GOLD_BASE.replace("descriptive addr string",
+                             "descriptive addr string\n  descriptive load_timestamp timestamp")
+    assert check(star) == ["reserved_column"]
 
 
 def test_key_formula_missing_and_unexpected_are_caught_on_built_specs():
@@ -244,6 +252,19 @@ def test_mapping_expression_columns_must_exist():
     assert check(MINI.replace("map thing_name = thing_name",
                               "map thing_name = cast(nope as string)")) == \
         ["mapping_unknown_column"]
+    assert check(WITH_PARTS + '''
+star lines {
+  participant thing
+  participant item seq positional
+  key (thing_key, seq)
+  descriptive note string
+  source_mapping things {
+    explode parts
+    key thing_key = thing(thing_id)
+    map note = item.colour
+  }
+}
+''') == ["mapping_unknown_column"]
 
 
 def test_item_references_need_an_exploded_collection():
@@ -269,6 +290,8 @@ def test_key_formulas_take_no_item_references(formula):
 def test_mapping_unknown_source():
     text = MINI.replace("source_mapping things {", "source_mapping ghosts {")
     assert check(text) == ["mapping_unknown_source"]
+    star = GOLD_BASE.replace("source_mapping moves {", "source_mapping ghosts {")
+    assert check(star) == ["mapping_unknown_source"]
 
 
 def test_mapping_unknown_target():
@@ -459,19 +482,17 @@ star addr {
 
 
 def test_item_rule_fields_must_exist_in_the_collection():
-    withcol = MINI.replace("format csv", "format ndjson").replace(
-        "column updated_at timestamp",
-        "column updated_at timestamp\n  column parts array(label string)")
-    assert check(withcol + '''
-star lines {
+    for rule in ("explicit(position)", "concat(label, colour)"):
+        assert check(WITH_PARTS + f'''
+star lines {{
   participant thing
-  participant item seq explicit(position)
+  participant item seq {rule}
   key (thing_key, seq)
-  source_mapping things {
+  source_mapping things {{
     explode parts
     key thing_key = thing(thing_id)
-  }
-}
+  }}
+}}
 ''') == ["item_rule_field"]
 
 
@@ -511,6 +532,17 @@ gold d {
   output thing_key
 }
 ''') == ["gold_join_unknown"]
+    assert check(GOLD_BASE + '''
+gold d {
+  kind scd1_dim
+  base hub thing
+  join_current star phantom on thing_key partition_by (thing_key) order_by (valid_from desc)
+  output thing_key
+}
+''') == ["gold_join_unknown"]
+    # the outputs that read the unknown star are reported too
+    phantom = GOOD_SCD2.replace("versions star thing_move", "versions star phantom")
+    assert check(GOLD_BASE + phantom) == ["gold_join_unknown"] + ["gold_output_unknown_ref"] * 3
 
 
 def test_join_current_requires_a_hub_base():

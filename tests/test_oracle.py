@@ -308,3 +308,69 @@ def test_elements_without_mapping_hold_only_a_hubs_default_row(tmp_path):
     assert check_against_oracle(warehouse, UNMAPPED) == [
         "hub_badge: ('-1') column colour: engine='red' oracle=None",
         "star_badge_scan: unexpected row ('-1')"]
+
+
+DEDUP_TEXT = '''product dedup
+
+source items {
+  load_source 1
+  format csv
+  column code string
+  column label string
+  column rank integer
+  column at timestamp
+  capture cdc_column at
+}
+
+hub item {
+  key computed code
+  business_key global (code string)
+  descriptive label string
+  source_mapping items {
+    map code = code
+    map label = label
+    dedup_by rank asc
+  }
+}
+'''
+
+
+def load_items(tmp_path, direction: str, *batches: str):
+    """A warehouse of the `item` hub ranked by `rank <direction>`, with each
+    batch of `code,label,rank,at` lines ingested and loaded in turn."""
+    spec = parse_model(DEDUP_TEXT.replace("rank asc", f"rank {direction}")).spec
+    assert validate_model(spec).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, spec)
+    for n, batch in enumerate(batches):
+        path = tmp_path / f"items_{n}.csv"
+        path.write_text("code,label,rank,at\n" + batch, encoding="utf-8")
+        ingest_file(warehouse, spec, "items", path, now=NOW)
+        load_all(warehouse, spec, now=NOW)
+    labels = [r["label"] for r in warehouse.read_rows(spec.schema_names["silver"], "hub_item")
+              if r["item_key"] != "-1"]
+    return warehouse, spec, labels
+
+
+def test_a_batch_ranked_by_an_ascending_dedup_term_agrees_with_the_oracle(tmp_path):
+    warehouse, spec, labels = load_items(tmp_path, "asc", "x,first,1,2024-01-01T00:00:00Z\n"
+                                                          "x,second,2,2024-01-02T00:00:00Z\n")
+    assert labels == ["first"]
+    assert check_against_oracle(warehouse, spec) == []
+
+
+def test_null_dedup_values_rank_last_under_desc_in_engine_and_oracle(tmp_path):
+    warehouse, spec, labels = load_items(tmp_path, "desc", "x,late,,2024-01-03T00:00:00Z\n"
+                                                           "x,none,,2024-01-02T00:00:00Z\n"
+                                                           "x,two,2,2024-01-01T00:00:00Z\n")
+    assert labels == ["two"]
+    assert check_against_oracle(warehouse, spec) == []
+
+
+@pytest.mark.xfail(strict=True, reason="the engine ranks dedup_by within one batch, the "
+                                       "oracle over the whole history")
+def test_dedup_by_across_batches_agrees_with_the_oracle(tmp_path):
+    warehouse, spec, labels = load_items(tmp_path, "asc", "x,first,1,2024-01-01T00:00:00Z\n",
+                                         "x,second,2,2024-01-02T00:00:00Z\n")
+    assert labels == ["second"]
+    assert check_against_oracle(warehouse, spec) == []

@@ -649,6 +649,79 @@ def test_star_reference_descriptive_resolves_with_key(references_wh):
     assert references_wh.check_all(silver) == []
 
 
+# A descriptive its mapping leaves out, and `map` and `fk` values that must
+# be coerced to an integer.
+COERCED = parse_model('''product coerce
+
+source s {
+  load_source 1
+  format csv
+  column code string
+  column at timestamp
+  capture cdc_column at
+}
+
+hub num {
+  key computed cast(n as string)
+  business_key global (n integer)
+}
+
+hub sized {
+  key computed code
+  business_key global (code string)
+  descriptive size integer
+  descriptive label string
+  source_mapping s {
+    map code = code
+    map size = code
+  }
+}
+
+hub linked {
+  key computed code
+  business_key global (code string)
+  descriptive num_key references num
+  source_mapping s {
+    map code = code
+    fk num_key = num(code)
+  }
+}
+''').spec
+
+
+def coerced_wh(tmp_path, codes: str) -> Warehouse:
+    assert validate_model(COERCED).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, COERCED)
+    path = tmp_path / "s.csv"
+    path.write_text(f"code,at\n{codes},2024-01-01T00:00:00Z\n", encoding="utf-8")
+    ingest_file(warehouse, COERCED, "s", path, now=NOW)
+    return warehouse
+
+
+def test_a_mapped_column_without_a_map_loads_null(tmp_path):
+    warehouse = coerced_wh(tmp_path, "7")
+    load_all(warehouse, COERCED, now=NOW)
+    silver = COERCED.schema_names["silver"]
+    (row,) = [r for r in warehouse.read_rows(silver, "hub_sized") if r["sized_key"] == "7"]
+    assert (row["size"], row["label"]) == (7, None)
+    assert {r["linked_key"]: r["num_key"] for r in warehouse.read_rows(silver, "hub_linked")} == \
+        {"-1": "-1", "7": "7"}
+    assert check_against_oracle(warehouse, COERCED) == []
+
+
+@pytest.mark.parametrize("hub,message", [("sized", "column size: invalid literal"),
+                                         ("linked", "fk to num: invalid literal")],
+                         ids=["map", "fk"])
+def test_a_value_that_does_not_coerce_to_its_column_type_fails_the_load(tmp_path, hub, message):
+    warehouse = coerced_wh(tmp_path, "x")
+    silver = COERCED.schema_names["silver"]
+    before = warehouse.read_rows(silver, f"hub_{hub}")
+    with pytest.raises(LoadError, match=message):
+        load_all(warehouse, COERCED, now=NOW, only=hub)
+    assert warehouse.read_rows(silver, f"hub_{hub}") == before
+
+
 # -- version ranking ------------------------------------------------------------
 
 
@@ -721,6 +794,16 @@ def visit(person_id, day, note, captured, gone=0):
 def seed_person(wh, feed, person_id=1):
     feed("people", PEOPLE_HEADER
          + f"{person_id},Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+
+
+def test_a_timestamp_before_year_1000_survives_ingest_and_load(wh, feed):
+    seed_person(wh, feed)
+    feed("visits", visit(1, "0099-01-01", "early", "2024-04-01T12:00:00Z"))
+    bronze = (wh.table_dir(MODEL.schema_names["bronze"], "visits") / "data").read_text("utf-8")
+    assert '"visit_day":"0099-01-01T00:00:00Z"' in bronze
+    load_all(wh, MODEL, now=NOW)
+    assert [r["visit_day"] for r in wh.read_rows(SILVER, "star_person_visit")] == [utc(99, 1, 1)]
+    assert check_against_oracle(wh, MODEL) == []
 
 
 def test_star_rows_version_on_their_composite_key(wh, feed):

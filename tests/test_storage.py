@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -381,3 +382,26 @@ def test_check_constraints_reports_each_kind(tmp_path):
     # null foreign keys are not violations; the audit of the clean table is empty
     assert warehouse.check_constraints("hs", "parents") == []
     assert warehouse.check_all("hs") == problems
+    # a foreign key into a table that does not exist
+    warehouse.create_table(TableManifest(
+        schema="hs", table="orphans", columns=(ColumnSpec("parent", "string"),),
+        foreign_keys=(ForeignKeySpec(("parent",), "hs", "ghosts", ("pk",)),),
+    ))
+    missing = ["hs.orphans: foreign key references missing table hs.ghosts"]
+    assert warehouse.check_constraints("hs", "orphans") == missing
+    assert warehouse.check_all("hs") == problems + missing
+
+
+def test_check_all_reads_each_table_once(loaded, retail_spec, monkeypatch):
+    reads: Counter = Counter()
+    read_rows = Warehouse.read_rows
+
+    def counted(self, schema, table, **kwargs):
+        reads[schema, table] += 1
+        return read_rows(self, schema, table, **kwargs)
+
+    monkeypatch.setattr(Warehouse, "read_rows", counted)
+    for schema in retail_spec.schema_names.values():
+        reads.clear()
+        assert Warehouse(loaded.root).check_all(schema) == []
+        assert reads == {(schema, table): 1 for table in loaded.list_tables(schema)}

@@ -53,6 +53,11 @@ def test_format_timestamp_is_canonical_and_round_trips():
     assert format_timestamp(utc(2024, 3, 1, 0, 0, 0, 250000)) == "2024-03-01T00:00:00.25Z"
     # naive datetimes are treated as UTC
     assert format_timestamp(datetime(2024, 3, 1)) == "2024-03-01T00:00:00Z"
+    # the year is padded to four digits, so early years read back
+    for year in (1, 99, 999, 1000):
+        ts = utc(year, 1, 2, 3, 4, 5)
+        assert format_timestamp(ts) == f"{year:04d}-01-02T03:04:05Z"
+        assert parse_stored_timestamp(format_timestamp(ts)) == ts
 
 
 def _outcome(parse, text):
