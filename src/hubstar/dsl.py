@@ -590,10 +590,6 @@ def _render_star(star: StarDef) -> str:
     return "\n".join(lines)
 
 
-def _render_ref(ref: ColumnRef) -> str:
-    return f"{ref.table}.{ref.column}" if ref.table else ref.column
-
-
 def _render_gold(view: GoldViewDef) -> str:
     lines = [f"gold {view.name} {{",
              f"  kind {view.kind}",
@@ -607,17 +603,17 @@ def _render_gold(view: GoldViewDef) -> str:
         lines.append("  versions " + _render_star_join_tail(view.versions))
     if view.temporal is not None:
         lines.append(f"  temporal_join {view.temporal.dim} "
-                     f"key {_render_ref(view.temporal.key_ref)} "
-                     f"time {_render_ref(view.temporal.time_ref)}")
+                     f"key {view.temporal.key_ref} "
+                     f"time {view.temporal.time_ref}")
     if view.scd2_key:
-        lines.append(f"  scd2_key ({', '.join(_render_ref(r) for r in view.scd2_key)})")
+        lines.append(f"  scd2_key ({', '.join(map(str, view.scd2_key))})")
     for out in view.outputs:
         if out.ref is None:
             lines.append(f"  output {out.name} = scd2_key")
         elif out.ref.table is None and out.ref.column == out.name:
             lines.append(f"  output {out.name}")
         else:
-            lines.append(f"  output {out.name} = {_render_ref(out.ref)}")
+            lines.append(f"  output {out.name} = {out.ref}")
     lines.append("}")
     return "\n".join(lines)
 

@@ -303,6 +303,10 @@ class ColumnRef:
     table: str | None  # model element name, or None for "resolve in order"
     column: str
 
+    def __str__(self) -> str:
+        """The reference as the model language writes it."""
+        return f"{self.table}.{self.column}" if self.table else self.column
+
 
 @dataclass(frozen=True)
 class OutputColumn:
@@ -403,6 +407,60 @@ class ModelSpec:
 
     def view(self, name: str) -> GoldViewDef | None:
         return self._named.get(("view", name))
+
+
+def _hub_star_tables(spec: ModelSpec, view: GoldViewDef) -> dict[str, dict[str, tuple[str, bool]]]:
+    """The hubs and stars among the view's `read_tables` that the model
+    defines, by name in that order, each as column -> (type, nullable). A
+    left-joined table's columns are nullable."""
+    tables = {}
+    for kind, name, left in view.read_tables:
+        element = spec.hub(name) if kind == "hub" else spec.star(name) if kind == "star" else None
+        if element is not None:
+            tables[name] = {column: (ctype, nullable or left)
+                            for column, ctype, nullable in element.columns}
+    return tables
+
+
+def view_tables(spec: ModelSpec, view: GoldViewDef) -> dict[str, dict[str, tuple[str, bool]]]:
+    """Every table the view reads that the model defines, by name in
+    `read_tables` order, each as column -> (type, nullable): its hubs and
+    stars, then the dimension of its temporal join, whose columns are that
+    dimension's outputs, all nullable.
+
+    The dimension's outputs are typed over its own hubs and stars. A valid
+    dimension reads nothing else, and an invalid temporal join, naming its
+    own view or another fact, cannot recurse."""
+    tables = _hub_star_tables(spec, view)
+    dim = None if view.temporal is None else spec.view(view.temporal.dim)
+    if dim is not None:
+        tables[dim.name] = {column: (ctype, True) for column, (ctype, _nullable)
+                            in output_types(dim, _hub_star_tables(spec, dim)).items()}
+    return tables
+
+
+def ref_table(tables: dict[str, dict[str, tuple[str, bool]]], ref: ColumnRef) -> str | None:
+    """The table of `tables` a column reference reads, or None when it has
+    no such column: a qualified reference reads the table it names, and a
+    bare one the first table that has the column."""
+    names = tables if ref.table is None else (ref.table,)
+    return next((name for name in names if ref.column in tables.get(name, ())), None)
+
+
+def output_types(view: GoldViewDef,
+                 tables: dict[str, dict[str, tuple[str, bool]]]) -> dict[str, tuple[str, bool]]:
+    """(type, nullable) of each output of the view that `tables` resolve,
+    by output name. The scd2 key is a string that is never null; an scd2
+    dimension's valid_to is null for the open current version."""
+    types = {}
+    for out in view.outputs:
+        if out.ref is None:
+            types[out.name] = ("string", False)
+        elif (table := ref_table(tables, out.ref)) is not None:
+            ctype, nullable = tables[table][out.ref.column]
+            open_ended = view.kind == "scd2_dim" and out.name == "valid_to"
+            types[out.name] = (ctype, nullable or open_ended)
+    return types
 
 
 def default_schema_names(product_name: str) -> dict[str, str]:
@@ -727,23 +785,6 @@ def _check_item_rule(ck: _Checker, loc: str, rule: ItemKeyRule, collection: Coll
                        f"item attribute {name!r} not in collection {collection.name!r}")
 
 
-def _gold_tables(ck: _Checker, view: GoldViewDef) -> dict[str, list[str]]:
-    """Column names of every table the view reads that exists in the
-    model, keyed by element name, in resolution order (base first)."""
-    spec = ck.spec
-    tables: dict[str, list[str]] = {}
-    for kind, name, _left in view.read_tables:
-        if kind == "gold":
-            dim = spec.view(name)
-            if dim is not None:
-                tables[name] = [o.name for o in dim.outputs]
-            continue
-        element = spec.hub(name) if kind == "hub" else spec.star(name)
-        if element is not None:
-            tables[name] = [column for column, _type, _nullable in element.columns]
-    return tables
-
-
 def _check_gold(ck: _Checker, view: GoldViewDef):
     loc = f"gold {view.name}"
     spec = ck.spec
@@ -798,7 +839,11 @@ def _check_gold(ck: _Checker, view: GoldViewDef):
                 for name in sorted(needed - outputs):
                     ck.add("gold_temporal_requires", loc,
                            f"temporal join needs column {name!r} in {dim.name}'s output")
-    tables = _gold_tables(ck, view)
+    read = [name for _kind, name, _left in view.read_tables]
+    for name in sorted({n for n in read if read.count(n) > 1}):
+        ck.add("gold_duplicate_table", loc,
+               f"{name!r} is read more than once; a view reads each table once")
+    tables = view_tables(spec, view)
     refs: list[tuple[str, ColumnRef]] = []
     for out in view.outputs:
         if out.ref is not None:
@@ -820,15 +865,8 @@ def _check_gold(ck: _Checker, view: GoldViewDef):
         refs.extend((f"{clause} {join.star} {part}", ColumnRef(join.star, column))
                     for part, column in columns)
     for what, ref in refs:
-        if ref.table is not None:
-            if ref.table not in tables:
-                ck.add("gold_output_unknown_ref", loc,
-                       f"{what}: {ref.table!r} is not a table of this view")
-            elif ref.column not in tables[ref.table]:
-                ck.add("gold_output_unknown_ref", loc,
-                       f"{what}: no column {ref.column!r} in {ref.table!r}")
-        elif not any(ref.column in cols for cols in tables.values()):
-            ck.add("gold_output_unknown_ref", loc, f"{what}: no table exposes {ref.column!r}")
+        if ref_table(tables, ref) is None:
+            ck.add("gold_output_unknown_ref", loc, f"{what}: no table of the view has {str(ref)!r}")
     names = [o.name for o in view.outputs]
     for name in sorted({n for n in names if names.count(n) > 1}):
         ck.add("gold_dup_output", loc, f"duplicate output column {name!r}")

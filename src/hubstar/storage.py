@@ -227,9 +227,6 @@ class Warehouse:
         # manifest, the sha256 of the bytes written and the row of each line,
         # None until a read decodes it.
         self._spliced: dict[TableKey, tuple[TableManifest, bytes, list[Record | None]]] = {}
-        # The last whole-table read that _spliced did not serve, until the next
-        # one starts: what a first splice of that table starts from.
-        self._last_read: tuple[TableKey, TableManifest, bytes, list[Record]] | None = None
 
     def table_dir(self, schema: str, table: str) -> Path:
         return self.root / schema / table
@@ -288,11 +285,12 @@ class Warehouse:
         may be shared with other reads through this object, so callers must
         not mutate them.
 
-        A table this object spliced decodes only the lines written since
-        then, while its manifest and data file hold what they held then; any
-        other file is decoded whole. With `captured_after`, only rows whose
-        capture_timestamp is strictly later are returned; a line that begins
-        with CAPTURE_PREFIX is decoded only when its capture time passes."""
+        A table this object spliced decodes only the lines that no read
+        through this object has decoded since the splice, while its manifest
+        and data file hold what the object wrote; any other file is decoded
+        whole. With `captured_after`, only rows whose capture_timestamp is
+        strictly later are returned; a line that begins with CAPTURE_PREFIX
+        is decoded only when its capture time passes."""
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         if not data.is_file():
@@ -304,10 +302,7 @@ class Warehouse:
             spliced = self._spliced.get(key)
             if spliced is None or spliced[:2] != (manifest, sha256(content).digest()):
                 self._spliced.pop(key, None)
-                self._last_read = None  # freed before this decode, not after
-                rows = [decode_row(manifest, line) for line in lines]
-                self._last_read = (key, manifest, content, rows)
-                return list(rows)
+                return [decode_row(manifest, line) for line in lines]
             rows = spliced[2]
             if None in rows:
                 for position, line in enumerate(lines):
@@ -338,8 +333,9 @@ class Warehouse:
         another number raises StorageError and is left as it is.
 
         With `lines`, the next `read_rows` of the table through this object
-        decodes only the lines this call wrote, provided the rows of the other
-        lines came from this object's last read of the bytes it splices."""
+        decodes only the lines this call wrote, provided this object spliced
+        the bytes it splices and kept their rows; otherwise it decodes every
+        line once."""
         replace = replace or {}
         if not rows and not replace:
             return
@@ -365,8 +361,6 @@ class Warehouse:
             return
         if spliced is not None and spliced[:2] == (manifest, sha256(before).digest()):
             known = spliced[2]
-        elif self._last_read is not None and self._last_read[:3] == (key, manifest, before):
-            known, self._last_read = self._last_read[3], None
         else:
             known = [None] * lines
         for position in replace:

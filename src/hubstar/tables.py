@@ -7,15 +7,15 @@ warehouse must reproduce byte for byte.
 
 from __future__ import annotations
 
-from .errors import HubStarError
 from .model import (
     CollectionColumn,
-    ColumnRef,
     GoldViewDef,
     HubDef,
     ModelSpec,
     SourceDef,
     StarDef,
+    output_types,
+    view_tables,
 )
 from .storage import ColumnSpec, ForeignKeySpec, TableManifest
 
@@ -67,46 +67,10 @@ def star_manifest(spec: ModelSpec, star: StarDef) -> TableManifest:
     return _silver_manifest(spec, star, tuple(star.key_columns))
 
 
-ColumnTypes = dict[str, tuple[str, bool]]  # column -> (type, nullable)
-
-
-def view_tables(spec: ModelSpec, view: GoldViewDef) -> dict[str, ColumnTypes]:
-    """Column types of every table the view reads, in `read_tables` order.
-    A left-joined table has every column nullable; the base and inner hub
-    joins keep their declared nullability."""
-    tables: dict[str, ColumnTypes] = {}
-    for kind, name, left in view.read_tables:
-        if kind == "gold":
-            columns = [(c.name, c.type, c.nullable)
-                       for c in gold_manifest(spec, spec.view(name)).columns]
-        else:
-            columns = (spec.hub(name) if kind == "hub" else spec.star(name)).columns
-        tables[name] = {column: (ctype, nullable or left)
-                        for column, ctype, nullable in columns}
-    return tables
-
-
-def ref_table(tables: dict[str, ColumnTypes], ref: ColumnRef) -> str | None:
-    """The table a column reference reads: the one it names, or else the
-    first table in view order that has the column."""
-    if ref.table is not None:
-        return ref.table
-    return next((name for name, types in tables.items() if ref.column in types), None)
-
-
 def gold_manifest(spec: ModelSpec, view: GoldViewDef) -> TableManifest:
-    tables = view_tables(spec, view)
-    columns = []
-    for out in view.outputs:
-        if out.ref is None:
-            ctype, nullable = "string", False  # the concatenated scd2 key
-        else:
-            types = tables.get(ref_table(tables, out.ref), {})
-            if out.ref.column not in types:
-                raise HubStarError(f"view {view.name}: cannot resolve output {out.name!r}")
-            ctype, nullable = types[out.ref.column]
-        if view.kind == "scd2_dim" and out.name == "valid_to":
-            nullable = True  # the open current version
-        columns.append(ColumnSpec(out.name, ctype, nullable=nullable))
+    """The view's outputs, in order; `gold.build_view` refuses a view with an
+    output that does not resolve before it asks for this."""
+    types = output_types(view, view_tables(spec, view))
     return TableManifest(schema=spec.schema_names["gold"], table=view.table_name,
-                         columns=tuple(columns))
+                         columns=tuple(ColumnSpec(out.name, *types[out.name])
+                                       for out in view.outputs))

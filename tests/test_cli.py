@@ -302,6 +302,19 @@ def test_export_csv_round_trips_column_headers(cli_wh, tmp_path, capsys):
     assert len(rows) == n + 1
 
 
+def test_export_csv_writes_a_collection_as_its_json_array(cli_wh, tmp_path):
+    paths = {fmt: tmp_path / f"orders.{fmt}" for fmt in ("csv", "ndjson")}
+    for fmt, path in paths.items():
+        assert main(["export", "--root", cli_wh, "--table", "raw_retail.sales_orders",
+                     "--format", fmt, "--out", str(path)]) == 0
+    with paths["csv"].open(encoding="utf-8", newline="") as fh:
+        cells = [row["ordered_products"] for row in csv.DictReader(fh)]
+    expected = [json.loads(line)["ordered_products"]
+                for line in paths["ndjson"].read_text(encoding="utf-8").splitlines()]
+    assert expected and set(expected[0][0]) == {"id", "price", "curr", "qty"}
+    assert [json.loads(cell) for cell in cells] == expected
+
+
 def test_export_ndjson_emits_one_json_object_per_row(cli_wh, tmp_path, capsys):
     out_path = tmp_path / "segments.ndjson"
     rc = main(["export", "--root", cli_wh, "--table", "hs_retail.hub_loyalty_segment",

@@ -17,6 +17,7 @@ from hubstar import (
     load_all,
     parse_model,
 )
+from hubstar import gold
 from hubstar.errors import GoldBuildError
 from hubstar.gold import GoldBuildResult, current_rows
 from hubstar.keygen import sha256_hex
@@ -432,3 +433,17 @@ def test_join_on_a_column_no_table_exposes_is_an_error(gw):
     broken = replace(view, joins=(HubJoin("person", "no_such_key", "left"),))
     with pytest.raises(GoldBuildError, match="no table exposes column 'no_such_key'"):
         build_view(gw, MODEL, broken, now=NOW)
+
+
+def test_a_build_resolves_each_reference_once_whatever_the_row_count(gw, tmp_path, monkeypatch):
+    resolved = []
+    ref_table = gold.ref_table
+    monkeypatch.setattr(gold, "ref_table",
+                        lambda tables, ref: resolved.append(ref) or ref_table(tables, ref))
+    empty = Warehouse(tmp_path / "wh")
+    init_warehouse(empty, MODEL)
+    build_all(empty, MODEL, now=NOW)
+    over_no_rows, resolved[:] = resolved[:], []
+    build_all(gw, MODEL, now=NOW)
+    assert sum(len(gw.read_rows(GOLD, view.name)) for view in MODEL.gold_views) > 0
+    assert resolved == over_no_rows

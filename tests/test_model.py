@@ -2,13 +2,18 @@
 plus dependency-ordered loading."""
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
 from hubstar import parse_model, validate_model
 from hubstar.errors import HubStarError
-from hubstar.model import resolve_load_order
+from hubstar.model import ValidationReport, resolve_load_order
+from hubstar.storage import ColumnSpec
+from hubstar.tables import gold_manifest
+
+from randmodels import random_model_text
 
 MINI = '''product demo
 
@@ -553,7 +558,56 @@ gold f {
   join_current star thing_move on thing_key partition_by (thing_key) order_by (valid_from desc)
   output thing_key
 }
-''') == ["gold_current_join_base"]
+''') == ["gold_current_join_base", "gold_duplicate_table"]  # the base is the joined star
+
+
+SALES = MINI + '''
+source sales {
+  load_source 2
+  format csv
+  column sale_id string
+  column buyer_id integer
+  column seller_id integer
+  column sold_at timestamp
+  capture last_modified sold_at
+}
+
+star sale {
+  participant thing as buyer_key
+  participant thing as seller_key
+  participant time sold_at
+  key (buyer_key, seller_key, sold_at)
+  source_mapping sales {
+    key buyer_key = thing(buyer_id)
+    key seller_key = thing(seller_id)
+    map sold_at = sold_at
+  }
+}
+'''
+
+
+def test_a_view_reads_each_table_once():
+    # Both joins would land in one context slot, so every fact row would
+    # carry the seller's name and the buyer's could not be referenced.
+    assert check(SALES + '''
+gold fact_sale {
+  kind fact
+  base star sale
+  join hub thing on buyer_key inner
+  join hub thing on seller_key inner
+  output sold_at
+  output thing_name
+}
+''') == ["gold_duplicate_table"]
+    assert check(SALES + '''
+gold fact_sale {
+  kind fact
+  base star sale
+  join hub thing on buyer_key inner
+  output sold_at
+  output buyer_name = thing.thing_name
+}
+''') == []
 
 
 def test_scd2_requires_versions_key_and_validity_outputs():
@@ -601,6 +655,33 @@ gold f {
   output thing_key
 }
 ''') == ["gold_fact_temporal_target"]
+
+
+@pytest.mark.parametrize("target", ["f", "d"], ids=["its-own-view", "an-scd1-view"])
+def test_a_temporal_join_to_a_view_that_is_no_scd2_dim_neither_recurses_nor_raises(target):
+    spec = parse_model(GOLD_BASE + f'''
+gold d {{
+  kind scd1_dim
+  base hub thing
+  output thing_key
+}}
+
+gold f {{
+  kind fact
+  base star thing_move
+  temporal_join {target} key thing_key time valid_from
+  output addr
+}}
+''').spec
+    assert [v.rule for v in validate_model(spec).violations] == ["gold_fact_temporal_target"]
+    assert gold_manifest(spec, spec.view("f")).columns == (ColumnSpec("addr", "string"),)
+
+
+def test_the_validator_reports_on_random_models_without_raising():
+    rng = random.Random(11)
+    for _ in range(1000):
+        assert isinstance(validate_model(parse_model(random_model_text(rng)).spec),
+                          ValidationReport)
 
 
 def test_temporal_join_needs_key_and_validity_in_the_dim_output():

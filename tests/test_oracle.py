@@ -367,6 +367,15 @@ def test_null_dedup_values_rank_last_under_desc_in_engine_and_oracle(tmp_path):
     assert check_against_oracle(warehouse, spec) == []
 
 
+def test_null_dedup_values_rank_first_under_asc_in_engine_and_oracle(tmp_path):
+    # Both nulls outrank 2; between them, the later capture wins.
+    warehouse, spec, labels = load_items(tmp_path, "asc", "x,two,2,2024-01-03T00:00:00Z\n"
+                                                          "x,late,,2024-01-02T00:00:00Z\n"
+                                                          "x,none,,2024-01-01T00:00:00Z\n")
+    assert labels == ["late"]
+    assert check_against_oracle(warehouse, spec) == []
+
+
 @pytest.mark.xfail(strict=True, reason="the engine ranks dedup_by within one batch, the "
                                        "oracle over the whole history")
 def test_dedup_by_across_batches_agrees_with_the_oracle(tmp_path):
@@ -374,3 +383,12 @@ def test_dedup_by_across_batches_agrees_with_the_oracle(tmp_path):
                                          "x,second,2,2024-01-02T00:00:00Z\n")
     assert labels == ["second"]
     assert check_against_oracle(warehouse, spec) == []
+
+
+@pytest.mark.xfail(strict=True, reason="load_hub stamps the winning version's capture as "
+                                       "initial_capture_timestamp, the oracle the earliest")
+def test_initial_capture_of_a_member_with_several_versions_in_one_batch(tmp_path):
+    warehouse, spec, labels = load_items(tmp_path, "desc", "x,first,1,2024-01-01T00:00:00Z\n"
+                                                           "x,second,2,2024-01-02T00:00:00Z\n")
+    assert labels == ["second"]
+    assert check_against_oracle(warehouse, spec, include_volatile=True) == []

@@ -1000,7 +1000,7 @@ def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
     init_warehouse(warehouse, retail_spec)
     silver = retail_spec.schema_names["silver"]
     written = []
-    for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 2):
+    for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 3):
         for job in jobs:
             ingest_file(warehouse, retail_spec, job.source, job.path,
                         now=rf.DEFAULT_NOW, mtime=job.mtime)
@@ -1008,14 +1008,18 @@ def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
         results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
         written.append((rows_coded["decode_row", silver],
                         sum(r.inserted + r.updated for r in results)))
-    (_first_decoded, first_written), (second_decoded, second_written) = written
-    assert first_written and second_written
-    assert second_decoded == first_written
+    (_, first_written), (second_decoded, second_written), (third_decoded, third_written) = written
+    assert first_written and second_written and third_written
+    # A first splice keeps no rows, so the second load also decodes the
+    # default row each hub held before it; from the second splice on, a load
+    # decodes only the rows written since its last read.
+    assert second_decoded == first_written + len(retail_spec.hubs)
+    assert third_decoded == second_written
 
     rows_coded.clear()
     results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
     assert not any(r.inserted or r.updated for r in results)
-    assert rows_coded["decode_row", silver] == second_written
+    assert rows_coded["decode_row", silver] == third_written
     rows_coded.clear()
     load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
     assert sum(rows_coded.values()) == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 from collections import Counter
@@ -196,13 +197,23 @@ def test_a_manifest_is_parsed_once_for_each_content(wh, monkeypatch):
     assert len(parsed) == 2
 
 
-def test_a_read_after_a_splice_decodes_only_the_lines_it_wrote(wh, monkeypatch):
-    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}, {"sample_id": "s-3"}])
-    rows = wh.read_rows("lab", "samples")
-    decoded = []
+def counted_decodes(monkeypatch) -> list[str]:
+    decoded: list[str] = []
     decode_row = storage.decode_row
     monkeypatch.setattr(storage, "decode_row",
                         lambda manifest, line: decoded.append(line) or decode_row(manifest, line))
+    return decoded
+
+
+def test_a_read_after_a_splice_decodes_only_the_lines_it_wrote(wh, monkeypatch):
+    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}])
+    rows = wh.read_rows("lab", "samples")
+    decoded = counted_decodes(monkeypatch)
+    # A first splice keeps no rows: the read after it decodes every line once.
+    wh.append_rows("lab", "samples", [{"sample_id": "s-3"}], lines=len(rows))
+    rows = wh.read_rows("lab", "samples")
+    assert len(decoded) == 3
+    decoded.clear()
     wh.append_rows("lab", "samples", [{"sample_id": "s-4"}],
                    replace={1: {"sample_id": "s-2", "count": 2}}, lines=len(rows))
     after = wh.read_rows("lab", "samples")
@@ -212,6 +223,16 @@ def test_a_read_after_a_splice_decodes_only_the_lines_it_wrote(wh, monkeypatch):
     assert after[0] is rows[0] and after[2] is rows[2]  # shared, so never to be mutated
     assert after is not wh.read_rows("lab", "samples")
     assert len(decoded) == 2 + 4  # the fresh Warehouse decoded every line
+
+
+def test_an_object_that_only_reads_keeps_no_rows(wh, monkeypatch):
+    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}])
+    decoded = counted_decodes(monkeypatch)
+    rows = wh.read_rows("lab", "samples")
+    assert gc.get_referrers(*rows) == [rows]  # only the caller's list holds them
+    assert wh.check_all("lab") == []
+    assert wh.read_rows("lab", "samples") == rows
+    assert len(decoded) == 2 * 3  # every read decodes every line
 
 
 def test_a_spliced_table_whose_manifest_changed_is_decoded_again(wh):
