@@ -10,13 +10,12 @@ import csv
 import io
 import json
 from datetime import datetime, timezone
-from decimal import Decimal
 from pathlib import Path
 
 from .errors import IngestError
 from .model import CollectionColumn, ModelSpec, SourceDef
 from .silver import LoadResult
-from .storage import Warehouse
+from .storage import Warehouse, decode_json
 from .tables import bronze_manifest
 from .values import EPOCH, coerce_scalar
 
@@ -55,7 +54,7 @@ def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
         if not line:
             continue
         try:
-            doc = json.loads(line, parse_float=Decimal)
+            doc = decode_json(line)
         except json.JSONDecodeError as exc:
             raise IngestError(f"{source.name} line {lineno}: {exc}") from exc
         if not isinstance(doc, dict):

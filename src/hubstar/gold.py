@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import GoldBuildError
-from .model import (ColumnRef, GoldViewDef, HubJoin, ModelSpec, StarJoin, TemporalJoin, ref_table,
-                    view_tables)
+from .model import ColumnRef, GoldViewDef, HubJoin, ModelSpec, ref_table, view_tables
 from .storage import Record, Warehouse
 from .tables import gold_manifest
 from .values import key_part, row_key, top_per_partition, value_to_string
@@ -49,23 +48,23 @@ def _silver_rows(warehouse: Warehouse, spec: ModelSpec, table: str) -> list[Reco
     return warehouse.read_rows(silver, table)
 
 
-def _index(rows: list[Record], column: str) -> dict[object, list[Record]]:
-    """Rows by the key part of one column, in row order; null keys never match."""
+def _join(contexts: list[dict[str, Record]], name: str, rows: list[Record], column: str,
+          probe: Resolved, inner: bool = False, keep=None) -> list[dict[str, Record]]:
+    """Join `rows` into the contexts under `name` where their `column`
+    equals the context's `probe` column, under one key normalisation; null
+    keys never match. A context repeats once per matching row that
+    `keep(ctx, row)` accepts (every one without `keep`), in row order. With
+    no such row it keeps `name` empty, or is dropped when the join is inner."""
     index: dict[object, list[Record]] = {}
     for row in rows:
         if row.get(column) is not None:
             index.setdefault(key_part(row[column]), []).append(row)
-    return index
-
-
-def _fan_out(contexts: list[dict[str, Record]], name: str, matches_of,
-             inner: bool = False) -> list[dict[str, Record]]:
-    """Join one table into the contexts under `name`: a context repeats once
-    per row of `matches_of(ctx)`, in that order. With no match (None or
-    empty) it keeps `name` empty, or is dropped when the join is inner."""
+    table, probe_column = probe
     joined = []
     for ctx in contexts:
-        matches = matches_of(ctx)
+        matches = index.get(key_part(ctx[table].get(probe_column)), ())
+        if keep is not None:
+            matches = [row for row in matches if keep(ctx, row)]
         if not matches:
             if inner:
                 continue
@@ -75,57 +74,6 @@ def _fan_out(contexts: list[dict[str, Record]], name: str, matches_of,
             fanned[name] = match
             joined.append(fanned)
     return joined
-
-
-def _join_hub(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef, join: HubJoin,
-              on: Resolved, contexts: list[dict[str, Record]]) -> list[dict[str, Record]]:
-    """Join a hub's rows whose key equals the `on` column."""
-    hub = spec.hub(join.hub)
-    index = _index(_silver_rows(warehouse, spec, hub.table_name), hub.key_column)
-    table, column = on
-    return _fan_out(contexts, join.hub, lambda ctx: index.get(key_part(ctx[table].get(column))),
-                    inner=join.how == "inner")
-
-
-def _join_current(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef, join: StarJoin,
-                  base_key: Resolved | None,
-                  contexts: list[dict[str, Record]]) -> list[dict[str, Record]]:
-    """Left join the current rows of a star to a hub base."""
-    if base_key is None:
-        raise GoldBuildError(f"{view.name}: join_current requires a hub base")
-    star = spec.star(join.star)
-    rows = current_rows(_silver_rows(warehouse, spec, star.table_name),
-                        join.partition_by, join.order_by)
-    index = _index(rows, join.on_column)
-    table, column = base_key
-    return _fan_out(contexts, join.star, lambda ctx: index.get(key_part(ctx[table].get(column))))
-
-
-def _temporal_join(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-                   temporal: TemporalJoin, key_and_time: tuple[Resolved, Resolved],
-                   contexts: list[dict[str, Record]]) -> list[dict[str, Record]]:
-    """Left join an scd2 dimension: the rows of the fact's hub key whose
-    [valid_from, valid_to] interval holds the fact's time, in dimension order.
-    A null valid_to is open-ended; a null valid_from never matches."""
-    dim = spec.view(temporal.dim)
-    gold_schema = spec.schema_names["gold"]
-    if not warehouse.table_exists(gold_schema, dim.table_name):
-        raise GoldBuildError(f"{view.name}: referenced dimension {dim.name} "
-                             "is not built yet")
-    index = _index(warehouse.read_rows(gold_schema, dim.table_name),
-                   spec.hub(dim.base).key_column)
-    (key_table, key_column), (time_table, time_column) = key_and_time
-
-    def matches(ctx):
-        versions = index.get(key_part(ctx[key_table].get(key_column)))
-        at = ctx[time_table].get(time_column)
-        if versions is None or at is None:
-            return None
-        return [row for row in versions
-                if row.get("valid_from") is not None and row["valid_from"] <= at
-                and (row.get("valid_to") is None or at <= row["valid_to"])]
-
-    return _fan_out(contexts, dim.name, matches)
 
 
 def _project(outputs: list[tuple[str, str | None, str | None]], scd2_key: list[Resolved],
@@ -149,10 +97,11 @@ def _project(outputs: list[tuple[str, str | None, str | None]], scd2_key: list[R
 def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
                now: datetime) -> GoldBuildResult:
     """One pipeline for every kind: base rows, joins, versions, the temporal
-    join, then projection; each step runs when the view declares it. Every
-    column reference is resolved to its (table, column) before a row is read,
-    and each context holds a row, empty when none matched, for every table,
-    so a step reads a column as `ctx[table].get(column)`."""
+    join, then projection; each step runs when the view declares it, and
+    each join is one `_join`. Every column reference is resolved to its
+    (table, column) before a row is read, and each context holds a row,
+    empty when none matched, for every table, so a step reads a column as
+    `ctx[table].get(column)`."""
     tables = view_tables(spec, view)
 
     def resolve(ref: ColumnRef) -> Resolved:
@@ -166,20 +115,44 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     scd2_key = [resolve(part) for part in view.scd2_key]
     base = spec.hub(view.base) if view.base_kind == "hub" else spec.star(view.base)
     base_key = resolve(ColumnRef(view.base, base.key_column)) if view.base_kind == "hub" else None
-    steps = [(_join_hub, join, resolve(ColumnRef(None, join.on_column)))
-             if isinstance(join, HubJoin) else (_join_current, join, base_key)
-             for join in view.joins]
-    if view.versions is not None:
-        steps.append((_join_current, view.versions, base_key))
-    if view.temporal is not None:
-        steps.append((_temporal_join, view.temporal,
-                      (resolve(view.temporal.key_ref), resolve(view.temporal.time_ref))))
+    joins = [(join, resolve(ColumnRef(None, join.on_column)) if isinstance(join, HubJoin)
+              else base_key) for join in view.joins + (view.versions,) if join is not None]
+    if any(probe is None for _, probe in joins):
+        raise GoldBuildError(f"{view.name}: join_current requires a hub base")
+    temporal = view.temporal
+    if temporal is not None:
+        key_ref, (time_table, time_column) = resolve(temporal.key_ref), resolve(temporal.time_ref)
 
     empty = dict.fromkeys(tables, _NO_ROW)
     contexts = [{**empty, view.base: row}
                 for row in _silver_rows(warehouse, spec, base.table_name)]
-    for join_rows, join, key in steps:
-        contexts = join_rows(warehouse, spec, view, join, key, contexts)
+    for join, probe in joins:
+        if isinstance(join, HubJoin):
+            hub = spec.hub(join.hub)
+            contexts = _join(contexts, join.hub, _silver_rows(warehouse, spec, hub.table_name),
+                             hub.key_column, probe, inner=join.how == "inner")
+        else:  # the current rows of a star, left joined to the hub base
+            rows = current_rows(_silver_rows(warehouse, spec, spec.star(join.star).table_name),
+                                join.partition_by, join.order_by)
+            contexts = _join(contexts, join.star, rows, join.on_column, probe)
+    if temporal is not None:
+        dim = spec.view(temporal.dim)
+        gold_schema = spec.schema_names["gold"]
+        if not warehouse.table_exists(gold_schema, dim.table_name):
+            raise GoldBuildError(f"{view.name}: referenced dimension {dim.name} "
+                                 "is not built yet")
+
+        def valid_at(ctx: dict[str, Record], version: Record) -> bool:
+            """The fact's time lies in the version's [valid_from, valid_to]:
+            a null valid_to is open-ended; a null time or valid_from never
+            matches."""
+            at = ctx[time_table].get(time_column)
+            return (at is not None and version.get("valid_from") is not None
+                    and version["valid_from"] <= at
+                    and (version.get("valid_to") is None or at <= version["valid_to"]))
+
+        contexts = _join(contexts, dim.name, warehouse.read_rows(gold_schema, dim.table_name),
+                         spec.hub(dim.base).key_column, key_ref, keep=valid_at)
     rows = _project(outputs, scd2_key, contexts)
     warehouse.replace_table(gold_manifest(spec, view), rows)
     return GoldBuildResult(view.name, len(rows), now)

@@ -1,4 +1,4 @@
-"""Silver loads: default rows, incremental hub merges, and star loading.
+"""Silver loads: default rows, and one incremental merge for hubs and stars.
 
 The merge semantics: select bronze rows above the table's capture high-water
 mark, keep the top-ranked candidate version per business key (hubs) or
@@ -16,7 +16,7 @@ from decimal import Decimal
 from itertools import count
 
 from . import expr as ex
-from .errors import LoadError
+from .errors import LoadError, StorageError
 from .keygen import compute_hub_key, sha256_hex
 from .model import (
     DEFAULT_HUB_KEY,
@@ -30,7 +30,7 @@ from .model import (
     StarMapping,
     resolve_load_order,
 )
-from .storage import Record, Warehouse, high_water_mark
+from .storage import Record, Warehouse
 from .tables import bronze_manifest, hub_manifest, star_manifest
 from .values import (
     EPOCH,
@@ -239,43 +239,6 @@ def _coerce_mapped(value, ctype: str, column: str):
         raise LoadError(f"column {column}: {exc}") from exc
 
 
-def _stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-           mapping: HubMapping | StarMapping, hwm: datetime,
-           nonnull: tuple[str, ...], what: str) -> tuple[int, list[tuple[int, Record, Record]]]:
-    """The number of bronze rows of the mapping's source captured strictly
-    above the high-water mark, and their staged entries in bronze order:
-    (position, bronze row, candidate), one per payload, where the candidate
-    is the payload plus its load source and capture time. A null in any
-    `nonnull` column of a candidate fails the load, naming it as `what`."""
-    bronze = spec.schema_names["bronze"]
-    if not warehouse.table_exists(bronze, mapping.source):
-        return 0, []
-    bronze_rows = warehouse.read_rows(bronze, mapping.source, captured_after=hwm)
-    find_key = hub_key_lookup(warehouse, spec)
-    load_source = spec.source(mapping.source).load_source_id
-    staged = []
-    for bronze_row in bronze_rows:
-        for payload in evaluate_mapping(find_key, spec, element, mapping, bronze_row):
-            candidate = {"load_source": load_source,
-                         "capture_timestamp": bronze_row["capture_timestamp"], **payload}
-            for name in nonnull:
-                if candidate[name] is None:
-                    raise LoadError(f"{element.table_name}: {what} {name} is null "
-                                    f"in {mapping.source} row")
-            staged.append((len(staged), bronze_row, candidate))
-    return len(bronze_rows), staged
-
-
-def _top(staged: list[tuple[int, Record, Record]], partition: tuple[str, ...],
-         order: tuple[tuple[str, str], ...]) -> list[Record]:
-    """The candidate ranked first per value of its `partition` columns, by
-    `order` on the bronze row, in staged order. Ties go to the entry that
-    comes first in `staged`."""
-    survivors = top_per_partition(staged, lambda e: row_key(e[2], partition), order,
-                                  fields=lambda e: e[1])
-    return [candidate for _n, _bronze_row, candidate in sorted(survivors, key=lambda e: e[0])]
-
-
 _LATEST_CAPTURE = (("capture_timestamp", "desc"),)
 
 
@@ -292,33 +255,83 @@ def _members(element: HubDef | StarDef, rows: list[Record]):
             if not is_default_row(element, row)]
 
 
-def _merge(warehouse: Warehouse, schema: str, element: HubDef | StarDef, rows: list[Record],
-           candidates: list[Record], now: datetime, hwm: datetime,
-           new_row=lambda candidate: {}) -> tuple[int, int, int, datetime]:
-    """Merge candidate rows into `rows`, the silver table as read, in file
-    order, and return the (inserted, updated, unchanged) counts and the new
-    high-water mark: the latest of `hwm` and the capture times written.
+def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
+          mapping: HubMapping | StarMapping, now: datetime) -> LoadResult:
+    """One load of a hub or star from one mapping, written in one splice.
 
-    A candidate matches the member (any row but a hub's default row) with
-    the same `element.identity`. With no match it inserts the candidate, its
-    load time and `new_row(candidate)`, which runs only on insert, so system
-    keys are minted for new rows alone; the row goes on the end. A match is
-    rewritten in place, keeping its load source, only when some
+    The mark is the latest capture among the table's members (every row but
+    a hub's default row); with no member, all of the bronze is read. A hub
+    with no row at all was never initialized, and its load fails. A
+    candidate (a payload with its load source and capture time) with a null
+    partition column (a hub's business keys, a star's composite key) fails
+    the load. One survives per partition: a hub's by the mapping's
+    `dedup_by` terms, latest capture, then the earliest bronze row; a star's
+    by latest capture, then the last bronze row. A survivor matches the
+    member with the same `element.identity`: with none it goes on the end (a
+    hub row with its first capture time and a computed or minted key), and a
+    match is rewritten in place, keeping its load source, only when some
     `element.tracked_columns` value differs under null-safe equality. Two
-    writes to one row fail the load before anything is written; otherwise a
-    load that writes encodes only the rows it writes, in one append that
-    splices its updates in place, and one that does not leaves the table
-    alone.
-    """
+    writes to one row fail the load before anything is written. The new mark
+    is the latest of the old one and the captures written, or the epoch for
+    a table still without members."""
+    silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
+    table = f"{silver}.{element.table_name}"
+    hub = element if isinstance(element, HubDef) else None
+    rows = warehouse.read_rows(silver, element.table_name)
+    if hub is not None and not rows:
+        raise StorageError(f"{table}: no high-water mark; initialize default rows first")
+    members = _members(element, rows)
+    mark = max((row["capture_timestamp"] for _position, row in members), default=None)
+
+    bronze_rows = (warehouse.read_rows(bronze, mapping.source, captured_after=mark)
+                   if warehouse.table_exists(bronze, mapping.source) else [])
+    find_key = hub_key_lookup(warehouse, spec)
+    load_source = spec.source(mapping.source).load_source_id
+    partition = hub.business_key_names if hub is not None else element.identity
+    what = "business key" if hub is not None else "composite key column"
+    staged = []  # (position, bronze row, candidate), in bronze order
+    for bronze_row in bronze_rows:
+        for payload in evaluate_mapping(find_key, spec, element, mapping, bronze_row):
+            candidate = {"load_source": load_source,
+                         "capture_timestamp": bronze_row["capture_timestamp"], **payload}
+            for name in partition:
+                if candidate[name] is None:
+                    raise LoadError(f"{element.table_name}: {what} {name} is null "
+                                    f"in {mapping.source} row")
+            staged.append((len(staged), bronze_row, candidate))
+
+    # rn = 1 per partition; ties go to the entry met first, so a star ranks
+    # its entries in reverse to keep the last bronze row. Survivors go back
+    # into bronze order.
+    order, entries = ((mapping.dedup_order, staged) if hub is not None
+                      else ((), staged[::-1]))
+    survivors = top_per_partition(entries, lambda e: row_key(e[2], partition),
+                                  order + _LATEST_CAPTURE, fields=lambda e: e[1])
+    candidates = [entry[2] for entry in sorted(survivors, key=lambda e: e[0])]
+    if hub is not None and hub.key_type == "computed":
+        for candidate in candidates:
+            key = compute_hub_key(hub.key_formula, candidate, candidate["load_source"])
+            if key == DEFAULT_HUB_KEY:
+                raise LoadError(f"{hub.table_name}: key formula gives the default row's key "
+                                f"{key} for {show_key(row_key(candidate, partition))}"
+                                f" in {mapping.source}")
+            candidate[hub.key_column] = key
+    elif hub is not None:
+        minted = count(1 + max([0, *(int(row[hub.key_column]) for row in rows)]))
+
     identity, tracked = element.identity, element.tracked_columns
-    index = {row_key(row, identity): i for i, row in _members(element, rows)}
+    index = {row_key(row, identity): position for position, row in members}
     inserted = updated = unchanged = 0
     writes: dict[tuple, Record] = {}
     for candidate in candidates:
         key = row_key(candidate, identity)
         position = index.get(key)
         if position is None:
-            row = {**candidate, "load_timestamp": now, **new_row(candidate)}
+            row = {**candidate, "load_timestamp": now}
+            if hub is not None:
+                row["initial_capture_timestamp"] = candidate["capture_timestamp"]
+                if hub.key_type != "computed":
+                    row[hub.key_column] = str(next(minted))
             inserted += 1
         elif any(not values_equal(rows[position].get(c), candidate[c]) for c in tracked):
             row = {**rows[position], **{c: candidate[c] for c in tracked},
@@ -329,68 +342,33 @@ def _merge(warehouse: Warehouse, schema: str, element: HubDef | StarDef, rows: l
             continue
         if key in writes:
             raise LoadError(f"duplicate primary key within one batch for "
-                            f"{schema}.{element.table_name}: {show_key(key)}")
+                            f"{table}: {show_key(key)}")
         writes[key] = row
     if writes:
-        warehouse.append_rows(schema, element.table_name,
+        warehouse.append_rows(silver, element.table_name,
                               [row for key, row in writes.items() if key not in index],
                               replace={index[key]: row for key, row in writes.items()
                                        if key in index},
                               lines=len(rows))
-    return (inserted, updated, unchanged,
-            high_water_mark(writes.values(), f"{schema}.{element.table_name}", hwm))
+    new_mark = max((row["capture_timestamp"] for row in writes.values()),
+                   default=mark or EPOCH)
+    return LoadResult(table=table, source=mapping.source, scanned=len(staged),
+                      inserted=inserted, updated=updated, unchanged_skipped=unchanged,
+                      new_hwm=new_mark)
+
+
+# One entry point per kind, so that a caller can wrap the loads of a kind
+# (the benchmark's tracer times each table through them).
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
              mapping: HubMapping, now: datetime) -> LoadResult:
-    silver = spec.schema_names["silver"]
-    rows = warehouse.read_rows(silver, hub.table_name)
-    hwm = high_water_mark(rows, f"{silver}.{hub.table_name}")
-    scanned, staged = _stage(warehouse, spec, hub, mapping, hwm,
-                             hub.business_key_names, "business key")
-    # rn = 1 per business key: dedup terms, then latest capture, then the
-    # earliest bronze row.
-    candidates = _top(staged, hub.business_key_names, mapping.dedup_order + _LATEST_CAPTURE)
-    if hub.key_type == "computed":
-        for candidate in candidates:
-            key = compute_hub_key(hub.key_formula, candidate, candidate["load_source"])
-            if key == DEFAULT_HUB_KEY:
-                raise LoadError(f"{hub.table_name}: key formula gives the default row's key "
-                                f"{key} for {show_key(row_key(candidate, hub.business_key_names))}"
-                                f" in {mapping.source}")
-            candidate[hub.key_column] = key
-    else:  # mint from the largest key held, the default row's -1 counting as 0
-        minted = count(1 + max([0, *(int(row[hub.key_column]) for row in rows)]))
-
-    def new_row(candidate: Record) -> Record:
-        key = candidate[hub.key_column] if hub.key_type == "computed" else str(next(minted))
-        return {"initial_capture_timestamp": candidate["capture_timestamp"], hub.key_column: key}
-
-    inserted, updated, unchanged, new_hwm = _merge(
-        warehouse, silver, hub, rows, candidates, now, hwm, new_row)
-    return LoadResult(table=f"{silver}.{hub.table_name}", source=mapping.source,
-                      scanned=scanned, inserted=inserted, updated=updated,
-                      unchanged_skipped=unchanged, new_hwm=new_hwm)
-
-
-# -- stars ---------------------------------------------------------------------
+    return _load(warehouse, spec, hub, mapping, now)
 
 
 def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
               mapping: StarMapping, now: datetime) -> LoadResult:
-    silver = spec.schema_names["silver"]
-    rows = warehouse.read_rows(silver, star.table_name)
-    # Stars have no default rows: an empty star means load everything.
-    hwm = high_water_mark(rows, f"{silver}.{star.table_name}", EPOCH)
-    _scanned, staged = _stage(warehouse, spec, star, mapping, hwm,
-                              star.identity, "composite key column")
-    # rn = 1 per composite key: latest capture, then the last bronze row.
-    inserted, updated, unchanged, new_hwm = _merge(
-        warehouse, silver, star, rows, _top(staged[::-1], star.identity, _LATEST_CAPTURE),
-        now, hwm)
-    return LoadResult(table=f"{silver}.{star.table_name}", source=mapping.source,
-                      scanned=len(staged), inserted=inserted, updated=updated,
-                      unchanged_skipped=unchanged, new_hwm=new_hwm)
+    return _load(warehouse, spec, star, mapping, now)
 
 
 def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,

@@ -172,8 +172,20 @@ def _encode_rows(manifest: TableManifest, rows: Iterable[Record]) -> bytes:
     return "".join(encode_row(manifest, r) + "\n" for r in rows).encode("utf-8")
 
 
+_JSON_DECODER = json.JSONDecoder(parse_float=Decimal)
+
+
+def decode_json(text: str) -> Any:
+    """`json.loads(text, parse_float=Decimal)` through one decoder built
+    once: `json.loads` with an argument builds a decoder per call. A leading
+    byte-order mark goes to `json.loads`, which alone refuses it by name."""
+    if text.startswith("\ufeff"):
+        return json.loads(text, parse_float=Decimal)
+    return _JSON_DECODER.decode(text)
+
+
 def decode_row(manifest: TableManifest, line: str) -> Record:
-    doc = json.loads(line, parse_float=Decimal)
+    doc = decode_json(line)
     record: Record = {}
     for col in manifest.columns:
         raw = doc.get(col.name)
@@ -188,18 +200,6 @@ def decode_row(manifest: TableManifest, line: str) -> Record:
         else:
             record[col.name] = _decode_scalar(raw, col.type)
     return record
-
-
-def high_water_mark(rows: Iterable[Record], table: str,
-                    empty: datetime | None = None) -> datetime:
-    """The latest non-null capture_timestamp among `rows`. With none, the
-    mark is `empty`; when that is None too (a hub, which always holds its
-    default row), the table was never initialized and this raises."""
-    mark = max((r["capture_timestamp"] for r in rows if r.get("capture_timestamp") is not None),
-               default=empty)
-    if mark is None:
-        raise StorageError(f"{table}: no high-water mark; initialize default rows first")
-    return mark
 
 
 def _lines(text: Iterable[str]) -> Iterator[str]:
@@ -403,7 +403,14 @@ class Warehouse:
                 if all(values_equal(r.get(col), want) for col, want in where.items())]
 
     def max_capture_timestamp(self, schema: str, table: str) -> datetime:
-        return high_water_mark(self.read_rows(schema, table), f"{schema}.{table}")
+        """The latest non-null capture_timestamp of the table; with none it
+        raises."""
+        mark = max((r["capture_timestamp"] for r in self.read_rows(schema, table)
+                    if r.get("capture_timestamp") is not None), default=None)
+        if mark is None:
+            raise StorageError(f"{schema}.{table}: no high-water mark; "
+                               "initialize default rows first")
+        return mark
 
     def check_constraints(self, schema: str, table: str) -> list[str]:
         """Audit one table against its declared constraints; returns

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -105,6 +106,17 @@ def test_ndjson_parsing_keeps_decimals_and_collections():
 def test_ndjson_rejections(line, message):
     with pytest.raises(IngestError, match=message):
         parse_source_file(source("orders"), line)
+
+
+@pytest.mark.parametrize("line", ['not json', '{"order_id": }', '{"order_id": "o"} x',
+                                  '\ufeff{"order_id": "o"}'],
+                         ids=["not_json", "missing_value", "extra_data", "byte_order_mark"])
+def test_ndjson_syntax_errors_read_as_json_loads_reports_them(line):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(line, parse_float=Decimal)
+    with pytest.raises(IngestError) as got:
+        parse_source_file(source("orders"), line)
+    assert str(got.value) == f"orders line 1: {expected.value}"
 
 
 def test_capture_priority_cdc_then_fallback():

@@ -360,6 +360,25 @@ def test_temporal_join_misses_produce_null_version_columns(gw):
     assert facts["o5"]["person_version_key"] is None  # default member, no history
 
 
+def test_a_fact_with_a_null_time_gets_no_dimension_version(tmp_path):
+    wh = Warehouse(tmp_path / "wh")
+    init_warehouse(wh, MODEL)
+    feed(wh, tmp_path, "people", "people.csv",
+         "person_id,full_name,tier_id,seen_at,gone\n1,Ana,1,2024-01-02T00:00:00Z,0\n")
+    feed(wh, tmp_path, "addresses", "addresses.ndjson", ADDRESS_LINES)
+    load_all(wh, MODEL, now=NOW)
+    # A fact row without a time, written behind the loader's back.
+    wh.append_rows(SILVER, "star_person_order", [{
+        "load_source": 4, "capture_timestamp": utc(2024, 1, 1), "load_timestamp": NOW,
+        "person_key": PK1, "placed_at": None, "order_id": "o0", "amount": Decimal("1.00"),
+    }])
+    build_all(wh, MODEL, now=NOW)
+    assert [r["person_key"] for r in wh.read_rows(GOLD, "dim_person2")].count(PK1) == 2
+    assert wh.read_rows(GOLD, "fact_orders") == [{
+        "order_id": "o0", "person_key": PK1, "placed_at": None, "amount": Decimal("1.00"),
+        "person_version_key": None, "address": None}]
+
+
 def test_open_ended_intervals_match_arbitrarily_late_events(gw):
     facts = rows_by(gw, "fact_orders", "order_id")
     assert facts["o2"]["placed_at"] == utc(2024, 7, 1)

@@ -19,7 +19,7 @@ from hubstar import (
 )
 from hubstar import retail_fixture as rf
 from hubstar import storage
-from hubstar.errors import HubStarError, LoadError
+from hubstar.errors import HubStarError, LoadError, StorageError
 from hubstar.keygen import sha256_hex
 from hubstar.model import ItemKeyRule, validate_model
 from hubstar.silver import (
@@ -28,6 +28,7 @@ from hubstar.silver import (
     init_hub,
     type_neutral,
 )
+from hubstar.tables import hub_manifest
 from hubstar.values import EPOCH, row_key, top_per_partition
 
 MODEL = parse_model('''product mergetest
@@ -249,6 +250,29 @@ def test_hwm_filter_is_strictly_greater_than(wh, feed):
     assert person.inserted == 1
     rows = people_rows(wh)
     assert rows[person_key(1)]["city"] == "Oslo"  # stale redelivery ignored
+
+
+def test_a_capture_before_1970_is_loaded_into_a_table_without_members(wh, feed):
+    # The mark is the latest capture among members, so neither the default
+    # row's epoch capture nor an empty star hides an older bronze row.
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,0099-01-01,0\n")
+    results = load_all(wh, MODEL, now=NOW)
+    for table in ("hub_person", "hub_device"):
+        loaded = result_for(results, table)
+        assert (loaded.scanned, loaded.inserted) == (1, 1), table
+        assert loaded.new_hwm == utc(99, 1, 1), table
+    assert result_for(results, "star_person_visit").new_hwm == EPOCH  # still no member
+    assert check_against_oracle(wh, MODEL) == []
+    assert [r.scanned for r in load_all(wh, MODEL, now=NOW)] == [0] * len(results)
+
+
+def test_loading_a_hub_whose_table_holds_no_row_fails(wh, feed):
+    wh.replace_table(hub_manifest(MODEL, PERSON), [])  # the default row is gone
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    data = wh.table_dir(SILVER, "hub_person") / "data"
+    with pytest.raises(StorageError, match="initialize default rows first"):
+        load_all(wh, MODEL, now=NOW, only="hub_person")
+    assert data.read_bytes() == b""
 
 
 def test_update_overwrites_descriptives_but_not_first_seen_metadata(wh, feed):
