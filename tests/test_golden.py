@@ -12,7 +12,9 @@ code with its past, so a refactor that changes any stored byte fails here.
 The front end is pinned the same way: `golden_dsl.json` holds, for each of
 1,000 seeded mutations of the retail model text, its `ParseError` string
 (position included) or the sha256 of `render_model` of what it parses to,
-as an earlier version of the front end gave them.
+as an earlier version of the front end gave them. `golden_validate.json`
+pins the validator: for each of 1,000 `randmodels` samples at a fixed seed,
+the sha256 of the JSON form of its in-order (rule, location) list.
 """
 from __future__ import annotations
 
@@ -23,17 +25,21 @@ from pathlib import Path
 
 import pytest
 
-from hubstar import parse_model, render_model
+from hubstar import parse_model, render_model, validate_model
 from hubstar import retail_fixture as rf
 from hubstar.errors import ParseError
 
 from conftest import FIXTURE_MODEL, run_pipeline
+from randmodels import random_model_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden_retail.json"
 BATCHES = 4
 MANIFEST_SUFFIX = "/manifest"
 FRONT_END_GOLDEN = GOLDEN.with_name("golden_dsl.json")
 MUTANTS = 1000
+VALIDATOR_GOLDEN = GOLDEN.with_name("golden_validate.json")
+MODELS = 1000
+VALIDATOR_SEED = 13
 # inserted characters: every token class, an accented letter and its capital
 INSERTS = '{}(),=."\\#-_ \t\n\r09azAZ%\u00e9\u00c9'
 
@@ -113,3 +119,25 @@ def test_front_end_matches_recorded_outcomes():
     recorded = json.loads(FRONT_END_GOLDEN.read_text(encoding="utf-8"))
     for i, (got, want) in enumerate(zip(_front_end_outcomes(), recorded, strict=True)):
         assert got == want, f"mutant {i}"
+
+
+def _validator_outcomes() -> list[list[tuple[str, str]]]:
+    """The in-order (rule, location) list of `validate_model` for each of
+    1,000 `randmodels` samples at a fixed seed."""
+    rng = random.Random(VALIDATOR_SEED)
+    return [[(v.rule, v.location) for v in validate_model(parse_model(
+                random_model_text(rng)).spec).violations]
+            for _ in range(MODELS)]
+
+
+def _digest(violations: list[tuple[str, str]]) -> str:
+    return hashlib.sha256(json.dumps(violations).encode("utf-8")).hexdigest()
+
+
+def test_validator_matches_recorded_outcomes():
+    recorded = json.loads(VALIDATOR_GOLDEN.read_text(encoding="utf-8"))
+    outcomes = _validator_outcomes()
+    differ = [f"model {i}: {violations}"
+              for i, (violations, want) in enumerate(zip(outcomes, recorded, strict=True))
+              if _digest(violations) != want]
+    assert not differ, "\n".join(differ)
