@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import IngestError
-from .model import CollectionColumn, ModelSpec, SourceDef
+from .model import ColumnSpec, ModelSpec, SourceDef
 from .silver import LoadResult
 from .storage import Warehouse, decode_json
 from .tables import bronze_manifest
@@ -40,7 +40,7 @@ def _parse_csv(source: SourceDef, text: str) -> list[dict]:
         if name not in declared:
             raise IngestError(f"{source.name}: unknown column {name!r} in header")
     for col in source.columns:
-        if isinstance(col, CollectionColumn):
+        if col.type == "collection":
             raise IngestError(f"{source.name}: collection column {col.name!r} "
                               "cannot be read from csv")
     return [_coerce_record(source, row, lineno) for lineno, row in enumerate(reader, start=2)]
@@ -73,7 +73,7 @@ def _coerce_record(source: SourceDef, raw: dict, lineno: int) -> dict:
     for col in source.columns:
         value = raw.get(col.name)
         try:
-            if isinstance(col, CollectionColumn):
+            if col.type == "collection":
                 record[col.name] = _coerce_collection(col, value)
             else:
                 record[col.name] = coerce_scalar(value, col.type)
@@ -83,12 +83,12 @@ def _coerce_record(source: SourceDef, raw: dict, lineno: int) -> dict:
     return record
 
 
-def _coerce_collection(col: CollectionColumn, raw):
+def _coerce_collection(col: ColumnSpec, raw):
     if raw is None:
         return None
     if not isinstance(raw, list):
         raise ValueError(f"{col.name} must be an array")
-    field_names = {f.name for f in col.fields}
+    field_names = {name for name, _type in col.fields}
     items = []
     for item in raw:
         if not isinstance(item, dict):
@@ -96,7 +96,7 @@ def _coerce_collection(col: CollectionColumn, raw):
         for key in item:
             if key not in field_names:
                 raise ValueError(f"unknown item field {key!r} in {col.name}")
-        items.append({f.name: coerce_scalar(item.get(f.name), f.type) for f in col.fields})
+        items.append({name: coerce_scalar(item.get(name), ftype) for name, ftype in col.fields})
     return items
 
 

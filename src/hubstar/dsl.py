@@ -15,15 +15,13 @@ from .errors import ParseError
 from .lexer import IDENT, INT, NEWLINE, STRING, SYMBOL, Token, TokenStream, tokenize
 from .model import (
     CaptureSource,
-    CollectionColumn,
-    ColumnDef,
     ColumnRef,
+    ColumnSpec,
     DescriptiveDef,
     FkResolution,
     GoldViewDef,
     HubDef,
     HubJoin,
-    HubMapping,
     HubParticipant,
     ItemKeyRule,
     ItemParticipant,
@@ -31,9 +29,9 @@ from .model import (
     ModelSpec,
     OutputColumn,
     SourceDef,
+    SourceMapping,
     StarDef,
     StarJoin,
-    StarMapping,
     TemporalJoin,
     TimeParticipant,
     default_schema_names,
@@ -251,16 +249,17 @@ class _Parser:
                          tuple(found.get("column", ())), tuple(found.get("capture", ())),
                          found.get("delete_flag_column"))
 
-    def parse_source_column(self) -> ColumnDef | CollectionColumn:
+    def parse_source_column(self) -> ColumnSpec:
         name = self.column_name()
         type_ = self.choice("column type", ("array",) + SCALAR_TYPES, "unknown type")
         if type_ == "array":
-            return CollectionColumn(name, self.comma_list(lambda: self.parse_typed_name("field")))
-        return ColumnDef(name, type_)
+            return ColumnSpec(name, "collection",
+                              fields=self.comma_list(lambda: self.parse_typed_name("field")))
+        return ColumnSpec(name, type_)
 
-    def parse_typed_name(self, what: str) -> ColumnDef:
+    def parse_typed_name(self, what: str) -> tuple[str, str]:
         name = self.ident(f"{what} name").text
-        return ColumnDef(name, self.choice(f"{what} type", SCALAR_TYPES, "unknown type"))
+        return name, self.choice(f"{what} type", SCALAR_TYPES, "unknown type")
 
     def parse_capture(self) -> CaptureSource:
         kind = _CAPTURE_WORDS[self.choice("capture rule", _CAPTURE_WORDS, "unknown capture rule")]
@@ -298,13 +297,14 @@ class _Parser:
     def parse_hub_key(self) -> tuple[str, KeyFormula | None]:
         kind = self.choice("key kind", ("computed", "system_generated"), "unknown key kind")
         if kind == "computed":
-            return kind, KeyFormula.from_expression(self.expression())
+            return kind, KeyFormula(self.expression())
         return kind, None
 
-    def parse_business_key(self) -> tuple[str, tuple[ColumnDef, ...]]:
+    def parse_business_key(self) -> tuple[str, tuple[ColumnSpec, ...]]:
         scope = self.choice("scope", ("global", "local"),
                             "business_key scope must be global or local, got")
-        return scope, self.comma_list(lambda: self.parse_typed_name("column"))
+        return scope, self.comma_list(
+            lambda: ColumnSpec(*self.parse_typed_name("column"), nullable=False))
 
     def parse_descriptive(self) -> DescriptiveDef:
         name = self.ident("descriptive name").text
@@ -315,15 +315,15 @@ class _Parser:
                                   fk_hub=self.ident("hub name").text)
         return DescriptiveDef(name, type_, nullable=not self.accept(IDENT, "required"))
 
-    def parse_hub_mapping(self) -> HubMapping:
+    def parse_hub_mapping(self) -> SourceMapping:
         source = self.ident("source name").text
         found = self.block("mapping", {
             "map": lambda: self.assignment("target column", self.expression),
             "fk": lambda: self.assignment("target column", self.parse_fk_resolution),
             "dedup_by": lambda: self.comma_list(self.parse_order_term, parenthesised=False),
         }, once=("dedup_by",), keyed=("map", "fk"))
-        return HubMapping(source, found.get("map", {}), found.get("fk", {}),
-                          found.get("dedup_by", ()))
+        return SourceMapping(source, found.get("map", {}), found.get("fk", {}),
+                             dedup_order=found.get("dedup_by", ()))
 
     def parse_fk_resolution(self) -> FkResolution:
         hub = self.ident("hub name").text
@@ -381,15 +381,15 @@ class _Parser:
                                hashed=self.accept(IDENT, "hashed"))
         self.fail(f"unknown item key mode {tok.text!r}", tok)
 
-    def parse_star_mapping(self) -> StarMapping:
+    def parse_star_mapping(self) -> SourceMapping:
         source = self.ident("source name").text
         found = self.block("mapping", {
             "explode": lambda: self.ident("collection column").text,
             "key": lambda: self.assignment("participant column", self.parse_fk_resolution),
             "map": lambda: self.assignment("target column", self.expression),
         }, once=("explode",), keyed=("key", "map"))
-        return StarMapping(source, found.get("explode"), found.get("map", {}),
-                           found.get("key", {}))
+        return SourceMapping(source, found.get("map", {}), found.get("key", {}),
+                             explode_column=found.get("explode"))
 
     # -- gold -----------------------------------------------------------------
 
@@ -498,8 +498,8 @@ def _render_source(source: SourceDef) -> str:
              f"  load_source {source.load_source_id}",
              f"  format {source.input_format}"]
     for col in source.columns:
-        if isinstance(col, CollectionColumn):
-            fields = ", ".join(f"{f.name} {f.type}" for f in col.fields)
+        if col.type == "collection":
+            fields = ", ".join(f"{name} {ftype}" for name, ftype in col.fields)
             lines.append(f"  column {col.name} array({fields})")
         else:
             lines.append(f"  column {col.name} {col.type}")

@@ -255,8 +255,3 @@ def item_field_refs(expr: Expr) -> set[str]:
 def uses_function(expr: Expr, name: str) -> bool:
     return any(isinstance(node, Call) and node.func == name for node in nodes(expr))
 
-
-def first_concat_delimiter(expr: Expr) -> str | None:
-    """Delimiter of the outermost concat, if any (used for scd2-style keys)."""
-    concats = (node for node in nodes(expr) if isinstance(node, Call) and node.func == "concat")
-    return next((node.args[0].value for node in concats), None)

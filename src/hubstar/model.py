@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import expr as ex
-from .errors import HubStarError
+from .errors import EvalError, HubStarError
 
 HUB_METADATA = ("load_source", "capture_timestamp", "load_timestamp", "initial_capture_timestamp")
 STAR_METADATA = ("load_source", "capture_timestamp", "load_timestamp")
@@ -23,30 +24,27 @@ SYSTEM_LOAD_SOURCE = 0
 
 LAYERS = ("bronze", "silver", "gold")
 
-Column = tuple[str, str, bool]  # a silver column's (name, type, nullable)
+
+class ColumnSpec(NamedTuple):
+    """One column, wherever the model or a manifest declares it: a source
+    column, a business key, a silver or gold column. A collection column
+    (type `collection`) holds arrays of items with the (name, type) fields
+    it lists."""
+
+    name: str
+    type: str
+    nullable: bool = True
+    fields: tuple[tuple[str, str], ...] = ()
 
 
-def _metadata_columns(names: tuple[str, ...], has_delete_flag: bool) -> tuple[Column, ...]:
-    columns = tuple((n, "integer" if n == "load_source" else "timestamp", False) for n in names)
-    return columns + ((("delete_flag", "integer", False),) if has_delete_flag else ())
+def _metadata_columns(names: tuple[str, ...], has_delete_flag: bool) -> tuple[ColumnSpec, ...]:
+    columns = tuple(ColumnSpec(n, "integer" if n == "load_source" else "timestamp", False)
+                    for n in names)
+    return columns + ((ColumnSpec("delete_flag", "integer", False),) if has_delete_flag else ())
 
 
 class ModelError(HubStarError):
     """Unsatisfiable model-level request (e.g. cyclic load order)."""
-
-
-@dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    type: str
-
-
-@dataclass(frozen=True)
-class CollectionColumn:
-    """Array-of-structs source column; bronze stores it nested."""
-
-    name: str
-    fields: tuple[ColumnDef, ...]
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class SourceDef:
     name: str
     load_source_id: int
     input_format: str  # csv | ndjson
-    columns: tuple[ColumnDef | CollectionColumn, ...]
+    columns: tuple[ColumnSpec, ...]
     capture_rule: tuple[CaptureSource, ...]
     delete_flag_column: str | None = None
 
@@ -73,20 +71,29 @@ class SourceDef:
 
 @dataclass(frozen=True)
 class KeyFormula:
-    """Recipe for a computed hub key; delimiter comes from its concat, if any."""
+    """Recipe for a computed hub key."""
 
     expression: ex.Expr
-    delimiter: str = "#"
-
-    @staticmethod
-    def from_expression(expression: ex.Expr) -> "KeyFormula":
-        delim = ex.first_concat_delimiter(expression)
-        return KeyFormula(expression, delim if delim is not None else "#")
 
     @cached_property
     def columns(self) -> tuple[str, ...]:
         """The business keys the formula reads, sorted by name."""
         return tuple(sorted(ex.column_refs(self.expression)))
+
+    def key(self, record, load_source: int) -> str:
+        """The formula over one record's business-key values.
+
+        Every referenced business key must be present: a hub row cannot be
+        identified by a partial key, so nulls are an error here rather than
+        the skip-the-operand behaviour concat has elsewhere.
+        """
+        for name in self.columns:
+            if record.get(name) is None:
+                raise EvalError(f"business key must have value: {name!r} is null")
+        key = ex.evaluate(self.expression, ex.EvalContext(record, load_source, key_mode=True))
+        if not isinstance(key, str) or not key:
+            raise EvalError(f"key formula produced {key!r}, expected a non-empty string")
+        return key
 
 
 @dataclass(frozen=True)
@@ -111,27 +118,24 @@ class DescriptiveDef:
     fk_hub: str | None = None
 
     @property
-    def column(self) -> Column:
+    def column(self) -> ColumnSpec:
         """A foreign key holds the referenced hub's key, never null."""
         if self.fk_hub is not None:
-            return (self.name, "string", False)
-        return (self.name, self.type, self.nullable)
+            return ColumnSpec(self.name, "string", False)
+        return ColumnSpec(self.name, self.type, self.nullable)
 
 
 @dataclass(frozen=True)
-class HubMapping:
+class SourceMapping:
+    """How one source fills a hub or a star: `map` expressions, reference
+    columns resolved to hub keys, a hub's `dedup_by` terms and the
+    collection a star's mapping explodes."""
+
     source: str
     column_exprs: dict[str, ex.Expr] = field(default_factory=dict)
     fk_resolutions: dict[str, FkResolution] = field(default_factory=dict)
     dedup_order: tuple[tuple[str, str], ...] = ()  # (bronze column, asc|desc)
-
-
-@dataclass(frozen=True)
-class StarMapping:
-    source: str
     explode_column: str | None = None
-    column_exprs: dict[str, ex.Expr] = field(default_factory=dict)
-    fk_resolutions: dict[str, FkResolution] = field(default_factory=dict)
 
 
 class _Element:
@@ -142,21 +146,20 @@ class _Element:
     def tracked_columns(self) -> tuple[str, ...]:
         """The columns an update may change: the mapped columns outside the
         identity, then the delete flag."""
-        mapped = tuple(name for name, _type, _nullable in self.mapped_columns
-                       if name not in self.identity)
+        mapped = tuple(c.name for c in self.mapped_columns if c.name not in self.identity)
         return mapped + (("delete_flag",) if self.has_delete_flag else ())
 
 
 @dataclass(frozen=True)
 class HubDef(_Element):
     name: str
-    business_keys: tuple[ColumnDef, ...]
+    business_keys: tuple[ColumnSpec, ...]  # never null
     bk_scope: str  # global | local
     key_type: str  # computed | system_generated
     key_formula: KeyFormula | None = None
     descriptives: tuple[DescriptiveDef, ...] = ()
     has_delete_flag: bool = False
-    source_mappings: tuple[HubMapping, ...] = ()
+    source_mappings: tuple[SourceMapping, ...] = ()
 
     @property
     def key_column(self) -> str:
@@ -184,18 +187,17 @@ class HubDef(_Element):
         return (self.key_column,) if self.key_type == "computed" else self.business_identity
 
     @cached_property
-    def mapped_columns(self) -> tuple[Column, ...]:
+    def mapped_columns(self) -> tuple[ColumnSpec, ...]:
         """The columns a source mapping fills: business keys, then
         descriptives."""
-        return (tuple((bk.name, bk.type, False) for bk in self.business_keys)
-                + tuple(d.column for d in self.descriptives))
+        return self.business_keys + tuple(d.column for d in self.descriptives)
 
     @cached_property
-    def columns(self) -> tuple[Column, ...]:
+    def columns(self) -> tuple[ColumnSpec, ...]:
         """Silver columns in file order: metadata, delete flag, key, then
         the mapped columns."""
         return (_metadata_columns(HUB_METADATA, self.has_delete_flag)
-                + ((self.key_column, "string", False),) + self.mapped_columns)
+                + (ColumnSpec(self.key_column, "string", False),) + self.mapped_columns)
 
     @cached_property
     def references(self) -> dict[str, str]:
@@ -206,7 +208,6 @@ class HubDef(_Element):
 @dataclass(frozen=True)
 class ItemKeyRule:
     mode: str  # positional | explicit_sequence | concat_of_attributes
-    collection_column: str | None = None
     sequence_field: str | None = None
     attributes: tuple[str, ...] = ()
     hashed: bool = False
@@ -243,7 +244,7 @@ class StarDef(_Element):
     key_columns: tuple[str, ...]
     descriptives: tuple[DescriptiveDef, ...] = ()
     has_delete_flag: bool = False
-    source_mappings: tuple[StarMapping, ...] = ()
+    source_mappings: tuple[SourceMapping, ...] = ()
 
     @property
     def table_name(self) -> str:
@@ -270,22 +271,23 @@ class StarDef(_Element):
         return None
 
     @cached_property
-    def mapped_columns(self) -> tuple[Column, ...]:
+    def mapped_columns(self) -> tuple[ColumnSpec, ...]:
         """The columns a source mapping fills: participant keys, then
         descriptives. A time participant outside the composite key may be
         null."""
         participants = []
         for p in self.participants:
             if isinstance(p, HubParticipant):
-                participants.append((p.column, "string", False))
+                participants.append(ColumnSpec(p.column, "string", False))
             elif isinstance(p, TimeParticipant):
-                participants.append((p.column, "timestamp", p.column not in self.key_columns))
+                participants.append(ColumnSpec(p.column, "timestamp",
+                                               p.column not in self.key_columns))
             else:
-                participants.append((p.column, item_key_type(p.rule), False))
+                participants.append(ColumnSpec(p.column, item_key_type(p.rule), False))
         return tuple(participants) + tuple(d.column for d in self.descriptives)
 
     @cached_property
-    def columns(self) -> tuple[Column, ...]:
+    def columns(self) -> tuple[ColumnSpec, ...]:
         """Silver columns in file order: metadata, delete flag, then the
         mapped columns."""
         return _metadata_columns(STAR_METADATA, self.has_delete_flag) + self.mapped_columns
@@ -417,8 +419,7 @@ def _hub_star_tables(spec: ModelSpec, view: GoldViewDef) -> dict[str, dict[str, 
     for kind, name, left in view.read_tables:
         element = spec.hub(name) if kind == "hub" else spec.star(name) if kind == "star" else None
         if element is not None:
-            tables[name] = {column: (ctype, nullable or left)
-                            for column, ctype, nullable in element.columns}
+            tables[name] = {c.name: (c.type, c.nullable or left) for c in element.columns}
     return tables
 
 
@@ -557,7 +558,7 @@ def _check_source(ck: _Checker, source: SourceDef):
             if col is None:
                 ck.add("capture_rule_column", loc,
                        f"capture rule names unknown column {entry.column!r}")
-            elif not isinstance(col, ColumnDef) or col.type != "timestamp":
+            elif col.type != "timestamp":
                 ck.add("capture_rule_column", loc,
                        f"capture column {entry.column!r} must be a timestamp")
     if source.delete_flag_column and source.column(source.delete_flag_column) is None:
@@ -565,7 +566,7 @@ def _check_source(ck: _Checker, source: SourceDef):
                f"delete_flag_column {source.delete_flag_column!r} is not a declared column")
     if source.input_format == "csv":
         for col in source.columns:
-            if isinstance(col, CollectionColumn):
+            if col.type == "collection":
                 ck.add("csv_collection", loc,
                        f"collection column {col.name!r} requires the ndjson format")
 
@@ -608,8 +609,9 @@ def _check_key_formula(ck: _Checker, hub: HubDef, loc: str):
     if hub.bk_scope == "local" and not ex.uses_function(formula.expression, "load_source"):
         ck.add("key_formula_local_needs_source", loc,
                "local business keys require load_source() in the key formula")
-    if ex.uses_function(formula.expression, "concat") and not formula.delimiter:
-        ck.add("key_formula_delimiter", loc, "concat key formulas must declare a delimiter")
+    if any(isinstance(node, ex.Call) and node.func == "concat" and not node.args[0].value
+           for node in ex.nodes(formula.expression)):
+        ck.add("key_formula_delimiter", loc, "every concat in a key formula needs a delimiter")
 
 
 def _check_references(ck: _Checker, loc: str, element: HubDef | StarDef):
@@ -630,7 +632,7 @@ def _check_references(ck: _Checker, loc: str, element: HubDef | StarDef):
 
 
 def _check_expr_columns(ck: _Checker, loc: str, source: SourceDef | None,
-                        expression: ex.Expr, exploding: bool, collection: CollectionColumn | None):
+                        expression: ex.Expr, exploding: bool, collection: ColumnSpec | None):
     if source is None:
         return
     declared = {c.name for c in source.columns}
@@ -643,12 +645,12 @@ def _check_expr_columns(ck: _Checker, loc: str, source: SourceDef | None,
         ck.add("item_ref_outside_collection", loc,
                "item.<field> references require an exploded collection")
     elif collection is not None:
-        fields = {f.name for f in collection.fields}
+        fields = {name for name, _type in collection.fields}
         for name in sorted(item_fields - fields):
             ck.add("mapping_unknown_column", loc, f"unknown item field {name!r}")
 
 
-def _check_hub_mapping(ck: _Checker, hub: HubDef, mapping: HubMapping):
+def _check_hub_mapping(ck: _Checker, hub: HubDef, mapping: SourceMapping):
     loc = f"hub {hub.name} mapping {mapping.source}"
     source = ck.spec.source(mapping.source)
     if source is None:
@@ -665,13 +667,13 @@ def _check_hub_mapping(ck: _Checker, hub: HubDef, mapping: HubMapping):
 
 
 def _check_mapping_columns(ck: _Checker, loc: str, element: HubDef | StarDef,
-                           mapping: HubMapping | StarMapping, source: SourceDef | None,
-                           exploding: bool, collection: CollectionColumn | None):
+                           mapping: SourceMapping, source: SourceDef | None,
+                           exploding: bool, collection: ColumnSpec | None):
     """`map` fills a mapped column that holds no hub key and no item key; a
     hub's `fk` or a star's `key` resolves one that holds a hub key, with the
     business keys of the hub it references."""
     kind, clause = ("hub", "fk") if isinstance(element, HubDef) else ("star", "key")
-    targets = {name for name, _type, _nullable in element.mapped_columns}
+    targets = {c.name for c in element.mapped_columns}
     item = element.item_participant if isinstance(element, StarDef) else None
     for column, expression in mapping.column_exprs.items():
         if column in element.references:
@@ -737,7 +739,7 @@ def _check_star(ck: _Checker, star: StarDef):
         _check_star_mapping(ck, star, mapping)
 
 
-def _check_star_mapping(ck: _Checker, star: StarDef, mapping: StarMapping):
+def _check_star_mapping(ck: _Checker, star: StarDef, mapping: SourceMapping):
     loc = f"star {star.name} mapping {mapping.source}"
     source = ck.spec.source(mapping.source)
     if source is None:
@@ -749,7 +751,7 @@ def _check_star_mapping(ck: _Checker, star: StarDef, mapping: StarMapping):
             ck.add("star_mapping_explode", loc, "explode requires an item participant")
         if source is not None:
             col = source.column(mapping.explode_column)
-            if col is None or not isinstance(col, CollectionColumn):
+            if col is None or col.type != "collection":
                 ck.add("star_mapping_explode", loc,
                        f"explode column {mapping.explode_column!r} is not a collection column")
             else:
@@ -772,8 +774,8 @@ def _check_star_mapping(ck: _Checker, star: StarDef, mapping: StarMapping):
             ck.add("star_mapping_key_coverage", loc, f"key column {name!r} is not mapped")
 
 
-def _check_item_rule(ck: _Checker, loc: str, rule: ItemKeyRule, collection: CollectionColumn):
-    fields = {f.name for f in collection.fields}
+def _check_item_rule(ck: _Checker, loc: str, rule: ItemKeyRule, collection: ColumnSpec):
+    fields = {name for name, _type in collection.fields}
     if rule.mode == "explicit_sequence":
         if rule.sequence_field not in fields:
             ck.add("item_rule_field", loc,

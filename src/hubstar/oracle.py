@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .keygen import compute_hub_key
 from .model import HubDef, ModelSpec, StarDef
 from .silver import default_row, evaluate_mapping, hub_key_lookup, is_default_row
 from .storage import Record, Warehouse
@@ -77,8 +76,7 @@ def expected_state(warehouse: Warehouse, spec: ModelSpec,
             **payload,
         }
         if hub and element.key_type == "computed":
-            row[element.key_column] = compute_hub_key(element.key_formula, payload,
-                                                      source.load_source_id)
+            row[element.key_column] = element.key_formula.key(payload, source.load_source_id)
         groups.setdefault(row_key(row, element.identity), []).append((position, bronze_row, row))
 
     dedup_order = mapping.dedup_order if hub else ()
@@ -138,7 +136,7 @@ def compare_columns(element: HubDef | StarDef, include_volatile: bool = False) -
     caller knows the history was loaded in one batch."""
     columns = ("load_source",) + element.tracked_columns
     if include_volatile:
-        present = {name for name, _type, _nullable in element.columns}
+        present = {c.name for c in element.columns}
         columns += tuple(c for c in ("capture_timestamp", "initial_capture_timestamp")
                          if c in present and c not in element.identity)
     return columns

@@ -17,17 +17,15 @@ from itertools import count
 
 from . import expr as ex
 from .errors import LoadError, StorageError
-from .keygen import compute_hub_key, sha256_hex
 from .model import (
     DEFAULT_HUB_KEY,
     SYSTEM_LOAD_SOURCE,
     FkResolution,
     HubDef,
-    HubMapping,
     ItemKeyRule,
     ModelSpec,
+    SourceMapping,
     StarDef,
-    StarMapping,
     resolve_load_order,
 )
 from .storage import Record, Warehouse
@@ -72,7 +70,7 @@ def default_row(spec: ModelSpec, hub: HubDef) -> Record:
     every reference column `-1`, other columns null or, where they may not
     be, a type-neutral stand-in (the epoch for load metadata)."""
     row: Record = {}
-    for name, ctype, nullable in hub.columns:
+    for name, ctype, nullable, _fields in hub.columns:
         if name == hub.key_column or name in hub.references:
             row[name] = DEFAULT_HUB_KEY
         elif name == "load_source":
@@ -154,50 +152,38 @@ def resolve_fk(find_key, spec: ModelSpec, res: FkResolution, ctx: ex.EvalContext
             raise LoadError(f"fk to {res.hub}: {exc}") from exc
     effective_source = res.source_override if res.source_override is not None else ctx.load_source
     if target.key_type == "computed":
-        return compute_hub_key(target.key_formula, bk_record, effective_source)
+        return target.key_formula.key(bk_record, effective_source)
     return find_key(target, bk_record, effective_source)
 
 
-def mapping_collection(star: StarDef, mapping: StarMapping) -> ItemKeyRule | None:
-    """The item rule with the mapping's collection column filled in."""
-    item = star.item_participant
-    if item is None or mapping.explode_column is None:
-        return None
-    rule = item.rule
-    return ItemKeyRule(rule.mode, mapping.explode_column, rule.sequence_field,
-                       rule.attributes, rule.hashed)
-
-
-def explode_collection(parent: Record, rule: ItemKeyRule) -> list[tuple[dict, object]]:
-    """(item, item key) pairs for one parent row; empty array yields nothing."""
-    items = parent.get(rule.collection_column) or []
+def explode_collection(items, rule: ItemKeyRule) -> list[tuple[dict, object]]:
+    """(item, item key) pairs for one parent row's collection value; null or
+    an empty array yields nothing. A null sequence field fails the load, and
+    so does an item key met twice in one parent, which would otherwise let
+    the later item replace the earlier."""
     out: list[tuple[dict, object]] = []
-    if rule.mode == "positional":
-        for i, item in enumerate(items):
-            out.append((item, i + 1))
-        return out
-    if rule.mode == "explicit_sequence":
-        seen = set()
-        for item in items:
-            seq = item.get(rule.sequence_field)
-            if seq is None:
+    seen = set()
+    for position, item in enumerate(items or (), start=1):
+        if rule.mode == "positional":
+            key = position
+        elif rule.mode == "explicit_sequence":
+            key = item.get(rule.sequence_field)
+            if key is None:
                 raise LoadError(f"item sequence field {rule.sequence_field} is null")
-            if seq in seen:
-                raise LoadError(f"duplicate item sequence {seq!r} within one parent")
-            seen.add(seq)
-            out.append((item, seq))
-        return out
-    for item in items:  # concat_of_attributes
-        parts = [value_to_string(item[a]) for a in rule.attributes if item.get(a) is not None]
-        key = "#".join(parts)
-        if rule.hashed:
-            key = sha256_hex(key)
+        else:  # concat_of_attributes
+            key = "#".join(value_to_string(item[a]) for a in rule.attributes
+                           if item.get(a) is not None)
+            if rule.hashed:
+                key = ex.sha256_hex(key)
+        if key in seen:
+            raise LoadError(f"duplicate item sequence {key!r} within one parent")
+        seen.add(key)
         out.append((item, key))
     return out
 
 
 def evaluate_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
-                     mapping: HubMapping | StarMapping, bronze_row: Record) -> list[Record]:
+                     mapping: SourceMapping, bronze_row: Record) -> list[Record]:
     """The payloads one bronze row yields: one for a hub, one per exploded
     item for a star. A payload holds every mapped column, plus the delete
     flag when the element has one. A reference column holds the key the
@@ -205,15 +191,16 @@ def evaluate_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
     the item key; any other column its `map` expression, or null. `find_key`
     (`hub_key_lookup`) finds references into system-generated-key hubs."""
     load_source = spec.source(mapping.source).load_source_id
-    rule = mapping_collection(element, mapping) if isinstance(element, StarDef) else None
-    pairs = explode_collection(bronze_row, rule) if rule is not None else [(None, None)]
-    item_column = element.item_participant.column if rule is not None else None
+    item = element.item_participant if mapping.explode_column is not None else None
+    pairs = (explode_collection(bronze_row.get(mapping.explode_column), item.rule)
+             if item is not None else [(None, None)])
+    item_column = item.column if item is not None else None
     references, exprs = element.references, mapping.column_exprs
     out: list[Record] = []
     for item, item_key in pairs:
         ctx = ex.EvalContext(bronze_row, load_source, item, item_key)
         payload: Record = {}
-        for name, ctype, _nullable in element.mapped_columns:
+        for name, ctype, _nullable, _fields in element.mapped_columns:
             if name in references:
                 res = mapping.fk_resolutions.get(name)
                 payload[name] = DEFAULT_HUB_KEY if res is None else resolve_fk(
@@ -256,7 +243,7 @@ def _members(element: HubDef | StarDef, rows: list[Record]):
 
 
 def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-          mapping: HubMapping | StarMapping, now: datetime) -> LoadResult:
+          mapping: SourceMapping, now: datetime) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
     The mark is the latest capture among the table's members (every row but
@@ -310,7 +297,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     candidates = [entry[2] for entry in sorted(survivors, key=lambda e: e[0])]
     if hub is not None and hub.key_type == "computed":
         for candidate in candidates:
-            key = compute_hub_key(hub.key_formula, candidate, candidate["load_source"])
+            key = hub.key_formula.key(candidate, candidate["load_source"])
             if key == DEFAULT_HUB_KEY:
                 raise LoadError(f"{hub.table_name}: key formula gives the default row's key "
                                 f"{key} for {show_key(row_key(candidate, partition))}"
@@ -362,12 +349,12 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
-             mapping: HubMapping, now: datetime) -> LoadResult:
+             mapping: SourceMapping, now: datetime) -> LoadResult:
     return _load(warehouse, spec, hub, mapping, now)
 
 
 def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
-              mapping: StarMapping, now: datetime) -> LoadResult:
+              mapping: SourceMapping, now: datetime) -> LoadResult:
     return _load(warehouse, spec, star, mapping, now)
 
 
@@ -377,15 +364,10 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
     table name)."""
     results = []
     for name in resolve_load_order(spec):
-        hub = spec.hub(name)
-        star = spec.star(name)
-        element = hub if hub is not None else star
+        element = spec.hub(name) or spec.star(name)
         if only is not None and only not in (name, element.table_name):
             continue
-        if hub is not None:
-            for mapping in hub.source_mappings:
-                results.append(load_hub(warehouse, spec, hub, mapping, now))
-        else:
-            for mapping in star.source_mappings:
-                results.append(load_star(warehouse, spec, star, mapping, now))
+        load = load_hub if isinstance(element, HubDef) else load_star
+        for mapping in element.source_mappings:
+            results.append(load(warehouse, spec, element, mapping, now))
     return results

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import StorageError
-from .model import DEFAULT_HUB_KEY
+from .model import DEFAULT_HUB_KEY, ColumnSpec
 from .values import format_timestamp, parse_stored_timestamp, row_key, show_key, values_equal
 
 Record = dict[str, Any]
@@ -37,23 +37,17 @@ DATA_FILE = "data"
 CAPTURE_PREFIX = '{"capture_timestamp":"'
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
-    name: str
-    type: str
-    nullable: bool = True
-    fields: tuple[tuple[str, str], ...] = ()  # collection element fields
+def _column_to_json(column: ColumnSpec) -> dict:
+    doc: dict[str, Any] = {"name": column.name, "type": column.type,
+                           "nullable": column.nullable}
+    if column.type == "collection":
+        doc["fields"] = [{"name": n, "type": t} for n, t in column.fields]
+    return doc
 
-    def to_json(self) -> dict:
-        doc: dict[str, Any] = {"name": self.name, "type": self.type, "nullable": self.nullable}
-        if self.type == "collection":
-            doc["fields"] = [{"name": n, "type": t} for n, t in self.fields]
-        return doc
 
-    @staticmethod
-    def from_json(doc: Mapping) -> "ColumnSpec":
-        fields = tuple((f["name"], f["type"]) for f in doc.get("fields", ()))
-        return ColumnSpec(doc["name"], doc["type"], bool(doc.get("nullable", True)), fields)
+def _column_from_json(doc: Mapping) -> ColumnSpec:
+    fields = tuple((f["name"], f["type"]) for f in doc.get("fields", ()))
+    return ColumnSpec(doc["name"], doc["type"], bool(doc.get("nullable", True)), fields)
 
 
 @dataclass(frozen=True)
@@ -97,7 +91,7 @@ class TableManifest:
         return {
             "schema": self.schema,
             "table": self.table,
-            "columns": [c.to_json() for c in self.columns],
+            "columns": [_column_to_json(c) for c in self.columns],
             "primary_key": list(self.primary_key),
             "unique": [list(u) for u in self.unique],
             "foreign_keys": [fk.to_json() for fk in self.foreign_keys],
@@ -108,7 +102,7 @@ class TableManifest:
         return TableManifest(
             schema=doc["schema"],
             table=doc["table"],
-            columns=tuple(ColumnSpec.from_json(c) for c in doc["columns"]),
+            columns=tuple(_column_from_json(c) for c in doc["columns"]),
             primary_key=tuple(doc.get("primary_key", ())),
             unique=tuple(tuple(u) for u in doc.get("unique", ())),
             foreign_keys=tuple(ForeignKeySpec.from_json(fk)

@@ -8,7 +8,7 @@ warehouse must reproduce byte for byte.
 from __future__ import annotations
 
 from .model import (
-    CollectionColumn,
+    ColumnSpec,
     GoldViewDef,
     HubDef,
     ModelSpec,
@@ -17,7 +17,7 @@ from .model import (
     output_types,
     view_tables,
 )
-from .storage import ColumnSpec, ForeignKeySpec, TableManifest
+from .storage import ForeignKeySpec, TableManifest
 
 
 def bronze_manifest(spec: ModelSpec, source: SourceDef) -> TableManifest:
@@ -28,14 +28,8 @@ def bronze_manifest(spec: ModelSpec, source: SourceDef) -> TableManifest:
     ]
     if source.delete_flag_column is not None:
         columns.append(ColumnSpec("delete_flag", "integer", nullable=False))
-    for col in source.columns:
-        if isinstance(col, CollectionColumn):
-            columns.append(ColumnSpec(col.name, "collection",
-                                      fields=tuple((f.name, f.type) for f in col.fields)))
-        else:
-            columns.append(ColumnSpec(col.name, col.type))
     return TableManifest(schema=spec.schema_names["bronze"], table=source.name,
-                         columns=tuple(columns))
+                         columns=tuple(columns) + source.columns)
 
 
 def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef, primary_key: tuple[str, ...],
@@ -51,8 +45,7 @@ def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef, primary_key: tu
     return TableManifest(
         schema=silver,
         table=element.table_name,
-        columns=tuple(ColumnSpec(name, ctype, nullable=nullable)
-                      for name, ctype, nullable in element.columns),
+        columns=element.columns,
         primary_key=primary_key,
         unique=unique,
         foreign_keys=tuple(foreign_keys),

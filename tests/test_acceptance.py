@@ -28,7 +28,7 @@ from hubstar import (
     validate_model,
 )
 from hubstar import retail_fixture as rf
-from hubstar.keygen import sha256_hex
+from hubstar.expr import sha256_hex
 
 from conftest import FIXTURE_MODEL, run_pipeline
 from randmodels import random_model_text
@@ -100,8 +100,8 @@ hub thing {
 }
 '''
 
-# One deliberately broken model per structural rule; every model must
-# trip exactly its own rule and nothing else.
+# Deliberately broken models, one or more per structural rule; every model
+# must trip exactly its own rule and nothing else.
 BROKEN_MODELS = {
     "hub_missing_business_key": _BASE_HEAD + '''
 hub thing {
@@ -126,7 +126,7 @@ hub thing {
   }
 }
 ''',
-    "key_formula_delimiter": _BASE_HEAD + '''
+    "key_formula_delimiter": (_BASE_HEAD + '''
 hub thing {
   key computed concat("", cast(thing_id as string))
   business_key global (thing_id integer)
@@ -134,7 +134,17 @@ hub thing {
     map thing_id = thing_id
   }
 }
-''',
+''', _BASE_HEAD + '''
+hub thing {
+  key computed concat("#", thing_id, concat("", thing_name, updated_at))
+  business_key global (thing_id integer, thing_name string, updated_at timestamp)
+  source_mapping things {
+    map thing_id = thing_id
+    map thing_name = thing_name
+    map updated_at = updated_at
+  }
+}
+'''),
     "fk_unknown_hub": _BASE_HEAD + '''
 hub thing {
   key computed sha256(cast(thing_id as string))
@@ -194,10 +204,11 @@ def test_criterion_01_model_validation(capsys):
         report = validate_model(load_model(FIXTURE_MODEL).spec)
         assert report.ok, [f"{v.rule}: {v.message}" for v in report.violations]
         assert len(BROKEN_MODELS) == 10
-        for expected_rule, text in BROKEN_MODELS.items():
-            rules = [v.rule for v in validate_model(parse_model(text).spec).violations]
-            assert rules == [expected_rule], (
-                f"model for {expected_rule!r} produced {rules}")
+        for expected_rule, texts in BROKEN_MODELS.items():
+            for text in (texts,) if isinstance(texts, str) else texts:
+                rules = [v.rule for v in validate_model(parse_model(text).spec).violations]
+                assert rules == [expected_rule], (
+                    f"model for {expected_rule!r} produced {rules}")
         assert time.perf_counter() - t0 < 1.0
 
 

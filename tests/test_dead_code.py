@@ -1,17 +1,22 @@
-"""No dead private code: every private function, method and class of the
-package is used somewhere in the package outside its own definition.
+"""No dead code: every private function, method and class of the package
+is used somewhere in the package outside its own definition, and every
+public top-level function and class is named somewhere outside it.
 
-References are matched by name (a bare name or an attribute), so a private
-name defined twice passes when either definition is used. Public names are
-out of scope: the benchmark's tracer wraps some that the package never calls.
+Private references are matched by name (a bare name or an attribute), so a
+private name defined twice passes when either definition is used. A public
+name counts as named when it appears as a word in the package, the
+benchmark, the docs or README.md: the benchmark's tracer wraps some that
+the package never calls, and the README documents others.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hubstar"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hubstar"
 
 
 def is_private(name: str) -> bool:
@@ -35,3 +40,24 @@ def test_every_private_definition_is_referenced_outside_itself():
               if all(where == module and first <= line <= last
                      for where, line in references.get(name, []))]
     assert unused == []
+
+
+def test_every_public_top_level_definition_is_named_outside_itself():
+    texts = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "bench").rglob("*.py")),
+             *sorted((ROOT / "docs").rglob("*.md")), ROOT / "README.md"]
+    mentions: dict[str, list[tuple[Path, int]]] = {}  # word -> (file, line)
+    for path in texts:
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            for word in set(re.findall(r"\w+", line)):
+                mentions.setdefault(word, []).append((path, number))
+    definitions = []  # (file, name, first line, last line)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                definitions.append((path, node.name, node.lineno, node.end_lineno))
+    assert definitions, "no public definitions found; is PACKAGE right?"
+    unnamed = [f"{path.name}:{first} {name}" for path, name, first, last in definitions
+               if all(where == path and first <= line <= last
+                      for where, line in mentions.get(name, []))]
+    assert unnamed == []

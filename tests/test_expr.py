@@ -10,13 +10,12 @@ from hubstar.expr import (
     EvalContext,
     column_refs,
     evaluate,
-    first_concat_delimiter,
+    format_ts_compact,
     item_field_refs,
     parse_expr,
     render_expr,
     uses_function,
 )
-from hubstar.keygen import format_ts_compact
 from hubstar.lexer import TokenStream, tokenize
 
 
@@ -115,8 +114,6 @@ def test_reference_walkers():
     assert item_field_refs(expr) == {"f"}
     assert uses_function(expr, "coalesce")
     assert not uses_function(expr, "sha256")
-    assert first_concat_delimiter(expr) == "#"
-    assert first_concat_delimiter(pe("sha256(a)")) is None
 
 
 @pytest.mark.parametrize("text", [

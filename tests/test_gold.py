@@ -20,7 +20,7 @@ from hubstar import (
 from hubstar import gold
 from hubstar.errors import GoldBuildError
 from hubstar.gold import GoldBuildResult, current_rows
-from hubstar.keygen import sha256_hex
+from hubstar.expr import sha256_hex
 from hubstar.model import HubJoin, validate_model
 from hubstar.values import row_key, top_per_partition
 

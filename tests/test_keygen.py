@@ -5,17 +5,13 @@ from datetime import datetime, timezone
 import pytest
 
 from hubstar.errors import EvalError
-from hubstar.expr import parse_expr
-from hubstar.keygen import (
-    KeyFormula,
-    compute_hub_key,
-    sha256_hex,
-)
+from hubstar.expr import parse_expr, sha256_hex
 from hubstar.lexer import TokenStream, tokenize
+from hubstar.model import KeyFormula
 
 
 def formula(text: str) -> KeyFormula:
-    return KeyFormula.from_expression(parse_expr(TokenStream(tokenize(text))))
+    return KeyFormula(parse_expr(TokenStream(tokenize(text))))
 
 
 def test_sha256_hex_reference_digests():
@@ -28,16 +24,14 @@ def test_sha256_hex_reference_digests():
 
 def test_hashed_key_is_deterministic_over_the_stringified_key():
     f = formula("sha256(cast(customer_id as string))")
-    key = compute_hub_key(f, {"customer_id": 42}, load_source=1)
+    key = f.key({"customer_id": 42}, load_source=1)
     assert key == sha256_hex("42")
-    assert compute_hub_key(f, {"customer_id": 42}, load_source=9) == key
+    assert f.key({"customer_id": 42}, load_source=9) == key
 
 
 def test_concat_key_joins_with_the_declared_delimiter():
     f = formula('concat("#", order_number, format_ts_compact(placed_at))')
-    assert f.delimiter == "#"
-    key = compute_hub_key(
-        f, {"order_number": "SO-1",
+    key = f.key({"order_number": "SO-1",
             "placed_at": datetime(2024, 3, 1, 8, 0, 5, tzinfo=timezone.utc)},
         load_source=2)
     assert key == "SO-1#20240301080005"
@@ -45,8 +39,8 @@ def test_concat_key_joins_with_the_declared_delimiter():
 
 def test_local_keys_disambiguate_by_load_source():
     f = formula('concat("#", load_source(), product_id)')
-    a = compute_hub_key(f, {"product_id": "P1"}, load_source=3)
-    b = compute_hub_key(f, {"product_id": "P1"}, load_source=4)
+    a = f.key({"product_id": "P1"}, load_source=3)
+    b = f.key({"product_id": "P1"}, load_source=4)
     assert a == "3#P1"
     assert b == "4#P1"
     assert a != b
@@ -55,11 +49,11 @@ def test_local_keys_disambiguate_by_load_source():
 def test_null_business_key_is_an_error_not_a_key():
     f = formula("sha256(cast(customer_id as string))")
     with pytest.raises(EvalError, match="customer_id"):
-        compute_hub_key(f, {"customer_id": None}, load_source=1)
+        f.key({"customer_id": None}, load_source=1)
 
 
 def test_delimiter_collision_is_rejected():
     f = formula('concat("#", order_number, line)')
     with pytest.raises(EvalError, match="delimiter collision"):
-        compute_hub_key(f, {"order_number": "A#B", "line": "1"}, load_source=1)
+        f.key({"order_number": "A#B", "line": "1"}, load_source=1)
 

@@ -14,7 +14,7 @@ from hubstar import (
     load_all,
     parse_model,
 )
-from hubstar.keygen import sha256_hex
+from hubstar.expr import sha256_hex
 from hubstar.model import validate_model
 from hubstar.oracle import StateDiff, diff_states
 from hubstar.tables import hub_manifest

@@ -16,11 +16,12 @@ from hubstar import (
     init_warehouse,
     load_all,
     parse_model,
+    render_model,
 )
 from hubstar import retail_fixture as rf
 from hubstar import storage
 from hubstar.errors import HubStarError, LoadError, StorageError
-from hubstar.keygen import sha256_hex
+from hubstar.expr import sha256_hex
 from hubstar.model import ItemKeyRule, validate_model
 from hubstar.silver import (
     default_row,
@@ -925,31 +926,71 @@ def test_empty_collection_yields_no_star_rows(wh, feed):
     assert (star.scanned, star.inserted) == (0, 0)
 
 
+def test_a_repeated_concat_item_key_fails_the_load_and_leaves_the_star_as_it_was(tmp_path):
+    import json
+
+    spec = parse_model(render_model(MODEL).replace(
+        "participant item stop_no positional", "participant item stop_no concat(place)")).spec
+    assert validate_model(spec).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, spec)
+    paths = iter(tmp_path / f"extract_{n}" for n in range(9))
+
+    def feed(source, text):
+        path = next(paths)
+        path.write_text(text, encoding="utf-8")
+        ingest_file(warehouse, spec, source, path, now=NOW)
+
+    def trip(started_at, *places):
+        return json.dumps({"person_id": 1, "started_at": started_at,
+                           "stops": [{"place": p, "leg": 1} for p in places]}) + "\n"
+
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    feed("trips", trip("2024-05-01T07:00:00Z", "Oslo", "Bergen"))
+    load_all(warehouse, spec, now=NOW)
+    data = warehouse.table_dir(SILVER, "star_trip_stop") / "data"
+    before = data.read_bytes()
+    assert [r["stop_no"] for r in warehouse.read_rows(SILVER, "star_trip_stop")] == [
+        "Oslo", "Bergen"]
+
+    feed("trips", trip("2024-05-02T07:00:00Z", "Oslo", "Bergen", "Oslo"))
+    with pytest.raises(LoadError, match="duplicate item sequence 'Oslo' within one parent"):
+        load_all(warehouse, spec, now=NOW)
+    assert data.read_bytes() == before
+
+
 def test_explicit_sequence_explosion_and_its_failure_modes():
-    rule = ItemKeyRule("explicit_sequence", "items", sequence_field="seq")
-    parent = {"items": [{"seq": 7, "v": "a"}, {"seq": 2, "v": "b"}]}
-    assert [(k, i["v"]) for i, k in explode_collection(parent, rule)] == [(7, "a"), (2, "b")]
+    rule = ItemKeyRule("explicit_sequence", sequence_field="seq")
+    items = [{"seq": 7, "v": "a"}, {"seq": 2, "v": "b"}]
+    assert [(k, i["v"]) for i, k in explode_collection(items, rule)] == [(7, "a"), (2, "b")]
 
     with pytest.raises(LoadError, match="sequence field seq is null"):
-        explode_collection({"items": [{"seq": None}]}, rule)
+        explode_collection([{"seq": None}], rule)
     with pytest.raises(LoadError, match="duplicate item sequence 7"):
-        explode_collection({"items": [{"seq": 7}, {"seq": 7}]}, rule)
+        explode_collection([{"seq": 7}, {"seq": 7}], rule)
 
 
 def test_concat_explosion_skips_nulls_and_optionally_hashes():
-    rule = ItemKeyRule("concat_of_attributes", "items", attributes=("a", "b"))
-    parent = {"items": [{"a": "x", "b": "y"}, {"a": "x", "b": None}]}
-    assert [k for _i, k in explode_collection(parent, rule)] == ["x#y", "x"]
+    rule = ItemKeyRule("concat_of_attributes", attributes=("a", "b"))
+    items = [{"a": "x", "b": "y"}, {"a": "x", "b": None}]
+    assert [k for _i, k in explode_collection(items, rule)] == ["x#y", "x"]
 
-    hashed = ItemKeyRule("concat_of_attributes", "items", attributes=("a", "b"), hashed=True)
-    assert [k for _i, k in explode_collection(parent, hashed)] == [
+    hashed = ItemKeyRule("concat_of_attributes", attributes=("a", "b"), hashed=True)
+    assert [k for _i, k in explode_collection(items, hashed)] == [
         sha256_hex("x#y"), sha256_hex("x")]
+
+    # A repeated key would let the later item replace the earlier one.
+    repeated = items + [{"a": "x", "b": "y"}]
+    with pytest.raises(LoadError, match="duplicate item sequence 'x#y' within one parent"):
+        explode_collection(repeated, rule)
+    with pytest.raises(LoadError, match=f"duplicate item sequence '{sha256_hex('x#y')}'"):
+        explode_collection(repeated, hashed)
 
 
 def test_missing_collection_column_explodes_to_nothing():
-    rule = ItemKeyRule("positional", "items")
-    assert explode_collection({"items": None}, rule) == []
-    assert explode_collection({}, rule) == []
+    rule = ItemKeyRule("positional")
+    assert explode_collection(None, rule) == []
+    assert explode_collection([], rule) == []
 
 
 # -- table reads ----------------------------------------------------------------
