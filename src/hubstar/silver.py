@@ -191,10 +191,10 @@ def evaluate_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
     the item key; any other column its `map` expression, or null. `find_key`
     (`hub_key_lookup`) finds references into system-generated-key hubs."""
     load_source = spec.source(mapping.source).load_source_id
-    item = element.item_participant if mapping.explode_column is not None else None
-    pairs = (explode_collection(bronze_row.get(mapping.explode_column), item.rule)
-             if item is not None else [(None, None)])
-    item_column = item.column if item is not None else None
+    participant = element.item_participant if mapping.explode_column is not None else None
+    pairs = (explode_collection(bronze_row.get(mapping.explode_column), participant.rule)
+             if participant is not None else [(None, None)])
+    item_column = participant.column if participant is not None else None
     references, exprs = element.references, mapping.column_exprs
     out: list[Record] = []
     for item, item_key in pairs:
