@@ -49,7 +49,8 @@ def _parse_csv(source: SourceDef, text: str) -> list[dict]:
 def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
     declared = {c.name for c in source.columns}
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line: JSON strings may hold U+2028, U+2029 and U+0085.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -105,11 +106,11 @@ def resolve_capture_timestamp(record: dict, source: SourceDef,
     """First applicable rule wins: CDC column, last-modified column, file
     modification time, pipeline clock."""
     for rule in source.capture_rule:
-        if rule.kind in ("cdc_column", "last_modified_column"):
+        if rule.kind in ("cdc_column", "last_modified"):
             value = record.get(rule.column)
             if value is not None:
                 return value
-        elif rule.kind == "file_modification_time":
+        elif rule.kind == "file_mtime":
             return file_mtime
         else:
             return now

@@ -34,18 +34,11 @@ from .model import (
     StarJoin,
     TemporalJoin,
     TimeParticipant,
+    CAPTURE_KINDS,
+    LAYERS,
     default_schema_names,
 )
 from .values import SCALAR_TYPES
-
-_CAPTURE_WORDS = {
-    "cdc_column": "cdc_column",
-    "last_modified": "last_modified_column",
-    "file_mtime": "file_modification_time",
-    "pipeline_now": "pipeline_now",
-}
-_CAPTURE_RENDER = {v: k for k, v in _CAPTURE_WORDS.items()}
-
 
 @dataclass(frozen=True)
 class ModelDocument:
@@ -216,7 +209,7 @@ class _Parser:
         names: dict[str, str] = {}
         while not self.at_block_end():
             tok = self.keyword()
-            if tok.text not in ("bronze", "silver", "gold"):
+            if tok.text not in LAYERS:
                 self.fail(f"unknown layer {tok.text!r}", tok)
             if tok.text in names:
                 self.fail(f"duplicate layer {tok.text!r}", tok)
@@ -224,7 +217,7 @@ class _Parser:
             self.s.end_line()
         self.s.expect(SYMBOL, "}")
         self.s.end_line()
-        for layer in ("bronze", "silver", "gold"):
+        for layer in LAYERS:
             if layer not in names:
                 raise ParseError(f"schemas block missing the {layer} layer", 1, 1)
         return names
@@ -262,8 +255,8 @@ class _Parser:
         return name, self.choice(f"{what} type", SCALAR_TYPES, "unknown type")
 
     def parse_capture(self) -> CaptureSource:
-        kind = _CAPTURE_WORDS[self.choice("capture rule", _CAPTURE_WORDS, "unknown capture rule")]
-        if kind in ("cdc_column", "last_modified_column"):
+        kind = self.choice("capture rule", CAPTURE_KINDS, "unknown capture rule")
+        if kind in ("cdc_column", "last_modified"):
             return CaptureSource(kind, self.ident("capture column").text)
         return CaptureSource(kind, None)
 
@@ -374,10 +367,10 @@ class _Parser:
             self.s.expect(SYMBOL, "(")
             field = self.ident("sequence field").text
             self.s.expect(SYMBOL, ")")
-            return ItemKeyRule("explicit_sequence", sequence_field=field)
+            return ItemKeyRule("explicit", sequence_field=field)
         if tok.text == "concat":
             attrs = self.comma_list(lambda: self.ident("item attribute").text)
-            return ItemKeyRule("concat_of_attributes", attributes=attrs,
+            return ItemKeyRule("concat", attributes=attrs,
                                hashed=self.accept(IDENT, "hashed"))
         self.fail(f"unknown item key mode {tok.text!r}", tok)
 
@@ -487,7 +480,7 @@ def render_model(spec: ModelSpec) -> str:
 
 def _render_schemas(spec: ModelSpec) -> str:
     lines = ["schemas {"]
-    for layer in ("bronze", "silver", "gold"):
+    for layer in LAYERS:
         lines.append(f'  {layer} "{spec.schema_names[layer]}"')
     lines.append("}")
     return "\n".join(lines)
@@ -504,9 +497,8 @@ def _render_source(source: SourceDef) -> str:
         else:
             lines.append(f"  column {col.name} {col.type}")
     for rule in source.capture_rule:
-        word = _CAPTURE_RENDER[rule.kind]
         suffix = f" {rule.column}" if rule.column else ""
-        lines.append(f"  capture {word}{suffix}")
+        lines.append(f"  capture {rule.kind}{suffix}")
     if source.delete_flag_column:
         lines.append(f"  delete_flag_column {source.delete_flag_column}")
     lines.append("}")
@@ -558,7 +550,7 @@ def _render_participant(p) -> str:
         rule = p.rule
         if rule.mode == "positional":
             tail = "positional"
-        elif rule.mode == "explicit_sequence":
+        elif rule.mode == "explicit":
             tail = f"explicit({rule.sequence_field})"
         else:
             tail = f"concat({', '.join(rule.attributes)})"

@@ -23,6 +23,8 @@ DEFAULT_HUB_KEY = "-1"
 SYSTEM_LOAD_SOURCE = 0
 
 LAYERS = ("bronze", "silver", "gold")
+# The capture rules a source may list, as the language names them.
+CAPTURE_KINDS = ("cdc_column", "last_modified", "file_mtime", "pipeline_now")
 
 
 class ColumnSpec(NamedTuple):
@@ -37,9 +39,11 @@ class ColumnSpec(NamedTuple):
     fields: tuple[tuple[str, str], ...] = ()
 
 
-def _metadata_columns(names: tuple[str, ...], has_delete_flag: bool) -> tuple[ColumnSpec, ...]:
-    columns = tuple(ColumnSpec(n, "integer" if n == "load_source" else "timestamp", False)
-                    for n in names)
+def metadata_columns(names: tuple[str, ...], has_delete_flag: bool) -> tuple[ColumnSpec, ...]:
+    """The non-nullable metadata columns `names`, then the delete flag when
+    there is one: the head of every bronze and silver layout."""
+    types = {"load_source": "integer", "extract_path": "string"}
+    columns = tuple(ColumnSpec(n, types.get(n, "timestamp"), False) for n in names)
     return columns + ((ColumnSpec("delete_flag", "integer", False),) if has_delete_flag else ())
 
 
@@ -49,7 +53,7 @@ class ModelError(HubStarError):
 
 @dataclass(frozen=True)
 class CaptureSource:
-    kind: str  # cdc_column | last_modified_column | file_modification_time | pipeline_now
+    kind: str  # one of CAPTURE_KINDS
     column: str | None = None
 
 
@@ -196,7 +200,7 @@ class HubDef(_Element):
     def columns(self) -> tuple[ColumnSpec, ...]:
         """Silver columns in file order: metadata, delete flag, key, then
         the mapped columns."""
-        return (_metadata_columns(HUB_METADATA, self.has_delete_flag)
+        return (metadata_columns(HUB_METADATA, self.has_delete_flag)
                 + (ColumnSpec(self.key_column, "string", False),) + self.mapped_columns)
 
     @cached_property
@@ -207,14 +211,14 @@ class HubDef(_Element):
 
 @dataclass(frozen=True)
 class ItemKeyRule:
-    mode: str  # positional | explicit_sequence | concat_of_attributes
+    mode: str  # positional | explicit | concat
     sequence_field: str | None = None
     attributes: tuple[str, ...] = ()
     hashed: bool = False
 
 
 def item_key_type(rule: ItemKeyRule) -> str:
-    return "string" if rule.mode == "concat_of_attributes" else "integer"
+    return "string" if rule.mode == "concat" else "integer"
 
 
 @dataclass(frozen=True)
@@ -290,7 +294,7 @@ class StarDef(_Element):
     def columns(self) -> tuple[ColumnSpec, ...]:
         """Silver columns in file order: metadata, delete flag, then the
         mapped columns."""
-        return _metadata_columns(STAR_METADATA, self.has_delete_flag) + self.mapped_columns
+        return metadata_columns(STAR_METADATA, self.has_delete_flag) + self.mapped_columns
 
     @cached_property
     def references(self) -> dict[str, str]:
@@ -553,7 +557,7 @@ def _check_source(ck: _Checker, source: SourceDef):
     if not source.capture_rule:
         ck.add("capture_rule_empty", loc, "at least one capture_timestamp rule required")
     for entry in source.capture_rule:
-        if entry.kind in ("cdc_column", "last_modified_column"):
+        if entry.kind in ("cdc_column", "last_modified"):
             col = source.column(entry.column or "")
             if col is None:
                 ck.add("capture_rule_column", loc,
@@ -609,9 +613,27 @@ def _check_key_formula(ck: _Checker, hub: HubDef, loc: str):
     if hub.bk_scope == "local" and not ex.uses_function(formula.expression, "load_source"):
         ck.add("key_formula_local_needs_source", loc,
                "local business keys require load_source() in the key formula")
-    if any(isinstance(node, ex.Call) and node.func == "concat" and not node.args[0].value
-           for node in ex.nodes(formula.expression)):
+    concats = [node for node in ex.nodes(formula.expression)
+               if isinstance(node, ex.Call) and node.func == "concat"]
+    if any(not node.args[0].value for node in concats):
         ck.add("key_formula_delimiter", loc, "every concat in a key formula needs a delimiter")
+    if any(outer.args[0].value and outer.args[0].value in inner.args[0].value
+           for outer in concats for operand in outer.args[1:] for inner in _joins(operand)):
+        ck.add("key_formula_delimiter", loc,
+               "a nested concat's delimiter may not contain its parent's")
+
+
+def _joins(expr):
+    """The concats of two or more operands whose text `expr` passes on as it
+    is: `expr` itself, or one inside a cast or coalesce. Their delimiter is
+    in every value they give."""
+    if isinstance(expr, ex.Cast):
+        yield from _joins(expr.operand)
+    elif isinstance(expr, ex.Call) and expr.func == "coalesce":
+        for arg in expr.args:
+            yield from _joins(arg)
+    elif isinstance(expr, ex.Call) and expr.func == "concat" and len(expr.args) > 2:
+        yield expr
 
 
 def _check_references(ck: _Checker, loc: str, element: HubDef | StarDef):
@@ -776,11 +798,11 @@ def _check_star_mapping(ck: _Checker, star: StarDef, mapping: SourceMapping):
 
 def _check_item_rule(ck: _Checker, loc: str, rule: ItemKeyRule, collection: ColumnSpec):
     fields = {name for name, _type in collection.fields}
-    if rule.mode == "explicit_sequence":
+    if rule.mode == "explicit":
         if rule.sequence_field not in fields:
             ck.add("item_rule_field", loc,
                    f"sequence field {rule.sequence_field!r} not in collection {collection.name!r}")
-    elif rule.mode == "concat_of_attributes":
+    elif rule.mode == "concat":
         for name in rule.attributes:
             if name not in fields:
                 ck.add("item_rule_field", loc,

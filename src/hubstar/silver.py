@@ -166,11 +166,11 @@ def explode_collection(items, rule: ItemKeyRule) -> list[tuple[dict, object]]:
     for position, item in enumerate(items or (), start=1):
         if rule.mode == "positional":
             key = position
-        elif rule.mode == "explicit_sequence":
+        elif rule.mode == "explicit":
             key = item.get(rule.sequence_field)
             if key is None:
                 raise LoadError(f"item sequence field {rule.sequence_field} is null")
-        else:  # concat_of_attributes
+        else:  # concat
             key = "#".join(value_to_string(item[a]) for a in rule.attributes
                            if item.get(a) is not None)
             if rule.hashed:

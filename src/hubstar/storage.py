@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import StorageError
-from .model import DEFAULT_HUB_KEY, ColumnSpec
+from .model import BRONZE_METADATA, DEFAULT_HUB_KEY, ColumnSpec
 from .values import format_timestamp, parse_stored_timestamp, row_key, show_key, values_equal
 
 Record = dict[str, Any]
@@ -32,9 +32,9 @@ TableKey = tuple[str, str]  # (schema, table)
 
 MANIFEST_FILE = "manifest"
 DATA_FILE = "data"
-# How every canonical bronze line begins: `tables.bronze_manifest` puts the
-# capture time first, and it is never null.
-CAPTURE_PREFIX = '{"capture_timestamp":"'
+# How every canonical bronze line begins: BRONZE_METADATA puts the capture
+# time first, and it is never null.
+CAPTURE_PREFIX = "{" + json.dumps(BRONZE_METADATA[0]) + ':"'
 
 
 def _column_to_json(column: ColumnSpec) -> dict:
@@ -409,83 +409,66 @@ class Warehouse:
     def check_constraints(self, schema: str, table: str) -> list[str]:
         """Audit one table against its declared constraints; returns
         human-readable violation lines, empty when clean."""
-        return _Audit(self, schema, [table]).problems()
+        return self._audit(schema, [table])
 
     def check_all(self, schema: str) -> list[str]:
-        return _Audit(self, schema, self.list_tables(schema)).problems()
+        return self._audit(schema, self.list_tables(schema))
 
+    def _audit(self, schema: str, tables: list[str]) -> list[str]:
+        """The violation lines of some tables of one schema, table by table.
+        The first loop reads each table once and checks its non-null columns,
+        primary key and unique sets; it keeps the key sets that foreign keys
+        match against and each foreign key's non-null keys. The second checks
+        those keys, reading a referenced table only if the first did not."""
+        manifests = {table: self.manifest(schema, table) for table in tables}
+        wanted: dict[TableKey, set[tuple[str, ...]]] = {}
+        for manifest in manifests.values():
+            for fk in manifest.foreign_keys:
+                wanted.setdefault((fk.ref_schema, fk.ref_table), set()).add(fk.ref_columns)
+        key_sets: dict[tuple[str, str, tuple[str, ...]], set[tuple]] = {}
 
-class _Audit:
-    """The constraint checks of some tables of one schema, reading every
-    table once. The rows read to check a table give the key sets that
-    foreign keys into it match against, so a table that one of them
-    references before its turn is checked then."""
+        def keep_key_sets(ref_schema: str, ref_table: str, rows: list[Record]):
+            for columns in wanted.get((ref_schema, ref_table), ()):
+                key_sets[ref_schema, ref_table, columns] = {row_key(r, columns) for r in rows}
 
-    def __init__(self, warehouse: Warehouse, schema: str, tables: list[str]):
-        self.warehouse = warehouse
-        self.schema = schema
-        self.tables = tables
-        self.wanted: dict[TableKey, set[tuple[str, ...]]] = {}
-        for table in tables:
-            for fk in warehouse.manifest(schema, table).foreign_keys:
-                self.wanted.setdefault((fk.ref_schema, fk.ref_table), set()).add(fk.ref_columns)
-        self.key_sets: dict[tuple[str, str, tuple[str, ...]], set[tuple]] = {}
-        self.found: dict[str, list[str]] = {}
-
-    def problems(self) -> list[str]:
-        for table in self.tables:
-            if table not in self.found:
-                self.check(table)
-        return [line for table in self.tables for line in self.found[table]]
-
-    def read(self, schema: str, table: str) -> list[Record]:
-        rows = self.warehouse.read_rows(schema, table)
-        for columns in self.wanted.get((schema, table), ()):
-            self.key_sets[schema, table, columns] = {row_key(r, columns) for r in rows}
-        return rows
-
-    def check(self, table: str):
-        manifest = self.warehouse.manifest(self.schema, table)
-        rows = self.read(self.schema, table)
-        problems = self.found[table] = []
-        qualified = f"{self.schema}.{table}"
-        for col in manifest.columns:
-            if col.nullable:
+        found: dict[str, list[str]] = {}
+        pending: list[tuple[str, ForeignKeySpec, list[tuple]]] = []
+        for table, manifest in manifests.items():
+            rows = self.read_rows(schema, table)
+            keep_key_sets(schema, table, rows)
+            problems = found[table] = []
+            for col in manifest.columns:
+                nulls = 0 if col.nullable else sum(1 for r in rows if r.get(col.name) is None)
+                if nulls:
+                    problems.append(f"{schema}.{table}: column {col.name} is not nullable "
+                                    f"but holds {nulls} null(s)")
+            if manifest.primary_key:
+                for key in _duplicates(rows, manifest.primary_key):
+                    problems.append(f"{schema}.{table}: duplicate primary key {show_key(key)}")
+            for unique_cols in manifest.unique:
+                # A hub's `-1` default row holds stand-ins for its business
+                # keys, which a member may share, so it is left out.
+                members = [r for r in rows
+                           if tuple(map(r.get, manifest.primary_key)) != (DEFAULT_HUB_KEY,)]
+                for key in _duplicates(members, unique_cols):
+                    problems.append(f"{schema}.{table}: duplicate value {show_key(key)} "
+                                    f"for unique ({', '.join(unique_cols)})")
+            for fk in manifest.foreign_keys:
+                keys = [key for key in (row_key(r, fk.columns) for r in rows) if None not in key]
+                pending.append((table, fk, keys))
+        for table, fk, keys in pending:
+            ref = (fk.ref_schema, fk.ref_table)
+            if not self.table_exists(*ref):
+                found[table].append(f"{schema}.{table}: foreign key references missing table "
+                                    f"{fk.ref_schema}.{fk.ref_table}")
                 continue
-            nulls = sum(1 for r in rows if r.get(col.name) is None)
-            if nulls:
-                problems.append(f"{qualified}: column {col.name} is not nullable "
-                                f"but holds {nulls} null(s)")
-        if manifest.primary_key:
-            for key in _duplicates(rows, manifest.primary_key):
-                problems.append(f"{qualified}: duplicate primary key {show_key(key)}")
-        for unique_cols in manifest.unique:
-            # A hub's `-1` default row holds stand-ins for its business keys,
-            # which a member may share, so it is left out.
-            members = [r for r in rows
-                       if tuple(map(r.get, manifest.primary_key)) != (DEFAULT_HUB_KEY,)]
-            for key in _duplicates(members, unique_cols):
-                problems.append(f"{qualified}: duplicate value {show_key(key)} "
-                                f"for unique ({', '.join(unique_cols)})")
-        for fk in manifest.foreign_keys:
-            if not self.warehouse.table_exists(fk.ref_schema, fk.ref_table):
-                problems.append(f"{qualified}: foreign key references missing table "
-                                f"{fk.ref_schema}.{fk.ref_table}")
-                continue
-            ref = (fk.ref_schema, fk.ref_table, fk.ref_columns)
-            if ref not in self.key_sets:
-                if fk.ref_schema == self.schema and fk.ref_table in self.tables:
-                    self.check(fk.ref_table)
-                else:
-                    self.read(fk.ref_schema, fk.ref_table)
-            for r in rows:
-                key = row_key(r, fk.columns)
-                if any(part is None for part in key):
-                    continue
-                if key not in self.key_sets[ref]:
-                    problems.append(
-                        f"{qualified}: ({', '.join(fk.columns)}) = {show_key(key)} "
-                        f"not found in {fk.ref_schema}.{fk.ref_table}")
+            if (*ref, fk.ref_columns) not in key_sets:
+                keep_key_sets(*ref, self.read_rows(*ref))
+            known = key_sets[(*ref, fk.ref_columns)]
+            found[table].extend(f"{schema}.{table}: ({', '.join(fk.columns)}) = {show_key(key)} "
+                                f"not found in {fk.ref_schema}.{fk.ref_table}"
+                                for key in keys if key not in known)
+        return [line for table in tables for line in found[table]]
 
 
 def _duplicates(rows: list[Record], columns: tuple[str, ...]) -> list[tuple]:

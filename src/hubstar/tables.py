@@ -8,12 +8,14 @@ warehouse must reproduce byte for byte.
 from __future__ import annotations
 
 from .model import (
+    BRONZE_METADATA,
     ColumnSpec,
     GoldViewDef,
     HubDef,
     ModelSpec,
     SourceDef,
     StarDef,
+    metadata_columns,
     output_types,
     view_tables,
 )
@@ -21,15 +23,9 @@ from .storage import ForeignKeySpec, TableManifest
 
 
 def bronze_manifest(spec: ModelSpec, source: SourceDef) -> TableManifest:
-    columns = [
-        ColumnSpec("capture_timestamp", "timestamp", nullable=False),
-        ColumnSpec("load_timestamp", "timestamp", nullable=False),
-        ColumnSpec("extract_path", "string", nullable=False),
-    ]
-    if source.delete_flag_column is not None:
-        columns.append(ColumnSpec("delete_flag", "integer", nullable=False))
+    columns = metadata_columns(BRONZE_METADATA, source.delete_flag_column is not None)
     return TableManifest(schema=spec.schema_names["bronze"], table=source.name,
-                         columns=tuple(columns) + source.columns)
+                         columns=columns + source.columns)
 
 
 def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef, primary_key: tuple[str, ...],

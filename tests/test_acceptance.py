@@ -20,6 +20,7 @@ from hubstar import (
     Warehouse,
     build_all,
     check_against_oracle,
+    ingest_file,
     init_warehouse,
     load_all,
     load_model,
@@ -29,6 +30,7 @@ from hubstar import (
 )
 from hubstar import retail_fixture as rf
 from hubstar.expr import sha256_hex
+from hubstar.values import format_timestamp
 
 from conftest import FIXTURE_MODEL, run_pipeline
 from randmodels import random_model_text
@@ -100,6 +102,24 @@ hub thing {
 }
 '''
 
+
+
+def _thing_keyed(formula: str) -> str:
+    """A model whose one hub keys `things` by `formula` over all three of its
+    columns."""
+    return _BASE_HEAD + f'''
+hub thing {{
+  key computed {formula}
+  business_key global (thing_id integer, thing_name string, updated_at timestamp)
+  source_mapping things {{
+    map thing_id = thing_id
+    map thing_name = thing_name
+    map updated_at = updated_at
+  }}
+}}
+'''
+
+
 # Deliberately broken models, one or more per structural rule; every model
 # must trip exactly its own rule and nothing else.
 BROKEN_MODELS = {
@@ -134,17 +154,13 @@ hub thing {
     map thing_id = thing_id
   }
 }
-''', _BASE_HEAD + '''
-hub thing {
-  key computed concat("#", thing_id, concat("", thing_name, updated_at))
-  business_key global (thing_id integer, thing_name string, updated_at timestamp)
-  source_mapping things {
-    map thing_id = thing_id
-    map thing_name = thing_name
-    map updated_at = updated_at
-  }
-}
-'''),
+''', *map(_thing_keyed, (
+        'concat("#", thing_id, concat("", thing_name, updated_at))',
+        # A nested concat whose delimiter holds its parent's collides on every row.
+        'concat("#", thing_id, concat("#", thing_name, updated_at))',
+        'concat("#", thing_id, concat("##", thing_name, updated_at))',
+        'concat("#", thing_id, cast(concat("#", thing_name, updated_at) as string))',
+        'concat("#", thing_id, coalesce(concat("#", thing_name, updated_at), thing_name))'))),
     "fk_unknown_hub": _BASE_HEAD + '''
 hub thing {
   key computed sha256(cast(thing_id as string))
@@ -210,6 +226,22 @@ def test_criterion_01_model_validation(capsys):
                 assert rules == [expected_rule], (
                     f"model for {expected_rule!r} produced {rules}")
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_a_hashed_nested_concat_is_clean_and_loads(tmp_path):
+    spec = parse_model(_thing_keyed(
+        'concat("#", thing_id, sha256(concat("#", thing_name, updated_at)))')).spec
+    assert validate_model(spec).ok
+    extract = tmp_path / "things.csv"
+    extract.write_text("thing_id,thing_name,updated_at\n7,lamp,2024-03-01T08:00:00Z\n",
+                       encoding="utf-8")
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, spec)
+    ingest_file(warehouse, spec, "things", extract, now=rf.DEFAULT_NOW)
+    load_all(warehouse, spec, now=rf.DEFAULT_NOW)
+    updated = format_timestamp(datetime(2024, 3, 1, 8, tzinfo=timezone.utc))
+    keys = [row["thing_key"] for row in warehouse.read_rows("hs_demo", "hub_thing")]
+    assert keys[1:] == [f"7#{sha256_hex('lamp#' + updated)}"]
 
 
 # --- criteria 2-3: determinism and idempotency --------------------------------

@@ -6,9 +6,10 @@ from decimal import Decimal
 
 import pytest
 
-from hubstar import Warehouse, ingest_file, parse_model
+from hubstar import Warehouse, ingest_file, init_warehouse, load_all, parse_model
 from hubstar.bronze import coerce_delete_flag, parse_source_file, resolve_capture_timestamp
 from hubstar.errors import IngestError
+from hubstar.model import DEFAULT_HUB_KEY
 
 MODEL = parse_model('''product demo
 
@@ -209,3 +210,42 @@ def test_ingest_defaults_mtime_from_the_file(wh, tmp_path):
     ingest_file(wh, MODEL, "orders", path, now=NOW)
     (row,) = wh.read_rows("raw_demo", "orders")
     assert row["capture_timestamp"] == utc(2024, 6, 15, 12)
+
+
+MEMOS = parse_model('''product demo
+
+source memos {
+  load_source 1
+  format ndjson
+  column memo_id integer
+  column note string
+  capture pipeline_now
+}
+
+hub memo {
+  key computed sha256(cast(memo_id as string))
+  business_key global (memo_id integer)
+  descriptive note string
+  source_mapping memos {
+    map memo_id = memo_id
+    map note = note
+  }
+}
+''').spec
+
+
+def test_ndjson_lines_end_only_at_a_line_feed(tmp_path):
+    # JSON strings may hold these unescaped; str.splitlines breaks at them.
+    notes = [f"l1{char}l2" for char in ("\u2028", "\u2029", "\u0085")]
+    text = "".join(json.dumps({"memo_id": i, "note": note}, ensure_ascii=False) + "\n"
+                    for i, note in enumerate(notes))
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, MEMOS)
+    ingest_file(warehouse, MEMOS, "memos", write(tmp_path, "memos.ndjson", text), now=NOW)
+    load_all(warehouse, MEMOS, now=NOW)
+    members = [r for r in warehouse.read_rows("hs_demo", "hub_memo")
+               if r["memo_key"] != DEFAULT_HUB_KEY]
+    assert sorted((r["memo_id"], r["note"]) for r in members) == list(enumerate(notes))
+    assert warehouse.check_all("hs_demo") == []
+    with pytest.raises(IngestError, match="^memos line 4: "):
+        parse_source_file(MEMOS.source("memos"), text + "not json\n")

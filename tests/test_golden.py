@@ -15,19 +15,30 @@ The front end is pinned the same way: `golden_dsl.json` holds, for each of
 as an earlier version of the front end gave them. `golden_validate.json`
 pins the validator: for each of 1,000 `randmodels` samples at a fixed seed,
 the sha256 of the JSON form of its in-order (rule, location) list.
+
+`golden_audit.json` pins the constraint audit: for each of 50 seeded
+corruptions of the warehouse above (one to three of: a null in a
+non-nullable column, a duplicated line, two hub members with one business
+identity, a foreign key to a missing key, a null foreign key, a missing
+referenced table), the sha256 of the in-order lines of `check_all` for each
+schema and of `check_constraints` for each silver table.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import random
+import shutil
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from hubstar import parse_model, render_model, validate_model
+from hubstar import Warehouse, parse_model, render_model, validate_model
 from hubstar import retail_fixture as rf
 from hubstar.errors import ParseError
+from hubstar.model import DEFAULT_HUB_KEY, LAYERS
+from hubstar.storage import decode_row, encode_row
 
 from conftest import FIXTURE_MODEL, run_pipeline
 from randmodels import random_model_text
@@ -40,20 +51,28 @@ MUTANTS = 1000
 VALIDATOR_GOLDEN = GOLDEN.with_name("golden_validate.json")
 MODELS = 1000
 VALIDATOR_SEED = 13
+AUDIT_GOLDEN = GOLDEN.with_name("golden_audit.json")
+CORRUPTIONS = 50
+AUDIT_SEED = 17
 # inserted characters: every token class, an accented letter and its capital
 INSERTS = '{}(),=."\\#-_ \t\n\r09azAZ%\u00e9\u00c9'
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory, retail_spec, retail_data) -> dict[str, str]:
+def golden_wh(tmp_path_factory, retail_spec, retail_data) -> Warehouse:
+    """The retail fixture at 1x in BATCHES batches, gold built. Read-only."""
+    return run_pipeline(tmp_path_factory.mktemp("golden"), retail_spec, retail_data,
+                        batches=BATCHES, rng=random.Random(rf.SEED))
+
+
+@pytest.fixture(scope="module")
+def digests(golden_wh, retail_spec) -> dict[str, str]:
     """sha256 of every silver and gold data file and every manifest."""
-    warehouse = run_pipeline(tmp_path_factory.mktemp("golden"), retail_spec, retail_data,
-                             batches=BATCHES, rng=random.Random(rf.SEED))
     out = {}
-    for layer in ("bronze", "silver", "gold"):
+    for layer in LAYERS:
         schema = retail_spec.schema_names[layer]
-        for table in warehouse.list_tables(schema):
-            table_dir = warehouse.table_dir(schema, table)
+        for table in golden_wh.list_tables(schema):
+            table_dir = golden_wh.table_dir(schema, table)
             if layer != "bronze":
                 out[f"{schema}.{table}"] = hashlib.sha256(
                     (table_dir / "data").read_bytes()).hexdigest()
@@ -130,7 +149,7 @@ def _validator_outcomes() -> list[list[tuple[str, str]]]:
             for _ in range(MODELS)]
 
 
-def _digest(violations: list[tuple[str, str]]) -> str:
+def _digest(violations: list) -> str:
     return hashlib.sha256(json.dumps(violations).encode("utf-8")).hexdigest()
 
 
@@ -140,4 +159,106 @@ def test_validator_matches_recorded_outcomes():
     differ = [f"model {i}: {violations}"
               for i, (violations, want) in enumerate(zip(outcomes, recorded, strict=True))
               if _digest(violations) != want]
+    assert not differ, "\n".join(differ)
+
+
+def _edit_rows(warehouse: Warehouse, schema: str, table: str, edit):
+    """Rewrite a table's data file with `edit` applied to its list of rows."""
+    manifest = warehouse.manifest(schema, table)
+    data = warehouse.table_dir(schema, table) / "data"
+    rows = [decode_row(manifest, line)
+            for line in data.read_text(encoding="utf-8").split("\n") if line]
+    edit(rows)
+    data.write_text("".join(encode_row(manifest, r) + "\n" for r in rows), encoding="utf-8")
+
+
+class _Targets(NamedTuple):
+    """What the corruptions of one warehouse draw from, listed once."""
+
+    not_null: list[tuple[str, str, str]]  # (schema, table, non-nullable column)
+    tables: list[tuple[str, str]]  # every table that holds rows
+    hubs: list  # HubDef
+    foreign_keys: list[tuple[str, str, str]]  # (schema, table, foreign-key column)
+
+
+def _targets(warehouse: Warehouse, spec) -> _Targets:
+    tables = [(spec.schema_names[layer], table) for layer in LAYERS
+              for table in warehouse.list_tables(spec.schema_names[layer])
+              if warehouse.read_rows(spec.schema_names[layer], table)]
+    manifests = [warehouse.manifest(*t) for t in tables]
+    return _Targets(
+        [(m.schema, m.table, c.name) for m in manifests for c in m.columns if not c.nullable],
+        tables, list(spec.hubs),
+        [(m.schema, m.table, fk.columns[0]) for m in manifests for fk in m.foreign_keys])
+
+
+def _corrupt(warehouse: Warehouse, spec, rng: random.Random, targets: _Targets):
+    """One seeded corruption of the warehouse's files; none when what it
+    draws is a table an earlier one removed."""
+    silver = spec.schema_names["silver"]
+    kind = rng.randrange(6)
+    hub = rng.choice(targets.hubs)
+    if kind == 0:  # a null in a non-nullable column
+        schema, table, column = rng.choice(targets.not_null)
+    elif kind == 1:  # a duplicated line
+        schema, table = rng.choice(targets.tables)
+    elif kind == 2:  # two hub members with one business identity
+        schema, table = silver, hub.table_name
+    elif kind in (3, 4):  # a foreign key to a missing key, or a null one
+        schema, table, column = rng.choice(targets.foreign_keys)
+    else:  # a missing referenced table
+        schema, table = silver, hub.table_name
+    if not warehouse.table_exists(schema, table):
+        return
+    if kind == 5:
+        shutil.rmtree(warehouse.table_dir(schema, table))
+        return
+
+    def edit(rows):
+        if kind == 1:
+            rows.insert(rng.randrange(len(rows) + 1), dict(rng.choice(rows)))
+        elif kind == 2:
+            members = [r for r in rows if r[hub.key_column] != DEFAULT_HUB_KEY]
+            source, target = rng.sample(members, 2)
+            target.update({c: source[c] for c in hub.business_identity})
+        else:  # one to three rows; missing keys may repeat
+            for row in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                row[column] = f"missing-{rng.randrange(3)}" if kind == 3 else None
+    _edit_rows(warehouse, schema, table, edit)
+
+
+def _audit_outcomes(root: Path, spec) -> list[dict[str, list[str]]]:
+    """For each seeded corruption of a copy of the warehouse at `root`, the
+    in-order lines of `check_all` for each schema and of `check_constraints`
+    for each silver table."""
+    rng = random.Random(AUDIT_SEED)
+    targets = _targets(Warehouse(root), spec)
+    silver = spec.schema_names["silver"]
+    outcomes = []
+    for case in range(CORRUPTIONS):
+        copy = root.with_name(f"{root.name}-corrupt-{case}")
+        shutil.copytree(root, copy)
+        warehouse = Warehouse(copy)
+        for _ in range(rng.randint(1, 3)):
+            _corrupt(warehouse, spec, rng, targets)
+        lines = {f"check_all {spec.schema_names[layer]}":
+                 warehouse.check_all(spec.schema_names[layer]) for layer in LAYERS}
+        for table in warehouse.list_tables(silver):
+            lines[f"check_constraints {silver}.{table}"] = \
+                warehouse.check_constraints(silver, table)
+        outcomes.append(lines)
+        shutil.rmtree(copy)
+    return outcomes
+
+
+def test_audit_matches_recorded_outcomes(golden_wh, retail_spec):
+    recorded = json.loads(AUDIT_GOLDEN.read_text(encoding="utf-8"))
+    outcomes = _audit_outcomes(golden_wh.root, retail_spec)
+    differ = [f"corruption {i}, {call}: {lines}"
+              for i, (audit, want) in enumerate(zip(outcomes, recorded, strict=True))
+              for call, lines in audit.items()
+              if want.get(call) != _digest(lines)]
+    differ += [f"corruption {i}: calls {sorted(set(audit) ^ set(want))} differ"
+               for i, (audit, want) in enumerate(zip(outcomes, recorded))
+               if set(audit) != set(want)]
     assert not differ, "\n".join(differ)

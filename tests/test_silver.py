@@ -960,7 +960,7 @@ def test_a_repeated_concat_item_key_fails_the_load_and_leaves_the_star_as_it_was
 
 
 def test_explicit_sequence_explosion_and_its_failure_modes():
-    rule = ItemKeyRule("explicit_sequence", sequence_field="seq")
+    rule = ItemKeyRule("explicit", sequence_field="seq")
     items = [{"seq": 7, "v": "a"}, {"seq": 2, "v": "b"}]
     assert [(k, i["v"]) for i, k in explode_collection(items, rule)] == [(7, "a"), (2, "b")]
 
@@ -971,11 +971,11 @@ def test_explicit_sequence_explosion_and_its_failure_modes():
 
 
 def test_concat_explosion_skips_nulls_and_optionally_hashes():
-    rule = ItemKeyRule("concat_of_attributes", attributes=("a", "b"))
+    rule = ItemKeyRule("concat", attributes=("a", "b"))
     items = [{"a": "x", "b": "y"}, {"a": "x", "b": None}]
     assert [k for _i, k in explode_collection(items, rule)] == ["x#y", "x"]
 
-    hashed = ItemKeyRule("concat_of_attributes", attributes=("a", "b"), hashed=True)
+    hashed = ItemKeyRule("concat", attributes=("a", "b"), hashed=True)
     assert [k for _i, k in explode_collection(items, hashed)] == [
         sha256_hex("x#y"), sha256_hex("x")]
 

@@ -53,7 +53,9 @@ ROW = {
 
 
 def test_round_trip_preserves_types(wh):
-    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2", "count": None}])
+    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2", "count": None},
+                                      {"sample_id": "s-3", "price": Decimal("5")},
+                                      {"sample_id": "s-4", "price": Decimal("-12")}])
     rows = wh.read_rows("lab", "samples")
     assert rows[0] == ROW
     assert isinstance(rows[0]["price"], Decimal)
@@ -62,6 +64,9 @@ def test_round_trip_preserves_types(wh):
     second = rows[1]
     assert second["count"] is None
     assert second["price"] is None
+    # An integral decimal is stored as a bare integer and read back a Decimal.
+    assert [(type(r["price"]), str(r["price"])) for r in rows[2:]] == [
+        (Decimal, "5"), (Decimal, "-12")]
 
 
 def test_unicode_strings_round_trip(wh):
