@@ -11,6 +11,9 @@ Typical use::
     ...
 """
 
+# Set before the imports: gold reads it while this package initialises.
+__version__ = "0.1.0"
+
 from .bronze import ingest_file
 from .dsl import load_model, parse_model, render_model
 from .errors import (EvalError, GoldBuildError, HubStarError, IngestError,
@@ -20,8 +23,6 @@ from .model import ModelError, ModelSpec, validate_model
 from .oracle import check_against_oracle
 from .silver import LoadResult, init_warehouse, load_all, load_hub, load_star
 from .storage import TableManifest, Warehouse
-
-__version__ = "0.1.0"
 
 __all__ = [
     "EvalError", "GoldBuildError", "HubStarError", "IngestError", "LoadError",

@@ -1,8 +1,12 @@
 """Gold materialization: SCD Type 1 and Type 2 dimensions and fact tables.
 
-Every build overwrites its target table from current silver content, so
-`build-gold` doubles as refresh; building twice over unchanged silver
-leaves the files byte-identical.
+A view is a pure function of the model, the hubstar version and the tables
+it reads, so each build records a verifying trace of those inputs beside
+its table (Mokhov, Mitchell and Peyton Jones, "Build Systems a la Carte",
+ICFP 2018). A build whose trace still holds reads no row and writes
+nothing; any other build overwrites its target table from current silver
+content, so `build-gold` doubles as refresh. Either way, building twice
+over unchanged silver leaves the files byte-identical.
 """
 
 from __future__ import annotations
@@ -10,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
+from . import __version__
+from .dsl import render_model
 from .errors import GoldBuildError
 from .model import ColumnRef, GoldViewDef, HubJoin, ModelSpec, ref_table, view_tables
-from .storage import Record, Warehouse
+from .storage import Record, TableKey, Warehouse, digest, manifest_bytes
 from .tables import gold_manifest
 from .values import key_part, row_key, top_per_partition, value_to_string
 
@@ -40,12 +46,25 @@ def current_rows(rows: list[Record], partition: tuple[str, ...],
             if not row.get("delete_flag")]
 
 
-def _silver_rows(warehouse: Warehouse, spec: ModelSpec, table: str) -> list[Record]:
-    silver = spec.schema_names["silver"]
-    if not warehouse.table_exists(silver, table):
-        raise GoldBuildError(f"silver table {silver}.{table} is missing; "
-                             "run init and load-silver first")
-    return warehouse.read_rows(silver, table)
+def _read_tables(warehouse: Warehouse, spec: ModelSpec,
+                 view: GoldViewDef) -> dict[str, TableKey]:
+    """The (schema, table) of each table the view reads, by name in
+    `read_tables` order; raises when one is missing."""
+    found = {}
+    for kind, name, _left in view.read_tables:
+        if kind == "gold":
+            key = spec.schema_names["gold"], spec.view(name).table_name
+            if not warehouse.table_exists(*key):
+                raise GoldBuildError(f"{view.name}: referenced dimension {name} "
+                                     "is not built yet")
+        else:
+            element = spec.hub(name) if kind == "hub" else spec.star(name)
+            key = spec.schema_names["silver"], element.table_name
+            if not warehouse.table_exists(*key):
+                raise GoldBuildError(f"silver table {key[0]}.{key[1]} is missing; "
+                                     "run init and load-silver first")
+        found[name] = key
+    return found
 
 
 def _join(contexts: list[dict[str, Record]], name: str, rows: list[Record], column: str,
@@ -101,7 +120,14 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     each join is one `_join`. Every column reference is resolved to its
     (table, column) before a row is read, and each context holds a row,
     empty when none matched, for every table, so a step reads a column as
-    `ctx[table].get(column)`."""
+    `ctx[table].get(column)`.
+
+    Once every table it reads exists, the view's inputs are digested: the
+    canonical model text, the hubstar version, the manifest it writes and
+    the bytes of each table it reads. When the table's trace records that
+    digest and still matches the table's files, the build returns the
+    recorded row count without reading a row; otherwise it builds, writes
+    the table, then the trace."""
     tables = view_tables(spec, view)
 
     def resolve(ref: ColumnRef) -> Resolved:
@@ -123,24 +149,27 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     if temporal is not None:
         key_ref, (time_table, time_column) = resolve(temporal.key_ref), resolve(temporal.time_ref)
 
+    read = _read_tables(warehouse, spec, view)
+    manifest = gold_manifest(spec, view)
+    inputs = digest([render_model(spec).encode("utf-8"), __version__.encode("utf-8"),
+                     manifest_bytes(manifest),
+                     *(warehouse.table_digest(*key).encode("ascii") for key in read.values())])
+    traced = warehouse.traced_rows(manifest, inputs)
+    if traced is not None:
+        return GoldBuildResult(view.name, traced, now)
+
     empty = dict.fromkeys(tables, _NO_ROW)
-    contexts = [{**empty, view.base: row}
-                for row in _silver_rows(warehouse, spec, base.table_name)]
+    contexts = [{**empty, view.base: row} for row in warehouse.read_rows(*read[view.base])]
     for join, probe in joins:
         if isinstance(join, HubJoin):
-            hub = spec.hub(join.hub)
-            contexts = _join(contexts, join.hub, _silver_rows(warehouse, spec, hub.table_name),
-                             hub.key_column, probe, inner=join.how == "inner")
+            contexts = _join(contexts, join.hub, warehouse.read_rows(*read[join.hub]),
+                             spec.hub(join.hub).key_column, probe, inner=join.how == "inner")
         else:  # the current rows of a star, left joined to the hub base
-            rows = current_rows(_silver_rows(warehouse, spec, spec.star(join.star).table_name),
+            rows = current_rows(warehouse.read_rows(*read[join.star]),
                                 join.partition_by, join.order_by)
             contexts = _join(contexts, join.star, rows, join.on_column, probe)
     if temporal is not None:
         dim = spec.view(temporal.dim)
-        gold_schema = spec.schema_names["gold"]
-        if not warehouse.table_exists(gold_schema, dim.table_name):
-            raise GoldBuildError(f"{view.name}: referenced dimension {dim.name} "
-                                 "is not built yet")
 
         def valid_at(ctx: dict[str, Record], version: Record) -> bool:
             """The fact's time lies in the version's [valid_from, valid_to]:
@@ -151,21 +180,22 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
                     and version["valid_from"] <= at
                     and (version.get("valid_to") is None or at <= version["valid_to"]))
 
-        contexts = _join(contexts, dim.name, warehouse.read_rows(gold_schema, dim.table_name),
+        contexts = _join(contexts, dim.name, warehouse.read_rows(*read[dim.name]),
                          spec.hub(dim.base).key_column, key_ref, keep=valid_at)
     rows = _project(outputs, scd2_key, contexts)
-    warehouse.replace_table(gold_manifest(spec, view), rows)
+    warehouse.replace_table(manifest, rows)
+    warehouse.write_trace(manifest, inputs, len(rows))
     return GoldBuildResult(view.name, len(rows), now)
 
 
 def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
               only: str | None = None) -> list[GoldBuildResult]:
-    """Build every view, dimensions before the facts that reference them."""
+    """Build every view, dimensions before the facts that reference them,
+    or only the view named `only`."""
     ordered = [v for v in spec.gold_views if v.kind != "fact"]
     ordered += [v for v in spec.gold_views if v.kind == "fact"]
-    results = []
-    for view in ordered:
-        if only is not None and view.name != only:
-            continue
-        results.append(build_view(warehouse, spec, view, now))
-    return results
+    if only is not None:
+        ordered = [v for v in ordered if v.name == only]
+        if not ordered:
+            raise GoldBuildError(f"no gold view named {only!r}")
+    return [build_view(warehouse, spec, view, now) for view in ordered]

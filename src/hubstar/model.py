@@ -617,23 +617,26 @@ def _check_key_formula(ck: _Checker, hub: HubDef, loc: str):
                if isinstance(node, ex.Call) and node.func == "concat"]
     if any(not node.args[0].value for node in concats):
         ck.add("key_formula_delimiter", loc, "every concat in a key formula needs a delimiter")
-    if any(outer.args[0].value and outer.args[0].value in inner.args[0].value
-           for outer in concats for operand in outer.args[1:] for inner in _joins(operand)):
-        ck.add("key_formula_delimiter", loc,
-               "a nested concat's delimiter may not contain its parent's")
+    if any(outer.args[0].value and outer.args[0].value in text
+           for outer in concats for operand in outer.args[1:] for text in _fixed_text(operand)):
+        ck.add("key_formula_delimiter", loc, "a literal operand or a nested concat's "
+               "delimiter may not contain its parent's delimiter")
 
 
-def _joins(expr):
-    """The concats of two or more operands whose text `expr` passes on as it
-    is: `expr` itself, or one inside a cast or coalesce. Their delimiter is
-    in every value they give."""
+def _fixed_text(expr):
+    """Text that a value of `expr` can hold whole: the text of a literal and
+    the delimiter of a concat of two or more operands, each `expr` itself or
+    inside a cast or coalesce. A concat that takes `expr` as an operand
+    fails on every row where such text holds its delimiter."""
     if isinstance(expr, ex.Cast):
-        yield from _joins(expr.operand)
+        yield from _fixed_text(expr.operand)
     elif isinstance(expr, ex.Call) and expr.func == "coalesce":
         for arg in expr.args:
-            yield from _joins(arg)
+            yield from _fixed_text(arg)
     elif isinstance(expr, ex.Call) and expr.func == "concat" and len(expr.args) > 2:
-        yield expr
+        yield expr.args[0].value
+    elif isinstance(expr, ex.Lit):
+        yield str(expr.value)
 
 
 def _check_references(ck: _Checker, loc: str, element: HubDef | StarDef):

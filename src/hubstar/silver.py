@@ -362,11 +362,13 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
              only: str | None = None) -> list[LoadResult]:
     """Load every hub and star in dependency order (or one, by model or
     table name)."""
+    elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
+    if only is not None:
+        elements = [e for e in elements if only in (e.name, e.table_name)]
+        if not elements:
+            raise LoadError(f"no hub or star named {only!r}")
     results = []
-    for name in resolve_load_order(spec):
-        element = spec.hub(name) or spec.star(name)
-        if only is not None and only not in (name, element.table_name):
-            continue
+    for element in elements:
         load = load_hub if isinstance(element, HubDef) else load_star
         for mapping in element.source_mappings:
             results.append(load(warehouse, spec, element, mapping, now))

@@ -1,5 +1,6 @@
 """File-backed warehouse: schemas are directories, tables are a manifest
-plus a JSON-lines data file, and every write is a whole-file atomic rename.
+plus a JSON-lines data file (and, for a gold view, a trace of what it was
+built from), and every write is a whole-file atomic rename.
 Stored lines are canonical, so writes splice encoded lines into a file's
 bytes and reads can take a bronze line's capture time from its prefix
 without decoding the rest. A Warehouse remembers the decoded rows of the
@@ -32,9 +33,20 @@ TableKey = tuple[str, str]  # (schema, table)
 
 MANIFEST_FILE = "manifest"
 DATA_FILE = "data"
+TRACE_FILE = "trace"
 # How every canonical bronze line begins: BRONZE_METADATA puts the capture
 # time first, and it is never null.
 CAPTURE_PREFIX = "{" + json.dumps(BRONZE_METADATA[0]) + ':"'
+
+
+def digest(parts: Iterable[bytes]) -> str:
+    """Hex sha256 of `parts`, each preceded by its length, so two different
+    lists of parts never hash the same bytes."""
+    hasher = sha256()
+    for part in parts:
+        hasher.update(b"%d:" % len(part))
+        hasher.update(part)
+    return hasher.hexdigest()
 
 
 def _column_to_json(column: ColumnSpec) -> dict:
@@ -108,6 +120,11 @@ class TableManifest:
             foreign_keys=tuple(ForeignKeySpec.from_json(fk)
                                for fk in doc.get("foreign_keys", ())),
         )
+
+
+def manifest_bytes(manifest: TableManifest) -> bytes:
+    """The bytes of the manifest file that holds `manifest`."""
+    return (json.dumps(manifest.to_json(), indent=2) + "\n").encode("utf-8")
 
 
 def _encode_scalar(value: Any) -> str:
@@ -238,8 +255,7 @@ class Warehouse:
     def _write_manifest(self, manifest: TableManifest):
         table_dir = self.table_dir(manifest.schema, manifest.table)
         table_dir.mkdir(parents=True, exist_ok=True)
-        body = json.dumps(manifest.to_json(), indent=2) + "\n"
-        _atomic_write(table_dir / MANIFEST_FILE, body.encode("utf-8"))
+        _atomic_write(table_dir / MANIFEST_FILE, manifest_bytes(manifest))
 
     def create_table(self, manifest: TableManifest):
         """Write a new table's manifest and an empty data file; refuses to
@@ -260,6 +276,45 @@ class Warehouse:
         self._write_manifest(manifest)
         _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE,
                       _encode_rows(manifest, rows))
+
+    def table_digest(self, schema: str, table: str) -> str:
+        """The `digest` of the table's manifest and data bytes; a missing
+        data file hashes apart from an empty one."""
+        table_dir = self.table_dir(schema, table)
+        manifest = table_dir / MANIFEST_FILE
+        if not manifest.is_file():
+            raise StorageError(f"no such table {schema}.{table}")
+        data = table_dir / DATA_FILE
+        return digest([manifest.read_bytes()] + ([data.read_bytes()] if data.is_file() else []))
+
+    def write_trace(self, manifest: TableManifest, inputs: str, rows: int):
+        """Record that the table now holds `rows` rows built from `inputs`,
+        a digest its builder computes: a canonical JSON object of `inputs`,
+        the table's own `table_digest` as `output`, and `rows`. Called after
+        the data is written, so a crash in between leaves the previous
+        trace, whose inputs or output no longer match."""
+        trace = {"inputs": inputs, "output": self.table_digest(manifest.schema, manifest.table),
+                 "rows": rows}
+        _atomic_write(self.table_dir(manifest.schema, manifest.table) / TRACE_FILE,
+                      (json.dumps(trace, sort_keys=True) + "\n").encode("utf-8"))
+
+    def traced_rows(self, manifest: TableManifest, inputs: str) -> int | None:
+        """The rows the table's trace records, when the trace still holds:
+        it records `inputs`, and its `output` is the digest of the table's
+        files as they are now. None when it does not hold, or the table or
+        its trace is missing or unreadable."""
+        if not self.table_exists(manifest.schema, manifest.table):
+            return None
+        try:
+            trace = json.loads((self.table_dir(manifest.schema, manifest.table)
+                                / TRACE_FILE).read_bytes())
+        except (FileNotFoundError, ValueError):  # no trace, or not JSON in UTF-8
+            return None
+        if (not isinstance(trace, dict) or trace.get("inputs") != inputs
+                or type(trace.get("rows")) is not int
+                or trace.get("output") != self.table_digest(manifest.schema, manifest.table)):
+            return None
+        return trace["rows"]
 
     def manifest(self, schema: str, table: str) -> TableManifest:
         """The table's manifest, parsed once for each content it has."""

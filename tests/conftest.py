@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hubstar import (
     validate_model,
 )
 from hubstar import retail_fixture as rf
+from hubstar import storage
 
 FIXTURE_MODEL = Path(__file__).resolve().parent.parent / "fixtures" / "retail.hsm"
 
@@ -55,3 +57,34 @@ def loaded(tmp_path_factory, retail_spec, retail_data):
     that mutate tables must build their own root."""
     root = tmp_path_factory.mktemp("retail_wh")
     return run_pipeline(root, retail_spec, retail_data)
+
+
+class Decodes(Counter):
+    """`storage.decode_row` calls by (schema, table), and in `lines` each
+    decoded line in call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines: list[str] = []
+
+    def clear(self):
+        super().clear()
+        self.lines.clear()
+
+    def in_schema(self, schema: str) -> int:
+        return sum(n for (s, _table), n in self.items() if s == schema)
+
+
+@pytest.fixture()
+def decoded(monkeypatch) -> Decodes:
+    """Counts the rows storage decodes from here on (see `Decodes`)."""
+    decodes = Decodes()
+    decode_row = storage.decode_row
+
+    def counted(manifest, line):
+        decodes[manifest.schema, manifest.table] += 1
+        decodes.lines.append(line)
+        return decode_row(manifest, line)
+
+    monkeypatch.setattr(storage, "decode_row", counted)
+    return decodes

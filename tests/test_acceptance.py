@@ -160,7 +160,11 @@ hub thing {
         'concat("#", thing_id, concat("#", thing_name, updated_at))',
         'concat("#", thing_id, concat("##", thing_name, updated_at))',
         'concat("#", thing_id, cast(concat("#", thing_name, updated_at) as string))',
-        'concat("#", thing_id, coalesce(concat("#", thing_name, updated_at), thing_name))'))),
+        'concat("#", thing_id, coalesce(concat("#", thing_name, updated_at), thing_name))',
+        # A literal operand that holds the delimiter collides on every row.
+        'concat("#", thing_id, "a#b", thing_name, updated_at)',
+        'concat("#", thing_id, cast("a#b" as string), thing_name, updated_at)',
+        'concat("#", thing_id, coalesce(thing_name, "a#b"), updated_at)'))),
     "fk_unknown_hub": _BASE_HEAD + '''
 hub thing {
   key computed sha256(cast(thing_id as string))
@@ -228,9 +232,13 @@ def test_criterion_01_model_validation(capsys):
         assert time.perf_counter() - t0 < 1.0
 
 
-def test_a_hashed_nested_concat_is_clean_and_loads(tmp_path):
-    spec = parse_model(_thing_keyed(
-        'concat("#", thing_id, sha256(concat("#", thing_name, updated_at)))')).spec
+UPDATED = format_timestamp(datetime(2024, 3, 1, 8, tzinfo=timezone.utc))
+
+
+def _keys_of_one_thing(tmp_path, formula: str) -> list[str]:
+    """The member keys of `_thing_keyed(formula)`, validated clean, after
+    loading one thing: 7, lamp, updated at UPDATED."""
+    spec = parse_model(_thing_keyed(formula)).spec
     assert validate_model(spec).ok
     extract = tmp_path / "things.csv"
     extract.write_text("thing_id,thing_name,updated_at\n7,lamp,2024-03-01T08:00:00Z\n",
@@ -239,9 +247,19 @@ def test_a_hashed_nested_concat_is_clean_and_loads(tmp_path):
     init_warehouse(warehouse, spec)
     ingest_file(warehouse, spec, "things", extract, now=rf.DEFAULT_NOW)
     load_all(warehouse, spec, now=rf.DEFAULT_NOW)
-    updated = format_timestamp(datetime(2024, 3, 1, 8, tzinfo=timezone.utc))
-    keys = [row["thing_key"] for row in warehouse.read_rows("hs_demo", "hub_thing")]
-    assert keys[1:] == [f"7#{sha256_hex('lamp#' + updated)}"]
+    return [row["thing_key"] for row in warehouse.read_rows("hs_demo", "hub_thing")][1:]
+
+
+def test_a_hashed_nested_concat_is_clean_and_loads(tmp_path):
+    keys = _keys_of_one_thing(
+        tmp_path, 'concat("#", thing_id, sha256(concat("#", thing_name, updated_at)))')
+    assert keys == [f"7#{sha256_hex('lamp#' + UPDATED)}"]
+
+
+def test_a_literal_without_the_delimiter_is_clean_and_loads(tmp_path):
+    keys = _keys_of_one_thing(
+        tmp_path, 'concat("#", thing_id, cast("tail" as string), thing_name, updated_at)')
+    assert keys == [f"7#tail#lamp#{UPDATED}"]
 
 
 # --- criteria 2-3: determinism and idempotency --------------------------------

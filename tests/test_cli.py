@@ -185,6 +185,19 @@ def test_build_gold_can_target_a_single_view(cli_wh, capsys):
     assert len(out) == 1 and out[0].startswith("dim_product: rows=")
 
 
+@pytest.mark.parametrize("command, flag, name", [
+    ("load-silver", "--table", "no_such_table"),
+    ("build-gold", "--view", "no_such_view"),
+])
+def test_an_unknown_table_or_view_is_an_operational_error(cli_wh, capsys, command, flag, name):
+    rc = main([command, "--model", MODEL, "--root", cli_wh,
+               "--now", value_to_string(rf.DEFAULT_NOW), flag, name])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and repr(name) in captured.err
+
+
 def test_check_passes_on_a_clean_warehouse(cli_wh, capsys):
     assert main(["check", "--model", MODEL, "--root", cli_wh]) == 0
     assert capsys.readouterr().out == "ok\n"

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import random
+import shutil
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubstar import (
     Warehouse,
@@ -17,11 +24,13 @@ from hubstar import (
     load_all,
     parse_model,
 )
-from hubstar import gold
+from hubstar import gold, storage
+from hubstar import retail_fixture as rf
 from hubstar.errors import GoldBuildError
 from hubstar.gold import GoldBuildResult, current_rows
 from hubstar.expr import sha256_hex
 from hubstar.model import HubJoin, validate_model
+from conftest import FIXTURE_MODEL
 from hubstar.values import row_key, top_per_partition
 
 MODEL = parse_model('''product goldtest
@@ -411,6 +420,8 @@ def test_build_results_carry_row_counts(gw):
 def test_build_all_only_filter(gw):
     results = build_all(gw, MODEL, now=NOW, only="dim_person")
     assert [r.view_name for r in results] == ["dim_person"]
+    with pytest.raises(GoldBuildError, match="no gold view named 'no_such_view'"):
+        build_all(gw, MODEL, now=NOW, only="no_such_view")
 
 
 def test_inner_join_drops_orphans_and_left_join_keeps_them(tmp_path):
@@ -466,3 +477,174 @@ def test_a_build_resolves_each_reference_once_whatever_the_row_count(gw, tmp_pat
     build_all(gw, MODEL, now=NOW)
     assert sum(len(gw.read_rows(GOLD, view.name)) for view in MODEL.gold_views) > 0
     assert resolved == over_no_rows
+
+
+# -- verifying traces: a build over unchanged inputs reads and writes nothing ---
+
+
+def gold_files(root: Path, spec) -> dict[str, bytes]:
+    """Every file of the gold schema, by path under it."""
+    gold_dir = root / spec.schema_names["gold"]
+    return {str(path.relative_to(gold_dir)): path.read_bytes()
+            for path in sorted(gold_dir.glob("*/*"))}
+
+
+@pytest.fixture()
+def retail_copy(loaded, tmp_path) -> Warehouse:
+    """A copy of the loaded retail warehouse, gold built, to change freely."""
+    return Warehouse(shutil.copytree(loaded.root, tmp_path / "wh"))
+
+
+@pytest.fixture()
+def rebuilt(monkeypatch) -> list[str]:
+    """The gold tables written through `replace_table`, in call order."""
+    tables: list[str] = []
+    replace_table = storage.Warehouse.replace_table
+
+    def recorded(self, manifest, rows):
+        tables.append(manifest.table)
+        return replace_table(self, manifest, rows)
+
+    monkeypatch.setattr(storage.Warehouse, "replace_table", recorded)
+    return tables
+
+
+def test_a_noop_build_decodes_no_row_and_touches_no_file(retail_copy, retail_spec, decoded):
+    gold_dir = retail_copy.root / retail_spec.schema_names["gold"]
+    stats = {path: (path.stat().st_ino, path.stat().st_mtime_ns)
+             for path in gold_dir.glob("*/*")}
+    counts = {view.name: len(retail_copy.read_rows(gold_dir.name, view.table_name))
+              for view in retail_spec.gold_views}
+    decoded.clear()
+    results = build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert sum(decoded.values()) == 0
+    assert {r.view_name: r.rows for r in results} == counts
+    assert {path: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in gold_dir.glob("*/*")} == stats
+    assert {path.name for path in stats} == {"manifest", "data", "trace"}
+
+
+def change_last_row(warehouse: Warehouse, spec, table: str, column: str):
+    """Append " (edited)" to `column` of the table's last silver row."""
+    silver = spec.schema_names["silver"]
+    rows = warehouse.read_rows(silver, table)
+    changed = {**rows[-1], column: rows[-1][column] + " (edited)"}
+    warehouse.append_rows(silver, table, [], replace={len(rows) - 1: changed}, lines=len(rows))
+
+
+@pytest.mark.parametrize("table, column, views", [pytest.param(*case, id=case[0]) for case in (
+    ("hub_customer", "customer_name", ["dim_customer", "dim_customer2", "fact_order_item"]),
+    ("hub_sales_order", "order_number", ["fact_order_item"]),
+    ("hub_product", "product_name", ["dim_product"]),
+    ("hub_loyalty_segment", "segment_name", ["dim_customer"]),
+    ("star_customer_address", "ship_to_address",
+     ["dim_customer", "dim_customer2", "fact_order_item"]),
+    ("star_sales_order_item", "currency", ["fact_order_item"]))])
+def test_a_changed_silver_row_rebuilds_the_views_that_read_it(
+        retail_copy, retail_spec, rebuilt, table, column, views):
+    """The fact reads no customer table; it is rebuilt when dim_customer2,
+    which it reads, changes."""
+    change_last_row(retail_copy, retail_spec, table, column)
+    build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert rebuilt == views
+    rebuilt.clear()
+    build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert rebuilt == []
+
+
+def edit_in_place(path: Path):
+    """Change one byte of the file, keeping its size and times."""
+    stat = path.stat()
+    content = bytearray(path.read_bytes())
+    content[-2] = ord("0") if content[-2] != ord("0") else ord("1")
+    path.write_bytes(bytes(content))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+@pytest.mark.parametrize("damage", [edit_in_place, Path.unlink], ids=["edited", "deleted"])
+@pytest.mark.parametrize("name", ["data", "trace", "manifest"])
+def test_a_damaged_gold_table_is_rebuilt_to_the_canonical_bytes(
+        retail_copy, retail_spec, rebuilt, damage, name):
+    before = gold_files(retail_copy.root, retail_spec)
+    damage(retail_copy.table_dir(retail_spec.schema_names["gold"], "dim_customer2") / name)
+    build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert gold_files(retail_copy.root, retail_spec) == before
+    assert rebuilt == ["dim_customer2"]  # the fact reads the same bytes as before
+
+
+def test_a_model_edit_that_changes_a_view_rebuilds_it(retail_copy, retail_spec, loaded):
+    """Ranking addresses oldest first changes dim_customer's rows but not
+    its manifest."""
+    edited = parse_model(FIXTURE_MODEL.read_text(encoding="utf-8").replace(
+        "order_by (valid_from desc, capture_timestamp desc)",
+        "order_by (valid_from asc, capture_timestamp desc)")).spec
+    assert edited != retail_spec
+    build_all(Warehouse(retail_copy.root), edited, now=rf.DEFAULT_NOW)
+    traced, before = gold_files(retail_copy.root, edited), gold_files(loaded.root, retail_spec)
+    assert traced["dim_customer/data"] != before["dim_customer/data"]
+    assert traced["dim_customer/manifest"] == before["dim_customer/manifest"]
+    for trace in (retail_copy.root / edited.schema_names["gold"]).glob("*/trace"):
+        trace.unlink()
+    build_all(Warehouse(retail_copy.root), edited, now=rf.DEFAULT_NOW)
+    assert gold_files(retail_copy.root, edited) == traced
+
+
+def test_a_missing_input_still_raises_with_a_trace_present(retail_copy, retail_spec):
+    """The copy holds every view's trace: a view checks that the tables it
+    reads exist before its trace."""
+    gold_schema, silver = retail_spec.schema_names["gold"], retail_spec.schema_names["silver"]
+    shutil.rmtree(retail_copy.table_dir(gold_schema, "dim_customer2"))
+    fact = retail_spec.view("fact_order_item")
+    with pytest.raises(GoldBuildError, match="dim_customer2 is not built yet"):
+        build_view(Warehouse(retail_copy.root), retail_spec, fact, now=rf.DEFAULT_NOW)
+    shutil.rmtree(retail_copy.table_dir(silver, "hub_product"))
+    with pytest.raises(GoldBuildError, match=f"silver table {silver}.hub_product is missing"):
+        build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+
+
+def test_a_build_cut_before_its_trace_is_redone_then_skipped(
+        retail_copy, retail_spec, monkeypatch, decoded):
+    """A crash between a view's data write and its trace write leaves the
+    trace of the view's previous build."""
+    change_last_row(retail_copy, retail_spec, "hub_customer", "customer_name")
+    write_trace = storage.Warehouse.write_trace
+
+    def cut(self, manifest, inputs, rows):
+        if manifest.table == "dim_customer2":
+            raise OSError("cut before the trace")
+        write_trace(self, manifest, inputs, rows)
+
+    monkeypatch.setattr(storage.Warehouse, "write_trace", cut)
+    with pytest.raises(OSError, match="cut before the trace"):
+        build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    monkeypatch.setattr(storage.Warehouse, "write_trace", write_trace)
+    build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    redone = gold_files(retail_copy.root, retail_spec)
+    decoded.clear()
+    build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert sum(decoded.values()) == 0
+    shutil.rmtree(retail_copy.root / retail_spec.schema_names["gold"])
+    build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert gold_files(retail_copy.root, retail_spec) == redone
+
+
+@settings(max_examples=8, deadline=None)
+@given(batches=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_traced_builds_equal_full_builds_over_batch_splits(retail_spec, retail_data,
+                                                            batches, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        warehouse = Warehouse(root / "wh")
+        init_warehouse(warehouse, retail_spec)
+        for jobs in rf.write_batches(retail_data, root / "inbox", batches,
+                                     random.Random(seed)):
+            for job in jobs:
+                ingest_file(warehouse, retail_spec, job.source, job.path,
+                            now=rf.DEFAULT_NOW, mtime=job.mtime)
+            load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+            build_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+            traced = gold_files(warehouse.root, retail_spec)
+            for trace in (warehouse.root / retail_spec.schema_names["gold"]).glob("*/trace"):
+                trace.unlink()
+            build_all(Warehouse(warehouse.root), retail_spec, now=rf.DEFAULT_NOW)
+            assert gold_files(warehouse.root, retail_spec) == traced

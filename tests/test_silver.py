@@ -276,6 +276,20 @@ def test_loading_a_hub_whose_table_holds_no_row_fails(wh, feed):
     assert data.read_bytes() == b""
 
 
+def test_load_all_only_takes_a_model_or_table_name_and_refuses_others(wh, feed):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    before = {table: (wh.table_dir(SILVER, table) / "data").read_bytes()
+              for table in wh.list_tables(SILVER)}
+    with pytest.raises(LoadError, match="no hub or star named 'no_such_table'"):
+        load_all(wh, MODEL, now=NOW, only="no_such_table")
+    assert before == {table: (wh.table_dir(SILVER, table) / "data").read_bytes()
+                      for table in wh.list_tables(SILVER)}
+    assert [r.table for r in load_all(wh, MODEL, now=NOW, only="person")] == \
+        [f"{SILVER}.hub_person"]
+    assert [r.table for r in load_all(wh, MODEL, now=NOW, only="hub_person")] == \
+        [f"{SILVER}.hub_person"]
+
+
 def test_update_overwrites_descriptives_but_not_first_seen_metadata(wh, feed):
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
     load_all(wh, MODEL, now=NOW)
@@ -1011,21 +1025,23 @@ def table_reads(monkeypatch):
 
 
 @pytest.fixture()
-def rows_coded(monkeypatch):
-    """Counts rows decoded and encoded by storage, by (function, schema)."""
+def rows_encoded(monkeypatch):
+    """Counts rows encoded by storage, by schema."""
     calls: Counter = Counter()
-    for name in ("decode_row", "encode_row"):
-        def counted(manifest, line_or_row, original=getattr(storage, name), name=name):
-            calls[name, manifest.schema] += 1
-            return original(manifest, line_or_row)
+    encode_row = storage.encode_row
 
-        monkeypatch.setattr(storage, name, counted)
+    def counted(manifest, row):
+        calls[manifest.schema] += 1
+        return encode_row(manifest, row)
+
+    monkeypatch.setattr(storage, "encode_row", counted)
     return calls
 
 
 @pytest.mark.parametrize("writes", [False, True], ids=["noop", "writes"])
 def test_a_load_reads_each_silver_table_once_per_mapping(
-        tmp_path, monkeypatch, table_reads, rows_coded, retail_spec, retail_data, writes):
+        tmp_path, monkeypatch, table_reads, decoded, rows_encoded, retail_spec, retail_data,
+        writes):
     warehouse = Warehouse(tmp_path / "wh")
     init_warehouse(warehouse, retail_spec)
     for n, jobs in enumerate(rf.write_batches(retail_data, tmp_path / "inbox", 2)):
@@ -1045,7 +1061,8 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
 
     monkeypatch.setattr(storage, "_atomic_write", recorded)
     table_reads.clear()
-    rows_coded.clear()
+    decoded.clear()
+    rows_encoded.clear()
     results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
 
     assert any(r.scanned for r in results) == writes
@@ -1055,12 +1072,12 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
         {e.table_name: len(e.source_mappings) for e in elements}
     # Bronze at or below each mark is never decoded, and only the silver rows
     # a load writes are encoded.
-    assert bool(rows_coded["decode_row", retail_spec.schema_names["bronze"]]) == writes
-    assert rows_coded["encode_row", silver] == sum(r.inserted + r.updated for r in results)
+    assert bool(decoded.in_schema(retail_spec.schema_names["bronze"])) == writes
+    assert rows_encoded[silver] == sum(r.inserted + r.updated for r in results)
 
 
 def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
-        tmp_path, rows_coded, retail_spec, retail_data):
+        tmp_path, decoded, rows_encoded, retail_spec, retail_data):
     warehouse = Warehouse(tmp_path / "wh")
     init_warehouse(warehouse, retail_spec)
     silver = retail_spec.schema_names["silver"]
@@ -1069,9 +1086,9 @@ def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
         for job in jobs:
             ingest_file(warehouse, retail_spec, job.source, job.path,
                         now=rf.DEFAULT_NOW, mtime=job.mtime)
-        rows_coded.clear()
+        decoded.clear()
         results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
-        written.append((rows_coded["decode_row", silver],
+        written.append((decoded.in_schema(silver),
                         sum(r.inserted + r.updated for r in results)))
     (_, first_written), (second_decoded, second_written), (third_decoded, third_written) = written
     assert first_written and second_written and third_written
@@ -1081,10 +1098,11 @@ def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
     assert second_decoded == first_written + len(retail_spec.hubs)
     assert third_decoded == second_written
 
-    rows_coded.clear()
+    decoded.clear()
     results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
     assert not any(r.inserted or r.updated for r in results)
-    assert rows_coded["decode_row", silver] == third_written
-    rows_coded.clear()
+    assert decoded.in_schema(silver) == third_written
+    decoded.clear()
+    rows_encoded.clear()
     load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
-    assert sum(rows_coded.values()) == 0
+    assert sum(decoded.values()) + sum(rows_encoded.values()) == 0

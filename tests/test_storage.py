@@ -11,7 +11,6 @@ import pytest
 
 from hubstar import check_against_oracle, ingest_file, init_warehouse, load_all
 from hubstar import retail_fixture as rf
-from hubstar import storage
 from hubstar.errors import StorageError
 from hubstar.storage import ColumnSpec, ForeignKeySpec, TableManifest, Warehouse
 from hubstar.values import format_timestamp
@@ -159,7 +158,7 @@ def test_appends_refuse_a_file_whose_line_count_changed(wh, grown):
     assert (data.read_bytes(), data.stat().st_ino) == (before, inode)
 
 
-def test_reads_above_a_capture_time_decode_only_those_lines(tmp_path, monkeypatch):
+def test_reads_above_a_capture_time_decode_only_those_lines(tmp_path, decoded):
     warehouse = Warehouse(tmp_path)
     warehouse.create_table(TableManifest(
         schema="raw", table="events",
@@ -172,18 +171,11 @@ def test_reads_above_a_capture_time_decode_only_those_lines(tmp_path, monkeypatc
         {"capture_timestamp": at, "label": str(n)} for n, at in enumerate(times)])
     with (warehouse.table_dir("raw", "events") / "data").open("a", encoding="utf-8") as fh:
         fh.write('{"label": "4", "capture_timestamp": "2024-05-01T13:00:00Z"}\n')
-    decoded = []
-    decode_row = storage.decode_row
-
-    def counted(manifest, line):
-        decoded.append(line)
-        return decode_row(manifest, line)
-
-    monkeypatch.setattr(storage, "decode_row", counted)
+    decoded.clear()
     after = warehouse.read_rows("raw", "events", captured_after=times[1])
     assert [r["label"] for r in after] == ["2", "4"]  # strictly above: "1" is not
     # Line 2, and line 4, hand-written, whose capture time is not its prefix.
-    assert len(decoded) == 2
+    assert len(decoded.lines) == 2
     # "…:00Z" sorts after "…:00.5Z" as text; the comparison is by instant.
     assert [r["label"] for r in warehouse.read_rows(
         "raw", "events", captured_after=times[0])] == ["1", "2", "3", "4"]
@@ -202,42 +194,34 @@ def test_a_manifest_is_parsed_once_for_each_content(wh, monkeypatch):
     assert len(parsed) == 2
 
 
-def counted_decodes(monkeypatch) -> list[str]:
-    decoded: list[str] = []
-    decode_row = storage.decode_row
-    monkeypatch.setattr(storage, "decode_row",
-                        lambda manifest, line: decoded.append(line) or decode_row(manifest, line))
-    return decoded
-
-
-def test_a_read_after_a_splice_decodes_only_the_lines_it_wrote(wh, monkeypatch):
+def test_a_read_after_a_splice_decodes_only_the_lines_it_wrote(wh, decoded):
     wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}])
     rows = wh.read_rows("lab", "samples")
-    decoded = counted_decodes(monkeypatch)
+    decoded.clear()
     # A first splice keeps no rows: the read after it decodes every line once.
     wh.append_rows("lab", "samples", [{"sample_id": "s-3"}], lines=len(rows))
     rows = wh.read_rows("lab", "samples")
-    assert len(decoded) == 3
+    assert len(decoded.lines) == 3
     decoded.clear()
     wh.append_rows("lab", "samples", [{"sample_id": "s-4"}],
                    replace={1: {"sample_id": "s-2", "count": 2}}, lines=len(rows))
     after = wh.read_rows("lab", "samples")
-    assert [line[:len('{"sample_id":"s-2"')] for line in decoded] == [
+    assert [line[:len('{"sample_id":"s-2"')] for line in decoded.lines] == [
         '{"sample_id":"s-2"', '{"sample_id":"s-4"']
     assert after == Warehouse(wh.root).read_rows("lab", "samples")
     assert after[0] is rows[0] and after[2] is rows[2]  # shared, so never to be mutated
     assert after is not wh.read_rows("lab", "samples")
-    assert len(decoded) == 2 + 4  # the fresh Warehouse decoded every line
+    assert len(decoded.lines) == 2 + 4  # the fresh Warehouse decoded every line
 
 
-def test_an_object_that_only_reads_keeps_no_rows(wh, monkeypatch):
+def test_an_object_that_only_reads_keeps_no_rows(wh, decoded):
     wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}])
-    decoded = counted_decodes(monkeypatch)
+    decoded.clear()
     rows = wh.read_rows("lab", "samples")
     assert gc.get_referrers(*rows) == [rows]  # only the caller's list holds them
     assert wh.check_all("lab") == []
     assert wh.read_rows("lab", "samples") == rows
-    assert len(decoded) == 2 * 3  # every read decodes every line
+    assert len(decoded.lines) == 2 * 3  # every read decodes every line
 
 
 def test_a_spliced_table_whose_manifest_changed_is_decoded_again(wh):
