@@ -16,7 +16,7 @@ from .errors import IngestError
 from .model import ColumnSpec, ModelSpec, SourceDef
 from .silver import LoadResult
 from .storage import Warehouse, decode_json
-from .tables import bronze_manifest
+from .tables import bronze_manifest, check_stored_manifest
 from .values import EPOCH, coerce_scalar
 
 TRUTHY_DELETE = {1, "1", True, "true"}
@@ -130,8 +130,9 @@ def ingest_file(warehouse: Warehouse, spec: ModelSpec, source_name: str,
 
     records = parse_source_file(source, text)
     bronze = spec.schema_names["bronze"]
-    if not warehouse.table_exists(bronze, source.name):
-        warehouse.create_table(bronze_manifest(spec, source))
+    manifest = bronze_manifest(spec, source)
+    if not check_stored_manifest(warehouse, manifest):
+        warehouse.create_table(manifest)
 
     rows = []
     for record in records:

@@ -118,9 +118,16 @@ def _load_spec(path: str) -> ModelSpec:
     return spec
 
 
+def _timestamp(flag: str, text: str) -> datetime:
+    try:
+        return parse_timestamp(text)
+    except ValueError as exc:
+        raise HubStarError(f"{flag} {text!r}: {exc}") from None
+
+
 def _now(args) -> datetime:
     if getattr(args, "now", None):
-        return parse_timestamp(args.now)
+        return _timestamp("--now", args.now)
     return datetime.now(timezone.utc)
 
 
@@ -167,7 +174,7 @@ def _cmd_ingest(args) -> int:
 
     spec = _load_spec(args.model)
     warehouse = _warehouse(args)
-    mtime = parse_timestamp(args.mtime) if args.mtime else None
+    mtime = _timestamp("--mtime", args.mtime) if args.mtime else None
     result = ingest_file(warehouse, spec, args.source, args.input, _now(args), mtime)
     _print_load(result)
     return 0

@@ -91,12 +91,11 @@ def parse_expr(stream: TokenStream) -> Expr:
         if name == "cast":
             stream.expect(SYMBOL, "(")
             inner = parse_expr(stream)
-            as_tok = stream.expect(IDENT, "as")
+            stream.expect(IDENT, "as")
             ttok = stream.expect(IDENT)
             if ttok.text not in SCALAR_TYPES:
                 raise ParseError(f"unknown cast target {ttok.text!r}", ttok.line, ttok.column)
             stream.expect(SYMBOL, ")")
-            del as_tok
             return Cast(inner, ttok.text)
         if stream.at(SYMBOL, "("):
             if name not in FUNCTIONS:
@@ -108,13 +107,12 @@ def parse_expr(stream: TokenStream) -> Expr:
                 while stream.at(SYMBOL, ","):
                     stream.next()
                     args.append(parse_expr(stream))
-            close = stream.expect(SYMBOL, ")")
+            stream.expect(SYMBOL, ")")
             lo, hi = FUNCTIONS[name]
             if len(args) < lo or (hi is not None and len(args) > hi):
                 raise ParseError(f"{name} takes {lo}{'' if hi == lo else '+'} argument(s)", tok.line, tok.column)
             if name == "concat" and not (isinstance(args[0], Lit) and isinstance(args[0].value, str)):
                 raise ParseError("concat delimiter must be a string literal", tok.line, tok.column)
-            del close
             return Call(name, tuple(args))
         if stream.at(SYMBOL, "."):
             if name != "item":

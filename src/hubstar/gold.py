@@ -19,7 +19,7 @@ from .dsl import render_model
 from .errors import GoldBuildError
 from .model import ColumnRef, GoldViewDef, HubJoin, ModelSpec, ref_table, view_tables
 from .storage import Record, TableKey, Warehouse, digest, manifest_bytes
-from .tables import gold_manifest
+from .tables import check_stored_manifest, gold_manifest, hub_manifest, star_manifest
 from .values import key_part, row_key, top_per_partition, value_to_string
 
 SCD2_DELIMITER = "#"
@@ -49,7 +49,8 @@ def current_rows(rows: list[Record], partition: tuple[str, ...],
 def _read_tables(warehouse: Warehouse, spec: ModelSpec,
                  view: GoldViewDef) -> dict[str, TableKey]:
     """The (schema, table) of each table the view reads, by name in
-    `read_tables` order; raises when one is missing."""
+    `read_tables` order; raises when one is missing, or a silver table's
+    stored manifest is not the model's."""
     found = {}
     for kind, name, _left in view.read_tables:
         if kind == "gold":
@@ -58,9 +59,10 @@ def _read_tables(warehouse: Warehouse, spec: ModelSpec,
                 raise GoldBuildError(f"{view.name}: referenced dimension {name} "
                                      "is not built yet")
         else:
-            element = spec.hub(name) if kind == "hub" else spec.star(name)
-            key = spec.schema_names["silver"], element.table_name
-            if not warehouse.table_exists(*key):
+            manifest = (hub_manifest(spec, spec.hub(name)) if kind == "hub"
+                        else star_manifest(spec, spec.star(name)))
+            key = manifest.schema, manifest.table
+            if not check_stored_manifest(warehouse, manifest):
                 raise GoldBuildError(f"silver table {key[0]}.{key[1]} is missing; "
                                      "run init and load-silver first")
         found[name] = key

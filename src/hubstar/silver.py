@@ -29,7 +29,7 @@ from .model import (
     resolve_load_order,
 )
 from .storage import Record, Warehouse
-from .tables import bronze_manifest, hub_manifest, star_manifest
+from .tables import bronze_manifest, check_stored_manifest, hub_manifest, star_manifest
 from .values import (
     EPOCH,
     coerce_scalar,
@@ -242,10 +242,21 @@ def _members(element: HubDef | StarDef, rows: list[Record]):
             if not is_default_row(element, row)]
 
 
+def _check_manifests(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
+                     mapping: SourceMapping) -> bool:
+    """Check the stored manifests of the element's table and the mapping's
+    bronze source against the model (`check_stored_manifest`); whether the
+    source exists."""
+    check_stored_manifest(warehouse, hub_manifest(spec, element) if isinstance(element, HubDef)
+                          else star_manifest(spec, element))
+    return check_stored_manifest(warehouse, bronze_manifest(spec, spec.source(mapping.source)))
+
+
 def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
           mapping: SourceMapping, now: datetime) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
+    The stored manifests of the table and the source must be the model's.
     The mark is the latest capture among the table's members (every row but
     a hub's default row); with no member, all of the bronze is read. A hub
     with no row at all was never initialized, and its load fails. A
@@ -264,6 +275,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
+    source_exists = _check_manifests(warehouse, spec, element, mapping)
     rows = warehouse.read_rows(silver, element.table_name)
     if hub is not None and not rows:
         raise StorageError(f"{table}: no high-water mark; initialize default rows first")
@@ -271,7 +283,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     mark = max((row["capture_timestamp"] for _position, row in members), default=None)
 
     bronze_rows = (warehouse.read_rows(bronze, mapping.source, captured_after=mark)
-                   if warehouse.table_exists(bronze, mapping.source) else [])
+                   if source_exists else [])
     find_key = hub_key_lookup(warehouse, spec)
     load_source = spec.source(mapping.source).load_source_id
     partition = hub.business_key_names if hub is not None else element.identity
@@ -361,12 +373,16 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
 def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
              only: str | None = None) -> list[LoadResult]:
     """Load every hub and star in dependency order (or one, by model or
-    table name)."""
+    table name). Every stored manifest the loads read or write is checked
+    against the model before the first load, so a mismatch writes nothing."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
         if not elements:
             raise LoadError(f"no hub or star named {only!r}")
+    for element in elements:
+        for mapping in element.source_mappings:
+            _check_manifests(warehouse, spec, element, mapping)
     results = []
     for element in elements:
         load = load_hub if isinstance(element, HubDef) else load_star

@@ -3,9 +3,10 @@ plus a JSON-lines data file (and, for a gold view, a trace of what it was
 built from), and every write is a whole-file atomic rename.
 Stored lines are canonical, so writes splice encoded lines into a file's
 bytes and reads can take a bronze line's capture time from its prefix
-without decoding the rest. A Warehouse remembers the decoded rows of the
-tables it splices, so a later read of one decodes only the lines written
-since, as long as the file still holds the bytes it wrote.
+without decoding the rest. A Warehouse decodes each byte string at most
+once while it holds it: a manifest once per content, and a line of a table
+it splices once per manifest, so a later read of that table decodes only
+the lines it has not seen.
 
 Constraints declared in a manifest are never enforced on the write path;
 `check_constraints` audits them after the fact, mirroring how analytical
@@ -14,7 +15,6 @@ stores treat PRIMARY KEY / FOREIGN KEY as documentation plus tooling.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -232,12 +232,12 @@ class Warehouse:
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
-        # Each manifest as last read: its bytes and what they parse to.
-        self._manifests: dict[TableKey, tuple[bytes, TableManifest]] = {}
-        # Each table this object spliced (append_rows with `lines`): its
-        # manifest, the sha256 of the bytes written and the row of each line,
-        # None until a read decodes it.
-        self._spliced: dict[TableKey, tuple[TableManifest, bytes, list[Record | None]]] = {}
+        # Each manifest file's bytes and what they parse to.
+        self._manifests: dict[bytes, TableManifest] = {}
+        # Each table this object spliced (append_rows with `lines`): the
+        # manifest of its last read and the row of each line that read
+        # returned, empty before the first.
+        self._memo: dict[TableKey, tuple[TableManifest, dict[str, Record]]] = {}
 
     def table_dir(self, schema: str, table: str) -> Path:
         return self.root / schema / table
@@ -318,15 +318,13 @@ class Warehouse:
 
     def manifest(self, schema: str, table: str) -> TableManifest:
         """The table's manifest, parsed once for each content it has."""
-        path = self.table_dir(schema, table) / MANIFEST_FILE
-        if not path.is_file():
-            raise StorageError(f"no such table {schema}.{table}")
-        content = path.read_bytes()
-        known = self._manifests.get((schema, table))
-        if known is None or known[0] != content:
-            parsed = TableManifest.from_json(json.loads(content.decode("utf-8")))
-            known = self._manifests[schema, table] = (content, parsed)
-        return known[1]
+        try:
+            content = (self.table_dir(schema, table) / MANIFEST_FILE).read_bytes()
+        except (FileNotFoundError, NotADirectoryError):
+            raise StorageError(f"no such table {schema}.{table}") from None
+        if content not in self._manifests:
+            self._manifests[content] = TableManifest.from_json(json.loads(content.decode("utf-8")))
+        return self._manifests[content]
 
     def read_rows(self, schema: str, table: str,
                   captured_after: datetime | None = None) -> list[Record]:
@@ -334,30 +332,34 @@ class Warehouse:
         may be shared with other reads through this object, so callers must
         not mutate them.
 
-        A table this object spliced decodes only the lines that no read
-        through this object has decoded since the splice, while its manifest
-        and data file hold what the object wrote; any other file is decoded
-        whole. With `captured_after`, only rows whose capture_timestamp is
-        strictly later are returned; a line that begins with CAPTURE_PREFIX
-        is decoded only when its capture time passes."""
+        A table this object spliced (`append_rows` with `lines`) decodes
+        only the lines its last read here did not return under the same
+        manifest, and keeps the rows of exactly the lines this read returns.
+        A row is a function of its manifest and its line, so this holds
+        whoever wrote the file since. Any other table is decoded whole. With
+        `captured_after`, only rows whose capture_timestamp is strictly later
+        are returned; a line that begins with CAPTURE_PREFIX is decoded only
+        when its capture time passes."""
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         if not data.is_file():
             return []
         if captured_after is None:
-            key = (schema, table)
-            content = data.read_bytes()
-            lines = _lines(io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
-            spliced = self._spliced.get(key)
-            if spliced is None or spliced[:2] != (manifest, sha256(content).digest()):
-                self._spliced.pop(key, None)
+            with data.open(encoding="utf-8") as fh:
+                lines = list(_lines(fh))
+            memo = self._memo.get((schema, table))
+            if memo is None:
                 return [decode_row(manifest, line) for line in lines]
-            rows = spliced[2]
+            seen = memo[1] if memo[0] == manifest else {}
+            rows = list(map(seen.get, lines))
             if None in rows:
                 for position, line in enumerate(lines):
                     if rows[position] is None:
-                        rows[position] = decode_row(manifest, line)
-            return list(rows)
+                        if line not in seen:  # a repeated line is decoded once
+                            seen[line] = decode_row(manifest, line)
+                        rows[position] = seen[line]
+            self._memo[schema, table] = (manifest, dict(zip(lines, rows)))
+            return rows
         rows = []
         start = len(CAPTURE_PREFIX)
         with data.open(encoding="utf-8") as fh:
@@ -381,19 +383,15 @@ class Warehouse:
         row. `lines` is the number of lines the caller read; a file that holds
         another number raises StorageError and is left as it is.
 
-        With `lines`, the next `read_rows` of the table through this object
-        decodes only the lines this call wrote, provided this object spliced
-        the bytes it splices and kept their rows; otherwise it decodes every
-        line once."""
+        With `lines`, this object keeps the table's rows from its next
+        `read_rows` on, so each later read decodes only the lines the read
+        before it did not return."""
         replace = replace or {}
         if not rows and not replace:
             return
-        key = (schema, table)
-        spliced = self._spliced.pop(key, None)
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
-        before = data.read_bytes() if data.is_file() else b""
-        existing = before
+        existing = data.read_bytes() if data.is_file() else b""
         if replace or lines is not None:
             kept = [line for line in existing.splitlines() if line.strip()]
             if lines is not None and len(kept) != lines:
@@ -404,17 +402,9 @@ class Warehouse:
                     raise StorageError(f"{schema}.{table}: no row at position {position}")
                 kept[position] = encode_row(manifest, row).encode("utf-8")
             existing = b"".join(line + b"\n" for line in kept)
-        content = existing + _encode_rows(manifest, rows)
-        _atomic_write(data, content)
-        if lines is None:
-            return
-        if spliced is not None and spliced[:2] == (manifest, sha256(before).digest()):
-            known = spliced[2]
-        else:
-            known = [None] * lines
-        for position in replace:
-            known[position] = None
-        self._spliced[key] = (manifest, sha256(content).digest(), known + [None] * len(rows))
+        _atomic_write(data, existing + _encode_rows(manifest, rows))
+        if lines is not None:
+            self._memo.setdefault((schema, table), (manifest, {}))
 
     # Nothing in hubstar calls upsert_rows, scan or max_capture_timestamp;
     # they stay because the benchmark's tracer (bench/spans.py) wraps them.

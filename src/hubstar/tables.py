@@ -7,6 +7,7 @@ warehouse must reproduce byte for byte.
 
 from __future__ import annotations
 
+from .errors import StorageError
 from .model import (
     BRONZE_METADATA,
     ColumnSpec,
@@ -19,7 +20,7 @@ from .model import (
     output_types,
     view_tables,
 )
-from .storage import ForeignKeySpec, TableManifest
+from .storage import ForeignKeySpec, TableManifest, Warehouse
 
 
 def bronze_manifest(spec: ModelSpec, source: SourceDef) -> TableManifest:
@@ -63,3 +64,35 @@ def gold_manifest(spec: ModelSpec, view: GoldViewDef) -> TableManifest:
     return TableManifest(schema=spec.schema_names["gold"], table=view.table_name,
                          columns=tuple(ColumnSpec(out.name, *types[out.name])
                                        for out in view.outputs))
+
+
+def _show(column: ColumnSpec | None) -> str:
+    if column is None:
+        return "absent"
+    fields = f"({', '.join(f'{n} {t}' for n, t in column.fields)})" if column.fields else ""
+    return f"{column.type}{fields}{'' if column.nullable else ' not null'}"
+
+
+def check_stored_manifest(warehouse: Warehouse, manifest: TableManifest) -> bool:
+    """Whether the table exists. When it does, its stored manifest must be
+    the model's `manifest`: a table written under another layout would lose
+    or misread columns, so a difference raises StorageError naming the table
+    and the first column, in model order, that differs (or else what does)."""
+    try:
+        stored = warehouse.manifest(manifest.schema, manifest.table)
+    except StorageError:  # no such table
+        return False
+    if stored == manifest:
+        return True
+    where = f"{manifest.schema}.{manifest.table}: the stored manifest differs from the model's"
+    modelled = {column.name: column for column in manifest.columns}
+    kept = {column.name: column for column in stored.columns}
+    for name in {**modelled, **kept}:
+        if modelled.get(name) != kept.get(name):
+            raise StorageError(f"{where}: column {name} is {_show(modelled.get(name))} "
+                               f"in the model, {_show(kept.get(name))} in storage")
+    for part, label in (("columns", "column order"), ("primary_key", "primary key"),
+                        ("unique", "unique sets"), ("foreign_keys", "foreign keys")):
+        if getattr(stored, part) != getattr(manifest, part):
+            raise StorageError(f"{where} in its {label}")
+    raise StorageError(where)

@@ -21,6 +21,30 @@ from hubstar import storage
 FIXTURE_MODEL = Path(__file__).resolve().parent.parent / "fixtures" / "retail.hsm"
 
 
+# A model edit that gives hub customer a mapped column its stored manifest
+# lacks: loading under it must be refused, not drop the values.
+SHIP_TO = (("  descriptive customer_name string required\n",
+            "  descriptive customer_name string required\n  descriptive ship_to string\n"),
+           ("    map customer_name = customer_name\n",
+            "    map customer_name = customer_name\n    map ship_to = ship_to_address\n"))
+
+
+def edited_retail(*edits: tuple[str, str]) -> str:
+    """The retail model's text with each (old, new) of `edits` applied to
+    the one place `old` occurs."""
+    text = FIXTURE_MODEL.read_text(encoding="utf-8")
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+def file_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under `root`, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
 @pytest.fixture(scope="session")
 def retail_spec():
     """The retail demo model, parsed and validated once per session."""

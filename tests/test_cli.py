@@ -9,7 +9,7 @@ import shlex
 
 import pytest
 
-from conftest import FIXTURE_MODEL
+from conftest import FIXTURE_MODEL, SHIP_TO, edited_retail, file_bytes
 from hubstar import retail_fixture as rf
 from hubstar.cli import main
 from hubstar.values import value_to_string
@@ -196,6 +196,44 @@ def test_an_unknown_table_or_view_is_an_operational_error(cli_wh, capsys, comman
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and repr(name) in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [("load-silver", "--now"), ("ingest", "--mtime")])
+def test_a_malformed_timestamp_flag_is_an_operational_error(tmp_path, capsys, command, flag):
+    path = tmp_path / "segments.csv"
+    path.write_text("loyalty_segment_id,segment_name,updated_at\n", encoding="utf-8")
+    extra = ["--source", "loyalty_segments", "--input", str(path)] if command == "ingest" else []
+    rc = main([command, "--model", MODEL, "--root", str(tmp_path / "wh"), *extra,
+               flag, "yesterday"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} 'yesterday': ")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "wh").exists()
+
+
+def test_a_model_unlike_the_stored_manifests_is_an_operational_error(
+        tmp_path, capsys, retail_data):
+    root = str(tmp_path / "wh")
+    now = value_to_string(rf.DEFAULT_NOW)
+    assert main(["init", "--model", MODEL, "--root", root]) == 0
+    first, _second = rf.write_batches(retail_data, tmp_path / "inbox", 2)
+    for job in first:
+        assert main(["ingest", "--model", MODEL, "--root", root, "--source", job.source,
+                     "--input", str(job.path), "--mtime", value_to_string(job.mtime),
+                     "--now", now]) == 0
+    edited = tmp_path / "edited.hsm"
+    edited.write_text(edited_retail(*SHIP_TO), encoding="utf-8")
+    before = file_bytes(tmp_path / "wh")
+    capsys.readouterr()
+    assert main(["load-silver", "--model", str(edited), "--root", root, "--now", now]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: hs_retail.hub_customer: the stored manifest differs from "
+                            "the model's: column ship_to is string in the model, absent in "
+                            "storage\n")
+    assert file_bytes(tmp_path / "wh") == before
 
 
 def test_check_passes_on_a_clean_warehouse(cli_wh, capsys):

@@ -1,6 +1,7 @@
 """No dead code: every private function, method and class of the package
-is used somewhere in the package outside its own definition, and every
-public top-level function and class is named somewhere outside it.
+is used somewhere in the package outside its own definition, every
+public top-level function and class is named somewhere outside it, and
+every module-level import is named by its module.
 
 Private references are matched by name (a bare name or an attribute), so a
 private name defined twice passes when either definition is used. A public
@@ -61,3 +62,26 @@ def test_every_public_top_level_definition_is_named_outside_itself():
                if all(where == path and first <= line <= last
                       for where, line in mentions.get(name, []))]
     assert unnamed == []
+
+
+def test_every_module_level_import_is_used():
+    """A module-level import that no code of its module names is dead. A
+    re-export listed in the module's `__all__` counts as used, and
+    `from __future__` imports are skipped."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                named |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in named]
+    assert unused == []

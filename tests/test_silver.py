@@ -11,6 +11,7 @@ import pytest
 
 from hubstar import (
     Warehouse,
+    build_all,
     check_against_oracle,
     ingest_file,
     init_warehouse,
@@ -31,6 +32,8 @@ from hubstar.silver import (
 )
 from hubstar.tables import hub_manifest
 from hubstar.values import EPOCH, row_key, top_per_partition
+
+from conftest import SHIP_TO, edited_retail, file_bytes
 
 MODEL = parse_model('''product mergetest
 
@@ -1106,3 +1109,72 @@ def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
     rows_encoded.clear()
     load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
     assert sum(decoded.values()) + sum(rows_encoded.values()) == 0
+
+
+# -- model edits against a stored layout ----------------------------------------
+
+
+def _first_of_two_batches(root, spec, data):
+    """A warehouse loaded with the first of two retail batches, and the
+    second batch's jobs."""
+    warehouse = Warehouse(root)
+    init_warehouse(warehouse, spec)
+    first, second = rf.write_batches(data, root.parent / "inbox", 2)
+    for job in first:
+        ingest_file(warehouse, spec, job.source, job.path, now=rf.DEFAULT_NOW, mtime=job.mtime)
+    load_all(warehouse, spec, now=rf.DEFAULT_NOW)
+    build_all(warehouse, spec, now=rf.DEFAULT_NOW)
+    return warehouse, second
+
+
+def test_a_mapped_column_the_stored_manifest_lacks_is_refused_and_nothing_written(
+        tmp_path, retail_spec, retail_data):
+    warehouse, second = _first_of_two_batches(tmp_path / "wh", retail_spec, retail_data)
+    edited = parse_model(edited_retail(*SHIP_TO)).spec
+    assert validate_model(edited).ok
+    for job in second:  # the bronze layout is unchanged, so ingest goes on
+        ingest_file(warehouse, edited, job.source, job.path, now=rf.DEFAULT_NOW,
+                    mtime=job.mtime)
+    before = file_bytes(warehouse.root)
+    message = (r"hs_retail\.hub_customer: the stored manifest differs from the model's: "
+               r"column ship_to is string in the model, absent in storage")
+    for through in (warehouse, Warehouse(warehouse.root)):
+        with pytest.raises(StorageError, match=message):
+            load_all(through, edited, now=rf.DEFAULT_NOW)
+        with pytest.raises(StorageError, match=message):
+            build_all(through, edited, now=rf.DEFAULT_NOW, only="dim_customer")
+    assert file_bytes(warehouse.root) == before
+    load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)  # the stored model still loads
+    assert check_against_oracle(warehouse, retail_spec) == []
+
+
+def test_a_source_column_the_stored_manifest_lacks_fails_ingest(
+        tmp_path, retail_spec, retail_data):
+    warehouse, second = _first_of_two_batches(tmp_path / "wh", retail_spec, retail_data)
+    edited = parse_model(edited_retail(("  column _deleted integer\n",
+                                        "  column _deleted integer\n  column region string\n"))).spec
+    assert validate_model(edited).ok
+    before = file_bytes(warehouse.root)
+    job = next(job for job in second if job.source == "customers")
+    with pytest.raises(StorageError, match=r"raw_retail\.customers: .*: column region is "
+                                           r"string in the model, absent in storage"):
+        ingest_file(warehouse, edited, job.source, job.path, now=rf.DEFAULT_NOW,
+                    mtime=job.mtime)
+    with pytest.raises(StorageError, match=r"raw_retail\.customers: .*: column region "):
+        load_all(warehouse, edited, now=rf.DEFAULT_NOW)
+    assert file_bytes(warehouse.root) == before
+
+
+def test_a_model_equal_to_the_stored_one_loads_as_before(tmp_path, retail_spec, retail_data):
+    runs = {}
+    for name, spec in (("stored", retail_spec), ("reparsed", parse_model(render_model(retail_spec)).spec)):
+        warehouse, second = _first_of_two_batches(tmp_path / name / "wh", retail_spec, retail_data)
+        for job in second:
+            ingest_file(warehouse, spec, job.source, job.path, now=rf.DEFAULT_NOW,
+                        mtime=job.mtime)
+        load_all(warehouse, spec, now=rf.DEFAULT_NOW)
+        build_all(warehouse, spec, now=rf.DEFAULT_NOW)
+        assert check_against_oracle(warehouse, spec) == []
+        runs[name] = {path: data for path, data in file_bytes(warehouse.root).items()
+                      if path.endswith("data") and not path.startswith("raw_retail")}
+    assert runs["reparsed"] == runs["stored"]

@@ -3,19 +3,26 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
+import re
+import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hubstar import check_against_oracle, ingest_file, init_warehouse, load_all
+from hubstar import build_all, check_against_oracle, ingest_file, init_warehouse, load_all
 from hubstar import retail_fixture as rf
 from hubstar.errors import StorageError
 from hubstar.storage import ColumnSpec, ForeignKeySpec, TableManifest, Warehouse
+from hubstar.tables import check_stored_manifest
 from hubstar.values import format_timestamp
 
-from conftest import run_pipeline
+from conftest import file_bytes, run_pipeline
 
 
 def manifest(**overrides) -> TableManifest:
@@ -295,6 +302,87 @@ def test_a_spliced_table_changed_by_another_writer_is_read_from_its_bytes(
     for element in retail_spec.hubs + retail_spec.stars:
         assert warehouse.read_rows(silver, element.table_name) == \
             Warehouse(root).read_rows(silver, element.table_name)
+
+
+@pytest.mark.parametrize("model, difference", [
+    (manifest(columns=manifest().columns[:4]),
+     ": column taken_at is absent in the model, timestamp in storage"),
+    (manifest(columns=(ColumnSpec("sample_id", "integer", nullable=False),
+                       *manifest().columns[1:])),
+     ": column sample_id is integer not null in the model, string not null in storage"),
+    (manifest(columns=manifest().columns[::-1]), " in its column order"),
+    (manifest(primary_key=("count",)), " in its primary key"),
+])
+def test_a_stored_manifest_unlike_the_model_is_refused_by_its_first_difference(
+        wh, model, difference):
+    with pytest.raises(StorageError, match=re.escape(
+            "lab.samples: the stored manifest differs from the model's" + difference)):
+        check_stored_manifest(wh, model)
+    assert check_stored_manifest(wh, manifest()) is True
+    assert check_stored_manifest(wh, manifest(table="absent")) is False
+
+
+def _ingest_and_load(through: Warehouse, spec, jobs):
+    for job in jobs:
+        ingest_file(through, spec, job.source, job.path, now=rf.DEFAULT_NOW, mtime=job.mtime)
+    load_all(through, spec, now=rf.DEFAULT_NOW)
+
+
+def _lines_of(path) -> list[str]:
+    return [line for line in path.read_text(encoding="utf-8").split("\n") if line]
+
+
+def test_a_spliced_table_another_writer_loaded_decodes_only_the_changed_lines(
+        tmp_path, retail_spec, retail_data, decoded):
+    root = tmp_path / "wh"
+    warehouse = Warehouse(root)
+    init_warehouse(warehouse, retail_spec)
+    silver = retail_spec.schema_names["silver"]
+    data = warehouse.table_dir(silver, "hub_customer") / "data"
+    first, second = rf.write_batches(retail_data, tmp_path / "inbox", 2)
+    _ingest_and_load(warehouse, retail_spec, first)
+    warehouse.read_rows(silver, "hub_customer")
+    read = set(_lines_of(data))
+    _ingest_and_load(Warehouse(root), retail_spec, second)  # another writer
+    changed = [line for line in _lines_of(data) if line not in read]
+    assert 0 < len(changed) < len(_lines_of(data))
+    decoded.clear()
+    rows = warehouse.read_rows(silver, "hub_customer")
+    assert decoded.lines == changed
+    assert rows == Warehouse(root).read_rows(silver, "hub_customer")
+
+
+@settings(max_examples=8, deadline=None)
+@given(batches=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), draw=st.data())
+def test_reads_through_a_long_lived_object_equal_fresh_reads_whoever_wrote(
+        retail_spec, retail_data, batches, seed, draw):
+    silver = retail_spec.schema_names["silver"]
+    tables = [element.table_name for element in retail_spec.hubs + retail_spec.stars]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        schedule = rf.write_batches(retail_data, root / "inbox", batches, random.Random(seed))
+        one = Warehouse(root / "one")
+        init_warehouse(one, retail_spec)
+        for jobs in schedule:
+            _ingest_and_load(one, retail_spec, jobs)
+        build_all(one, retail_spec, now=rf.DEFAULT_NOW)
+
+        long_lived = Warehouse(root / "drawn")
+        init_warehouse(long_lived, retail_spec)
+
+        def through() -> Warehouse:
+            return long_lived if draw.draw(st.booleans()) else Warehouse(long_lived.root)
+
+        for jobs in schedule:
+            for job in jobs:
+                ingest_file(through(), retail_spec, job.source, job.path,
+                            now=rf.DEFAULT_NOW, mtime=job.mtime)
+            load_all(through(), retail_spec, now=rf.DEFAULT_NOW)
+            for table in tables:
+                assert long_lived.read_rows(silver, table) == \
+                    Warehouse(long_lived.root).read_rows(silver, table), table
+        build_all(long_lived, retail_spec, now=rf.DEFAULT_NOW)
+        assert file_bytes(long_lived.root) == file_bytes(one.root)
 
 
 def test_upsert_replaces_in_place_and_appends(wh):
