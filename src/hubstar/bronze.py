@@ -129,11 +129,6 @@ def ingest_file(warehouse: Warehouse, spec: ModelSpec, source_name: str,
         mtime = datetime.fromtimestamp(input_path.stat().st_mtime, timezone.utc)
 
     records = parse_source_file(source, text)
-    bronze = spec.schema_names["bronze"]
-    manifest = bronze_manifest(spec, source)
-    if not check_stored_manifest(warehouse, manifest):
-        warehouse.create_table(manifest)
-
     rows = []
     for record in records:
         capture = resolve_capture_timestamp(record, source, mtime, now)
@@ -149,6 +144,10 @@ def ingest_file(warehouse: Warehouse, spec: ModelSpec, source_name: str,
             row["delete_flag"] = coerce_delete_flag(record.get(source.delete_flag_column))
         row.update(record)
         rows.append(row)
+    bronze = spec.schema_names["bronze"]
+    manifest = bronze_manifest(spec, source)
+    if not check_stored_manifest(warehouse, manifest):
+        warehouse.create_table(manifest)
     warehouse.append_rows(bronze, source.name, rows)
     new_hwm = max((r["capture_timestamp"] for r in rows), default=EPOCH)
     return LoadResult(table=f"{bronze}.{source.name}", source=source.name,

@@ -14,13 +14,14 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .bronze import ingest_file
 from .dsl import load_model
 from .errors import HubStarError, ParseError
 from .gold import build_all
 from .model import ModelSpec, validate_model
 from .oracle import check_against_oracle, skip_reason
 from .silver import LoadResult, init_warehouse, load_all
-from .storage import Warehouse, _encode_collection
+from .storage import Warehouse, encode_collection, encode_row
 from .values import parse_timestamp, value_to_string
 
 
@@ -170,8 +171,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    from .bronze import ingest_file
-
     spec = _load_spec(args.model)
     warehouse = _warehouse(args)
     mtime = _timestamp("--mtime", args.mtime) if args.mtime else None
@@ -224,8 +223,6 @@ def _cmd_export(args) -> int:
     rows = warehouse.read_rows(schema, table)
     out = Path(args.out)
     if args.format == "ndjson":
-        from .storage import encode_row
-
         body = "".join(encode_row(manifest, r) + "\n" for r in rows)
         out.write_text(body, encoding="utf-8")
     else:
@@ -242,13 +239,11 @@ def _csv_cell(value, column) -> str:
     if value is None:
         return ""
     if column.type == "collection":
-        return _encode_collection(value, column.fields)
+        return encode_collection(value, column.fields)
     return value_to_string(value)
 
 
 def _cmd_show(args) -> int:
-    from .storage import encode_row
-
     if args.limit < 0:
         raise HubStarError(f"--limit must not be negative, got {args.limit}")
     warehouse = _warehouse(args)

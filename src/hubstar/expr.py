@@ -13,7 +13,7 @@ from decimal import Decimal
 
 from .errors import EvalError, ParseError
 from .lexer import IDENT, INT, STRING, SYMBOL, TokenStream
-from .values import SCALAR_TYPES, coerce_scalar, value_to_string
+from .values import SCALAR_TYPES, as_utc, coerce_scalar, value_to_string
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,7 @@ def format_ts_compact(ts: datetime) -> str:
 
     Zero-padding keeps lexicographic order aligned with time order.
     """
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    else:
-        ts = ts.astimezone(timezone.utc)
+    ts = as_utc(ts)
     return (
         f"{ts.year:04d}{ts.month:02d}{ts.day:02d}"
         f"{ts.hour:02d}{ts.minute:02d}{ts.second:02d}"

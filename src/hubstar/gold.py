@@ -19,7 +19,7 @@ from .dsl import render_model
 from .errors import GoldBuildError
 from .model import ColumnRef, GoldViewDef, HubJoin, ModelSpec, ref_table, view_tables
 from .storage import Record, TableKey, Warehouse, digest, manifest_bytes
-from .tables import check_stored_manifest, gold_manifest, hub_manifest, star_manifest
+from .tables import check_stored_manifest, gold_manifest, silver_manifest
 from .values import key_part, row_key, top_per_partition, value_to_string
 
 SCD2_DELIMITER = "#"
@@ -49,8 +49,8 @@ def current_rows(rows: list[Record], partition: tuple[str, ...],
 def _read_tables(warehouse: Warehouse, spec: ModelSpec,
                  view: GoldViewDef) -> dict[str, TableKey]:
     """The (schema, table) of each table the view reads, by name in
-    `read_tables` order; raises when one is missing, or a silver table's
-    stored manifest is not the model's."""
+    `read_tables` order; raises when a gold dimension it reads is not built
+    yet. `build_all` has checked the silver tables."""
     found = {}
     for kind, name, _left in view.read_tables:
         if kind == "gold":
@@ -59,12 +59,8 @@ def _read_tables(warehouse: Warehouse, spec: ModelSpec,
                 raise GoldBuildError(f"{view.name}: referenced dimension {name} "
                                      "is not built yet")
         else:
-            manifest = (hub_manifest(spec, spec.hub(name)) if kind == "hub"
-                        else star_manifest(spec, spec.star(name)))
-            key = manifest.schema, manifest.table
-            if not check_stored_manifest(warehouse, manifest):
-                raise GoldBuildError(f"silver table {key[0]}.{key[1]} is missing; "
-                                     "run init and load-silver first")
+            element = spec.hub(name) if kind == "hub" else spec.star(name)
+            key = spec.schema_names["silver"], element.table_name
         found[name] = key
     return found
 
@@ -124,12 +120,13 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     empty when none matched, for every table, so a step reads a column as
     `ctx[table].get(column)`.
 
-    Once every table it reads exists, the view's inputs are digested: the
-    canonical model text, the hubstar version, the manifest it writes and
-    the bytes of each table it reads. When the table's trace records that
-    digest and still matches the table's files, the build returns the
-    recorded row count without reading a row; otherwise it builds, writes
-    the table, then the trace."""
+    Once every table it reads is found (`build_all` has checked the silver
+    ones, and a gold dimension must be built), the view's inputs are
+    digested: the canonical model text, the hubstar version, the manifest
+    it writes and the bytes of each table it reads. When the table's trace
+    records that digest and still matches the table's files, the build
+    returns the recorded row count without reading a row; otherwise it
+    builds, writes the table, then the trace."""
     tables = view_tables(spec, view)
 
     def resolve(ref: ColumnRef) -> Resolved:
@@ -193,11 +190,21 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
 def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
               only: str | None = None) -> list[GoldBuildResult]:
     """Build every view, dimensions before the facts that reference them,
-    or only the view named `only`."""
+    or only the view named `only`. Each silver table the views read is
+    checked once, before the first build: it must exist, and its stored
+    manifest must be the model's (`check_stored_manifest`), so a refused
+    build writes nothing."""
     ordered = [v for v in spec.gold_views if v.kind != "fact"]
     ordered += [v for v in spec.gold_views if v.kind == "fact"]
     if only is not None:
         ordered = [v for v in ordered if v.name == only]
         if not ordered:
             raise GoldBuildError(f"no gold view named {only!r}")
+    silver = dict.fromkeys((kind, name) for view in ordered
+                           for kind, name, _left in view.read_tables if kind != "gold")
+    for kind, name in silver:
+        manifest = silver_manifest(spec, spec.hub(name) if kind == "hub" else spec.star(name))
+        if not check_stored_manifest(warehouse, manifest):
+            raise GoldBuildError(f"silver table {manifest.schema}.{manifest.table} is missing; "
+                                 "run init and load-silver first")
     return [build_view(warehouse, spec, view, now) for view in ordered]

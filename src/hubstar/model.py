@@ -519,6 +519,11 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
     return ValidationReport(tuple(ck.violations))
 
 
+def _repeated(names: list[str]) -> list[str]:
+    """The names that occur more than once in `names`, sorted."""
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 def _check_names(ck: _Checker):
     seen: dict[str, str] = {}
     groups = (
@@ -548,7 +553,7 @@ def _check_source(ck: _Checker, source: SourceDef):
         ck.add("source_load_source_id", loc,
                "load_source must be >= 1 (0 is reserved for the system)")
     names = [c.name for c in source.columns]
-    for name in sorted({n for n in names if names.count(n) > 1}):
+    for name in _repeated(names):
         ck.add("source_dup_column", loc, f"duplicate column {name!r}")
     reserved = set(BRONZE_METADATA) | {"delete_flag"}
     for name in names:
@@ -580,7 +585,7 @@ def _check_hub(ck: _Checker, hub: HubDef):
     if not hub.business_keys:
         ck.add("hub_missing_business_key", loc, "hub requires business key")
     own = [hub.key_column] + list(hub.business_key_names) + [d.name for d in hub.descriptives]
-    for name in sorted({n for n in own if own.count(n) > 1}):
+    for name in _repeated(own):
         ck.add("hub_dup_column", loc, f"duplicate column {name!r}")
     for name in own:
         if name in RESERVED_COLUMNS:
@@ -741,7 +746,7 @@ def _check_star(ck: _Checker, star: StarDef):
     if not star.participants:
         ck.add("star_no_participants", loc, "star requires at least one participant")
     cols = list(star.participant_columns)
-    for name in sorted({c for c in cols if cols.count(c) > 1}):
+    for name in _repeated(cols):
         ck.add("star_dup_participant_column", loc, f"duplicate participant column {name!r}")
     item_count = sum(1 for p in star.participants if isinstance(p, ItemParticipant))
     if item_count > 1:
@@ -755,7 +760,7 @@ def _check_star(ck: _Checker, star: StarDef):
             ck.add("star_key_not_participant", loc,
                    f"key column {name!r} is not a participant key column")
     own = cols + [d.name for d in star.descriptives]
-    for name in sorted({n for n in own if own.count(n) > 1}):
+    for name in _repeated(own):
         ck.add("star_dup_column", loc, f"duplicate column {name!r}")
     for name in own:
         if name in RESERVED_COLUMNS:
@@ -867,7 +872,7 @@ def _check_gold(ck: _Checker, view: GoldViewDef):
                     ck.add("gold_temporal_requires", loc,
                            f"temporal join needs column {name!r} in {dim.name}'s output")
     read = [name for _kind, name, _left in view.read_tables]
-    for name in sorted({n for n in read if read.count(n) > 1}):
+    for name in _repeated(read):
         ck.add("gold_duplicate_table", loc,
                f"{name!r} is read more than once; a view reads each table once")
     tables = view_tables(spec, view)
@@ -895,7 +900,7 @@ def _check_gold(ck: _Checker, view: GoldViewDef):
         if ref_table(tables, ref) is None:
             ck.add("gold_output_unknown_ref", loc, f"{what}: no table of the view has {str(ref)!r}")
     names = [o.name for o in view.outputs]
-    for name in sorted({n for n in names if names.count(n) > 1}):
+    for name in _repeated(names):
         ck.add("gold_dup_output", loc, f"duplicate output column {name!r}")
     if not view.outputs:
         ck.add("gold_no_outputs", loc, "view must project at least one column")

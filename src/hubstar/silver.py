@@ -29,7 +29,7 @@ from .model import (
     resolve_load_order,
 )
 from .storage import Record, Warehouse
-from .tables import bronze_manifest, check_stored_manifest, hub_manifest, star_manifest
+from .tables import bronze_manifest, check_stored_manifest, silver_manifest
 from .values import (
     EPOCH,
     coerce_scalar,
@@ -82,34 +82,24 @@ def default_row(spec: ModelSpec, hub: HubDef) -> Record:
     return row
 
 
-def init_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef):
-    """Seed the hub with its default row; refuses to run twice."""
-    silver = spec.schema_names["silver"]
-    for row in warehouse.read_rows(silver, hub.table_name):
-        if row.get(hub.key_column) == DEFAULT_HUB_KEY:
-            raise LoadError(f"{hub.table_name}: default row already present")
-    warehouse.append_rows(silver, hub.table_name, [default_row(spec, hub)])
-
-
 def init_warehouse(warehouse: Warehouse, spec: ModelSpec) -> list[str]:
-    """Create every bronze and silver table and seed hub default rows.
-
-    Returns the qualified names of the tables created.
-    """
+    """Create every bronze and silver table, seeding each hub's default row,
+    and return their qualified names. Every table is checked first, so a
+    refused init writes nothing: a bronze table that exists is kept when
+    its stored manifest is the model's; a hub or star that exists is refused."""
+    bronze = [bronze_manifest(spec, source) for source in spec.sources]
+    new_bronze = [(manifest, None) for manifest in bronze
+                  if not check_stored_manifest(warehouse, manifest)]
+    silver = [(silver_manifest(spec, hub), default_row(spec, hub)) for hub in spec.hubs]
+    silver += [(silver_manifest(spec, star), None) for star in spec.stars]
+    for manifest, _seed in silver:
+        if warehouse.table_exists(manifest.schema, manifest.table):
+            raise StorageError(f"table {manifest.schema}.{manifest.table} already exists")
     created = []
-    for source in spec.sources:
-        manifest = bronze_manifest(spec, source)
-        if not warehouse.table_exists(manifest.schema, manifest.table):
-            warehouse.create_table(manifest)
-            created.append(f"{manifest.schema}.{manifest.table}")
-    for hub in spec.hubs:
-        manifest = hub_manifest(spec, hub)
+    for manifest, seed in new_bronze + silver:
         warehouse.create_table(manifest)
-        init_hub(warehouse, spec, hub)
-        created.append(f"{manifest.schema}.{manifest.table}")
-    for star in spec.stars:
-        manifest = star_manifest(spec, star)
-        warehouse.create_table(manifest)
+        if seed is not None:
+            warehouse.append_rows(manifest.schema, manifest.table, [seed])
         created.append(f"{manifest.schema}.{manifest.table}")
     return created
 
@@ -242,40 +232,29 @@ def _members(element: HubDef | StarDef, rows: list[Record]):
             if not is_default_row(element, row)]
 
 
-def _check_manifests(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-                     mapping: SourceMapping) -> bool:
-    """Check the stored manifests of the element's table and the mapping's
-    bronze source against the model (`check_stored_manifest`); whether the
-    source exists."""
-    check_stored_manifest(warehouse, hub_manifest(spec, element) if isinstance(element, HubDef)
-                          else star_manifest(spec, element))
-    return check_stored_manifest(warehouse, bronze_manifest(spec, spec.source(mapping.source)))
-
-
 def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
           mapping: SourceMapping, now: datetime) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
-    The stored manifests of the table and the source must be the model's.
-    The mark is the latest capture among the table's members (every row but
-    a hub's default row); with no member, all of the bronze is read. A hub
-    with no row at all was never initialized, and its load fails. A
-    candidate (a payload with its load source and capture time) with a null
-    partition column (a hub's business keys, a star's composite key) fails
-    the load. One survives per partition: a hub's by the mapping's
-    `dedup_by` terms, latest capture, then the earliest bronze row; a star's
-    by latest capture, then the last bronze row. A survivor matches the
-    member with the same `element.identity`: with none it goes on the end (a
-    hub row with its first capture time and a computed or minted key), and a
-    match is rewritten in place, keeping its load source, only when some
+    `load_all` has checked the stored manifests it reads. The mark is the
+    latest capture among the table's members (every row but a hub's default
+    row); with no member, all of the bronze is read. A hub with no row at
+    all was never initialized, and its load fails. A candidate (a payload
+    with its load source and capture time) with a null partition column (a
+    hub's business keys, a star's composite key) fails the load. One
+    survives per partition: a hub's by the mapping's `dedup_by` terms,
+    latest capture, then the earliest bronze row; a star's by latest
+    capture, then the last bronze row. A survivor matches the member with
+    the same `element.identity`: with none it goes on the end (a hub row
+    with its first capture time and a computed or minted key), and a match
+    is rewritten in place, keeping its load source, only when some
     `element.tracked_columns` value differs under null-safe equality. Two
-    writes to one row fail the load before anything is written. The new mark
-    is the latest of the old one and the captures written, or the epoch for
-    a table still without members."""
+    writes to one row fail the load before anything is written. The new
+    mark is the latest of the old one and the captures written, or the
+    epoch for a table still without members."""
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
-    source_exists = _check_manifests(warehouse, spec, element, mapping)
     rows = warehouse.read_rows(silver, element.table_name)
     if hub is not None and not rows:
         raise StorageError(f"{table}: no high-water mark; initialize default rows first")
@@ -283,7 +262,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     mark = max((row["capture_timestamp"] for _position, row in members), default=None)
 
     bronze_rows = (warehouse.read_rows(bronze, mapping.source, captured_after=mark)
-                   if source_exists else [])
+                   if warehouse.table_exists(bronze, mapping.source) else [])
     find_key = hub_key_lookup(warehouse, spec)
     load_source = spec.source(mapping.source).load_source_id
     partition = hub.business_key_names if hub is not None else element.identity
@@ -356,8 +335,9 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
                       new_hwm=new_mark)
 
 
-# One entry point per kind, so that a caller can wrap the loads of a kind
-# (the benchmark's tracer times each table through them).
+# The steps of `load_all`, one per kind, which trust its check of the stored
+# manifests. They are kept so that the benchmark's tracer (bench/spans.py)
+# can time each table through them; they are not entry points.
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
@@ -373,16 +353,21 @@ def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
 def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
              only: str | None = None) -> list[LoadResult]:
     """Load every hub and star in dependency order (or one, by model or
-    table name). Every stored manifest the loads read or write is checked
-    against the model before the first load, so a mismatch writes nothing."""
+    table name). The stored manifest of each target and each source is
+    checked against the model once, before the first load, so a mismatch
+    writes nothing."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
         if not elements:
             raise LoadError(f"no hub or star named {only!r}")
+    layouts = []
     for element in elements:
-        for mapping in element.source_mappings:
-            _check_manifests(warehouse, spec, element, mapping)
+        layouts.append(silver_manifest(spec, element))
+        layouts += [bronze_manifest(spec, spec.source(mapping.source))
+                    for mapping in element.source_mappings]
+    for manifest in dict.fromkeys(layouts):
+        check_stored_manifest(warehouse, manifest)
     results = []
     for element in elements:
         load = load_hub if isinstance(element, HubDef) else load_star

@@ -145,7 +145,7 @@ def _encode_scalar(value: Any) -> str:
     raise StorageError(f"cannot persist value of type {type(value).__name__}")
 
 
-def _encode_collection(items: Any, fields: tuple[tuple[str, str], ...]) -> str:
+def encode_collection(items: Any, fields: tuple[tuple[str, str], ...]) -> str:
     if items is None:
         return "null"
     parts = []
@@ -162,7 +162,7 @@ def encode_row(manifest: TableManifest, record: Mapping[str, Any]) -> str:
     for col in manifest.columns:
         value = record.get(col.name)
         if col.type == "collection":
-            encoded = _encode_collection(value, col.fields)
+            encoded = encode_collection(value, col.fields)
         else:
             encoded = _encode_scalar(value)
         parts.append(f"{json.dumps(col.name)}:{encoded}")
@@ -211,6 +211,11 @@ def decode_row(manifest: TableManifest, line: str) -> Record:
         else:
             record[col.name] = _decode_scalar(raw, col.type)
     return record
+
+
+# What decoding a stored line that is not a row of its manifest can raise:
+# not JSON, not UTF-8, not an object, or a value not of its column's type.
+_UNDECODABLE = (ValueError, ArithmeticError, AttributeError, TypeError)
 
 
 def _lines(text: Iterable[str]) -> Iterator[str]:
@@ -344,35 +349,45 @@ class Warehouse:
         data = self.table_dir(schema, table) / DATA_FILE
         if not data.is_file():
             return []
-        if captured_after is None:
+        try:
+            if captured_after is None:
+                with data.open(encoding="utf-8") as fh:
+                    lines = list(_lines(fh))
+                memo = self._memo.get((schema, table))
+                if memo is None:
+                    return [decode_row(manifest, line) for line in lines]
+                seen = memo[1] if memo[0] == manifest else {}
+                rows = list(map(seen.get, lines))
+                if None in rows:
+                    for position, line in enumerate(lines):
+                        if rows[position] is None:
+                            if line not in seen:  # a repeated line is decoded once
+                                seen[line] = decode_row(manifest, line)
+                            rows[position] = seen[line]
+                self._memo[schema, table] = (manifest, dict(zip(lines, rows)))
+                return rows
+            rows = []
+            start = len(CAPTURE_PREFIX)
             with data.open(encoding="utf-8") as fh:
-                lines = list(_lines(fh))
-            memo = self._memo.get((schema, table))
-            if memo is None:
-                return [decode_row(manifest, line) for line in lines]
-            seen = memo[1] if memo[0] == manifest else {}
-            rows = list(map(seen.get, lines))
-            if None in rows:
-                for position, line in enumerate(lines):
-                    if rows[position] is None:
-                        if line not in seen:  # a repeated line is decoded once
-                            seen[line] = decode_row(manifest, line)
-                        rows[position] = seen[line]
-            self._memo[schema, table] = (manifest, dict(zip(lines, rows)))
+                for line in _lines(fh):
+                    if line.startswith(CAPTURE_PREFIX):
+                        captured = parse_stored_timestamp(line[start:line.index('"', start)])
+                        if captured > captured_after:
+                            rows.append(decode_row(manifest, line))
+                    else:  # not canonical: decode to find the capture time
+                        row = decode_row(manifest, line)
+                        if row["capture_timestamp"] > captured_after:
+                            rows.append(row)
             return rows
-        rows = []
-        start = len(CAPTURE_PREFIX)
-        with data.open(encoding="utf-8") as fh:
-            for line in _lines(fh):
-                if line.startswith(CAPTURE_PREFIX):
-                    captured = parse_stored_timestamp(line[start:line.index('"', start)])
-                    if captured > captured_after:
-                        rows.append(decode_row(manifest, line))
-                else:  # not canonical: decode to find the capture time
-                    row = decode_row(manifest, line)
-                    if row["capture_timestamp"] > captured_after:
-                        rows.append(row)
-        return rows
+        except _UNDECODABLE:  # name the first line of the file that does not decode
+            for number, line in enumerate(data.read_bytes().split(b"\n"), start=1):
+                try:
+                    if line.strip():
+                        decode_row(manifest, line.decode("utf-8").strip())
+                except _UNDECODABLE as exc:
+                    raise StorageError(f"{schema}.{table}: line {number} does not decode: "
+                                       f"{exc}") from exc
+            raise
 
     def append_rows(self, schema: str, table: str, rows: list[Record],
                     replace: Mapping[int, Record] | None = None, lines: int | None = None):

@@ -29,32 +29,20 @@ def bronze_manifest(spec: ModelSpec, source: SourceDef) -> TableManifest:
                          columns=columns + source.columns)
 
 
-def _silver_manifest(spec: ModelSpec, element: HubDef | StarDef, primary_key: tuple[str, ...],
-                     unique: tuple[tuple[str, ...], ...] = ()) -> TableManifest:
-    """The element's own column layout plus a foreign key for each of its
-    reference columns."""
+def silver_manifest(spec: ModelSpec, element: HubDef | StarDef) -> TableManifest:
+    """The layout of a hub's or a star's table: its own columns, its key (a
+    hub's business identity as its one unique set), and a foreign key for
+    each of its reference columns."""
     silver = spec.schema_names["silver"]
-    foreign_keys = []
-    for column, hub_name in element.references.items():
-        target = spec.hub(hub_name)
-        foreign_keys.append(ForeignKeySpec(
-            (column,), silver, target.table_name, (target.key_column,)))
-    return TableManifest(
-        schema=silver,
-        table=element.table_name,
-        columns=element.columns,
-        primary_key=primary_key,
-        unique=unique,
-        foreign_keys=tuple(foreign_keys),
-    )
-
-
-def hub_manifest(spec: ModelSpec, hub: HubDef) -> TableManifest:
-    return _silver_manifest(spec, hub, (hub.key_column,), (hub.business_identity,))
-
-
-def star_manifest(spec: ModelSpec, star: StarDef) -> TableManifest:
-    return _silver_manifest(spec, star, tuple(star.key_columns))
+    targets = {column: spec.hub(name) for column, name in element.references.items()}
+    foreign_keys = tuple(ForeignKeySpec((column,), silver, hub.table_name, (hub.key_column,))
+                         for column, hub in targets.items())
+    if isinstance(element, HubDef):
+        primary_key, unique = (element.key_column,), (element.business_identity,)
+    else:
+        primary_key, unique = tuple(element.key_columns), ()
+    return TableManifest(schema=silver, table=element.table_name, columns=element.columns,
+                         primary_key=primary_key, unique=unique, foreign_keys=foreign_keys)
 
 
 def gold_manifest(spec: ModelSpec, view: GoldViewDef) -> TableManifest:

@@ -68,16 +68,18 @@ def parse_stored_timestamp(text: str) -> datetime:
     return parse_timestamp(text)
 
 
+def as_utc(ts: datetime) -> datetime:
+    """`ts` in UTC; a naive value is taken to be UTC already."""
+    return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
+
+
 def format_timestamp(ts: datetime) -> str:
     """Render a UTC timestamp as ISO-8601 with a Z suffix.
 
     The year is padded to four digits, which strftime does not promise, and
     sub-second digits appear only when nonzero, so rendering is canonical.
     """
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    else:
-        ts = ts.astimezone(timezone.utc)
+    ts = as_utc(ts)
     base = (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
             f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}")
     if ts.microsecond:
@@ -89,7 +91,8 @@ def coerce_scalar(raw, ctype: str):
     """Coerce a raw parsed value (from CSV/JSON) into the declared type.
 
     None and empty CSV fields map to None for every type. Raises ValueError
-    with a reason on anything unconvertible.
+    with a reason on anything unconvertible, and on a decimal that is not
+    finite (NaN, sNaN, Infinity), which no JSON number can hold.
     """
     if raw is None:
         return None
@@ -116,18 +119,15 @@ def coerce_scalar(raw, ctype: str):
             return int(raw.strip())
         raise ValueError(f"cannot coerce {type(raw).__name__} to integer")
     if ctype == "decimal":
-        if isinstance(raw, bool):
-            raise ValueError("cannot coerce boolean to decimal")
-        if isinstance(raw, Decimal):
-            return raw
-        if isinstance(raw, int):
-            return Decimal(raw)
-        if isinstance(raw, str):
-            try:
-                return Decimal(raw.strip())
-            except InvalidOperation as exc:
-                raise ValueError(f"bad decimal literal {raw!r}") from exc
-        raise ValueError(f"cannot coerce {type(raw).__name__} to decimal")
+        if isinstance(raw, bool) or not isinstance(raw, (Decimal, int, str)):
+            raise ValueError(f"cannot coerce {type(raw).__name__} to decimal")
+        try:
+            value = Decimal(raw.strip() if isinstance(raw, str) else raw)
+        except InvalidOperation as exc:
+            raise ValueError(f"bad decimal literal {raw!r}") from exc
+        if not value.is_finite():
+            raise ValueError(f"decimal {raw!r} is not finite")
+        return value
     if ctype == "boolean":
         if isinstance(raw, bool):
             return raw

@@ -8,8 +8,11 @@ import pytest
 
 from hubstar import Warehouse, ingest_file, init_warehouse, load_all, parse_model
 from hubstar.bronze import coerce_delete_flag, parse_source_file, resolve_capture_timestamp
+from hubstar.cli import main
 from hubstar.errors import IngestError
-from hubstar.model import DEFAULT_HUB_KEY
+from hubstar.model import DEFAULT_HUB_KEY, validate_model
+
+from conftest import file_bytes
 
 MODEL = parse_model('''product demo
 
@@ -192,8 +195,7 @@ def test_ingest_rejects_future_captures(wh, tmp_path):
                  "event_id,label,changed_at,removed\n1,a,2030-01-01,0\n")
     with pytest.raises(IngestError, match="after the load time"):
         ingest_file(wh, MODEL, "events", path, now=NOW, mtime=MTIME)
-    assert not wh.table_exists("raw_demo", "events") or \
-        wh.read_rows("raw_demo", "events") == []
+    assert not wh.table_exists("raw_demo", "events")  # refused before its first write
 
 
 def test_ingest_unknown_source(wh, tmp_path):
@@ -249,3 +251,73 @@ def test_ndjson_lines_end_only_at_a_line_feed(tmp_path):
     assert warehouse.check_all("hs_demo") == []
     with pytest.raises(IngestError, match="^memos line 4: "):
         parse_source_file(MEMOS.source("memos"), text + "not json\n")
+
+
+PRICES_TEXT = '''product demo
+
+source items {
+  load_source 1
+  format csv
+  column item_id string
+  column price decimal
+  capture pipeline_now
+}
+
+source offers {
+  load_source 2
+  format ndjson
+  column item_id string
+  column price decimal
+  capture pipeline_now
+}
+
+hub item {
+  key computed sha256(item_id)
+  business_key global (item_id string)
+  descriptive price decimal
+  source_mapping items {
+    map item_id = item_id
+    map price = price
+  }
+}
+'''
+PRICES = parse_model(PRICES_TEXT).spec
+
+
+@pytest.mark.parametrize("literal", ["sNaN", "NaN", "Infinity"])
+@pytest.mark.parametrize("name, text, line", [
+    ("items", "item_id,price\nA,1.50\nB,{}\n", 3),
+    ("offers", '{{"item_id": "A", "price": 1.50}}\n{{"item_id": "B", "price": "{}"}}\n', 2),
+], ids=["csv", "ndjson"])
+def test_a_decimal_that_is_not_finite_fails_ingest_and_writes_nothing(
+        tmp_path, literal, name, text, line):
+    # Stored as a bare token it would not be JSON, and no later read could decode it.
+    assert validate_model(PRICES).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, PRICES)
+    before = file_bytes(warehouse.root)
+    path = write(tmp_path, name, text.format(literal))
+    with pytest.raises(IngestError, match=f"^{name} line {line}, column price: "
+                                          f"decimal '{literal}' is not finite$"):
+        ingest_file(warehouse, PRICES, name, path, now=NOW)
+    assert file_bytes(warehouse.root) == before
+
+
+def test_a_stored_line_that_does_not_decode_fails_the_load_by_table_and_line(
+        tmp_path, capsys):
+    model = write(tmp_path, "prices.hsm", PRICES_TEXT)
+    items = write(tmp_path, "items.csv", "item_id,price\nA,1.50\nB,2.25\n")
+    args = ["--model", str(model), "--root", str(tmp_path / "wh")]
+    now = ["--now", NOW.isoformat()]
+    assert main(["init", *args]) == 0
+    assert main(["ingest", *args, *now, "--source", "items", "--input", str(items)]) == 0
+    data = tmp_path / "wh" / "raw_demo" / "items" / "data"
+    lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert '"price":2.25' in lines[1]
+    data.write_text(lines[0] + lines[1].replace('"price":2.25', '"price":sNaN'), encoding="utf-8")
+    before = file_bytes(tmp_path / "wh")
+    capsys.readouterr()
+    assert main(["load-silver", *args, *now]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: raw_demo.items: line 2 does not decode: Expecting value")
+    assert file_bytes(tmp_path / "wh") == before

@@ -64,6 +64,17 @@ def test_every_public_top_level_definition_is_named_outside_itself():
     assert unnamed == []
 
 
+def test_no_module_imports_another_modules_private_name():
+    """A private name is its module's own: a module that needs another's
+    makes it public first."""
+    imported = [f"{path.name}:{node.lineno} {alias.name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names if is_private(alias.name)]
+    assert imported == []
+
+
 def test_every_module_level_import_is_used():
     """A module-level import that no code of its module names is dead. A
     re-export listed in the module's `__all__` counts as used, and

@@ -56,6 +56,9 @@ def test_cast():
     assert ev('cast(raw as integer)', {"raw": None}) is None
     with pytest.raises(EvalError, match="cast failed"):
         ev('cast(raw as integer)', {"raw": "nope"})
+    for raw in ("NaN", "sNaN", "Infinity"):
+        with pytest.raises(EvalError, match="cast failed: decimal .* is not finite"):
+            ev('cast(raw as decimal)', {"raw": raw})
 
 
 def test_coalesce_and_concat():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from hubstar import (
     Warehouse,
     build_all,
-    build_view,
     ingest_file,
     init_warehouse,
     load_all,
@@ -27,7 +26,7 @@ from hubstar import (
 from hubstar import gold, storage
 from hubstar import retail_fixture as rf
 from hubstar.errors import GoldBuildError
-from hubstar.gold import GoldBuildResult, current_rows
+from hubstar.gold import GoldBuildResult, build_view, current_rows
 from hubstar.expr import sha256_hex
 from hubstar.model import HubJoin, validate_model
 from conftest import FIXTURE_MODEL

@@ -17,7 +17,7 @@ from hubstar import (
 from hubstar.expr import sha256_hex
 from hubstar.model import validate_model
 from hubstar.oracle import StateDiff, diff_states
-from hubstar.tables import hub_manifest
+from hubstar.tables import silver_manifest
 
 MODEL = parse_model('''product oracletest
 
@@ -203,7 +203,7 @@ def test_removed_row_is_reported_missing(wh, feed):
     load_sample(wh, feed)
     person = MODEL.hub("person")
     kept = [r for r in wh.read_rows(SILVER, "hub_person") if r["person_key"] != PK1]
-    wh.replace_table(hub_manifest(MODEL, person), kept)
+    wh.replace_table(silver_manifest(MODEL, person), kept)
 
     problems = check_against_oracle(wh, MODEL)
     assert problems == [f"hub_person: missing row ({PK1!r})"]

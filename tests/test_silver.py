@@ -19,18 +19,18 @@ from hubstar import (
     parse_model,
     render_model,
 )
+from hubstar import gold, silver, storage, tables
 from hubstar import retail_fixture as rf
-from hubstar import storage
+from hubstar.cli import main
 from hubstar.errors import HubStarError, LoadError, StorageError
 from hubstar.expr import sha256_hex
 from hubstar.model import ItemKeyRule, validate_model
 from hubstar.silver import (
     default_row,
     explode_collection,
-    init_hub,
     type_neutral,
 )
-from hubstar.tables import hub_manifest
+from hubstar.tables import silver_manifest
 from hubstar.values import EPOCH, row_key, top_per_partition
 
 from conftest import SHIP_TO, edited_retail, file_bytes
@@ -215,11 +215,6 @@ def test_init_seeds_one_default_row_per_hub_and_none_for_stars(wh):
     assert wh.read_rows(SILVER, "star_person_visit") == []
 
 
-def test_init_hub_refuses_to_seed_twice(wh):
-    with pytest.raises(LoadError, match="default row already present"):
-        init_hub(wh, MODEL, PERSON)
-
-
 # -- hub merge ------------------------------------------------------------------
 
 
@@ -271,7 +266,7 @@ def test_a_capture_before_1970_is_loaded_into_a_table_without_members(wh, feed):
 
 
 def test_loading_a_hub_whose_table_holds_no_row_fails(wh, feed):
-    wh.replace_table(hub_manifest(MODEL, PERSON), [])  # the default row is gone
+    wh.replace_table(silver_manifest(MODEL, PERSON), [])  # the default row is gone
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
     data = wh.table_dir(SILVER, "hub_person") / "data"
     with pytest.raises(StorageError, match="initialize default rows first"):
@@ -1143,16 +1138,26 @@ def test_a_mapped_column_the_stored_manifest_lacks_is_refused_and_nothing_writte
             load_all(through, edited, now=rf.DEFAULT_NOW)
         with pytest.raises(StorageError, match=message):
             build_all(through, edited, now=rf.DEFAULT_NOW, only="dim_customer")
+        # dim_product, built first, reads no changed table, but the edit
+        # changes its trace's inputs: the build is refused before it.
+        with pytest.raises(StorageError, match=message):
+            build_all(through, edited, now=rf.DEFAULT_NOW)
     assert file_bytes(warehouse.root) == before
     load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)  # the stored model still loads
     assert check_against_oracle(warehouse, retail_spec) == []
 
 
+# Model edits: a bronze column the stored manifest lacks, and a new source.
+REGION = ("  column _deleted integer\n", "  column _deleted integer\n  column region string\n")
+RETURNS = ("source products {\n",
+           "source returns {\n  load_source 5\n  format csv\n  column return_id integer\n"
+           "  capture pipeline_now\n}\n\nsource products {\n")
+
+
 def test_a_source_column_the_stored_manifest_lacks_fails_ingest(
         tmp_path, retail_spec, retail_data):
     warehouse, second = _first_of_two_batches(tmp_path / "wh", retail_spec, retail_data)
-    edited = parse_model(edited_retail(("  column _deleted integer\n",
-                                        "  column _deleted integer\n  column region string\n"))).spec
+    edited = parse_model(edited_retail(REGION)).spec
     assert validate_model(edited).ok
     before = file_bytes(warehouse.root)
     job = next(job for job in second if job.source == "customers")
@@ -1163,6 +1168,51 @@ def test_a_source_column_the_stored_manifest_lacks_fails_ingest(
     with pytest.raises(StorageError, match=r"raw_retail\.customers: .*: column region "):
         load_all(warehouse, edited, now=rf.DEFAULT_NOW)
     assert file_bytes(warehouse.root) == before
+
+
+def test_init_over_an_initialized_warehouse_is_refused_and_creates_nothing(
+        tmp_path, retail_spec, capsys):
+    root = tmp_path / "wh"
+    init_warehouse(Warehouse(root), retail_spec)
+    before = file_bytes(root)
+    with_returns = edited_retail(RETURNS)
+    for text, message in ((with_returns, r"^table hs_retail\.hub_customer already exists$"),
+                          (edited_retail(REGION), r"^raw_retail\.customers: .*: column region ")):
+        edited = parse_model(text).spec
+        assert validate_model(edited).ok
+        with pytest.raises(StorageError, match=message):
+            init_warehouse(Warehouse(root), edited)
+    model = tmp_path / "returns.hsm"
+    model.write_text(with_returns, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["init", "--model", str(model), "--root", str(root)]) == 2
+    assert capsys.readouterr().err == "error: table hs_retail.hub_customer already exists\n"
+    assert file_bytes(root) == before
+
+
+def test_each_command_checks_each_stored_layout_once(
+        tmp_path, retail_spec, retail_data, monkeypatch):
+    warehouse, second = _first_of_two_batches(tmp_path / "wh", retail_spec, retail_data)
+    for job in second:
+        ingest_file(warehouse, retail_spec, job.source, job.path, now=rf.DEFAULT_NOW,
+                    mtime=job.mtime)
+    checks = Counter()
+    check = tables.check_stored_manifest
+
+    def counted(through, manifest):
+        checks[f"{manifest.schema}.{manifest.table}"] += 1
+        return check(through, manifest)
+
+    for module in (silver, gold):
+        monkeypatch.setattr(module, "check_stored_manifest", counted)
+    names = retail_spec.schema_names
+    elements = [f"{names['silver']}.{e.table_name}" for e in retail_spec.hubs + retail_spec.stars]
+    load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+    assert checks == Counter(elements + [f"{names['bronze']}.{s.name}"
+                                         for s in retail_spec.sources])
+    checks.clear()
+    build_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+    assert checks == Counter(elements)  # the views read every hub and star
 
 
 def test_a_model_equal_to_the_stored_one_loads_as_before(tmp_path, retail_spec, retail_data):

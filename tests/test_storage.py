@@ -322,6 +322,29 @@ def test_a_stored_manifest_unlike_the_model_is_refused_by_its_first_difference(
     assert check_stored_manifest(wh, manifest(table="absent")) is False
 
 
+def test_a_stored_line_that_does_not_decode_is_refused_by_table_and_line(tmp_path):
+    stamped = manifest(columns=(ColumnSpec("capture_timestamp", "timestamp", nullable=False),
+                                *manifest().columns))
+    wh = Warehouse(tmp_path)
+    wh.create_table(stamped)
+    day = {n: datetime(2024, 1, n, tzinfo=timezone.utc) for n in (1, 2, 3)}
+    wh.append_rows("lab", "samples", [{**ROW, "sample_id": f"s-{n}", "capture_timestamp": day[n]}
+                                      for n in (1, 2, 3)], lines=0)
+    assert len(wh.read_rows("lab", "samples")) == 3  # the memo now holds every line
+    data = tmp_path / "lab" / "samples" / "data"
+    lines = data.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"price":1.50', b'"price":sNaN')
+    data.write_bytes(b"\n".join(lines))
+    for read in (lambda: wh.read_rows("lab", "samples"),  # through the memo
+                 lambda: Warehouse(tmp_path).read_rows("lab", "samples"),
+                 lambda: wh.read_rows("lab", "samples", captured_after=day[1])):
+        with pytest.raises(StorageError, match=r"^lab\.samples: line 2 does not decode: "):
+            read()
+    # A read that skips the line by its capture time never decodes it.
+    assert [r["sample_id"] for r in wh.read_rows("lab", "samples", captured_after=day[2])] == [
+        "s-3"]
+
+
 def _ingest_and_load(through: Warehouse, spec, jobs):
     for job in jobs:
         ingest_file(through, spec, job.source, job.path, now=rf.DEFAULT_NOW, mtime=job.mtime)

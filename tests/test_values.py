@@ -135,6 +135,14 @@ def test_coerce_scalar_rejects_lossy_conversions(raw, ctype):
         coerce_scalar(raw, ctype)
 
 
+@pytest.mark.parametrize("raw", ["NaN", "sNaN", "Infinity", "-Infinity", " nan ",
+                                 Decimal("NaN"), Decimal("-Infinity")])
+def test_coerce_scalar_refuses_a_decimal_that_is_not_finite(raw):
+    # No JSON number holds one, so storage could not write it as JSON.
+    with pytest.raises(ValueError, match="is not finite"):
+        coerce_scalar(raw, "decimal")
+
+
 def test_value_to_string_forms():
     assert value_to_string(42) == "42"
     assert value_to_string(Decimal("1.50")) == "1.50"
