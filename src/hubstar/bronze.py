@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -56,7 +55,7 @@ def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
             continue
         try:
             doc = decode_json(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON
             raise IngestError(f"{source.name} line {lineno}: {exc}") from exc
         if not isinstance(doc, dict):
             raise IngestError(f"{source.name} line {lineno}: record is not an object")

@@ -198,8 +198,8 @@ def _cmd_build_gold(args) -> int:
 def _cmd_check(args) -> int:
     spec = _load_spec(args.model)
     warehouse = _warehouse(args)
-    silver = spec.schema_names["silver"]
-    problems = warehouse.check_all(silver)
+    problems = [line for schema in spec.schema_names.values()
+                for line in warehouse.check_all(schema)]
     if args.against_oracle:
         for element in spec.hubs + spec.stars:
             reason = skip_reason(element)

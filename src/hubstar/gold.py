@@ -18,7 +18,7 @@ from . import __version__
 from .dsl import render_model
 from .errors import GoldBuildError
 from .model import ColumnRef, GoldViewDef, HubJoin, ModelSpec, ref_table, view_tables
-from .storage import Record, TableKey, Warehouse, digest, manifest_bytes
+from .storage import Record, Warehouse, digest, manifest_bytes
 from .tables import check_stored_manifest, gold_manifest, silver_manifest
 from .values import key_part, row_key, top_per_partition, value_to_string
 
@@ -44,25 +44,6 @@ def current_rows(rows: list[Record], partition: tuple[str, ...],
     partition rather than exposing an older one."""
     return [row for row in top_per_partition(rows, lambda row: row_key(row, partition), order)
             if not row.get("delete_flag")]
-
-
-def _read_tables(warehouse: Warehouse, spec: ModelSpec,
-                 view: GoldViewDef) -> dict[str, TableKey]:
-    """The (schema, table) of each table the view reads, by name in
-    `read_tables` order; raises when a gold dimension it reads is not built
-    yet. `build_all` has checked the silver tables."""
-    found = {}
-    for kind, name, _left in view.read_tables:
-        if kind == "gold":
-            key = spec.schema_names["gold"], spec.view(name).table_name
-            if not warehouse.table_exists(*key):
-                raise GoldBuildError(f"{view.name}: referenced dimension {name} "
-                                     "is not built yet")
-        else:
-            element = spec.hub(name) if kind == "hub" else spec.star(name)
-            key = spec.schema_names["silver"], element.table_name
-        found[name] = key
-    return found
 
 
 def _join(contexts: list[dict[str, Record]], name: str, rows: list[Record], column: str,
@@ -120,8 +101,7 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     empty when none matched, for every table, so a step reads a column as
     `ctx[table].get(column)`.
 
-    Once every table it reads is found (`build_all` has checked the silver
-    ones, and a gold dimension must be built), the view's inputs are
+    `build_all` has checked every table it reads. The view's inputs are
     digested: the canonical model text, the hubstar version, the manifest
     it writes and the bytes of each table it reads. When the table's trace
     records that digest and still matches the table's files, the build
@@ -138,7 +118,7 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     outputs = [(out.name, *(resolve(out.ref) if out.ref else (None, None)))
                for out in view.outputs]
     scd2_key = [resolve(part) for part in view.scd2_key]
-    base = spec.hub(view.base) if view.base_kind == "hub" else spec.star(view.base)
+    base = spec.element(view.base_kind, view.base)
     base_key = resolve(ColumnRef(view.base, base.key_column)) if view.base_kind == "hub" else None
     joins = [(join, resolve(ColumnRef(None, join.on_column)) if isinstance(join, HubJoin)
               else base_key) for join in view.joins + (view.versions,) if join is not None]
@@ -148,7 +128,9 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     if temporal is not None:
         key_ref, (time_table, time_column) = resolve(temporal.key_ref), resolve(temporal.time_ref)
 
-    read = _read_tables(warehouse, spec, view)
+    read = {name: (spec.schema_names["gold"], spec.view(name).table_name) if kind == "gold"
+            else (spec.schema_names["silver"], spec.element(kind, name).table_name)
+            for kind, name, _left in view.read_tables}
     manifest = gold_manifest(spec, view)
     inputs = digest([render_model(spec).encode("utf-8"), __version__.encode("utf-8"),
                      manifest_bytes(manifest),
@@ -190,10 +172,11 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
 def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
               only: str | None = None) -> list[GoldBuildResult]:
     """Build every view, dimensions before the facts that reference them,
-    or only the view named `only`. Each silver table the views read is
-    checked once, before the first build: it must exist, and its stored
-    manifest must be the model's (`check_stored_manifest`), so a refused
-    build writes nothing."""
+    or only the view named `only`. Every table the views read is checked
+    once, before the first build, so a refused build writes nothing: a
+    silver table must exist and its stored manifest must be the model's
+    (`check_stored_manifest`), and a gold dimension must come earlier in
+    this call's order or already exist."""
     ordered = [v for v in spec.gold_views if v.kind != "fact"]
     ordered += [v for v in spec.gold_views if v.kind == "fact"]
     if only is not None:
@@ -203,8 +186,16 @@ def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
     silver = dict.fromkeys((kind, name) for view in ordered
                            for kind, name, _left in view.read_tables if kind != "gold")
     for kind, name in silver:
-        manifest = silver_manifest(spec, spec.hub(name) if kind == "hub" else spec.star(name))
+        manifest = silver_manifest(spec, spec.element(kind, name))
         if not check_stored_manifest(warehouse, manifest):
             raise GoldBuildError(f"silver table {manifest.schema}.{manifest.table} is missing; "
                                  "run init and load-silver first")
+    built = set()
+    for view in ordered:
+        for kind, name, _left in view.read_tables:
+            if kind == "gold" and name not in built and not warehouse.table_exists(
+                    spec.schema_names["gold"], spec.view(name).table_name):
+                raise GoldBuildError(f"{view.name}: referenced dimension {name} "
+                                     "is not built yet")
+        built.add(view.name)
     return [build_view(warehouse, spec, view, now) for view in ordered]

@@ -414,6 +414,11 @@ class ModelSpec:
     def view(self, name: str) -> GoldViewDef | None:
         return self._named.get(("view", name))
 
+    def element(self, kind: str, name: str) -> HubDef | StarDef | None:
+        """The hub or star `name` when `kind` is "hub" or "star"; None for
+        any other kind."""
+        return self._named.get((kind, name)) if kind in ("hub", "star") else None
+
 
 def _hub_star_tables(spec: ModelSpec, view: GoldViewDef) -> dict[str, dict[str, tuple[str, bool]]]:
     """The hubs and stars among the view's `read_tables` that the model
@@ -421,7 +426,7 @@ def _hub_star_tables(spec: ModelSpec, view: GoldViewDef) -> dict[str, dict[str, 
     left-joined table's columns are nullable."""
     tables = {}
     for kind, name, left in view.read_tables:
-        element = spec.hub(name) if kind == "hub" else spec.star(name) if kind == "star" else None
+        element = spec.element(kind, name)
         if element is not None:
             tables[name] = {c.name: (c.type, c.nullable or left) for c in element.columns}
     return tables
@@ -824,8 +829,7 @@ def _check_gold(ck: _Checker, view: GoldViewDef):
         ck.add("gold_base_kind", loc, f"{view.kind} views are based on a hub")
     if view.kind == "fact" and view.base_kind != "star":
         ck.add("gold_base_kind", loc, "fact views are based on a star")
-    base_exists = (spec.hub(view.base) if view.base_kind == "hub" else spec.star(view.base))
-    if base_exists is None:
+    if spec.element(view.base_kind, view.base) is None:
         ck.add("gold_unknown_base", loc, f"unknown base {view.base_kind} {view.base!r}")
     for join in view.joins:
         if isinstance(join, HubJoin):

@@ -1,4 +1,4 @@
-"""Brute-force recomputation of expected silver state, and a state differ.
+"""Brute-force recomputation of expected silver state, and a row differ.
 
 The engine loads incrementally — high-water marks, per-batch ranking,
 conditional updates. The oracle ignores all of that and derives the final
@@ -12,39 +12,10 @@ and merging is recomputed here from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import HubDef, ModelSpec, StarDef
 from .silver import default_row, evaluate_mapping, hub_key_lookup, is_default_row
 from .storage import Record, Warehouse
 from .values import EPOCH, row_key, show_key, values_equal
-
-
-@dataclass(frozen=True)
-class StateDiff:
-    missing_rows: tuple[tuple, ...]      # keys present in expected, absent in actual
-    extra_rows: tuple[tuple, ...]        # keys present in actual, absent in expected
-    mismatched_rows: tuple[tuple[tuple, str, object, object], ...]  # key, column, actual, expected
-
-    @property
-    def empty(self) -> bool:
-        return not (self.missing_rows or self.extra_rows or self.mismatched_rows)
-
-
-def diff_states(actual: list[Record], expected: list[Record],
-                key_columns: tuple[str, ...],
-                compare_columns: tuple[str, ...]) -> StateDiff:
-    actual_by_key = {row_key(r, key_columns): r for r in actual}
-    expected_by_key = {row_key(r, key_columns): r for r in expected}
-    missing = tuple(sorted(k for k in expected_by_key if k not in actual_by_key))
-    extra = tuple(sorted(k for k in actual_by_key if k not in expected_by_key))
-    mismatched = []
-    for key in sorted(k for k in expected_by_key if k in actual_by_key):
-        a, e = actual_by_key[key], expected_by_key[key]
-        for column in compare_columns:
-            if not values_equal(a.get(column), e.get(column)):
-                mismatched.append((key, column, a.get(column), e.get(column)))
-    return StateDiff(missing, extra, tuple(mismatched))
 
 
 def expected_state(warehouse: Warehouse, spec: ModelSpec,
@@ -165,9 +136,8 @@ def check_against_oracle(warehouse: Warehouse, spec: ModelSpec,
         actual = warehouse.read_rows(silver, element.table_name)
         for (key_columns, actual_part), (_, expected_part) in zip(
                 _parts(element, actual), _parts(element, expected)):
-            diff = diff_states(actual_part, expected_part, key_columns,
-                               compare_columns(element, include_volatile))
-            problems.extend(_describe(element.table_name, diff))
+            problems += diff_rows(element.table_name, actual_part, expected_part,
+                                  key_columns, compare_columns(element, include_volatile))
     return problems
 
 
@@ -183,14 +153,21 @@ def _parts(element: HubDef | StarDef, rows: list[Record]) -> list[tuple[tuple, l
     return [((element.key_column,), defaults), (element.identity, members)]
 
 
-def _describe(table: str, diff: StateDiff) -> list[str]:
-    lines = []
-    for key in diff.missing_rows:
-        lines.append(f"{table}: missing row {show_key(key)}")
-    for key in diff.extra_rows:
-        lines.append(f"{table}: unexpected row {show_key(key)}")
-    for key, column, actual, expected in diff.mismatched_rows:
-        lines.append(f"{table}: {show_key(key)} column {column}: "
-                     f"engine={actual!r} oracle={expected!r}")
+def diff_rows(table: str, actual: list[Record], expected: list[Record],
+              key_columns: tuple[str, ...], compare: tuple[str, ...]) -> list[str]:
+    """Lines naming how `actual` differs from `expected`, rows matched by
+    `key_columns`: missing rows, then unexpected rows, then each differing
+    `compare` column, with keys sorted in each group."""
+    actual_by_key = {row_key(r, key_columns): r for r in actual}
+    expected_by_key = {row_key(r, key_columns): r for r in expected}
+    missing = sorted(k for k in expected_by_key if k not in actual_by_key)
+    extra = sorted(k for k in actual_by_key if k not in expected_by_key)
+    lines = [f"{table}: missing row {show_key(k)}" for k in missing]
+    lines += [f"{table}: unexpected row {show_key(k)}" for k in extra]
+    for key in sorted(k for k in expected_by_key if k in actual_by_key):
+        a, e = actual_by_key[key], expected_by_key[key]
+        for column in compare:
+            if not values_equal(a.get(column), e.get(column)):
+                lines.append(f"{table}: {show_key(key)} column {column}: "
+                             f"engine={a.get(column)!r} oracle={e.get(column)!r}")
     return lines
-

@@ -3,10 +3,10 @@ plus a JSON-lines data file (and, for a gold view, a trace of what it was
 built from), and every write is a whole-file atomic rename.
 Stored lines are canonical, so writes splice encoded lines into a file's
 bytes and reads can take a bronze line's capture time from its prefix
-without decoding the rest. A Warehouse decodes each byte string at most
-once while it holds it: a manifest once per content, and a line of a table
-it splices once per manifest, so a later read of that table decodes only
-the lines it has not seen.
+without decoding the rest. A Warehouse parses a manifest once per
+content, and decodes a line of a table it splices once per manifest, so a
+later read of that table decodes only the lines it has not seen; any other
+read decodes what it reads.
 
 Constraints declared in a manifest are never enforced on the write path;
 `check_constraints` audits them after the fact, mirroring how analytical
@@ -183,15 +183,22 @@ def _encode_rows(manifest: TableManifest, rows: Iterable[Record]) -> bytes:
     return "".join(encode_row(manifest, r) + "\n" for r in rows).encode("utf-8")
 
 
-_JSON_DECODER = json.JSONDecoder(parse_float=Decimal)
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_JSON_DECODER = json.JSONDecoder(parse_float=Decimal, parse_constant=_refuse_constant)
 
 
 def decode_json(text: str) -> Any:
-    """`json.loads(text, parse_float=Decimal)` through one decoder built
-    once: `json.loads` with an argument builds a decoder per call. A leading
-    byte-order mark goes to `json.loads`, which alone refuses it by name."""
+    """The JSON value of `text`, its numbers with a fraction or exponent as
+    `Decimal`, through one decoder built once: `json.loads` with an argument
+    builds a decoder per call. It raises ValueError for what is not JSON:
+    the bare `NaN`, `Infinity` and `-Infinity` that Python's own decoder
+    accepts, and a leading byte-order mark, which `json.loads` alone
+    refuses by name."""
     if text.startswith("\ufeff"):
-        return json.loads(text, parse_float=Decimal)
+        return json.loads(text)
     return _JSON_DECODER.decode(text)
 
 

@@ -303,8 +303,10 @@ def test_a_decimal_that_is_not_finite_fails_ingest_and_writes_nothing(
     assert file_bytes(warehouse.root) == before
 
 
-def test_a_stored_line_that_does_not_decode_fails_the_load_by_table_and_line(
-        tmp_path, capsys):
+def _load_after_editing_a_stored_price(tmp_path, capsys, token: str) -> str:
+    """What `load-silver` prints to stderr after the stored price of a
+    bronze line is replaced by `token`. The load must exit 2 and write
+    nothing."""
     model = write(tmp_path, "prices.hsm", PRICES_TEXT)
     items = write(tmp_path, "items.csv", "item_id,price\nA,1.50\nB,2.25\n")
     args = ["--model", str(model), "--root", str(tmp_path / "wh")]
@@ -314,10 +316,34 @@ def test_a_stored_line_that_does_not_decode_fails_the_load_by_table_and_line(
     data = tmp_path / "wh" / "raw_demo" / "items" / "data"
     lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
     assert '"price":2.25' in lines[1]
-    data.write_text(lines[0] + lines[1].replace('"price":2.25', '"price":sNaN'), encoding="utf-8")
+    data.write_text(lines[0] + lines[1].replace('"price":2.25', f'"price":{token}'),
+                    encoding="utf-8")
     before = file_bytes(tmp_path / "wh")
     capsys.readouterr()
     assert main(["load-silver", *args, *now]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: raw_demo.items: line 2 does not decode: Expecting value")
     assert file_bytes(tmp_path / "wh") == before
+    return capsys.readouterr().err
+
+
+def test_a_stored_line_that_does_not_decode_fails_the_load_by_table_and_line(
+        tmp_path, capsys):
+    assert _load_after_editing_a_stored_price(tmp_path, capsys, "sNaN").startswith(
+        "error: raw_demo.items: line 2 does not decode: Expecting value")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_bare_non_finite_token_in_a_stored_line_fails_the_load(tmp_path, capsys, token):
+    assert _load_after_editing_a_stored_price(tmp_path, capsys, token) == (
+        f"error: raw_demo.items: line 2 does not decode: {token} is not a JSON number\n")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_bare_non_finite_token_fails_ndjson_ingest_by_line(tmp_path, token):
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, PRICES)
+    before = file_bytes(warehouse.root)
+    path = write(tmp_path, "offers", '{"item_id": "A", "price": 1.50}\n'
+                                     f'{{"item_id": "B", "price": {token}}}\n')
+    with pytest.raises(IngestError, match=f"^offers line 2: {token} is not a JSON number$"):
+        ingest_file(warehouse, PRICES, "offers", path, now=NOW)
+    assert file_bytes(warehouse.root) == before

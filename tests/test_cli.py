@@ -315,22 +315,32 @@ def test_check_against_oracle_notes_every_element_it_skips(tmp_path, capsys):
 def test_check_reports_findings_and_exits_nonzero(cli_wh, tmp_path, capsys):
     # A warehouse that was initialized but never loaded has empty bronze and
     # just the default rows: that is clean too, so vandalize a table copy.
+    # Every schema is audited, bronze and gold as well as silver.
     import shutil
 
-    root = tmp_path / "wh"
-    shutil.copytree(cli_wh, root)
     from hubstar import Warehouse
 
-    wh = Warehouse(root)
-    rows = wh.read_rows("hs_retail", "hub_product")
-    rows[-1]["product_name"] = None  # declared required
-    wh.replace_table(wh.manifest("hs_retail", "hub_product"), rows)
-    capsys.readouterr()
+    cases = {
+        "silver": [("hs_retail", "hub_product", "product_name")],  # declared required
+        "bronze_and_gold": [("ss_retail", "dim_product", "product_key"),
+                            ("raw_retail", "products", "load_timestamp")],
+    }
+    for case, nulls in cases.items():
+        root = tmp_path / case
+        shutil.copytree(cli_wh, root)
+        wh = Warehouse(root)
+        for schema, table, column in nulls:
+            rows = wh.read_rows(schema, table)
+            rows[-1][column] = None
+            wh.replace_table(wh.manifest(schema, table), rows)
+        capsys.readouterr()
 
-    assert main(["check", "--model", MODEL, "--root", str(root)]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[-1] == "1 finding(s)"
-    assert "product_name" in out[0]
+        assert main(["check", "--model", MODEL, "--root", str(root)]) == 1, case
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == f"{len(nulls)} finding(s)", case
+        assert sorted(f"{schema}.{table}: column {column}"
+                      for schema, table, column in nulls) == \
+            [line.split(" is not")[0] for line in out[:-1]], case
 
 
 # -- export and show --------------------------------------------------------------

@@ -29,7 +29,7 @@ from hubstar.errors import GoldBuildError
 from hubstar.gold import GoldBuildResult, build_view, current_rows
 from hubstar.expr import sha256_hex
 from hubstar.model import HubJoin, validate_model
-from conftest import FIXTURE_MODEL
+from conftest import FIXTURE_MODEL, file_bytes
 from hubstar.values import row_key, top_per_partition
 
 MODEL = parse_model('''product goldtest
@@ -452,8 +452,10 @@ def test_building_over_a_missing_silver_table_is_an_error(tmp_path):
 def test_fact_refuses_to_build_before_its_dimension(tmp_path):
     wh = Warehouse(tmp_path / "wh")
     init_warehouse(wh, MODEL)
+    before = file_bytes(wh.root)
     with pytest.raises(GoldBuildError, match="dim_person2 is not built yet"):
-        build_view(wh, MODEL, MODEL.view("fact_orders"), now=NOW)
+        build_all(wh, MODEL, now=NOW, only="fact_orders")
+    assert file_bytes(wh.root) == before
 
 
 def test_join_on_a_column_no_table_exposes_is_an_error(gw):
@@ -589,13 +591,13 @@ def test_a_model_edit_that_changes_a_view_rebuilds_it(retail_copy, retail_spec, 
 
 
 def test_a_missing_input_still_raises_with_a_trace_present(retail_copy, retail_spec):
-    """The copy holds every view's trace: a view checks that the tables it
-    reads exist before its trace."""
+    """The copy holds every view's trace: a build checks that the tables
+    its views read exist before any trace."""
     gold_schema, silver = retail_spec.schema_names["gold"], retail_spec.schema_names["silver"]
     shutil.rmtree(retail_copy.table_dir(gold_schema, "dim_customer2"))
-    fact = retail_spec.view("fact_order_item")
     with pytest.raises(GoldBuildError, match="dim_customer2 is not built yet"):
-        build_view(Warehouse(retail_copy.root), retail_spec, fact, now=rf.DEFAULT_NOW)
+        build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW,
+                  only="fact_order_item")
     shutil.rmtree(retail_copy.table_dir(silver, "hub_product"))
     with pytest.raises(GoldBuildError, match=f"silver table {silver}.hub_product is missing"):
         build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)

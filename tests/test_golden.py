@@ -22,6 +22,9 @@ non-nullable column, a duplicated line, two hub members with one business
 identity, a foreign key to a missing key, a null foreign key, a missing
 referenced table), the sha256 of the in-order lines of `check_all` for each
 schema and of `check_constraints` for each silver table.
+`golden_oracle.json` pins the oracle over the same 50 corruptions: the
+sha256 of the in-order lines of `check_against_oracle`, once without and
+once with the volatile columns, or the class name of what it raised.
 """
 from __future__ import annotations
 
@@ -34,9 +37,15 @@ from typing import NamedTuple
 
 import pytest
 
-from hubstar import Warehouse, parse_model, render_model, validate_model
+from hubstar import (
+    Warehouse,
+    check_against_oracle,
+    parse_model,
+    render_model,
+    validate_model,
+)
 from hubstar import retail_fixture as rf
-from hubstar.errors import ParseError
+from hubstar.errors import ParseError, StorageError
 from hubstar.model import DEFAULT_HUB_KEY, LAYERS
 from hubstar.storage import decode_row, encode_row
 
@@ -54,6 +63,7 @@ VALIDATOR_SEED = 13
 AUDIT_GOLDEN = GOLDEN.with_name("golden_audit.json")
 CORRUPTIONS = 50
 AUDIT_SEED = 17
+ORACLE_GOLDEN = GOLDEN.with_name("golden_oracle.json")
 # inserted characters: every token class, an accented letter and its capital
 INSERTS = '{}(),=."\\#-_ \t\n\r09azAZ%\u00e9\u00c9'
 
@@ -227,27 +237,35 @@ def _corrupt(warehouse: Warehouse, spec, rng: random.Random, targets: _Targets):
     _edit_rows(warehouse, schema, table, edit)
 
 
-def _audit_outcomes(root: Path, spec) -> list[dict[str, list[str]]]:
-    """For each seeded corruption of a copy of the warehouse at `root`, the
-    in-order lines of `check_all` for each schema and of `check_constraints`
-    for each silver table."""
+def _corruptions(root: Path, spec):
+    """Each of the seeded corruptions of a copy of the warehouse at `root`,
+    as a fresh `Warehouse` over the copy; the copy goes once the caller has
+    read it."""
     rng = random.Random(AUDIT_SEED)
     targets = _targets(Warehouse(root), spec)
-    silver = spec.schema_names["silver"]
-    outcomes = []
     for case in range(CORRUPTIONS):
         copy = root.with_name(f"{root.name}-corrupt-{case}")
         shutil.copytree(root, copy)
         warehouse = Warehouse(copy)
         for _ in range(rng.randint(1, 3)):
             _corrupt(warehouse, spec, rng, targets)
+        yield warehouse
+        shutil.rmtree(copy)
+
+
+def _audit_outcomes(root: Path, spec) -> list[dict[str, list[str]]]:
+    """For each seeded corruption of a copy of the warehouse at `root`, the
+    in-order lines of `check_all` for each schema and of `check_constraints`
+    for each silver table."""
+    silver = spec.schema_names["silver"]
+    outcomes = []
+    for warehouse in _corruptions(root, spec):
         lines = {f"check_all {spec.schema_names[layer]}":
                  warehouse.check_all(spec.schema_names[layer]) for layer in LAYERS}
         for table in warehouse.list_tables(silver):
             lines[f"check_constraints {silver}.{table}"] = \
                 warehouse.check_constraints(silver, table)
         outcomes.append(lines)
-        shutil.rmtree(copy)
     return outcomes
 
 
@@ -261,4 +279,30 @@ def test_audit_matches_recorded_outcomes(golden_wh, retail_spec):
     differ += [f"corruption {i}: calls {sorted(set(audit) ^ set(want))} differ"
                for i, (audit, want) in enumerate(zip(outcomes, recorded))
                if set(audit) != set(want)]
+    assert not differ, "\n".join(differ)
+
+
+def _oracle_outcomes(root: Path, spec) -> list[dict[str, str]]:
+    """For each seeded corruption, by `include_volatile`: the digest of the
+    in-order lines of `check_against_oracle`, or the class name of what it
+    raised."""
+    outcomes = []
+    for warehouse in _corruptions(root, spec):
+        outcome = {}
+        for volatile in (False, True):
+            try:
+                outcome[f"include_volatile={volatile}"] = _digest(
+                    check_against_oracle(warehouse, spec, include_volatile=volatile))
+            except (StorageError, TypeError) as err:  # a removed table; a null capture
+                outcome[f"include_volatile={volatile}"] = type(err).__name__
+        outcomes.append(outcome)
+    return outcomes
+
+
+def test_oracle_matches_recorded_outcomes(golden_wh, retail_spec):
+    recorded = json.loads(ORACLE_GOLDEN.read_text(encoding="utf-8"))
+    outcomes = _oracle_outcomes(golden_wh.root, retail_spec)
+    differ = [f"corruption {i}: {got} != {want}"
+              for i, (got, want) in enumerate(zip(outcomes, recorded, strict=True))
+              if got != want]
     assert not differ, "\n".join(differ)

@@ -16,7 +16,7 @@ from hubstar import (
 )
 from hubstar.expr import sha256_hex
 from hubstar.model import validate_model
-from hubstar.oracle import StateDiff, diff_states
+from hubstar.oracle import diff_rows
 from hubstar.tables import silver_manifest
 
 MODEL = parse_model('''product oracletest
@@ -140,24 +140,21 @@ def test_model_is_valid():
     assert validate_model(MODEL).ok
 
 
-def test_diff_states_reports_missing_extra_and_mismatched():
+def test_diff_rows_reports_missing_extra_and_mismatched():
     actual = [{"k": "a", "v": 1}, {"k": "b", "v": 2}]
     expected = [{"k": "a", "v": 9}, {"k": "c", "v": 3}]
-    diff = diff_states(actual, expected, ("k",), ("v",))
-    assert not diff.empty
-    assert len(diff.missing_rows) == 1 and len(diff.extra_rows) == 1
-    assert diff.mismatched_rows[0][1:] == ("v", 1, 9)
-
-    same = diff_states(actual, actual, ("k",), ("v",))
-    assert same == StateDiff((), (), ())
-    assert same.empty
+    assert diff_rows("t", actual, expected, ("k",), ("v",)) == [
+        "t: missing row ('c')",
+        "t: unexpected row ('b')",
+        "t: ('a') column v: engine=1 oracle=9",
+    ]
+    assert diff_rows("t", actual, actual, ("k",), ("v",)) == []
 
 
-def test_diff_states_compares_null_safe():
-    diff = diff_states([{"k": "a", "v": None}], [{"k": "a", "v": None}], ("k",), ("v",))
-    assert diff.empty
-    diff = diff_states([{"k": "a", "v": None}], [{"k": "a", "v": 1}], ("k",), ("v",))
-    assert diff.mismatched_rows
+def test_diff_rows_compares_null_safe():
+    assert diff_rows("t", [{"k": "a", "v": None}], [{"k": "a", "v": None}], ("k",), ("v",)) == []
+    assert diff_rows("t", [{"k": "a", "v": None}], [{"k": "a", "v": 1}], ("k",), ("v",)) == [
+        "t: ('a') column v: engine=None oracle=1"]
 
 
 def test_fresh_warehouse_agrees_with_the_oracle(wh):

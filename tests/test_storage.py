@@ -345,6 +345,23 @@ def test_a_stored_line_that_does_not_decode_is_refused_by_table_and_line(tmp_pat
         "s-3"]
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("column, stored", [("price", '"price":1.50'), ("count", '"count":3')],
+                         ids=["decimal", "integer"])
+def test_a_bare_non_finite_token_in_a_stored_line_does_not_decode(wh, tmp_path, token,
+                                                                   column, stored):
+    # Python's own JSON decoder reads these tokens, as Decimal('NaN') or inf.
+    wh.append_rows("lab", "samples", [ROW, {**ROW, "sample_id": "s-2"}], lines=0)
+    data = tmp_path / "lab" / "samples" / "data"
+    lines = data.read_text(encoding="utf-8").split("\n")
+    assert stored in lines[1]
+    lines[1] = lines[1].replace(stored, f'"{column}":{token}')
+    data.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(StorageError, match=rf"^lab\.samples: line 2 does not decode: "
+                                           rf"{re.escape(token)} is not a JSON number$"):
+        Warehouse(tmp_path).read_rows("lab", "samples")
+
+
 def _ingest_and_load(through: Warehouse, spec, jobs):
     for job in jobs:
         ingest_file(through, spec, job.source, job.path, now=rf.DEFAULT_NOW, mtime=job.mtime)
