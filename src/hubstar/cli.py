@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bronze import ingest_file
 from .dsl import load_model
-from .errors import HubStarError, ParseError
+from .errors import HubStarError, ParseError, StorageError
 from .gold import build_all
 from .model import ModelSpec, validate_model
 from .oracle import check_against_oracle, skip_reason
@@ -200,15 +200,21 @@ def _cmd_check(args) -> int:
     warehouse = _warehouse(args)
     problems = [line for schema in spec.schema_names.values()
                 for line in warehouse.check_all(schema)]
+    failed: StorageError | None = None
     if args.against_oracle:
         for element in spec.hubs + spec.stars:
             reason = skip_reason(element)
             if reason is not None:
                 print(f"note: {element.name} {reason}; oracle comparison skipped",
                       file=sys.stderr)
-        problems += check_against_oracle(warehouse, spec)
+        try:
+            problems += check_against_oracle(warehouse, spec)
+        except StorageError as exc:  # the audit's findings stand; the error follows them
+            failed = exc
     for line in sorted(problems):
         print(line)
+    if failed is not None:
+        raise failed
     if problems:
         print(f"{len(problems)} finding(s)")
         return 1

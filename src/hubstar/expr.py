@@ -1,4 +1,4 @@
-"""Expression mini-language: AST, parser, evaluator, canonical renderer.
+"""Expression mini-language: AST, parser, compiler, canonical renderer.
 
 The same expression grammar serves hub key formulas and source mappings;
 mappings additionally get epoch conversion, coalesce, and item accessors.
@@ -10,6 +10,8 @@ import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
+from functools import partial
+from typing import Callable
 
 from .errors import EvalError, ParseError
 from .lexer import IDENT, INT, STRING, SYMBOL, TokenStream
@@ -67,6 +69,8 @@ def format_ts_compact(ts: datetime) -> str:
 
     Zero-padding keeps lexicographic order aligned with time order.
     """
+    if not isinstance(ts, datetime):
+        raise EvalError("format_ts_compact expects a timestamp")
     ts = as_utc(ts)
     return (
         f"{ts.year:04d}{ts.month:02d}{ts.day:02d}"
@@ -141,91 +145,120 @@ def render_expr(expr: Expr) -> str:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalContext:
-    """Bindings an expression is evaluated against.
-
-    key_mode turns on the delimiter-collision guard used for hub keys.
-    """
+    """Bindings an expression is evaluated against."""
 
     record: dict
     load_source: int
     item: dict | None = None
     item_key: object = None
-    key_mode: bool = False
 
 
-def evaluate(expr: Expr, ctx: EvalContext):
+Evaluator = Callable[[EvalContext], object]
+
+
+def compile(expr: Expr, key_mode: bool = False) -> Evaluator:
+    """The expression as a closure tree (Feeley and Lapalme, "Using
+    closures for code generation", Computer Languages 1987): each node is
+    dispatched once, here, and its closure evaluates it against a context.
+    `key_mode` turns on the delimiter-collision guard used for hub keys."""
     if isinstance(expr, Lit):
-        return expr.value
+        value = expr.value
+        return lambda ctx: value
     if isinstance(expr, Col):
-        if expr.name not in ctx.record:
-            raise EvalError(f"unknown column {expr.name!r}")
-        return ctx.record[expr.name]
+        name = expr.name
+
+        def column(ctx: EvalContext):
+            try:
+                return ctx.record[name]
+            except KeyError:
+                raise EvalError(f"unknown column {name!r}") from None
+        return column
     if isinstance(expr, ItemField):
-        if ctx.item is None:
-            raise EvalError("item reference outside a collection mapping")
-        if expr.name not in ctx.item:
-            raise EvalError(f"unknown item field {expr.name!r}")
-        return ctx.item[expr.name]
+        name = expr.name
+
+        def item_field(ctx: EvalContext):
+            if ctx.item is None:
+                raise EvalError("item reference outside a collection mapping")
+            try:
+                return ctx.item[name]
+            except KeyError:
+                raise EvalError(f"unknown item field {name!r}") from None
+        return item_field
     if isinstance(expr, Cast):
-        value = evaluate(expr.operand, ctx)
-        if value is None:
-            return None
-        if expr.target == "string":
-            return value_to_string(value)
-        try:
-            return coerce_scalar(value, expr.target)
-        except ValueError as exc:
-            raise EvalError(f"cast failed: {exc}") from exc
-    if isinstance(expr, Call):
-        return _apply(expr, ctx)
-    raise EvalError(f"not an expression: {expr!r}")
+        operand = compile(expr.operand, key_mode)
+        convert = (value_to_string if expr.target == "string"
+                   else partial(coerce_scalar, ctype=expr.target))
 
-
-def _apply(call: Call, ctx: EvalContext):
-    name = call.func
+        def cast(ctx: EvalContext):
+            value = operand(ctx)
+            try:
+                return None if value is None else convert(value)
+            except ValueError as exc:
+                raise EvalError(f"cast failed: {exc}") from exc
+        return cast
+    if not isinstance(expr, Call):
+        raise EvalError(f"not an expression: {expr!r}")
+    name = expr.func
     if name == "load_source":
-        return ctx.load_source
+        return lambda ctx: ctx.load_source
     if name == "item_seq":
-        if ctx.item_key is None:
-            raise EvalError("item_seq() outside a collection mapping")
-        return ctx.item_key
-    if name == "coalesce":
-        for arg in call.args:
-            value = evaluate(arg, ctx)
-            if value is not None:
-                return value
-        return None
+        def item_seq(ctx: EvalContext):
+            if ctx.item_key is None:
+                raise EvalError("item_seq() outside a collection mapping")
+            return ctx.item_key
+        return item_seq
+    args = [compile(arg, key_mode) for arg in expr.args]
     if name == "concat":
-        delimiter = call.args[0].value
-        parts = []
-        for arg in call.args[1:]:
-            value = evaluate(arg, ctx)
-            if value is None:
-                continue
-            text = value_to_string(value)
-            if ctx.key_mode and delimiter and delimiter in text:
-                raise EvalError(
-                    f"delimiter collision: operand {text!r} contains {delimiter!r}"
-                )
-            parts.append(text)
-        return delimiter.join(parts)
-    # remaining functions are unary
-    value = evaluate(call.args[0], ctx)
-    if value is None:
-        return None
-    if name == "sha256":
-        return sha256_hex(value_to_string(value))
-    if name == "format_ts_compact":
-        if not isinstance(value, datetime):
-            raise EvalError("format_ts_compact expects a timestamp")
-        return format_ts_compact(value)
-    if name == "epoch_seconds_to_timestamp":
-        if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
-            raise EvalError("epoch_seconds_to_timestamp expects an integer")
-        return datetime.fromtimestamp(int(value), timezone.utc)
-    raise EvalError(f"unknown function {name!r}")
+        delimiter, operands = expr.args[0].value, args[1:]
+        guard = key_mode and bool(delimiter)
+
+        def concat(ctx: EvalContext):
+            parts = []
+            for arg in operands:
+                value = arg(ctx)
+                if value is None:
+                    continue
+                text = value_to_string(value)
+                if guard and delimiter in text:
+                    raise EvalError(
+                        f"delimiter collision: operand {text!r} contains {delimiter!r}"
+                    )
+                parts.append(text)
+            return delimiter.join(parts)
+        return concat
+    if name == "coalesce":
+        def coalesce(ctx: EvalContext):
+            for arg in args:
+                value = arg(ctx)
+                if value is not None:
+                    return value
+            return None
+        return coalesce
+    if name not in _UNARY:
+        raise EvalError(f"unknown function {name!r}")
+    function, operand = _UNARY[name], args[0]
+
+    def apply(ctx: EvalContext):
+        value = operand(ctx)
+        return None if value is None else function(value)
+    return apply
+
+
+def _epoch_seconds_to_timestamp(value):
+    if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
+        raise EvalError("epoch_seconds_to_timestamp expects an integer")
+    return datetime.fromtimestamp(int(value), timezone.utc)
+
+
+# The functions of one argument, each applied to a non-null value: a null
+# argument gives null.
+_UNARY: dict[str, Callable] = {
+    "sha256": lambda value: sha256_hex(value_to_string(value)),
+    "format_ts_compact": format_ts_compact,
+    "epoch_seconds_to_timestamp": _epoch_seconds_to_timestamp,
+}
 
 
 def nodes(expr: Expr):

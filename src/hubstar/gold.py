@@ -18,7 +18,7 @@ from . import __version__
 from .dsl import render_model
 from .errors import GoldBuildError
 from .model import ColumnRef, GoldViewDef, HubJoin, ModelSpec, ref_table, view_tables
-from .storage import Record, Warehouse, digest, manifest_bytes
+from .storage import Record, TableKey, Warehouse, digest, manifest_bytes
 from .tables import check_stored_manifest, gold_manifest, silver_manifest
 from .values import key_part, row_key, top_per_partition, value_to_string
 
@@ -93,7 +93,7 @@ def _project(outputs: list[tuple[str, str | None, str | None]], scd2_key: list[R
 
 
 def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-               now: datetime) -> GoldBuildResult:
+               now: datetime, written: dict[TableKey, str] | None = None) -> GoldBuildResult:
     """One pipeline for every kind: base rows, joins, versions, the temporal
     join, then projection; each step runs when the view declares it, and
     each join is one `_join`. Every column reference is resolved to its
@@ -106,7 +106,10 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     it writes and the bytes of each table it reads. When the table's trace
     records that digest and still matches the table's files, the build
     returns the recorded row count without reading a row; otherwise it
-    builds, writes the table, then the trace."""
+    builds, writes the table, then the trace. `written` maps each table an
+    earlier build of the same `build_all` wrote to the `table_digest` its
+    write returned; the build takes a digest from it rather than from the
+    files, and adds its own table."""
     tables = view_tables(spec, view)
 
     def resolve(ref: ColumnRef) -> Resolved:
@@ -132,9 +135,11 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
             else (spec.schema_names["silver"], spec.element(kind, name).table_name)
             for kind, name, _left in view.read_tables}
     manifest = gold_manifest(spec, view)
+    written = {} if written is None else written
     inputs = digest([render_model(spec).encode("utf-8"), __version__.encode("utf-8"),
                      manifest_bytes(manifest),
-                     *(warehouse.table_digest(*key).encode("ascii") for key in read.values())])
+                     *((written.get(key) or warehouse.table_digest(*key)).encode("ascii")
+                       for key in read.values())])
     traced = warehouse.traced_rows(manifest, inputs)
     if traced is not None:
         return GoldBuildResult(view.name, traced, now)
@@ -164,8 +169,8 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
         contexts = _join(contexts, dim.name, warehouse.read_rows(*read[dim.name]),
                          spec.hub(dim.base).key_column, key_ref, keep=valid_at)
     rows = _project(outputs, scd2_key, contexts)
-    warehouse.replace_table(manifest, rows)
-    warehouse.write_trace(manifest, inputs, len(rows))
+    output = written[manifest.schema, manifest.table] = warehouse.replace_table(manifest, rows)
+    warehouse.write_trace(manifest, inputs, len(rows), output)
     return GoldBuildResult(view.name, len(rows), now)
 
 
@@ -198,4 +203,5 @@ def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
                 raise GoldBuildError(f"{view.name}: referenced dimension {name} "
                                      "is not built yet")
         built.add(view.name)
-    return [build_view(warehouse, spec, view, now) for view in ordered]
+    written: dict[TableKey, str] = {}
+    return [build_view(warehouse, spec, view, now, written) for view in ordered]

@@ -84,6 +84,10 @@ class KeyFormula:
         """The business keys the formula reads, sorted by name."""
         return tuple(sorted(ex.column_refs(self.expression)))
 
+    @cached_property
+    def _evaluate(self) -> ex.Evaluator:
+        return ex.compile(self.expression, key_mode=True)
+
     def key(self, record, load_source: int) -> str:
         """The formula over one record's business-key values.
 
@@ -94,7 +98,7 @@ class KeyFormula:
         for name in self.columns:
             if record.get(name) is None:
                 raise EvalError(f"business key must have value: {name!r} is null")
-        key = ex.evaluate(self.expression, ex.EvalContext(record, load_source, key_mode=True))
+        key = self._evaluate(ex.EvalContext(record, load_source))
         if not isinstance(key, str) or not key:
             raise EvalError(f"key formula produced {key!r}, expected a non-empty string")
         return key
@@ -112,6 +116,10 @@ class FkResolution:
     hub: str
     args: tuple[ex.Expr, ...]
     source_override: int | None = None
+
+    @cached_property
+    def compiled_args(self) -> tuple[ex.Evaluator, ...]:
+        return tuple(map(ex.compile, self.args))
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,11 @@ class SourceMapping:
     fk_resolutions: dict[str, FkResolution] = field(default_factory=dict)
     dedup_order: tuple[tuple[str, str], ...] = ()  # (bronze column, asc|desc)
     explode_column: str | None = None
+
+    @cached_property
+    def compiled_exprs(self) -> dict[str, ex.Evaluator]:
+        """`column_exprs`, each compiled once."""
+        return {name: ex.compile(expr) for name, expr in self.column_exprs.items()}
 
 
 class _Element:

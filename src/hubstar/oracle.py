@@ -5,15 +5,16 @@ conditional updates. The oracle ignores all of that and derives the final
 state straight from the complete bronze history, so agreement between the
 two is evidence the incremental machinery is faithful.
 
-Expression evaluation and key formulas are shared with the engine (they
+Compiled mappings and key formulas are shared with the engine (they
 define the mapping language); everything about batching, ranking, matching,
 and merging is recomputed here from scratch.
 """
 
 from __future__ import annotations
 
+from .errors import StorageError
 from .model import HubDef, ModelSpec, StarDef
-from .silver import default_row, evaluate_mapping, hub_key_lookup, is_default_row
+from .silver import compile_mapping, default_row, hub_key_lookup, is_default_row
 from .storage import Record, Warehouse
 from .values import EPOCH, row_key, show_key, values_equal
 
@@ -35,11 +36,14 @@ def expected_state(warehouse: Warehouse, spec: ModelSpec,
     bronze = spec.schema_names["bronze"]
     history = (warehouse.read_rows(bronze, mapping.source)
                if warehouse.table_exists(bronze, mapping.source) else [])
-    find_key = hub_key_lookup(warehouse, spec)
+    payloads = compile_mapping(hub_key_lookup(warehouse, spec), spec, element, mapping)
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
-    payloads = [(bronze_row, payload) for bronze_row in history
-                for payload in evaluate_mapping(find_key, spec, element, mapping, bronze_row)]
-    for position, (bronze_row, payload) in enumerate(payloads):
+    staged = [(bronze_row, payload) for bronze_row in history
+              for payload in payloads(bronze_row)]
+    for position, (bronze_row, payload) in enumerate(staged):
+        if bronze_row["capture_timestamp"] is None:
+            raise StorageError(f"{bronze}.{mapping.source}: column capture_timestamp is null; "
+                               "the oracle cannot rank its versions")
         row: Record = {
             "load_source": source.load_source_id,
             "capture_timestamp": bronze_row["capture_timestamp"],

@@ -126,24 +126,31 @@ def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
     return find
 
 
-def resolve_fk(find_key, spec: ModelSpec, res: FkResolution, ctx: ex.EvalContext) -> str:
-    """Foreign-key column value: the referenced hub's key computed from
-    source-side business-key expressions in `ctx`, or "-1" when any of them
-    is null. A system-generated key is looked up with `find_key` (`hub_key_lookup`)."""
+def _fk_resolver(find_key, spec: ModelSpec, res: FkResolution) -> ex.Evaluator:
+    """A foreign-key column's value in a context: the referenced hub's key
+    computed from source-side business-key expressions, or "-1" when any of
+    them is null. A system-generated key is looked up with `find_key`
+    (`hub_key_lookup`)."""
     target = spec.hub(res.hub)
-    values = [ex.evaluate(arg, ctx) for arg in res.args]
-    if any(v is None for v in values):
-        return DEFAULT_HUB_KEY
-    bk_record = {}
-    for bk, value in zip(target.business_keys, values):
-        try:
-            bk_record[bk.name] = coerce_scalar(value, bk.type)
-        except ValueError as exc:
-            raise LoadError(f"fk to {res.hub}: {exc}") from exc
-    effective_source = res.source_override if res.source_override is not None else ctx.load_source
-    if target.key_type == "computed":
-        return target.key_formula.key(bk_record, effective_source)
-    return find_key(target, bk_record, effective_source)
+    args = res.compiled_args
+    key_types = [(bk.name, bk.type) for bk in target.business_keys]
+    computed = target.key_type == "computed"
+
+    def resolve(ctx: ex.EvalContext) -> str:
+        values = [arg(ctx) for arg in args]
+        if None in values:
+            return DEFAULT_HUB_KEY
+        bk_record = {}
+        for (name, ctype), value in zip(key_types, values):
+            try:
+                bk_record[name] = coerce_scalar(value, ctype)
+            except ValueError as exc:
+                raise LoadError(f"fk to {res.hub}: {exc}") from exc
+        source = res.source_override if res.source_override is not None else ctx.load_source
+        if computed:
+            return target.key_formula.key(bk_record, source)
+        return find_key(target, bk_record, source)
+    return resolve
 
 
 def explode_collection(items, rule: ItemKeyRule) -> list[tuple[dict, object]]:
@@ -172,48 +179,71 @@ def explode_collection(items, rule: ItemKeyRule) -> list[tuple[dict, object]]:
     return out
 
 
-def evaluate_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
-                     mapping: SourceMapping, bronze_row: Record) -> list[Record]:
-    """The payloads one bronze row yields: one for a hub, one per exploded
-    item for a star. A payload holds every mapped column, plus the delete
-    flag when the element has one. A reference column holds the key the
-    mapping resolves, or `-1` when it resolves none; the item column holds
-    the item key; any other column its `map` expression, or null. `find_key`
-    (`hub_key_lookup`) finds references into system-generated-key hubs."""
+def compile_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
+                    mapping: SourceMapping):
+    """The mapping's payload builder: a function from one bronze row to the
+    payloads it yields, one for a hub, one per exploded item for a star.
+    Each column is planned once, here. A payload holds every mapped column,
+    plus the delete flag when the element has one. A reference column holds
+    the key the mapping resolves, or `-1` when it resolves none; the item
+    column holds the item key; any other column its `map` expression, or
+    null. `find_key` (`hub_key_lookup`) finds references into
+    system-generated-key hubs."""
     load_source = spec.source(mapping.source).load_source_id
     participant = element.item_participant if mapping.explode_column is not None else None
-    pairs = (explode_collection(bronze_row.get(mapping.explode_column), participant.rule)
-             if participant is not None else [(None, None)])
     item_column = participant.column if participant is not None else None
-    references, exprs = element.references, mapping.column_exprs
-    out: list[Record] = []
-    for item, item_key in pairs:
-        ctx = ex.EvalContext(bronze_row, load_source, item, item_key)
-        payload: Record = {}
-        for name, ctype, _nullable, _fields in element.mapped_columns:
-            if name in references:
-                res = mapping.fk_resolutions.get(name)
-                payload[name] = DEFAULT_HUB_KEY if res is None else resolve_fk(
-                    find_key, spec, res, ctx)
-            elif name == item_column:
-                payload[name] = _coerce_mapped(item_key, ctype, name)
-            elif name in exprs:
-                payload[name] = _coerce_mapped(ex.evaluate(exprs[name], ctx), ctype, name)
-            else:
-                payload[name] = None
-        if element.has_delete_flag:
-            payload["delete_flag"] = bronze_row.get("delete_flag") or 0
-        out.append(payload)
-    return out
+    plan: list[tuple[str, ex.Evaluator]] = []
+    for name, ctype, _nullable, _fields in element.mapped_columns:
+        if name in element.references:
+            res = mapping.fk_resolutions.get(name)
+            fill = (_constant(DEFAULT_HUB_KEY) if res is None
+                    else _fk_resolver(find_key, spec, res))
+        elif name == item_column:
+            fill = _coerced(_item_key, ctype, name)
+        elif name in mapping.column_exprs:
+            fill = _coerced(mapping.compiled_exprs[name], ctype, name)
+        else:
+            fill = _constant(None)
+        plan.append((name, fill))
+    has_delete_flag = element.has_delete_flag
+
+    def payloads(bronze_row: Record) -> list[Record]:
+        pairs = (explode_collection(bronze_row.get(mapping.explode_column), participant.rule)
+                 if participant is not None else _NO_ITEM)
+        out: list[Record] = []
+        for item, item_key in pairs:
+            ctx = ex.EvalContext(bronze_row, load_source, item, item_key)
+            payload: Record = {name: fill(ctx) for name, fill in plan}
+            if has_delete_flag:
+                payload["delete_flag"] = bronze_row.get("delete_flag") or 0
+            out.append(payload)
+        return out
+    return payloads
 
 
-def _coerce_mapped(value, ctype: str, column: str):
-    if value is None:
-        return None
-    try:
-        return coerce_scalar(value, ctype)
-    except ValueError as exc:
-        raise LoadError(f"column {column}: {exc}") from exc
+# The (item, item key) pairs of a bronze row of a mapping that explodes nothing.
+_NO_ITEM = ((None, None),)
+
+
+def _item_key(ctx: ex.EvalContext):
+    return ctx.item_key
+
+
+def _constant(value) -> ex.Evaluator:
+    return lambda ctx: value
+
+
+def _coerced(evaluate: ex.Evaluator, ctype: str, column: str) -> ex.Evaluator:
+    """`evaluate`'s value as the column's type; a failure names the column."""
+    def coerced(ctx: ex.EvalContext):
+        value = evaluate(ctx)
+        if value is None:
+            return None
+        try:
+            return coerce_scalar(value, ctype)
+        except ValueError as exc:
+            raise LoadError(f"column {column}: {exc}") from exc
+    return coerced
 
 
 _LATEST_CAPTURE = (("capture_timestamp", "desc"),)
@@ -263,13 +293,13 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
     bronze_rows = (warehouse.read_rows(bronze, mapping.source, captured_after=mark)
                    if warehouse.table_exists(bronze, mapping.source) else [])
-    find_key = hub_key_lookup(warehouse, spec)
+    payloads = compile_mapping(hub_key_lookup(warehouse, spec), spec, element, mapping)
     load_source = spec.source(mapping.source).load_source_id
     partition = hub.business_key_names if hub is not None else element.identity
     what = "business key" if hub is not None else "composite key column"
     staged = []  # (position, bronze row, candidate), in bronze order
     for bronze_row in bronze_rows:
-        for payload in evaluate_mapping(find_key, spec, element, mapping, bronze_row):
+        for payload in payloads(bronze_row):
             candidate = {"load_source": load_source,
                          "capture_timestamp": bronze_row["capture_timestamp"], **payload}
             for name in partition:

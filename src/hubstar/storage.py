@@ -20,9 +20,11 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal
+from functools import cached_property
 from hashlib import sha256
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import StorageError
 from .model import BRONZE_METADATA, DEFAULT_HUB_KEY, ColumnSpec
@@ -99,6 +101,10 @@ class TableManifest:
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
+    # The row codec of this layout, compiled once per manifest object.
+    encoder = cached_property(lambda self: _compile_encoder(self.columns))
+    decoder = cached_property(lambda self: _compile_decoder(self.columns))
+
     def to_json(self) -> dict:
         return {
             "schema": self.schema,
@@ -128,55 +134,84 @@ def manifest_bytes(manifest: TableManifest) -> bytes:
 
 
 def _encode_scalar(value: Any) -> str:
+    if isinstance(value, str):  # json.dumps(value, ensure_ascii=False) without its dispatch
+        return encode_basestring(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, Decimal)):
+        return str(value)  # a decimal unquoted, so the numeric type survives the round trip
     if isinstance(value, datetime):
-        return json.dumps(format_timestamp(value))
-    if isinstance(value, Decimal):
-        return str(value)  # unquoted so the numeric type survives the round trip
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return '"' + format_timestamp(value) + '"'  # the canonical form holds nothing to escape
     raise StorageError(f"cannot persist value of type {type(value).__name__}")
 
 
+def _compile_encoder(columns: tuple[ColumnSpec, ...]) -> Callable[[Mapping[str, Any]], str]:
+    """A row encoder for these columns: each column's `"name":` prefix is
+    encoded once, a collection's items by an encoder of their fields, and
+    every other value by its type."""
+    plan = [(col.name, json.dumps(col.name) + ":",
+             _compile_collection(col.fields) if col.type == "collection" else _encode_scalar)
+            for col in columns]
+
+    def encode(record: Mapping[str, Any]) -> str:
+        get = record.get
+        return "{" + ",".join([prefix + encode_value(get(name))
+                               for name, prefix, encode_value in plan]) + "}"
+    return encode
+
+
+def _compile_collection(fields: tuple[tuple[str, str], ...]) -> Callable[[Any], str]:
+    encode_item = _compile_encoder(tuple(ColumnSpec(*field) for field in fields))
+    return lambda items: "null" if items is None else "[" + ",".join(map(encode_item, items)) + "]"
+
+
 def encode_collection(items: Any, fields: tuple[tuple[str, str], ...]) -> str:
-    if items is None:
-        return "null"
-    parts = []
-    for item in items:
-        inner = ",".join(f"{json.dumps(name)}:{_encode_scalar(item.get(name))}"
-                         for name, _ftype in fields)
-        parts.append("{" + inner + "}")
-    return "[" + ",".join(parts) + "]"
+    return _compile_collection(fields)(items)
 
 
 def encode_row(manifest: TableManifest, record: Mapping[str, Any]) -> str:
-    """One record as a single JSON line, keys in manifest column order."""
-    parts = []
-    for col in manifest.columns:
-        value = record.get(col.name)
-        if col.type == "collection":
-            encoded = encode_collection(value, col.fields)
-        else:
-            encoded = _encode_scalar(value)
-        parts.append(f"{json.dumps(col.name)}:{encoded}")
-    return "{" + ",".join(parts) + "}"
+    """One record as a single JSON line, keys in manifest column order.
+    Every row storage writes is encoded through this name."""
+    return manifest.encoder(record)
 
 
-def _decode_scalar(raw: Any, ctype: str) -> Any:
-    if raw is None:
-        return None
-    if ctype == "timestamp":
-        return parse_stored_timestamp(raw)
-    if ctype == "decimal" and not isinstance(raw, Decimal):
-        return Decimal(str(raw))
-    return raw
+def _converter(col: ColumnSpec) -> Callable[[Any], Any] | None:
+    """How a non-null stored value of the column becomes its value; None
+    where the value JSON gives is kept (a string, integer or boolean)."""
+    if col.type == "timestamp":
+        return parse_stored_timestamp
+    if col.type == "decimal":
+        return lambda raw: raw if isinstance(raw, Decimal) else Decimal(str(raw))
+    if col.type == "collection":
+        item = _compile_record(tuple(ColumnSpec(*field) for field in col.fields))
+        return lambda items: list(map(item, items))
+    return None
+
+
+def _compile_record(columns: tuple[ColumnSpec, ...]) -> Callable[[Mapping[str, Any]], Record]:
+    """The record of these columns in a decoded JSON object: each column's
+    value, through its `_converter` when it has one and the value is not
+    null."""
+    names = tuple(col.name for col in columns)
+    converted = [(col.name, convert) for col in columns
+                 if (convert := _converter(col)) is not None]
+
+    def record(doc: Mapping[str, Any]) -> Record:
+        get = doc.get
+        out = {name: get(name) for name in names}
+        for name, convert in converted:
+            raw = out[name]
+            if raw is not None:
+                out[name] = convert(raw)
+        return out
+    return record
+
+
+def _compile_decoder(columns: tuple[ColumnSpec, ...]) -> Callable[[str], Record]:
+    record = _compile_record(columns)
+    return lambda line: record(decode_json(line))
 
 
 def _encode_rows(manifest: TableManifest, rows: Iterable[Record]) -> bytes:
@@ -203,21 +238,9 @@ def decode_json(text: str) -> Any:
 
 
 def decode_row(manifest: TableManifest, line: str) -> Record:
-    doc = decode_json(line)
-    record: Record = {}
-    for col in manifest.columns:
-        raw = doc.get(col.name)
-        if col.type == "collection":
-            if raw is None:
-                record[col.name] = None
-            else:
-                record[col.name] = [
-                    {name: _decode_scalar(item.get(name), ftype) for name, ftype in col.fields}
-                    for item in raw
-                ]
-        else:
-            record[col.name] = _decode_scalar(raw, col.type)
-    return record
+    """One stored line as a record of the manifest's columns. Every row
+    storage reads is decoded through this name."""
+    return manifest.decoder(line)
 
 
 # What decoding a stored line that is not a row of its manifest can raise:
@@ -264,10 +287,13 @@ class Warehouse:
         return sorted(p.name for p in schema_dir.iterdir()
                       if (p / MANIFEST_FILE).is_file())
 
-    def _write_manifest(self, manifest: TableManifest):
+    def _write_manifest(self, manifest: TableManifest) -> bytes:
+        """Write the manifest file and return its bytes."""
         table_dir = self.table_dir(manifest.schema, manifest.table)
         table_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(table_dir / MANIFEST_FILE, manifest_bytes(manifest))
+        content = manifest_bytes(manifest)
+        _atomic_write(table_dir / MANIFEST_FILE, content)
+        return content
 
     def create_table(self, manifest: TableManifest):
         """Write a new table's manifest and an empty data file; refuses to
@@ -279,15 +305,17 @@ class Warehouse:
         if not data.exists():
             _atomic_write(data, b"")
 
-    def replace_table(self, manifest: TableManifest, rows: list[Record]):
-        """Create-or-overwrite a table with exactly these rows (gold builds).
+    def replace_table(self, manifest: TableManifest, rows: list[Record]) -> str:
+        """Create-or-overwrite a table with exactly these rows (gold builds),
+        and return the `table_digest` of what it wrote, computed from the
+        bytes in memory.
 
         Writes go through the byte-comparison in _atomic_write, so rebuilding
         identical content leaves the files untouched.
         """
-        self._write_manifest(manifest)
-        _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE,
-                      _encode_rows(manifest, rows))
+        content, data = self._write_manifest(manifest), _encode_rows(manifest, rows)
+        _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE, data)
+        return digest([content, data])
 
     def table_digest(self, schema: str, table: str) -> str:
         """The `digest` of the table's manifest and data bytes; a missing
@@ -299,14 +327,14 @@ class Warehouse:
         data = table_dir / DATA_FILE
         return digest([manifest.read_bytes()] + ([data.read_bytes()] if data.is_file() else []))
 
-    def write_trace(self, manifest: TableManifest, inputs: str, rows: int):
+    def write_trace(self, manifest: TableManifest, inputs: str, rows: int, output: str):
         """Record that the table now holds `rows` rows built from `inputs`,
         a digest its builder computes: a canonical JSON object of `inputs`,
-        the table's own `table_digest` as `output`, and `rows`. Called after
-        the data is written, so a crash in between leaves the previous
-        trace, whose inputs or output no longer match."""
-        trace = {"inputs": inputs, "output": self.table_digest(manifest.schema, manifest.table),
-                 "rows": rows}
+        `output`, the table's own `table_digest` as `replace_table` returned
+        it, and `rows`. Called after the data is written, so a crash in
+        between leaves the previous trace, whose inputs or output no longer
+        match."""
+        trace = {"inputs": inputs, "output": output, "rows": rows}
         _atomic_write(self.table_dir(manifest.schema, manifest.table) / TRACE_FILE,
                       (json.dumps(trace, sort_keys=True) + "\n").encode("utf-8"))
 

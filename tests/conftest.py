@@ -112,3 +112,17 @@ def decoded(monkeypatch) -> Decodes:
 
     monkeypatch.setattr(storage, "decode_row", counted)
     return decodes
+
+
+@pytest.fixture()
+def rows_encoded(monkeypatch) -> Counter:
+    """Counts the rows storage encodes from here on, by schema."""
+    calls: Counter = Counter()
+    encode_row = storage.encode_row
+
+    def counted(manifest, row):
+        calls[manifest.schema] += 1
+        return encode_row(manifest, row)
+
+    monkeypatch.setattr(storage, "encode_row", counted)
+    return calls

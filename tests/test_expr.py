@@ -9,7 +9,7 @@ from hubstar.errors import EvalError, ParseError
 from hubstar.expr import (
     EvalContext,
     column_refs,
-    evaluate,
+    compile,
     format_ts_compact,
     item_field_refs,
     parse_expr,
@@ -25,8 +25,8 @@ def pe(text: str):
 
 def ev(text: str, record=None, load_source=1, item=None, item_key=None, key_mode=False):
     ctx = EvalContext(record=record or {}, load_source=load_source,
-                      item=item, item_key=item_key, key_mode=key_mode)
-    return evaluate(pe(text), ctx)
+                      item=item, item_key=item_key)
+    return compile(pe(text), key_mode)(ctx)
 
 
 def test_literals_and_columns():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import shutil
@@ -29,7 +30,7 @@ from hubstar.errors import GoldBuildError
 from hubstar.gold import GoldBuildResult, build_view, current_rows
 from hubstar.expr import sha256_hex
 from hubstar.model import HubJoin, validate_model
-from conftest import FIXTURE_MODEL, file_bytes
+from conftest import FIXTURE_MODEL, file_bytes, run_pipeline
 from hubstar.values import row_key, top_per_partition
 
 MODEL = parse_model('''product goldtest
@@ -510,6 +511,39 @@ def rebuilt(monkeypatch) -> list[str]:
     return tables
 
 
+def test_a_first_build_digests_no_gold_table_after_writing_it(
+        tmp_path, retail_spec, retail_data, monkeypatch):
+    """A view's trace takes its output digest from the write, and a fact
+    takes the digest of a dimension this call wrote from that write too."""
+    root = run_pipeline(tmp_path / "wh", retail_spec, retail_data, gold=False).root
+    calls: list[tuple[str, str, str]] = []
+    replace_table, table_digest = storage.Warehouse.replace_table, storage.Warehouse.table_digest
+
+    def replaced(self, manifest, rows):
+        calls.append(("write", manifest.schema, manifest.table))
+        return replace_table(self, manifest, rows)
+
+    def digested(self, schema, table):
+        calls.append(("digest", schema, table))
+        return table_digest(self, schema, table)
+
+    monkeypatch.setattr(storage.Warehouse, "replace_table", replaced)
+    monkeypatch.setattr(storage.Warehouse, "table_digest", digested)
+    build_all(Warehouse(root), retail_spec, now=rf.DEFAULT_NOW)
+    monkeypatch.undo()
+
+    gold_schema = retail_spec.schema_names["gold"]
+    written = [(schema, table) for call, schema, table in calls if call == "write"]
+    assert sorted(written) == sorted((gold_schema, v.table_name) for v in retail_spec.gold_views)
+    assert [(call, schema, table) for position, (call, schema, table) in enumerate(calls)
+            if call == "digest" and ("write", schema, table) in calls[:position]] == []
+    warehouse = Warehouse(root)
+    for view in retail_spec.gold_views:
+        trace = json.loads((warehouse.table_dir(gold_schema, view.table_name) / "trace")
+                           .read_text(encoding="utf-8"))
+        assert trace["output"] == warehouse.table_digest(gold_schema, view.table_name)
+
+
 def test_a_noop_build_decodes_no_row_and_touches_no_file(retail_copy, retail_spec, decoded):
     gold_dir = retail_copy.root / retail_spec.schema_names["gold"]
     stats = {path: (path.stat().st_ino, path.stat().st_mtime_ns)
@@ -610,10 +644,10 @@ def test_a_build_cut_before_its_trace_is_redone_then_skipped(
     change_last_row(retail_copy, retail_spec, "hub_customer", "customer_name")
     write_trace = storage.Warehouse.write_trace
 
-    def cut(self, manifest, inputs, rows):
+    def cut(self, manifest, *args):
         if manifest.table == "dim_customer2":
             raise OSError("cut before the trace")
-        write_trace(self, manifest, inputs, rows)
+        write_trace(self, manifest, *args)
 
     monkeypatch.setattr(storage.Warehouse, "write_trace", cut)
     with pytest.raises(OSError, match="cut before the trace"):

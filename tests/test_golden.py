@@ -29,6 +29,7 @@ once with the volatile columns, or the class name of what it raised.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import shutil
@@ -45,6 +46,7 @@ from hubstar import (
     validate_model,
 )
 from hubstar import retail_fixture as rf
+from hubstar.cli import main
 from hubstar.errors import ParseError, StorageError
 from hubstar.model import DEFAULT_HUB_KEY, LAYERS
 from hubstar.storage import decode_row, encode_row
@@ -293,7 +295,7 @@ def _oracle_outcomes(root: Path, spec) -> list[dict[str, str]]:
             try:
                 outcome[f"include_volatile={volatile}"] = _digest(
                     check_against_oracle(warehouse, spec, include_volatile=volatile))
-            except (StorageError, TypeError) as err:  # a removed table; a null capture
+            except StorageError as err:  # a removed table; a null capture time
                 outcome[f"include_volatile={volatile}"] = type(err).__name__
         outcomes.append(outcome)
     return outcomes
@@ -306,3 +308,25 @@ def test_oracle_matches_recorded_outcomes(golden_wh, retail_spec):
               for i, (got, want) in enumerate(zip(outcomes, recorded, strict=True))
               if got != want]
     assert not differ, "\n".join(differ)
+
+
+def test_check_prints_the_audit_findings_before_an_oracle_error(golden_wh, retail_spec,
+                                                                capsys):
+    """Corruption 2 removes `hub_sales_order`, so the oracle raises: `hubstar
+    check --against-oracle` prints every audit finding, then the error, and
+    exits 2."""
+    corruptions = _corruptions(golden_wh.root, retail_spec)
+    warehouse = next(itertools.islice(corruptions, 2, None))
+    try:
+        findings = sorted(line for schema in retail_spec.schema_names.values()
+                          for line in warehouse.check_all(schema))
+        rc = main(["check", "--model", str(FIXTURE_MODEL), "--root", str(warehouse.root),
+                   "--against-oracle"])
+    finally:
+        corruptions.close()
+        shutil.rmtree(warehouse.root)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert any("missing table hs_retail.hub_sales_order" in line for line in findings)
+    assert out.splitlines() == findings
+    assert err.splitlines()[-1] == "error: no such table hs_retail.hub_sales_order"

@@ -14,6 +14,7 @@ from hubstar import (
     load_all,
     parse_model,
 )
+from hubstar.errors import StorageError
 from hubstar.expr import sha256_hex
 from hubstar.model import validate_model
 from hubstar.oracle import diff_rows
@@ -204,6 +205,18 @@ def test_removed_row_is_reported_missing(wh, feed):
 
     problems = check_against_oracle(wh, MODEL)
     assert problems == [f"hub_person: missing row ({PK1!r})"]
+
+
+def test_a_null_bronze_capture_time_raises_naming_its_table_and_column(wh, feed):
+    load_sample(wh, feed)
+    bronze = MODEL.schema_names["bronze"]
+    rows = [dict(r) for r in wh.read_rows(bronze, "people")]
+    rows[0]["capture_timestamp"] = None
+    wh.replace_table(wh.manifest(bronze, "people"), rows)
+
+    with pytest.raises(StorageError,
+                       match=f"^{bronze}.people: column capture_timestamp is null"):
+        check_against_oracle(wh, MODEL)
 
 
 def test_foreign_row_is_reported_unexpected(wh, feed):

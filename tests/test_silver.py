@@ -1022,20 +1022,6 @@ def table_reads(monkeypatch):
     return reads
 
 
-@pytest.fixture()
-def rows_encoded(monkeypatch):
-    """Counts rows encoded by storage, by schema."""
-    calls: Counter = Counter()
-    encode_row = storage.encode_row
-
-    def counted(manifest, row):
-        calls[manifest.schema] += 1
-        return encode_row(manifest, row)
-
-    monkeypatch.setattr(storage, "encode_row", counted)
-    return calls
-
-
 @pytest.mark.parametrize("writes", [False, True], ids=["noop", "writes"])
 def test_a_load_reads_each_silver_table_once_per_mapping(
         tmp_path, monkeypatch, table_reads, decoded, rows_encoded, retail_spec, retail_data,
