@@ -268,10 +268,11 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
     `load_all` has checked the stored manifests it reads. The mark is the
     latest capture among the table's members (every row but a hub's default
-    row); with no member, all of the bronze is read. A hub with no row at
-    all was never initialized, and its load fails. A candidate (a payload
-    with its load source and capture time) with a null partition column (a
-    hub's business keys, a star's composite key) fails the load. One
+    row); with no member, all of the bronze is read. A bronze row whose
+    capture time is null fails the load, with a mark or without. A hub with
+    no row at all was never initialized, and its load fails. A candidate (a
+    payload with its load source and capture time) with a null partition
+    column (a hub's business keys, a star's composite key) fails the load. One
     survives per partition: a hub's by the mapping's `dedup_by` terms,
     latest capture, then the earliest bronze row; a star's by latest
     capture, then the last bronze row. A survivor matches the member with
@@ -298,7 +299,12 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     partition = hub.business_key_names if hub is not None else element.identity
     what = "business key" if hub is not None else "composite key column"
     staged = []  # (position, bronze row, candidate), in bronze order
-    for bronze_row in bronze_rows:
+    for number, bronze_row in enumerate(bronze_rows, start=1):
+        # A read after a mark refuses a null capture time itself; a read
+        # without one returns the row of every line, so `number` is its line.
+        if bronze_row["capture_timestamp"] is None:
+            raise StorageError(f"{bronze}.{mapping.source}: line {number}: "
+                               "column capture_timestamp is null")
         for payload in payloads(bronze_row):
             candidate = {"load_source": load_source,
                          "capture_timestamp": bronze_row["capture_timestamp"], **payload}

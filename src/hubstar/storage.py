@@ -2,11 +2,10 @@
 plus a JSON-lines data file (and, for a gold view, a trace of what it was
 built from), and every write is a whole-file atomic rename.
 Stored lines are canonical, so writes splice encoded lines into a file's
-bytes and reads can take a bronze line's capture time from its prefix
-without decoding the rest. A Warehouse parses a manifest once per
-content, and decodes a line of a table it splices once per manifest, so a
-later read of that table decodes only the lines it has not seen; any other
-read decodes what it reads.
+bytes, and a read, one pass over a file's lines, skips a bronze line by the
+capture time in its prefix without decoding it. A Warehouse parses a
+manifest once per content and remembers the rows of a table it splices by
+line, so a later read of that table decodes only the lines it has not seen.
 
 Constraints declared in a manifest are never enforced on the write path;
 `check_constraints` audits them after the fact, mirroring how analytical
@@ -24,7 +23,7 @@ from functools import cached_property
 from hashlib import sha256
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import StorageError
 from .model import BRONZE_METADATA, DEFAULT_HUB_KEY, ColumnSpec
@@ -36,9 +35,9 @@ TableKey = tuple[str, str]  # (schema, table)
 MANIFEST_FILE = "manifest"
 DATA_FILE = "data"
 TRACE_FILE = "trace"
-# How every canonical bronze line begins: BRONZE_METADATA puts the capture
-# time first, and it is never null.
-CAPTURE_PREFIX = "{" + json.dumps(BRONZE_METADATA[0]) + ':"'
+# The bytes every canonical bronze line begins with: BRONZE_METADATA puts
+# the capture time first, and it is never null.
+CAPTURE_PREFIX = ("{" + json.dumps(BRONZE_METADATA[0]) + ':"').encode()
 
 
 def digest(parts: Iterable[bytes]) -> str:
@@ -140,8 +139,8 @@ def _encode_scalar(value: Any) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Decimal)):
-        return str(value)  # a decimal unquoted, so the numeric type survives the round trip
+    if isinstance(value, (int, Decimal)):  # unquoted, so the numeric type survives
+        return "0" if (text := str(value)) == "-0" else text  # "-0" reads back as 0
     if isinstance(value, datetime):
         return '"' + format_timestamp(value) + '"'  # the canonical form holds nothing to escape
     raise StorageError(f"cannot persist value of type {type(value).__name__}")
@@ -227,14 +226,20 @@ _JSON_DECODER = json.JSONDecoder(parse_float=Decimal, parse_constant=_refuse_con
 
 def decode_json(text: str) -> Any:
     """The JSON value of `text`, its numbers with a fraction or exponent as
-    `Decimal`, through one decoder built once: `json.loads` with an argument
-    builds a decoder per call. It raises ValueError for what is not JSON:
-    the bare `NaN`, `Infinity` and `-Infinity` that Python's own decoder
-    accepts, and a leading byte-order mark, which `json.loads` alone
+    `Decimal`, through one decoder built once (`json.loads` with an argument
+    builds one per call); one value with nothing around it, as a stripped
+    stored line is, through `raw_decode` alone, which skips the two
+    whitespace matches of `decode`. It raises ValueError for what is not
+    JSON: the bare `NaN`, `Infinity` and `-Infinity` that Python's own
+    decoder accepts, and a leading byte-order mark, which `json.loads` alone
     refuses by name."""
-    if text.startswith("\ufeff"):
-        return json.loads(text)
-    return _JSON_DECODER.decode(text)
+    try:
+        value, end = _JSON_DECODER.raw_decode(text)
+        if end == len(text):
+            return value
+    except ValueError:  # `decode` gives the error, or the value inside whitespace
+        pass
+    return (json.loads if text.startswith("\ufeff") else _JSON_DECODER.decode)(text)
 
 
 def decode_row(manifest: TableManifest, line: str) -> Record:
@@ -248,18 +253,15 @@ def decode_row(manifest: TableManifest, line: str) -> Record:
 _UNDECODABLE = (ValueError, ArithmeticError, AttributeError, TypeError)
 
 
-def _lines(text: Iterable[str]) -> Iterator[str]:
-    """The non-blank lines of a data file read in text mode, stripped: the
-    lines that rows are decoded from and that row positions count."""
-    return filter(None, map(str.strip, text))
-
-
-def _atomic_write(path: Path, content: bytes):
-    if path.exists() and path.read_bytes() == content:
-        return  # byte-identical; leave the file (and its mtime) alone
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(content)
-    os.replace(tmp, path)
+def _atomic_write(path: Path, content: bytes, current: bytes | None = None):
+    """Replace the file with `content` by a rename, unless it holds them
+    already (`current`, if the caller has read it); then it is left alone."""
+    if current is None and path.exists():
+        current = path.read_bytes()
+    if current != content:
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_bytes(content)
+        os.replace(tmp, path)
 
 
 class Warehouse:
@@ -270,9 +272,8 @@ class Warehouse:
         # Each manifest file's bytes and what they parse to.
         self._manifests: dict[bytes, TableManifest] = {}
         # Each table this object spliced (append_rows with `lines`): the
-        # manifest of its last read and the row of each line that read
-        # returned, empty before the first.
-        self._memo: dict[TableKey, tuple[TableManifest, dict[str, Record]]] = {}
+        # manifest of its last whole read and the row of each line it returned.
+        self._memo: dict[TableKey, tuple[TableManifest, dict[bytes, Record]]] = {}
 
     def table_dir(self, schema: str, table: str) -> Path:
         return self.root / schema / table
@@ -308,11 +309,8 @@ class Warehouse:
     def replace_table(self, manifest: TableManifest, rows: list[Record]) -> str:
         """Create-or-overwrite a table with exactly these rows (gold builds),
         and return the `table_digest` of what it wrote, computed from the
-        bytes in memory.
-
-        Writes go through the byte-comparison in _atomic_write, so rebuilding
-        identical content leaves the files untouched.
-        """
+        bytes in memory. Rebuilding identical content leaves the files
+        untouched (`_atomic_write`)."""
         content, data = self._write_manifest(manifest), _encode_rows(manifest, rows)
         _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE, data)
         return digest([content, data])
@@ -368,61 +366,48 @@ class Warehouse:
 
     def read_rows(self, schema: str, table: str,
                   captured_after: datetime | None = None) -> list[Record]:
-        """The table's rows in file order, in a new list. The rows themselves
-        may be shared with other reads through this object, so callers must
-        not mutate them.
-
-        A table this object spliced (`append_rows` with `lines`) decodes
-        only the lines its last read here did not return under the same
-        manifest, and keeps the rows of exactly the lines this read returns.
-        A row is a function of its manifest and its line, so this holds
-        whoever wrote the file since. Any other table is decoded whole. With
-        `captured_after`, only rows whose capture_timestamp is strictly later
-        are returned; a line that begins with CAPTURE_PREFIX is decoded only
-        when its capture time passes."""
+        """The table's rows in file order, in a new list, from one pass over
+        the file's non-blank lines. Rows may be shared with other reads
+        through this object, as is the row of a line held twice, so callers
+        must not mutate them. With `captured_after`, a line that begins with
+        CAPTURE_PREFIX is skipped undecoded unless that capture time is
+        strictly later, and any other row is returned only when captured
+        strictly later. A row comes from this read, from the memo of a table
+        this object splices (under an equal manifest), or from decoding; a
+        read without `captured_after` keeps the rows of the lines it returned.
+        A line that does not decode, or whose tested capture time is null,
+        raises StorageError naming its number among the non-blank lines."""
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         if not data.is_file():
             return []
+        memo = self._memo.get((schema, table))
+        kept = memo[1] if memo is not None and memo[0] == manifest else {}
+        read: dict[bytes, Record] = {}  # each line of this read and its row
+        rows, start = [], len(CAPTURE_PREFIX)
         try:
-            if captured_after is None:
-                with data.open(encoding="utf-8") as fh:
-                    lines = list(_lines(fh))
-                memo = self._memo.get((schema, table))
-                if memo is None:
-                    return [decode_row(manifest, line) for line in lines]
-                seen = memo[1] if memo[0] == manifest else {}
-                rows = list(map(seen.get, lines))
-                if None in rows:
-                    for position, line in enumerate(lines):
-                        if rows[position] is None:
-                            if line not in seen:  # a repeated line is decoded once
-                                seen[line] = decode_row(manifest, line)
-                            rows[position] = seen[line]
-                self._memo[schema, table] = (manifest, dict(zip(lines, rows)))
-                return rows
-            rows = []
-            start = len(CAPTURE_PREFIX)
-            with data.open(encoding="utf-8") as fh:
-                for line in _lines(fh):
-                    if line.startswith(CAPTURE_PREFIX):
-                        captured = parse_stored_timestamp(line[start:line.index('"', start)])
-                        if captured > captured_after:
-                            rows.append(decode_row(manifest, line))
-                    else:  # not canonical: decode to find the capture time
-                        row = decode_row(manifest, line)
-                        if row["capture_timestamp"] > captured_after:
-                            rows.append(row)
-            return rows
-        except _UNDECODABLE:  # name the first line of the file that does not decode
-            for number, line in enumerate(data.read_bytes().split(b"\n"), start=1):
-                try:
-                    if line.strip():
-                        decode_row(manifest, line.decode("utf-8").strip())
-                except _UNDECODABLE as exc:
-                    raise StorageError(f"{schema}.{table}: line {number} does not decode: "
-                                       f"{exc}") from exc
-            raise
+            with data.open("rb") as fh:
+                for number, line in enumerate(filter(None, map(bytes.strip, fh)), start=1):
+                    prefixed = captured_after is not None and line.startswith(CAPTURE_PREFIX)
+                    if prefixed and parse_stored_timestamp(
+                            line[start:line.index(b'"', start)].decode()) <= captured_after:
+                        continue
+                    row = read.get(line)
+                    if row is None:
+                        row = read[line] = (kept[line] if line in kept
+                                            else decode_row(manifest, line.decode()))
+                    if captured_after is not None and not prefixed:
+                        if row["capture_timestamp"] is None:
+                            raise StorageError(f"{schema}.{table}: line {number}: "
+                                               "column capture_timestamp is null")
+                        if row["capture_timestamp"] <= captured_after:
+                            continue
+                    rows.append(row)
+        except _UNDECODABLE as exc:
+            raise StorageError(f"{schema}.{table}: line {number} does not decode: {exc}") from exc
+        if memo is not None and captured_after is None:
+            self._memo[schema, table] = (manifest, read)
+        return rows
 
     def append_rows(self, schema: str, table: str, rows: list[Record],
                     replace: Mapping[int, Record] | None = None, lines: int | None = None):
@@ -441,9 +426,9 @@ class Warehouse:
             return
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
-        existing = data.read_bytes() if data.is_file() else b""
+        existing = content = data.read_bytes() if data.is_file() else b""
         if replace or lines is not None:
-            kept = [line for line in existing.splitlines() if line.strip()]
+            kept = [line for line in existing.split(b"\n") if line.strip()]
             if lines is not None and len(kept) != lines:
                 raise StorageError(f"{schema}.{table}: data holds {len(kept)} rows, "
                                    f"not the {lines} read; nothing written")
@@ -451,8 +436,8 @@ class Warehouse:
                 if not 0 <= position < len(kept):
                     raise StorageError(f"{schema}.{table}: no row at position {position}")
                 kept[position] = encode_row(manifest, row).encode("utf-8")
-            existing = b"".join(line + b"\n" for line in kept)
-        _atomic_write(data, existing + _encode_rows(manifest, rows))
+            content = b"".join(line + b"\n" for line in kept)
+        _atomic_write(data, content + _encode_rows(manifest, rows), existing)
         if lines is not None:
             self._memo.setdefault((schema, table), (manifest, {}))
 

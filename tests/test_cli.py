@@ -12,6 +12,7 @@ import pytest
 from conftest import FIXTURE_MODEL, SHIP_TO, edited_retail, file_bytes
 from hubstar import retail_fixture as rf
 from hubstar.cli import main
+from hubstar.storage import Warehouse
 from hubstar.values import value_to_string
 
 MODEL = str(FIXTURE_MODEL)
@@ -234,6 +235,32 @@ def test_a_model_unlike_the_stored_manifests_is_an_operational_error(
                             "the model's: column ship_to is string in the model, absent in "
                             "storage\n")
     assert file_bytes(tmp_path / "wh") == before
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["first load", "after a mark"])
+def test_a_null_bronze_capture_time_fails_a_load_naming_its_table_and_line(
+        tmp_path, capsys, retail_data, marked):
+    root = str(tmp_path / "wh")
+    now = value_to_string(rf.DEFAULT_NOW)
+    assert main(["init", "--model", MODEL, "--root", root]) == 0
+    for n, jobs in enumerate(rf.write_batches(retail_data, tmp_path / "inbox", 2)):
+        for job in jobs:
+            assert main(["ingest", "--model", MODEL, "--root", root, "--source", job.source,
+                         "--input", str(job.path), "--mtime", value_to_string(job.mtime),
+                         "--now", now]) == 0
+        if n == 0:
+            if marked:
+                assert main(["load-silver", "--model", MODEL, "--root", root,
+                             "--now", now]) == 0
+            warehouse = Warehouse(root)
+            rows = [dict(row) for row in warehouse.read_rows("raw_retail", "customers")]
+            rows[2]["capture_timestamp"] = None
+            warehouse.replace_table(warehouse.manifest("raw_retail", "customers"), rows)
+    capsys.readouterr()
+    assert main(["load-silver", "--model", MODEL, "--root", root, "--now", now]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: raw_retail.customers: line 3: "
+                            "column capture_timestamp is null\n")
 
 
 def test_check_passes_on_a_clean_warehouse(cli_wh, capsys):

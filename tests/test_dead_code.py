@@ -1,7 +1,8 @@
-"""No dead code: every private function, method and class of the package
-is used somewhere in the package outside its own definition, every
-public top-level function and class is named somewhere outside it, and
-every module-level import is named by its module.
+"""No dead code: every private function, method and class of the package,
+and every private name a module assigns at its top level, is used
+somewhere in the package outside its own definition, every public
+top-level function and class is named somewhere outside it, and every
+module-level import is named by its module.
 
 Private references are matched by name (a bare name or an attribute), so a
 private name defined twice passes when either definition is used. A public
@@ -28,7 +29,14 @@ def test_every_private_definition_is_referenced_outside_itself():
     definitions = []  # (module, name, first line, last line)
     references: dict[str, list[tuple[str, int]]] = {}  # name -> (module, line)
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:  # module-level constants and aliases, such as `_NO_ITEM`
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                definitions += [(path.name, name.id, node.lineno, node.end_lineno)
+                                for target in targets for name in ast.walk(target)
+                                if isinstance(name, ast.Name) and is_private(name.id)]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if is_private(node.name):
                     definitions.append((path.name, node.name, node.lineno, node.end_lineno))

@@ -1039,9 +1039,9 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
     written: list = []
     atomic_write = storage._atomic_write
 
-    def recorded(path, content):
+    def recorded(path, content, *current):
         written.append(path)
-        atomic_write(path, content)
+        atomic_write(path, content, *current)
 
     monkeypatch.setattr(storage, "_atomic_write", recorded)
     table_reads.clear()

@@ -130,7 +130,7 @@ def reference_encode_row(manifest: TableManifest, record) -> str:
         if isinstance(value, datetime):
             return json.dumps(format_timestamp(value))
         if isinstance(value, Decimal):
-            return str(value)
+            return "0" if str(value) == "-0" else str(value)  # "-0" reads back as 0
         if isinstance(value, int):
             return str(value)
         if isinstance(value, str):
@@ -195,6 +195,18 @@ def test_the_compiled_codec_equals_the_reference_encoder_and_round_trips(seed, d
         line = encode_row(manifest, row)
         assert line == reference_encode_row(manifest, row)
         assert decode_row(manifest, line) == row
+        assert encode_row(manifest, decode_row(manifest, line)) == line  # byte-stable
+
+
+@pytest.mark.parametrize("value, stored", [
+    (Decimal("-0"), "0"), (Decimal("-0E-0"), "0"), (Decimal("-0.00"), "-0.00"),
+    (Decimal("-0E+2"), "-0E+2"), (Decimal("0"), "0")])
+def test_a_zero_decimal_keeps_its_bytes_through_a_round_trip(value, stored):
+    priced = manifest(columns=(ColumnSpec("price", "decimal"),))
+    line = encode_row(priced, {"price": value})
+    assert line == '{"price":%s}' % stored
+    assert decode_row(priced, line) == {"price": value}
+    assert encode_row(priced, decode_row(priced, line)) == line
 
 
 def test_every_row_storage_reads_or_writes_goes_through_the_counted_names(
@@ -270,6 +282,27 @@ def test_appends_refuse_a_file_whose_line_count_changed(wh, grown):
     with pytest.raises(StorageError, match="not the 2 read"):  # an insert alone too
         wh.append_rows("lab", "samples", [{"sample_id": "s-9"}], lines=read)
     assert (data.read_bytes(), data.stat().st_ino) == (before, inode)
+
+
+def test_an_append_reads_its_data_file_once(wh, monkeypatch):
+    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}])
+    data = wh.table_dir("lab", "samples") / "data"
+    opened: list[tuple[Path, str]] = []
+    open_file = Path.open
+
+    def recorded(self, mode="r", *args, **kwargs):
+        opened.append((self, mode))
+        return open_file(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recorded)
+    for rows, replace, rewritten in (([], {0: ROW}, False),  # the same bytes: left alone
+                                     ([], {1: {"sample_id": "s-2", "count": 2}}, True),
+                                     ([{"sample_id": "s-3"}], {}, True)):
+        before = data.stat().st_ino
+        opened.clear()
+        wh.append_rows("lab", "samples", rows, replace=replace, lines=2)
+        assert [mode for path, mode in opened if path == data] == ["rb"]
+        assert (data.stat().st_ino != before) == rewritten
 
 
 def test_reads_above_a_capture_time_decode_only_those_lines(tmp_path, decoded):
@@ -450,6 +483,31 @@ def test_a_stored_line_that_does_not_decode_is_refused_by_table_and_line(tmp_pat
     # A read that skips the line by its capture time never decodes it.
     assert [r["sample_id"] for r in wh.read_rows("lab", "samples", captured_after=day[2])] == [
         "s-3"]
+    # With lines 1 and 3 bad, a read names the line it failed on.
+    lines[1], lines[0] = lines[0], lines[1]
+    lines[2] = lines[2].replace(b'"price":1.50', b'"price":sNaN')
+    data.write_bytes(b"\n".join(lines))
+    with pytest.raises(StorageError, match=r"^lab\.samples: line 1 does not decode: "):
+        Warehouse(tmp_path).read_rows("lab", "samples")
+    with pytest.raises(StorageError, match=r"^lab\.samples: line 3 does not decode: "):
+        Warehouse(tmp_path).read_rows("lab", "samples", captured_after=day[2])
+    # A byte that is not UTF-8 is found by its line too.
+    data.write_bytes(b"\n".join([lines[1], lines[1].replace(b"s-1", b"s-\xff"), b""]))
+    with pytest.raises(StorageError, match=r"^lab\.samples: line 2 does not decode: 'utf-8'"):
+        Warehouse(tmp_path).read_rows("lab", "samples")
+
+
+def test_a_null_capture_time_is_refused_by_line_only_by_a_read_after_a_mark(tmp_path):
+    stamped = manifest(columns=(ColumnSpec("capture_timestamp", "timestamp", nullable=False),
+                                *manifest().columns))
+    wh = Warehouse(tmp_path)
+    wh.replace_table(stamped, [{**ROW, "sample_id": f"s-{n}", "capture_timestamp": at}
+                               for n, at in enumerate([ROW["taken_at"], None], start=1)])
+    assert [r["capture_timestamp"] for r in wh.read_rows("lab", "samples")] == [
+        ROW["taken_at"], None]
+    with pytest.raises(StorageError, match=r"^lab\.samples: line 2: column capture_timestamp "
+                                           r"is null$"):
+        wh.read_rows("lab", "samples", captured_after=ROW["taken_at"])
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -497,6 +555,75 @@ def test_a_spliced_table_another_writer_loaded_decodes_only_the_changed_lines(
     rows = warehouse.read_rows(silver, "hub_customer")
     assert decoded.lines == changed
     assert rows == Warehouse(root).read_rows(silver, "hub_customer")
+
+
+EVENTS = TableManifest(schema="raw", table="events", columns=(
+    ColumnSpec("capture_timestamp", "timestamp", nullable=False),
+    ColumnSpec("label", "string"), ColumnSpec("price", "decimal")))
+# Captures before 1970 and after, two a microsecond apart, and each drawn
+# often enough to repeat.
+CAPTURES = [datetime(1969, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
+            datetime(1970, 1, 1, tzinfo=timezone.utc),
+            datetime(2024, 5, 1, 12, tzinfo=timezone.utc),
+            datetime(2024, 5, 1, 12, 0, 0, 1, tzinfo=timezone.utc)]
+EVENT = st.fixed_dictionaries({"capture_timestamp": st.sampled_from(CAPTURES),
+                               "label": st.none() | st.sampled_from(["a", "b", "søk"]),
+                               "price": st.none() | st.sampled_from([Decimal("1.50"),
+                                                                      Decimal("-0.00")])})
+EVENT_LINE = st.one_of(
+    EVENT.map(lambda row: encode_row(EVENTS, row)),
+    # By hand: keys out of order, a capture time with an offset, no price.
+    EVENT.map(lambda row: json.dumps({"label": row["label"], "capture_timestamp": (
+        row["capture_timestamp"].astimezone(timezone(timedelta(hours=-3))).isoformat())})),
+    # By hand after the canonical prefix: a capture time not in canonical form.
+    EVENT.map(lambda row: '{"capture_timestamp":"%s","label":%s}' % (
+        row["capture_timestamp"].isoformat(sep=" "), json.dumps(row["label"]))))
+
+
+def _decoded_lines(path: Path, captured_after: datetime | None) -> list[dict]:
+    """The reference read: every non-blank line decoded, in order, then
+    those captured strictly after the mark."""
+    rows = [decode_row(EVENTS, line.strip())
+            for line in path.read_text(encoding="utf-8").split("\n") if line.strip()]
+    return [row for row in rows
+            if captured_after is None or row["capture_timestamp"] > captured_after]
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=st.data())
+def test_every_way_of_reading_equals_decoding_every_line(draw):
+    lines = draw.draw(st.lists(EVENT_LINE, min_size=1, max_size=4), label="distinct lines")
+    text = draw.draw(st.lists(st.sampled_from(lines + ["", "  "]), max_size=10), label="file")
+    marks = draw.draw(st.lists(st.none() | st.sampled_from(CAPTURES), min_size=1, max_size=4),
+                      label="marks")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        Warehouse(root).create_table(EVENTS)
+        data = root / "raw" / "events" / "data"
+        data.write_text("".join(line + "\n" for line in text), encoding="utf-8")
+        one = Warehouse(root)
+
+        def read_every_way():
+            for mark in marks:
+                for rows in (one.read_rows("raw", "events", captured_after=mark),
+                             Warehouse(root).read_rows("raw", "events", captured_after=mark)):
+                    assert rows == _decoded_lines(data, mark)
+                    if mark is None:  # a line held twice gives one row
+                        held = [line.strip() for line in data.read_text(encoding="utf-8")
+                                .split("\n") if line.strip()]
+                        assert all(rows[i] is rows[held.index(line)]
+                                   for i, line in enumerate(held))
+
+        read_every_way()  # an object that keeps no rows
+        one.append_rows("raw", "events", [draw.draw(EVENT, label="spliced")],
+                        lines=len(one.read_rows("raw", "events")))
+        read_every_way()  # the object now keeps the rows of what it splices
+        read = len(one.read_rows("raw", "events"))
+        Warehouse(root).append_rows(  # another writer splices
+            "raw", "events", [draw.draw(EVENT, label="appended")],
+            replace={draw.draw(st.integers(0, read - 1), label="position"):
+                     draw.draw(EVENT, label="replacement")}, lines=read)
+        read_every_way()
 
 
 @settings(max_examples=8, deadline=None)
