@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bronze import ingest_file
 from .dsl import load_model
-from .errors import HubStarError, ParseError, StorageError
+from .errors import HubStarError, ParseError
 from .gold import build_all
 from .model import ModelSpec, validate_model
 from .oracle import check_against_oracle, skip_reason
@@ -200,7 +200,7 @@ def _cmd_check(args) -> int:
     warehouse = _warehouse(args)
     problems = [line for schema in spec.schema_names.values()
                 for line in warehouse.check_all(schema)]
-    failed: StorageError | None = None
+    failed: HubStarError | None = None
     if args.against_oracle:
         for element in spec.hubs + spec.stars:
             reason = skip_reason(element)
@@ -209,7 +209,7 @@ def _cmd_check(args) -> int:
                       file=sys.stderr)
         try:
             problems += check_against_oracle(warehouse, spec)
-        except StorageError as exc:  # the audit's findings stand; the error follows them
+        except HubStarError as exc:  # the audit's findings stand; the error follows them
             failed = exc
     for line in sorted(problems):
         print(line)

@@ -5,18 +5,18 @@ conditional updates. The oracle ignores all of that and derives the final
 state straight from the complete bronze history, so agreement between the
 two is evidence the incremental machinery is faithful.
 
-Compiled mappings and key formulas are shared with the engine (they
-define the mapping language); everything about batching, ranking, matching,
-and merging is recomputed here from scratch.
+Staging is shared with the engine: `silver.stage` reads the bronze,
+evaluates the compiled mapping and refuses what a load refuses, so the
+oracle expects no row that no load could write. Everything about
+batching, ranking, matching, and merging is recomputed here from scratch.
 """
 
 from __future__ import annotations
 
-from .errors import StorageError
 from .model import HubDef, ModelSpec, StarDef
-from .silver import compile_mapping, default_row, hub_key_lookup, is_default_row
+from .silver import default_row, is_default_row, stage
 from .storage import Record, Warehouse
-from .values import EPOCH, row_key, show_key, values_equal
+from .values import row_key, show_key, values_equal
 
 
 def expected_state(warehouse: Warehouse, spec: ModelSpec,
@@ -32,26 +32,10 @@ def expected_state(warehouse: Warehouse, spec: ModelSpec,
     if not element.source_mappings:
         return rows
     mapping = element.source_mappings[0]
-    source = spec.source(mapping.source)
-    bronze = spec.schema_names["bronze"]
-    history = (warehouse.read_rows(bronze, mapping.source)
-               if warehouse.table_exists(bronze, mapping.source) else [])
-    payloads = compile_mapping(hub_key_lookup(warehouse, spec), spec, element, mapping)
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
-    staged = [(bronze_row, payload) for bronze_row in history
-              for payload in payloads(bronze_row)]
-    for position, (bronze_row, payload) in enumerate(staged):
-        if bronze_row["capture_timestamp"] is None:
-            raise StorageError(f"{bronze}.{mapping.source}: column capture_timestamp is null; "
-                               "the oracle cannot rank its versions")
-        row: Record = {
-            "load_source": source.load_source_id,
-            "capture_timestamp": bronze_row["capture_timestamp"],
-            "load_timestamp": EPOCH,
-            **payload,
-        }
+    for position, (bronze_row, row) in enumerate(stage(warehouse, spec, element, mapping)):
         if hub and element.key_type == "computed":
-            row[element.key_column] = element.key_formula.key(payload, source.load_source_id)
+            row[element.key_column] = element.key_formula.key(row, row["load_source"])
         groups.setdefault(row_key(row, element.identity), []).append((position, bronze_row, row))
 
     dedup_order = mapping.dedup_order if hub else ()

@@ -1,11 +1,11 @@
 """Silver loads: default rows, and one incremental merge for hubs and stars.
 
-The merge semantics: select bronze rows above the table's capture high-water
-mark, keep the top-ranked candidate version per business key (hubs) or
-composite key (stars), match it to a stored row by the element's identity,
-then insert new rows and update changed columns under null-safe comparison —
-unchanged re-deliveries touch nothing, which keeps repeated loads
-byte-stable.
+The merge semantics: stage bronze rows above the table's capture high-water
+mark (`stage`, which the oracle shares), keep the top-ranked candidate
+version per business key (hubs) or composite key (stars), match it to a
+stored row by the element's identity, then insert new rows and update
+changed columns under null-safe comparison — unchanged re-deliveries touch
+nothing, which keeps repeated loads byte-stable.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from decimal import Decimal
 from itertools import count
 
 from . import expr as ex
-from .errors import LoadError, StorageError
+from .errors import EvalError, LoadError, StorageError
 from .model import (
     DEFAULT_HUB_KEY,
     SYSTEM_LOAD_SOURCE,
@@ -104,7 +104,7 @@ def init_warehouse(warehouse: Warehouse, spec: ModelSpec) -> list[str]:
     return created
 
 
-# -- mapping evaluation (shared with the conformance oracle) -------------------
+# -- bronze staging (shared with the conformance oracle) -----------------------
 
 
 def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
@@ -262,20 +262,55 @@ def _members(element: HubDef | StarDef, rows: list[Record]):
             if not is_default_row(element, row)]
 
 
+def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
+          mapping: SourceMapping, mark: datetime | None = None) -> list[tuple[Record, Record]]:
+    """(bronze row, candidate) pairs in bronze order, from the loads and the
+    oracle alike: the mapping's bronze captured after `mark` (all of it
+    with none; none without a bronze table), each payload stamped with its
+    load source and capture time. A null capture time or partition column
+    (a hub's business keys, a star's composite key) fails; a LoadError or
+    EvalError names the silver table and the bronze source."""
+    silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
+    if not warehouse.table_exists(bronze, mapping.source):
+        return []
+    payloads = compile_mapping(hub_key_lookup(warehouse, spec), spec, element, mapping)
+    load_source = spec.source(mapping.source).load_source_id
+    partition, what = ((element.business_key_names, "business key") if isinstance(element, HubDef)
+                       else (element.identity, "composite key column"))
+    staged = []
+    try:
+        for number, bronze_row in enumerate(
+                warehouse.read_rows(bronze, mapping.source, captured_after=mark), start=1):
+            capture = bronze_row["capture_timestamp"]
+            # A read after a mark refuses a null capture time itself; a read
+            # without one returns the row of every line, so `number` is its line.
+            if capture is None:
+                raise StorageError(f"{bronze}.{mapping.source}: line {number}: "
+                                   "column capture_timestamp is null")
+            for payload in payloads(bronze_row):
+                candidate = {"load_source": load_source, "capture_timestamp": capture,
+                             **payload}
+                for name in partition:
+                    if candidate[name] is None:
+                        raise LoadError(f"{what} {name} is null")
+                staged.append((bronze_row, candidate))
+    except (LoadError, EvalError) as exc:
+        raise type(exc)(f"{silver}.{element.table_name} <- {bronze}.{mapping.source}: "
+                        f"{exc}") from exc
+    return staged
+
+
 def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
           mapping: SourceMapping, now: datetime) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
     `load_all` has checked the stored manifests it reads. The mark is the
     latest capture among the table's members (every row but a hub's default
-    row); with no member, all of the bronze is read. A bronze row whose
-    capture time is null fails the load, with a mark or without. A hub with
-    no row at all was never initialized, and its load fails. A candidate (a
-    payload with its load source and capture time) with a null partition
-    column (a hub's business keys, a star's composite key) fails the load. One
-    survives per partition: a hub's by the mapping's `dedup_by` terms,
-    latest capture, then the earliest bronze row; a star's by latest
-    capture, then the last bronze row. A survivor matches the member with
+    row); `stage` gives the candidates above it. A hub with no row at all
+    was never initialized, and its load fails. One candidate survives per
+    partition: a hub's by the mapping's `dedup_by` terms, latest capture,
+    then the earliest bronze row; a star's by latest capture, then the last
+    bronze row. A survivor matches the member with
     the same `element.identity`: with none it goes on the end (a hub row
     with its first capture time and a computed or minted key), and a match
     is rewritten in place, keeping its load source, only when some
@@ -283,7 +318,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     writes to one row fail the load before anything is written. The new
     mark is the latest of the old one and the captures written, or the
     epoch for a table still without members."""
-    silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
+    silver = spec.schema_names["silver"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
     rows = warehouse.read_rows(silver, element.table_name)
@@ -291,37 +326,17 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
         raise StorageError(f"{table}: no high-water mark; initialize default rows first")
     members = _members(element, rows)
     mark = max((row["capture_timestamp"] for _position, row in members), default=None)
-
-    bronze_rows = (warehouse.read_rows(bronze, mapping.source, captured_after=mark)
-                   if warehouse.table_exists(bronze, mapping.source) else [])
-    payloads = compile_mapping(hub_key_lookup(warehouse, spec), spec, element, mapping)
-    load_source = spec.source(mapping.source).load_source_id
+    staged = stage(warehouse, spec, element, mapping, mark)
     partition = hub.business_key_names if hub is not None else element.identity
-    what = "business key" if hub is not None else "composite key column"
-    staged = []  # (position, bronze row, candidate), in bronze order
-    for number, bronze_row in enumerate(bronze_rows, start=1):
-        # A read after a mark refuses a null capture time itself; a read
-        # without one returns the row of every line, so `number` is its line.
-        if bronze_row["capture_timestamp"] is None:
-            raise StorageError(f"{bronze}.{mapping.source}: line {number}: "
-                               "column capture_timestamp is null")
-        for payload in payloads(bronze_row):
-            candidate = {"load_source": load_source,
-                         "capture_timestamp": bronze_row["capture_timestamp"], **payload}
-            for name in partition:
-                if candidate[name] is None:
-                    raise LoadError(f"{element.table_name}: {what} {name} is null "
-                                    f"in {mapping.source} row")
-            staged.append((len(staged), bronze_row, candidate))
 
-    # rn = 1 per partition; ties go to the entry met first, so a star ranks
-    # its entries in reverse to keep the last bronze row. Survivors go back
-    # into bronze order.
-    order, entries = ((mapping.dedup_order, staged) if hub is not None
-                      else ((), staged[::-1]))
-    survivors = top_per_partition(entries, lambda e: row_key(e[2], partition),
-                                  order + _LATEST_CAPTURE, fields=lambda e: e[1])
-    candidates = [entry[2] for entry in sorted(survivors, key=lambda e: e[0])]
+    # rn = 1 per partition, over positions in `staged`; ties go to the
+    # position met first, so a star ranks them in reverse to keep the last
+    # bronze row. Survivors go back into bronze order.
+    order, positions = ((mapping.dedup_order, range(len(staged))) if hub is not None
+                        else ((), range(len(staged))[::-1]))
+    survivors = top_per_partition(positions, lambda i: row_key(staged[i][1], partition),
+                                  order + _LATEST_CAPTURE, fields=lambda i: staged[i][0])
+    candidates = [staged[i][1] for i in sorted(survivors)]
     if hub is not None and hub.key_type == "computed":
         for candidate in candidates:
             key = hub.key_formula.key(candidate, candidate["load_source"])

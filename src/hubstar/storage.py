@@ -415,8 +415,9 @@ class Warehouse:
         counted from 0 as `read_rows` returns them, and add `rows` after the
         last line, in one write. Lines not replaced are kept as bytes and never
         decoded: the file holds canonical lines, so this equals encoding every
-        row. `lines` is the number of lines the caller read; a file that holds
-        another number raises StorageError and is left as it is.
+        row. A last line without its newline is ended before `rows`. `lines`
+        is the number of lines the caller read; a file that holds another
+        number raises StorageError and is left as it is.
 
         With `lines`, this object keeps the table's rows from its next
         `read_rows` on, so each later read decodes only the lines the read
@@ -437,6 +438,8 @@ class Warehouse:
                     raise StorageError(f"{schema}.{table}: no row at position {position}")
                 kept[position] = encode_row(manifest, row).encode("utf-8")
             content = b"".join(line + b"\n" for line in kept)
+        elif content and not content.endswith(b"\n"):
+            content += b"\n"
         _atomic_write(data, content + _encode_rows(manifest, rows), existing)
         if lines is not None:
             self._memo.setdefault((schema, table), (manifest, {}))

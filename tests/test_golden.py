@@ -330,3 +330,24 @@ def test_check_prints_the_audit_findings_before_an_oracle_error(golden_wh, retai
     assert any("missing table hs_retail.hub_sales_order" in line for line in findings)
     assert out.splitlines() == findings
     assert err.splitlines()[-1] == "error: no such table hs_retail.hub_sales_order"
+
+
+def test_check_prints_the_audit_findings_before_an_oracle_load_error(golden_wh, retail_spec,
+                                                                     tmp_path, capsys):
+    """A null `load_timestamp` in silver is an audit finding; a null business
+    key in bronze makes the oracle refuse what no load could stage. `check
+    --against-oracle` prints the finding, then the oracle's error, and
+    exits 2."""
+    root = tmp_path / "wh"
+    shutil.copytree(golden_wh.root, root)
+    warehouse = Warehouse(root)
+    bronze, silver = retail_spec.schema_names["bronze"], retail_spec.schema_names["silver"]
+    _edit_rows(warehouse, silver, "hub_product", lambda rows: rows[1].update(load_timestamp=None))
+    _edit_rows(warehouse, bronze, "customers", lambda rows: rows[0].update(customer_id=None))
+    rc = main(["check", "--model", str(FIXTURE_MODEL), "--root", str(root), "--against-oracle"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out.splitlines() == [f"{silver}.hub_product: column load_timestamp is not nullable "
+                                "but holds 1 null(s)"]
+    assert err.splitlines()[-1] == (f"error: {silver}.hub_customer <- {bronze}.customers: "
+                                    "business key customer_id is null")

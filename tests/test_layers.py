@@ -1,0 +1,53 @@
+"""The import graph keeps the oracle and storage apart from what they must
+not borrow.
+
+The oracle is a reference the loads are checked against: it may share
+their staging (`silver.stage`) and the default row, but it ranks, matches
+and merges on its own, so it imports nothing else of `silver` and nothing
+of the engine's ranking. Storage sits below every layer and imports none.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hubstar"
+LAYERS = {"bronze", "silver", "gold", "oracle", "cli", "dsl"}
+
+
+def tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def imports(module: str) -> dict[str, set[str]]:
+    """The package modules a module imports from, each with the names it
+    takes; `from . import x` takes all of x, written `*`."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree(module)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = ".".join(filter(None, ["hubstar" if node.level else None, node.module]))
+        if source == "hubstar":
+            for alias in node.names:
+                found.setdefault(alias.name, set()).add("*")
+        elif source.startswith("hubstar."):
+            found.setdefault(source.removeprefix("hubstar."), set()).update(
+                alias.name for alias in node.names)
+    return found
+
+
+def test_the_oracle_shares_only_staging_and_the_default_row_with_silver():
+    assert imports("oracle").get("silver", set()) <= {"default_row", "is_default_row", "stage"}
+
+
+def test_the_oracle_does_not_borrow_the_engines_ranking():
+    names = set()
+    for node in ast.walk(tree("oracle")):
+        names.update([getattr(node, "id", None), getattr(node, "attr", None),
+                      getattr(node, "name", None)])
+    assert "top_per_partition" not in names
+
+
+def test_storage_imports_no_layer():
+    assert LAYERS.isdisjoint(imports("storage"))

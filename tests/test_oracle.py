@@ -14,7 +14,7 @@ from hubstar import (
     load_all,
     parse_model,
 )
-from hubstar.errors import StorageError
+from hubstar.errors import LoadError, StorageError
 from hubstar.expr import sha256_hex
 from hubstar.model import validate_model
 from hubstar.oracle import diff_rows
@@ -215,7 +215,7 @@ def test_a_null_bronze_capture_time_raises_naming_its_table_and_column(wh, feed)
     wh.replace_table(wh.manifest(bronze, "people"), rows)
 
     with pytest.raises(StorageError,
-                       match=f"^{bronze}.people: column capture_timestamp is null"):
+                       match=f"^{bronze}.people: line 1: column capture_timestamp is null"):
         check_against_oracle(wh, MODEL)
 
 
@@ -271,6 +271,26 @@ def test_system_keyed_hub_is_checked_by_its_business_key(wh, feed):
 def visit(day: str, note: str, captured: str) -> str:
     return (f'{{"person_id": 1, "visit_day": "{day}", "note": "{note}",'
             f' "captured_at": "{captured}"}}\n')
+
+
+@pytest.mark.parametrize("source,text,column,refused", [
+    ("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n", "device_code",
+     "hub_device <- {bronze}.people: business key device_code is null"),
+    ("visits", visit("2024-04-01T00:00:00Z", "n", "2024-04-01T10:00:00Z"), "visit_day",
+     "star_person_visit <- {bronze}.visits: composite key column visit_day is null"),
+], ids=["system-keyed hub", "star"])
+def test_the_oracle_refuses_bronze_that_no_load_could_stage(wh, feed, source, text, column,
+                                                           refused):
+    bronze = MODEL.schema_names["bronze"]
+    feed(source, text)
+    rows = [dict(r) for r in wh.read_rows(bronze, source)]
+    rows[0][column] = None
+    wh.replace_table(wh.manifest(bronze, source), rows)
+    message = f"^{SILVER}.{refused.format(bronze=bronze)}$"
+    with pytest.raises(LoadError, match=message):
+        load_all(wh, MODEL, now=NOW)
+    with pytest.raises(LoadError, match=message):
+        check_against_oracle(wh, MODEL)
 
 
 def test_star_keeps_the_latest_capture_of_a_batch_and_never_reapplies_older_ones(wh, feed):

@@ -22,7 +22,7 @@ from hubstar import (
 from hubstar import gold, silver, storage, tables
 from hubstar import retail_fixture as rf
 from hubstar.cli import main
-from hubstar.errors import HubStarError, LoadError, StorageError
+from hubstar.errors import EvalError, HubStarError, LoadError, StorageError
 from hubstar.expr import sha256_hex
 from hubstar.model import ItemKeyRule, validate_model
 from hubstar.silver import (
@@ -723,6 +723,16 @@ hub linked {
     fk num_key = num(code)
   }
 }
+
+hub cast {
+  key computed code
+  business_key global (code string)
+  descriptive size integer
+  source_mapping s {
+    map code = code
+    map size = cast(code as integer)
+  }
+}
 ''').spec
 
 
@@ -747,14 +757,17 @@ def test_a_mapped_column_without_a_map_loads_null(tmp_path):
     assert check_against_oracle(warehouse, COERCED) == []
 
 
-@pytest.mark.parametrize("hub,message", [("sized", "column size: invalid literal"),
-                                         ("linked", "fk to num: invalid literal")],
-                         ids=["map", "fk"])
-def test_a_value_that_does_not_coerce_to_its_column_type_fails_the_load(tmp_path, hub, message):
+@pytest.mark.parametrize("hub,error,message", [
+    ("sized", LoadError, "column size: invalid literal"),
+    ("linked", LoadError, "fk to num: invalid literal"),
+    ("cast", EvalError, "cast failed: invalid literal")], ids=["map", "fk", "expression"])
+def test_a_value_that_does_not_coerce_to_its_column_type_fails_the_load(
+        tmp_path, hub, error, message):
     warehouse = coerced_wh(tmp_path, "x")
-    silver = COERCED.schema_names["silver"]
+    silver, bronze = COERCED.schema_names["silver"], COERCED.schema_names["bronze"]
     before = warehouse.read_rows(silver, f"hub_{hub}")
-    with pytest.raises(LoadError, match=message):
+    # The error names the silver table and the bronze source it was staging.
+    with pytest.raises(error, match=f"^{silver}.hub_{hub} <- {bronze}.s: {message}"):
         load_all(warehouse, COERCED, now=NOW, only=hub)
     assert warehouse.read_rows(silver, f"hub_{hub}") == before
 
@@ -966,7 +979,8 @@ def test_a_repeated_concat_item_key_fails_the_load_and_leaves_the_star_as_it_was
         "Oslo", "Bergen"]
 
     feed("trips", trip("2024-05-02T07:00:00Z", "Oslo", "Bergen", "Oslo"))
-    with pytest.raises(LoadError, match="duplicate item sequence 'Oslo' within one parent"):
+    with pytest.raises(LoadError, match=f"^{SILVER}.star_trip_stop <- {spec.schema_names['bronze']}"
+                                        ".trips: duplicate item sequence 'Oslo' within one parent"):
         load_all(warehouse, spec, now=NOW)
     assert data.read_bytes() == before
 
@@ -1090,6 +1104,28 @@ def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
     rows_encoded.clear()
     load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
     assert sum(decoded.values()) + sum(rows_encoded.values()) == 0
+
+
+def test_the_first_load_and_the_oracle_decode_each_bronze_row_once_per_mapping(
+        tmp_path, decoded, retail_spec, retail_data):
+    """Decode counts of the 1x retail fixture in one batch. `customers` and
+    `sales_orders` each feed two mappings, so each of their rows is decoded
+    twice, by the loads and by the oracle alike."""
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, retail_spec)
+    for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 1):
+        for job in jobs:
+            ingest_file(warehouse, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+    bronze = retail_spec.schema_names["bronze"]
+    counts = []
+    for run in (lambda: load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW),
+                lambda: check_against_oracle(Warehouse(warehouse.root), retail_spec)):
+        decoded.clear()
+        run()
+        counts.append((sum(decoded.values()), decoded[bronze, "customers"],
+                       decoded[bronze, "sales_orders"]))
+    assert counts == [(769, 158 * 2, 200 * 2), (1_799, 158 * 2, 200 * 2)]
 
 
 # -- model edits against a stored layout ----------------------------------------

@@ -266,6 +266,16 @@ def test_appends_that_replace_lines_hold_the_bytes_of_one_write(wh, tmp_path):
     assert wh.read_rows("lab", "samples") == once.read_rows("lab", "samples")
 
 
+def test_an_append_ends_a_last_line_that_lost_its_newline(tmp_path):
+    wh = Warehouse(tmp_path)
+    wh.create_table(TableManifest("lab", "one", (ColumnSpec("a", "integer"),)))
+    data = wh.table_dir("lab", "one") / "data"
+    data.write_bytes(b'{"a":1}')
+    wh.append_rows("lab", "one", [{"a": 2}])
+    assert data.read_bytes() == b'{"a":1}\n{"a":2}\n'
+    assert wh.read_rows("lab", "one") == [{"a": 1}, {"a": 2}]
+
+
 @pytest.mark.parametrize("grown", [True, False], ids=["grown", "shrunk"])
 def test_appends_refuse_a_file_whose_line_count_changed(wh, grown):
     wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}])
