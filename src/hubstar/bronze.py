@@ -33,16 +33,29 @@ def parse_source_file(source: SourceDef, text: str) -> list[dict]:
 
 
 def _parse_csv(source: SourceDef, text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
+    """Records of a CSV file, each stored whole or refused: a header naming
+    a column twice fails, and so does a row with more or fewer fields than
+    the header. Errors name the physical line where the row ends."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
     declared = {c.name for c in source.columns}
-    for name in reader.fieldnames or []:
+    for position, name in enumerate(header):
         if name not in declared:
             raise IngestError(f"{source.name}: unknown column {name!r} in header")
+        if name in header[:position]:
+            raise IngestError(f"{source.name} line {reader.line_num}: "
+                              f"column {name!r} appears twice in the header")
     for col in source.columns:
         if col.type == "collection":
             raise IngestError(f"{source.name}: collection column {col.name!r} "
                               "cannot be read from csv")
-    return [_coerce_record(source, row, lineno) for lineno, row in enumerate(reader, start=2)]
+    records = []
+    for fields in filter(None, reader):  # a blank line holds no row
+        if len(fields) != len(header):
+            raise IngestError(f"{source.name} line {reader.line_num}: the header has "
+                              f"{len(header)} fields, the row {len(fields)}")
+        records.append(_coerce_record(source, dict(zip(header, fields)), reader.line_num))
+    return records
 
 
 def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:

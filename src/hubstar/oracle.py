@@ -5,10 +5,10 @@ conditional updates. The oracle ignores all of that and derives the final
 state straight from the complete bronze history, so agreement between the
 two is evidence the incremental machinery is faithful.
 
-Staging is shared with the engine: `silver.stage` reads the bronze,
-evaluates the compiled mapping and refuses what a load refuses, so the
-oracle expects no row that no load could write. Everything about
-batching, ranking, matching, and merging is recomputed here from scratch.
+Staging is shared with the engine: `silver.stage` reads the bronze, evaluates
+the compiled mapping, makes a computed hub's key and refuses what a load
+refuses, so the oracle expects no row that no load could write. Batching,
+ranking, matching and merging are recomputed here from scratch.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ def expected_state(warehouse: Warehouse, spec: ModelSpec,
     mapping = element.source_mappings[0]
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
     for position, (bronze_row, row) in enumerate(stage(warehouse, spec, element, mapping)):
-        if hub and element.key_type == "computed":
-            row[element.key_column] = element.key_formula.key(row, row["load_source"])
         groups.setdefault(row_key(row, element.identity), []).append((position, bronze_row, row))
 
     dedup_order = mapping.dedup_order if hub else ()

@@ -129,8 +129,8 @@ def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
 def _fk_resolver(find_key, spec: ModelSpec, res: FkResolution) -> ex.Evaluator:
     """A foreign-key column's value in a context: the referenced hub's key
     computed from source-side business-key expressions, or "-1" when any of
-    them is null. A system-generated key is looked up with `find_key`
-    (`hub_key_lookup`)."""
+    them is null, before or after coercion to its business key's type. A
+    system-generated key is looked up with `find_key` (`hub_key_lookup`)."""
     target = spec.hub(res.hub)
     args = res.compiled_args
     key_types = [(bk.name, bk.type) for bk in target.business_keys]
@@ -146,6 +146,8 @@ def _fk_resolver(find_key, spec: ModelSpec, res: FkResolution) -> ex.Evaluator:
                 bk_record[name] = coerce_scalar(value, ctype)
             except ValueError as exc:
                 raise LoadError(f"fk to {res.hub}: {exc}") from exc
+        if None in bk_record.values():
+            return DEFAULT_HUB_KEY
         source = res.source_override if res.source_override is not None else ctx.load_source
         if computed:
             return target.key_formula.key(bk_record, source)
@@ -267,16 +269,19 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     """(bronze row, candidate) pairs in bronze order, from the loads and the
     oracle alike: the mapping's bronze captured after `mark` (all of it
     with none; none without a bronze table), each payload stamped with its
-    load source and capture time. A null capture time or partition column
-    (a hub's business keys, a star's composite key) fails; a LoadError or
-    EvalError names the silver table and the bronze source."""
+    load source, capture time and a computed hub's key. A null capture
+    time or partition column (a hub's business keys, a star's composite
+    key) fails, and so does the default row's key; a LoadError or EvalError
+    names the silver table and the bronze source."""
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
     if not warehouse.table_exists(bronze, mapping.source):
         return []
     payloads = compile_mapping(hub_key_lookup(warehouse, spec), spec, element, mapping)
     load_source = spec.source(mapping.source).load_source_id
-    partition, what = ((element.business_key_names, "business key") if isinstance(element, HubDef)
+    hub = isinstance(element, HubDef)
+    partition, what = ((element.business_key_names, "business key") if hub
                        else (element.identity, "composite key column"))
+    formula = element.key_formula if hub and element.key_type == "computed" else None
     staged = []
     try:
         for number, bronze_row in enumerate(
@@ -293,6 +298,11 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
                 for name in partition:
                     if candidate[name] is None:
                         raise LoadError(f"{what} {name} is null")
+                if formula is not None:
+                    key = candidate[element.key_column] = formula.key(candidate, load_source)
+                    if key == DEFAULT_HUB_KEY:
+                        raise LoadError(f"key formula gives the default row's key {key} "
+                                        f"for {show_key(row_key(candidate, partition))}")
                 staged.append((bronze_row, candidate))
     except (LoadError, EvalError) as exc:
         raise type(exc)(f"{silver}.{element.table_name} <- {bronze}.{mapping.source}: "
@@ -306,18 +316,18 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
     `load_all` has checked the stored manifests it reads. The mark is the
     latest capture among the table's members (every row but a hub's default
-    row); `stage` gives the candidates above it. A hub with no row at all
-    was never initialized, and its load fails. One candidate survives per
-    partition: a hub's by the mapping's `dedup_by` terms, latest capture,
-    then the earliest bronze row; a star's by latest capture, then the last
-    bronze row. A survivor matches the member with
-    the same `element.identity`: with none it goes on the end (a hub row
-    with its first capture time and a computed or minted key), and a match
-    is rewritten in place, keeping its load source, only when some
-    `element.tracked_columns` value differs under null-safe equality. Two
-    writes to one row fail the load before anything is written. The new
-    mark is the latest of the old one and the captures written, or the
-    epoch for a table still without members."""
+    row); `stage` gives the candidates above it, a computed hub's with their
+    keys. A hub with no row at all was never initialized, and its load
+    fails. One candidate survives per partition: a hub's by the mapping's
+    `dedup_by` terms, latest capture, then the earliest bronze row; a star's
+    by latest capture, then the last bronze row. A survivor matches the
+    member with the same `element.identity`: with none it goes on the end (a
+    hub row with its first capture time, and a minted key in a system-keyed
+    hub), and a match is rewritten in place, keeping its load source, only
+    when some `element.tracked_columns` value differs under null-safe
+    equality. Two writes to one row fail the load before anything is
+    written. The new mark is the latest of the old one and the captures
+    written, or the epoch for a table still without members."""
     silver = spec.schema_names["silver"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
@@ -337,15 +347,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     survivors = top_per_partition(positions, lambda i: row_key(staged[i][1], partition),
                                   order + _LATEST_CAPTURE, fields=lambda i: staged[i][0])
     candidates = [staged[i][1] for i in sorted(survivors)]
-    if hub is not None and hub.key_type == "computed":
-        for candidate in candidates:
-            key = hub.key_formula.key(candidate, candidate["load_source"])
-            if key == DEFAULT_HUB_KEY:
-                raise LoadError(f"{hub.table_name}: key formula gives the default row's key "
-                                f"{key} for {show_key(row_key(candidate, partition))}"
-                                f" in {mapping.source}")
-            candidate[hub.key_column] = key
-    elif hub is not None:
+    if hub is not None and hub.key_type != "computed":
         minted = count(1 + max([0, *(int(row[hub.key_column]) for row in rows)]))
 
     identity, tracked = element.identity, element.tracked_columns

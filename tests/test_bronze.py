@@ -87,6 +87,22 @@ def test_csv_bad_cell_reports_line_and_column():
                           "event_id,label,changed_at,removed\n1,a,,0\nnope,b,,0\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("event_id,label\n1,x,EXTRA\n", "line 2: the header has 2 fields, the row 3"),
+    ("event_id,label\n1\n", "line 2: the header has 2 fields, the row 1"),
+    ("event_id,event_id\n1,2\n", "line 1: column 'event_id' appears twice in the header"),
+], ids=["long row", "short row", "repeated header name"])
+def test_csv_refuses_a_row_it_cannot_store_whole(text, message):
+    with pytest.raises(IngestError, match=f"^events {message}$"):
+        parse_source_file(source("events"), text)
+
+
+def test_csv_errors_name_the_physical_line_after_a_quoted_line_break():
+    text = 'event_id,label,changed_at,removed\n1,"two\nlines",,0\n2,b,,0\nzz,c,,0\n'
+    with pytest.raises(IngestError, match="^events line 5, column event_id: "):
+        parse_source_file(source("events"), text)
+
+
 def test_ndjson_parsing_keeps_decimals_and_collections():
     rows = parse_source_file(source("orders"), '\n'.join([
         '{"order_id": "o1", "amount": 9.90, "lines": [{"sku": "A", "qty": 2}]}',

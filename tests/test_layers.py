@@ -4,7 +4,9 @@ not borrow.
 The oracle is a reference the loads are checked against: it may share
 their staging (`silver.stage`) and the default row, but it ranks, matches
 and merges on its own, so it imports nothing else of `silver` and nothing
-of the engine's ranking. Storage sits below every layer and imports none.
+of the engine's ranking. Staging also makes a computed hub's own key: in
+`silver` only `stage` and the reference resolver read a key formula, and
+the oracle reads none. Storage sits below every layer and imports none.
 """
 
 from __future__ import annotations
@@ -47,6 +49,19 @@ def test_the_oracle_does_not_borrow_the_engines_ranking():
         names.update([getattr(node, "id", None), getattr(node, "attr", None),
                       getattr(node, "name", None)])
     assert "top_per_partition" not in names
+
+
+def readers(module: str, attribute: str) -> set[str]:
+    """The top-level definitions of a module that read `attribute` of
+    something."""
+    return {getattr(node, "name", "<module>") for node in tree(module).body
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Attribute) and inner.attr == attribute}
+
+
+def test_a_computed_hubs_key_is_made_only_while_staging():
+    assert readers("silver", "key_formula") == {"stage", "_fk_resolver"}
+    assert readers("oracle", "key_formula") == set()
 
 
 def test_storage_imports_no_layer():

@@ -14,7 +14,7 @@ from hubstar import (
     load_all,
     parse_model,
 )
-from hubstar.errors import LoadError, StorageError
+from hubstar.errors import EvalError, LoadError, StorageError
 from hubstar.expr import sha256_hex
 from hubstar.model import validate_model
 from hubstar.oracle import diff_rows
@@ -404,6 +404,15 @@ def test_null_dedup_values_rank_first_under_asc_in_engine_and_oracle(tmp_path):
                                                           "x,none,,2024-01-01T00:00:00Z\n")
     assert labels == ["late"]
     assert check_against_oracle(warehouse, spec) == []
+
+
+def test_an_empty_computed_key_fails_the_load_and_the_oracle_naming_the_table(tmp_path):
+    message = ("^hs_dedup.hub_item <- raw_dedup.items: "
+               "key formula produced '', expected a non-empty string$")
+    with pytest.raises(EvalError, match=message):
+        load_items(tmp_path, "asc", '"",blank,1,2024-01-01T00:00:00Z\n')
+    with pytest.raises(EvalError, match=message):
+        check_against_oracle(Warehouse(tmp_path / "wh"), parse_model(DEDUP_TEXT).spec)
 
 
 @pytest.mark.xfail(strict=True, reason="the engine ranks dedup_by within one batch, the "

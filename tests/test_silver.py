@@ -596,8 +596,14 @@ def test_a_computed_key_equal_to_the_default_rows_fails_the_load(tmp_path):
     spec = one_hub_model("computed cast(code as string)", "integer")
     assert validate_model(spec).ok
     with pytest.raises(LoadError, match="key formula gives the default row's key -1 for "
-                                        r"\(-1\) in s"):
+                                        r"\(-1\)") as load_error:
         load_codes(tmp_path, spec, 7, -1)
+    # The oracle stages under the same rule, so it refuses the row too.
+    with pytest.raises(LoadError) as oracle_error:
+        check_against_oracle(Warehouse(tmp_path / "wh"), spec)
+    assert str(oracle_error.value) == str(load_error.value) == (
+        "hs_defaults.hub_item <- raw_defaults.s: "
+        "key formula gives the default row's key -1 for (-1)")
 
 
 def test_fk_with_null_argument_points_at_default_row(wh, feed):
@@ -613,6 +619,52 @@ def test_fk_with_null_argument_points_at_default_row(wh, feed):
     load_all(wh, MODEL, now=NOW)
     rows = wh.read_rows(SILVER, "star_person_visit")
     assert [r["person_key"] for r in rows] == ["-1"]
+
+
+# A reference whose source-side argument is a string, coerced to the
+# referenced hub's integer business key.
+OWNED = parse_model('''product fk
+
+source items {
+  load_source 1
+  format csv
+  column code string
+  column owner string
+  column at timestamp
+  capture cdc_column at
+}
+
+hub owner {
+  key computed cast(num as string)
+  business_key global (num integer)
+}
+
+hub item {
+  key computed code
+  business_key global (code string)
+  descriptive owner_key references owner
+  source_mapping items {
+    map code = code
+    fk owner_key = owner(owner)
+  }
+}
+''').spec
+
+
+def test_a_reference_argument_null_after_coercion_points_at_the_default_row(tmp_path):
+    assert validate_model(OWNED).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, OWNED)
+    path = tmp_path / "items.csv"
+    path.write_text('code,owner,at\nquoted,"",2024-01-01T00:00:00Z\n'
+                    "empty,,2024-01-01T00:00:00Z\nset,7,2024-01-01T00:00:00Z\n",
+                    encoding="utf-8")
+    ingest_file(warehouse, OWNED, "items", path, now=NOW)
+    load_all(warehouse, OWNED, now=NOW)
+    rows = warehouse.read_rows(OWNED.schema_names["silver"], "hub_item")
+    assert {r["code"]: r["owner_key"] for r in rows} == {
+        "null": "-1", "quoted": "-1", "empty": "-1", "set": "7"}
+    assert check_against_oracle(warehouse, OWNED) == []
 
 
 # A hub `references` descriptive its mapping leaves unresolved, and a star
