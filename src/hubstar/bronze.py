@@ -10,11 +10,12 @@ import csv
 import io
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any
 
 from .errors import IngestError
 from .model import ColumnSpec, ModelSpec, SourceDef
 from .silver import LoadResult
-from .storage import Warehouse, decode_json
+from .storage import Warehouse, decode_json, json_decoder
 from .tables import bronze_manifest, check_stored_manifest
 from .values import EPOCH, coerce_scalar
 
@@ -58,6 +59,23 @@ def _parse_csv(source: SourceDef, text: str) -> list[dict]:
     return records
 
 
+def _refuse_repeated_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The object of these pairs; a key given twice raises ValueError, where
+    a dict would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} appears twice")
+            seen.add(key)
+    return doc
+
+
+# Source lines, unlike stored ones, may repeat a key in an object.
+_SOURCE_JSON = json_decoder(object_pairs_hook=_refuse_repeated_keys)
+
+
 def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
     declared = {c.name for c in source.columns}
     records = []
@@ -67,8 +85,8 @@ def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
         if not line:
             continue
         try:
-            doc = decode_json(line)
-        except ValueError as exc:  # not JSON
+            doc = decode_json(line, _SOURCE_JSON)
+        except ValueError as exc:  # not JSON, or an object repeats a key
             raise IngestError(f"{source.name} line {lineno}: {exc}") from exc
         if not isinstance(doc, dict):
             raise IngestError(f"{source.name} line {lineno}: record is not an object")

@@ -6,6 +6,7 @@ bytes, and a read, one pass over a file's lines, skips a bronze line by the
 capture time in its prefix without decoding it. A Warehouse parses a
 manifest once per content and remembers the rows of a table it splices by
 line, so a later read of that table decodes only the lines it has not seen.
+A manifest's codec formats and parses each distinct timestamp once.
 
 Constraints declared in a manifest are never enforced on the write path;
 `check_constraints` audits them after the fact, mirroring how analytical
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from decimal import Decimal
 from functools import cached_property
 from hashlib import sha256
@@ -100,9 +101,13 @@ class TableManifest:
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    # The row codec of this layout, compiled once per manifest object.
-    encoder = cached_property(lambda self: _compile_encoder(self.columns))
-    decoder = cached_property(lambda self: _compile_decoder(self.columns))
+    # The row codec of this layout, compiled once per manifest object. Each
+    # side keeps its own memo of the timestamps it met: the encoder each
+    # value's text, the decoder (through `read_timestamp`, which also reads
+    # the capture prefix of a bronze line) each stored text's value.
+    encoder = cached_property(lambda self: _compile_encoder(self.columns, _timestamp_text({})))
+    read_timestamp = cached_property(lambda self: _timestamp_value({}))
+    decoder = cached_property(lambda self: _compile_decoder(self.columns, self.read_timestamp))
 
     def to_json(self) -> dict:
         return {
@@ -146,12 +151,45 @@ def _encode_scalar(value: Any) -> str:
     raise StorageError(f"cannot persist value of type {type(value).__name__}")
 
 
-def _compile_encoder(columns: tuple[ColumnSpec, ...]) -> Callable[[Mapping[str, Any]], str]:
+def _timestamp_text(texts: dict[datetime, str]) -> Callable[[Any], str]:
+    """`_encode_scalar` for a timestamp column, which keeps in `texts` the
+    text of each datetime it encodes. Equal aware datetimes are one instant,
+    which has one text; but two values of one zone that differ only in
+    `fold` compare equal, so only a value with a fixed offset (a `timezone`)
+    is kept. Any other value takes `_encode_scalar` every time."""
+    def encode(value: Any) -> str:
+        if type(value) is not datetime:
+            return _encode_scalar(value)
+        text = texts.get(value)
+        if text is None:
+            text = _encode_scalar(value)
+            if type(value.tzinfo) is timezone:
+                texts[value] = text
+        return text
+    return encode
+
+
+def _timestamp_value(values: dict[str, datetime]) -> Callable[[str], datetime]:
+    """`parse_stored_timestamp`, which keeps in `values` the value of each
+    text it parsed. A text that does not parse is not kept, so it raises on
+    every read. Datetimes are immutable, so the rows that hold one text can
+    share its value."""
+    def parse(text: str) -> datetime:
+        value = values.get(text)
+        if value is None:
+            value = values[text] = parse_stored_timestamp(text)
+        return value
+    return parse
+
+
+def _compile_encoder(columns: tuple[ColumnSpec, ...],
+                     encode_timestamp: Callable[[Any], str]) -> Callable[[Mapping[str, Any]], str]:
     """A row encoder for these columns: each column's `"name":` prefix is
-    encoded once, a collection's items by an encoder of their fields, and
-    every other value by its type."""
+    encoded once, a collection's items by an encoder of their fields, a
+    timestamp by `encode_timestamp`, and every other value by its type."""
     plan = [(col.name, json.dumps(col.name) + ":",
-             _compile_collection(col.fields) if col.type == "collection" else _encode_scalar)
+             _compile_collection(col.fields, encode_timestamp) if col.type == "collection"
+             else encode_timestamp if col.type == "timestamp" else _encode_scalar)
             for col in columns]
 
     def encode(record: Mapping[str, Any]) -> str:
@@ -161,13 +199,15 @@ def _compile_encoder(columns: tuple[ColumnSpec, ...]) -> Callable[[Mapping[str, 
     return encode
 
 
-def _compile_collection(fields: tuple[tuple[str, str], ...]) -> Callable[[Any], str]:
-    encode_item = _compile_encoder(tuple(ColumnSpec(*field) for field in fields))
+def _compile_collection(fields: tuple[tuple[str, str], ...],
+                        encode_timestamp: Callable[[Any], str]) -> Callable[[Any], str]:
+    encode_item = _compile_encoder(tuple(ColumnSpec(*field) for field in fields),
+                                   encode_timestamp)
     return lambda items: "null" if items is None else "[" + ",".join(map(encode_item, items)) + "]"
 
 
 def encode_collection(items: Any, fields: tuple[tuple[str, str], ...]) -> str:
-    return _compile_collection(fields)(items)
+    return _compile_collection(fields, _timestamp_text({}))(items)
 
 
 def encode_row(manifest: TableManifest, record: Mapping[str, Any]) -> str:
@@ -176,26 +216,30 @@ def encode_row(manifest: TableManifest, record: Mapping[str, Any]) -> str:
     return manifest.encoder(record)
 
 
-def _converter(col: ColumnSpec) -> Callable[[Any], Any] | None:
+def _converter(col: ColumnSpec,
+               read_timestamp: Callable[[str], datetime]) -> Callable[[Any], Any] | None:
     """How a non-null stored value of the column becomes its value; None
     where the value JSON gives is kept (a string, integer or boolean)."""
     if col.type == "timestamp":
-        return parse_stored_timestamp
+        return read_timestamp
     if col.type == "decimal":
         return lambda raw: raw if isinstance(raw, Decimal) else Decimal(str(raw))
     if col.type == "collection":
-        item = _compile_record(tuple(ColumnSpec(*field) for field in col.fields))
+        item = _compile_record(tuple(ColumnSpec(*field) for field in col.fields),
+                               read_timestamp)
         return lambda items: list(map(item, items))
     return None
 
 
-def _compile_record(columns: tuple[ColumnSpec, ...]) -> Callable[[Mapping[str, Any]], Record]:
+def _compile_record(columns: tuple[ColumnSpec, ...],
+                    read_timestamp: Callable[[str], datetime]
+                    ) -> Callable[[Mapping[str, Any]], Record]:
     """The record of these columns in a decoded JSON object: each column's
     value, through its `_converter` when it has one and the value is not
     null."""
     names = tuple(col.name for col in columns)
     converted = [(col.name, convert) for col in columns
-                 if (convert := _converter(col)) is not None]
+                 if (convert := _converter(col, read_timestamp)) is not None]
 
     def record(doc: Mapping[str, Any]) -> Record:
         get = doc.get
@@ -208,8 +252,9 @@ def _compile_record(columns: tuple[ColumnSpec, ...]) -> Callable[[Mapping[str, A
     return record
 
 
-def _compile_decoder(columns: tuple[ColumnSpec, ...]) -> Callable[[str], Record]:
-    record = _compile_record(columns)
+def _compile_decoder(columns: tuple[ColumnSpec, ...],
+                     read_timestamp: Callable[[str], datetime]) -> Callable[[str], Record]:
+    record = _compile_record(columns, read_timestamp)
     return lambda line: record(decode_json(line))
 
 
@@ -221,25 +266,31 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-_JSON_DECODER = json.JSONDecoder(parse_float=Decimal, parse_constant=_refuse_constant)
+def json_decoder(object_pairs_hook: Callable[[list], Any] | None = None) -> json.JSONDecoder:
+    """A JSON decoder that reads a number with a fraction or exponent as
+    `Decimal` and refuses the bare `NaN`, `Infinity` and `-Infinity` that
+    Python's own decoder accepts; `object_pairs_hook` as `json` takes it."""
+    return json.JSONDecoder(parse_float=Decimal, parse_constant=_refuse_constant,
+                            object_pairs_hook=object_pairs_hook)
 
 
-def decode_json(text: str) -> Any:
-    """The JSON value of `text`, its numbers with a fraction or exponent as
-    `Decimal`, through one decoder built once (`json.loads` with an argument
-    builds one per call); one value with nothing around it, as a stripped
-    stored line is, through `raw_decode` alone, which skips the two
-    whitespace matches of `decode`. It raises ValueError for what is not
-    JSON: the bare `NaN`, `Infinity` and `-Infinity` that Python's own
-    decoder accepts, and a leading byte-order mark, which `json.loads` alone
-    refuses by name."""
+_JSON_DECODER = json_decoder()
+
+
+def decode_json(text: str, decoder: json.JSONDecoder = _JSON_DECODER) -> Any:
+    """The JSON value of `text` through `decoder`, by default one built once
+    by `json_decoder` (`json.loads` with an argument builds one per call);
+    one value with nothing around it, as a stripped stored line is, through
+    `raw_decode` alone, which skips the two whitespace matches of `decode`.
+    It raises ValueError for what is not JSON, and for a leading byte-order
+    mark, which `json.loads` alone refuses by name."""
     try:
-        value, end = _JSON_DECODER.raw_decode(text)
+        value, end = decoder.raw_decode(text)
         if end == len(text):
             return value
     except ValueError:  # `decode` gives the error, or the value inside whitespace
         pass
-    return (json.loads if text.startswith("\ufeff") else _JSON_DECODER.decode)(text)
+    return (json.loads if text.startswith("\ufeff") else decoder.decode)(text)
 
 
 def decode_row(manifest: TableManifest, line: str) -> Record:
@@ -389,7 +440,7 @@ class Warehouse:
             with data.open("rb") as fh:
                 for number, line in enumerate(filter(None, map(bytes.strip, fh)), start=1):
                     prefixed = captured_after is not None and line.startswith(CAPTURE_PREFIX)
-                    if prefixed and parse_stored_timestamp(
+                    if prefixed and manifest.read_timestamp(
                             line[start:line.index(b'"', start)].decode()) <= captured_after:
                         continue
                     row = read.get(line)

@@ -30,7 +30,8 @@ def parse_timestamp(text: str) -> datetime:
 
     Accepts date-only forms ("1970-01-01"), space or T separators, optional
     fractional seconds, and an optional Z/offset suffix. Naive values are
-    taken as UTC; offset values are converted to UTC.
+    taken as UTC; offset values are converted to UTC. A value whose UTC
+    instant falls outside years 1-9999 raises ValueError.
     """
     m = _TS_RE.match(text.strip())
     if not m:
@@ -46,8 +47,10 @@ def parse_timestamp(text: str) -> datetime:
     if offset and offset != "Z":
         sign = 1 if offset[0] == "+" else -1
         oh, om = int(offset[1:3]), int(offset[4:6])
-        shifted = dt.replace(tzinfo=None) - sign * (datetime(2000, 1, 1, oh, om) - datetime(2000, 1, 1))
-        dt = shifted.replace(tzinfo=timezone.utc)
+        try:
+            dt -= sign * (datetime(2000, 1, 1, oh, om) - datetime(2000, 1, 1))
+        except OverflowError:
+            raise ValueError(f"timestamp {text!r} is out of range") from None
     return dt
 
 
@@ -76,15 +79,14 @@ def as_utc(ts: datetime) -> datetime:
 def format_timestamp(ts: datetime) -> str:
     """Render a UTC timestamp as ISO-8601 with a Z suffix.
 
-    The year is padded to four digits, which strftime does not promise, and
-    sub-second digits appear only when nonzero, so rendering is canonical.
+    The text is CPython's `isoformat` of the UTC value, which pads the year
+    to four digits (strftime does not promise that), without its `+00:00`.
+    Sub-second digits appear only when nonzero, without trailing zeros, so
+    rendering is canonical.
     """
     ts = as_utc(ts)
-    base = (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
-            f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}")
-    if ts.microsecond:
-        base += f".{ts.microsecond:06d}".rstrip("0")
-    return base + "Z"
+    text = ts.isoformat()[:-6]
+    return (text.rstrip("0") if ts.microsecond else text) + "Z"
 
 
 def coerce_scalar(raw, ctype: str):

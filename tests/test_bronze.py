@@ -128,6 +128,15 @@ def test_ndjson_rejections(line, message):
         parse_source_file(source("orders"), line)
 
 
+@pytest.mark.parametrize("line, key", [
+    ('{"order_id": "o1", "amount": 1, "order_id": "o2"}', "order_id"),
+    ('{"order_id": "o1", "lines": [{"sku": "x", "qty": 1, "sku": "y"}]}', "sku"),
+], ids=["top_level", "collection_item"])
+def test_ndjson_refuses_a_key_repeated_in_one_object(line, key):
+    with pytest.raises(IngestError, match=f"^orders line 2: key '{key}' appears twice$"):
+        parse_source_file(source("orders"), '{"order_id": "o0"}\n' + line)
+
+
 @pytest.mark.parametrize("line", ['not json', '{"order_id": }', '{"order_id": "o"} x',
                                   '\ufeff{"order_id": "o"}'],
                          ids=["not_json", "missing_value", "extra_data", "byte_order_mark"])

@@ -127,6 +127,27 @@ def test_invalid_models_are_refused_before_touching_the_warehouse(tmp_path, caps
     assert not (tmp_path / "wh").exists()
 
 
+def test_an_out_of_range_now_is_an_operational_error(tmp_path, capsys):
+    rc = main(["load-silver", "--model", MODEL, "--root", str(tmp_path / "wh"),
+               "--now", "0001-01-01T00:00:00+05:00"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: --now '0001-01-01T00:00:00+05:00': "
+                                       "timestamp '0001-01-01T00:00:00+05:00' is out of range\n")
+
+
+def test_an_out_of_range_timestamp_fails_ingest_by_line_and_column(tmp_path, capsys):
+    root = str(tmp_path / "wh")
+    assert main(["init", "--model", MODEL, "--root", root]) == 0
+    path = tmp_path / "customers.csv"
+    path.write_text("customer_id,_change_ts\n1,0001-01-01T00:00:00+05:00\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["ingest", "--model", MODEL, "--root", root, "--source", "customers",
+               "--input", str(path), "--now", "2024-03-02T00:00:00Z"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: customers line 2, column _change_ts: "
+                                       "timestamp '0001-01-01T00:00:00+05:00' is out of range\n")
+
+
 # -- the pipeline commands ------------------------------------------------------
 
 

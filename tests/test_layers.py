@@ -6,7 +6,8 @@ their staging (`silver.stage`) and the default row, but it ranks, matches
 and merges on its own, so it imports nothing else of `silver` and nothing
 of the engine's ranking. Staging also makes a computed hub's own key: in
 `silver` only `stage` and the reference resolver read a key formula, and
-the oracle reads none. Storage sits below every layer and imports none.
+the oracle reads none. Storage sits below every layer and imports none,
+and a timestamp crosses its row codec only through the codec's memos.
 """
 
 from __future__ import annotations
@@ -66,3 +67,16 @@ def test_a_computed_hubs_key_is_made_only_while_staging():
 
 def test_storage_imports_no_layer():
     assert LAYERS.isdisjoint(imports("storage"))
+
+
+def namers(module: str, name: str) -> set[str]:
+    """The top-level definitions of a module that name `name`."""
+    return {getattr(node, "name", "<module>") for node in tree(module).body
+            for inner in ast.walk(node)
+            if isinstance(inner, ast.Name) and inner.id == name}
+
+
+def test_timestamps_cross_storage_only_through_the_codecs_memos():
+    # A direct call elsewhere would format or parse past the memo.
+    assert namers("storage", "parse_stored_timestamp") == {"_timestamp_value"}
+    assert namers("storage", "format_timestamp") == {"_encode_scalar"}

@@ -7,7 +7,7 @@ import random
 import re
 import tempfile
 from collections import Counter
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 from decimal import Decimal
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from hubstar import (
     parse_model,
 )
 from hubstar import retail_fixture as rf
+from hubstar import storage
 from hubstar.errors import StorageError
 from hubstar.storage import (
     ColumnSpec,
@@ -34,7 +35,7 @@ from hubstar.storage import (
     encode_row,
 )
 from hubstar.tables import bronze_manifest, check_stored_manifest, silver_manifest
-from hubstar.values import format_timestamp
+from hubstar.values import EPOCH, format_timestamp
 
 from conftest import file_bytes, run_pipeline
 from randmodels import random_model_text
@@ -178,20 +179,34 @@ VALUES = {
 }
 
 
-def column_values(column: ColumnSpec):
+def column_values(column: ColumnSpec, values=VALUES):
     if column.type != "collection":
-        return st.none() | VALUES[column.type]
-    item = st.fixed_dictionaries({name: st.none() | VALUES[ftype]
+        return st.none() | values[column.type]
+    item = st.fixed_dictionaries({name: st.none() | values[ftype]
                                   for name, ftype in column.fields})
     return st.none() | st.lists(item, max_size=3)
+
+
+# UTC instants that stay within years 1-9999 under any offset of OFFSETS.
+INSTANTS = st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                        timezones=st.just(timezone.utc))
+
+
+def shared_timestamps(pool: list[datetime]):
+    """Instants of `pool`, each under any offset of OFFSETS."""
+    return st.builds(datetime.astimezone, st.sampled_from(pool), OFFSETS)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_the_compiled_codec_equals_the_reference_encoder_and_round_trips(seed, data):
     manifest = data.draw(st.sampled_from(random_manifests(seed)))
+    # The rows of one draw share a few instants, each under several offsets,
+    # so the codec's memos meet one instant under different tzinfo.
+    pool = data.draw(st.lists(INSTANTS, min_size=1, max_size=3))
+    values = dict(VALUES, timestamp=shared_timestamps(pool))
     for row in data.draw(st.lists(st.fixed_dictionaries(
-            {col.name: column_values(col) for col in manifest.columns}), max_size=4)):
+            {col.name: column_values(col, values) for col in manifest.columns}), max_size=6)):
         line = encode_row(manifest, row)
         assert line == reference_encode_row(manifest, row)
         assert decode_row(manifest, line) == row
@@ -505,6 +520,85 @@ def test_a_stored_line_that_does_not_decode_is_refused_by_table_and_line(tmp_pat
     data.write_bytes(b"\n".join([lines[1], lines[1].replace(b"s-1", b"s-\xff"), b""]))
     with pytest.raises(StorageError, match=r"^lab\.samples: line 2 does not decode: 'utf-8'"):
         Warehouse(tmp_path).read_rows("lab", "samples")
+
+
+@pytest.fixture()
+def timestamp_calls(monkeypatch) -> Counter:
+    """Counts storage's calls of `format_timestamp` and
+    `parse_stored_timestamp` from here on, by name."""
+    calls: Counter = Counter()
+    for name in ("format_timestamp", "parse_stored_timestamp"):
+        def counted(value, name=name, original=getattr(storage, name)):
+            calls[name] += 1
+            return original(value)
+        monkeypatch.setattr(storage, name, counted)
+    return calls
+
+
+def stamped() -> TableManifest:
+    """`manifest()` led by a capture time, so its lines carry the capture
+    prefix a read after a mark tests."""
+    return manifest(columns=(ColumnSpec("capture_timestamp", "timestamp", nullable=False),
+                             *manifest().columns))
+
+
+def test_each_distinct_timestamp_crosses_the_codec_once(tmp_path, timestamp_calls):
+    day = [datetime(2024, 1, n, tzinfo=timezone.utc) for n in (1, 2, 3)]
+    wh = Warehouse(tmp_path)
+    wh.create_table(stamped())
+    # 50 rows, 100 timestamps, 3 instants: each also under another offset.
+    wh.append_rows("lab", "samples", [
+        {"sample_id": f"s-{n}", "capture_timestamp": day[n % 3],
+         "taken_at": day[n % 3].astimezone(timezone(timedelta(hours=n % 5 - 2)))}
+        for n in range(50)])
+    assert timestamp_calls == {"format_timestamp": 3}
+    timestamp_calls.clear()
+    rows = wh.read_rows("lab", "samples")
+    assert [(r["capture_timestamp"], r["taken_at"]) for r in rows] == [
+        (day[n % 3], day[n % 3]) for n in range(50)]
+    assert timestamp_calls == {"parse_stored_timestamp": 3}
+    timestamp_calls.clear()
+    assert wh.read_rows("lab", "samples") == rows
+    assert wh.read_rows("lab", "samples", captured_after=day[1]) == rows[2::3]
+    assert timestamp_calls == {}
+
+
+class RepeatedHour(tzinfo):
+    """A zone whose wall clock runs 01:00-02:00 twice: at UTC-4, then, with
+    `fold` set, at UTC-5."""
+
+    def utcoffset(self, dt):
+        return timedelta(hours=-5 if dt.fold else -4)
+
+    def dst(self, dt):
+        return None
+
+
+def test_equal_datetimes_of_one_zone_that_differ_in_fold_keep_their_own_texts():
+    first = datetime(2024, 11, 3, 1, 30, tzinfo=RepeatedHour())
+    second = first.replace(fold=1)
+    assert first == second  # one wall time, compared without fold: two instants
+    timed = manifest(columns=(ColumnSpec("taken_at", "timestamp"),))
+    assert [encode_row(timed, {"taken_at": at}) for at in (first, second, first)] == [
+        '{"taken_at":"2024-11-03T05:30:00Z"}', '{"taken_at":"2024-11-03T06:30:00Z"}',
+        '{"taken_at":"2024-11-03T05:30:00Z"}']
+
+
+def test_a_timestamp_that_does_not_parse_fails_every_read_through_one_object(tmp_path):
+    wh = Warehouse(tmp_path)
+    wh.create_table(stamped())
+    day = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    wh.append_rows("lab", "samples", [{"sample_id": f"s-{n}", "capture_timestamp": day,
+                                       "taken_at": day} for n in (1, 2, 3)])
+    data = tmp_path / "lab" / "samples" / "data"
+    lines = data.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"T00:", b"T25:")
+    data.write_bytes(b"\n".join(lines))
+    for _ in range(2):
+        for read in (lambda: wh.read_rows("lab", "samples"),
+                     lambda: wh.read_rows("lab", "samples", captured_after=EPOCH)):
+            with pytest.raises(StorageError, match=r"^lab\.samples: line 3 does not decode: "):
+                read()
 
 
 def test_a_null_capture_time_is_refused_by_line_only_by_a_read_after_a_mark(tmp_path):

@@ -45,6 +45,14 @@ def test_parse_timestamp_rejects_garbage(bad):
         parse_timestamp(bad)
 
 
+@pytest.mark.parametrize("text", ["0001-01-01T00:00:00+05:00", "9999-12-31T23:30:00-00:31"])
+def test_parse_timestamp_refuses_an_instant_outside_years_1_to_9999(text):
+    with pytest.raises(ValueError) as refused:
+        parse_timestamp(text)
+    assert str(refused.value) == f"timestamp '{text}' is out of range"
+    assert parse_timestamp("0001-01-01T05:00:00+05:00") == utc(1, 1, 1)
+
+
 def test_format_timestamp_is_canonical_and_round_trips():
     ts = utc(2024, 3, 1, 8, 30, 15)
     assert format_timestamp(ts) == "2024-03-01T08:30:15Z"
