@@ -21,7 +21,7 @@ from .gold import build_all
 from .model import ModelSpec, validate_model
 from .oracle import check_against_oracle, skip_reason
 from .silver import LoadResult, init_warehouse, load_all
-from .storage import Warehouse, encode_collection, encode_row
+from .storage import Warehouse, encode_row
 from .values import parse_timestamp, value_to_string
 
 
@@ -235,18 +235,14 @@ def _cmd_export(args) -> int:
         with out.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(manifest.column_names)
+            # A collection's cell is its JSON array, through the manifest's codec.
+            cells = [(c.name, manifest.codec.encoders[c.name] if c.type == "collection"
+                      else value_to_string) for c in manifest.columns]
             for row in rows:
-                writer.writerow([_csv_cell(row.get(c.name), c) for c in manifest.columns])
+                writer.writerow(["" if (value := row.get(name)) is None else cell(value)
+                                 for name, cell in cells])
     print(f"wrote {len(rows)} row(s) to {out}", file=sys.stderr)
     return 0
-
-
-def _csv_cell(value, column) -> str:
-    if value is None:
-        return ""
-    if column.type == "collection":
-        return encode_collection(value, column.fields)
-    return value_to_string(value)
 
 
 def _cmd_show(args) -> int:

@@ -92,11 +92,6 @@ class _Parser:
     def open_block(self):
         self.s.expect(SYMBOL, "{")
         self.s.expect(NEWLINE)
-        self.s.skip_newlines()
-
-    def at_block_end(self) -> bool:
-        self.s.skip_newlines()
-        return self.s.at(SYMBOL, "}")
 
     def block(self, what: str, clauses: dict, once: tuple[str, ...] = (),
               keyed: tuple[str, ...] = ()) -> dict:
@@ -114,7 +109,7 @@ class _Parser:
         """
         self.open_block()
         found: dict = {}
-        while not self.at_block_end():
+        while not self.s.at(SYMBOL, "}"):
             tok = self.keyword()
             key = tok.text
             if key not in clauses:
@@ -175,7 +170,6 @@ class _Parser:
         parsers = {"source": self.parse_source, "hub": self.parse_hub,
                    "star": self.parse_star, "gold": self.parse_gold}
         definitions: dict[str, list] = {kind: [] for kind in parsers}
-        self.s.skip_newlines()
         while not self.s.at("eof"):
             tok = self.keyword()
             if tok.text == "product":
@@ -191,7 +185,6 @@ class _Parser:
                 definitions[tok.text].append(parsers[tok.text]())
             else:
                 self.fail(f"unknown top-level keyword {tok.text!r}", tok)
-            self.s.skip_newlines()
         if product is None:
             raise ParseError("model must declare a product", 1, 1)
         spec = ModelSpec(
@@ -207,7 +200,7 @@ class _Parser:
     def parse_schemas(self) -> dict[str, str]:
         self.open_block()
         names: dict[str, str] = {}
-        while not self.at_block_end():
+        while not self.s.at(SYMBOL, "}"):
             tok = self.keyword()
             if tok.text not in LAYERS:
                 self.fail(f"unknown layer {tok.text!r}", tok)

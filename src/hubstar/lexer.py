@@ -39,10 +39,9 @@ class Token(NamedTuple):
     column: int
 
     @property
-    def value(self):
-        if self.kind == INT:
-            return int(self.text)
-        return self.text
+    def value(self) -> int:
+        """The integer of an INT token; the parser reads no other's."""
+        return int(self.text)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -115,14 +114,11 @@ class TokenStream:
             raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.column)
         return self.next()
 
-    def skip_newlines(self):
-        while self.at(NEWLINE):
-            self.next()
-
     def end_line(self):
+        """Consume the NEWLINE that ends a line. `tokenize` puts one before
+        EOF and never emits one first or two in a row, so none is left to
+        skip before the next line's first token."""
         tok = self.peek()
-        if tok.kind == EOF:
-            return
         if tok.kind != NEWLINE:
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
         self.next()

@@ -24,7 +24,7 @@ from functools import cached_property
 from hashlib import sha256
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import StorageError
 from .model import BRONZE_METADATA, DEFAULT_HUB_KEY, ColumnSpec
@@ -102,12 +102,12 @@ class TableManifest:
         return tuple(c.name for c in self.columns)
 
     # The row codec of this layout, compiled once per manifest object. Each
-    # side keeps its own memo of the timestamps it met: the encoder each
-    # value's text, the decoder (through `read_timestamp`, which also reads
-    # the capture prefix of a bronze line) each stored text's value.
-    encoder = cached_property(lambda self: _compile_encoder(self.columns, _timestamp_text({})))
+    # direction keeps its own memo of the timestamps it met: encoding each
+    # value's text, decoding (through `read_timestamp`, which also reads the
+    # capture prefix of a bronze line) each stored text's value.
     read_timestamp = cached_property(lambda self: _timestamp_value({}))
-    decoder = cached_property(lambda self: _compile_decoder(self.columns, self.read_timestamp))
+    codec = cached_property(lambda self: _compile(self.columns, _timestamp_text({}),
+                                                  self.read_timestamp))
 
     def to_json(self) -> dict:
         return {
@@ -182,64 +182,43 @@ def _timestamp_value(values: dict[str, datetime]) -> Callable[[str], datetime]:
     return parse
 
 
-def _compile_encoder(columns: tuple[ColumnSpec, ...],
-                     encode_timestamp: Callable[[Any], str]) -> Callable[[Mapping[str, Any]], str]:
-    """A row encoder for these columns: each column's `"name":` prefix is
-    encoded once, a collection's items by an encoder of their fields, a
-    timestamp by `encode_timestamp`, and every other value by its type."""
-    plan = [(col.name, json.dumps(col.name) + ":",
-             _compile_collection(col.fields, encode_timestamp) if col.type == "collection"
-             else encode_timestamp if col.type == "timestamp" else _encode_scalar)
-            for col in columns]
+class Codec(NamedTuple):
+    """The compiled row codec of some columns."""
+    encode: Callable[[Mapping[str, Any]], str]  # a record as its stored JSON line
+    record: Callable[[Mapping[str, Any]], Record]  # a decoded JSON object as a record
+    encoders: dict[str, Callable[[Any], str]]  # each column's value as JSON text
+
+
+def _compile(columns: tuple[ColumnSpec, ...], encode_timestamp: Callable[[Any], str],
+             read_timestamp: Callable[[str], datetime]) -> Codec:
+    """The codec of these columns, from one plan that holds each column's
+    `"name":` prefix, its value encoder, and how a non-null stored value
+    becomes its value: a timestamp through `encode_timestamp` and
+    `read_timestamp`, a decimal through `Decimal`, a collection's items
+    through the codec of its fields. Any other value is encoded by its type
+    and kept as JSON gives it (a string, integer or boolean)."""
+    def column(col: ColumnSpec) -> tuple[Callable[[Any], str], Callable[[Any], Any] | None]:
+        if col.type == "timestamp":
+            return encode_timestamp, read_timestamp
+        if col.type == "decimal":
+            return _encode_scalar, lambda raw: (raw if isinstance(raw, Decimal)
+                                                else Decimal(str(raw)))
+        if col.type == "collection":
+            encode_item, item, _ = _compile(tuple(ColumnSpec(*field) for field in col.fields),
+                                            encode_timestamp, read_timestamp)
+            return (lambda items: "null" if items is None
+                    else "[" + ",".join(map(encode_item, items)) + "]",
+                    lambda items: list(map(item, items)))
+        return _encode_scalar, None
+
+    plan = [(col.name, json.dumps(col.name) + ":", *column(col)) for col in columns]
+    names = tuple(col.name for col in columns)
+    converted = [(name, convert) for name, _, _, convert in plan if convert is not None]
 
     def encode(record: Mapping[str, Any]) -> str:
         get = record.get
         return "{" + ",".join([prefix + encode_value(get(name))
-                               for name, prefix, encode_value in plan]) + "}"
-    return encode
-
-
-def _compile_collection(fields: tuple[tuple[str, str], ...],
-                        encode_timestamp: Callable[[Any], str]) -> Callable[[Any], str]:
-    encode_item = _compile_encoder(tuple(ColumnSpec(*field) for field in fields),
-                                   encode_timestamp)
-    return lambda items: "null" if items is None else "[" + ",".join(map(encode_item, items)) + "]"
-
-
-def encode_collection(items: Any, fields: tuple[tuple[str, str], ...]) -> str:
-    return _compile_collection(fields, _timestamp_text({}))(items)
-
-
-def encode_row(manifest: TableManifest, record: Mapping[str, Any]) -> str:
-    """One record as a single JSON line, keys in manifest column order.
-    Every row storage writes is encoded through this name."""
-    return manifest.encoder(record)
-
-
-def _converter(col: ColumnSpec,
-               read_timestamp: Callable[[str], datetime]) -> Callable[[Any], Any] | None:
-    """How a non-null stored value of the column becomes its value; None
-    where the value JSON gives is kept (a string, integer or boolean)."""
-    if col.type == "timestamp":
-        return read_timestamp
-    if col.type == "decimal":
-        return lambda raw: raw if isinstance(raw, Decimal) else Decimal(str(raw))
-    if col.type == "collection":
-        item = _compile_record(tuple(ColumnSpec(*field) for field in col.fields),
-                               read_timestamp)
-        return lambda items: list(map(item, items))
-    return None
-
-
-def _compile_record(columns: tuple[ColumnSpec, ...],
-                    read_timestamp: Callable[[str], datetime]
-                    ) -> Callable[[Mapping[str, Any]], Record]:
-    """The record of these columns in a decoded JSON object: each column's
-    value, through its `_converter` when it has one and the value is not
-    null."""
-    names = tuple(col.name for col in columns)
-    converted = [(col.name, convert) for col in columns
-                 if (convert := _converter(col, read_timestamp)) is not None]
+                               for name, prefix, encode_value, _ in plan]) + "}"
 
     def record(doc: Mapping[str, Any]) -> Record:
         get = doc.get
@@ -249,13 +228,13 @@ def _compile_record(columns: tuple[ColumnSpec, ...],
             if raw is not None:
                 out[name] = convert(raw)
         return out
-    return record
+    return Codec(encode, record, {name: encode_value for name, _, encode_value, _ in plan})
 
 
-def _compile_decoder(columns: tuple[ColumnSpec, ...],
-                     read_timestamp: Callable[[str], datetime]) -> Callable[[str], Record]:
-    record = _compile_record(columns, read_timestamp)
-    return lambda line: record(decode_json(line))
+def encode_row(manifest: TableManifest, record: Mapping[str, Any]) -> str:
+    """One record as a single JSON line, keys in manifest column order.
+    Every row storage writes is encoded through this name."""
+    return manifest.codec.encode(record)
 
 
 def _encode_rows(manifest: TableManifest, rows: Iterable[Record]) -> bytes:
@@ -296,7 +275,7 @@ def decode_json(text: str, decoder: json.JSONDecoder = _JSON_DECODER) -> Any:
 def decode_row(manifest: TableManifest, line: str) -> Record:
     """One stored line as a record of the manifest's columns. Every row
     storage reads is decoded through this name."""
-    return manifest.decoder(line)
+    return manifest.codec.record(decode_json(line))
 
 
 # What decoding a stored line that is not a row of its manifest can raise:

@@ -223,6 +223,17 @@ def test_ingest_rejects_future_captures(wh, tmp_path):
     assert not wh.table_exists("raw_demo", "events")  # refused before its first write
 
 
+def test_ingest_refuses_a_csv_source_with_a_collection_column(wh, tmp_path):
+    # The validator refuses this model; ingest refuses it without one.
+    spec = parse_model("product demo\nsource orders {\n  load_source 1\n  format csv\n"
+                       "  column lines array(sku string)\n  capture file_mtime\n}\n").spec
+    path = write(tmp_path, "orders.csv", "lines\n[]\n")
+    with pytest.raises(IngestError,
+                       match="^orders: collection column 'lines' cannot be read from csv$"):
+        ingest_file(wh, spec, "orders", path, now=NOW, mtime=MTIME)
+    assert not wh.table_exists("raw_demo", "orders")
+
+
 def test_ingest_unknown_source(wh, tmp_path):
     path = write(tmp_path, "x.csv", "a\n1\n")
     with pytest.raises(IngestError, match="unknown source"):

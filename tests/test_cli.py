@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
 import re
 import shlex
 
@@ -11,6 +13,7 @@ import pytest
 
 from conftest import FIXTURE_MODEL, SHIP_TO, edited_retail, file_bytes
 from hubstar import retail_fixture as rf
+from hubstar import storage
 from hubstar.cli import main
 from hubstar.storage import Warehouse
 from hubstar.values import value_to_string
@@ -105,6 +108,15 @@ def test_missing_root_is_an_operational_error(capsys):
     assert main(["init", "--model", MODEL]) == 2
     err = capsys.readouterr().err
     assert err == "error: no warehouse root: pass --root or set HUBSTAR_ROOT\n"
+
+
+def test_a_root_that_is_a_file_is_an_operational_error(tmp_path, capsys):
+    root = tmp_path / "wh"
+    root.write_text("not a directory\n", encoding="utf-8")
+    assert main(["init", "--model", MODEL, "--root", str(root)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: ")
+    assert root.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_root_can_come_from_the_environment(tmp_path, monkeypatch, capsys):
@@ -422,6 +434,26 @@ def test_export_csv_writes_a_collection_as_its_json_array(cli_wh, tmp_path):
                 for line in paths["ndjson"].read_text(encoding="utf-8").splitlines()]
     assert expected and set(expected[0][0]) == {"id", "price", "curr", "qty"}
     assert [json.loads(cell) for cell in cells] == expected
+
+
+def test_export_csv_compiles_no_codec_per_row(cli_wh, tmp_path, monkeypatch):
+    compiles = []
+    compile_codec = storage._compile
+
+    def counted(columns, *memos):
+        compiles.append(tuple(column.name for column in columns))
+        return compile_codec(columns, *memos)
+
+    monkeypatch.setattr(storage, "_compile", counted)
+    path = tmp_path / "orders.csv"
+    assert main(["export", "--root", cli_wh, "--table", "raw_retail.sales_orders",
+                 "--format", "csv", "--out", str(path)]) == 0
+    with path.open(encoding="utf-8", newline="") as fh:
+        rows = len(list(csv.DictReader(fh)))
+    manifest = Warehouse(cli_wh).manifest("raw_retail", "sales_orders")
+    collections = sum(column.type == "collection" for column in manifest.columns)
+    assert collections == 1 and rows > 2
+    assert len(compiles) <= 1 + collections  # one per manifest and per collection column
 
 
 def test_export_ndjson_emits_one_json_object_per_row(cli_wh, tmp_path, capsys):

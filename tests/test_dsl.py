@@ -6,6 +6,7 @@ import pytest
 
 from hubstar import load_model, parse_model, render_model
 from hubstar.errors import ParseError
+from hubstar.lexer import EOF, NEWLINE, tokenize
 
 from conftest import FIXTURE_MODEL
 from randmodels import random_model_text
@@ -47,6 +48,21 @@ source s {    # commented brace line
 }
 ''').spec
     assert [s.name for s in spec.sources] == ["s"]
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "# only a comment", "  # comment\n\n# another\r\n",
+    "\r\n\r\nproduct p\r\n\r\n", "product p  # no final newline",
+    "\n# heading\n\nproduct p\n\n\nsource s {\r\n\n  load_source 1\n  # aside\n\n}",
+    FIXTURE_MODEL.read_text(encoding="utf-8"),
+])
+def test_tokens_hold_one_newline_between_lines_and_one_before_eof(text):
+    # The parser relies on this: it never skips a line end, and `end_line`
+    # always finds one before EOF.
+    kinds = [token.kind for token in tokenize(text)]
+    assert kinds[0] != NEWLINE
+    assert all(not (a == b == NEWLINE) for a, b in zip(kinds, kinds[1:]))
+    assert kinds == [EOF] or kinds[-2:] == [NEWLINE, EOF]
 
 
 def test_document_spans_point_at_definitions():
@@ -184,6 +200,9 @@ PARSE_ERRORS = [
     ("dup_scd2_key", GOLD + "  scd2_key (a)\n  scd2_key (b)\n}\n", "6:3: duplicate scd2_key"),
     ("dup_layer", 'product p\nschemas {\n  bronze "b"\n  bronze "c"\n}\n',
      "4:3: duplicate layer 'bronze'"),
+    ("dup_schemas",
+     'product p\nschemas {\n  bronze "b"\n  silver "s"\n  gold "g"\n}\nschemas {\n}\n',
+     "7:1: duplicate schemas block"),
     # a column assigned twice by one keyword, refused before the rest of its line
     ("dup_map", HUB + "  source_mapping s {\n    map a = 1\n    map a = )\n  }\n}\n",
      "7:9: column 'a' mapped twice"),

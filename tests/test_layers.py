@@ -7,7 +7,8 @@ and merges on its own, so it imports nothing else of `silver` and nothing
 of the engine's ranking. Staging also makes a computed hub's own key: in
 `silver` only `stage` and the reference resolver read a key formula, and
 the oracle reads none. Storage sits below every layer and imports none,
-and a timestamp crosses its row codec only through the codec's memos.
+a timestamp crosses its row codec only through the codec's memos, and one
+compiler branches on a column's type for both directions of the codec.
 """
 
 from __future__ import annotations
@@ -80,3 +81,8 @@ def test_timestamps_cross_storage_only_through_the_codecs_memos():
     # A direct call elsewhere would format or parse past the memo.
     assert namers("storage", "parse_stored_timestamp") == {"_timestamp_value"}
     assert namers("storage", "format_timestamp") == {"_encode_scalar"}
+
+
+def test_storage_branches_on_a_columns_type_only_in_its_codec_compiler():
+    # A second branch would be a second copy of the codec's type rules.
+    assert readers("storage", "type") == {"_compile", "_column_to_json"}

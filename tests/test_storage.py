@@ -250,6 +250,20 @@ def test_missing_table_raises(wh):
         wh.append_rows("lab", "nothing", [ROW])
 
 
+def test_a_table_without_a_data_file_reads_no_rows(wh):
+    (wh.table_dir("lab", "samples") / "data").unlink()
+    assert wh.read_rows("lab", "samples") == []
+
+
+def test_an_append_refuses_to_replace_a_row_past_the_end(wh):
+    wh.append_rows("lab", "samples", [ROW])
+    data = wh.table_dir("lab", "samples") / "data"
+    before = data.read_bytes()
+    with pytest.raises(StorageError, match=r"^lab\.samples: no row at position 1$"):
+        wh.append_rows("lab", "samples", [{"sample_id": "s-2"}], replace={1: ROW})
+    assert data.read_bytes() == before
+
+
 def test_list_tables(wh):
     assert wh.list_tables("lab") == ["samples"]
     assert wh.list_tables("void") == []
@@ -485,6 +499,15 @@ def test_a_stored_manifest_unlike_the_model_is_refused_by_its_first_difference(
         check_stored_manifest(wh, model)
     assert check_stored_manifest(wh, manifest()) is True
     assert check_stored_manifest(wh, manifest(table="absent")) is False
+
+
+def test_a_stored_manifest_that_names_another_table_is_refused(wh):
+    copy = wh.table_dir("lab", "copy")
+    copy.mkdir()
+    (copy / "manifest").write_bytes((wh.table_dir("lab", "samples") / "manifest").read_bytes())
+    with pytest.raises(StorageError) as info:
+        check_stored_manifest(wh, manifest(table="copy"))
+    assert str(info.value) == "lab.copy: the stored manifest differs from the model's"
 
 
 def test_a_stored_line_that_does_not_decode_is_refused_by_table_and_line(tmp_path):
