@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -74,6 +75,9 @@ def _refuse_repeated_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 # Source lines, unlike stored ones, may repeat a key in an object.
 _SOURCE_JSON = json_decoder(object_pairs_hook=_refuse_repeated_keys)
+# The JSON escape of a UTF-16 surrogate, `\ud800` to `\udfff`: the only way a
+# source string can hold one, since files are read as strict UTF-8.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
@@ -93,8 +97,28 @@ def _parse_ndjson(source: SourceDef, text: str) -> list[dict]:
         for key in doc:
             if key not in declared:
                 raise IngestError(f"{source.name} line {lineno}: unknown column {key!r}")
-        records.append(_coerce_record(source, doc, lineno))
+        record = _coerce_record(source, doc, lineno)
+        if _SURROGATE_ESCAPE.search(line):
+            _refuse_lone_surrogates(source, record, lineno)
+        records.append(record)
     return records
+
+
+def _refuse_lone_surrogates(source: SourceDef, record: dict, lineno: int):
+    """Refuse a record with a string, a collection item's included, that
+    holds a surrogate not paired with another: UTF-8, and so no stored line,
+    can hold it, so the ingest would fail on its write."""
+    for name, value in record.items():
+        texts = ([text for item in value for text in item.values()]
+                 if isinstance(value, list) else [value])
+        for text in texts:
+            try:
+                if isinstance(text, str):
+                    text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise IngestError(f"{source.name} line {lineno}, column {name}: string holds "
+                                  f"a lone surrogate {text[exc.start]!r} at character "
+                                  f"{exc.start + 1}") from None
 
 
 def _coerce_record(source: SourceDef, raw: dict, lineno: int) -> dict:

@@ -92,8 +92,14 @@ def _project(outputs: list[tuple[str, str | None, str | None]], scd2_key: list[R
     return out
 
 
+# What `build_all` knows of each table an earlier build of the same call
+# wrote: the `table_digest` of the write, and the rows a later view may take
+# instead of reading them, or None.
+Written = dict[TableKey, tuple[str, "list[Record] | None"]]
+
+
 def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-               now: datetime, written: dict[TableKey, str] | None = None) -> GoldBuildResult:
+               now: datetime, written: Written | None = None) -> GoldBuildResult:
     """One pipeline for every kind: base rows, joins, versions, the temporal
     join, then projection; each step runs when the view declares it, and
     each join is one `_join`. Every column reference is resolved to its
@@ -108,8 +114,10 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     returns the recorded row count without reading a row; otherwise it
     builds, writes the table, then the trace. `written` maps each table an
     earlier build of the same `build_all` wrote to the `table_digest` its
-    write returned; the build takes a digest from it rather than from the
-    files, and adds its own table."""
+    write returned and, for a view that another view of the model reads,
+    its rows as decoding them would give (the codec's `exact`; None when a
+    row fails it). The build takes a digest and rows from it rather than
+    from the files, and adds its own table."""
     tables = view_tables(spec, view)
 
     def resolve(ref: ColumnRef) -> Resolved:
@@ -138,21 +146,24 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     written = {} if written is None else written
     inputs = digest([render_model(spec).encode("utf-8"), __version__.encode("utf-8"),
                      manifest_bytes(manifest),
-                     *((written.get(key) or warehouse.table_digest(*key)).encode("ascii")
-                       for key in read.values())])
+                     *((written[key][0] if key in written else warehouse.table_digest(*key))
+                       .encode("ascii") for key in read.values())])
     traced = warehouse.traced_rows(manifest, inputs)
     if traced is not None:
         return GoldBuildResult(view.name, traced, now)
 
+    def read_rows(name: str) -> list[Record]:
+        held = written.get(read[name], (None, None))[1]
+        return warehouse.read_rows(*read[name]) if held is None else held
+
     empty = dict.fromkeys(tables, _NO_ROW)
-    contexts = [{**empty, view.base: row} for row in warehouse.read_rows(*read[view.base])]
+    contexts = [{**empty, view.base: row} for row in read_rows(view.base)]
     for join, probe in joins:
         if isinstance(join, HubJoin):
-            contexts = _join(contexts, join.hub, warehouse.read_rows(*read[join.hub]),
+            contexts = _join(contexts, join.hub, read_rows(join.hub),
                              spec.hub(join.hub).key_column, probe, inner=join.how == "inner")
         else:  # the current rows of a star, left joined to the hub base
-            rows = current_rows(warehouse.read_rows(*read[join.star]),
-                                join.partition_by, join.order_by)
+            rows = current_rows(read_rows(join.star), join.partition_by, join.order_by)
             contexts = _join(contexts, join.star, rows, join.on_column, probe)
     if temporal is not None:
         dim = spec.view(temporal.dim)
@@ -166,10 +177,16 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
                     and version["valid_from"] <= at
                     and (version.get("valid_to") is None or at <= version["valid_to"]))
 
-        contexts = _join(contexts, dim.name, warehouse.read_rows(*read[dim.name]),
+        contexts = _join(contexts, dim.name, read_rows(dim.name),
                          spec.hub(dim.base).key_column, key_ref, keep=valid_at)
     rows = _project(outputs, scd2_key, contexts)
-    output = written[manifest.schema, manifest.table] = warehouse.replace_table(manifest, rows)
+    output = warehouse.replace_table(manifest, rows)
+    kept = None
+    if any(("gold", view.name) == (kind, name) for other in spec.gold_views
+           for kind, name, _left in other.read_tables):
+        kept = list(map(manifest.codec.exact, rows))
+    written[manifest.schema, manifest.table] = (output, None if kept is None or None in kept
+                                                else kept)
     warehouse.write_trace(manifest, inputs, len(rows), output)
     return GoldBuildResult(view.name, len(rows), now)
 
@@ -203,5 +220,5 @@ def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
                 raise GoldBuildError(f"{view.name}: referenced dimension {name} "
                                      "is not built yet")
         built.add(view.name)
-    written: dict[TableKey, str] = {}
+    written: Written = {}
     return [build_view(warehouse, spec, view, now, written) for view in ordered]

@@ -19,21 +19,22 @@ from .storage import Record, Warehouse
 from .values import row_key, show_key, values_equal
 
 
-def expected_state(warehouse: Warehouse, spec: ModelSpec,
-                   element: HubDef | StarDef) -> list[Record]:
+def expected_state(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
+                   reads: dict | None = None) -> list[Record]:
     """Final rows implied by the full bronze history of the element's one
     source mapping, if it has one: a hub's default row, then the top version
     of each identity in first-appearance order. No batching, no HWM. A hub
     version ranks by its `dedup_by` terms, then latest capture, then the
     earliest payload in bronze order; a star version by latest capture, then
-    the last payload."""
+    the last payload. `reads` shares bronze reads as `stage` says."""
     hub = isinstance(element, HubDef)
     rows = [default_row(spec, element)] if hub else []
     if not element.source_mappings:
         return rows
     mapping = element.source_mappings[0]
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
-    for position, (bronze_row, row) in enumerate(stage(warehouse, spec, element, mapping)):
+    for position, (bronze_row, row) in enumerate(
+            stage(warehouse, spec, element, mapping, reads=reads)):
         groups.setdefault(row_key(row, element.identity), []).append((position, bronze_row, row))
 
     dedup_order = mapping.dedup_order if hub else ()
@@ -112,13 +113,19 @@ def check_against_oracle(warehouse: Warehouse, spec: ModelSpec,
     """Compare the whole silver layer to the oracle. Returns human-readable
     difference lines, empty when everything agrees. Elements with a
     `skip_reason` are outside the oracle's remit; the CLI reports them as
-    skipped, not here."""
+    skipped, not here. Each bronze source is read once, by its first
+    element, and dropped after its last."""
     silver = spec.schema_names["silver"]
+    elements = [element for element in spec.hubs + spec.stars if skip_reason(element) is None]
+    last = {mapping.source: element for element in elements
+            for mapping in element.source_mappings}
+    reads: dict = {}
     problems: list[str] = []
-    for element in spec.hubs + spec.stars:
-        if skip_reason(element) is not None:
-            continue
-        expected = expected_state(warehouse, spec, element)
+    for element in elements:
+        expected = expected_state(warehouse, spec, element, reads)
+        for mapping in element.source_mappings:
+            if last[mapping.source] is element:
+                reads.pop(mapping.source, None)
         actual = warehouse.read_rows(silver, element.table_name)
         for (key_columns, actual_part), (_, expected_part) in zip(
                 _parts(element, actual), _parts(element, expected)):

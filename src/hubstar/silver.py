@@ -265,17 +265,34 @@ def _members(element: HubDef | StarDef, rows: list[Record]):
 
 
 def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-          mapping: SourceMapping, mark: datetime | None = None) -> list[tuple[Record, Record]]:
+          mapping: SourceMapping, mark: datetime | None = None,
+          reads: dict[str, tuple[datetime | None, list[Record]]] | None = None,
+          ) -> list[tuple[Record, Record]]:
     """(bronze row, candidate) pairs in bronze order, from the loads and the
     oracle alike: the mapping's bronze captured after `mark` (all of it
     with none; none without a bronze table), each payload stamped with its
     load source, capture time and a computed hub's key. A null capture
     time or partition column (a hub's business keys, a star's composite
     key) fails, and so does the default row's key; a LoadError or EvalError
-    names the silver table and the bronze source."""
+    names the silver table and the bronze source.
+
+    `reads` holds one command's read of each bronze source as (mark, rows),
+    so that the mappings of a source share one decode: a mark equal to or
+    above the one held takes the rows held captured after it, and any other
+    mark reads again and is held in its place. Bronze does not change
+    within a load or an oracle run; the caller drops a source's read after
+    its last mapping."""
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
     if not warehouse.table_exists(bronze, mapping.source):
         return []
+    held = reads.get(mapping.source) if reads is not None else None
+    if held is not None and (held[0] is None or mark is not None and held[0] <= mark):
+        bronze_rows = held[1] if mark == held[0] else [
+            row for row in held[1] if row["capture_timestamp"] > mark]
+    else:
+        bronze_rows = warehouse.read_rows(bronze, mapping.source, captured_after=mark)
+        if reads is not None:
+            reads[mapping.source] = (mark, bronze_rows)
     payloads = compile_mapping(hub_key_lookup(warehouse, spec), spec, element, mapping)
     load_source = spec.source(mapping.source).load_source_id
     hub = isinstance(element, HubDef)
@@ -284,11 +301,11 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     formula = element.key_formula if hub and element.key_type == "computed" else None
     staged = []
     try:
-        for number, bronze_row in enumerate(
-                warehouse.read_rows(bronze, mapping.source, captured_after=mark), start=1):
+        for number, bronze_row in enumerate(bronze_rows, start=1):
             capture = bronze_row["capture_timestamp"]
             # A read after a mark refuses a null capture time itself; a read
-            # without one returns the row of every line, so `number` is its line.
+            # without one returns the row of every line, so `number` is its
+            # line, and rows held from it hold none (this raised on the first).
             if capture is None:
                 raise StorageError(f"{bronze}.{mapping.source}: line {number}: "
                                    "column capture_timestamp is null")
@@ -311,7 +328,8 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
 
 def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-          mapping: SourceMapping, now: datetime) -> LoadResult:
+          mapping: SourceMapping, now: datetime,
+          reads: dict[str, tuple[datetime | None, list[Record]]] | None) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
     `load_all` has checked the stored manifests it reads. The mark is the
@@ -336,7 +354,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
         raise StorageError(f"{table}: no high-water mark; initialize default rows first")
     members = _members(element, rows)
     mark = max((row["capture_timestamp"] for _position, row in members), default=None)
-    staged = stage(warehouse, spec, element, mapping, mark)
+    staged = stage(warehouse, spec, element, mapping, mark, reads)
     partition = hub.business_key_names if hub is not None else element.identity
 
     # rn = 1 per partition, over positions in `staged`; ties go to the
@@ -394,13 +412,13 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
-             mapping: SourceMapping, now: datetime) -> LoadResult:
-    return _load(warehouse, spec, hub, mapping, now)
+             mapping: SourceMapping, now: datetime, reads=None) -> LoadResult:
+    return _load(warehouse, spec, hub, mapping, now, reads)
 
 
 def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
-              mapping: SourceMapping, now: datetime) -> LoadResult:
-    return _load(warehouse, spec, star, mapping, now)
+              mapping: SourceMapping, now: datetime, reads=None) -> LoadResult:
+    return _load(warehouse, spec, star, mapping, now, reads)
 
 
 def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
@@ -408,7 +426,8 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
     """Load every hub and star in dependency order (or one, by model or
     table name). The stored manifest of each target and each source is
     checked against the model once, before the first load, so a mismatch
-    writes nothing."""
+    writes nothing. The mappings of one bronze source share its reads
+    (`stage`), which are dropped after the source's last mapping."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
@@ -421,9 +440,13 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
                     for mapping in element.source_mappings]
     for manifest in dict.fromkeys(layouts):
         check_stored_manifest(warehouse, manifest)
+    steps = [(element, mapping) for element in elements for mapping in element.source_mappings]
+    last = {mapping.source: step for step, (_element, mapping) in enumerate(steps)}
+    reads: dict[str, tuple[datetime | None, list[Record]]] = {}  # see `stage`
     results = []
-    for element in elements:
+    for step, (element, mapping) in enumerate(steps):
         load = load_hub if isinstance(element, HubDef) else load_star
-        for mapping in element.source_mappings:
-            results.append(load(warehouse, spec, element, mapping, now))
+        results.append(load(warehouse, spec, element, mapping, now, reads))
+        if last[mapping.source] == step:
+            reads.pop(mapping.source, None)
     return results

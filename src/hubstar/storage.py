@@ -5,8 +5,10 @@ Stored lines are canonical, so writes splice encoded lines into a file's
 bytes, and a read, one pass over a file's lines, skips a bronze line by the
 capture time in its prefix without decoding it. A Warehouse parses a
 manifest once per content and remembers the rows of a table it splices by
-line, so a later read of that table decodes only the lines it has not seen.
-A manifest's codec formats and parses each distinct timestamp once.
+line, those it wrote (a copy of the caller's row when it is exactly what
+decoding its line gives) and those it read, so a later read of that table
+decodes only the lines it has neither written nor seen. A manifest's codec
+formats and parses each distinct timestamp once.
 
 Constraints declared in a manifest are never enforced on the write path;
 `check_constraints` audits them after the fact, mirroring how analytical
@@ -187,38 +189,76 @@ class Codec(NamedTuple):
     encode: Callable[[Mapping[str, Any]], str]  # a record as its stored JSON line
     record: Callable[[Mapping[str, Any]], Record]  # a decoded JSON object as a record
     encoders: dict[str, Callable[[Any], str]]  # each column's value as JSON text
+    # A copy of a record that equals, in type and repr, what decoding its
+    # stored line gives, or None when the decode would differ.
+    exact: Callable[[Mapping[str, Any]], Record | None]
+
+
+# What a column's exact test gives for a value whose stored text decodes
+# to another value.
+_INEXACT = object()
+# The types of the values each kind of column may hold exactly: JSON gives
+# a string, an integer or a boolean back as it is.
+_PLAIN = frozenset({str, int, bool, type(None)})
+_TIMESTAMP = frozenset({datetime, type(None)})
+_DECIMAL = frozenset({Decimal, type(None)})
+_COLLECTION = frozenset({list, type(None)})
+
+
+def _exact_timestamp(value: datetime) -> Any:
+    """A stored timestamp reads back in UTC as `timezone.utc`, with fold 0."""
+    return value if value.tzinfo is timezone.utc and not value.fold else _INEXACT
+
+
+def _exact_decimal(value: Decimal) -> Any:
+    """A stored decimal reads back as a `Decimal` of its text, but `-0` is
+    stored as `0`; so any negative zero counts as inexact."""
+    return value if value.is_finite() and not (value.is_zero() and value.is_signed()) \
+        else _INEXACT
 
 
 def _compile(columns: tuple[ColumnSpec, ...], encode_timestamp: Callable[[Any], str],
              read_timestamp: Callable[[str], datetime]) -> Codec:
     """The codec of these columns, from one plan that holds each column's
-    `"name":` prefix, its value encoder, and how a non-null stored value
-    becomes its value: a timestamp through `encode_timestamp` and
-    `read_timestamp`, a decimal through `Decimal`, a collection's items
-    through the codec of its fields. Any other value is encoded by its type
-    and kept as JSON gives it (a string, integer or boolean)."""
-    def column(col: ColumnSpec) -> tuple[Callable[[Any], str], Callable[[Any], Any] | None]:
+    `"name":` prefix, its value encoder, how a non-null stored value
+    becomes its value, and which values decoding gives back exactly (the
+    types it may hold, and a test of a non-null value that returns the
+    value to keep): a timestamp through `encode_timestamp` and
+    `read_timestamp`, exact when a UTC `datetime`; a decimal through
+    `Decimal`, exact when a finite `Decimal` other than a negative zero; a
+    collection's items through the codec of its fields, exact when a list
+    of exact items, kept as copies. Any other value is encoded by its type
+    and kept as JSON gives it, exact when a `str`, `int` or `bool`."""
+    def column(col: ColumnSpec) -> tuple[Callable[[Any], str], Callable[[Any], Any] | None,
+                                         frozenset[type], Callable[[Any], Any] | None]:
         if col.type == "timestamp":
-            return encode_timestamp, read_timestamp
+            return encode_timestamp, read_timestamp, _TIMESTAMP, _exact_timestamp
         if col.type == "decimal":
             return _encode_scalar, lambda raw: (raw if isinstance(raw, Decimal)
-                                                else Decimal(str(raw)))
+                                                else Decimal(str(raw))), _DECIMAL, _exact_decimal
         if col.type == "collection":
-            encode_item, item, _ = _compile(tuple(ColumnSpec(*field) for field in col.fields),
-                                            encode_timestamp, read_timestamp)
+            encode_item, item, _, exact_item = _compile(
+                tuple(ColumnSpec(*field) for field in col.fields), encode_timestamp,
+                read_timestamp)
+
+            def exact_items(items: list) -> Any:
+                copies = list(map(exact_item, items))
+                return _INEXACT if None in copies else copies
             return (lambda items: "null" if items is None
                     else "[" + ",".join(map(encode_item, items)) + "]",
-                    lambda items: list(map(item, items)))
-        return _encode_scalar, None
+                    lambda items: list(map(item, items)), _COLLECTION, exact_items)
+        return _encode_scalar, None, _PLAIN, None
 
     plan = [(col.name, json.dumps(col.name) + ":", *column(col)) for col in columns]
     names = tuple(col.name for col in columns)
-    converted = [(name, convert) for name, _, _, convert in plan if convert is not None]
+    converted = [(name, convert) for name, _, _, convert, _, _ in plan if convert is not None]
+    types = [exact_types for _, _, _, _, exact_types, _ in plan]
+    tested = [(name, test) for name, _, _, _, _, test in plan if test is not None]
 
     def encode(record: Mapping[str, Any]) -> str:
         get = record.get
         return "{" + ",".join([prefix + encode_value(get(name))
-                               for name, prefix, encode_value, _ in plan]) + "}"
+                               for name, prefix, encode_value, _, _, _ in plan]) + "}"
 
     def record(doc: Mapping[str, Any]) -> Record:
         get = doc.get
@@ -228,7 +268,26 @@ def _compile(columns: tuple[ColumnSpec, ...], encode_timestamp: Callable[[Any], 
             if raw is not None:
                 out[name] = convert(raw)
         return out
-    return Codec(encode, record, {name: encode_value for name, _, encode_value, _ in plan})
+
+    def exact(source: Mapping[str, Any]) -> Record | None:
+        # A dict of every column and no other, as decoding gives.
+        if type(source) is not dict or len(source) != len(names):
+            return None
+        try:
+            out = {name: source[name] for name in names}
+        except KeyError:
+            return None
+        if not all(map(frozenset.__contains__, types, map(type, out.values()))):
+            return None
+        for name, test in tested:
+            value = out[name]
+            if value is not None:
+                value = out[name] = test(value)  # a collection's items are copies
+                if value is _INEXACT:
+                    return None
+        return out
+    return Codec(encode, record,
+                 {name: encode_value for name, _, encode_value, _, _, _ in plan}, exact)
 
 
 def encode_row(manifest: TableManifest, record: Mapping[str, Any]) -> str:
@@ -301,8 +360,9 @@ class Warehouse:
         self.root = Path(root)
         # Each manifest file's bytes and what they parse to.
         self._manifests: dict[bytes, TableManifest] = {}
-        # Each table this object spliced (append_rows with `lines`): the
-        # manifest of its last whole read and the row of each line it returned.
+        # Each table this object spliced (append_rows with `lines`): a
+        # manifest and, under it, the row of each line its last whole read
+        # returned or a splice since wrote.
         self._memo: dict[TableKey, tuple[TableManifest, dict[bytes, Record]]] = {}
 
     def table_dir(self, schema: str, table: str) -> Path:
@@ -403,8 +463,10 @@ class Warehouse:
         CAPTURE_PREFIX is skipped undecoded unless that capture time is
         strictly later, and any other row is returned only when captured
         strictly later. A row comes from this read, from the memo of a table
-        this object splices (under an equal manifest), or from decoding; a
-        read without `captured_after` keeps the rows of the lines it returned.
+        this object splices (under an equal manifest), which holds the rows
+        of the lines its splices wrote and its last read returned, or from
+        decoding; a read without `captured_after` keeps the rows of the
+        lines it returned.
         A line that does not decode, or whose tested capture time is null,
         raises StorageError naming its number among the non-blank lines."""
         manifest = self.manifest(schema, table)
@@ -449,15 +511,19 @@ class Warehouse:
         is the number of lines the caller read; a file that holds another
         number raises StorageError and is left as it is.
 
-        With `lines`, this object keeps the table's rows from its next
-        `read_rows` on, so each later read decodes only the lines the read
-        before it did not return."""
+        With `lines`, this object keeps the table's rows: the row of each
+        line it writes here, and from its next `read_rows` on the row of
+        every line that read returns, so each later read decodes only the
+        lines that neither wrote nor returned. The row kept for a written
+        line is a copy of the caller's row when the codec's `exact` says
+        decoding that line gives it back, and otherwise the line's decode."""
         replace = replace or {}
         if not rows and not replace:
             return
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         existing = content = data.read_bytes() if data.is_file() else b""
+        written: list[tuple[bytes, Record]] = []  # (line, row) for each row of this write
         if replace or lines is not None:
             kept = [line for line in existing.split(b"\n") if line.strip()]
             if lines is not None and len(kept) != lines:
@@ -467,12 +533,33 @@ class Warehouse:
                 if not 0 <= position < len(kept):
                     raise StorageError(f"{schema}.{table}: no row at position {position}")
                 kept[position] = encode_row(manifest, row).encode("utf-8")
+                written.append((kept[position], row))
             content = b"".join(line + b"\n" for line in kept)
         elif content and not content.endswith(b"\n"):
             content += b"\n"
-        _atomic_write(data, content + _encode_rows(manifest, rows), existing)
-        if lines is not None:
-            self._memo.setdefault((schema, table), (manifest, {}))
+        added = _encode_rows(manifest, rows)
+        _atomic_write(data, content + added, existing)
+        if lines is not None:  # no stored line holds a newline, so each row gives one
+            self._keep((schema, table), manifest, written + list(zip(added.split(b"\n"), rows)))
+
+    def _keep(self, key: TableKey, manifest: TableManifest,
+              written: list[tuple[bytes, Record]]):
+        """Add to the table's memo the row of each (line, row) written, as
+        `append_rows` says; a line that does not decode is left for the read
+        to refuse."""
+        held = self._memo.get(key)
+        memo = held[1] if held is not None and held[0] == manifest else {}
+        exact = manifest.codec.exact
+        for line, row in written:
+            if line not in memo:
+                kept = exact(row)
+                if kept is None:
+                    try:
+                        kept = decode_row(manifest, line.decode())
+                    except _UNDECODABLE:
+                        continue
+                memo[line] = kept
+        self._memo[key] = (manifest, memo)
 
     # Nothing in hubstar calls upsert_rows, scan or max_capture_timestamp;
     # they stay because the benchmark's tracer (bench/spans.py) wraps them.

@@ -6,7 +6,8 @@ from decimal import Decimal
 
 import pytest
 
-from hubstar import Warehouse, ingest_file, init_warehouse, load_all, parse_model
+from hubstar import (Warehouse, ingest_file, init_warehouse, load_all, parse_model,
+                     render_model)
 from hubstar.bronze import coerce_delete_flag, parse_source_file, resolve_capture_timestamp
 from hubstar.cli import main
 from hubstar.errors import IngestError
@@ -371,6 +372,30 @@ def test_a_stored_line_that_does_not_decode_fails_the_load_by_table_and_line(
 def test_a_bare_non_finite_token_in_a_stored_line_fails_the_load(tmp_path, capsys, token):
     assert _load_after_editing_a_stored_price(tmp_path, capsys, token) == (
         f"error: raw_demo.items: line 2 does not decode: {token} is not a JSON number\n")
+
+
+@pytest.mark.parametrize("line, column, character", [
+    (r'{"order_id": "a\ud800b"}', "order_id", 2),
+    (r'{"order_id": "o", "lines": [{"sku": "x"}, {"sku": "\udc00", "qty": 1}]}', "lines", 1),
+], ids=["string", "collection item"])
+def test_a_lone_surrogate_fails_ndjson_ingest_by_line_and_column(tmp_path, capsys, line,
+                                                                   column, character):
+    # JSON text may escape a lone surrogate, but UTF-8, and so no stored line, can hold it.
+    model = write(tmp_path, "demo.hsm", render_model(MODEL))
+    args = ["--model", str(model), "--root", str(tmp_path / "wh"), "--now", NOW.isoformat(),
+            "--mtime", MTIME.isoformat(), "--source", "orders"]
+    assert main(["init", *args[:4]]) == 0
+    assert main(["ingest", *args, "--input",
+                 str(write(tmp_path, "first.ndjson", '{"order_id": "o"}\n'))]) == 0
+    before = file_bytes(tmp_path / "wh")
+    capsys.readouterr()
+    bad = write(tmp_path, "second.ndjson", '{"order_id": "p"}\n' + line + "\n")
+    assert main(["ingest", *args, "--input", str(bad)]) == 2
+    surrogate = json.loads(line)["order_id"] if column == "order_id" else "\udc00"
+    assert capsys.readouterr().err == (
+        f"error: orders line 2, column {column}: string holds a lone surrogate "
+        f"{surrogate[character - 1]!r} at character {character}\n")
+    assert file_bytes(tmp_path / "wh") == before
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

@@ -6,7 +6,9 @@ their staging (`silver.stage`) and the default row, but it ranks, matches
 and merges on its own, so it imports nothing else of `silver` and nothing
 of the engine's ranking. Staging also makes a computed hub's own key: in
 `silver` only `stage` and the reference resolver read a key formula, and
-the oracle reads none. Storage sits below every layer and imports none,
+the oracle reads none. Bronze is read after a mark only while staging,
+where the mappings of one source share the read. Storage sits below every
+layer and imports none,
 a timestamp crosses its row codec only through the codec's memos, and one
 compiler branches on a column's type for both directions of the codec.
 """
@@ -86,3 +88,14 @@ def test_timestamps_cross_storage_only_through_the_codecs_memos():
 def test_storage_branches_on_a_columns_type_only_in_its_codec_compiler():
     # A second branch would be a second copy of the codec's type rules.
     assert readers("storage", "type") == {"_compile", "_column_to_json"}
+
+
+def test_bronze_is_read_after_a_mark_only_while_staging():
+    # Another such read would decode a source again, past the read `stage`
+    # shares between the mappings of one command.
+    calls = {(path.stem, getattr(node, "name", "<module>"))
+             for path in sorted(PACKAGE.glob("*.py")) for node in tree(path.stem).body
+             for inner in ast.walk(node)
+             if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "read_rows"
+             and any(keyword.arg == "captured_after" for keyword in inner.keywords)}
+    assert calls == {("silver", "stage")}

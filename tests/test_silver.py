@@ -3,6 +3,7 @@ null-safe change detection, default rows, and collection explosion."""
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -24,7 +25,7 @@ from hubstar import retail_fixture as rf
 from hubstar.cli import main
 from hubstar.errors import EvalError, HubStarError, LoadError, StorageError
 from hubstar.expr import sha256_hex
-from hubstar.model import ItemKeyRule, validate_model
+from hubstar.model import SYSTEM_LOAD_SOURCE, ItemKeyRule, validate_model
 from hubstar.silver import (
     default_row,
     explode_collection,
@@ -1142,27 +1143,28 @@ def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
                         sum(r.inserted + r.updated for r in results)))
     (_, first_written), (second_decoded, second_written), (third_decoded, third_written) = written
     assert first_written and second_written and third_written
-    # A first splice keeps no rows, so the second load also decodes the
-    # default row each hub held before it; from the second splice on, a load
-    # decodes only the rows written since its last read.
-    assert second_decoded == first_written + len(retail_spec.hubs)
-    assert third_decoded == second_written
+    # A splice keeps the rows it writes, so a load decodes no row a load
+    # through the same object wrote; the second decodes only the default
+    # row each hub held before the first splice, which no read through the
+    # object has kept, and the third nothing.
+    assert second_decoded == len(retail_spec.hubs)
+    assert third_decoded == 0
 
     decoded.clear()
     results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
     assert not any(r.inserted or r.updated for r in results)
-    assert decoded.in_schema(silver) == third_written
+    assert decoded.in_schema(silver) == 0
     decoded.clear()
     rows_encoded.clear()
     load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
     assert sum(decoded.values()) + sum(rows_encoded.values()) == 0
 
 
-def test_the_first_load_and_the_oracle_decode_each_bronze_row_once_per_mapping(
+def test_the_first_load_and_the_oracle_decode_each_bronze_row_once_per_source(
         tmp_path, decoded, retail_spec, retail_data):
     """Decode counts of the 1x retail fixture in one batch. `customers` and
-    `sales_orders` each feed two mappings, so each of their rows is decoded
-    twice, by the loads and by the oracle alike."""
+    `sales_orders` each feed two mappings, which share one read of their
+    rows, in the loads and in the oracle alike."""
     warehouse = Warehouse(tmp_path / "wh")
     init_warehouse(warehouse, retail_spec)
     for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 1):
@@ -1177,7 +1179,142 @@ def test_the_first_load_and_the_oracle_decode_each_bronze_row_once_per_mapping(
         run()
         counts.append((sum(decoded.values()), decoded[bronze, "customers"],
                        decoded[bronze, "sales_orders"]))
-    assert counts == [(769, 158 * 2, 200 * 2), (1_799, 158 * 2, 200 * 2)]
+    assert counts == [(411, 158, 200), (1_441, 158, 200)]
+
+
+def test_a_first_build_after_a_load_through_one_object_decodes_only_the_default_rows(
+        tmp_path, decoded, retail_spec, retail_data):
+    # The load kept every silver row it wrote, and each dimension hands its
+    # rows to the views after it; only the hubs' default rows, which init
+    # wrote and the load read before it kept rows, are decoded.
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, retail_spec)
+    for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 1):
+        for job in jobs:
+            ingest_file(warehouse, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+    load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+    decoded.clear()
+    build_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+    silver = retail_spec.schema_names["silver"]
+    assert decoded == {(silver, hub.table_name): 1 for hub in retail_spec.hubs}
+    assert [json.loads(line)["load_source"] for line in decoded.lines] == \
+        [SYSTEM_LOAD_SOURCE] * len(retail_spec.hubs)
+
+
+# One source feeding a hub and a star. The capture time is the file's, so a
+# re-delivery that leaves one of them unchanged leaves its mark behind.
+SIGHTINGS = parse_model('''product sightings
+
+source people {
+  load_source 1
+  format csv
+  column person_id integer
+  column full_name string
+  column city string
+  column seen_at timestamp
+  capture file_mtime
+}
+
+hub person {
+  key computed sha256(cast(person_id as string))
+  business_key global (person_id integer)
+  descriptive full_name string
+  source_mapping people {
+    map person_id = person_id
+    map full_name = full_name
+  }
+}
+
+star sighting {
+  participant person
+  participant time seen_at
+  key (person_key, seen_at)
+  descriptive city string
+  source_mapping people {
+    key person_key = person(person_id)
+    map seen_at = seen_at
+    map city = city
+  }
+}
+''').spec
+# (people rows, capture) per batch. A re-delivery leaves the hub's mark
+# behind the star's, then a new name leaves the star's behind the hub's.
+SIGHTING_BATCHES = [
+    ("1,Ann,Oslo,2023-01-02\n2,Bob,Rome,2023-01-02\n", utc(2024, 1, 1)),
+    ("1,Ann,Oslo,2023-01-03\n", utc(2024, 2, 1)),
+    ("1,Anna,Oslo,2023-01-03\n", utc(2024, 3, 1)),
+    ("2,Bob,Paris,2023-01-02\n3,Cy,Oslo,2023-01-04\n", utc(2024, 4, 1)),
+]
+
+
+def _sightings(root, batches, load, decoded):
+    """Bronze decodes per load when each batch is ingested into a new
+    warehouse at `root`, then loaded by `load(warehouse)`."""
+    warehouse = Warehouse(root)
+    init_warehouse(warehouse, SIGHTINGS)
+    counts = []
+    for n, (rows, capture) in enumerate(batches):
+        path = root.parent / f"{root.name}_{n}.csv"
+        path.write_text("person_id,full_name,city,seen_at\n" + rows, encoding="utf-8")
+        ingest_file(warehouse, SIGHTINGS, "people", path, now=NOW, mtime=capture)
+        decoded.clear()
+        load(warehouse)
+        counts.append(decoded.in_schema(SIGHTINGS.schema_names["bronze"]))
+    return warehouse, counts
+
+
+def test_the_mappings_of_a_source_share_its_read_and_load_as_apart(tmp_path, decoded):
+    assert validate_model(SIGHTINGS).ok
+    silver = SIGHTINGS.schema_names["silver"]
+    marks, results = [], {"together": [], "apart": []}
+
+    def together(warehouse):
+        results["together"] += load_all(warehouse, SIGHTINGS, now=NOW)
+        marks.append([max(row["capture_timestamp"] for row in warehouse.read_rows(silver, table)
+                          if row.get("person_key") != "-1")
+                      for table in ("hub_person", "star_sighting")])
+
+    def apart(warehouse):
+        for element in ("person", "sighting"):
+            results["apart"] += load_all(warehouse, SIGHTINGS, now=NOW, only=element)
+
+    shared, shared_decodes = _sightings(tmp_path / "shared", SIGHTING_BATCHES, together,
+                                        decoded)
+    alone, alone_decodes = _sightings(tmp_path / "alone", SIGHTING_BATCHES, apart, decoded)
+    # The (hub, star) marks after each load: each later load starts from them.
+    assert marks == [[utc(2024, 1, 1)] * 2, [utc(2024, 1, 1), utc(2024, 2, 1)],
+                     [utc(2024, 3, 1), utc(2024, 2, 1)], [utc(2024, 4, 1)] * 2]
+    silver_files = [{path: data for path, data in file_bytes(warehouse.root).items()
+                     if path.startswith(silver)} for warehouse in (shared, alone)]
+    assert silver_files[0] == silver_files[1]
+    assert results["together"] == results["apart"]  # each scanned the same bronze rows
+    assert check_against_oracle(shared, SIGHTINGS) == []
+    # One read for both mappings while the star's mark is not below the
+    # hub's; a second read, above the star's own mark, when it is.
+    assert shared_decodes == [2, 1, 2, 2 + 3]
+    assert alone_decodes == [2 * 2, 1 + 1, 2 + 1, 2 + 3]
+
+
+@pytest.mark.parametrize("marked", [False, True], ids=["first load", "after a mark"])
+def test_a_null_capture_time_in_a_shared_read_fails_the_load_by_line(tmp_path, decoded,
+                                                                      marked):
+    batches = SIGHTING_BATCHES[:2] if marked else SIGHTING_BATCHES[:1]
+    warehouse, _ = _sightings(tmp_path / "wh", batches[:-1], lambda wh: load_all(
+        wh, SIGHTINGS, now=NOW), decoded)
+    rows, capture = batches[-1]
+    path = tmp_path / "last.csv"
+    path.write_text("person_id,full_name,city,seen_at\n" + rows, encoding="utf-8")
+    ingest_file(warehouse, SIGHTINGS, "people", path, now=NOW, mtime=capture)
+    bronze = SIGHTINGS.schema_names["bronze"]
+    stored = [dict(row) for row in warehouse.read_rows(bronze, "people")]
+    stored[-1]["capture_timestamp"] = None
+    warehouse.replace_table(warehouse.manifest(bronze, "people"), stored)
+    before = file_bytes(warehouse.root)
+    with pytest.raises(StorageError, match=rf"^{bronze}\.people: line {len(stored)}: "
+                                           "column capture_timestamp is null$"):
+        load_all(warehouse, SIGHTINGS, now=NOW)
+    assert file_bytes(warehouse.root) == before
 
 
 # -- model edits against a stored layout ----------------------------------------

@@ -7,6 +7,7 @@ import random
 import re
 import tempfile
 from collections import Counter
+from copy import deepcopy
 from datetime import datetime, timedelta, timezone, tzinfo
 from decimal import Decimal
 from pathlib import Path
@@ -380,24 +381,46 @@ def test_a_manifest_is_parsed_once_for_each_content(wh, monkeypatch):
     assert len(parsed) == 2
 
 
+def full(**values) -> dict:
+    """A row of `manifest()` that holds every column: ROW with `values`."""
+    return {**ROW, **values}
+
+
 def test_a_read_after_a_splice_decodes_only_the_lines_it_wrote(wh, decoded):
-    wh.append_rows("lab", "samples", [ROW, {"sample_id": "s-2"}])
+    wh.append_rows("lab", "samples", [ROW, full(sample_id="s-2")])
     rows = wh.read_rows("lab", "samples")
     decoded.clear()
-    # A first splice keeps no rows: the read after it decodes every line once.
-    wh.append_rows("lab", "samples", [{"sample_id": "s-3"}], lines=len(rows))
+    # A splice keeps a copy of each row it writes; the read after the first
+    # decodes only the lines written before it, which no read kept.
+    wh.append_rows("lab", "samples", [full(sample_id="s-3")], lines=len(rows))
     rows = wh.read_rows("lab", "samples")
-    assert len(decoded.lines) == 3
+    assert [line[:len('{"sample_id":"s-1"')] for line in decoded.lines] == [
+        '{"sample_id":"s-1"', '{"sample_id":"s-2"']
     decoded.clear()
-    wh.append_rows("lab", "samples", [{"sample_id": "s-4"}],
-                   replace={1: {"sample_id": "s-2", "count": 2}}, lines=len(rows))
+    replacement = full(sample_id="s-2", count=2)
+    wh.append_rows("lab", "samples", [full(sample_id="s-4")], replace={1: replacement},
+                   lines=len(rows))
+    replacement["count"] = 5  # the caller's row is not the one kept
     after = wh.read_rows("lab", "samples")
-    assert [line[:len('{"sample_id":"s-2"')] for line in decoded.lines] == [
-        '{"sample_id":"s-2"', '{"sample_id":"s-4"']
+    assert decoded.lines == []
     assert after == Warehouse(wh.root).read_rows("lab", "samples")
+    assert after[1]["count"] == 2
     assert after[0] is rows[0] and after[2] is rows[2]  # shared, so never to be mutated
     assert after is not wh.read_rows("lab", "samples")
-    assert len(decoded.lines) == 2 + 4  # the fresh Warehouse decoded every line
+    assert len(decoded.lines) == 4  # the fresh Warehouse decoded every line
+
+
+def exactly(a, b) -> bool:
+    """Whether `a` and `b` are equal value for value, with equal types and
+    reprs, recursing into lists and dicts (whose keys must come in one
+    order): `==` alone lets `Decimal("2")` pass for `2`."""
+    if type(a) is not type(b) or repr(a) != repr(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(exactly(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(exactly, a, b))
+    return a == b
 
 
 def test_an_object_that_only_reads_keeps_no_rows(wh, decoded):
@@ -734,7 +757,7 @@ def test_every_way_of_reading_equals_decoding_every_line(draw):
             for mark in marks:
                 for rows in (one.read_rows("raw", "events", captured_after=mark),
                              Warehouse(root).read_rows("raw", "events", captured_after=mark)):
-                    assert rows == _decoded_lines(data, mark)
+                    assert exactly(rows, _decoded_lines(data, mark))
                     if mark is None:  # a line held twice gives one row
                         held = [line.strip() for line in data.read_text(encoding="utf-8")
                                 .split("\n") if line.strip()]
@@ -751,6 +774,130 @@ def test_every_way_of_reading_equals_decoding_every_line(draw):
             replace={draw.draw(st.integers(0, read - 1), label="position"):
                      draw.draw(EVENT, label="replacement")}, lines=read)
         read_every_way()
+
+
+class Text(str):
+    """A string that is not a `str`: its stored line reads back as one."""
+
+
+_DAYS = dict(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30))
+# Values of each scalar column type that decoding their stored text gives
+# back exactly, and values it does not, or that are not of the column's
+# type: an `int`, a negative zero or an exponent in a decimal column, a
+# naive datetime or one at another offset, a `bool` in an integer column,
+# an `int` in a boolean one, a `str` subclass.
+EXACT = {
+    "string": st.text(max_size=4),
+    "integer": st.integers(),
+    "boolean": st.booleans(),
+    "decimal": st.decimals(allow_nan=False, allow_infinity=False, places=2),
+    "timestamp": st.datetimes(timezones=st.just(timezone.utc), **_DAYS),
+}
+OTHER = {
+    "string": st.text(max_size=4).map(Text),
+    "integer": st.booleans(),
+    "boolean": st.integers(0, 1),
+    "decimal": st.integers(-10**6, 10**6) | st.sampled_from(
+        [Decimal("-0"), Decimal("-0.00"), Decimal("1E+2"), Decimal("0E-7")]),
+    "timestamp": st.datetimes(timezones=st.none() | st.sampled_from(
+        [timezone(timedelta(hours=-3)), timezone(timedelta(hours=5, minutes=30))]), **_DAYS),
+}
+COLUMN_TYPES = st.sampled_from(sorted(EXACT)) | st.lists(
+    st.sampled_from(sorted(EXACT)), min_size=1, max_size=3).map(tuple)
+
+
+def _columns(types) -> tuple[ColumnSpec, ...]:
+    """Columns c0, c1, … of these types; a tuple of types is a collection
+    whose fields f0, f1, … have them."""
+    return tuple(ColumnSpec(f"c{n}", "collection", True,
+                            tuple((f"f{k}", field) for k, field in enumerate(ctype)))
+                 if isinstance(ctype, tuple) else ColumnSpec(f"c{n}", ctype)
+                 for n, ctype in enumerate(types))
+
+
+def _record(values: dict[str, st.SearchStrategy]) -> st.SearchStrategy:
+    """A record of these columns' values: whole, with an extra key, or
+    without one of its keys."""
+    whole = st.fixed_dictionaries(values)
+    return st.one_of(whole, whole.map(lambda record: {**record, "extra": 1}),
+                     whole.flatmap(lambda record: st.sampled_from(sorted(record)).map(
+                         lambda key: {name: record[name] for name in record if name != key})))
+
+
+def _value(ctype: str) -> st.SearchStrategy:
+    return st.one_of(EXACT[ctype], st.none(), OTHER[ctype])
+
+
+def _row(columns) -> st.SearchStrategy:
+    return _record({col.name: _value(col.type) if col.type != "collection" else st.one_of(
+        st.lists(_record({name: _value(ftype) for name, ftype in col.fields}), max_size=2),
+        st.none()) for col in columns})
+
+
+@settings(max_examples=150, deadline=None)
+@given(types=st.lists(COLUMN_TYPES, min_size=1, max_size=4), draw=st.data())
+def test_rows_a_splice_keeps_read_as_decoding_their_lines_gives(types, draw):
+    table = TableManifest(schema="lab", table="drawn", columns=_columns(types))
+    row = _row(table.columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        Warehouse(root).create_table(table)
+        one = Warehouse(root)
+        one.append_rows("lab", "drawn", draw.draw(st.lists(row, min_size=1, max_size=3)),
+                        lines=0)
+        read = one.read_rows("lab", "drawn")
+        assert exactly(read, Warehouse(root).read_rows("lab", "drawn"))
+        replace = draw.draw(st.dictionaries(st.integers(0, len(read) - 1), row, max_size=2))
+        appended = draw.draw(st.lists(row, max_size=2))
+        one.append_rows("lab", "drawn", appended, replace=replace, lines=len(read))
+        for record in appended + list(replace.values()):  # changing them changes nothing kept
+            for value in record.values():
+                if isinstance(value, list):
+                    for item in value:
+                        item.clear()
+                    value.clear()
+            record.clear()
+        assert exactly(one.read_rows("lab", "drawn"), Warehouse(root).read_rows("lab", "drawn"))
+
+
+BASKETS = TableManifest(schema="lab", table="baskets", columns=(
+    ColumnSpec("basket_id", "string"),
+    ColumnSpec("items", "collection", True, (("sku", "string"), ("price", "decimal")))))
+ITEM = {"sku": "a", "price": Decimal("1.50")}
+
+
+@pytest.mark.parametrize("table, row, kept", [
+    (manifest(), ROW, True),
+    (manifest(), full(count=True, fresh=1, price=Decimal("1E+2")), True),
+    (manifest(), {"sample_id": "s-1"}, False),  # the missing columns read back as null
+    (manifest(), full(note="x"), False),  # a column the manifest lacks is not stored
+    (manifest(), full(price=2), False),  # an int in a decimal column reads back a Decimal
+    (manifest(), full(price=Decimal("-0")), False),  # stored as 0
+    (manifest(), full(taken_at=datetime(2024, 5, 1, 12, 30)), False),  # naive
+    (manifest(), full(taken_at=ROW["taken_at"].astimezone(timezone(timedelta(hours=-3)))),
+     False),
+    (manifest(), full(sample_id=Text("s-1")), False),
+    (BASKETS, {"basket_id": "b", "items": [ITEM, {**ITEM, "price": None}]}, True),
+    (BASKETS, {"basket_id": "b", "items": (ITEM,)}, False),  # a tuple reads back a list
+    (BASKETS, {"basket_id": "b", "items": [{"sku": "a"}]}, False),
+    (BASKETS, {"basket_id": "b", "items": [{**ITEM, "price": 2}]}, False),
+], ids=["exact", "exact plain values", "missing", "extra", "int decimal", "negative zero",
+        "naive", "offset", "str subclass", "items", "tuple", "missing field", "int field"])
+def test_a_splice_keeps_a_copy_of_a_row_only_when_it_reads_back_exactly(
+        tmp_path, decoded, table, row, kept):
+    row = deepcopy(row)  # the test changes it
+    one = Warehouse(tmp_path)
+    one.create_table(table)
+    one.append_rows(table.schema, table.table, [row], lines=0)
+    assert len(decoded.lines) == (0 if kept else 1)  # otherwise its line's decode is kept
+    for value in row.values():  # a change to the caller's row does not reach the kept one
+        if isinstance(value, list):
+            value.append(ITEM)
+            value[0]["sku"] = "changed"
+    decoded.clear()
+    read = one.read_rows(table.schema, table.table)
+    assert decoded.lines == []
+    assert exactly(read, Warehouse(tmp_path).read_rows(table.schema, table.table))
 
 
 @settings(max_examples=8, deadline=None)
