@@ -14,13 +14,13 @@ ranking, matching and merging are recomputed here from scratch.
 from __future__ import annotations
 
 from .model import HubDef, ModelSpec, StarDef
-from .silver import default_row, is_default_row, stage
+from .silver import Reads, default_row, is_default_row, stage
 from .storage import Record, Warehouse
 from .values import row_key, show_key, values_equal
 
 
 def expected_state(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-                   reads: dict | None = None) -> list[Record]:
+                   reads: Reads | None = None) -> list[Record]:
     """Final rows implied by the full bronze history of the element's one
     source mapping, if it has one: a hub's default row, then the top version
     of each identity in first-appearance order. No batching, no HWM. A hub
@@ -114,18 +114,19 @@ def check_against_oracle(warehouse: Warehouse, spec: ModelSpec,
     difference lines, empty when everything agrees. Elements with a
     `skip_reason` are outside the oracle's remit; the CLI reports them as
     skipped, not here. Each bronze source is read once, by its first
-    element, and dropped after its last."""
+    element, and dropped after its last; each system-generated-key hub
+    that a mapping references is read once (`Reads`)."""
     silver = spec.schema_names["silver"]
     elements = [element for element in spec.hubs + spec.stars if skip_reason(element) is None]
     last = {mapping.source: element for element in elements
             for mapping in element.source_mappings}
-    reads: dict = {}
+    reads = Reads(warehouse, spec)
     problems: list[str] = []
     for element in elements:
         expected = expected_state(warehouse, spec, element, reads)
         for mapping in element.source_mappings:
             if last[mapping.source] is element:
-                reads.pop(mapping.source, None)
+                reads.bronze.pop(mapping.source, None)
         actual = warehouse.read_rows(silver, element.table_name)
         for (key_columns, actual_part), (_, expected_part) in zip(
                 _parts(element, actual), _parts(element, expected)):

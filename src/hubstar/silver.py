@@ -111,7 +111,7 @@ def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
     """`find(hub, business keys, load source)` -> the key of the first
     member, in file order, of a system-generated-key hub whose identity those
     values give, or "-1". Such keys cannot be recomputed, so each hub is read
-    once, on its first lookup."""
+    once, on its first lookup, and the lookup holds it from then on."""
     indexes: dict[str, dict[tuple, str]] = {}
 
     def find(target: HubDef, bk_record: Record, load_source: int) -> str:
@@ -124,6 +124,18 @@ def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
         return index.get(row_key({**bk_record, "load_source": load_source}, target.identity),
                          DEFAULT_HUB_KEY)
     return find
+
+
+class Reads:
+    """What the stagings of one command share: each bronze source's read,
+    as `stage` holds it, and one `hub_key_lookup`. A loading command may
+    share the lookup because `resolve_load_order` loads a hub before any
+    element that references it, so no load writes a hub after its first
+    lookup."""
+
+    def __init__(self, warehouse: Warehouse, spec: ModelSpec):
+        self.bronze: dict[str, tuple[datetime | None, list[Record]]] = {}
+        self.find_key = hub_key_lookup(warehouse, spec)
 
 
 def _fk_resolver(find_key, spec: ModelSpec, res: FkResolution) -> ex.Evaluator:
@@ -266,8 +278,7 @@ def _members(element: HubDef | StarDef, rows: list[Record]):
 
 def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
           mapping: SourceMapping, mark: datetime | None = None,
-          reads: dict[str, tuple[datetime | None, list[Record]]] | None = None,
-          ) -> list[tuple[Record, Record]]:
+          reads: Reads | None = None) -> list[tuple[Record, Record]]:
     """(bronze row, candidate) pairs in bronze order, from the loads and the
     oracle alike: the mapping's bronze captured after `mark` (all of it
     with none; none without a bronze table), each payload stamped with its
@@ -281,19 +292,22 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     above the one held takes the rows held captured after it, and any other
     mark reads again and is held in its place. Bronze does not change
     within a load or an oracle run; the caller drops a source's read after
-    its last mapping."""
+    its last mapping. Its `find_key` resolves references into
+    system-generated-key hubs. Without `reads`, the staging shares
+    nothing."""
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
     if not warehouse.table_exists(bronze, mapping.source):
         return []
-    held = reads.get(mapping.source) if reads is not None else None
+    if reads is None:
+        reads = Reads(warehouse, spec)
+    held = reads.bronze.get(mapping.source)
     if held is not None and (held[0] is None or mark is not None and held[0] <= mark):
         bronze_rows = held[1] if mark == held[0] else [
             row for row in held[1] if row["capture_timestamp"] > mark]
     else:
         bronze_rows = warehouse.read_rows(bronze, mapping.source, captured_after=mark)
-        if reads is not None:
-            reads[mapping.source] = (mark, bronze_rows)
-    payloads = compile_mapping(hub_key_lookup(warehouse, spec), spec, element, mapping)
+        reads.bronze[mapping.source] = (mark, bronze_rows)
+    payloads = compile_mapping(reads.find_key, spec, element, mapping)
     load_source = spec.source(mapping.source).load_source_id
     hub = isinstance(element, HubDef)
     partition, what = ((element.business_key_names, "business key") if hub
@@ -328,15 +342,16 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
 
 def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-          mapping: SourceMapping, now: datetime,
-          reads: dict[str, tuple[datetime | None, list[Record]]] | None) -> LoadResult:
+          mapping: SourceMapping, now: datetime, reads: Reads | None) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
     `load_all` has checked the stored manifests it reads. The mark is the
     latest capture among the table's members (every row but a hub's default
-    row); `stage` gives the candidates above it, a computed hub's with their
-    keys. A hub with no row at all was never initialized, and its load
-    fails. One candidate survives per partition: a hub's by the mapping's
+    row), read from the text of each line (`max_capture_timestamp`); `stage`
+    gives the candidates above it, a computed hub's with their keys. A hub
+    with no row at all was never initialized, and its load fails. Only a
+    load with candidates decodes the table's rows, from the read the mark
+    came from. One candidate survives per partition: a hub's by the mapping's
     `dedup_by` terms, latest capture, then the earliest bronze row; a star's
     by latest capture, then the last bronze row. A survivor matches the
     member with the same `element.identity`: with none it goes on the end (a
@@ -349,12 +364,15 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     silver = spec.schema_names["silver"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
-    rows = warehouse.read_rows(silver, element.table_name)
-    if hub is not None and not rows:
+    read = warehouse.max_capture_timestamp(silver, element.table_name,
+                                           hub.key_column if hub is not None else None)
+    if hub is not None and not read.lines:
         raise StorageError(f"{table}: no high-water mark; initialize default rows first")
-    members = _members(element, rows)
-    mark = max((row["capture_timestamp"] for _position, row in members), default=None)
+    mark = read.mark
     staged = stage(warehouse, spec, element, mapping, mark, reads)
+    # Without candidates there is nothing to merge, so no row is decoded.
+    rows = warehouse.read_rows(silver, element.table_name, snapshot=read) if staged else []
+    members = _members(element, rows)
     partition = hub.business_key_names if hub is not None else element.identity
 
     # rn = 1 per partition, over positions in `staged`; ties go to the
@@ -412,12 +430,12 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
-             mapping: SourceMapping, now: datetime, reads=None) -> LoadResult:
+             mapping: SourceMapping, now: datetime, reads: Reads | None = None) -> LoadResult:
     return _load(warehouse, spec, hub, mapping, now, reads)
 
 
 def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
-              mapping: SourceMapping, now: datetime, reads=None) -> LoadResult:
+              mapping: SourceMapping, now: datetime, reads: Reads | None = None) -> LoadResult:
     return _load(warehouse, spec, star, mapping, now, reads)
 
 
@@ -427,7 +445,8 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
     table name). The stored manifest of each target and each source is
     checked against the model once, before the first load, so a mismatch
     writes nothing. The mappings of one bronze source share its reads
-    (`stage`), which are dropped after the source's last mapping."""
+    (`stage`), which are dropped after the source's last mapping, and
+    every mapping shares one `hub_key_lookup` (`Reads`)."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
@@ -442,11 +461,11 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
         check_stored_manifest(warehouse, manifest)
     steps = [(element, mapping) for element in elements for mapping in element.source_mappings]
     last = {mapping.source: step for step, (_element, mapping) in enumerate(steps)}
-    reads: dict[str, tuple[datetime | None, list[Record]]] = {}  # see `stage`
+    reads = Reads(warehouse, spec)
     results = []
     for step, (element, mapping) in enumerate(steps):
         load = load_hub if isinstance(element, HubDef) else load_star
         results.append(load(warehouse, spec, element, mapping, now, reads))
         if last[mapping.source] == step:
-            reads.pop(mapping.source, None)
+            reads.bronze.pop(mapping.source, None)
     return results

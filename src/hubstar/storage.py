@@ -3,7 +3,9 @@ plus a JSON-lines data file (and, for a gold view, a trace of what it was
 built from), and every write is a whole-file atomic rename.
 Stored lines are canonical, so writes splice encoded lines into a file's
 bytes, and a read, one pass over a file's lines, skips a bronze line by the
-capture time in its prefix without decoding it. A Warehouse parses a
+capture time in its prefix without decoding it; `max_capture_timestamp`
+reads a silver table's mark from the same kind of prefix, and hands its
+read to `read_rows` for a load that goes on to merge. A Warehouse parses a
 manifest once per content and remembers the rows of a table it splices by
 line, those it wrote (a copy of the caller's row when it is exactly what
 decoding its line gives) and those it read, so a later read of that table
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -41,6 +44,10 @@ TRACE_FILE = "trace"
 # The bytes every canonical bronze line begins with: BRONZE_METADATA puts
 # the capture time first, and it is never null.
 CAPTURE_PREFIX = ("{" + json.dumps(BRONZE_METADATA[0]) + ':"').encode()
+# How every canonical silver line begins (model.HUB_METADATA and
+# STAR_METADATA): its load source, an integer, then its capture time, whose
+# text the group holds, or nothing where it is null.
+SILVER_HEAD = re.compile(rb'\{"load_source":\d+,"capture_timestamp":(?:"([^"\\]*)"|null)(?=[,}])')
 
 
 def digest(parts: Iterable[bytes]) -> str:
@@ -353,6 +360,15 @@ def _atomic_write(path: Path, content: bytes, current: bytes | None = None):
         os.replace(tmp, path)
 
 
+class Snapshot(NamedTuple):
+    """One read of a table (`Warehouse.max_capture_timestamp`): its
+    manifest, its data file's non-blank lines, stripped, and the latest
+    capture time read from them."""
+    manifest: TableManifest
+    lines: list[bytes]
+    mark: datetime | None
+
+
 class Warehouse:
     """All tables under one root directory: `<root>/<schema>/<table>/`."""
 
@@ -454,52 +470,68 @@ class Warehouse:
             self._manifests[content] = TableManifest.from_json(json.loads(content.decode("utf-8")))
         return self._manifests[content]
 
-    def read_rows(self, schema: str, table: str,
-                  captured_after: datetime | None = None) -> list[Record]:
+    def read_rows(self, schema: str, table: str, captured_after: datetime | None = None,
+                  snapshot: Snapshot | None = None) -> list[Record]:
         """The table's rows in file order, in a new list, from one pass over
-        the file's non-blank lines. Rows may be shared with other reads
-        through this object, as is the row of a line held twice, so callers
-        must not mutate them. With `captured_after`, a line that begins with
-        CAPTURE_PREFIX is skipped undecoded unless that capture time is
-        strictly later, and any other row is returned only when captured
-        strictly later. A row comes from this read, from the memo of a table
-        this object splices (under an equal manifest), which holds the rows
-        of the lines its splices wrote and its last read returned, or from
-        decoding; a read without `captured_after` keeps the rows of the
-        lines it returned.
+        the file's non-blank lines, or over those of `snapshot` under its
+        manifest without reading the files again. Rows may be shared with
+        other reads through this object, as is the row of a line held twice,
+        so callers must not mutate them. With `captured_after`, a line that
+        begins with CAPTURE_PREFIX is skipped undecoded unless that capture
+        time is strictly later, and any other row is returned only when
+        captured strictly later. A row comes from this read, from the memo of
+        a table this object splices (under an equal manifest), which holds
+        the rows of the lines its splices wrote and its last read returned,
+        or from decoding; a read without `captured_after` keeps the rows of
+        the lines it returned.
         A line that does not decode, or whose tested capture time is null,
         raises StorageError naming its number among the non-blank lines."""
+        if snapshot is not None:
+            return self._read(schema, table, snapshot.manifest, snapshot.lines, captured_after)
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         if not data.is_file():
             return []
-        memo = self._memo.get((schema, table))
-        kept = memo[1] if memo is not None and memo[0] == manifest else {}
+        with data.open("rb") as fh:
+            return self._read(schema, table, manifest, filter(None, map(bytes.strip, fh)),
+                              captured_after)
+
+    def _read(self, schema: str, table: str, manifest: TableManifest,
+              lines: Iterable[bytes], captured_after: datetime | None) -> list[Record]:
+        """`read_rows` over these non-blank lines, stripped."""
+        memo, kept = self._kept(schema, table, manifest)
         read: dict[bytes, Record] = {}  # each line of this read and its row
         rows, start = [], len(CAPTURE_PREFIX)
         try:
-            with data.open("rb") as fh:
-                for number, line in enumerate(filter(None, map(bytes.strip, fh)), start=1):
-                    prefixed = captured_after is not None and line.startswith(CAPTURE_PREFIX)
-                    if prefixed and manifest.read_timestamp(
-                            line[start:line.index(b'"', start)].decode()) <= captured_after:
-                        continue
-                    row = read.get(line)
+            for number, line in enumerate(lines, start=1):
+                prefixed = captured_after is not None and line.startswith(CAPTURE_PREFIX)
+                if prefixed and manifest.read_timestamp(
+                        line[start:line.index(b'"', start)].decode()) <= captured_after:
+                    continue
+                row = read.get(line)
+                if row is None:
+                    row = kept.get(line)
                     if row is None:
-                        row = read[line] = (kept[line] if line in kept
-                                            else decode_row(manifest, line.decode()))
-                    if captured_after is not None and not prefixed:
-                        if row["capture_timestamp"] is None:
-                            raise StorageError(f"{schema}.{table}: line {number}: "
-                                               "column capture_timestamp is null")
-                        if row["capture_timestamp"] <= captured_after:
-                            continue
-                    rows.append(row)
+                        row = decode_row(manifest, line.decode())
+                    read[line] = row
+                if captured_after is not None and not prefixed:
+                    if row["capture_timestamp"] is None:
+                        raise StorageError(f"{schema}.{table}: line {number}: "
+                                           "column capture_timestamp is null")
+                    if row["capture_timestamp"] <= captured_after:
+                        continue
+                rows.append(row)
         except _UNDECODABLE as exc:
             raise StorageError(f"{schema}.{table}: line {number} does not decode: {exc}") from exc
         if memo is not None and captured_after is None:
             self._memo[schema, table] = (manifest, read)
         return rows
+
+    def _kept(self, schema: str, table: str, manifest: TableManifest):
+        """The table's memo, if this object splices it, and the rows it
+        keeps by line under `manifest` (none under another manifest)."""
+        memo = self._memo.get((schema, table))
+        return memo, memo[1] if memo is not None and memo[0] == manifest else {}
 
     def append_rows(self, schema: str, table: str, rows: list[Record],
                     replace: Mapping[int, Record] | None = None, lines: int | None = None):
@@ -561,8 +593,8 @@ class Warehouse:
                 memo[line] = kept
         self._memo[key] = (manifest, memo)
 
-    # Nothing in hubstar calls upsert_rows, scan or max_capture_timestamp;
-    # they stay because the benchmark's tracer (bench/spans.py) wraps them.
+    # Nothing in hubstar calls upsert_rows or scan; they stay because the
+    # benchmark's tracer (bench/spans.py) wraps them.
 
     def upsert_rows(self, schema: str, table: str, rows: list[Record]):
         """Replace rows whose primary key already exists (keeping their
@@ -596,15 +628,55 @@ class Warehouse:
         return [r for r in rows
                 if all(values_equal(r.get(col), want) for col, want in where.items())]
 
-    def max_capture_timestamp(self, schema: str, table: str) -> datetime:
-        """The latest non-null capture_timestamp of the table; with none it
-        raises."""
-        mark = max((r["capture_timestamp"] for r in self.read_rows(schema, table)
-                    if r.get("capture_timestamp") is not None), default=None)
-        if mark is None:
-            raise StorageError(f"{schema}.{table}: no high-water mark; "
-                               "initialize default rows first")
-        return mark
+    def max_capture_timestamp(self, schema: str, table: str,
+                              default_key: str | None = None) -> Snapshot:
+        """The latest capture time among the table's rows, leaving out a
+        hub's default row (one whose `default_key` column holds
+        DEFAULT_HUB_KEY), or None when no row is left; with the one read of
+        the files it was taken from, for `read_rows` to decode. A line takes
+        its row from the memo of a table this object splices, as in
+        `read_rows`. Otherwise a line that begins as SILVER_HEAD says is not
+        decoded: its capture time is read from that text, and it is a
+        default row when its first `,"<default_key>":` holds `"-1"`, which
+        is its own column wherever no collection column comes before it, as
+        in every hub. Any other line is decoded. A capture time left in that
+        is null, or whose text does not read, raises StorageError naming
+        its line."""
+        manifest = self.manifest(schema, table)
+        data = self.table_dir(schema, table) / DATA_FILE
+        lines = list(filter(None, map(bytes.strip, data.read_bytes().split(b"\n")))) \
+            if data.is_file() else []
+        _memo, kept = self._kept(schema, table, manifest)
+        key = None if default_key is None else ("," + json.dumps(default_key) + ":").encode()
+        default = encode_basestring(DEFAULT_HUB_KEY).encode()
+        mark = None
+        for number, line in enumerate(lines, start=1):
+            row = kept.get(line)
+            if row is None:
+                try:
+                    head = SILVER_HEAD.match(line)
+                    if head is None:
+                        row = decode_row(manifest, line.decode())
+                    elif key is not None and 0 <= (at := line.find(key)) \
+                            and line.startswith(default, at + len(key)):
+                        continue
+                    else:
+                        text = head[1]
+                        capture = None if text is None else manifest.read_timestamp(
+                            text.decode())
+                except _UNDECODABLE as exc:
+                    raise StorageError(f"{schema}.{table}: line {number} does not decode: "
+                                       f"{exc}") from exc
+            if row is not None:
+                if default_key is not None and row.get(default_key) == DEFAULT_HUB_KEY:
+                    continue
+                capture = row.get("capture_timestamp")
+            if capture is None:
+                raise StorageError(f"{schema}.{table}: line {number}: "
+                                   "column capture_timestamp is null")
+            if mark is None or capture > mark:
+                mark = capture
+        return Snapshot(manifest, lines, mark)
 
     def check_constraints(self, schema: str, table: str) -> list[str]:
         """Audit one table against its declared constraints; returns

@@ -191,6 +191,13 @@ def test_load_silver_prints_one_line_per_mapping_in_dependency_order(cli_wh, cap
     assert order.index("hs_retail.hub_customer") < order.index("hs_retail.star_customer_address")
 
 
+def test_a_no_op_load_silver_decodes_no_silver_row(cli_wh, capsys, decoded):
+    now = value_to_string(rf.DEFAULT_NOW)
+    assert main(["load-silver", "--model", MODEL, "--root", cli_wh, "--now", now]) == 0
+    assert all(" scanned=0 " in line for line in capsys.readouterr().out.splitlines())
+    assert decoded.in_schema("hs_retail") == 0
+
+
 def test_load_silver_can_target_a_single_table(cli_wh, capsys):
     now = value_to_string(rf.DEFAULT_NOW)
     rc = main(["load-silver", "--model", MODEL, "--root", cli_wh,
@@ -294,6 +301,32 @@ def test_a_null_bronze_capture_time_fails_a_load_naming_its_table_and_line(
     captured = capsys.readouterr()
     assert captured.err == ("error: raw_retail.customers: line 3: "
                             "column capture_timestamp is null\n")
+
+
+def test_a_null_member_capture_time_fails_a_load_naming_its_table_and_line(
+        tmp_path, capsys, retail_data):
+    root = str(tmp_path / "wh")
+    now = value_to_string(rf.DEFAULT_NOW)
+    assert main(["init", "--model", MODEL, "--root", root]) == 0
+    for n, jobs in enumerate(rf.write_batches(retail_data, tmp_path / "inbox", 2)):
+        for job in jobs:
+            assert main(["ingest", "--model", MODEL, "--root", root, "--source", job.source,
+                         "--input", str(job.path), "--mtime", value_to_string(job.mtime),
+                         "--now", now]) == 0
+        if n == 0:
+            assert main(["load-silver", "--model", MODEL, "--root", root,
+                         "--now", now]) == 0
+            warehouse = Warehouse(root)
+            rows = [dict(row) for row in warehouse.read_rows("hs_retail", "hub_customer")]
+            rows[2]["capture_timestamp"] = None
+            warehouse.replace_table(warehouse.manifest("hs_retail", "hub_customer"), rows)
+    capsys.readouterr()
+    customers = tmp_path / "wh" / "hs_retail" / "hub_customer" / "data"
+    before = customers.read_bytes()
+    assert main(["load-silver", "--model", MODEL, "--root", root, "--now", now]) == 2
+    assert capsys.readouterr().err == ("error: hs_retail.hub_customer: line 3: "
+                                       "column capture_timestamp is null\n")
+    assert customers.read_bytes() == before
 
 
 def test_check_passes_on_a_clean_warehouse(cli_wh, capsys):

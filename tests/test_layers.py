@@ -2,12 +2,14 @@
 not borrow.
 
 The oracle is a reference the loads are checked against: it may share
-their staging (`silver.stage`) and the default row, but it ranks, matches
-and merges on its own, so it imports nothing else of `silver` and nothing
-of the engine's ranking. Staging also makes a computed hub's own key: in
+their staging (`silver.stage`, and `silver.Reads`, what one command's
+stagings share) and the default row, but it ranks, matches and merges on
+its own, so it imports nothing else of `silver` and nothing of the engine's
+ranking. Staging also makes a computed hub's own key: in
 `silver` only `stage` and the reference resolver read a key formula, and
 the oracle reads none. Bronze is read after a mark only while staging,
-where the mappings of one source share the read. Storage sits below every
+where the mappings of one source share the read, and a load decodes its
+own table only when staging gives it candidates. Storage sits below every
 layer and imports none,
 a timestamp crosses its row codec only through the codec's memos, and one
 compiler branches on a column's type for both directions of the codec.
@@ -44,7 +46,8 @@ def imports(module: str) -> dict[str, set[str]]:
 
 
 def test_the_oracle_shares_only_staging_and_the_default_row_with_silver():
-    assert imports("oracle").get("silver", set()) <= {"default_row", "is_default_row", "stage"}
+    assert imports("oracle").get("silver", set()) <= {
+        "Reads", "default_row", "is_default_row", "stage"}
 
 
 def test_the_oracle_does_not_borrow_the_engines_ranking():
@@ -99,3 +102,24 @@ def test_bronze_is_read_after_a_mark_only_while_staging():
              if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "read_rows"
              and any(keyword.arg == "captured_after" for keyword in inner.keywords)}
     assert calls == {("silver", "stage")}
+
+
+def test_a_load_decodes_its_table_only_after_staging_gives_candidates():
+    # A load without candidates would otherwise decode every row of its
+    # table to merge nothing: its mark comes from the text of the lines.
+    load = next(node for node in tree("silver").body if getattr(node, "name", None) == "_load")
+
+    def calls(nodes, name: str) -> list[ast.Call]:
+        return [inner for node in nodes for inner in ast.walk(node)
+                if isinstance(inner, ast.Call)
+                and name in (getattr(inner.func, "attr", None), getattr(inner.func, "id", None))]
+
+    [staging] = [node for node in ast.walk(load) if isinstance(node, ast.Assign)
+                 and [getattr(target, "id", None) for target in node.targets] == ["staged"]
+                 and calls([node.value], "stage")]
+    guarded = [call for node in ast.walk(load)
+               if isinstance(node, (ast.If, ast.IfExp)) and getattr(node.test, "id", None) == "staged"
+               for call in calls(node.body if isinstance(node.body, list) else [node.body],
+                                 "read_rows")]
+    assert len(guarded) == 1 and calls([load], "read_rows") == guarded
+    assert staging.lineno < guarded[0].lineno

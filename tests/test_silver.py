@@ -34,7 +34,7 @@ from hubstar.silver import (
 from hubstar.tables import silver_manifest
 from hubstar.values import EPOCH, row_key, top_per_partition
 
-from conftest import SHIP_TO, edited_retail, file_bytes
+from conftest import SHIP_TO, edited_retail, file_bytes, run_pipeline
 
 MODEL = parse_model('''product mergetest
 
@@ -266,6 +266,53 @@ def test_a_capture_before_1970_is_loaded_into_a_table_without_members(wh, feed):
     assert [r.scanned for r in load_all(wh, MODEL, now=NOW)] == [0] * len(results)
 
 
+def test_the_mark_is_the_latest_member_capture_through_a_fresh_object(wh, feed):
+    # Each load goes through a new Warehouse, which reads the mark from the
+    # text of the table's lines. A hub holding only its default row, and an
+    # empty star, have no mark, so a 1960 capture loads; members all
+    # captured in 1960 then let a 1965 capture through.
+    tables = ("hub_person", "hub_device", "star_person_visit")
+    for year, person_id in ((1960, 1), (1965, 2)):
+        captured = f"{year}-01-01T00:00:00Z"
+        feed("people", PEOPLE_HEADER + f"{person_id},P,Oslo,D{person_id},{captured},0\n")
+        feed("visits", visit(person_id, captured, "seen", captured))
+        results = load_all(Warehouse(wh.root), MODEL, now=NOW)
+        for table in tables:
+            loaded = result_for(results, table)
+            assert (loaded.scanned, loaded.inserted, loaded.new_hwm) == \
+                (1, 1, utc(year, 1, 1)), (year, table)
+    fresh = load_all(Warehouse(wh.root), MODEL, now=NOW)
+    assert [r.scanned for r in fresh] == [0] * len(fresh)
+    assert {table: result_for(fresh, table).new_hwm for table in tables} == \
+        dict.fromkeys(tables, utc(1965, 1, 1))
+    assert check_against_oracle(wh, MODEL) == []
+
+
+def test_a_no_op_load_through_a_fresh_object_returns_what_the_loading_object_does(
+        tmp_path, retail_spec, retail_data):
+    warehouse = run_pipeline(tmp_path / "wh", retail_spec, retail_data, batches=2, gold=False)
+    fresh = load_all(Warehouse(warehouse.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert fresh == load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+    assert [(r.scanned, r.inserted, r.updated, r.unchanged_skipped) for r in fresh] == \
+        [(0, 0, 0, 0)] * len(fresh)
+    assert all(r.new_hwm > EPOCH for r in fresh)
+
+
+def test_a_no_op_load_and_build_through_a_fresh_object_decode_and_write_nothing(
+        tmp_path, monkeypatch, decoded, retail_spec, retail_data):
+    warehouse = run_pipeline(tmp_path / "wh", retail_spec, retail_data, batches=2)
+    before = file_bytes(warehouse.root)
+    written: list = []
+    monkeypatch.setattr(storage.os, "replace", lambda *args: written.append(args))
+    decoded.clear()
+    fresh = Warehouse(warehouse.root)
+    load_all(fresh, retail_spec, now=rf.DEFAULT_NOW)
+    build_all(fresh, retail_spec, now=rf.DEFAULT_NOW)
+    assert sum(decoded.values()) == 0
+    assert written == []
+    assert file_bytes(warehouse.root) == before
+
+
 def test_loading_a_hub_whose_table_holds_no_row_fails(wh, feed):
     wh.replace_table(silver_manifest(MODEL, PERSON), [])  # the default row is gone
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
@@ -456,12 +503,83 @@ def test_references_into_a_system_keyed_hub_read_it_once_per_mapping(wh, feed, t
     feed("people", PEOPLE_HEADER + "".join(
         f"{i},P{i},Oslo,D{i % 2},2024-03-01T08:00:0{i}Z,0\n" for i in range(1, 6)))
     load_all(wh, MODEL, now=NOW)
-    # The device load itself, then the person load's one business-key index.
+    # The device load itself, then the person load's business-key index,
+    # which a command reads once however many mappings reference the hub.
     assert table_reads[SILVER, "hub_device"] == 2
     table_reads.clear()
     assert check_against_oracle(wh, MODEL) == []
     # The oracle's device element, then its person element's one index.
     assert table_reads[SILVER, "hub_device"] == 2
+
+
+# Two hubs whose mappings both reference the system-keyed hub device.
+DEVICES = parse_model('''product devices
+
+source people {
+  load_source 1
+  format csv
+  column person_id integer
+  column device_code string
+  column seen_at timestamp
+  capture cdc_column seen_at
+}
+
+hub device {
+  key system_generated
+  business_key global (device_code string)
+  source_mapping people {
+    map device_code = device_code
+  }
+}
+
+hub person {
+  key computed sha256(cast(person_id as string))
+  business_key global (person_id integer)
+  descriptive device_key references device
+  source_mapping people {
+    map person_id = person_id
+    fk device_key = device(device_code)
+  }
+}
+
+hub badge {
+  key computed cast(person_id as string)
+  business_key global (person_id integer)
+  descriptive device_key references device
+  source_mapping people {
+    map person_id = person_id
+    fk device_key = device(device_code)
+  }
+}
+''').spec
+
+
+def test_references_into_a_system_keyed_hub_read_it_once_per_command(tmp_path, table_reads):
+    assert validate_model(DEVICES).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, DEVICES)
+    path = tmp_path / "people.csv"
+    path.write_text("person_id,device_code,seen_at\n" + "".join(
+        f"{i},D{i % 2},2024-03-01T08:00:0{i}Z\n" for i in range(1, 6)), encoding="utf-8")
+    ingest_file(warehouse, DEVICES, "people", path, now=NOW)
+    silver = DEVICES.schema_names["silver"]
+    load_all(warehouse, DEVICES, now=NOW)
+    # The device load itself, then one business-key index for both the
+    # person and the badge mapping.
+    assert table_reads[silver, "hub_device"] == 2
+    devices = {row["device_code"]: row["device_key"]
+               for row in warehouse.read_rows(silver, "hub_device")}
+    for table in ("hub_person", "hub_badge"):
+        assert sorted(row["device_key"] for row in warehouse.read_rows(silver, table)) == \
+            sorted(["-1"] + [devices[f"D{i % 2}"] for i in range(1, 6)]), table
+    table_reads.clear()
+    assert check_against_oracle(warehouse, DEVICES) == []
+    # The oracle's device element, then one index for the other two.
+    assert table_reads[silver, "hub_device"] == 2
+    table_reads.clear()
+    load_all(Warehouse(warehouse.root), DEVICES, now=NOW)
+    # A load with nothing to stage decodes no silver row, so it reads none.
+    assert not any(schema == silver for schema, _table in table_reads)
 
 
 # A system-keyed hub whose business key is local to its source, fed by two.
@@ -1111,6 +1229,14 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
         atomic_write(path, content, *current)
 
     monkeypatch.setattr(storage, "_atomic_write", recorded)
+    marks: Counter = Counter()
+    max_capture_timestamp = storage.Warehouse.max_capture_timestamp
+
+    def counted(self, schema, table, *args):
+        marks[table] += 1
+        return max_capture_timestamp(self, schema, table, *args)
+
+    monkeypatch.setattr(storage.Warehouse, "max_capture_timestamp", counted)
     table_reads.clear()
     decoded.clear()
     rows_encoded.clear()
@@ -1119,8 +1245,12 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
     assert any(r.scanned for r in results) == writes
     assert bool(written) == writes
     elements = retail_spec.hubs + retail_spec.stars
+    per_mapping = {e.table_name: len(e.source_mappings) for e in elements}
+    # Each load reads its table's files once, for the mark; only a load with
+    # candidates then decodes the rows of that read.
+    assert marks == per_mapping
     assert {table: n for (schema, table), n in table_reads.items() if schema == silver} == \
-        {e.table_name: len(e.source_mappings) for e in elements}
+        (per_mapping if writes else {})
     # Bronze at or below each mark is never decoded, and only the silver rows
     # a load writes are encoded.
     assert bool(decoded.in_schema(retail_spec.schema_names["bronze"])) == writes
@@ -1140,14 +1270,19 @@ def test_a_load_decodes_only_the_silver_rows_written_since_the_last_read(
         decoded.clear()
         results = load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
         written.append((decoded.in_schema(silver),
-                        sum(r.inserted + r.updated for r in results)))
-    (_, first_written), (second_decoded, second_written), (third_decoded, third_written) = written
+                        sum(r.inserted + r.updated for r in results),
+                        [r.table for r in results if r.scanned]))
+    (_, first_written, _), (second_decoded, second_written, second_staged), \
+        (third_decoded, third_written, _) = written
     assert first_written and second_written and third_written
     # A splice keeps the rows it writes, so a load decodes no row a load
-    # through the same object wrote; the second decodes only the default
-    # row each hub held before the first splice, which no read through the
-    # object has kept, and the third nothing.
-    assert second_decoded == len(retail_spec.hubs)
+    # through the same object wrote, and a load without candidates decodes
+    # none. The second decodes only the default row of each hub with
+    # candidates (hub_loyalty_segment has none), which it held before the
+    # first splice and no read through the object has kept; the third
+    # nothing.
+    hubs = [f"{silver}.{hub.table_name}" for hub in retail_spec.hubs]
+    assert second_decoded == len(set(hubs) & set(second_staged)) == 3
     assert third_decoded == 0
 
     decoded.clear()

@@ -978,21 +978,38 @@ def test_scan_filters_with_value_semantics(wh):
     assert wh.scan("lab", "samples", {"price": None}) == []
 
 
-def test_max_capture_timestamp(tmp_path):
-    warehouse = Warehouse(tmp_path)
-    warehouse.create_table(TableManifest(
-        schema="hs", table="t",
-        columns=(ColumnSpec("k", "string"), ColumnSpec("capture_timestamp", "timestamp")),
-    ))
-    with pytest.raises(StorageError, match="high-water mark"):
-        warehouse.max_capture_timestamp("hs", "t")
-    warehouse.append_rows("hs", "t", [
-        {"k": "a", "capture_timestamp": datetime(2024, 1, 1, tzinfo=timezone.utc)},
-        {"k": "b", "capture_timestamp": datetime(2024, 3, 1, tzinfo=timezone.utc)},
-        {"k": "c", "capture_timestamp": None},
-    ])
-    assert warehouse.max_capture_timestamp("hs", "t") == \
-        datetime(2024, 3, 1, tzinfo=timezone.utc)
+def test_max_capture_timestamp(tmp_path, decoded):
+    # A line that begins as every silver line does is read from its text;
+    # any other is decoded. Either way the row whose `k` is "-1" is left out
+    # when `k` is the default key, and a null capture time left in raises.
+    columns = (ColumnSpec("note", "string"), ColumnSpec("k", "string"))
+    head = (ColumnSpec("load_source", "integer"), ColumnSpec("capture_timestamp", "timestamp"))
+    march = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    for table, layout, decodes in (("text", head + columns, 0), ("decoded", columns + head, 3)):
+        manifest = TableManifest(schema="hs", table=table, columns=layout)
+        warehouse = Warehouse(tmp_path)
+        warehouse.create_table(manifest)
+        assert warehouse.max_capture_timestamp("hs", table) == (manifest, [], None)
+        warehouse.append_rows("hs", table, [
+            {"load_source": 0, "k": "-1", "capture_timestamp": None},
+            {"load_source": 1, "k": "a", "capture_timestamp": march},
+            # Another column's text holds what the default key's would.
+            {"load_source": 1, "note": ',"k":"-1"', "k": "b",
+             "capture_timestamp": datetime(2024, 1, 1, tzinfo=timezone.utc)},
+        ])
+        decoded.clear()
+        read = warehouse.max_capture_timestamp("hs", table, default_key="k")
+        assert read.mark == march
+        assert decoded["hs", table] == decodes
+        assert warehouse.read_rows("hs", table, snapshot=read) == \
+            warehouse.read_rows("hs", table)
+        with pytest.raises(StorageError,
+                           match=rf"^hs\.{table}: line 1: column capture_timestamp is null$"):
+            warehouse.max_capture_timestamp("hs", table)
+        data = warehouse.table_dir("hs", table) / "data"
+        data.write_bytes(data.read_bytes().replace(b"2024-01-01T00:00:00Z", b"2024-13-01"))
+        with pytest.raises(StorageError, match=rf"^hs\.{table}: line 3 does not decode: "):
+            warehouse.max_capture_timestamp("hs", table, default_key="k")
 
 
 def test_check_constraints_reports_each_kind(tmp_path):
