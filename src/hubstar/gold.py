@@ -99,7 +99,7 @@ Written = dict[TableKey, tuple[str, "list[Record] | None"]]
 
 
 def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-               now: datetime, written: Written | None = None) -> GoldBuildResult:
+               now: datetime, written: Written) -> GoldBuildResult:
     """One pipeline for every kind: base rows, joins, versions, the temporal
     join, then projection; each step runs when the view declares it, and
     each join is one `_join`. Every column reference is resolved to its
@@ -143,7 +143,6 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
             else (spec.schema_names["silver"], spec.element(kind, name).table_name)
             for kind, name, _left in view.read_tables}
     manifest = gold_manifest(spec, view)
-    written = {} if written is None else written
     inputs = digest([render_model(spec).encode("utf-8"), __version__.encode("utf-8"),
                      manifest_bytes(manifest),
                      *((written[key][0] if key in written else warehouse.table_digest(*key))

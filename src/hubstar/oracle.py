@@ -20,7 +20,7 @@ from .values import row_key, show_key, values_equal
 
 
 def expected_state(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-                   reads: Reads | None = None) -> list[Record]:
+                   reads: Reads) -> list[Record]:
     """Final rows implied by the full bronze history of the element's one
     source mapping, if it has one: a hub's default row, then the top version
     of each identity in first-appearance order. No batching, no HWM. A hub
@@ -34,7 +34,7 @@ def expected_state(warehouse: Warehouse, spec: ModelSpec, element: HubDef | Star
     mapping = element.source_mappings[0]
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
     for position, (bronze_row, row) in enumerate(
-            stage(warehouse, spec, element, mapping, reads=reads)):
+            stage(warehouse, spec, element, mapping, None, reads)):
         groups.setdefault(row_key(row, element.identity), []).append((position, bronze_row, row))
 
     dedup_order = mapping.dedup_order if hub else ()
@@ -143,7 +143,7 @@ def _parts(element: HubDef | StarDef, rows: list[Record]) -> list[tuple[tuple, l
         return [(element.identity, rows)]
     defaults, members = [], []
     for row in rows:
-        (defaults if is_default_row(element, row) else members).append(row)
+        (defaults if is_default_row(row) else members).append(row)
     return [((element.key_column,), defaults), (element.identity, members)]
 
 

@@ -119,7 +119,7 @@ def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
         if index is None:
             index = indexes[target.name] = {}
             rows = warehouse.read_rows(spec.schema_names["silver"], target.table_name)
-            for _position, row in _members(target, rows):
+            for _position, row in _members(rows):
                 index.setdefault(row_key(row, target.identity), row[target.key_column])
         return index.get(row_key({**bk_record, "load_source": load_source}, target.identity),
                          DEFAULT_HUB_KEY)
@@ -263,29 +263,30 @@ def _coerced(evaluate: ex.Evaluator, ctype: str, column: str) -> ex.Evaluator:
 _LATEST_CAPTURE = (("capture_timestamp", "desc"),)
 
 
-def is_default_row(element: HubDef | StarDef, row: Record) -> bool:
-    """Whether `row` is a hub's `-1` default row, which no source row
-    matches: its business keys are stand-ins, which a member may share. A
-    row with no key (the oracle's system-keyed members) is a member."""
-    return isinstance(element, HubDef) and row.get(element.key_column) == DEFAULT_HUB_KEY
+def is_default_row(row: Record) -> bool:
+    """Whether `row` is a hub's `-1` default row: the one row no source
+    loaded, as its load source is the system's (`stage` refuses a source
+    that declares it). No source row matches it, as its business keys are
+    stand-ins, which a member may share."""
+    return row["load_source"] == SYSTEM_LOAD_SOURCE
 
 
-def _members(element: HubDef | StarDef, rows: list[Record]):
+def _members(rows: list[Record]):
     """(position, row) for every row of `rows` but a hub's default row."""
-    return [(position, row) for position, row in enumerate(rows)
-            if not is_default_row(element, row)]
+    return [(position, row) for position, row in enumerate(rows) if not is_default_row(row)]
 
 
 def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-          mapping: SourceMapping, mark: datetime | None = None,
-          reads: Reads | None = None) -> list[tuple[Record, Record]]:
+          mapping: SourceMapping, mark: datetime | None,
+          reads: Reads) -> list[tuple[Record, Record]]:
     """(bronze row, candidate) pairs in bronze order, from the loads and the
     oracle alike: the mapping's bronze captured after `mark` (all of it
     with none; none without a bronze table), each payload stamped with its
-    load source, capture time and a computed hub's key. A null capture
-    time or partition column (a hub's business keys, a star's composite
-    key) fails, and so does the default row's key; a LoadError or EvalError
-    names the silver table and the bronze source.
+    load source, capture time and a computed hub's key. A source that
+    declares the system's load source, which marks the default row, fails;
+    so does a null capture time or partition column (a hub's business keys,
+    a star's composite key), and the default row's key. A LoadError or
+    EvalError names the silver table and the bronze source.
 
     `reads` holds one command's read of each bronze source as (mark, rows),
     so that the mappings of a source share one decode: a mark equal to or
@@ -293,13 +294,14 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     mark reads again and is held in its place. Bronze does not change
     within a load or an oracle run; the caller drops a source's read after
     its last mapping. Its `find_key` resolves references into
-    system-generated-key hubs. Without `reads`, the staging shares
-    nothing."""
+    system-generated-key hubs."""
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
+    load_source = spec.source(mapping.source).load_source_id
+    if load_source == SYSTEM_LOAD_SOURCE:
+        raise LoadError(f"{silver}.{element.table_name} <- {bronze}.{mapping.source}: "
+                        f"load_source {load_source} is reserved for the system's default rows")
     if not warehouse.table_exists(bronze, mapping.source):
         return []
-    if reads is None:
-        reads = Reads(warehouse, spec)
     held = reads.bronze.get(mapping.source)
     if held is not None and (held[0] is None or mark is not None and held[0] <= mark):
         bronze_rows = held[1] if mark == held[0] else [
@@ -308,7 +310,6 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
         bronze_rows = warehouse.read_rows(bronze, mapping.source, captured_after=mark)
         reads.bronze[mapping.source] = (mark, bronze_rows)
     payloads = compile_mapping(reads.find_key, spec, element, mapping)
-    load_source = spec.source(mapping.source).load_source_id
     hub = isinstance(element, HubDef)
     partition, what = ((element.business_key_names, "business key") if hub
                        else (element.identity, "composite key column"))
@@ -342,7 +343,7 @@ def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
 
 def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-          mapping: SourceMapping, now: datetime, reads: Reads | None) -> LoadResult:
+          mapping: SourceMapping, now: datetime, reads: Reads) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
     `load_all` has checked the stored manifests it reads. The mark is the
@@ -364,15 +365,14 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     silver = spec.schema_names["silver"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
-    read = warehouse.max_capture_timestamp(silver, element.table_name,
-                                           hub.key_column if hub is not None else None)
+    read = warehouse.max_capture_timestamp(silver, element.table_name)
     if hub is not None and not read.lines:
         raise StorageError(f"{table}: no high-water mark; initialize default rows first")
     mark = read.mark
     staged = stage(warehouse, spec, element, mapping, mark, reads)
     # Without candidates there is nothing to merge, so no row is decoded.
     rows = warehouse.read_rows(silver, element.table_name, snapshot=read) if staged else []
-    members = _members(element, rows)
+    members = _members(rows)
     partition = hub.business_key_names if hub is not None else element.identity
 
     # rn = 1 per partition, over positions in `staged`; ties go to the
@@ -430,12 +430,12 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
 
 
 def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
-             mapping: SourceMapping, now: datetime, reads: Reads | None = None) -> LoadResult:
+             mapping: SourceMapping, now: datetime, reads: Reads) -> LoadResult:
     return _load(warehouse, spec, hub, mapping, now, reads)
 
 
 def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
-              mapping: SourceMapping, now: datetime, reads: Reads | None = None) -> LoadResult:
+              mapping: SourceMapping, now: datetime, reads: Reads) -> LoadResult:
     return _load(warehouse, spec, star, mapping, now, reads)
 
 

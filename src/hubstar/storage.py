@@ -2,15 +2,19 @@
 plus a JSON-lines data file (and, for a gold view, a trace of what it was
 built from), and every write is a whole-file atomic rename.
 Stored lines are canonical, so writes splice encoded lines into a file's
-bytes, and a read, one pass over a file's lines, skips a bronze line by the
-capture time in its prefix without decoding it; `max_capture_timestamp`
-reads a silver table's mark from the same kind of prefix, and hands its
-read to `read_rows` for a load that goes on to merge. A Warehouse parses a
-manifest once per content and remembers the rows of a table it splices by
-line, those it wrote (a copy of the caller's row when it is exactly what
-decoding its line gives) and those it read, so a later read of that table
-decodes only the lines it has neither written nor seen. A manifest's codec
-formats and parses each distinct timestamp once.
+bytes, and refuse, before touching a file, a value no read would give
+back. Every read starts from one snapshot of a table's files and makes
+one pass over its lines, skipping a bronze line by the capture time in its
+prefix without decoding it; `max_capture_timestamp` reads a silver
+table's mark, and which line is a hub's default row (its load source is
+the system's), from the same kind of head, and hands its snapshot to
+`read_rows` for a load that goes on to merge. A Warehouse holds only its
+root and the manifests it parsed, once per content; a manifest object
+keeps the rows of a table the Warehouse splices by line, those it wrote (a
+copy of the caller's row when it is exactly what decoding its line gives)
+and those it read, so a later read of that table decodes only the lines it
+has neither written nor seen. A manifest's codec formats and parses each
+distinct timestamp once.
 
 Constraints declared in a manifest are never enforced on the write path;
 `check_constraints` audits them after the fact, mirroring how analytical
@@ -32,7 +36,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import StorageError
-from .model import BRONZE_METADATA, DEFAULT_HUB_KEY, ColumnSpec
+from .model import BRONZE_METADATA, SYSTEM_LOAD_SOURCE, ColumnSpec
 from .values import format_timestamp, parse_stored_timestamp, row_key, show_key, values_equal
 
 Record = dict[str, Any]
@@ -45,9 +49,12 @@ TRACE_FILE = "trace"
 # the capture time first, and it is never null.
 CAPTURE_PREFIX = ("{" + json.dumps(BRONZE_METADATA[0]) + ':"').encode()
 # How every canonical silver line begins (model.HUB_METADATA and
-# STAR_METADATA): its load source, an integer, then its capture time, whose
-# text the group holds, or nothing where it is null.
-SILVER_HEAD = re.compile(rb'\{"load_source":\d+,"capture_timestamp":(?:"([^"\\]*)"|null)(?=[,}])')
+# STAR_METADATA): its load source, an integer, which the first group holds
+# only where it is the system's, as in a hub's default row and no other;
+# then its capture time, whose text the second group holds, or nothing
+# where it is null.
+SILVER_HEAD = re.compile(rb'\{"load_source":(?:(%d)|\d+),"capture_timestamp":(?:"([^"\\]*)"|null)'
+                         rb'(?=[,}])' % SYSTEM_LOAD_SOURCE)
 
 
 def digest(parts: Iterable[bytes]) -> str:
@@ -117,6 +124,11 @@ class TableManifest:
     read_timestamp = cached_property(lambda self: _timestamp_value({}))
     codec = cached_property(lambda self: _compile(self.columns, _timestamp_text({}),
                                                   self.read_timestamp))
+    # The row of each line that a `Warehouse` keeps for a table it splices
+    # (`append_rows` with `lines`), under this manifest object: a line's row
+    # depends only on the line and the layout, so a manifest that changes
+    # is a new object and keeps nothing.
+    kept = cached_property(lambda self: {})
 
     def to_json(self) -> dict:
         return {
@@ -154,6 +166,8 @@ def _encode_scalar(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, Decimal)):  # unquoted, so the numeric type survives
+        if isinstance(value, Decimal) and not value.is_finite():  # JSON has no such number
+            raise StorageError(f"cannot persist non-finite decimal {value}")
         return "0" if (text := str(value)) == "-0" else text  # "-0" reads back as 0
     if isinstance(value, datetime):
         return '"' + format_timestamp(value) + '"'  # the canonical form holds nothing to escape
@@ -219,9 +233,9 @@ def _exact_timestamp(value: datetime) -> Any:
 
 def _exact_decimal(value: Decimal) -> Any:
     """A stored decimal reads back as a `Decimal` of its text, but `-0` is
-    stored as `0`; so any negative zero counts as inexact."""
-    return value if value.is_finite() and not (value.is_zero() and value.is_signed()) \
-        else _INEXACT
+    stored as `0`; so any negative zero counts as inexact. (A non-finite
+    decimal is never stored: `_encode_scalar` refuses it.)"""
+    return _INEXACT if value.is_zero() and value.is_signed() else value
 
 
 def _compile(columns: tuple[ColumnSpec, ...], encode_timestamp: Callable[[Any], str],
@@ -304,7 +318,18 @@ def encode_row(manifest: TableManifest, record: Mapping[str, Any]) -> str:
 
 
 def _encode_rows(manifest: TableManifest, rows: Iterable[Record]) -> bytes:
-    return "".join(encode_row(manifest, r) + "\n" for r in rows).encode("utf-8")
+    """The stored lines of `rows`, each ended. A value no read would give
+    back (a non-finite decimal, a string holding a lone surrogate, which
+    UTF-8 cannot hold, or a type the codec has no text for) raises
+    StorageError naming the table, so a write refuses it before it touches
+    a file."""
+    try:
+        return "".join(encode_row(manifest, r) + "\n" for r in rows).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise StorageError(f"{manifest.schema}.{manifest.table}: cannot persist a string "
+                           f"holding the lone surrogate {exc.object[exc.start]!r}") from exc
+    except StorageError as exc:
+        raise StorageError(f"{manifest.schema}.{manifest.table}: {exc}") from exc
 
 
 def _refuse_constant(name: str):
@@ -361,12 +386,12 @@ def _atomic_write(path: Path, content: bytes, current: bytes | None = None):
 
 
 class Snapshot(NamedTuple):
-    """One read of a table (`Warehouse.max_capture_timestamp`): its
-    manifest, its data file's non-blank lines, stripped, and the latest
-    capture time read from them."""
+    """One read of a table's files: its manifest, its data file's non-blank
+    lines, stripped, and the latest capture time read from them, when
+    `Warehouse.max_capture_timestamp` took it."""
     manifest: TableManifest
     lines: list[bytes]
-    mark: datetime | None
+    mark: datetime | None = None
 
 
 class Warehouse:
@@ -376,10 +401,6 @@ class Warehouse:
         self.root = Path(root)
         # Each manifest file's bytes and what they parse to.
         self._manifests: dict[bytes, TableManifest] = {}
-        # Each table this object spliced (append_rows with `lines`): a
-        # manifest and, under it, the row of each line its last whole read
-        # returned or a splice since wrote.
-        self._memo: dict[TableKey, tuple[TableManifest, dict[bytes, Record]]] = {}
 
     def table_dir(self, schema: str, table: str) -> Path:
         return self.root / schema / table
@@ -417,7 +438,8 @@ class Warehouse:
         and return the `table_digest` of what it wrote, computed from the
         bytes in memory. Rebuilding identical content leaves the files
         untouched (`_atomic_write`)."""
-        content, data = self._write_manifest(manifest), _encode_rows(manifest, rows)
+        data = _encode_rows(manifest, rows)
+        content = self._write_manifest(manifest)
         _atomic_write(self.table_dir(manifest.schema, manifest.table) / DATA_FILE, data)
         return digest([content, data])
 
@@ -470,36 +492,33 @@ class Warehouse:
             self._manifests[content] = TableManifest.from_json(json.loads(content.decode("utf-8")))
         return self._manifests[content]
 
-    def read_rows(self, schema: str, table: str, captured_after: datetime | None = None,
-                  snapshot: Snapshot | None = None) -> list[Record]:
-        """The table's rows in file order, in a new list, from one pass over
-        the file's non-blank lines, or over those of `snapshot` under its
-        manifest without reading the files again. Rows may be shared with
-        other reads through this object, as is the row of a line held twice,
-        so callers must not mutate them. With `captured_after`, a line that
-        begins with CAPTURE_PREFIX is skipped undecoded unless that capture
-        time is strictly later, and any other row is returned only when
-        captured strictly later. A row comes from this read, from the memo of
-        a table this object splices (under an equal manifest), which holds
-        the rows of the lines its splices wrote and its last read returned,
-        or from decoding; a read without `captured_after` keeps the rows of
-        the lines it returned.
-        A line that does not decode, or whose tested capture time is null,
-        raises StorageError naming its number among the non-blank lines."""
-        if snapshot is not None:
-            return self._read(schema, table, snapshot.manifest, snapshot.lines, captured_after)
+    def _snapshot(self, schema: str, table: str) -> Snapshot:
+        """The table's manifest and its data file's non-blank lines,
+        stripped (none without a data file), each file read once."""
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
         if not data.is_file():
-            return []
-        with data.open("rb") as fh:
-            return self._read(schema, table, manifest, filter(None, map(bytes.strip, fh)),
-                              captured_after)
+            return Snapshot(manifest, [])
+        return Snapshot(manifest, [line for line in map(bytes.strip, data.read_bytes().split(b"\n"))
+                                   if line])
 
-    def _read(self, schema: str, table: str, manifest: TableManifest,
-              lines: Iterable[bytes], captured_after: datetime | None) -> list[Record]:
-        """`read_rows` over these non-blank lines, stripped."""
-        memo, kept = self._kept(schema, table, manifest)
+    def read_rows(self, schema: str, table: str, captured_after: datetime | None = None,
+                  snapshot: Snapshot | None = None) -> list[Record]:
+        """The table's rows in file order, in a new list, from one pass over
+        the non-blank lines of one read of its files, or of `snapshot`
+        without reading them again. Rows may be shared with other reads
+        through this object, as is the row of a line held twice, so callers
+        must not mutate them. With `captured_after`, a line that begins with
+        CAPTURE_PREFIX is skipped undecoded unless that capture time is
+        strictly later, and any other row is returned only when captured
+        strictly later. A row comes from this read, from the rows its
+        manifest keeps for a table this object splices (`append_rows`), or
+        from decoding; a read of a spliced table without `captured_after`
+        keeps the rows of the lines it returned, and only those.
+        A line that does not decode, or whose tested capture time is null,
+        raises StorageError naming its number among the non-blank lines."""
+        manifest, lines, _mark = snapshot or self._snapshot(schema, table)
+        kept = manifest.kept
         read: dict[bytes, Record] = {}  # each line of this read and its row
         rows, start = [], len(CAPTURE_PREFIX)
         try:
@@ -523,15 +542,10 @@ class Warehouse:
                 rows.append(row)
         except _UNDECODABLE as exc:
             raise StorageError(f"{schema}.{table}: line {number} does not decode: {exc}") from exc
-        if memo is not None and captured_after is None:
-            self._memo[schema, table] = (manifest, read)
+        if kept and captured_after is None:
+            kept.clear()
+            kept.update(read)
         return rows
-
-    def _kept(self, schema: str, table: str, manifest: TableManifest):
-        """The table's memo, if this object splices it, and the rows it
-        keeps by line under `manifest` (none under another manifest)."""
-        memo = self._memo.get((schema, table))
-        return memo, memo[1] if memo is not None and memo[0] == manifest else {}
 
     def append_rows(self, schema: str, table: str, rows: list[Record],
                     replace: Mapping[int, Record] | None = None, lines: int | None = None):
@@ -543,12 +557,13 @@ class Warehouse:
         is the number of lines the caller read; a file that holds another
         number raises StorageError and is left as it is.
 
-        With `lines`, this object keeps the table's rows: the row of each
-        line it writes here, and from its next `read_rows` on the row of
-        every line that read returns, so each later read decodes only the
+        With `lines`, the table's manifest keeps its rows (`kept`): the row
+        of each line written here, and from the next `read_rows` on the row
+        of every line that read returns, so each later read decodes only the
         lines that neither wrote nor returned. The row kept for a written
         line is a copy of the caller's row when the codec's `exact` says
-        decoding that line gives it back, and otherwise the line's decode."""
+        decoding that line gives it back, and otherwise the line's decode; a
+        line that does not decode keeps none, and the read refuses it."""
         replace = replace or {}
         if not rows and not replace:
             return
@@ -557,41 +572,33 @@ class Warehouse:
         existing = content = data.read_bytes() if data.is_file() else b""
         written: list[tuple[bytes, Record]] = []  # (line, row) for each row of this write
         if replace or lines is not None:
-            kept = [line for line in existing.split(b"\n") if line.strip()]
-            if lines is not None and len(kept) != lines:
-                raise StorageError(f"{schema}.{table}: data holds {len(kept)} rows, "
+            stored = [line for line in existing.split(b"\n") if line.strip()]
+            if lines is not None and len(stored) != lines:
+                raise StorageError(f"{schema}.{table}: data holds {len(stored)} rows, "
                                    f"not the {lines} read; nothing written")
             for position, row in replace.items():
-                if not 0 <= position < len(kept):
+                if not 0 <= position < len(stored):
                     raise StorageError(f"{schema}.{table}: no row at position {position}")
-                kept[position] = encode_row(manifest, row).encode("utf-8")
-                written.append((kept[position], row))
-            content = b"".join(line + b"\n" for line in kept)
+                stored[position] = _encode_rows(manifest, [row])[:-1]
+                written.append((stored[position], row))
+            content = b"".join(line + b"\n" for line in stored)
         elif content and not content.endswith(b"\n"):
             content += b"\n"
         added = _encode_rows(manifest, rows)
         _atomic_write(data, content + added, existing)
-        if lines is not None:  # no stored line holds a newline, so each row gives one
-            self._keep((schema, table), manifest, written + list(zip(added.split(b"\n"), rows)))
-
-    def _keep(self, key: TableKey, manifest: TableManifest,
-              written: list[tuple[bytes, Record]]):
-        """Add to the table's memo the row of each (line, row) written, as
-        `append_rows` says; a line that does not decode is left for the read
-        to refuse."""
-        held = self._memo.get(key)
-        memo = held[1] if held is not None and held[0] == manifest else {}
-        exact = manifest.codec.exact
-        for line, row in written:
-            if line not in memo:
-                kept = exact(row)
-                if kept is None:
+        if lines is None:
+            return
+        kept, exact = manifest.kept, manifest.codec.exact
+        # No stored line holds a newline, so each added row gives one.
+        for line, row in written + list(zip(added.split(b"\n"), rows)):
+            if line not in kept:
+                copy = exact(row)
+                if copy is None:
                     try:
-                        kept = decode_row(manifest, line.decode())
+                        copy = decode_row(manifest, line.decode())
                     except _UNDECODABLE:
                         continue
-                memo[line] = kept
-        self._memo[key] = (manifest, memo)
+                kept[line] = copy
 
     # Nothing in hubstar calls upsert_rows or scan; they stay because the
     # benchmark's tracer (bench/spans.py) wraps them.
@@ -628,55 +635,43 @@ class Warehouse:
         return [r for r in rows
                 if all(values_equal(r.get(col), want) for col, want in where.items())]
 
-    def max_capture_timestamp(self, schema: str, table: str,
-                              default_key: str | None = None) -> Snapshot:
+    def max_capture_timestamp(self, schema: str, table: str) -> Snapshot:
         """The latest capture time among the table's rows, leaving out a
-        hub's default row (one whose `default_key` column holds
-        DEFAULT_HUB_KEY), or None when no row is left; with the one read of
-        the files it was taken from, for `read_rows` to decode. A line takes
-        its row from the memo of a table this object splices, as in
-        `read_rows`. Otherwise a line that begins as SILVER_HEAD says is not
-        decoded: its capture time is read from that text, and it is a
-        default row when its first `,"<default_key>":` holds `"-1"`, which
-        is its own column wherever no collection column comes before it, as
-        in every hub. Any other line is decoded. A capture time left in that
-        is null, or whose text does not read, raises StorageError naming
-        its line."""
-        manifest = self.manifest(schema, table)
-        data = self.table_dir(schema, table) / DATA_FILE
-        lines = list(filter(None, map(bytes.strip, data.read_bytes().split(b"\n")))) \
-            if data.is_file() else []
-        _memo, kept = self._kept(schema, table, manifest)
-        key = None if default_key is None else ("," + json.dumps(default_key) + ":").encode()
-        default = encode_basestring(DEFAULT_HUB_KEY).encode()
+        hub's default row, the one whose load source is SYSTEM_LOAD_SOURCE,
+        or None when no row is left; with the one read of the files it was
+        taken from, for `read_rows` to decode. A line takes the row its
+        manifest keeps, as in `read_rows`. Otherwise a line that begins as
+        SILVER_HEAD says is not decoded: its load source and capture time
+        are read from that text. Any other line is decoded. A capture time
+        left in that is null, or whose text does not read, raises
+        StorageError naming its line."""
+        manifest, lines, _mark = read = self._snapshot(schema, table)
+        kept = manifest.kept
         mark = None
         for number, line in enumerate(lines, start=1):
             row = kept.get(line)
-            if row is None:
-                try:
-                    head = SILVER_HEAD.match(line)
-                    if head is None:
-                        row = decode_row(manifest, line.decode())
-                    elif key is not None and 0 <= (at := line.find(key)) \
-                            and line.startswith(default, at + len(key)):
+            head = SILVER_HEAD.match(line) if row is None else None
+            try:
+                if head is not None:
+                    if head[1] is not None:
                         continue
-                    else:
-                        text = head[1]
-                        capture = None if text is None else manifest.read_timestamp(
-                            text.decode())
-                except _UNDECODABLE as exc:
-                    raise StorageError(f"{schema}.{table}: line {number} does not decode: "
-                                       f"{exc}") from exc
-            if row is not None:
-                if default_key is not None and row.get(default_key) == DEFAULT_HUB_KEY:
-                    continue
-                capture = row.get("capture_timestamp")
+                    text = head[2]
+                    capture = None if text is None else manifest.read_timestamp(text.decode())
+                else:
+                    if row is None:
+                        row = decode_row(manifest, line.decode())
+                    if row.get("load_source") == SYSTEM_LOAD_SOURCE:
+                        continue
+                    capture = row.get("capture_timestamp")
+            except _UNDECODABLE as exc:
+                raise StorageError(f"{schema}.{table}: line {number} does not decode: "
+                                   f"{exc}") from exc
             if capture is None:
                 raise StorageError(f"{schema}.{table}: line {number}: "
                                    "column capture_timestamp is null")
             if mark is None or capture > mark:
                 mark = capture
-        return Snapshot(manifest, lines, mark)
+        return read._replace(mark=mark)
 
     def check_constraints(self, schema: str, table: str) -> list[str]:
         """Audit one table against its declared constraints; returns
@@ -718,10 +713,10 @@ class Warehouse:
                 for key in _duplicates(rows, manifest.primary_key):
                     problems.append(f"{schema}.{table}: duplicate primary key {show_key(key)}")
             for unique_cols in manifest.unique:
-                # A hub's `-1` default row holds stand-ins for its business
-                # keys, which a member may share, so it is left out.
-                members = [r for r in rows
-                           if tuple(map(r.get, manifest.primary_key)) != (DEFAULT_HUB_KEY,)]
+                # A hub's default row, the one no source loaded, holds
+                # stand-ins for its business keys, which a member may share,
+                # so it is left out.
+                members = [r for r in rows if r.get("load_source") != SYSTEM_LOAD_SOURCE]
                 for key in _duplicates(members, unique_cols):
                     problems.append(f"{schema}.{table}: duplicate value {show_key(key)} "
                                     f"for unique ({', '.join(unique_cols)})")

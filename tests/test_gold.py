@@ -464,7 +464,21 @@ def test_join_on_a_column_no_table_exposes_is_an_error(gw):
     view = MODEL.view("fact_orders_loose")
     broken = replace(view, joins=(HubJoin("person", "no_such_key", "left"),))
     with pytest.raises(GoldBuildError, match="no table exposes column 'no_such_key'"):
-        build_view(gw, MODEL, broken, now=NOW)
+        build_view(gw, MODEL, broken, now=NOW, written={})
+
+
+def test_join_current_over_a_star_base_is_an_error(gw):
+    # The validator refuses such a view; an unvalidated one fails its build
+    # before anything is written.
+    star_join = next(join for join in MODEL.view("dim_person").joins
+                     if not isinstance(join, HubJoin))
+    loose = MODEL.view("fact_orders_loose")
+    broken = replace(loose, joins=(star_join,), outputs=loose.outputs[:1])
+    before = file_bytes(gw.root)
+    with pytest.raises(GoldBuildError,
+                       match=r"^fact_orders_loose: join_current requires a hub base$"):
+        build_view(gw, MODEL, broken, now=NOW, written={})
+    assert file_bytes(gw.root) == before
 
 
 def test_a_build_resolves_each_reference_once_whatever_the_row_count(gw, tmp_path, monkeypatch):

@@ -10,9 +10,10 @@ ranking. Staging also makes a computed hub's own key: in
 the oracle reads none. Bronze is read after a mark only while staging,
 where the mappings of one source share the read, and a load decodes its
 own table only when staging gives it candidates. Storage sits below every
-layer and imports none,
-a timestamp crosses its row codec only through the codec's memos, and one
-compiler branches on a column's type for both directions of the codec.
+layer and imports none, tells a hub's default row only by its load source
+and keeps no state per table in a `Warehouse`; a timestamp crosses its row
+codec only through the codec's memos, and one compiler branches on a
+column's type for both directions of the codec.
 """
 
 from __future__ import annotations
@@ -80,6 +81,30 @@ def namers(module: str, name: str) -> set[str]:
     return {getattr(node, "name", "<module>") for node in tree(module).body
             for inner in ast.walk(node)
             if isinstance(inner, ast.Name) and inner.id == name}
+
+
+def test_storage_tells_a_default_row_by_its_load_source_not_its_key():
+    # One rule: the default row is the one no source loaded, which a line's
+    # text states in its head.
+    assert "DEFAULT_HUB_KEY" not in imports("storage").get("model", set())
+    assert namers("storage", "DEFAULT_HUB_KEY") == set()
+
+
+def test_in_silver_only_the_default_row_and_its_rule_name_the_system_load_source():
+    # The default row, its predicate, and staging's refusal of a source that
+    # declares the system's load source.
+    assert namers("silver", "SYSTEM_LOAD_SOURCE") == {"default_row", "is_default_row", "stage"}
+
+
+def test_a_warehouse_holds_no_state_per_table():
+    # The rows it keeps for a table it splices live on the table's manifest
+    # object, so a changed manifest keeps none.
+    warehouse = next(node for node in tree("storage").body
+                     if getattr(node, "name", None) == "Warehouse")
+    init = next(node for node in warehouse.body if getattr(node, "name", None) == "__init__")
+    assert {target.attr for node in ast.walk(init)
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Attribute)} == {"root", "_manifests"}
 
 
 def test_timestamps_cross_storage_only_through_the_codecs_memos():

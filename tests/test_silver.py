@@ -4,6 +4,7 @@ null-safe change detection, default rows, and collection explosion."""
 from __future__ import annotations
 
 import json
+import shutil
 from collections import Counter
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -640,11 +641,11 @@ def test_local_system_keyed_hub_keeps_one_row_per_source_and_code(tmp_path):
     assert check_against_oracle(warehouse, LOCAL_CODES) == []
 
 
-def one_hub_model(key: str, key_type: str):
+def one_hub_model(key: str, key_type: str, load_source: int = 1):
     return parse_model(f'''product defaults
 
 source s {{
-  load_source 1
+  load_source {load_source}
   format csv
   column code {key_type}
   column label string
@@ -723,6 +724,39 @@ def test_a_computed_key_equal_to_the_default_rows_fails_the_load(tmp_path):
     assert str(oracle_error.value) == str(load_error.value) == (
         "hs_defaults.hub_item <- raw_defaults.s: "
         "key formula gives the default row's key -1 for (-1)")
+
+
+def test_a_source_that_declares_the_systems_load_source_is_refused(tmp_path):
+    # The default row is the one row whose load source is the system's, so
+    # staging refuses a source that declares it, as the validator does.
+    spec = one_hub_model("system_generated", "string", load_source=SYSTEM_LOAD_SOURCE)
+    assert [v.rule for v in validate_model(spec).violations] == ["source_load_source_id"]
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, spec)
+    path = tmp_path / "s.csv"
+    path.write_text("code,label,at\nabc,hello,2024-01-01T00:00:00Z\n", encoding="utf-8")
+    ingest_file(warehouse, spec, "s", path, now=NOW)
+    before = file_bytes(warehouse.root)
+    refusal = ("hs_defaults.hub_item <- raw_defaults.s: "
+               "load_source 0 is reserved for the system's default rows")
+    with pytest.raises(LoadError) as load_error:
+        load_all(warehouse, spec, now=NOW)
+    with pytest.raises(LoadError) as oracle_error:
+        check_against_oracle(Warehouse(warehouse.root), spec)
+    assert str(load_error.value) == str(oracle_error.value) == refusal
+    assert file_bytes(warehouse.root) == before
+
+
+def test_a_mapping_whose_source_has_no_bronze_table_stages_nothing(wh, feed):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    bronze = MODEL.schema_names["bronze"]
+    shutil.rmtree(wh.table_dir(bronze, "visits"))
+    results = load_all(wh, MODEL, now=NOW)
+    visit = result_for(results, "star_person_visit")
+    assert (visit.scanned, visit.inserted, visit.updated, visit.new_hwm) == (0, 0, 0, EPOCH)
+    assert result_for(results, "hub_person").inserted == 1
+    assert wh.read_rows(SILVER, "star_person_visit") == []
+    assert check_against_oracle(wh, MODEL) == []
 
 
 def test_fk_with_null_argument_points_at_default_row(wh, feed):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import os
 import random
@@ -251,6 +252,11 @@ def test_missing_table_raises(wh):
         wh.append_rows("lab", "nothing", [ROW])
 
 
+def test_the_digest_of_a_missing_table_is_refused(wh):
+    with pytest.raises(StorageError, match=r"^no such table lab\.nothing$"):
+        wh.table_digest("lab", "nothing")
+
+
 def test_a_table_without_a_data_file_reads_no_rows(wh):
     (wh.table_dir("lab", "samples") / "data").unlink()
     assert wh.read_rows("lab", "samples") == []
@@ -403,6 +409,10 @@ def test_a_read_after_a_splice_decodes_only_the_lines_it_wrote(wh, decoded):
     replacement["count"] = 5  # the caller's row is not the one kept
     after = wh.read_rows("lab", "samples")
     assert decoded.lines == []
+    # The manifest keeps the rows of the lines the read returned, and only
+    # those: not the line the splice replaced.
+    data = wh.table_dir("lab", "samples") / "data"
+    assert list(wh.manifest("lab", "samples").kept) == data.read_bytes().split(b"\n")[:-1]
     assert after == Warehouse(wh.root).read_rows("lab", "samples")
     assert after[1]["count"] == 2
     assert after[0] is rows[0] and after[2] is rows[2]  # shared, so never to be mutated
@@ -675,6 +685,53 @@ def test_a_bare_non_finite_token_in_a_stored_line_does_not_decode(wh, tmp_path, 
     with pytest.raises(StorageError, match=rf"^lab\.samples: line 2 does not decode: "
                                            rf"{re.escape(token)} is not a JSON number$"):
         Warehouse(tmp_path).read_rows("lab", "samples")
+
+
+@pytest.mark.parametrize("column, value, refusal", [
+    ("price", Decimal("NaN"), "non-finite decimal NaN"),
+    ("price", Decimal("Infinity"), "non-finite decimal Infinity"),
+    ("count", Decimal("-Infinity"), "non-finite decimal -Infinity"),
+    ("price", Decimal("sNaN"), "non-finite decimal sNaN"),
+    ("sample_id", "a\ud800b", "a string holding the lone surrogate '\\ud800'"),
+    ("price", 1.5, "value of type float"),
+], ids=["nan", "infinity", "minus-infinity", "signalling-nan", "lone-surrogate", "float"])
+def test_a_value_no_read_would_give_back_is_refused_before_a_byte_is_written(
+        tmp_path, column, value, refusal):
+    warehouse = Warehouse(tmp_path)
+    warehouse.create_table(manifest())
+    warehouse.append_rows("lab", "samples", [ROW, {**ROW, "sample_id": "s-2"}])
+    bad = {**ROW, "sample_id": "s-3", column: value}
+    calls = [
+        ("samples", lambda: warehouse.append_rows("lab", "samples", [bad])),
+        ("samples", lambda: warehouse.append_rows("lab", "samples", [bad], lines=2)),
+        ("samples", lambda: warehouse.append_rows("lab", "samples", [], replace={1: bad},
+                                                  lines=2)),
+        ("samples", lambda: warehouse.upsert_rows("lab", "samples", [bad])),
+        ("samples", lambda: warehouse.replace_table(manifest(), [ROW, bad])),
+        ("fresh", lambda: warehouse.replace_table(manifest(table="fresh"), [bad])),
+    ]
+    before = file_bytes(tmp_path)
+    for table, call in calls:
+        with pytest.raises(StorageError,
+                           match=rf"^lab\.{table}: cannot persist {re.escape(refusal)}$"):
+            call()
+        assert file_bytes(tmp_path) == before
+    assert not warehouse.table_exists("lab", "fresh")
+    assert Warehouse(tmp_path).read_rows("lab", "samples") == [ROW, {**ROW, "sample_id": "s-2"}]
+
+
+def test_a_spliced_line_that_does_not_decode_keeps_no_row_and_the_next_read_names_it(
+        wh, decoded):
+    # Constraints are not enforced on the write path, so a string in a
+    # timestamp column is written; it cannot be read back as a timestamp.
+    wh.append_rows("lab", "samples", [ROW, {**ROW, "sample_id": "s-2", "taken_at": "soon"}],
+                   lines=0)
+    manifest_object = wh.manifest("lab", "samples")
+    assert [row["sample_id"] for row in manifest_object.kept.values()] == ["s-1"]
+    with pytest.raises(StorageError, match=r"^lab\.samples: line 2 does not decode: "):
+        wh.read_rows("lab", "samples")
+    assert decoded.lines == [encode_row(manifest_object, {**ROW, "sample_id": "s-2",
+                                                          "taken_at": "soon"})] * 2
 
 
 def _ingest_and_load(through: Warehouse, spec, jobs):
@@ -979,37 +1036,44 @@ def test_scan_filters_with_value_semantics(wh):
 
 
 def test_max_capture_timestamp(tmp_path, decoded):
-    # A line that begins as every silver line does is read from its text;
-    # any other is decoded. Either way the row whose `k` is "-1" is left out
-    # when `k` is the default key, and a null capture time left in raises.
+    # A line whose row the manifest keeps takes it. Otherwise a line that
+    # begins as every silver line does is read from its text, and any other
+    # is decoded. Either way the default row, the one whose load source is
+    # the system's, is left out whatever another column's text holds, and a
+    # null capture time left in raises.
     columns = (ColumnSpec("note", "string"), ColumnSpec("k", "string"))
     head = (ColumnSpec("load_source", "integer"), ColumnSpec("capture_timestamp", "timestamp"))
     march = datetime(2024, 3, 1, tzinfo=timezone.utc)
-    for table, layout, decodes in (("text", head + columns, 0), ("decoded", columns + head, 3)):
+    for splice, (table, layout, decodes) in itertools.product(
+            (False, True), (("text", head + columns, 0), ("decoded", columns + head, 4))):
         manifest = TableManifest(schema="hs", table=table, columns=layout)
-        warehouse = Warehouse(tmp_path)
+        root = tmp_path / ("spliced" if splice else "appended")
+        warehouse = Warehouse(root)
         warehouse.create_table(manifest)
         assert warehouse.max_capture_timestamp("hs", table) == (manifest, [], None)
         warehouse.append_rows("hs", table, [
             {"load_source": 0, "k": "-1", "capture_timestamp": None},
-            {"load_source": 1, "k": "a", "capture_timestamp": march},
-            # Another column's text holds what the default key's would.
-            {"load_source": 1, "note": ',"k":"-1"', "k": "b",
+            {"load_source": 1, "k": "a",
              "capture_timestamp": datetime(2024, 1, 1, tzinfo=timezone.utc)},
-        ])
+            # Members whose later text holds what the default row's would.
+            {"load_source": 1, "note": '"load_source":0', "k": "-1", "capture_timestamp": march},
+            {"load_source": 2, "note": ',"k":"-1"', "k": "b",
+             "capture_timestamp": datetime(2024, 2, 1, tzinfo=timezone.utc)},
+        ], lines=0 if splice else None)
         decoded.clear()
-        read = warehouse.max_capture_timestamp("hs", table, default_key="k")
+        read = warehouse.max_capture_timestamp("hs", table)
         assert read.mark == march
-        assert decoded["hs", table] == decodes
+        assert decoded["hs", table] == (0 if splice else decodes)
         assert warehouse.read_rows("hs", table, snapshot=read) == \
-            warehouse.read_rows("hs", table)
-        with pytest.raises(StorageError,
-                           match=rf"^hs\.{table}: line 1: column capture_timestamp is null$"):
-            warehouse.max_capture_timestamp("hs", table)
+            Warehouse(root).read_rows("hs", table)
         data = warehouse.table_dir("hs", table) / "data"
-        data.write_bytes(data.read_bytes().replace(b"2024-01-01T00:00:00Z", b"2024-13-01"))
-        with pytest.raises(StorageError, match=rf"^hs\.{table}: line 3 does not decode: "):
-            warehouse.max_capture_timestamp("hs", table, default_key="k")
+        data.write_bytes(data.read_bytes().replace(b"2024-02-01T00:00:00Z", b"2024-13-01"))
+        with pytest.raises(StorageError, match=rf"^hs\.{table}: line 4 does not decode: "):
+            warehouse.max_capture_timestamp("hs", table)
+        data.write_bytes(data.read_bytes().replace(b'"2024-01-01T00:00:00Z"', b"null"))
+        with pytest.raises(StorageError,
+                           match=rf"^hs\.{table}: line 2: column capture_timestamp is null$"):
+            warehouse.max_capture_timestamp("hs", table)
 
 
 def test_check_constraints_reports_each_kind(tmp_path):
