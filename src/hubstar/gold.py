@@ -6,7 +6,9 @@ its table (Mokhov, Mitchell and Peyton Jones, "Build Systems a la Carte",
 ICFP 2018). A build whose trace still holds reads no row and writes
 nothing; any other build overwrites its target table from current silver
 content, so `build-gold` doubles as refresh. Either way, building twice
-over unchanged silver leaves the files byte-identical.
+over unchanged silver leaves the files byte-identical. Each build digests
+and reads the tables it joins from their files; no build hands rows or
+digests to another.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import __version__
 from .dsl import render_model
 from .errors import GoldBuildError
 from .model import ColumnRef, GoldViewDef, HubJoin, ModelSpec, ref_table, view_tables
-from .storage import Record, TableKey, Warehouse, digest, manifest_bytes
+from .storage import Record, Warehouse, digest, manifest_bytes
 from .tables import check_stored_manifest, gold_manifest, silver_manifest
 from .values import key_part, row_key, top_per_partition, value_to_string
 
@@ -92,14 +94,8 @@ def _project(outputs: list[tuple[str, str | None, str | None]], scd2_key: list[R
     return out
 
 
-# What `build_all` knows of each table an earlier build of the same call
-# wrote: the `table_digest` of the write, and the rows a later view may take
-# instead of reading them, or None.
-Written = dict[TableKey, tuple[str, "list[Record] | None"]]
-
-
 def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-               now: datetime, written: Written) -> GoldBuildResult:
+               now: datetime) -> GoldBuildResult:
     """One pipeline for every kind: base rows, joins, versions, the temporal
     join, then projection; each step runs when the view declares it, and
     each join is one `_join`. Every column reference is resolved to its
@@ -109,15 +105,11 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
 
     `build_all` has checked every table it reads. The view's inputs are
     digested: the canonical model text, the hubstar version, the manifest
-    it writes and the bytes of each table it reads. When the table's trace
-    records that digest and still matches the table's files, the build
-    returns the recorded row count without reading a row; otherwise it
-    builds, writes the table, then the trace. `written` maps each table an
-    earlier build of the same `build_all` wrote to the `table_digest` its
-    write returned and, for a view that another view of the model reads,
-    its rows as decoding them would give (the codec's `exact`; None when a
-    row fails it). The build takes a digest and rows from it rather than
-    from the files, and adds its own table."""
+    it writes and the `table_digest` of each table it reads. When the
+    table's trace records that digest and still matches the table's files,
+    the build returns the recorded row count without reading a row;
+    otherwise it reads each of those tables once, builds, writes the table,
+    then the trace, whose output digest comes from the write."""
     tables = view_tables(spec, view)
 
     def resolve(ref: ColumnRef) -> Resolved:
@@ -145,15 +137,13 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     manifest = gold_manifest(spec, view)
     inputs = digest([render_model(spec).encode("utf-8"), __version__.encode("utf-8"),
                      manifest_bytes(manifest),
-                     *((written[key][0] if key in written else warehouse.table_digest(*key))
-                       .encode("ascii") for key in read.values())])
+                     *(warehouse.table_digest(*key).encode("ascii") for key in read.values())])
     traced = warehouse.traced_rows(manifest, inputs)
     if traced is not None:
         return GoldBuildResult(view.name, traced, now)
 
     def read_rows(name: str) -> list[Record]:
-        held = written.get(read[name], (None, None))[1]
-        return warehouse.read_rows(*read[name]) if held is None else held
+        return warehouse.read_rows(*read[name])
 
     empty = dict.fromkeys(tables, _NO_ROW)
     contexts = [{**empty, view.base: row} for row in read_rows(view.base)]
@@ -179,14 +169,7 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
         contexts = _join(contexts, dim.name, read_rows(dim.name),
                          spec.hub(dim.base).key_column, key_ref, keep=valid_at)
     rows = _project(outputs, scd2_key, contexts)
-    output = warehouse.replace_table(manifest, rows)
-    kept = None
-    if any(("gold", view.name) == (kind, name) for other in spec.gold_views
-           for kind, name, _left in other.read_tables):
-        kept = list(map(manifest.codec.exact, rows))
-    written[manifest.schema, manifest.table] = (output, None if kept is None or None in kept
-                                                else kept)
-    warehouse.write_trace(manifest, inputs, len(rows), output)
+    warehouse.write_trace(manifest, inputs, len(rows), warehouse.replace_table(manifest, rows))
     return GoldBuildResult(view.name, len(rows), now)
 
 
@@ -219,5 +202,4 @@ def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
                 raise GoldBuildError(f"{view.name}: referenced dimension {name} "
                                      "is not built yet")
         built.add(view.name)
-    written: Written = {}
-    return [build_view(warehouse, spec, view, now, written) for view in ordered]
+    return [build_view(warehouse, spec, view, now) for view in ordered]

@@ -5,10 +5,11 @@ conditional updates. The oracle ignores all of that and derives the final
 state straight from the complete bronze history, so agreement between the
 two is evidence the incremental machinery is faithful.
 
-Staging is shared with the engine: `silver.stage` reads the bronze, evaluates
-the compiled mapping, makes a computed hub's key and refuses what a load
-refuses, so the oracle expects no row that no load could write. Batching,
-ranking, matching and merging are recomputed here from scratch.
+Staging is shared with the engine: `silver.stage` reads the bronze through
+one `silver.Reads` for the whole check, evaluates the compiled mapping, makes
+a computed hub's key and refuses what a load refuses, so the oracle expects
+no row that no load could write. Batching, ranking, matching and merging are
+recomputed here from scratch.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from .storage import Record, Warehouse
 from .values import row_key, show_key, values_equal
 
 
-def expected_state(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-                   reads: Reads) -> list[Record]:
+def expected_state(spec: ModelSpec, element: HubDef | StarDef, reads: Reads) -> list[Record]:
     """Final rows implied by the full bronze history of the element's one
     source mapping, if it has one: a hub's default row, then the top version
     of each identity in first-appearance order. No batching, no HWM. A hub
     version ranks by its `dedup_by` terms, then latest capture, then the
     earliest payload in bronze order; a star version by latest capture, then
-    the last payload. `reads` shares bronze reads as `stage` says."""
+    the last payload. `reads` gives the bronze (`stage`)."""
     hub = isinstance(element, HubDef)
     rows = [default_row(spec, element)] if hub else []
     if not element.source_mappings:
@@ -34,7 +34,7 @@ def expected_state(warehouse: Warehouse, spec: ModelSpec, element: HubDef | Star
     mapping = element.source_mappings[0]
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
     for position, (bronze_row, row) in enumerate(
-            stage(warehouse, spec, element, mapping, None, reads)):
+            stage(spec, element, mapping, None, reads)):
         groups.setdefault(row_key(row, element.identity), []).append((position, bronze_row, row))
 
     dedup_order = mapping.dedup_order if hub else ()
@@ -113,20 +113,13 @@ def check_against_oracle(warehouse: Warehouse, spec: ModelSpec,
     """Compare the whole silver layer to the oracle. Returns human-readable
     difference lines, empty when everything agrees. Elements with a
     `skip_reason` are outside the oracle's remit; the CLI reports them as
-    skipped, not here. Each bronze source is read once, by its first
-    element, and dropped after its last; each system-generated-key hub
-    that a mapping references is read once (`Reads`)."""
+    skipped, not here. Each bronze source, and each system-generated-key
+    hub that a mapping references, is read once (`Reads`)."""
     silver = spec.schema_names["silver"]
-    elements = [element for element in spec.hubs + spec.stars if skip_reason(element) is None]
-    last = {mapping.source: element for element in elements
-            for mapping in element.source_mappings}
     reads = Reads(warehouse, spec)
     problems: list[str] = []
-    for element in elements:
-        expected = expected_state(warehouse, spec, element, reads)
-        for mapping in element.source_mappings:
-            if last[mapping.source] is element:
-                reads.bronze.pop(mapping.source, None)
+    for element in [e for e in spec.hubs + spec.stars if skip_reason(e) is None]:
+        expected = expected_state(spec, element, reads)
         actual = warehouse.read_rows(silver, element.table_name)
         for (key_columns, actual_part), (_, expected_part) in zip(
                 _parts(element, actual), _parts(element, expected)):

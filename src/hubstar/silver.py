@@ -5,7 +5,9 @@ mark (`stage`, which the oracle shares), keep the top-ranked candidate
 version per business key (hubs) or composite key (stars), match it to a
 stored row by the element's identity, then insert new rows and update
 changed columns under null-safe comparison — unchanged re-deliveries touch
-nothing, which keeps repeated loads byte-stable.
+nothing, which keeps repeated loads byte-stable. The stagings of one command
+share one `Reads`: each bronze source's read, and each system-keyed hub's
+key index, held until the command returns.
 """
 
 from __future__ import annotations
@@ -107,42 +109,55 @@ def init_warehouse(warehouse: Warehouse, spec: ModelSpec) -> list[str]:
 # -- bronze staging (shared with the conformance oracle) -----------------------
 
 
-def hub_key_lookup(warehouse: Warehouse, spec: ModelSpec):
-    """`find(hub, business keys, load source)` -> the key of the first
-    member, in file order, of a system-generated-key hub whose identity those
-    values give, or "-1". Such keys cannot be recomputed, so each hub is read
-    once, on its first lookup, and the lookup holds it from then on."""
-    indexes: dict[str, dict[tuple, str]] = {}
-
-    def find(target: HubDef, bk_record: Record, load_source: int) -> str:
-        index = indexes.get(target.name)
-        if index is None:
-            index = indexes[target.name] = {}
-            rows = warehouse.read_rows(spec.schema_names["silver"], target.table_name)
-            for _position, row in _members(rows):
-                index.setdefault(row_key(row, target.identity), row[target.key_column])
-        return index.get(row_key({**bk_record, "load_source": load_source}, target.identity),
-                         DEFAULT_HUB_KEY)
-    return find
-
-
 class Reads:
-    """What the stagings of one command share: each bronze source's read,
-    as `stage` holds it, and one `hub_key_lookup`. A loading command may
-    share the lookup because `resolve_load_order` loads a hub before any
-    element that references it, so no load writes a hub after its first
-    lookup."""
+    """What the staging steps of one command (`load_all`,
+    `check_against_oracle`) share, held until it returns: each bronze
+    source's read, and an index of each system-generated-key hub that a
+    reference looks up. Bronze does not change within a command, and a
+    loading command may share the indexes because `resolve_load_order`
+    loads a hub before any element that references it, so no load writes a
+    hub after its first lookup."""
 
     def __init__(self, warehouse: Warehouse, spec: ModelSpec):
-        self.bronze: dict[str, tuple[datetime | None, list[Record]]] = {}
-        self.find_key = hub_key_lookup(warehouse, spec)
+        self.warehouse, self.spec = warehouse, spec
+        self._bronze: dict[str, tuple[datetime | None, list[Record]]] = {}
+        self._keys: dict[str, dict[tuple, str]] = {}
+
+    def bronze(self, source: str, mark: datetime | None) -> list[Record]:
+        """The source's bronze rows captured after `mark` (all of them with
+        none), in file order, so that the mappings of a source share one
+        decode: a mark equal to or above the one held takes the rows held
+        captured after it, and any other mark reads again and is held in
+        its place."""
+        held = self._bronze.get(source)
+        if held is not None and (held[0] is None or mark is not None and held[0] <= mark):
+            return held[1] if mark == held[0] else [
+                row for row in held[1] if row["capture_timestamp"] > mark]
+        rows = self.warehouse.read_rows(self.spec.schema_names["bronze"], source,
+                                        captured_after=mark)
+        self._bronze[source] = (mark, rows)
+        return rows
+
+    def hub_key(self, hub: HubDef, bk_record: Record, load_source: int) -> str:
+        """The key of the first member, in file order, of a
+        system-generated-key hub whose identity these business keys and
+        load source give, or "-1". Such keys cannot be recomputed, so the
+        hub is read once, on its first lookup."""
+        index = self._keys.get(hub.name)
+        if index is None:
+            index = self._keys[hub.name] = {}
+            rows = self.warehouse.read_rows(self.spec.schema_names["silver"], hub.table_name)
+            for _position, row in _members(rows):
+                index.setdefault(row_key(row, hub.identity), row[hub.key_column])
+        return index.get(row_key({**bk_record, "load_source": load_source}, hub.identity),
+                         DEFAULT_HUB_KEY)
 
 
 def _fk_resolver(find_key, spec: ModelSpec, res: FkResolution) -> ex.Evaluator:
     """A foreign-key column's value in a context: the referenced hub's key
     computed from source-side business-key expressions, or "-1" when any of
     them is null, before or after coercion to its business key's type. A
-    system-generated key is looked up with `find_key` (`hub_key_lookup`)."""
+    system-generated key is looked up with `find_key` (`Reads.hub_key`)."""
     target = spec.hub(res.hub)
     args = res.compiled_args
     key_types = [(bk.name, bk.type) for bk in target.business_keys]
@@ -201,7 +216,7 @@ def compile_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
     plus the delete flag when the element has one. A reference column holds
     the key the mapping resolves, or `-1` when it resolves none; the item
     column holds the item key; any other column its `map` expression, or
-    null. `find_key` (`hub_key_lookup`) finds references into
+    null. `find_key` (`Reads.hub_key`) finds references into
     system-generated-key hubs."""
     load_source = spec.source(mapping.source).load_source_id
     participant = element.item_participant if mapping.explode_column is not None else None
@@ -276,40 +291,23 @@ def _members(rows: list[Record]):
     return [(position, row) for position, row in enumerate(rows) if not is_default_row(row)]
 
 
-def stage(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
-          mapping: SourceMapping, mark: datetime | None,
-          reads: Reads) -> list[tuple[Record, Record]]:
+def stage(spec: ModelSpec, element: HubDef | StarDef, mapping: SourceMapping,
+          mark: datetime | None, reads: Reads) -> list[tuple[Record, Record]]:
     """(bronze row, candidate) pairs in bronze order, from the loads and the
     oracle alike: the mapping's bronze captured after `mark` (all of it
-    with none; none without a bronze table), each payload stamped with its
-    load source, capture time and a computed hub's key. A source that
-    declares the system's load source, which marks the default row, fails;
-    so does a null capture time or partition column (a hub's business keys,
-    a star's composite key), and the default row's key. A LoadError or
-    EvalError names the silver table and the bronze source.
-
-    `reads` holds one command's read of each bronze source as (mark, rows),
-    so that the mappings of a source share one decode: a mark equal to or
-    above the one held takes the rows held captured after it, and any other
-    mark reads again and is held in its place. Bronze does not change
-    within a load or an oracle run; the caller drops a source's read after
-    its last mapping. Its `find_key` resolves references into
-    system-generated-key hubs."""
+    with none), as `reads` gives it, each payload stamped with its load
+    source, capture time and a computed hub's key. A source that declares
+    the system's load source, which marks the default row, fails; so does a
+    null capture time or partition column (a hub's business keys, a star's
+    composite key), and the default row's key. A LoadError or EvalError
+    names the silver table and the bronze source."""
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
     load_source = spec.source(mapping.source).load_source_id
     if load_source == SYSTEM_LOAD_SOURCE:
         raise LoadError(f"{silver}.{element.table_name} <- {bronze}.{mapping.source}: "
                         f"load_source {load_source} is reserved for the system's default rows")
-    if not warehouse.table_exists(bronze, mapping.source):
-        return []
-    held = reads.bronze.get(mapping.source)
-    if held is not None and (held[0] is None or mark is not None and held[0] <= mark):
-        bronze_rows = held[1] if mark == held[0] else [
-            row for row in held[1] if row["capture_timestamp"] > mark]
-    else:
-        bronze_rows = warehouse.read_rows(bronze, mapping.source, captured_after=mark)
-        reads.bronze[mapping.source] = (mark, bronze_rows)
-    payloads = compile_mapping(reads.find_key, spec, element, mapping)
+    bronze_rows = reads.bronze(mapping.source, mark)
+    payloads = compile_mapping(reads.hub_key, spec, element, mapping)
     hub = isinstance(element, HubDef)
     partition, what = ((element.business_key_names, "business key") if hub
                        else (element.identity, "composite key column"))
@@ -369,7 +367,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     if hub is not None and not read.lines:
         raise StorageError(f"{table}: no high-water mark; initialize default rows first")
     mark = read.mark
-    staged = stage(warehouse, spec, element, mapping, mark, reads)
+    staged = stage(spec, element, mapping, mark, reads)
     # Without candidates there is nothing to merge, so no row is decoded.
     rows = warehouse.read_rows(silver, element.table_name, snapshot=read) if staged else []
     members = _members(rows)
@@ -444,28 +442,25 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
     """Load every hub and star in dependency order (or one, by model or
     table name). The stored manifest of each target and each source is
     checked against the model once, before the first load, so a mismatch
-    writes nothing. The mappings of one bronze source share its reads
-    (`stage`), which are dropped after the source's last mapping, and
-    every mapping shares one `hub_key_lookup` (`Reads`)."""
+    or a missing bronze table writes nothing. Every load shares one `Reads`."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
         if not elements:
             raise LoadError(f"no hub or star named {only!r}")
-    layouts = []
+    layouts = []  # (manifest, whether it is a source's)
     for element in elements:
-        layouts.append(silver_manifest(spec, element))
-        layouts += [bronze_manifest(spec, spec.source(mapping.source))
+        layouts.append((silver_manifest(spec, element), False))
+        layouts += [(bronze_manifest(spec, spec.source(mapping.source)), True)
                     for mapping in element.source_mappings]
-    for manifest in dict.fromkeys(layouts):
-        check_stored_manifest(warehouse, manifest)
-    steps = [(element, mapping) for element in elements for mapping in element.source_mappings]
-    last = {mapping.source: step for step, (_element, mapping) in enumerate(steps)}
+    for manifest, source in dict.fromkeys(layouts):
+        if not check_stored_manifest(warehouse, manifest) and source:
+            raise LoadError(f"bronze table {manifest.schema}.{manifest.table} is missing; "
+                            "run init or ingest first")
     reads = Reads(warehouse, spec)
     results = []
-    for step, (element, mapping) in enumerate(steps):
+    for element in elements:
         load = load_hub if isinstance(element, HubDef) else load_star
-        results.append(load(warehouse, spec, element, mapping, now, reads))
-        if last[mapping.source] == step:
-            reads.bronze.pop(mapping.source, None)
+        results += [load(warehouse, spec, element, mapping, now, reads)
+                    for mapping in element.source_mappings]
     return results

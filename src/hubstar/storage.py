@@ -215,27 +215,26 @@ class Codec(NamedTuple):
     exact: Callable[[Mapping[str, Any]], Record | None]
 
 
-# What a column's exact test gives for a value whose stored text decodes
-# to another value.
-_INEXACT = object()
 # The types of the values each kind of column may hold exactly: JSON gives
 # a string, an integer or a boolean back as it is.
 _PLAIN = frozenset({str, int, bool, type(None)})
 _TIMESTAMP = frozenset({datetime, type(None)})
 _DECIMAL = frozenset({Decimal, type(None)})
-_COLLECTION = frozenset({list, type(None)})
+# A collection counts as exact only when null: the loads, whose splices keep
+# rows, write silver, and no silver column is a collection.
+_NULL = frozenset({type(None)})
 
 
-def _exact_timestamp(value: datetime) -> Any:
+def _exact_timestamp(value: datetime) -> bool:
     """A stored timestamp reads back in UTC as `timezone.utc`, with fold 0."""
-    return value if value.tzinfo is timezone.utc and not value.fold else _INEXACT
+    return value.tzinfo is timezone.utc and not value.fold
 
 
-def _exact_decimal(value: Decimal) -> Any:
+def _exact_decimal(value: Decimal) -> bool:
     """A stored decimal reads back as a `Decimal` of its text, but `-0` is
     stored as `0`; so any negative zero counts as inexact. (A non-finite
     decimal is never stored: `_encode_scalar` refuses it.)"""
-    return _INEXACT if value.is_zero() and value.is_signed() else value
+    return not (value.is_zero() and value.is_signed())
 
 
 def _compile(columns: tuple[ColumnSpec, ...], encode_timestamp: Callable[[Any], str],
@@ -243,31 +242,26 @@ def _compile(columns: tuple[ColumnSpec, ...], encode_timestamp: Callable[[Any], 
     """The codec of these columns, from one plan that holds each column's
     `"name":` prefix, its value encoder, how a non-null stored value
     becomes its value, and which values decoding gives back exactly (the
-    types it may hold, and a test of a non-null value that returns the
-    value to keep): a timestamp through `encode_timestamp` and
-    `read_timestamp`, exact when a UTC `datetime`; a decimal through
-    `Decimal`, exact when a finite `Decimal` other than a negative zero; a
-    collection's items through the codec of its fields, exact when a list
-    of exact items, kept as copies. Any other value is encoded by its type
-    and kept as JSON gives it, exact when a `str`, `int` or `bool`."""
+    types it may hold, and a test of a non-null value): a timestamp
+    through `encode_timestamp` and `read_timestamp`, exact when a UTC
+    `datetime`; a decimal through `Decimal`, exact when a finite `Decimal`
+    other than a negative zero; a collection's items through the codec of
+    its fields, exact only when null. Any other value is encoded by its
+    type and kept as JSON gives it, exact when a `str`, `int` or `bool`."""
     def column(col: ColumnSpec) -> tuple[Callable[[Any], str], Callable[[Any], Any] | None,
-                                         frozenset[type], Callable[[Any], Any] | None]:
+                                         frozenset[type], Callable[[Any], bool] | None]:
         if col.type == "timestamp":
             return encode_timestamp, read_timestamp, _TIMESTAMP, _exact_timestamp
         if col.type == "decimal":
             return _encode_scalar, lambda raw: (raw if isinstance(raw, Decimal)
                                                 else Decimal(str(raw))), _DECIMAL, _exact_decimal
         if col.type == "collection":
-            encode_item, item, _, exact_item = _compile(
+            encode_item, item, _, _ = _compile(
                 tuple(ColumnSpec(*field) for field in col.fields), encode_timestamp,
                 read_timestamp)
-
-            def exact_items(items: list) -> Any:
-                copies = list(map(exact_item, items))
-                return _INEXACT if None in copies else copies
             return (lambda items: "null" if items is None
                     else "[" + ",".join(map(encode_item, items)) + "]",
-                    lambda items: list(map(item, items)), _COLLECTION, exact_items)
+                    lambda items: list(map(item, items)), _NULL, None)
         return _encode_scalar, None, _PLAIN, None
 
     plan = [(col.name, json.dumps(col.name) + ":", *column(col)) for col in columns]
@@ -302,10 +296,8 @@ def _compile(columns: tuple[ColumnSpec, ...], encode_timestamp: Callable[[Any], 
             return None
         for name, test in tested:
             value = out[name]
-            if value is not None:
-                value = out[name] = test(value)  # a collection's items are copies
-                if value is _INEXACT:
-                    return None
+            if value is not None and not test(value):
+                return None
         return out
     return Codec(encode, record,
                  {name: encode_value for name, _, encode_value, _, _, _ in plan}, exact)

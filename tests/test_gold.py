@@ -464,7 +464,7 @@ def test_join_on_a_column_no_table_exposes_is_an_error(gw):
     view = MODEL.view("fact_orders_loose")
     broken = replace(view, joins=(HubJoin("person", "no_such_key", "left"),))
     with pytest.raises(GoldBuildError, match="no table exposes column 'no_such_key'"):
-        build_view(gw, MODEL, broken, now=NOW, written={})
+        build_view(gw, MODEL, broken, now=NOW)
 
 
 def test_join_current_over_a_star_base_is_an_error(gw):
@@ -477,7 +477,7 @@ def test_join_current_over_a_star_base_is_an_error(gw):
     before = file_bytes(gw.root)
     with pytest.raises(GoldBuildError,
                        match=r"^fact_orders_loose: join_current requires a hub base$"):
-        build_view(gw, MODEL, broken, now=NOW, written={})
+        build_view(gw, MODEL, broken, now=NOW)
     assert file_bytes(gw.root) == before
 
 
@@ -525,37 +525,39 @@ def rebuilt(monkeypatch) -> list[str]:
     return tables
 
 
-def test_a_first_build_digests_no_gold_table_after_writing_it(
+def test_a_first_build_digests_each_table_a_view_reads_once_and_traces_its_write(
         tmp_path, retail_spec, retail_data, monkeypatch):
-    """A view's trace takes its output digest from the write, and a fact
-    takes the digest of a dimension this call wrote from that write too."""
+    """A view digests each table it reads from its files, the dimension a
+    fact joins included, once, and its trace's output is the digest of its
+    own files."""
     root = run_pipeline(tmp_path / "wh", retail_spec, retail_data, gold=False).root
-    calls: list[tuple[str, str, str]] = []
-    replace_table, table_digest = storage.Warehouse.replace_table, storage.Warehouse.table_digest
+    digests: list[tuple[str, str, str]] = []  # (view, schema, table)
+    build_view, table_digest = gold.build_view, storage.Warehouse.table_digest
+    building = []
 
-    def replaced(self, manifest, rows):
-        calls.append(("write", manifest.schema, manifest.table))
-        return replace_table(self, manifest, rows)
+    def built(warehouse, spec, view, now):
+        building.append(view.name)
+        return build_view(warehouse, spec, view, now)
 
     def digested(self, schema, table):
-        calls.append(("digest", schema, table))
+        digests.append((building[-1], schema, table))
         return table_digest(self, schema, table)
 
-    monkeypatch.setattr(storage.Warehouse, "replace_table", replaced)
+    monkeypatch.setattr(gold, "build_view", built)
     monkeypatch.setattr(storage.Warehouse, "table_digest", digested)
     build_all(Warehouse(root), retail_spec, now=rf.DEFAULT_NOW)
     monkeypatch.undo()
 
-    gold_schema = retail_spec.schema_names["gold"]
-    written = [(schema, table) for call, schema, table in calls if call == "write"]
-    assert sorted(written) == sorted((gold_schema, v.table_name) for v in retail_spec.gold_views)
-    assert [(call, schema, table) for position, (call, schema, table) in enumerate(calls)
-            if call == "digest" and ("write", schema, table) in calls[:position]] == []
+    schemas = retail_spec.schema_names
+    assert sorted(digests) == sorted(
+        (view.name, schemas["gold"], retail_spec.view(name).table_name) if kind == "gold"
+        else (view.name, schemas["silver"], retail_spec.element(kind, name).table_name)
+        for view in retail_spec.gold_views for kind, name, _left in view.read_tables)
     warehouse = Warehouse(root)
     for view in retail_spec.gold_views:
-        trace = json.loads((warehouse.table_dir(gold_schema, view.table_name) / "trace")
+        trace = json.loads((warehouse.table_dir(schemas["gold"], view.table_name) / "trace")
                            .read_text(encoding="utf-8"))
-        assert trace["output"] == warehouse.table_digest(gold_schema, view.table_name)
+        assert trace["output"] == warehouse.table_digest(schemas["gold"], view.table_name)
 
 
 def test_a_noop_build_decodes_no_row_and_touches_no_file(retail_copy, retail_spec, decoded):

@@ -2,14 +2,15 @@
 not borrow.
 
 The oracle is a reference the loads are checked against: it may share
-their staging (`silver.stage`, and `silver.Reads`, what one command's
-stagings share) and the default row, but it ranks, matches and merges on
-its own, so it imports nothing else of `silver` and nothing of the engine's
-ranking. Staging also makes a computed hub's own key: in
-`silver` only `stage` and the reference resolver read a key formula, and
-the oracle reads none. Bronze is read after a mark only while staging,
-where the mappings of one source share the read, and a load decodes its
-own table only when staging gives it candidates. Storage sits below every
+their staging (`silver.stage`, and `silver.Reads`, the one object a
+command's stagings share: its bronze reads and system-keyed hub indexes)
+and the default row, but it ranks, matches and merges on its own, so it
+imports nothing else of `silver` and nothing of the engine's ranking.
+Staging also makes a computed hub's own key: in `silver` only `stage` and
+the reference resolver read a key formula, and the oracle reads none.
+Bronze is read after a mark only through `Reads`, where the mappings of
+one source share the read, and a load decodes its own table only when
+staging gives it candidates. Storage sits below every
 layer and imports none, tells a hub's default row only by its load source
 and keeps no state per table in a `Warehouse`; a timestamp crosses its row
 codec only through the codec's memos, and one compiler branches on a
@@ -119,14 +120,14 @@ def test_storage_branches_on_a_columns_type_only_in_its_codec_compiler():
 
 
 def test_bronze_is_read_after_a_mark_only_while_staging():
-    # Another such read would decode a source again, past the read `stage`
+    # Another such read would decode a source again, past the read `Reads`
     # shares between the mappings of one command.
     calls = {(path.stem, getattr(node, "name", "<module>"))
              for path in sorted(PACKAGE.glob("*.py")) for node in tree(path.stem).body
              for inner in ast.walk(node)
              if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "read_rows"
              and any(keyword.arg == "captured_after" for keyword in inner.keywords)}
-    assert calls == {("silver", "stage")}
+    assert calls == {("silver", "Reads")}
 
 
 def test_a_load_decodes_its_table_only_after_staging_gives_candidates():

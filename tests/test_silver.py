@@ -747,16 +747,27 @@ def test_a_source_that_declares_the_systems_load_source_is_refused(tmp_path):
     assert file_bytes(warehouse.root) == before
 
 
-def test_a_mapping_whose_source_has_no_bronze_table_stages_nothing(wh, feed):
+def test_a_mapping_whose_source_has_no_bronze_table_is_refused(wh, feed, tmp_path, capsys):
+    # `init` creates every source's bronze table, so a missing one was
+    # removed; the load refuses it before its first write, and the oracle
+    # names it where it used to expect no row.
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
     bronze = MODEL.schema_names["bronze"]
     shutil.rmtree(wh.table_dir(bronze, "visits"))
-    results = load_all(wh, MODEL, now=NOW)
-    visit = result_for(results, "star_person_visit")
-    assert (visit.scanned, visit.inserted, visit.updated, visit.new_hwm) == (0, 0, 0, EPOCH)
-    assert result_for(results, "hub_person").inserted == 1
-    assert wh.read_rows(SILVER, "star_person_visit") == []
-    assert check_against_oracle(wh, MODEL) == []
+    before = file_bytes(wh.root)
+    refusal = f"bronze table {bronze}.visits is missing; run init or ingest first"
+    with pytest.raises(LoadError, match=f"^{refusal}$"):
+        load_all(wh, MODEL, now=NOW)
+    assert file_bytes(wh.root) == before
+    with pytest.raises(StorageError, match=rf"^no such table {bronze}\.visits$"):
+        check_against_oracle(wh, MODEL)
+    model = tmp_path / "mergetest.hsm"
+    model.write_text(render_model(MODEL), encoding="utf-8")
+    capsys.readouterr()
+    for command in (["load-silver"], ["check", "--against-oracle"]):
+        assert main([*command, "--model", str(model), "--root", str(wh.root)]) == 2, command
+        assert f"{bronze}.visits" in capsys.readouterr().err, command
+    assert file_bytes(wh.root) == before
 
 
 def test_fk_with_null_argument_points_at_default_row(wh, feed):
@@ -1351,11 +1362,11 @@ def test_the_first_load_and_the_oracle_decode_each_bronze_row_once_per_source(
     assert counts == [(411, 158, 200), (1_441, 158, 200)]
 
 
-def test_a_first_build_after_a_load_through_one_object_decodes_only_the_default_rows(
+def test_a_first_build_after_a_load_through_one_object_decodes_the_default_rows_and_a_dimension(
         tmp_path, decoded, retail_spec, retail_data):
-    # The load kept every silver row it wrote, and each dimension hands its
-    # rows to the views after it; only the hubs' default rows, which init
-    # wrote and the load read before it kept rows, are decoded.
+    # The load kept every silver row it wrote; only the hubs' default rows,
+    # which init wrote and the load read before it kept rows, and the
+    # dimension the fact joins, which the build wrote, are decoded.
     warehouse = Warehouse(tmp_path / "wh")
     init_warehouse(warehouse, retail_spec)
     for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 1):
@@ -1365,10 +1376,29 @@ def test_a_first_build_after_a_load_through_one_object_decodes_only_the_default_
     load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
     decoded.clear()
     build_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
-    silver = retail_spec.schema_names["silver"]
-    assert decoded == {(silver, hub.table_name): 1 for hub in retail_spec.hubs}
-    assert [json.loads(line)["load_source"] for line in decoded.lines] == \
+    counts, lines = Counter(decoded), decoded.lines[:len(retail_spec.hubs)]
+    silver, gold_schema = retail_spec.schema_names["silver"], retail_spec.schema_names["gold"]
+    dimension = retail_spec.view("dim_customer2").table_name
+    assert counts == {**{(silver, hub.table_name): 1 for hub in retail_spec.hubs},
+                      (gold_schema, dimension): len(warehouse.read_rows(gold_schema, dimension))}
+    assert [json.loads(line)["load_source"] for line in lines] == \
         [SYSTEM_LOAD_SOURCE] * len(retail_spec.hubs)
+
+
+def test_a_first_build_through_a_fresh_object_decodes_each_table_once_per_view_reading_it(
+        tmp_path, decoded, retail_spec, retail_data):
+    root = run_pipeline(tmp_path / "wh", retail_spec, retail_data, gold=False).root
+    decoded.clear()
+    build_all(Warehouse(root), retail_spec, now=rf.DEFAULT_NOW)
+    counts, schemas, fresh = Counter(decoded), retail_spec.schema_names, Warehouse(root)
+    expected = Counter()
+    for view in retail_spec.gold_views:
+        for kind, name, _left in view.read_tables:
+            key = ((schemas["gold"], retail_spec.view(name).table_name) if kind == "gold"
+                   else (schemas["silver"], retail_spec.element(kind, name).table_name))
+            expected[key] += len(fresh.read_rows(*key))
+    assert (schemas["gold"], retail_spec.view("dim_customer2").table_name) in expected
+    assert counts == expected
 
 
 # One source feeding a hub and a star. The capture time is the file's, so a

@@ -934,7 +934,8 @@ ITEM = {"sku": "a", "price": Decimal("1.50")}
     (manifest(), full(taken_at=ROW["taken_at"].astimezone(timezone(timedelta(hours=-3)))),
      False),
     (manifest(), full(sample_id=Text("s-1")), False),
-    (BASKETS, {"basket_id": "b", "items": [ITEM, {**ITEM, "price": None}]}, True),
+    # No silver column is a collection, so a list never counts as exact.
+    (BASKETS, {"basket_id": "b", "items": [ITEM, {**ITEM, "price": None}]}, False),
     (BASKETS, {"basket_id": "b", "items": (ITEM,)}, False),  # a tuple reads back a list
     (BASKETS, {"basket_id": "b", "items": [{"sku": "a"}]}, False),
     (BASKETS, {"basket_id": "b", "items": [{**ITEM, "price": 2}]}, False),
