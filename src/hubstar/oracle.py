@@ -26,7 +26,8 @@ def expected_state(spec: ModelSpec, element: HubDef | StarDef, reads: Reads) -> 
     of each identity in first-appearance order. No batching, no HWM. A hub
     version ranks by its `dedup_by` terms, then latest capture, then the
     earliest payload in bronze order; a star version by latest capture, then
-    the last payload. `reads` gives the bronze (`stage`)."""
+    the last payload; an identity with one version takes it unranked.
+    `reads` gives the bronze (`stage`, through the mapping's one plan)."""
     hub = isinstance(element, HubDef)
     rows = [default_row(spec, element)] if hub else []
     if not element.source_mappings:
@@ -39,7 +40,7 @@ def expected_state(spec: ModelSpec, element: HubDef | StarDef, reads: Reads) -> 
 
     dedup_order = mapping.dedup_order if hub else ()
     for entries in groups.values():  # dicts keep first-appearance order
-        _position, _bronze_row, row = min(
+        _position, _bronze_row, row = entries[0] if len(entries) == 1 else min(
             entries, key=lambda entry: _rank_key(entry, dedup_order, last_wins=not hub))
         if hub:
             row["initial_capture_timestamp"] = min(e[1]["capture_timestamp"] for e in entries)
@@ -144,14 +145,25 @@ def diff_rows(table: str, actual: list[Record], expected: list[Record],
               key_columns: tuple[str, ...], compare: tuple[str, ...]) -> list[str]:
     """Lines naming how `actual` differs from `expected`, rows matched by
     `key_columns`: missing rows, then unexpected rows, then each differing
-    `compare` column, with keys sorted in each group."""
+    `compare` column, with keys sorted in each group. A matched pair whose
+    `compare` values are equal and of equal types agrees under
+    `values_equal`, so it is passed in one comparison; only the other pairs
+    are compared column by column, and only their keys are sorted."""
     actual_by_key = {row_key(r, key_columns): r for r in actual}
     expected_by_key = {row_key(r, key_columns): r for r in expected}
     missing = sorted(k for k in expected_by_key if k not in actual_by_key)
     extra = sorted(k for k in actual_by_key if k not in expected_by_key)
     lines = [f"{table}: missing row {show_key(k)}" for k in missing]
     lines += [f"{table}: unexpected row {show_key(k)}" for k in extra]
-    for key in sorted(k for k in expected_by_key if k in actual_by_key):
+    differing = []
+    for key, e in expected_by_key.items():
+        a = actual_by_key.get(key)
+        if a is None:
+            continue
+        values, wanted = list(map(a.get, compare)), list(map(e.get, compare))
+        if values != wanted or list(map(type, values)) != list(map(type, wanted)):
+            differing.append(key)
+    for key in sorted(differing):
         a, e = actual_by_key[key], expected_by_key[key]
         for column in compare:
             if not values_equal(a.get(column), e.get(column)):

@@ -157,10 +157,11 @@ def _fk_resolver(find_key, spec: ModelSpec, res: FkResolution) -> ex.Evaluator:
     """A foreign-key column's value in a context: the referenced hub's key
     computed from source-side business-key expressions, or "-1" when any of
     them is null, before or after coercion to its business key's type. A
+    value already of that type is taken as it is (`_EXACT`). A
     system-generated key is looked up with `find_key` (`Reads.hub_key`)."""
     target = spec.hub(res.hub)
     args = res.compiled_args
-    key_types = [(bk.name, bk.type) for bk in target.business_keys]
+    key_types = [(bk.name, bk.type, _EXACT.get(bk.type)) for bk in target.business_keys]
     computed = target.key_type == "computed"
 
     def resolve(ctx: ex.EvalContext) -> str:
@@ -168,7 +169,10 @@ def _fk_resolver(find_key, spec: ModelSpec, res: FkResolution) -> ex.Evaluator:
         if None in values:
             return DEFAULT_HUB_KEY
         bk_record = {}
-        for (name, ctype), value in zip(key_types, values):
+        for (name, ctype, exact), value in zip(key_types, values):
+            if type(value) is exact:
+                bk_record[name] = value
+                continue
             try:
                 bk_record[name] = coerce_scalar(value, ctype)
             except ValueError as exc:
@@ -210,48 +214,73 @@ def explode_collection(items, rule: ItemKeyRule) -> list[tuple[dict, object]]:
 
 def compile_mapping(find_key, spec: ModelSpec, element: HubDef | StarDef,
                     mapping: SourceMapping):
-    """The mapping's payload builder: a function from one bronze row to the
-    payloads it yields, one for a hub, one per exploded item for a star.
-    Each column is planned once, here. A payload holds every mapped column,
-    plus the delete flag when the element has one. A reference column holds
-    the key the mapping resolves, or `-1` when it resolves none; the item
-    column holds the item key; any other column its `map` expression, or
-    null. `find_key` (`Reads.hub_key`) finds references into
-    system-generated-key hubs."""
+    """The mapping's plan: a function from one bronze row to the candidates
+    it yields, one for a hub, one per exploded item for a star. Each column
+    is planned once, here. A candidate holds its load source and capture
+    time, every mapped column, and the delete flag when the element has one.
+    A reference column holds the key the mapping resolves, or `-1` when it
+    resolves none; the item column holds the item key; any other column its
+    `map` expression, or null. `find_key` (`Reads.hub_key`) finds references
+    into system-generated-key hubs.
+
+    A column that reads no item (no `item.` field, no `item_seq()`, not the
+    item column) has one value per bronze row, so it is evaluated once per
+    row that yields an item: with the first item, in column order among the
+    item's own columns, so the first column to fail is the one it would be
+    if every column were evaluated per item. Later items copy the first
+    item's candidate and evaluate only the columns that read the item."""
     load_source = spec.source(mapping.source).load_source_id
     participant = element.item_participant if mapping.explode_column is not None else None
     item_column = participant.column if participant is not None else None
     plan: list[tuple[str, ex.Evaluator]] = []
+    per_item: list[tuple[str, ex.Evaluator]] = []
     for name, ctype, _nullable, _fields in element.mapped_columns:
         if name in element.references:
             res = mapping.fk_resolutions.get(name)
             fill = (_constant(DEFAULT_HUB_KEY) if res is None
                     else _fk_resolver(find_key, spec, res))
+            reads_item = res is not None and any(map(_reads_item, res.args))
         elif name == item_column:
-            fill = _coerced(_item_key, ctype, name)
+            fill, reads_item = _coerced(_item_key, ctype, name), True
         elif name in mapping.column_exprs:
             fill = _coerced(mapping.compiled_exprs[name], ctype, name)
+            reads_item = _reads_item(mapping.column_exprs[name])
         else:
-            fill = _constant(None)
+            fill, reads_item = _constant(None), False
         plan.append((name, fill))
+        if reads_item:
+            per_item.append((name, fill))
     has_delete_flag = element.has_delete_flag
 
-    def payloads(bronze_row: Record) -> list[Record]:
+    def candidates(bronze_row: Record) -> list[Record]:
         pairs = (explode_collection(bronze_row.get(mapping.explode_column), participant.rule)
                  if participant is not None else _NO_ITEM)
-        out: list[Record] = []
-        for item, item_key in pairs:
-            ctx = ex.EvalContext(bronze_row, load_source, item, item_key)
-            payload: Record = {name: fill(ctx) for name, fill in plan}
-            if has_delete_flag:
-                payload["delete_flag"] = bronze_row.get("delete_flag") or 0
-            out.append(payload)
+        if not pairs:
+            return []
+        ctx = ex.EvalContext(bronze_row, load_source, *pairs[0])
+        first = {"load_source": load_source, "capture_timestamp": bronze_row["capture_timestamp"]}
+        for name, fill in plan:
+            first[name] = fill(ctx)
+        if has_delete_flag:
+            first["delete_flag"] = bronze_row.get("delete_flag") or 0
+        out = [first]
+        for item, item_key in pairs[1:]:
+            ctx.item, ctx.item_key = item, item_key
+            candidate = first.copy()
+            for name, fill in per_item:
+                candidate[name] = fill(ctx)
+            out.append(candidate)
         return out
-    return payloads
+    return candidates
 
 
 # The (item, item key) pairs of a bronze row of a mapping that explodes nothing.
 _NO_ITEM = ((None, None),)
+
+
+def _reads_item(expression: ex.Expr) -> bool:
+    """Whether the expression's value depends on the item being staged."""
+    return bool(ex.item_field_refs(expression)) or ex.uses_function(expression, "item_seq")
 
 
 def _item_key(ctx: ex.EvalContext):
@@ -262,12 +291,21 @@ def _constant(value) -> ex.Evaluator:
     return lambda ctx: value
 
 
+# Column types whose coercion returns a value of exactly this Python type
+# unchanged, so such a value skips it. A `bool` is no `int` here:
+# `coerce_scalar` turns it into 1 or 0.
+_EXACT = {"string": str, "integer": int, "boolean": bool}
+
+
 def _coerced(evaluate: ex.Evaluator, ctype: str, column: str) -> ex.Evaluator:
-    """`evaluate`'s value as the column's type; a failure names the column."""
+    """`evaluate`'s value as the column's type; a failure names the column.
+    A value already of that type (`_EXACT`) is taken as it is."""
+    exact = _EXACT.get(ctype)
+
     def coerced(ctx: ex.EvalContext):
         value = evaluate(ctx)
-        if value is None:
-            return None
+        if value is None or type(value) is exact:
+            return value
         try:
             return coerce_scalar(value, ctype)
         except ValueError as exc:
@@ -295,19 +333,20 @@ def stage(spec: ModelSpec, element: HubDef | StarDef, mapping: SourceMapping,
           mark: datetime | None, reads: Reads) -> list[tuple[Record, Record]]:
     """(bronze row, candidate) pairs in bronze order, from the loads and the
     oracle alike: the mapping's bronze captured after `mark` (all of it
-    with none), as `reads` gives it, each payload stamped with its load
-    source, capture time and a computed hub's key. A source that declares
-    the system's load source, which marks the default row, fails; so does a
-    null capture time or partition column (a hub's business keys, a star's
-    composite key), and the default row's key. A LoadError or EvalError
-    names the silver table and the bronze source."""
+    with none), as `reads` gives it, built by the mapping's one plan
+    (`compile_mapping`: a column that reads no item is evaluated once per
+    bronze row, with its first item) and given a computed hub's key. A
+    source that declares the system's load source, which marks the default
+    row, fails; so does a null capture time or partition column (a hub's
+    business keys, a star's composite key), and the default row's key. A
+    LoadError or EvalError names the silver table and the bronze source."""
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
     load_source = spec.source(mapping.source).load_source_id
     if load_source == SYSTEM_LOAD_SOURCE:
         raise LoadError(f"{silver}.{element.table_name} <- {bronze}.{mapping.source}: "
                         f"load_source {load_source} is reserved for the system's default rows")
     bronze_rows = reads.bronze(mapping.source, mark)
-    payloads = compile_mapping(reads.hub_key, spec, element, mapping)
+    candidates = compile_mapping(reads.hub_key, spec, element, mapping)
     hub = isinstance(element, HubDef)
     partition, what = ((element.business_key_names, "business key") if hub
                        else (element.identity, "composite key column"))
@@ -315,16 +354,13 @@ def stage(spec: ModelSpec, element: HubDef | StarDef, mapping: SourceMapping,
     staged = []
     try:
         for number, bronze_row in enumerate(bronze_rows, start=1):
-            capture = bronze_row["capture_timestamp"]
             # A read after a mark refuses a null capture time itself; a read
             # without one returns the row of every line, so `number` is its
             # line, and rows held from it hold none (this raised on the first).
-            if capture is None:
+            if bronze_row["capture_timestamp"] is None:
                 raise StorageError(f"{bronze}.{mapping.source}: line {number}: "
                                    "column capture_timestamp is null")
-            for payload in payloads(bronze_row):
-                candidate = {"load_source": load_source, "capture_timestamp": capture,
-                             **payload}
+            for candidate in candidates(bronze_row):
                 for name in partition:
                     if candidate[name] is None:
                         raise LoadError(f"{what} {name} is null")
@@ -442,7 +478,7 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
     """Load every hub and star in dependency order (or one, by model or
     table name). The stored manifest of each target and each source is
     checked against the model once, before the first load, so a mismatch
-    or a missing bronze table writes nothing. Every load shares one `Reads`."""
+    or a missing table writes nothing. Every load shares one `Reads`."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
@@ -454,9 +490,10 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
         layouts += [(bronze_manifest(spec, spec.source(mapping.source)), True)
                     for mapping in element.source_mappings]
     for manifest, source in dict.fromkeys(layouts):
-        if not check_stored_manifest(warehouse, manifest) and source:
-            raise LoadError(f"bronze table {manifest.schema}.{manifest.table} is missing; "
-                            "run init or ingest first")
+        if not check_stored_manifest(warehouse, manifest):
+            layer, remedy = ("bronze", "init or ingest") if source else ("silver", "init")
+            raise LoadError(f"{layer} table {manifest.schema}.{manifest.table} is missing; "
+                            f"run {remedy} first")
     reads = Reads(warehouse, spec)
     results = []
     for element in elements:

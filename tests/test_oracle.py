@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from decimal import Decimal
 
 import pytest
 
@@ -156,6 +157,25 @@ def test_diff_rows_compares_null_safe():
     assert diff_rows("t", [{"k": "a", "v": None}], [{"k": "a", "v": None}], ("k",), ("v",)) == []
     assert diff_rows("t", [{"k": "a", "v": None}], [{"k": "a", "v": 1}], ("k",), ("v",)) == [
         "t: ('a') column v: engine=None oracle=1"]
+
+
+def test_diff_rows_tells_numbers_by_value_and_everything_else_by_type():
+    # Equal numbers of two types agree, as `values_equal` has it; a boolean
+    # is no number and null is no string. Lines come in key order, then
+    # `compare` order, whatever the order of the rows.
+    expected = [{"k": "e", "v": Decimal("1.00"), "w": 1}, {"k": "d", "v": 0, "w": 1},
+                {"k": "c", "v": "b", "w": 1}, {"k": "b", "v": "", "w": 1},
+                {"k": "a", "v": 1, "w": 1}]
+    actual = [{"k": "a", "v": True, "w": 1}, {"k": "b", "v": None, "w": 1},
+              {"k": "c", "v": "a", "w": 2}, {"k": "d", "v": Decimal("-0"), "w": 1},
+              {"k": "e", "v": 1, "w": 1}]
+    assert diff_rows("t", actual, expected, ("k",), ("v", "w")) == [
+        "t: ('a') column v: engine=True oracle=1",
+        "t: ('b') column v: engine=None oracle=''",
+        "t: ('c') column v: engine='a' oracle='b'",
+        "t: ('c') column w: engine=2 oracle=1",
+    ]
+    assert diff_rows("t", actual[3:], expected[:2], ("k",), ("v", "w")) == []
 
 
 def test_fresh_warehouse_agrees_with_the_oracle(wh):

@@ -26,16 +26,16 @@ from hubstar import retail_fixture as rf
 from hubstar.cli import main
 from hubstar.errors import EvalError, HubStarError, LoadError, StorageError
 from hubstar.expr import sha256_hex
-from hubstar.model import SYSTEM_LOAD_SOURCE, ItemKeyRule, validate_model
+from hubstar.model import SYSTEM_LOAD_SOURCE, ItemKeyRule, KeyFormula, validate_model
 from hubstar.silver import (
     default_row,
     explode_collection,
     type_neutral,
 )
 from hubstar.tables import silver_manifest
-from hubstar.values import EPOCH, row_key, top_per_partition
+from hubstar.values import EPOCH, coerce_scalar, row_key, top_per_partition
 
-from conftest import SHIP_TO, edited_retail, file_bytes, run_pipeline
+from conftest import FIXTURE_MODEL, SHIP_TO, edited_retail, file_bytes, run_pipeline
 
 MODEL = parse_model('''product mergetest
 
@@ -770,6 +770,36 @@ def test_a_mapping_whose_source_has_no_bronze_table_is_refused(wh, feed, tmp_pat
     assert file_bytes(wh.root) == before
 
 
+def file_states(root) -> dict[str, tuple[bytes, int]]:
+    """Every file under `root` by relative path: its bytes and its inode."""
+    return {str(p.relative_to(root)): (p.read_bytes(), p.stat().st_ino)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_missing_silver_table_is_refused_before_the_first_write(
+        tmp_path, retail_spec, retail_data, capsys):
+    # The star is the last table loaded, so a load that refused it only when
+    # it got there would already have rewritten the hubs before it.
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, retail_spec)
+    for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 1):
+        for job in jobs:
+            ingest_file(warehouse, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+    silver = retail_spec.schema_names["silver"]
+    shutil.rmtree(warehouse.table_dir(silver, "star_sales_order_item"))
+    before = file_states(warehouse.root)
+    refusal = f"silver table {silver}.star_sales_order_item is missing; run init first"
+    with pytest.raises(LoadError, match=f"^{refusal}$"):
+        load_all(warehouse, retail_spec, now=NOW)
+    assert file_states(warehouse.root) == before
+    capsys.readouterr()
+    assert main(["load-silver", "--model", str(FIXTURE_MODEL),
+                 "--root", str(warehouse.root)]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert file_states(warehouse.root) == before
+
+
 def test_fk_with_null_argument_points_at_default_row(wh, feed):
     # An empty string is still a value, so it earns a device of its own; only
     # a true null defaults. The star FK below sees a null person_id.
@@ -1233,6 +1263,167 @@ def test_missing_collection_column_explodes_to_nothing():
     rule = ItemKeyRule("positional")
     assert explode_collection(None, rule) == []
     assert explode_collection([], rule) == []
+
+
+# -- the mapping plan -----------------------------------------------------------
+
+# Columns that read no item next to columns that do, in both orders, and
+# values of every type a mapped column may already have.
+PLANNED = parse_model('''product plan
+
+source orders {
+  load_source 1
+  format ndjson
+  column code string
+  column flag boolean
+  column n integer
+  column amount decimal
+  column at timestamp
+  column lines array(qty string, note string)
+  capture cdc_column at
+}
+
+hub order {
+  key computed code
+  business_key global (code string)
+  descriptive flag_num integer
+  descriptive n_text string
+  descriptive amount decimal
+  descriptive seen timestamp
+  source_mapping orders {
+    map code = code
+    map flag_num = flag
+    map n_text = n
+    map amount = amount
+    map seen = at
+  }
+}
+
+star item_first {
+  participant order
+  participant item line_no positional
+  key (order_key, line_no)
+  descriptive qty integer
+  descriptive label integer
+  source_mapping orders {
+    explode lines
+    key order_key = order(code)
+    map qty = item.qty
+    map label = code
+  }
+}
+
+star row_first {
+  participant order
+  participant item line_no positional
+  key (order_key, line_no)
+  descriptive label integer
+  descriptive qty integer
+  source_mapping orders {
+    explode lines
+    key order_key = order(code)
+    map label = code
+    map qty = item.qty
+  }
+}
+''').spec
+
+
+def planned_wh(tmp_path, *orders: dict) -> Warehouse:
+    assert validate_model(PLANNED).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, PLANNED)
+    path = tmp_path / "orders.ndjson"
+    path.write_text("".join(json.dumps({"at": "2024-01-01T00:00:00Z", **order}) + "\n"
+                            for order in orders), encoding="utf-8")
+    ingest_file(warehouse, PLANNED, "orders", path, now=NOW)
+    return warehouse
+
+
+def staged_candidates(warehouse, spec, name: str) -> list[dict]:
+    element = spec.hub(name) or spec.star(name)
+    return [candidate for _bronze_row, candidate in silver.stage(
+        spec, element, element.source_mappings[0], None, silver.Reads(warehouse, spec))]
+
+
+def test_a_column_that_reads_no_item_is_evaluated_once_per_bronze_row(
+        tmp_path, monkeypatch, retail_spec):
+    # 2x retail, as the benchmark draws it from input seed 3.
+    for name in ("CUSTOMER_COUNT", "ORDER_COUNT", "PRODUCT_COUNT"):
+        monkeypatch.setattr(rf, name, 2 * getattr(rf, name))
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, retail_spec)
+    for jobs in rf.write_batches(rf.generate(3), tmp_path / "inbox", 1):
+        for job in jobs:
+            ingest_file(warehouse, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+    calls: Counter = Counter()
+    key = KeyFormula.key
+
+    def counted(formula, record, load_source):
+        calls[formula] += 1
+        return key(formula, record, load_source)
+
+    monkeypatch.setattr(KeyFormula, "key", counted)
+    staged = staged_candidates(warehouse, retail_spec, "sales_order_item")
+    orders = warehouse.read_rows(retail_spec.schema_names["bronze"], "sales_orders")
+    with_items = [row for row in orders if row["ordered_products"]]
+    items = [item for row in with_items for item in row["ordered_products"]]
+    # The order's reference is one per bronze row; the product's, which
+    # reads `item.id`, one per item with an id.
+    assert calls[retail_spec.hub("sales_order").key_formula] == len(with_items) == 397
+    assert calls[retail_spec.hub("product").key_formula] == \
+        sum(item["id"] is not None for item in items) == 1210
+    assert len(staged) == len(items)
+
+
+@pytest.mark.parametrize("star,message", [
+    ("item_first", "column qty: invalid literal for int() with base 10: 'x'"),
+    ("row_first", "column label: invalid literal for int() with base 10: 'abc'")])
+def test_the_first_column_to_fail_in_mapped_order_names_the_error(tmp_path, star, message):
+    # Both columns fail with the first item: the one mapped first is named,
+    # whether or not it reads the item.
+    warehouse = planned_wh(tmp_path, {"code": "abc", "lines": [{"qty": "x"}, {"qty": "2"}]})
+    silver_schema, bronze = PLANNED.schema_names["silver"], PLANNED.schema_names["bronze"]
+    with pytest.raises(LoadError) as error:
+        load_all(warehouse, PLANNED, now=NOW, only=star)
+    assert str(error.value) == f"{silver_schema}.star_{star} <- {bronze}.orders: {message}"
+
+
+def test_a_row_without_items_evaluates_none_of_its_columns(tmp_path):
+    # `label` cannot hold "abc", but no item is staged to hold it.
+    warehouse = planned_wh(tmp_path, {"code": "abc", "lines": []}, {"code": "abd"},
+                           {"code": "7", "lines": [{"qty": "1"}, {"qty": "2"}]})
+    inserted = {result.table: result.inserted for result in load_all(warehouse, PLANNED, now=NOW)}
+    silver_schema = PLANNED.schema_names["silver"]
+    for star in ("item_first", "row_first"):
+        assert inserted[f"{silver_schema}.star_{star}"] == 2
+        rows = warehouse.read_rows(silver_schema, f"star_{star}")
+        assert [(r["line_no"], r["qty"], r["label"]) for r in rows] == [(1, 1, 7), (2, 2, 7)]
+    assert check_against_oracle(warehouse, PLANNED) == []
+
+
+def test_a_value_already_of_its_column_type_is_the_only_one_not_coerced(tmp_path, monkeypatch):
+    warehouse = planned_wh(tmp_path, {"code": "a", "flag": True, "n": 7, "amount": "1.50"})
+    coerced = []
+
+    def recorded(value, ctype):
+        coerced.append((value, ctype))
+        return coerce_scalar(value, ctype)
+
+    monkeypatch.setattr(silver, "coerce_scalar", recorded)
+    (candidate,) = staged_candidates(warehouse, PLANNED, "order")
+    # A boolean is an int to Python, yet it coerces to 1; an int coerces to
+    # its text; a decimal and a timestamp always go through the coercion.
+    assert [(value, type(value)) for value in (candidate["flag_num"], candidate["n_text"])] \
+        == [(1, int), ("7", str)]
+    assert coerced == [(True, "integer"), (7, "string"), (Decimal("1.50"), "decimal"),
+                       (datetime(2024, 1, 1, tzinfo=timezone.utc), "timestamp")]
+    monkeypatch.undo()
+    load_all(warehouse, PLANNED, now=NOW)
+    (row,) = [r for r in warehouse.read_rows(PLANNED.schema_names["silver"], "hub_order")
+              if r["code"] == "a"]
+    assert (row["flag_num"], row["n_text"], row["amount"]) == (1, "7", Decimal("1.50"))
 
 
 # -- table reads ----------------------------------------------------------------
