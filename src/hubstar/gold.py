@@ -94,8 +94,14 @@ def _project(outputs: list[tuple[str, str | None, str | None]], scd2_key: list[R
     return out
 
 
+def _model_parts(spec: ModelSpec) -> tuple[bytes, bytes]:
+    """The parts of every view's input digest that the model and hubstar
+    give: the canonical model text and the hubstar version."""
+    return render_model(spec).encode("utf-8"), __version__.encode("utf-8")
+
+
 def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
-               now: datetime) -> GoldBuildResult:
+               now: datetime, model: tuple[bytes, bytes]) -> GoldBuildResult:
     """One pipeline for every kind: base rows, joins, versions, the temporal
     join, then projection; each step runs when the view declares it, and
     each join is one `_join`. Every column reference is resolved to its
@@ -104,12 +110,14 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
     `ctx[table].get(column)`.
 
     `build_all` has checked every table it reads. The view's inputs are
-    digested: the canonical model text, the hubstar version, the manifest
-    it writes and the `table_digest` of each table it reads. When the
-    table's trace records that digest and still matches the table's files,
-    the build returns the recorded row count without reading a row;
-    otherwise it reads each of those tables once, builds, writes the table,
-    then the trace, whose output digest comes from the write."""
+    digested: `model`, the canonical model text and the hubstar version
+    (`_model_parts`, which `build_all` computes once for all its views),
+    the manifest it writes and the `table_digest` of each table it reads.
+    When the table's trace records that digest and still matches the
+    table's files, the build returns the recorded row count without
+    reading a row; otherwise it reads each of those tables once, builds,
+    writes the table, then the trace, whose output digest comes from the
+    write."""
     tables = view_tables(spec, view)
 
     def resolve(ref: ColumnRef) -> Resolved:
@@ -135,8 +143,7 @@ def build_view(warehouse: Warehouse, spec: ModelSpec, view: GoldViewDef,
             else (spec.schema_names["silver"], spec.element(kind, name).table_name)
             for kind, name, _left in view.read_tables}
     manifest = gold_manifest(spec, view)
-    inputs = digest([render_model(spec).encode("utf-8"), __version__.encode("utf-8"),
-                     manifest_bytes(manifest),
+    inputs = digest([*model, manifest_bytes(manifest),
                      *(warehouse.table_digest(*key).encode("ascii") for key in read.values())])
     traced = warehouse.traced_rows(manifest, inputs)
     if traced is not None:
@@ -202,4 +209,5 @@ def build_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
                 raise GoldBuildError(f"{view.name}: referenced dimension {name} "
                                      "is not built yet")
         built.add(view.name)
-    return [build_view(warehouse, spec, view, now) for view in ordered]
+    model = _model_parts(spec)
+    return [build_view(warehouse, spec, view, now, model=model) for view in ordered]

@@ -1,6 +1,6 @@
 """Brute-force recomputation of expected silver state, and a row differ.
 
-The engine loads incrementally — high-water marks, per-batch ranking,
+The engine loads incrementally — bronze offsets, per-batch ranking,
 conditional updates. The oracle ignores all of that and derives the final
 state straight from the complete bronze history, so agreement between the
 two is evidence the incremental machinery is faithful.
@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from .model import HubDef, ModelSpec, StarDef
 from .silver import Reads, default_row, is_default_row, stage
-from .storage import Record, Warehouse
+from .storage import Position, Record, Warehouse
 from .values import row_key, show_key, values_equal
 
 
 def expected_state(spec: ModelSpec, element: HubDef | StarDef, reads: Reads) -> list[Record]:
     """Final rows implied by the full bronze history of the element's one
     source mapping, if it has one: a hub's default row, then the top version
-    of each identity in first-appearance order. No batching, no HWM. A hub
+    of each identity in first-appearance order. No batching, no offsets. A hub
     version ranks by its `dedup_by` terms, then latest capture, then the
     earliest payload in bronze order; a star version by latest capture, then
     the last payload; an identity with one version takes it unranked.
@@ -35,7 +35,7 @@ def expected_state(spec: ModelSpec, element: HubDef | StarDef, reads: Reads) -> 
     mapping = element.source_mappings[0]
     groups: dict[tuple, list[tuple[int, Record, Record]]] = {}
     for position, (bronze_row, row) in enumerate(
-            stage(spec, element, mapping, None, reads)):
+            stage(spec, element, mapping, Position(), reads)):
         groups.setdefault(row_key(row, element.identity), []).append((position, bronze_row, row))
 
     dedup_order = mapping.dedup_order if hub else ()

@@ -1,13 +1,21 @@
 """Silver loads: default rows, and one incremental merge for hubs and stars.
 
-The merge semantics: stage bronze rows above the table's capture high-water
-mark (`stage`, which the oracle shares), keep the top-ranked candidate
-version per business key (hubs) or composite key (stars), match it to a
-stored row by the element's identity, then insert new rows and update
-changed columns under null-safe comparison — unchanged re-deliveries touch
-nothing, which keeps repeated loads byte-stable. The stagings of one command
-share one `Reads`: each bronze source's read, and each system-keyed hub's
-key index, held until the command returns.
+The merge semantics: stage the bronze rows past the position the table's
+state record holds for each mapping (`stage`, which the oracle shares), keep
+the top-ranked candidate version per business key (hubs) or composite key
+(stars), match it to a stored row by the element's identity, then insert
+new rows and update changed columns of a match its capture time lets
+replace, under null-safe comparison — unchanged re-deliveries touch
+nothing, which keeps repeated loads byte-stable. The steps of one command
+share one `Reads`: each bronze source's read, each table's state record,
+and each system-keyed hub's key index, held until the command returns.
+
+Deviation from the paper, whose loads take bronze above a capture-time
+watermark: a load takes its source's bronze past the byte offset it last
+consumed, whatever its capture time, and the mark is only reported. A
+watermark loses another mapping's earlier captures, new rows captured at
+it and late bronze; an offset loses none (docs/storage.md, "Silver state
+records").
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .model import (
     StarDef,
     resolve_load_order,
 )
-from .storage import Record, Warehouse
+from .storage import Position, Record, Snapshot, TableState, Warehouse
 from .tables import bronze_manifest, check_stored_manifest, silver_manifest
 from .values import (
     EPOCH,
@@ -110,33 +118,54 @@ def init_warehouse(warehouse: Warehouse, spec: ModelSpec) -> list[str]:
 
 
 class Reads:
-    """What the staging steps of one command (`load_all`,
-    `check_against_oracle`) share, held until it returns: each bronze
-    source's read, and an index of each system-generated-key hub that a
-    reference looks up. Bronze does not change within a command, and a
-    loading command may share the indexes because `resolve_load_order`
-    loads a hub before any element that references it, so no load writes a
-    hub after its first lookup."""
+    """What the steps of one command (`load_all`, `check_against_oracle`)
+    share, held until it returns: each bronze source's read, each silver
+    table's state record, and an index of each system-generated-key hub
+    that a reference looks up. Bronze does not change within a command,
+    and a loading command may share the indexes because
+    `resolve_load_order` loads a hub before any element that references
+    it, so no load writes a hub after its first lookup."""
 
     def __init__(self, warehouse: Warehouse, spec: ModelSpec):
         self.warehouse, self.spec = warehouse, spec
-        self._bronze: dict[str, tuple[datetime | None, list[Record]]] = {}
+        # Each bronze source's tail, and its rows once decoded.
+        self._tails: dict[str, Snapshot] = {}
+        self._rows: dict[str, list[Record]] = {}
         self._keys: dict[str, dict[tuple, str]] = {}
+        # Each silver table's state record as read, or as a load moved it.
+        self.states: dict[str, TableState | None] = {}
 
-    def bronze(self, source: str, mark: datetime | None) -> list[Record]:
-        """The source's bronze rows captured after `mark` (all of them with
-        none), in file order, so that the mappings of a source share one
-        decode: a mark equal to or above the one held takes the rows held
-        captured after it, and any other mark reads again and is held in
-        its place."""
-        held = self._bronze.get(source)
-        if held is not None and (held[0] is None or mark is not None and held[0] <= mark):
-            return held[1] if mark == held[0] else [
-                row for row in held[1] if row["capture_timestamp"] > mark]
-        rows = self.warehouse.read_rows(self.spec.schema_names["bronze"], source,
-                                        captured_after=mark)
-        self._bronze[source] = (mark, rows)
-        return rows
+    def state(self, table: str) -> TableState | None:
+        """The silver table's state record as this command last read or
+        wrote it, or None without one."""
+        if table not in self.states:
+            self.states[table] = self.warehouse.read_state(self.spec.schema_names["silver"],
+                                                           table)
+        return self.states[table]
+
+    def held(self, source: str, start: Position) -> tuple[Snapshot, int]:
+        """The held tail of the source's data file that `start` lies in,
+        read from `start` (`Warehouse.tail`) when no held tail begins at or
+        before it, and how many of its lines lie before `start`
+        (`Snapshot.skipped`, which refuses a `start` no line ends at)."""
+        bronze = self.spec.schema_names["bronze"]
+        held = self._tails.get(source)
+        if held is None or start.offset < held.start.offset:
+            held = self._tails[source] = self.warehouse.tail(bronze, source, start)
+            self._rows.pop(source, None)
+        return held, held.skipped(f"{bronze}.{source}", start)
+
+    def bronze(self, source: str, start: Position) -> tuple[list[Record], Position]:
+        """The source's bronze rows past `start`, in file order, and the
+        position past the last of them, from the tail `start` lies in
+        (`held`), so that the mappings of a source share one decode."""
+        held, skipped = self.held(source, start)
+        rows = self._rows.get(source)
+        if rows is None:
+            rows = self._rows[source] = self.warehouse.read_rows(
+                self.spec.schema_names["bronze"], source, snapshot=held)
+        stop = Position(held.ends[-1], held.start.lines + len(rows)) if rows else held.start
+        return rows[skipped:], stop
 
     def hub_key(self, hub: HubDef, bk_record: Record, load_source: int) -> str:
         """The key of the first member, in file order, of a
@@ -329,23 +358,35 @@ def _members(rows: list[Record]):
     return [(position, row) for position, row in enumerate(rows) if not is_default_row(row)]
 
 
+def record_key(element: HubDef | StarDef, mapping: SourceMapping) -> str:
+    """The key of the mapping's position in its table's state record: its
+    source, followed by `#<n>` for the n-th mapping of that source past the
+    first, so that two mappings of one source each keep their own."""
+    same = [other for other in element.source_mappings if other.source == mapping.source]
+    n = next(n for n, other in enumerate(same, start=1) if other is mapping)
+    return mapping.source if n == 1 else f"{mapping.source}#{n}"
+
+
 def stage(spec: ModelSpec, element: HubDef | StarDef, mapping: SourceMapping,
-          mark: datetime | None, reads: Reads) -> list[tuple[Record, Record]]:
+          start: Position, reads: Reads) -> list[tuple[Record, Record]]:
     """(bronze row, candidate) pairs in bronze order, from the loads and the
-    oracle alike: the mapping's bronze captured after `mark` (all of it
-    with none), as `reads` gives it, built by the mapping's one plan
+    oracle alike: the mapping's bronze past `start` (all of it from the
+    first position), as `reads` gives it, built by the mapping's one plan
     (`compile_mapping`: a column that reads no item is evaluated once per
     bronze row, with its first item) and given a computed hub's key. A
     source that declares the system's load source, which marks the default
     row, fails; so does a null capture time or partition column (a hub's
-    business keys, a star's composite key), and the default row's key. A
-    LoadError or EvalError names the silver table and the bronze source."""
+    business keys, a star's composite key), and the default row's key. Each
+    error names the silver table, the bronze source and, but for the
+    reserved load source, the bronze line: its number among the file's
+    non-blank lines, `start.lines` plus its place past `start`."""
     silver, bronze = spec.schema_names["silver"], spec.schema_names["bronze"]
+    where = f"{silver}.{element.table_name} <- {bronze}.{mapping.source}"
     load_source = spec.source(mapping.source).load_source_id
     if load_source == SYSTEM_LOAD_SOURCE:
-        raise LoadError(f"{silver}.{element.table_name} <- {bronze}.{mapping.source}: "
-                        f"load_source {load_source} is reserved for the system's default rows")
-    bronze_rows = reads.bronze(mapping.source, mark)
+        raise LoadError(f"{where}: load_source {load_source} is reserved for the system's "
+                        "default rows")
+    bronze_rows, _stop = reads.bronze(mapping.source, start)
     candidates = compile_mapping(reads.hub_key, spec, element, mapping)
     hub = isinstance(element, HubDef)
     partition, what = ((element.business_key_names, "business key") if hub
@@ -353,13 +394,9 @@ def stage(spec: ModelSpec, element: HubDef | StarDef, mapping: SourceMapping,
     formula = element.key_formula if hub and element.key_type == "computed" else None
     staged = []
     try:
-        for number, bronze_row in enumerate(bronze_rows, start=1):
-            # A read after a mark refuses a null capture time itself; a read
-            # without one returns the row of every line, so `number` is its
-            # line, and rows held from it hold none (this raised on the first).
+        for number, bronze_row in enumerate(bronze_rows, start=start.lines + 1):
             if bronze_row["capture_timestamp"] is None:
-                raise StorageError(f"{bronze}.{mapping.source}: line {number}: "
-                                   "column capture_timestamp is null")
+                raise StorageError(f"{where}: line {number}: column capture_timestamp is null")
             for candidate in candidates(bronze_row):
                 for name in partition:
                     if candidate[name] is None:
@@ -371,8 +408,7 @@ def stage(spec: ModelSpec, element: HubDef | StarDef, mapping: SourceMapping,
                                         f"for {show_key(row_key(candidate, partition))}")
                 staged.append((bronze_row, candidate))
     except (LoadError, EvalError) as exc:
-        raise type(exc)(f"{silver}.{element.table_name} <- {bronze}.{mapping.source}: "
-                        f"{exc}") from exc
+        raise type(exc)(f"{where}: line {number}: {exc}") from exc
     return staged
 
 
@@ -380,30 +416,49 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
           mapping: SourceMapping, now: datetime, reads: Reads) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
-    `load_all` has checked the stored manifests it reads. The mark is the
-    latest capture among the table's members (every row but a hub's default
-    row), read from the text of each line (`max_capture_timestamp`); `stage`
-    gives the candidates above it, a computed hub's with their keys. A hub
-    with no row at all was never initialized, and its load fails. Only a
-    load with candidates decodes the table's rows, from the read the mark
-    came from. One candidate survives per partition: a hub's by the mapping's
-    `dedup_by` terms, latest capture, then the earliest bronze row; a star's
-    by latest capture, then the last bronze row. A survivor matches the
-    member with the same `element.identity`: with none it goes on the end (a
-    hub row with its first capture time, and a minted key in a system-keyed
-    hub), and a match is rewritten in place, keeping its load source, only
-    when some `element.tracked_columns` value differs under null-safe
-    equality. Two writes to one row fail the load before anything is
-    written. The new mark is the latest of the old one and the captures
-    written, or the epoch for a table still without members."""
+    `load_all` has checked the stored manifests it reads, and every offset
+    its loads start from. The table's state record (`Reads.state`) gives
+    the position the mapping consumed its source to (under `record_key`),
+    and the mark: the latest capture among the table's members (every row
+    but a hub's default row). A table without a record starts every
+    mapping at its source's first line and takes its mark from the text of
+    each line (`max_capture_timestamp`); a hub with no row at all was never
+    initialized, and its load fails. With a record and nothing past the
+    position, the load returns the mark without reading the table.
+    Otherwise `stage` gives the candidates past it, a computed hub's with
+    their keys; only a load with candidates decodes the table's rows, and a
+    member with a null capture time then fails it. One candidate survives
+    per partition: a hub's by the mapping's `dedup_by` terms, latest
+    capture, then the earliest bronze row; a star's by latest capture, then
+    the last bronze row. A survivor matches the member with the same
+    `element.identity`: with none it goes on the end (a hub row with its
+    first capture time, and a minted key in a system-keyed hub); a match is
+    rewritten in place, keeping its load source, when captured after it (a
+    hub's, whose earlier bronze row wins a tie) or not before it (a star's,
+    whose later row does), and only when some `element.tracked_columns`
+    value differs under null-safe equality. Two writes to one row fail the
+    load before anything is written. Then the record moves the mapping's
+    position past the rows read and the mark to the latest of the old one
+    and the captures written, and is written when its bytes change; the
+    load reports the mark, or the epoch for a table still without
+    members."""
     silver = spec.schema_names["silver"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
-    read = warehouse.max_capture_timestamp(silver, element.table_name)
-    if hub is not None and not read.lines:
-        raise StorageError(f"{table}: no high-water mark; initialize default rows first")
-    mark = read.mark
-    staged = stage(spec, element, mapping, mark, reads)
+    state = reads.state(element.table_name)
+    read = None
+    if state is None:
+        read = warehouse.max_capture_timestamp(silver, element.table_name)
+        if hub is not None and not read.lines:
+            raise StorageError(f"{table}: holds no row; initialize default rows first")
+        state = TableState(read.mark, {})
+    slot = record_key(element, mapping)
+    mark, start = state.mark, state.sources.get(slot, Position())
+    bronze_rows, stop = reads.bronze(mapping.source, start)
+    if not bronze_rows and read is None:
+        return LoadResult(table=table, source=mapping.source, scanned=0, inserted=0,
+                          updated=0, unchanged_skipped=0, new_hwm=mark or EPOCH)
+    staged = stage(spec, element, mapping, start, reads)
     # Without candidates there is nothing to merge, so no row is decoded.
     rows = warehouse.read_rows(silver, element.table_name, snapshot=read) if staged else []
     members = _members(rows)
@@ -421,7 +476,11 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
         minted = count(1 + max([0, *(int(row[hub.key_column]) for row in rows)]))
 
     identity, tracked = element.identity, element.tracked_columns
-    index = {row_key(row, identity): position for position, row in members}
+    index = {}
+    for position, row in members:
+        if row["capture_timestamp"] is None:
+            raise StorageError(f"{table}: line {position + 1}: column capture_timestamp is null")
+        index[row_key(row, identity)] = position
     inserted = updated = unchanged = 0
     writes: dict[tuple, Record] = {}
     for candidate in candidates:
@@ -434,13 +493,16 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
                 if hub.key_type != "computed":
                     row[hub.key_column] = str(next(minted))
             inserted += 1
-        elif any(not values_equal(rows[position].get(c), candidate[c]) for c in tracked):
-            row = {**rows[position], **{c: candidate[c] for c in tracked},
-                   "capture_timestamp": candidate["capture_timestamp"], "load_timestamp": now}
-            updated += 1
         else:
-            unchanged += 1
-            continue
+            stored, captured = rows[position], candidate["capture_timestamp"]
+            if not ((captured > stored["capture_timestamp"]) if hub is not None
+                    else (captured >= stored["capture_timestamp"])) or all(
+                        values_equal(stored.get(c), candidate[c]) for c in tracked):
+                unchanged += 1
+                continue
+            row = {**stored, **{c: candidate[c] for c in tracked},
+                   "capture_timestamp": captured, "load_timestamp": now}
+            updated += 1
         if key in writes:
             raise LoadError(f"duplicate primary key within one batch for "
                             f"{table}: {show_key(key)}")
@@ -451,11 +513,14 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
                               replace={index[key]: row for key, row in writes.items()
                                        if key in index},
                               lines=len(rows))
-    new_mark = max((row["capture_timestamp"] for row in writes.values()),
-                   default=mark or EPOCH)
+    # The latest of the old mark, if any, and the captures written.
+    mark = max(filter(None, (mark, *(row["capture_timestamp"] for row in writes.values()))),
+               default=None)
+    reads.states[element.table_name] = moved = TableState(mark, {**state.sources, slot: stop})
+    warehouse.write_state(silver, element.table_name, moved)
     return LoadResult(table=table, source=mapping.source, scanned=len(staged),
                       inserted=inserted, updated=updated, unchanged_skipped=unchanged,
-                      new_hwm=new_mark)
+                      new_hwm=mark or EPOCH)
 
 
 # The steps of `load_all`, one per kind, which trust its check of the stored
@@ -477,8 +542,10 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
              only: str | None = None) -> list[LoadResult]:
     """Load every hub and star in dependency order (or one, by model or
     table name). The stored manifest of each target and each source is
-    checked against the model once, before the first load, so a mismatch
-    or a missing table writes nothing. Every load shares one `Reads`."""
+    checked against the model once, before the first load, and so is each
+    position a state record holds against its source's data file, so a
+    mismatch, a missing table or a cut or rewritten bronze file writes
+    nothing. Every load shares one `Reads`."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
@@ -494,7 +561,21 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
             layer, remedy = ("bronze", "init or ingest") if source else ("silver", "init")
             raise LoadError(f"{layer} table {manifest.schema}.{manifest.table} is missing; "
                             f"run {remedy} first")
-    reads = Reads(warehouse, spec)
+    # Each source is read once, from the earliest position a load starts
+    # from, and every later position is checked against that read, so a
+    # cut or rewritten bronze file is refused before any load writes.
+    reads, silver = Reads(warehouse, spec), spec.schema_names["silver"]
+    starts = []
+    for element in elements:
+        state = reads.state(element.table_name)
+        starts += [(state.sources.get(record_key(element, mapping), Position()) if state
+                    else Position(), mapping.source, element.table_name)
+                   for mapping in element.source_mappings]
+    for start, source, table in sorted(starts):
+        try:
+            reads.held(source, start)
+        except StorageError as exc:
+            raise StorageError(f"{silver}.{table} <- {exc}; nothing written") from exc
     results = []
     for element in elements:
         load = load_hub if isinstance(element, HubDef) else load_star

@@ -1,14 +1,16 @@
 """File-backed warehouse: schemas are directories, tables are a manifest
 plus a JSON-lines data file (and, for a gold view, a trace of what it was
-built from), and every write is a whole-file atomic rename.
+built from; for a silver table, a state record of the bronze it consumed),
+and every write is a whole-file atomic rename.
 Stored lines are canonical, so writes splice encoded lines into a file's
 bytes, and refuse, before touching a file, a value no read would give
 back. Every read starts from one snapshot of a table's files and makes
-one pass over its lines, skipping a bronze line by the capture time in its
-prefix without decoding it; `max_capture_timestamp` reads a silver
-table's mark, and which line is a hub's default row (its load source is
-the system's), from the same kind of head, and hands its snapshot to
-`read_rows` for a load that goes on to merge. A Warehouse holds only its
+one pass over its lines: the whole data file, or (`tail`) its complete
+lines past a `Position` a state record holds, read from that byte on, so a
+load reads no bronze it consumed before. `max_capture_timestamp` reads a
+silver table's mark, and which line is a hub's default row (its load
+source is the system's), from the head of each line, for a table without
+a state record. A Warehouse holds only its
 root and the manifests it parsed, once per content; a manifest object
 keeps the rows of a table the Warehouse splices by line, those it wrote (a
 copy of the caller's row when it is exactly what decoding its line gives)
@@ -26,17 +28,19 @@ from __future__ import annotations
 import json
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 from functools import cached_property
 from hashlib import sha256
+from itertools import accumulate, compress, islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import StorageError
-from .model import BRONZE_METADATA, SYSTEM_LOAD_SOURCE, ColumnSpec
+from .model import SYSTEM_LOAD_SOURCE, ColumnSpec
 from .values import format_timestamp, parse_stored_timestamp, row_key, show_key, values_equal
 
 Record = dict[str, Any]
@@ -45,9 +49,7 @@ TableKey = tuple[str, str]  # (schema, table)
 MANIFEST_FILE = "manifest"
 DATA_FILE = "data"
 TRACE_FILE = "trace"
-# The bytes every canonical bronze line begins with: BRONZE_METADATA puts
-# the capture time first, and it is never null.
-CAPTURE_PREFIX = ("{" + json.dumps(BRONZE_METADATA[0]) + ':"').encode()
+STATE_FILE = "state"
 # How every canonical silver line begins (model.HUB_METADATA and
 # STAR_METADATA): its load source, an integer, which the first group holds
 # only where it is the system's, as in a hub's default row and no other;
@@ -377,13 +379,47 @@ def _atomic_write(path: Path, content: bytes, current: bytes | None = None):
         os.replace(tmp, path)
 
 
+class Position(NamedTuple):
+    """A place in a data file where a line starts: its byte offset, and the
+    non-blank lines before it."""
+    offset: int = 0
+    lines: int = 0
+
+
 class Snapshot(NamedTuple):
     """One read of a table's files: its manifest, its data file's non-blank
     lines, stripped, and the latest capture time read from them, when
-    `Warehouse.max_capture_timestamp` took it."""
+    `Warehouse.max_capture_timestamp` took it. A `Warehouse.tail` holds the
+    lines past `start` (None when no line ends there) and, for each, the
+    byte offset just past it."""
     manifest: TableManifest
     lines: list[bytes]
     mark: datetime | None = None
+    start: Position | None = Position()
+    ends: tuple[int, ...] = ()
+
+    def skipped(self, table: str, start: Position) -> int:
+        """How many of this tail's lines lie before `start`, which must be
+        its own start or the end of one of its lines, counted alike; any
+        other raises StorageError naming `table`: its data file was cut or
+        rewritten past the bytes a state record consumed."""
+        skipped = bisect_right(self.ends, start.offset)
+        if (self.start is None
+                or start.offset != (self.ends[skipped - 1] if skipped else self.start.offset)
+                or self.start.lines + skipped != start.lines):
+            raise StorageError(f"{table}: no line ends at byte {start.offset}, where "
+                               f"{start.lines} lines were consumed; the data file was cut "
+                               "or rewritten")
+        return skipped
+
+
+class TableState(NamedTuple):
+    """A silver table's state record: the latest capture among its members
+    (None while it has none), and for each of its mappings, keyed by its
+    source (`silver.record_key`), the `Position` past the last line of that
+    source it consumed."""
+    mark: datetime | None
+    sources: Mapping[str, Position]
 
 
 class Warehouse:
@@ -494,50 +530,93 @@ class Warehouse:
         return Snapshot(manifest, [line for line in map(bytes.strip, data.read_bytes().split(b"\n"))
                                    if line])
 
-    def read_rows(self, schema: str, table: str, captured_after: datetime | None = None,
+    def tail(self, schema: str, table: str, start: Position) -> Snapshot:
+        """The table's manifest and the non-blank lines, stripped, of its
+        data file's complete lines past `start`, each with the offset just
+        past it, from one read that begins at the byte before `start` (none
+        without a data file). A last line without its newline is not yet
+        complete, so it is left for a later read. When no line ends at
+        `start` (the file is shorter, or was rewritten) the tail holds no
+        line and its start is None, which `Snapshot.skipped` refuses."""
+        manifest = self.manifest(schema, table)
+        offset, before = start.offset, max(start.offset - 1, 0)
+        try:
+            with (self.table_dir(schema, table) / DATA_FILE).open("rb") as data:
+                data.seek(before)
+                content = data.read()
+        except FileNotFoundError:
+            content = b""
+        if offset and content[:1] != b"\n":
+            return Snapshot(manifest, [], start=None)
+        pieces = content[offset - before:content.rfind(b"\n") + 1].split(b"\n")[:-1]
+        stripped = list(map(bytes.strip, pieces))
+        # The offset past each piece's newline, kept for the non-blank ones.
+        ends = islice(accumulate(map((1).__add__, map(len, pieces)), initial=offset), 1, None)
+        return Snapshot(manifest, list(filter(None, stripped)), start=start,
+                        ends=tuple(compress(ends, stripped)))
+
+    def read_rows(self, schema: str, table: str,
                   snapshot: Snapshot | None = None) -> list[Record]:
         """The table's rows in file order, in a new list, from one pass over
         the non-blank lines of one read of its files, or of `snapshot`
         without reading them again. Rows may be shared with other reads
         through this object, as is the row of a line held twice, so callers
-        must not mutate them. With `captured_after`, a line that begins with
-        CAPTURE_PREFIX is skipped undecoded unless that capture time is
-        strictly later, and any other row is returned only when captured
-        strictly later. A row comes from this read, from the rows its
+        must not mutate them. A row comes from this read, from the rows its
         manifest keeps for a table this object splices (`append_rows`), or
-        from decoding; a read of a spliced table without `captured_after`
-        keeps the rows of the lines it returned, and only those.
-        A line that does not decode, or whose tested capture time is null,
-        raises StorageError naming its number among the non-blank lines."""
-        manifest, lines, _mark = snapshot or self._snapshot(schema, table)
+        from decoding; a read of a spliced table keeps the rows of the lines
+        it returned, and only those. A line that does not decode raises
+        StorageError naming its number among the non-blank lines of the
+        file (a `tail`'s count from its start)."""
+        manifest, lines, _mark, start, _ends = snapshot or self._snapshot(schema, table)
         kept = manifest.kept
         read: dict[bytes, Record] = {}  # each line of this read and its row
-        rows, start = [], len(CAPTURE_PREFIX)
+        rows = []
         try:
-            for number, line in enumerate(lines, start=1):
-                prefixed = captured_after is not None and line.startswith(CAPTURE_PREFIX)
-                if prefixed and manifest.read_timestamp(
-                        line[start:line.index(b'"', start)].decode()) <= captured_after:
-                    continue
+            for number, line in enumerate(lines, start=start.lines + 1):
                 row = read.get(line)
                 if row is None:
                     row = kept.get(line)
                     if row is None:
                         row = decode_row(manifest, line.decode())
                     read[line] = row
-                if captured_after is not None and not prefixed:
-                    if row["capture_timestamp"] is None:
-                        raise StorageError(f"{schema}.{table}: line {number}: "
-                                           "column capture_timestamp is null")
-                    if row["capture_timestamp"] <= captured_after:
-                        continue
                 rows.append(row)
         except _UNDECODABLE as exc:
             raise StorageError(f"{schema}.{table}: line {number} does not decode: {exc}") from exc
-        if kept and captured_after is None:
+        if kept:
             kept.clear()
             kept.update(read)
         return rows
+
+    def read_state(self, schema: str, table: str) -> TableState | None:
+        """The table's state record, or None without one. A record that
+        does not parse, or holds a position that is not two counts, raises
+        StorageError."""
+        try:
+            content = (self.table_dir(schema, table) / STATE_FILE).read_bytes()
+        except FileNotFoundError:
+            return None
+        try:
+            doc = json.loads(content)
+            sources = {source: Position(at["offset"], at["lines"])
+                       for source, at in doc["sources"].items()}
+            for source, position in sources.items():
+                if not all(type(count) is int and count >= 0 for count in position):
+                    raise ValueError(f"source {source} holds no position")
+            mark = doc["mark"]
+            return TableState(None if mark is None else _timestamp_value({})(mark), sources)
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise StorageError(f"{schema}.{table}: the state record does not parse: "
+                               f"{exc}") from exc
+
+    def write_state(self, schema: str, table: str, state: TableState):
+        """Write the table's state record, one line of JSON with sorted
+        keys, as every file is written (`_atomic_write`). A load calls it
+        after the data file's write, so a crash in between leaves the
+        previous record, whose bronze the next load merges again."""
+        sources = {source: at._asdict() for source, at in state.sources.items()}
+        text = ('{"mark": ' + _encode_scalar(state.mark) + ', "sources": '
+                + json.dumps(sources, sort_keys=True) + "}\n")
+        _atomic_write(self.table_dir(schema, table) / STATE_FILE, text.encode("utf-8"))
 
     def append_rows(self, schema: str, table: str, rows: list[Record],
                     replace: Mapping[int, Record] | None = None, lines: int | None = None):
@@ -637,7 +716,7 @@ class Warehouse:
         are read from that text. Any other line is decoded. A capture time
         left in that is null, or whose text does not read, raises
         StorageError naming its line."""
-        manifest, lines, _mark = read = self._snapshot(schema, table)
+        manifest, lines, *_ = read = self._snapshot(schema, table)
         kept = manifest.kept
         mark = None
         for number, line in enumerate(lines, start=1):

@@ -297,10 +297,20 @@ def test_a_null_bronze_capture_time_fails_a_load_naming_its_table_and_line(
             rows[2]["capture_timestamp"] = None
             warehouse.replace_table(warehouse.manifest("raw_retail", "customers"), rows)
     capsys.readouterr()
+    before = file_bytes(tmp_path / "wh")
     assert main(["load-silver", "--model", MODEL, "--root", root, "--now", now]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("error: raw_retail.customers: line 3: "
-                            "column capture_timestamp is null\n")
+    if marked:
+        # Line 3 lies before the offset the first load recorded, and its
+        # rewrite moved the lines after it, so no line ends there any more:
+        # the load refuses the bronze file before it writes.
+        assert re.fullmatch(r"error: hs_retail\.hub_customer <- raw_retail\.customers: no line "
+                            r"ends at byte \d+, where \d+ lines were consumed; the data file "
+                            r"was cut or rewritten; nothing written\n", captured.err)
+        assert file_bytes(tmp_path / "wh") == before
+    else:
+        assert captured.err == ("error: hs_retail.hub_customer <- raw_retail.customers: "
+                                "line 3: column capture_timestamp is null\n")
 
 
 def test_a_null_member_capture_time_fails_a_load_naming_its_table_and_line(

@@ -464,7 +464,7 @@ def test_join_on_a_column_no_table_exposes_is_an_error(gw):
     view = MODEL.view("fact_orders_loose")
     broken = replace(view, joins=(HubJoin("person", "no_such_key", "left"),))
     with pytest.raises(GoldBuildError, match="no table exposes column 'no_such_key'"):
-        build_view(gw, MODEL, broken, now=NOW)
+        build_view(gw, MODEL, broken, now=NOW, model=gold._model_parts(MODEL))
 
 
 def test_join_current_over_a_star_base_is_an_error(gw):
@@ -477,7 +477,7 @@ def test_join_current_over_a_star_base_is_an_error(gw):
     before = file_bytes(gw.root)
     with pytest.raises(GoldBuildError,
                        match=r"^fact_orders_loose: join_current requires a hub base$"):
-        build_view(gw, MODEL, broken, now=NOW)
+        build_view(gw, MODEL, broken, now=NOW, model=gold._model_parts(MODEL))
     assert file_bytes(gw.root) == before
 
 
@@ -535,9 +535,9 @@ def test_a_first_build_digests_each_table_a_view_reads_once_and_traces_its_write
     build_view, table_digest = gold.build_view, storage.Warehouse.table_digest
     building = []
 
-    def built(warehouse, spec, view, now):
+    def built(warehouse, spec, view, now, **kwargs):
         building.append(view.name)
-        return build_view(warehouse, spec, view, now)
+        return build_view(warehouse, spec, view, now, **kwargs)
 
     def digested(self, schema, table):
         digests.append((building[-1], schema, table))
@@ -558,6 +558,21 @@ def test_a_first_build_digests_each_table_a_view_reads_once_and_traces_its_write
         trace = json.loads((warehouse.table_dir(schemas["gold"], view.table_name) / "trace")
                            .read_text(encoding="utf-8"))
         assert trace["output"] == warehouse.table_digest(schemas["gold"], view.table_name)
+
+
+def test_a_build_renders_the_model_once_for_all_its_views(retail_copy, retail_spec,
+                                                          monkeypatch):
+    rendered = []
+    render_model = gold.render_model
+    monkeypatch.setattr(gold, "render_model", lambda spec: (
+        rendered.append(spec), render_model(spec))[1])
+    stats = {path: path.stat().st_ino
+             for path in (retail_copy.root / retail_spec.schema_names["gold"]).glob("*/*")}
+    results = build_all(Warehouse(retail_copy.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert len(results) == len(retail_spec.gold_views) > 1
+    assert rendered == [retail_spec]
+    # The digests it feeds are those each view's trace records: nothing is rebuilt.
+    assert {path: path.stat().st_ino for path in stats} == stats
 
 
 def test_a_noop_build_decodes_no_row_and_touches_no_file(retail_copy, retail_spec, decoded):

@@ -350,4 +350,4 @@ def test_check_prints_the_audit_findings_before_an_oracle_load_error(golden_wh, 
     assert out.splitlines() == [f"{silver}.hub_product: column load_timestamp is not nullable "
                                 "but holds 1 null(s)"]
     assert err.splitlines()[-1] == (f"error: {silver}.hub_customer <- {bronze}.customers: "
-                                    "business key customer_id is null")
+                                    "line 1: business key customer_id is null")

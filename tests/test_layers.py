@@ -120,13 +120,13 @@ def test_storage_branches_on_a_columns_type_only_in_its_codec_compiler():
 
 
 def test_bronze_is_read_after_a_mark_only_while_staging():
-    # Another such read would decode a source again, past the read `Reads`
+    # Only `Reads` reads a data file past an offset (`Warehouse.tail`):
+    # another such read would decode a source again, past the read `Reads`
     # shares between the mappings of one command.
     calls = {(path.stem, getattr(node, "name", "<module>"))
              for path in sorted(PACKAGE.glob("*.py")) for node in tree(path.stem).body
              for inner in ast.walk(node)
-             if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "read_rows"
-             and any(keyword.arg == "captured_after" for keyword in inner.keywords)}
+             if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "tail"}
     assert calls == {("silver", "Reads")}
 
 

@@ -234,8 +234,8 @@ def test_a_null_bronze_capture_time_raises_naming_its_table_and_column(wh, feed)
     rows[0]["capture_timestamp"] = None
     wh.replace_table(wh.manifest(bronze, "people"), rows)
 
-    with pytest.raises(StorageError,
-                       match=f"^{bronze}.people: line 1: column capture_timestamp is null"):
+    with pytest.raises(StorageError, match=f"^{SILVER}.hub_device <- {bronze}.people: line 1: "
+                                           "column capture_timestamp is null"):
         check_against_oracle(wh, MODEL)
 
 
@@ -278,6 +278,24 @@ def test_multi_mapping_elements_are_outside_the_remit(wh, feed):
     assert check_against_oracle(wh, MODEL) == []
 
 
+def test_every_mapping_of_a_multi_mapping_hub_reaches_silver(wh, feed):
+    # Both mappings of `traveler` once shared one mark, the latest capture
+    # among its members, so a visit captured before the people loaded
+    # first was never read. Each mapping now reads its own source past its
+    # own offset.
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-05-01T00:00:00Z,0\n")
+    load_all(wh, MODEL, now=NOW)
+    feed("visits", '{"person_id": 2, "visit_day": "2024-04-01T00:00:00Z",'
+                   ' "note": "n", "captured_at": "2024-04-01T00:00:00Z"}\n')
+    results = {(r.table, r.source): r for r in load_all(wh, MODEL, now=NOW)}
+    traveler = results[f"{SILVER}.hub_traveler", "visits"]
+    assert (traveler.scanned, traveler.inserted, traveler.new_hwm) == \
+        (1, 1, utc(2024, 5, 1))
+    assert [(r["load_source"], r["person_id"], r["capture_timestamp"])
+            for r in wh.read_rows(SILVER, "hub_traveler")][1:] == [
+        (1, 1, utc(2024, 5, 1)), (2, 2, utc(2024, 4, 1))]
+
+
 def test_system_keyed_hub_is_checked_by_its_business_key(wh, feed):
     load_sample(wh, feed)
     rows = wh.read_rows(SILVER, "hub_device")
@@ -295,9 +313,9 @@ def visit(day: str, note: str, captured: str) -> str:
 
 @pytest.mark.parametrize("source,text,column,refused", [
     ("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n", "device_code",
-     "hub_device <- {bronze}.people: business key device_code is null"),
+     "hub_device <- {bronze}.people: line 1: business key device_code is null"),
     ("visits", visit("2024-04-01T00:00:00Z", "n", "2024-04-01T10:00:00Z"), "visit_day",
-     "star_person_visit <- {bronze}.visits: composite key column visit_day is null"),
+     "star_person_visit <- {bronze}.visits: line 1: composite key column visit_day is null"),
 ], ids=["system-keyed hub", "star"])
 def test_the_oracle_refuses_bronze_that_no_load_could_stage(wh, feed, source, text, column,
                                                            refused):
@@ -427,7 +445,7 @@ def test_null_dedup_values_rank_first_under_asc_in_engine_and_oracle(tmp_path):
 
 
 def test_an_empty_computed_key_fails_the_load_and_the_oracle_naming_the_table(tmp_path):
-    message = ("^hs_dedup.hub_item <- raw_dedup.items: "
+    message = ("^hs_dedup.hub_item <- raw_dedup.items: line 1: "
                "key formula produced '', expected a non-empty string$")
     with pytest.raises(EvalError, match=message):
         load_items(tmp_path, "asc", '"",blank,1,2024-01-01T00:00:00Z\n')

@@ -1,13 +1,15 @@
-"""Merge semantics for the silver layer: high-water marks, version ranking,
+"""Merge semantics for the silver layer: bronze offsets, version ranking,
 null-safe change detection, default rows, and collection explosion."""
 
 from __future__ import annotations
 
+import builtins
 import json
 import shutil
 from collections import Counter
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,7 @@ from hubstar.silver import (
     explode_collection,
     type_neutral,
 )
+from hubstar.storage import Position
 from hubstar.tables import silver_manifest
 from hubstar.values import EPOCH, coerce_scalar, row_key, top_per_partition
 
@@ -241,16 +244,23 @@ def test_initial_load_inserts_rows_with_capture_metadata(wh, feed):
 def test_hwm_filter_is_strictly_greater_than(wh, feed):
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
     load_all(wh, MODEL, now=NOW)
-    # Re-deliver the same capture timestamp alongside one newer row: only the
-    # newer row is even scanned.
+    # Re-deliver the same capture timestamp alongside one newer row: both
+    # are past the offset, so both are scanned, but a hub member is replaced
+    # only by a capture strictly later than its own (the earlier bronze row
+    # wins a tie, as in the oracle), so the re-delivery changes nothing.
     feed("people", PEOPLE_HEADER
          + "1,Ana,Bergen,D1,2024-03-01T08:00:00Z,0\n"
          + "2,Bo,Rio,D2,2024-03-01T10:00:00Z,0\n")
     person = result_for(load_all(wh, MODEL, now=NOW), "hub_person")
-    assert person.scanned == 1
-    assert person.inserted == 1
+    assert (person.scanned, person.inserted, person.updated, person.unchanged_skipped) == \
+        (2, 1, 0, 1)
     rows = people_rows(wh)
     assert rows[person_key(1)]["city"] == "Oslo"  # stale redelivery ignored
+    feed("people", PEOPLE_HEADER + "1,Ana,Bergen,D1,2024-03-01T08:00:01Z,0\n")
+    person = result_for(load_all(wh, MODEL, now=NOW), "hub_person")
+    assert (person.scanned, person.updated) == (1, 1)
+    assert people_rows(wh)[person_key(1)]["city"] == "Bergen"
+    assert check_against_oracle(wh, MODEL) == []
 
 
 def test_a_capture_before_1970_is_loaded_into_a_table_without_members(wh, feed):
@@ -312,6 +322,172 @@ def test_a_no_op_load_and_build_through_a_fresh_object_decode_and_write_nothing(
     assert sum(decoded.values()) == 0
     assert written == []
     assert file_bytes(warehouse.root) == before
+
+
+def test_a_new_member_captured_exactly_at_the_mark_reaches_silver(wh, feed):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    load_all(wh, MODEL, now=NOW)
+    feed("people", PEOPLE_HEADER + "2,Bo,Rio,D2,2024-03-01T08:00:00Z,0\n")
+    person = result_for(load_all(wh, MODEL, now=NOW), "hub_person")
+    assert (person.scanned, person.inserted, person.new_hwm) == (1, 1, utc(2024, 3, 1, 8))
+    assert sorted(people_rows(wh)) == sorted([person_key(1), person_key(2)])
+    assert check_against_oracle(wh, MODEL) == []
+
+
+def test_a_capture_before_1970_that_arrives_after_members_exist_reaches_silver(wh, feed):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    load_all(wh, MODEL, now=NOW)
+    feed("people", PEOPLE_HEADER + "2,Bo,Rio,D2,1960-01-01T00:00:00Z,0\n"
+         + "1,Ana,Bergen,D1,1960-01-01T00:00:00Z,0\n")
+    person = result_for(load_all(wh, MODEL, now=NOW), "hub_person")
+    # The new member goes in; the older version of a member changes nothing,
+    # and the mark stays the latest capture among the members.
+    assert (person.scanned, person.inserted, person.updated, person.unchanged_skipped,
+            person.new_hwm) == (2, 1, 0, 1, utc(2024, 3, 1, 8))
+    rows = people_rows(wh)
+    assert rows[person_key(2)]["initial_capture_timestamp"] == utc(1960, 1, 1)
+    assert rows[person_key(1)]["city"] == "Oslo"
+    # Not with `include_volatile`: a member's first capture is that of the
+    # version that first reached silver (ROADMAP A2).
+    assert check_against_oracle(wh, MODEL) == []
+
+
+def test_a_state_record_holds_each_sources_position_and_the_mark(wh, feed):
+    # One line of JSON with sorted keys, written after the data file and
+    # only when its bytes change.
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    load_all(wh, MODEL, now=NOW)
+    people = wh.table_dir(MODEL.schema_names["bronze"], "people") / "data"
+    state = wh.table_dir(SILVER, "hub_person") / "state"
+    size = len(people.read_bytes())
+    assert state.read_bytes() == (b'{"mark": "2024-03-01T08:00:00Z", "sources": {"people": '
+                                  b'{"lines": 1, "offset": %d}}}\n' % size)
+    # A star without members records no mark; a source not yet delivered
+    # is consumed to its start.
+    assert (wh.table_dir(SILVER, "star_trip_stop") / "state").read_bytes() == \
+        b'{"mark": null, "sources": {"trips": {"lines": 0, "offset": 0}}}\n'
+    inode = state.stat().st_ino
+    load_all(Warehouse(wh.root), MODEL, now=NOW)
+    assert state.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("record", [
+    b"", b"{}\n", b'{"mark": null, "sources": {"people": {"lines": -1, "offset": 0}}}\n',
+    b'{"mark": "soon", "sources": {}}\n'], ids=["empty", "no fields", "negative", "bad mark"])
+def test_a_state_record_that_does_not_parse_fails_the_load_before_a_write(wh, feed, record):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    (wh.table_dir(SILVER, "hub_person") / "state").write_bytes(record)
+    before = file_bytes(wh.root)
+    with pytest.raises(StorageError, match=rf"^{SILVER}\.hub_person: the state record does "
+                                           "not parse: "):
+        load_all(wh, MODEL, now=NOW)
+    assert file_bytes(wh.root) == before
+
+
+@pytest.mark.parametrize("damage", ["cut", "rewritten"])
+def test_a_cut_or_rewritten_bronze_file_is_refused_and_nothing_written(wh, feed, damage):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n"
+         + "2,Bo,Rio,D2,2024-03-01T09:00:00Z,0\n")
+    load_all(wh, MODEL, now=NOW)
+    feed("people", PEOPLE_HEADER + "3,Cy,Lima,D3,2024-03-01T10:00:00Z,0\n")
+    people = wh.table_dir(MODEL.schema_names["bronze"], "people") / "data"
+    lines = people.read_bytes().split(b"\n")
+    if damage == "cut":  # the second line goes, so the file ends before the offset
+        people.write_bytes(b"\n".join(lines[:1] + lines[2:]))
+    else:  # the first line grows by a byte, so no line ends at the offset
+        people.write_bytes(b"\n".join([lines[0].replace(b"Oslo", b"Oslo!")] + lines[1:]))
+    before = file_bytes(wh.root)
+    for through in (wh, Warehouse(wh.root)):
+        with pytest.raises(StorageError, match=rf"^{SILVER}\.hub_device <- "
+                                               rf"{MODEL.schema_names['bronze']}\.people: no "
+                                               r"line ends at byte \d+, where 2 lines were "
+                                               "consumed; the data file was cut or rewritten; "
+                                               "nothing written$"):
+            load_all(through, MODEL, now=NOW)
+        assert file_bytes(wh.root) == before
+
+
+def test_two_mappings_of_one_source_each_keep_their_own_position(tmp_path):
+    # A buyer and a seller from one orders feed: each mapping's position is
+    # its own in the record, so the second mapping does not start where the
+    # first one stopped, and every party reaches silver in every load.
+    spec = parse_model('''product twice
+
+source orders {
+  load_source 1
+  format csv
+  column order_id integer
+  column buyer string
+  column seller string
+  column at timestamp
+  capture cdc_column at
+}
+
+hub party {
+  key system_generated
+  business_key global (party string)
+  source_mapping orders {
+    map party = buyer
+  }
+  source_mapping orders {
+    map party = seller
+  }
+}
+''').spec
+    assert validate_model(spec).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, spec)
+    silver_schema = spec.schema_names["silver"]
+    for batch, text in enumerate(["1,ana,bo,2024-01-01T00:00:00Z\n",
+                                  "2,cy,dan,2023-01-01T00:00:00Z\n"]):
+        path = tmp_path / f"orders{batch}.csv"
+        path.write_text("order_id,buyer,seller,at\n" + text, encoding="utf-8")
+        ingest_file(warehouse, spec, "orders", path, now=NOW)
+        results = load_all(warehouse, spec, now=NOW)
+        assert [(r.scanned, r.inserted) for r in results] == [(1, 1), (1, 1)]
+    assert [r["party"] for r in warehouse.read_rows(silver_schema, "hub_party")][1:] == [
+        "ana", "bo", "cy", "dan"]
+    size = len((warehouse.table_dir(spec.schema_names["bronze"], "orders") / "data").read_bytes())
+    assert (warehouse.table_dir(silver_schema, "hub_party") / "state").read_bytes() == (
+        b'{"mark": "2024-01-01T00:00:00Z", "sources": {"orders": {"lines": 2, "offset": %d}, '
+        b'"orders#2": {"lines": 2, "offset": %d}}}\n' % (size, size))
+    assert [r.scanned for r in load_all(Warehouse(warehouse.root), spec, now=NOW)] == [0, 0]
+
+
+def test_reloading_retail_without_its_state_records_gives_identical_files(
+        tmp_path, retail_spec, retail_data):
+    # A table without a record starts each source at its first line and
+    # takes its mark from its members: a replay that merges nothing new.
+    warehouse = run_pipeline(tmp_path / "wh", retail_spec, retail_data, batches=5, gold=False)
+    before = file_bytes(warehouse.root)
+    states = sorted(warehouse.root.glob(f"{retail_spec.schema_names['silver']}/*/state"))
+    assert len(states) == len(retail_spec.hubs + retail_spec.stars)
+    for state in states:
+        state.unlink()
+    results = load_all(Warehouse(warehouse.root), retail_spec, now=rf.DEFAULT_NOW)
+    assert all(r.scanned for r in results)
+    assert [(r.inserted, r.updated) for r in results] == [(0, 0)] * len(results)
+    assert file_bytes(warehouse.root) == before
+
+
+def test_a_no_op_load_through_a_fresh_object_opens_no_silver_data_file(
+        tmp_path, monkeypatch, retail_spec, retail_data):
+    warehouse = run_pipeline(tmp_path / "wh", retail_spec, retail_data, batches=2, gold=False)
+    silver_dir = warehouse.root / retail_spec.schema_names["silver"]
+    opened = []
+    path_open, builtin_open = Path.open, builtins.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: (
+        opened.append(Path(self)), path_open(self, *args, **kwargs))[1])
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs: (
+        opened.append(Path(file)), builtin_open(file, *args, **kwargs))[1])
+    results = load_all(Warehouse(warehouse.root), retail_spec, now=rf.DEFAULT_NOW)
+    monkeypatch.undo()
+    assert [r.scanned for r in results] == [0] * len(results)
+    assert [path for path in opened if path.is_relative_to(silver_dir)
+            and path.name == "data"] == []
+    # Each table's state record and each source's tail are read instead.
+    assert {path.name for path in opened if path.is_relative_to(silver_dir)} == {
+        "manifest", "state"}
 
 
 def test_loading_a_hub_whose_table_holds_no_row_fails(wh, feed):
@@ -722,7 +898,7 @@ def test_a_computed_key_equal_to_the_default_rows_fails_the_load(tmp_path):
     with pytest.raises(LoadError) as oracle_error:
         check_against_oracle(Warehouse(tmp_path / "wh"), spec)
     assert str(oracle_error.value) == str(load_error.value) == (
-        "hs_defaults.hub_item <- raw_defaults.s: "
+        "hs_defaults.hub_item <- raw_defaults.s: line 2: "
         "key formula gives the default row's key -1 for (-1)")
 
 
@@ -1012,8 +1188,9 @@ def test_a_value_that_does_not_coerce_to_its_column_type_fails_the_load(
     warehouse = coerced_wh(tmp_path, "x")
     silver, bronze = COERCED.schema_names["silver"], COERCED.schema_names["bronze"]
     before = warehouse.read_rows(silver, f"hub_{hub}")
-    # The error names the silver table and the bronze source it was staging.
-    with pytest.raises(error, match=f"^{silver}.hub_{hub} <- {bronze}.s: {message}"):
+    # The error names the silver table, and the bronze source and line it
+    # was staging.
+    with pytest.raises(error, match=f"^{silver}.hub_{hub} <- {bronze}.s: line 1: {message}"):
         load_all(warehouse, COERCED, now=NOW, only=hub)
     assert warehouse.read_rows(silver, f"hub_{hub}") == before
 
@@ -1164,11 +1341,18 @@ def test_star_hwm_starts_at_epoch_and_filters_redeliveries(wh, feed):
     seed_person(wh, feed)
     feed("visits", visit(1, "2024-04-01T00:00:00Z", "checkup", "2024-04-01T12:00:00Z"))
     load_all(wh, MODEL, now=NOW)
-    # A second bronze batch at or below the star's high-water mark is invisible.
+    # A star row is replaced by a capture no earlier than its own: at an
+    # equal capture the later bronze row wins, as in the oracle.
     feed("visits", visit(1, "2024-04-01T00:00:00Z", "rewrite", "2024-04-01T12:00:00Z"))
     star = result_for(load_all(wh, MODEL, now=NOW), "star_person_visit")
-    assert star.scanned == 0
-    assert [r["note"] for r in wh.read_rows(SILVER, "star_person_visit")] == ["checkup"]
+    assert (star.scanned, star.updated) == (1, 1)
+    assert [r["note"] for r in wh.read_rows(SILVER, "star_person_visit")] == ["rewrite"]
+    assert check_against_oracle(wh, MODEL) == []
+    # An earlier capture is filtered: it is scanned, and changes nothing.
+    feed("visits", visit(1, "2024-04-01T00:00:00Z", "stale", "2024-04-01T11:00:00Z"))
+    star = result_for(load_all(wh, MODEL, now=NOW), "star_person_visit")
+    assert (star.scanned, star.updated, star.unchanged_skipped) == (1, 0, 1)
+    assert [r["note"] for r in wh.read_rows(SILVER, "star_person_visit")] == ["rewrite"]
 
 
 # -- collection explosion -------------------------------------------------------
@@ -1226,7 +1410,8 @@ def test_a_repeated_concat_item_key_fails_the_load_and_leaves_the_star_as_it_was
 
     feed("trips", trip("2024-05-02T07:00:00Z", "Oslo", "Bergen", "Oslo"))
     with pytest.raises(LoadError, match=f"^{SILVER}.star_trip_stop <- {spec.schema_names['bronze']}"
-                                        ".trips: duplicate item sequence 'Oslo' within one parent"):
+                                        ".trips: line 2: duplicate item sequence 'Oslo' within one "
+                                        "parent"):
         load_all(warehouse, spec, now=NOW)
     assert data.read_bytes() == before
 
@@ -1343,7 +1528,7 @@ def planned_wh(tmp_path, *orders: dict) -> Warehouse:
 def staged_candidates(warehouse, spec, name: str) -> list[dict]:
     element = spec.hub(name) or spec.star(name)
     return [candidate for _bronze_row, candidate in silver.stage(
-        spec, element, element.source_mappings[0], None, silver.Reads(warehouse, spec))]
+        spec, element, element.source_mappings[0], Position(), silver.Reads(warehouse, spec))]
 
 
 def test_a_column_that_reads_no_item_is_evaluated_once_per_bronze_row(
@@ -1387,7 +1572,8 @@ def test_the_first_column_to_fail_in_mapped_order_names_the_error(tmp_path, star
     silver_schema, bronze = PLANNED.schema_names["silver"], PLANNED.schema_names["bronze"]
     with pytest.raises(LoadError) as error:
         load_all(warehouse, PLANNED, now=NOW, only=star)
-    assert str(error.value) == f"{silver_schema}.star_{star} <- {bronze}.orders: {message}"
+    assert str(error.value) == \
+        f"{silver_schema}.star_{star} <- {bronze}.orders: line 1: {message}"
 
 
 def test_a_row_without_items_evaluates_none_of_its_columns(tmp_path):
@@ -1482,12 +1668,13 @@ def test_a_load_reads_each_silver_table_once_per_mapping(
     assert bool(written) == writes
     elements = retail_spec.hubs + retail_spec.stars
     per_mapping = {e.table_name: len(e.source_mappings) for e in elements}
-    # Each load reads its table's files once, for the mark; only a load with
-    # candidates then decodes the rows of that read.
-    assert marks == per_mapping
+    # Each load starts from its table's state record, so no load reads its
+    # table's lines for a mark; only a load with candidates reads and
+    # decodes the table, once.
+    assert marks == {}
     assert {table: n for (schema, table), n in table_reads.items() if schema == silver} == \
         (per_mapping if writes else {})
-    # Bronze at or below each mark is never decoded, and only the silver rows
+    # Bronze before each offset is never decoded, and only the silver rows
     # a load writes are encoded.
     assert bool(decoded.in_schema(retail_spec.schema_names["bronze"])) == writes
     assert rows_encoded[silver] == sum(r.inserted + r.updated for r in results)
@@ -1675,15 +1862,18 @@ def test_the_mappings_of_a_source_share_its_read_and_load_as_apart(tmp_path, dec
     # The (hub, star) marks after each load: each later load starts from them.
     assert marks == [[utc(2024, 1, 1)] * 2, [utc(2024, 1, 1), utc(2024, 2, 1)],
                      [utc(2024, 3, 1), utc(2024, 2, 1)], [utc(2024, 4, 1)] * 2]
+    # Data files only: a state record holds bronze offsets, and each
+    # warehouse's bronze holds the paths of its own extracts.
     silver_files = [{path: data for path, data in file_bytes(warehouse.root).items()
-                     if path.startswith(silver)} for warehouse in (shared, alone)]
+                     if path.startswith(silver) and path.endswith("/data")}
+                    for warehouse in (shared, alone)]
     assert silver_files[0] == silver_files[1]
     assert results["together"] == results["apart"]  # each scanned the same bronze rows
     assert check_against_oracle(shared, SIGHTINGS) == []
-    # One read for both mappings while the star's mark is not below the
-    # hub's; a second read, above the star's own mark, when it is.
-    assert shared_decodes == [2, 1, 2, 2 + 3]
-    assert alone_decodes == [2 * 2, 1 + 1, 2 + 1, 2 + 3]
+    # One read for both mappings, from the offset both consumed to,
+    # whatever their marks; one per command when loaded apart.
+    assert shared_decodes == [2, 1, 1, 2]
+    assert alone_decodes == [2 * 2, 2 * 1, 2 * 1, 2 * 2]
 
 
 @pytest.mark.parametrize("marked", [False, True], ids=["first load", "after a mark"])
@@ -1701,8 +1891,10 @@ def test_a_null_capture_time_in_a_shared_read_fails_the_load_by_line(tmp_path, d
     stored[-1]["capture_timestamp"] = None
     warehouse.replace_table(warehouse.manifest(bronze, "people"), stored)
     before = file_bytes(warehouse.root)
-    with pytest.raises(StorageError, match=rf"^{bronze}\.people: line {len(stored)}: "
-                                           "column capture_timestamp is null$"):
+    silver = SIGHTINGS.schema_names["silver"]
+    with pytest.raises(StorageError, match=rf"^{silver}\.hub_person <- {bronze}\.people: "
+                                           rf"line {len(stored)}: column capture_timestamp "
+                                           "is null$"):
         load_all(warehouse, SIGHTINGS, now=NOW)
     assert file_bytes(warehouse.root) == before
 

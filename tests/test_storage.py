@@ -32,12 +32,14 @@ from hubstar.storage import (
     ColumnSpec,
     ForeignKeySpec,
     TableManifest,
+    Position,
+    Snapshot,
     Warehouse,
     decode_row,
     encode_row,
 )
 from hubstar.tables import bronze_manifest, check_stored_manifest, silver_manifest
-from hubstar.values import EPOCH, format_timestamp
+from hubstar.values import format_timestamp
 
 from conftest import file_bytes, run_pipeline
 from randmodels import random_model_text
@@ -351,27 +353,44 @@ def test_an_append_reads_its_data_file_once(wh, monkeypatch):
         assert (data.stat().st_ino != before) == rewritten
 
 
-def test_reads_above_a_capture_time_decode_only_those_lines(tmp_path, decoded):
+def test_a_tail_read_decodes_only_the_complete_lines_past_its_start(tmp_path, decoded):
     warehouse = Warehouse(tmp_path)
     warehouse.create_table(TableManifest(
         schema="raw", table="events",
         columns=(ColumnSpec("capture_timestamp", "timestamp", nullable=False),
                  ColumnSpec("label", "string"))))
-    times = [datetime(2024, 5, 1, 12, 0, 0, micro, tzinfo=timezone.utc)
-             for micro in (0, 500000, 0, 250000)]
-    times[2] = times[2].replace(second=1)
+    at = datetime(2024, 5, 1, 12, tzinfo=timezone.utc)
     warehouse.append_rows("raw", "events", [
-        {"capture_timestamp": at, "label": str(n)} for n, at in enumerate(times)])
-    with (warehouse.table_dir("raw", "events") / "data").open("a", encoding="utf-8") as fh:
-        fh.write('{"label": "4", "capture_timestamp": "2024-05-01T13:00:00Z"}\n')
+        {"capture_timestamp": at, "label": str(n)} for n in range(3)])
+    data = warehouse.table_dir("raw", "events") / "data"
+    ends = [n + 1 for n, byte in enumerate(data.read_bytes()) if byte == ord("\n")]
+    # A blank line, a hand-written line, and a last line without its newline.
+    with data.open("a", encoding="utf-8") as fh:
+        fh.write(' \n{"label": "3", "capture_timestamp": "2024-05-01T13:00:00Z"}\n'
+                 '{"label": "4"')
     decoded.clear()
-    after = warehouse.read_rows("raw", "events", captured_after=times[1])
-    assert [r["label"] for r in after] == ["2", "4"]  # strictly above: "1" is not
-    # Line 2, and line 4, hand-written, whose capture time is not its prefix.
-    assert len(decoded.lines) == 2
-    # "…:00Z" sorts after "…:00.5Z" as text; the comparison is by instant.
-    assert [r["label"] for r in warehouse.read_rows(
-        "raw", "events", captured_after=times[0])] == ["1", "2", "3", "4"]
+    tail = warehouse.tail("raw", "events", Position(ends[0], 1))
+    assert tail.start == Position(ends[0], 1)
+    assert tail.ends == (ends[1], ends[2], len(data.read_bytes()) - len('{"label": "4"'))
+    rows = warehouse.read_rows("raw", "events", snapshot=tail)
+    assert [r["label"] for r in rows] == ["1", "2", "3"]
+    assert len(decoded.lines) == 3  # the lines past the start, and only those
+    assert warehouse.tail("raw", "events", Position(tail.ends[-1], 4)).lines == []
+    # Counting past a start: each line end, with the lines before it.
+    assert [tail.skipped("raw.events", Position(end, lines))
+            for end, lines in zip((ends[0], *tail.ends), range(1, 5))] == [0, 1, 2, 3]
+    # A start that no line ends at, or past the end, reads no line and is
+    # refused, as is a count that does not match an offset.
+    for start in (Position(ends[0] - 1, 1), Position(len(data.read_bytes()) + 1, 1)):
+        refused = warehouse.tail("raw", "events", start)
+        assert (refused.start, refused.lines) == (None, [])
+        with pytest.raises(StorageError, match=rf"^raw\.events: no line ends at byte "
+                                               rf"{start.offset}, where 1 lines were consumed; "
+                                               "the data file was cut or rewritten$"):
+            refused.skipped("raw.events", start)
+    for start in (Position(ends[1], 1), Position(ends[1] + 1, 2)):
+        with pytest.raises(StorageError, match="no line ends at byte"):
+            tail.skipped("raw.events", start)
 
 
 def test_a_manifest_is_parsed_once_for_each_content(wh, monkeypatch):
@@ -556,14 +575,16 @@ def test_a_stored_line_that_does_not_decode_is_refused_by_table_and_line(tmp_pat
     lines = data.read_bytes().split(b"\n")
     lines[1] = lines[1].replace(b'"price":1.50', b'"price":sNaN')
     data.write_bytes(b"\n".join(lines))
+    ends = [n + 1 for n, byte in enumerate(data.read_bytes()) if byte == ord("\n")]
     for read in (lambda: wh.read_rows("lab", "samples"),  # through the memo
                  lambda: Warehouse(tmp_path).read_rows("lab", "samples"),
-                 lambda: wh.read_rows("lab", "samples", captured_after=day[1])):
+                 lambda: wh.read_rows("lab", "samples",
+                                      snapshot=wh.tail("lab", "samples", Position(ends[0], 1)))):
         with pytest.raises(StorageError, match=r"^lab\.samples: line 2 does not decode: "):
             read()
-    # A read that skips the line by its capture time never decodes it.
-    assert [r["sample_id"] for r in wh.read_rows("lab", "samples", captured_after=day[2])] == [
-        "s-3"]
+    # A tail read past the line never decodes it.
+    assert [r["sample_id"] for r in wh.read_rows(
+        "lab", "samples", snapshot=wh.tail("lab", "samples", Position(ends[1], 2)))] == ["s-3"]
     # With lines 1 and 3 bad, a read names the line it failed on.
     lines[1], lines[0] = lines[0], lines[1]
     lines[2] = lines[2].replace(b'"price":1.50', b'"price":sNaN')
@@ -571,7 +592,8 @@ def test_a_stored_line_that_does_not_decode_is_refused_by_table_and_line(tmp_pat
     with pytest.raises(StorageError, match=r"^lab\.samples: line 1 does not decode: "):
         Warehouse(tmp_path).read_rows("lab", "samples")
     with pytest.raises(StorageError, match=r"^lab\.samples: line 3 does not decode: "):
-        Warehouse(tmp_path).read_rows("lab", "samples", captured_after=day[2])
+        fresh = Warehouse(tmp_path)
+        fresh.read_rows("lab", "samples", snapshot=fresh.tail("lab", "samples", Position(ends[1], 2)))
     # A byte that is not UTF-8 is found by its line too.
     data.write_bytes(b"\n".join([lines[1], lines[1].replace(b"s-1", b"s-\xff"), b""]))
     with pytest.raises(StorageError, match=r"^lab\.samples: line 2 does not decode: 'utf-8'"):
@@ -615,7 +637,7 @@ def test_each_distinct_timestamp_crosses_the_codec_once(tmp_path, timestamp_call
     assert timestamp_calls == {"parse_stored_timestamp": 3}
     timestamp_calls.clear()
     assert wh.read_rows("lab", "samples") == rows
-    assert wh.read_rows("lab", "samples", captured_after=day[1]) == rows[2::3]
+    assert wh.read_rows("lab", "samples", snapshot=wh.tail("lab", "samples", Position())) == rows
     assert timestamp_calls == {}
 
 
@@ -652,22 +674,24 @@ def test_a_timestamp_that_does_not_parse_fails_every_read_through_one_object(tmp
     data.write_bytes(b"\n".join(lines))
     for _ in range(2):
         for read in (lambda: wh.read_rows("lab", "samples"),
-                     lambda: wh.read_rows("lab", "samples", captured_after=EPOCH)):
+                     lambda: wh.read_rows("lab", "samples",
+                                          snapshot=wh.tail("lab", "samples", Position()))):
             with pytest.raises(StorageError, match=r"^lab\.samples: line 3 does not decode: "):
                 read()
 
 
-def test_a_null_capture_time_is_refused_by_line_only_by_a_read_after_a_mark(tmp_path):
+def test_a_null_capture_time_is_read_back_by_every_read(tmp_path):
+    # Storage does not judge a capture time: staging refuses a null one, by
+    # its line (test_silver's shared-read test).
     stamped = manifest(columns=(ColumnSpec("capture_timestamp", "timestamp", nullable=False),
                                 *manifest().columns))
     wh = Warehouse(tmp_path)
     wh.replace_table(stamped, [{**ROW, "sample_id": f"s-{n}", "capture_timestamp": at}
                                for n, at in enumerate([ROW["taken_at"], None], start=1)])
-    assert [r["capture_timestamp"] for r in wh.read_rows("lab", "samples")] == [
-        ROW["taken_at"], None]
-    with pytest.raises(StorageError, match=r"^lab\.samples: line 2: column capture_timestamp "
-                                           r"is null$"):
-        wh.read_rows("lab", "samples", captured_after=ROW["taken_at"])
+    for snapshot in (None, wh.tail("lab", "samples", Position())):
+        assert [r["capture_timestamp"] for r in wh.read_rows("lab", "samples",
+                                                             snapshot=snapshot)] == [
+            ROW["taken_at"], None]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -787,13 +811,20 @@ EVENT_LINE = st.one_of(
         row["capture_timestamp"].isoformat(sep=" "), json.dumps(row["label"]))))
 
 
-def _decoded_lines(path: Path, captured_after: datetime | None) -> list[dict]:
-    """The reference read: every non-blank line decoded, in order, then
-    those captured strictly after the mark."""
-    rows = [decode_row(EVENTS, line.strip())
-            for line in path.read_text(encoding="utf-8").split("\n") if line.strip()]
-    return [row for row in rows
-            if captured_after is None or row["capture_timestamp"] > captured_after]
+def _decoded_lines(path: Path, offset: int = 0) -> list[dict]:
+    """The reference read: every complete non-blank line past `offset`
+    decoded, in order."""
+    return [decode_row(EVENTS, line.strip().decode())
+            for line in path.read_bytes()[offset:].split(b"\n")[:-1] if line.strip()]
+
+
+def _starts(path: Path) -> list[Position]:
+    """The position of each line of the file, and of its end."""
+    starts = [Position()]
+    for line in path.read_bytes().split(b"\n")[:-1]:
+        starts.append(Position(starts[-1].offset + len(line) + 1,
+                               starts[-1].lines + bool(line.strip())))
+    return starts
 
 
 @settings(max_examples=60, deadline=None)
@@ -801,8 +832,8 @@ def _decoded_lines(path: Path, captured_after: datetime | None) -> list[dict]:
 def test_every_way_of_reading_equals_decoding_every_line(draw):
     lines = draw.draw(st.lists(EVENT_LINE, min_size=1, max_size=4), label="distinct lines")
     text = draw.draw(st.lists(st.sampled_from(lines + ["", "  "]), max_size=10), label="file")
-    marks = draw.draw(st.lists(st.none() | st.sampled_from(CAPTURES), min_size=1, max_size=4),
-                      label="marks")
+    picks = draw.draw(st.lists(st.none() | st.integers(0, 20), min_size=1, max_size=4),
+                      label="starts")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         Warehouse(root).create_table(EVENTS)
@@ -811,11 +842,14 @@ def test_every_way_of_reading_equals_decoding_every_line(draw):
         one = Warehouse(root)
 
         def read_every_way():
-            for mark in marks:
-                for rows in (one.read_rows("raw", "events", captured_after=mark),
-                             Warehouse(root).read_rows("raw", "events", captured_after=mark)):
-                    assert exactly(rows, _decoded_lines(data, mark))
-                    if mark is None:  # a line held twice gives one row
+            starts = _starts(data)
+            for pick in picks:
+                start = None if pick is None else starts[pick % len(starts)]
+                for through in (one, Warehouse(root)):
+                    rows = through.read_rows("raw", "events", snapshot=None if start is None
+                                             else through.tail("raw", "events", start))
+                    assert exactly(rows, _decoded_lines(data, start.offset if start else 0))
+                    if start is None:  # a line held twice gives one row
                         held = [line.strip() for line in data.read_text(encoding="utf-8")
                                 .split("\n") if line.strip()]
                         assert all(rows[i] is rows[held.index(line)]
@@ -1051,7 +1085,7 @@ def test_max_capture_timestamp(tmp_path, decoded):
         root = tmp_path / ("spliced" if splice else "appended")
         warehouse = Warehouse(root)
         warehouse.create_table(manifest)
-        assert warehouse.max_capture_timestamp("hs", table) == (manifest, [], None)
+        assert warehouse.max_capture_timestamp("hs", table) == Snapshot(manifest, [])
         warehouse.append_rows("hs", table, [
             {"load_source": 0, "k": "-1", "capture_timestamp": None},
             {"load_source": 1, "k": "a",
