@@ -15,7 +15,10 @@ watermark: a load takes its source's bronze past the byte offset it last
 consumed, whatever its capture time, and the mark is only reported. A
 watermark loses another mapping's earlier captures, new rows captured at
 it and late bronze; an offset loses none (docs/storage.md, "Silver state
-records").
+records"). The record is the one fact a load trusts, and only while the
+length it holds is its data file's size: without one that holds, a table
+replays from offset 0, and a load that reads its table takes the mark
+from its rows, so a re-run after a crash writes what a clean load would.
 """
 
 from __future__ import annotations
@@ -421,13 +424,13 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     the position the mapping consumed its source to (under `record_key`),
     and the mark: the latest capture among the table's members (every row
     but a hub's default row). A table without a record starts every
-    mapping at its source's first line and takes its mark from the text of
-    each line (`max_capture_timestamp`); a hub with no row at all was never
-    initialized, and its load fails. With a record and nothing past the
-    position, the load returns the mark without reading the table.
-    Otherwise `stage` gives the candidates past it, a computed hub's with
-    their keys; only a load with candidates decodes the table's rows, and a
-    member with a null capture time then fails it. One candidate survives
+    mapping at its source's first line. With a record and nothing past the
+    position, the load returns the record's mark without reading the
+    table. Otherwise `stage` gives the candidates past it, a computed hub's
+    with their keys, and a load with candidates or without a record reads
+    the table's rows: a hub with no row at all was never initialized, and
+    fails; a member with a null capture time fails; and the mark becomes
+    the latest member capture. One candidate survives
     per partition: a hub's by the mapping's `dedup_by` terms, latest
     capture, then the earliest bronze row; a star's by latest capture, then
     the last bronze row. A survivor matches the member with the same
@@ -438,29 +441,28 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     whose later row does), and only when some `element.tracked_columns`
     value differs under null-safe equality. Two writes to one row fail the
     load before anything is written. Then the record moves the mapping's
-    position past the rows read and the mark to the latest of the old one
-    and the captures written, and is written when its bytes change; the
-    load reports the mark, or the epoch for a table still without
-    members."""
+    position past the rows read and the mark to the latest of the mark and
+    the captures written, and is written when its bytes change; the load
+    reports the mark, or the epoch for a table still without members."""
     silver = spec.schema_names["silver"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
     state = reads.state(element.table_name)
-    read = None
-    if state is None:
-        read = warehouse.max_capture_timestamp(silver, element.table_name)
-        if hub is not None and not read.lines:
-            raise StorageError(f"{table}: holds no row; initialize default rows first")
-        state = TableState(read.mark, {})
+    mark, sources = (state.mark, state.sources) if state else (None, {})
     slot = record_key(element, mapping)
-    mark, start = state.mark, state.sources.get(slot, Position())
+    start = sources.get(slot, Position())
     bronze_rows, stop = reads.bronze(mapping.source, start)
-    if not bronze_rows and read is None:
+    if not bronze_rows and state is not None:
         return LoadResult(table=table, source=mapping.source, scanned=0, inserted=0,
                           updated=0, unchanged_skipped=0, new_hwm=mark or EPOCH)
     staged = stage(spec, element, mapping, start, reads)
-    # Without candidates there is nothing to merge, so no row is decoded.
-    rows = warehouse.read_rows(silver, element.table_name, snapshot=read) if staged else []
+    # With a record and no candidates there is nothing to merge, so no row
+    # is decoded, and the record's mark stands.
+    rows = []
+    if staged or state is None:
+        rows, mark = warehouse.read_rows(silver, element.table_name), None
+        if hub is not None and not rows:
+            raise StorageError(f"{table}: holds no row; initialize default rows first")
     members = _members(rows)
     partition = hub.business_key_names if hub is not None else element.identity
 
@@ -478,8 +480,11 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     identity, tracked = element.identity, element.tracked_columns
     index = {}
     for position, row in members:
-        if row["capture_timestamp"] is None:
+        capture = row["capture_timestamp"]
+        if capture is None:
             raise StorageError(f"{table}: line {position + 1}: column capture_timestamp is null")
+        if mark is None or capture > mark:
+            mark = capture
         index[row_key(row, identity)] = position
     inserted = updated = unchanged = 0
     writes: dict[tuple, Record] = {}
@@ -513,10 +518,10 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
                               replace={index[key]: row for key, row in writes.items()
                                        if key in index},
                               lines=len(rows))
-    # The latest of the old mark, if any, and the captures written.
+    # The latest of the mark, if any, and the captures written.
     mark = max(filter(None, (mark, *(row["capture_timestamp"] for row in writes.values()))),
                default=None)
-    reads.states[element.table_name] = moved = TableState(mark, {**state.sources, slot: stop})
+    reads.states[element.table_name] = moved = TableState(mark, {**sources, slot: stop})
     warehouse.write_state(silver, element.table_name, moved)
     return LoadResult(table=table, source=mapping.source, scanned=len(staged),
                       inserted=inserted, updated=updated, unchanged_skipped=unchanged,

@@ -7,11 +7,10 @@ bytes, and refuse, before touching a file, a value no read would give
 back. Every read starts from one snapshot of a table's files and makes
 one pass over its lines: the whole data file, or (`tail`) its complete
 lines past a `Position` a state record holds, read from that byte on, so a
-load reads no bronze it consumed before. `max_capture_timestamp` reads a
-silver table's mark, and which line is a hub's default row (its load
-source is the system's), from the head of each line, for a table without
-a state record. A Warehouse holds only its
-root and the manifests it parsed, once per content; a manifest object
+load reads no bronze it consumed before. A state record also holds its
+data file's byte length as written, and a record whose length is not the
+file's size reads as none. A Warehouse holds only its root and the
+manifests it parsed, once per content; a manifest object
 keeps the rows of a table the Warehouse splices by line, those it wrote (a
 copy of the caller's row when it is exactly what decoding its line gives)
 and those it read, so a later read of that table decodes only the lines it
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -50,13 +48,6 @@ MANIFEST_FILE = "manifest"
 DATA_FILE = "data"
 TRACE_FILE = "trace"
 STATE_FILE = "state"
-# How every canonical silver line begins (model.HUB_METADATA and
-# STAR_METADATA): its load source, an integer, which the first group holds
-# only where it is the system's, as in a hub's default row and no other;
-# then its capture time, whose text the second group holds, or nothing
-# where it is null.
-SILVER_HEAD = re.compile(rb'\{"load_source":(?:(%d)|\d+),"capture_timestamp":(?:"([^"\\]*)"|null)'
-                         rb'(?=[,}])' % SYSTEM_LOAD_SOURCE)
 
 
 def digest(parts: Iterable[bytes]) -> str:
@@ -121,11 +112,9 @@ class TableManifest:
 
     # The row codec of this layout, compiled once per manifest object. Each
     # direction keeps its own memo of the timestamps it met: encoding each
-    # value's text, decoding (through `read_timestamp`, which also reads the
-    # capture prefix of a bronze line) each stored text's value.
-    read_timestamp = cached_property(lambda self: _timestamp_value({}))
+    # value's text, decoding each stored text's value.
     codec = cached_property(lambda self: _compile(self.columns, _timestamp_text({}),
-                                                  self.read_timestamp))
+                                                  _timestamp_value({})))
     # The row of each line that a `Warehouse` keeps for a table it splices
     # (`append_rows` with `lines`), under this manifest object: a line's row
     # depends only on the line and the layout, so a manifest that changes
@@ -387,14 +376,12 @@ class Position(NamedTuple):
 
 
 class Snapshot(NamedTuple):
-    """One read of a table's files: its manifest, its data file's non-blank
-    lines, stripped, and the latest capture time read from them, when
-    `Warehouse.max_capture_timestamp` took it. A `Warehouse.tail` holds the
-    lines past `start` (None when no line ends there) and, for each, the
-    byte offset just past it."""
+    """One read of a table's files: its manifest and its data file's
+    non-blank lines, stripped. A `Warehouse.tail` holds the lines past
+    `start` (None when no line ends there) and, for each, the byte offset
+    just past it."""
     manifest: TableManifest
     lines: list[bytes]
-    mark: datetime | None = None
     start: Position | None = Position()
     ends: tuple[int, ...] = ()
 
@@ -567,7 +554,7 @@ class Warehouse:
         it returned, and only those. A line that does not decode raises
         StorageError naming its number among the non-blank lines of the
         file (a `tail`'s count from its start)."""
-        manifest, lines, _mark, start, _ends = snapshot or self._snapshot(schema, table)
+        manifest, lines, start, _ends = snapshot or self._snapshot(schema, table)
         kept = manifest.kept
         read: dict[bytes, Record] = {}  # each line of this read and its row
         rows = []
@@ -588,11 +575,15 @@ class Warehouse:
         return rows
 
     def read_state(self, schema: str, table: str) -> TableState | None:
-        """The table's state record, or None without one. A record that
-        does not parse, or holds a position that is not two counts, raises
-        StorageError."""
+        """The table's state record, or None without one, and None when its
+        `length` is not the data file's size in bytes, or is missing (an
+        older hubstar wrote no length): the data file was written after the
+        record, or edited by hand. A record that does not parse, or holds a
+        position that is not two counts, raises StorageError."""
+        table_dir = self.table_dir(schema, table)
         try:
-            content = (self.table_dir(schema, table) / STATE_FILE).read_bytes()
+            content = (table_dir / STATE_FILE).read_bytes()
+            size = (table_dir / DATA_FILE).stat().st_size
         except FileNotFoundError:
             return None
         try:
@@ -603,20 +594,25 @@ class Warehouse:
                 if not all(type(count) is int and count >= 0 for count in position):
                     raise ValueError(f"source {source} holds no position")
             mark = doc["mark"]
-            return TableState(None if mark is None else _timestamp_value({})(mark), sources)
+            state = TableState(None if mark is None else _timestamp_value({})(mark), sources)
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise StorageError(f"{schema}.{table}: the state record does not parse: "
                                f"{exc}") from exc
+        return state if doc.get("length") == size else None
 
     def write_state(self, schema: str, table: str, state: TableState):
         """Write the table's state record, one line of JSON with sorted
-        keys, as every file is written (`_atomic_write`). A load calls it
-        after the data file's write, so a crash in between leaves the
-        previous record, whose bronze the next load merges again."""
+        keys, as every file is written (`_atomic_write`), with the data
+        file's size in bytes as its `length`. A load calls it after the data
+        file's write, so a crash in between leaves the previous record,
+        whose length no longer holds (`read_state`) when that write changed
+        the file's size, or else whose bronze the next load merges again."""
+        table_dir = self.table_dir(schema, table)
         sources = {source: at._asdict() for source, at in state.sources.items()}
-        text = ('{"mark": ' + _encode_scalar(state.mark) + ', "sources": '
+        text = ('{"length": %d, "mark": ' % (table_dir / DATA_FILE).stat().st_size
+                + _encode_scalar(state.mark) + ', "sources": '
                 + json.dumps(sources, sort_keys=True) + "}\n")
-        _atomic_write(self.table_dir(schema, table) / STATE_FILE, text.encode("utf-8"))
+        _atomic_write(table_dir / STATE_FILE, text.encode("utf-8"))
 
     def append_rows(self, schema: str, table: str, rows: list[Record],
                     replace: Mapping[int, Record] | None = None, lines: int | None = None):
@@ -671,8 +667,8 @@ class Warehouse:
                         continue
                 kept[line] = copy
 
-    # Nothing in hubstar calls upsert_rows or scan; they stay because the
-    # benchmark's tracer (bench/spans.py) wraps them.
+    # Nothing in hubstar calls the three methods below; they stay because
+    # the benchmark's tracer (bench/spans.py) wraps them.
 
     def upsert_rows(self, schema: str, table: str, rows: list[Record]):
         """Replace rows whose primary key already exists (keeping their
@@ -706,43 +702,12 @@ class Warehouse:
         return [r for r in rows
                 if all(values_equal(r.get(col), want) for col, want in where.items())]
 
-    def max_capture_timestamp(self, schema: str, table: str) -> Snapshot:
-        """The latest capture time among the table's rows, leaving out a
-        hub's default row, the one whose load source is SYSTEM_LOAD_SOURCE,
-        or None when no row is left; with the one read of the files it was
-        taken from, for `read_rows` to decode. A line takes the row its
-        manifest keeps, as in `read_rows`. Otherwise a line that begins as
-        SILVER_HEAD says is not decoded: its load source and capture time
-        are read from that text. Any other line is decoded. A capture time
-        left in that is null, or whose text does not read, raises
-        StorageError naming its line."""
-        manifest, lines, *_ = read = self._snapshot(schema, table)
-        kept = manifest.kept
-        mark = None
-        for number, line in enumerate(lines, start=1):
-            row = kept.get(line)
-            head = SILVER_HEAD.match(line) if row is None else None
-            try:
-                if head is not None:
-                    if head[1] is not None:
-                        continue
-                    text = head[2]
-                    capture = None if text is None else manifest.read_timestamp(text.decode())
-                else:
-                    if row is None:
-                        row = decode_row(manifest, line.decode())
-                    if row.get("load_source") == SYSTEM_LOAD_SOURCE:
-                        continue
-                    capture = row.get("capture_timestamp")
-            except _UNDECODABLE as exc:
-                raise StorageError(f"{schema}.{table}: line {number} does not decode: "
-                                   f"{exc}") from exc
-            if capture is None:
-                raise StorageError(f"{schema}.{table}: line {number}: "
-                                   "column capture_timestamp is null")
-            if mark is None or capture > mark:
-                mark = capture
-        return read._replace(mark=mark)
+    def max_capture_timestamp(self, schema: str, table: str) -> datetime | None:
+        """The latest capture time among the table's rows but a hub's
+        default row, the one whose load source is SYSTEM_LOAD_SOURCE, or
+        None when no other row holds one."""
+        return max(filter(None, (row["capture_timestamp"] for row in self.read_rows(schema, table)
+                                 if row["load_source"] != SYSTEM_LOAD_SOURCE)), default=None)
 
     def check_constraints(self, schema: str, table: str) -> list[str]:
         """Audit one table against its declared constraints; returns

@@ -8,11 +8,12 @@ and the default row, but it ranks, matches and merges on its own, so it
 imports nothing else of `silver` and nothing of the engine's ranking.
 Staging also makes a computed hub's own key: in `silver` only `stage` and
 the reference resolver read a key formula, and the oracle reads none.
-Bronze is read after a mark only through `Reads`, where the mappings of
-one source share the read, and a load decodes its own table only when
-staging gives it candidates. Storage sits below every
-layer and imports none, tells a hub's default row only by its load source
-and keeps no state per table in a `Warehouse`; a timestamp crosses its row
+Bronze is read past an offset only through `Reads`, where the mappings of
+one source share the read, and a load decodes its own table once, only
+after staging, and only when staging gives it candidates or the table has
+no state record. Storage sits below every layer and imports none, tells a
+hub's default row only by its load source and keeps no state per table in
+a `Warehouse`; a timestamp crosses its row
 codec only through the codec's memos, and one compiler branches on a
 column's type for both directions of the codec.
 """
@@ -85,8 +86,7 @@ def namers(module: str, name: str) -> set[str]:
 
 
 def test_storage_tells_a_default_row_by_its_load_source_not_its_key():
-    # One rule: the default row is the one no source loaded, which a line's
-    # text states in its head.
+    # One rule: the default row is the one no source loaded.
     assert "DEFAULT_HUB_KEY" not in imports("storage").get("model", set())
     assert namers("storage", "DEFAULT_HUB_KEY") == set()
 
@@ -132,7 +132,8 @@ def test_bronze_is_read_after_a_mark_only_while_staging():
 
 def test_a_load_decodes_its_table_only_after_staging_gives_candidates():
     # A load without candidates would otherwise decode every row of its
-    # table to merge nothing: its mark comes from the text of the lines.
+    # table to merge nothing; a table without a state record is read once,
+    # as any load with candidates reads it, and the rows give its mark.
     load = next(node for node in tree("silver").body if getattr(node, "name", None) == "_load")
 
     def calls(nodes, name: str) -> list[ast.Call]:
@@ -144,8 +145,8 @@ def test_a_load_decodes_its_table_only_after_staging_gives_candidates():
                  and [getattr(target, "id", None) for target in node.targets] == ["staged"]
                  and calls([node.value], "stage")]
     guarded = [call for node in ast.walk(load)
-               if isinstance(node, (ast.If, ast.IfExp)) and getattr(node.test, "id", None) == "staged"
-               for call in calls(node.body if isinstance(node.body, list) else [node.body],
-                                 "read_rows")]
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "staged or state is None"
+               for call in calls(node.body, "read_rows")]
     assert len(guarded) == 1 and calls([load], "read_rows") == guarded
     assert staging.lineno < guarded[0].lineno
+    assert calls([load], "max_capture_timestamp") == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import re
 import shutil
 from collections import Counter
 from datetime import datetime, timezone
@@ -354,18 +355,19 @@ def test_a_capture_before_1970_that_arrives_after_members_exist_reaches_silver(w
 
 def test_a_state_record_holds_each_sources_position_and_the_mark(wh, feed):
     # One line of JSON with sorted keys, written after the data file and
-    # only when its bytes change.
+    # only when its bytes change, with the data file's length.
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
     load_all(wh, MODEL, now=NOW)
     people = wh.table_dir(MODEL.schema_names["bronze"], "people") / "data"
     state = wh.table_dir(SILVER, "hub_person") / "state"
     size = len(people.read_bytes())
-    assert state.read_bytes() == (b'{"mark": "2024-03-01T08:00:00Z", "sources": {"people": '
-                                  b'{"lines": 1, "offset": %d}}}\n' % size)
+    length = len((wh.table_dir(SILVER, "hub_person") / "data").read_bytes())
+    assert state.read_bytes() == (b'{"length": %d, "mark": "2024-03-01T08:00:00Z", "sources": '
+                                  b'{"people": {"lines": 1, "offset": %d}}}\n' % (length, size))
     # A star without members records no mark; a source not yet delivered
     # is consumed to its start.
     assert (wh.table_dir(SILVER, "star_trip_stop") / "state").read_bytes() == \
-        b'{"mark": null, "sources": {"trips": {"lines": 0, "offset": 0}}}\n'
+        b'{"length": 0, "mark": null, "sources": {"trips": {"lines": 0, "offset": 0}}}\n'
     inode = state.stat().st_ino
     load_all(Warehouse(wh.root), MODEL, now=NOW)
     assert state.stat().st_ino == inode
@@ -407,11 +409,8 @@ def test_a_cut_or_rewritten_bronze_file_is_refused_and_nothing_written(wh, feed,
         assert file_bytes(wh.root) == before
 
 
-def test_two_mappings_of_one_source_each_keep_their_own_position(tmp_path):
-    # A buyer and a seller from one orders feed: each mapping's position is
-    # its own in the record, so the second mapping does not start where the
-    # first one stopped, and every party reaches silver in every load.
-    spec = parse_model('''product twice
+# A buyer and a seller from one orders feed: two mappings of one source.
+TWICE = parse_model('''product twice
 
 source orders {
   load_source 1
@@ -434,40 +433,121 @@ hub party {
   }
 }
 ''').spec
-    assert validate_model(spec).ok
+
+
+def feed_orders(warehouse: Warehouse, directory: Path, batch: int, text: str):
+    path = directory / f"orders{batch}.csv"
+    path.write_text("order_id,buyer,seller,at\n" + text, encoding="utf-8")
+    ingest_file(warehouse, TWICE, "orders", path, now=NOW)
+
+
+def test_two_mappings_of_one_source_each_keep_their_own_position(tmp_path):
+    # Each mapping's position is its own in the record, so the second
+    # mapping does not start where the first one stopped, and every party
+    # reaches silver in every load.
+    assert validate_model(TWICE).ok
     warehouse = Warehouse(tmp_path / "wh")
-    init_warehouse(warehouse, spec)
-    silver_schema = spec.schema_names["silver"]
+    init_warehouse(warehouse, TWICE)
+    silver_schema = TWICE.schema_names["silver"]
     for batch, text in enumerate(["1,ana,bo,2024-01-01T00:00:00Z\n",
                                   "2,cy,dan,2023-01-01T00:00:00Z\n"]):
-        path = tmp_path / f"orders{batch}.csv"
-        path.write_text("order_id,buyer,seller,at\n" + text, encoding="utf-8")
-        ingest_file(warehouse, spec, "orders", path, now=NOW)
-        results = load_all(warehouse, spec, now=NOW)
+        feed_orders(warehouse, tmp_path, batch, text)
+        results = load_all(warehouse, TWICE, now=NOW)
         assert [(r.scanned, r.inserted) for r in results] == [(1, 1), (1, 1)]
     assert [r["party"] for r in warehouse.read_rows(silver_schema, "hub_party")][1:] == [
         "ana", "bo", "cy", "dan"]
-    size = len((warehouse.table_dir(spec.schema_names["bronze"], "orders") / "data").read_bytes())
+    size = len((warehouse.table_dir(TWICE.schema_names["bronze"], "orders") / "data").read_bytes())
+    length = len((warehouse.table_dir(silver_schema, "hub_party") / "data").read_bytes())
     assert (warehouse.table_dir(silver_schema, "hub_party") / "state").read_bytes() == (
-        b'{"mark": "2024-01-01T00:00:00Z", "sources": {"orders": {"lines": 2, "offset": %d}, '
-        b'"orders#2": {"lines": 2, "offset": %d}}}\n' % (size, size))
-    assert [r.scanned for r in load_all(Warehouse(warehouse.root), spec, now=NOW)] == [0, 0]
+        b'{"length": %d, "mark": "2024-01-01T00:00:00Z", "sources": {"orders": {"lines": 2, '
+        b'"offset": %d}, "orders#2": {"lines": 2, "offset": %d}}}\n' % (length, size, size))
+    assert [r.scanned for r in load_all(Warehouse(warehouse.root), TWICE, now=NOW)] == [0, 0]
 
 
 def test_reloading_retail_without_its_state_records_gives_identical_files(
         tmp_path, retail_spec, retail_data):
     # A table without a record starts each source at its first line and
-    # takes its mark from its members: a replay that merges nothing new.
+    # takes its mark from its members: a replay that merges nothing new. A
+    # record without a length, as an older hubstar wrote it, counts as none.
     warehouse = run_pipeline(tmp_path / "wh", retail_spec, retail_data, batches=5, gold=False)
     before = file_bytes(warehouse.root)
     states = sorted(warehouse.root.glob(f"{retail_spec.schema_names['silver']}/*/state"))
     assert len(states) == len(retail_spec.hubs + retail_spec.stars)
-    for state in states:
-        state.unlink()
-    results = load_all(Warehouse(warehouse.root), retail_spec, now=rf.DEFAULT_NOW)
-    assert all(r.scanned for r in results)
-    assert [(r.inserted, r.updated) for r in results] == [(0, 0)] * len(results)
-    assert file_bytes(warehouse.root) == before
+    for damage in (Path.unlink, lambda state: state.write_bytes(
+            re.sub(rb'"length": \d+, ', b"", state.read_bytes(), count=1))):
+        for state in states:
+            damage(state)
+        results = load_all(Warehouse(warehouse.root), retail_spec, now=rf.DEFAULT_NOW)
+        assert all(r.scanned for r in results)
+        assert [(r.inserted, r.updated) for r in results] == [(0, 0)] * len(results)
+        assert file_bytes(warehouse.root) == before
+
+
+def crash_points_that_differ(base: Path, spec, now: datetime, monkeypatch) -> tuple[int, list]:
+    """How many renames `load_all` makes on a copy of the warehouse at
+    `base`, and each k at which, on another copy, its k-th `os.replace`
+    raises, and running the command again through a fresh `Warehouse`
+    leaves some file, state records included, other than the clean load's."""
+    replace, renames = storage.os.replace, []
+    clean = shutil.copytree(base, base.with_name("clean"))
+    with monkeypatch.context() as patch:
+        patch.setattr(storage.os, "replace", lambda *args: (renames.append(args),
+                                                            replace(*args))[1])
+        load_all(Warehouse(clean), spec, now=now)
+    want, differ = file_bytes(clean), []
+    for k in range(1, len(renames) + 1):
+        root, calls = shutil.copytree(base, base.with_name(f"crash{k}")), []
+
+        def crashing(*args):
+            calls.append(args)
+            if len(calls) == k:
+                raise OSError("crash")
+            replace(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(storage.os, "replace", crashing)
+            with pytest.raises(OSError, match="^crash$"):
+                load_all(Warehouse(root), spec, now=now)
+        load_all(Warehouse(root), spec, now=now)
+        if file_bytes(root) != want:
+            differ.append(k)
+    return len(renames), differ
+
+
+def test_a_load_that_crashes_at_any_rename_gives_a_clean_loads_files_when_run_again(
+        tmp_path, monkeypatch, retail_spec, retail_data):
+    # A crash between a table's data write and its record write leaves a
+    # record whose length no longer holds, or whose bronze is merged again:
+    # either way the re-run reads the table, and its rows give the mark.
+    base = tmp_path / "base"
+    warehouse = Warehouse(base)
+    init_warehouse(warehouse, retail_spec)
+    for n, jobs in enumerate(rf.write_batches(retail_data, tmp_path / "inbox", 5)):
+        for job in jobs:
+            ingest_file(warehouse, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+        if n < 4:
+            load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
+    renames, differ = crash_points_that_differ(base, retail_spec, rf.DEFAULT_NOW, monkeypatch)
+    assert renames and differ == []
+
+
+def test_a_two_mapping_load_that_crashes_at_any_rename_gives_a_clean_loads_files_when_run_again(
+        tmp_path, monkeypatch):
+    # A crash after the second mapping's data write leaves the record the
+    # first mapping wrote, whose length no longer holds: the table replays
+    # from its sources' first lines.
+    base = tmp_path / "base"
+    warehouse = Warehouse(base)
+    init_warehouse(warehouse, TWICE)
+    for batch, text in enumerate(["1,ana,bo,2024-01-01T00:00:00Z\n",
+                                  "2,cy,dan,2023-01-01T00:00:00Z\n3,bo,eve,2024-02-01T00:00:00Z\n",
+                                  "4,eve,ana,2024-03-01T00:00:00Z\n5,fay,cy,2022-01-01T00:00:00Z\n"]):
+        feed_orders(warehouse, tmp_path, batch, text)
+        if batch < 2:
+            load_all(warehouse, TWICE, now=NOW)
+    renames, differ = crash_points_that_differ(base, TWICE, NOW, monkeypatch)
+    assert renames and differ == []
 
 
 def test_a_no_op_load_through_a_fresh_object_opens_no_silver_data_file(

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 import os
 import random
@@ -28,12 +27,12 @@ from hubstar import (
 from hubstar import retail_fixture as rf
 from hubstar import storage
 from hubstar.errors import StorageError
+from hubstar.model import SYSTEM_LOAD_SOURCE
 from hubstar.storage import (
     ColumnSpec,
     ForeignKeySpec,
     TableManifest,
     Position,
-    Snapshot,
     Warehouse,
     decode_row,
     encode_row,
@@ -1070,45 +1069,29 @@ def test_scan_filters_with_value_semantics(wh):
     assert wh.scan("lab", "samples", {"price": None}) == []
 
 
-def test_max_capture_timestamp(tmp_path, decoded):
-    # A line whose row the manifest keeps takes it. Otherwise a line that
-    # begins as every silver line does is read from its text, and any other
-    # is decoded. Either way the default row, the one whose load source is
-    # the system's, is left out whatever another column's text holds, and a
-    # null capture time left in raises.
-    columns = (ColumnSpec("note", "string"), ColumnSpec("k", "string"))
-    head = (ColumnSpec("load_source", "integer"), ColumnSpec("capture_timestamp", "timestamp"))
+def test_max_capture_timestamp(tmp_path):
+    # The default row, the one whose load source is the system's, is left
+    # out; the latest other capture is returned, or None without one; a line
+    # that does not decode is refused.
+    manifest = TableManifest(schema="hs", table="hub", columns=(
+        ColumnSpec("load_source", "integer"), ColumnSpec("capture_timestamp", "timestamp"),
+        ColumnSpec("k", "string")))
     march = datetime(2024, 3, 1, tzinfo=timezone.utc)
-    for splice, (table, layout, decodes) in itertools.product(
-            (False, True), (("text", head + columns, 0), ("decoded", columns + head, 4))):
-        manifest = TableManifest(schema="hs", table=table, columns=layout)
-        root = tmp_path / ("spliced" if splice else "appended")
-        warehouse = Warehouse(root)
-        warehouse.create_table(manifest)
-        assert warehouse.max_capture_timestamp("hs", table) == Snapshot(manifest, [])
-        warehouse.append_rows("hs", table, [
-            {"load_source": 0, "k": "-1", "capture_timestamp": None},
-            {"load_source": 1, "k": "a",
-             "capture_timestamp": datetime(2024, 1, 1, tzinfo=timezone.utc)},
-            # Members whose later text holds what the default row's would.
-            {"load_source": 1, "note": '"load_source":0', "k": "-1", "capture_timestamp": march},
-            {"load_source": 2, "note": ',"k":"-1"', "k": "b",
-             "capture_timestamp": datetime(2024, 2, 1, tzinfo=timezone.utc)},
-        ], lines=0 if splice else None)
-        decoded.clear()
-        read = warehouse.max_capture_timestamp("hs", table)
-        assert read.mark == march
-        assert decoded["hs", table] == (0 if splice else decodes)
-        assert warehouse.read_rows("hs", table, snapshot=read) == \
-            Warehouse(root).read_rows("hs", table)
-        data = warehouse.table_dir("hs", table) / "data"
-        data.write_bytes(data.read_bytes().replace(b"2024-02-01T00:00:00Z", b"2024-13-01"))
-        with pytest.raises(StorageError, match=rf"^hs\.{table}: line 4 does not decode: "):
-            warehouse.max_capture_timestamp("hs", table)
-        data.write_bytes(data.read_bytes().replace(b'"2024-01-01T00:00:00Z"', b"null"))
-        with pytest.raises(StorageError,
-                           match=rf"^hs\.{table}: line 2: column capture_timestamp is null$"):
-            warehouse.max_capture_timestamp("hs", table)
+    warehouse = Warehouse(tmp_path)
+    warehouse.create_table(manifest)
+    warehouse.append_rows("hs", "hub", [
+        {"load_source": SYSTEM_LOAD_SOURCE, "k": "-1", "capture_timestamp": march}])
+    assert warehouse.max_capture_timestamp("hs", "hub") is None
+    warehouse.append_rows("hs", "hub", [
+        {"load_source": 1, "k": "a", "capture_timestamp": datetime(2024, 1, 1, tzinfo=timezone.utc)},
+        {"load_source": 2, "k": "b", "capture_timestamp": datetime(2024, 2, 1, tzinfo=timezone.utc)},
+    ])
+    assert warehouse.max_capture_timestamp("hs", "hub") == datetime(2024, 2, 1,
+                                                                    tzinfo=timezone.utc)
+    data = warehouse.table_dir("hs", "hub") / "data"
+    data.write_bytes(data.read_bytes().replace(b"2024-02-01T00:00:00Z", b"2024-13-01"))
+    with pytest.raises(StorageError, match=r"^hs\.hub: line 3 does not decode: "):
+        warehouse.max_capture_timestamp("hs", "hub")
 
 
 def test_check_constraints_reports_each_kind(tmp_path):
