@@ -703,6 +703,8 @@ def _check_hub_mapping(ck: _Checker, hub: HubDef, mapping: SourceMapping):
     source = ck.spec.source(mapping.source)
     if source is None:
         ck.add("mapping_unknown_source", loc, f"unknown source {mapping.source!r}")
+    if mapping.explode_column is not None:
+        ck.add("hub_mapping_explode", loc, "a hub mapping explodes no collection")
     _check_mapping_columns(ck, loc, hub, mapping, source, False, None)
     missing = set(hub.business_key_names) - set(mapping.column_exprs)
     for name in sorted(missing):
@@ -807,6 +809,9 @@ def _check_star_mapping(ck: _Checker, star: StarDef, mapping: SourceMapping):
     elif item is not None:
         ck.add("star_mapping_explode", loc,
                "star has an item participant; the mapping must explode a collection")
+    if mapping.dedup_order:
+        ck.add("star_mapping_dedup", loc,
+               "dedup_by ranks only a hub's versions; a star's rank by capture time")
     exploding = mapping.explode_column is not None
     if item is not None and collection is not None:
         _check_item_rule(ck, loc, item.rule, collection)

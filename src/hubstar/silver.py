@@ -7,8 +7,11 @@ the top-ranked candidate version per business key (hubs) or composite key
 new rows and update changed columns of a match its capture time lets
 replace, under null-safe comparison — unchanged re-deliveries touch
 nothing, which keeps repeated loads byte-stable. The steps of one command
-share one `Reads`: each bronze source's read, each table's state record,
-and each system-keyed hub's key index, held until the command returns.
+share one `Reads`: each bronze source's one read and decode, each table's
+state record, and each system-keyed hub's key index, held until the command
+returns. `load_all` reads every state record and every source it loads from
+before its first write, so a command that a record or a bronze file refuses
+writes nothing.
 
 Deviation from the paper, whose loads take bronze above a capture-time
 watermark: a load takes its source's bronze past the byte offset it last
@@ -123,51 +126,37 @@ def init_warehouse(warehouse: Warehouse, spec: ModelSpec) -> list[str]:
 class Reads:
     """What the steps of one command (`load_all`, `check_against_oracle`)
     share, held until it returns: each bronze source's read, each silver
-    table's state record, and an index of each system-generated-key hub
-    that a reference looks up. Bronze does not change within a command,
-    and a loading command may share the indexes because
-    `resolve_load_order` loads a hub before any element that references
-    it, so no load writes a hub after its first lookup."""
+    table's state record (`load_all` reads them all first; a load moves
+    its own), and an index of each system-generated-key hub that a
+    reference looks up. Bronze does not change within a command, and a
+    loading command may share the indexes because `resolve_load_order`
+    loads a hub before any element that references it, so no load writes a
+    hub after its first lookup."""
 
     def __init__(self, warehouse: Warehouse, spec: ModelSpec):
         self.warehouse, self.spec = warehouse, spec
-        # Each bronze source's tail, and its rows once decoded.
-        self._tails: dict[str, Snapshot] = {}
-        self._rows: dict[str, list[Record]] = {}
+        # Each bronze source's tail and its rows, read on the first ask.
+        self._bronze: dict[str, tuple[Snapshot, list[Record]]] = {}
         self._keys: dict[str, dict[tuple, str]] = {}
         # Each silver table's state record as read, or as a load moved it.
         self.states: dict[str, TableState | None] = {}
 
-    def state(self, table: str) -> TableState | None:
-        """The silver table's state record as this command last read or
-        wrote it, or None without one."""
-        if table not in self.states:
-            self.states[table] = self.warehouse.read_state(self.spec.schema_names["silver"],
-                                                           table)
-        return self.states[table]
-
-    def held(self, source: str, start: Position) -> tuple[Snapshot, int]:
-        """The held tail of the source's data file that `start` lies in,
-        read from `start` (`Warehouse.tail`) when no held tail begins at or
-        before it, and how many of its lines lie before `start`
-        (`Snapshot.skipped`, which refuses a `start` no line ends at)."""
-        bronze = self.spec.schema_names["bronze"]
-        held = self._tails.get(source)
-        if held is None or start.offset < held.start.offset:
-            held = self._tails[source] = self.warehouse.tail(bronze, source, start)
-            self._rows.pop(source, None)
-        return held, held.skipped(f"{bronze}.{source}", start)
-
     def bronze(self, source: str, start: Position) -> tuple[list[Record], Position]:
         """The source's bronze rows past `start`, in file order, and the
-        position past the last of them, from the tail `start` lies in
-        (`held`), so that the mappings of a source share one decode."""
-        held, skipped = self.held(source, start)
-        rows = self._rows.get(source)
+        position past the last of them. The first ask reads the source's
+        data file from `start` (`Warehouse.tail`) and decodes it; every ask
+        shares that read, so the mappings of a source share one decode, and
+        none may ask below the first: `load_all` asks every position lowest
+        first, and the oracle only from the first line. A `start` no line of
+        the read ends at (`Snapshot.skipped`: the file was cut or rewritten)
+        and a line that does not decode raise StorageError."""
+        bronze = self.spec.schema_names["bronze"]
+        tail, rows = self._bronze.get(source) or (self.warehouse.tail(bronze, source, start), None)
+        skipped = tail.skipped(f"{bronze}.{source}", start)
         if rows is None:
-            rows = self._rows[source] = self.warehouse.read_rows(
-                self.spec.schema_names["bronze"], source, snapshot=held)
-        stop = Position(held.ends[-1], held.start.lines + len(rows)) if rows else held.start
+            rows = self.warehouse.read_rows(bronze, source, snapshot=tail)
+            self._bronze[source] = tail, rows
+        stop = Position(tail.ends[-1], tail.start.lines + len(rows)) if rows else tail.start
         return rows[skipped:], stop
 
     def hub_key(self, hub: HubDef, bk_record: Record, load_source: int) -> str:
@@ -419,18 +408,18 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
           mapping: SourceMapping, now: datetime, reads: Reads) -> LoadResult:
     """One load of a hub or star from one mapping, written in one splice.
 
-    `load_all` has checked the stored manifests it reads, and every offset
-    its loads start from. The table's state record (`Reads.state`) gives
-    the position the mapping consumed its source to (under `record_key`),
-    and the mark: the latest capture among the table's members (every row
-    but a hub's default row). A table without a record starts every
-    mapping at its source's first line. With a record and nothing past the
-    position, the load returns the record's mark without reading the
-    table. Otherwise `stage` gives the candidates past it, a computed hub's
-    with their keys, and a load with candidates or without a record reads
-    the table's rows: a hub with no row at all was never initialized, and
-    fails; a member with a null capture time fails; and the mark becomes
-    the latest member capture. One candidate survives
+    `load_all` has checked the stored manifests it reads, and has read the
+    bronze past every offset its loads start from. The table's state record
+    (`Reads.states`) gives the position the mapping consumed its source to
+    (under `record_key`), and the mark: the latest capture among the
+    table's members (every row but a hub's default row). A table without a
+    record starts every mapping at its source's first line. With a record
+    and nothing past the position, the load returns the record's mark
+    without reading the table. Otherwise `stage` gives the candidates past
+    it, a computed hub's with their keys, and a load with candidates or
+    without a record reads the table's rows: a hub with no row at all was
+    never initialized, and fails; a member with a null capture time fails;
+    and the mark becomes the latest member capture. One candidate survives
     per partition: a hub's by the mapping's `dedup_by` terms, latest
     capture, then the earliest bronze row; a star's by latest capture, then
     the last bronze row. A survivor matches the member with the same
@@ -447,7 +436,7 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     silver = spec.schema_names["silver"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
-    state = reads.state(element.table_name)
+    state = reads.states[element.table_name]
     mark, sources = (state.mark, state.sources) if state else (None, {})
     slot = record_key(element, mapping)
     start = sources.get(slot, Position())
@@ -528,29 +517,22 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
                       new_hwm=mark or EPOCH)
 
 
-# The steps of `load_all`, one per kind, which trust its check of the stored
-# manifests. They are kept so that the benchmark's tracer (bench/spans.py)
-# can time each table through them; they are not entry points.
-
-
-def load_hub(warehouse: Warehouse, spec: ModelSpec, hub: HubDef,
-             mapping: SourceMapping, now: datetime, reads: Reads) -> LoadResult:
-    return _load(warehouse, spec, hub, mapping, now, reads)
-
-
-def load_star(warehouse: Warehouse, spec: ModelSpec, star: StarDef,
-              mapping: SourceMapping, now: datetime, reads: Reads) -> LoadResult:
-    return _load(warehouse, spec, star, mapping, now, reads)
+# The steps of `load_all`, one name per kind, which trust its checks. The
+# two names let the benchmark's tracer (bench/spans.py) time each table;
+# they are not entry points.
+load_hub = load_star = _load
 
 
 def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
              only: str | None = None) -> list[LoadResult]:
     """Load every hub and star in dependency order (or one, by model or
     table name). The stored manifest of each target and each source is
-    checked against the model once, before the first load, and so is each
-    position a state record holds against its source's data file, so a
-    mismatch, a missing table or a cut or rewritten bronze file writes
-    nothing. Every load shares one `Reads`."""
+    checked against the model once, before the first load. Then every
+    target's state record is read, and every source is read and decoded
+    from the lowest position a load starts from, each position checked
+    against that read, so a mismatch, a missing table, or a cut, rewritten
+    or undecodable bronze file writes nothing. Every load shares one
+    `Reads`."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
@@ -566,19 +548,21 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
             layer, remedy = ("bronze", "init or ingest") if source else ("silver", "init")
             raise LoadError(f"{layer} table {manifest.schema}.{manifest.table} is missing; "
                             f"run {remedy} first")
-    # Each source is read once, from the earliest position a load starts
-    # from, and every later position is checked against that read, so a
-    # cut or rewritten bronze file is refused before any load writes.
+    # Every state record is read, and every position a load starts from is
+    # asked of `Reads.bronze` lowest first, so each source is read and
+    # decoded once, and a cut, rewritten or undecodable bronze file is
+    # refused before any load writes.
     reads, silver = Reads(warehouse, spec), spec.schema_names["silver"]
     starts = []
     for element in elements:
-        state = reads.state(element.table_name)
+        table = element.table_name
+        state = reads.states[table] = warehouse.read_state(silver, table)
         starts += [(state.sources.get(record_key(element, mapping), Position()) if state
-                    else Position(), mapping.source, element.table_name)
+                    else Position(), mapping.source, table)
                    for mapping in element.source_mappings]
     for start, source, table in sorted(starts):
         try:
-            reads.held(source, start)
+            reads.bronze(source, start)
         except StorageError as exc:
             raise StorageError(f"{silver}.{table} <- {exc}; nothing written") from exc
     results = []

@@ -321,6 +321,36 @@ hub item {
 PRICES = parse_model(PRICES_TEXT).spec
 
 
+def test_a_csv_decimal_that_does_not_parse_is_refused_by_line_and_column():
+    with pytest.raises(IngestError, match="^items line 2, column price: "
+                                          "bad decimal literal 'abc'$"):
+        parse_source_file(PRICES.source("items"), "item_id,price\nabc,abc\n")
+
+
+KINDS = parse_model('''product kinds
+
+source kinds {
+  load_source 1
+  format ndjson
+  column n integer
+  column flag boolean
+  column at timestamp
+  capture pipeline_now
+}
+''').spec
+
+
+@pytest.mark.parametrize("line, column, message", [
+    ('{"n": [1]}', "n", "cannot coerce list to integer"),
+    ('{"flag": 1.5}', "flag", "cannot coerce Decimal to boolean"),
+    ('{"at": 5}', "at", "cannot coerce int to timestamp"),
+], ids=["list as integer", "decimal as boolean", "number as timestamp"])
+def test_an_ndjson_value_its_column_type_cannot_hold_is_refused_by_line_and_column(
+        line, column, message):
+    with pytest.raises(IngestError, match=f"^kinds line 1, column {column}: {message}$"):
+        parse_source_file(KINDS.source("kinds"), line + "\n")
+
+
 @pytest.mark.parametrize("literal", ["sNaN", "NaN", "Infinity"])
 @pytest.mark.parametrize("name, text, line", [
     ("items", "item_id,price\nA,1.50\nB,{}\n", 3),
@@ -364,14 +394,17 @@ def _load_after_editing_a_stored_price(tmp_path, capsys, token: str) -> str:
 
 def test_a_stored_line_that_does_not_decode_fails_the_load_by_table_and_line(
         tmp_path, capsys):
-    assert _load_after_editing_a_stored_price(tmp_path, capsys, "sNaN").startswith(
-        "error: raw_demo.items: line 2 does not decode: Expecting value")
+    err = _load_after_editing_a_stored_price(tmp_path, capsys, "sNaN")
+    assert err.startswith("error: hs_demo.hub_item <- raw_demo.items: line 2 does not decode: "
+                          "Expecting value")
+    assert err.endswith("; nothing written\n")
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_a_bare_non_finite_token_in_a_stored_line_fails_the_load(tmp_path, capsys, token):
     assert _load_after_editing_a_stored_price(tmp_path, capsys, token) == (
-        f"error: raw_demo.items: line 2 does not decode: {token} is not a JSON number\n")
+        f"error: hs_demo.hub_item <- raw_demo.items: line 2 does not decode: {token} is not "
+        "a JSON number; nothing written\n")
 
 
 @pytest.mark.parametrize("line, column, character", [

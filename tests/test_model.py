@@ -184,6 +184,28 @@ def test_key_formula_missing_and_unexpected_are_caught_on_built_specs():
     assert [v.rule for v in validate_model(system).violations] == ["hub_key_formula_unexpected"]
 
 
+def test_a_hub_mapping_that_explodes_is_caught_on_built_specs():
+    # a load would fail staging it, as a hub has no item participant
+    spec = parse_model(WITH_PARTS).spec
+    hub = spec.hubs[0]
+    exploding = replace(hub.source_mappings[0], explode_column="parts")
+    built = replace(spec, hubs=(replace(hub, source_mappings=(exploding,)),))
+    (violation,) = validate_model(built).violations
+    assert (violation.rule, violation.location) == ("hub_mapping_explode",
+                                                    "hub thing mapping things")
+
+
+def test_a_star_mapping_that_dedups_is_caught_on_built_specs():
+    # the loads and the oracle rank a star's versions by capture time alone
+    spec = parse_model(GOLD_BASE).spec
+    star = spec.stars[0]
+    dedup = replace(star.source_mappings[0], dedup_order=(("addr", "asc"),))
+    built = replace(spec, stars=(replace(star, source_mappings=(dedup,)),))
+    (violation,) = validate_model(built).violations
+    assert (violation.rule, violation.location) == ("star_mapping_dedup",
+                                                    "star thing_move mapping moves")
+
+
 def test_duplicate_names_are_caught_on_built_specs():
     spec = parse_model(MINI).spec
     doubled = replace(spec, hubs=spec.hubs + spec.hubs)

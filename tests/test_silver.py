@@ -386,7 +386,7 @@ def test_a_state_record_that_does_not_parse_fails_the_load_before_a_write(wh, fe
     assert file_bytes(wh.root) == before
 
 
-@pytest.mark.parametrize("damage", ["cut", "rewritten"])
+@pytest.mark.parametrize("damage", ["cut", "rewritten", "deleted"])
 def test_a_cut_or_rewritten_bronze_file_is_refused_and_nothing_written(wh, feed, damage):
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n"
          + "2,Bo,Rio,D2,2024-03-01T09:00:00Z,0\n")
@@ -396,6 +396,8 @@ def test_a_cut_or_rewritten_bronze_file_is_refused_and_nothing_written(wh, feed,
     lines = people.read_bytes().split(b"\n")
     if damage == "cut":  # the second line goes, so the file ends before the offset
         people.write_bytes(b"\n".join(lines[:1] + lines[2:]))
+    elif damage == "deleted":  # read as empty, so it too ends before the offset
+        people.unlink()
     else:  # the first line grows by a byte, so no line ends at the offset
         people.write_bytes(b"\n".join([lines[0].replace(b"Oslo", b"Oslo!")] + lines[1:]))
     before = file_bytes(wh.root)
@@ -407,6 +409,38 @@ def test_a_cut_or_rewritten_bronze_file_is_refused_and_nothing_written(wh, feed,
                                                "nothing written$"):
             load_all(through, MODEL, now=NOW)
         assert file_bytes(wh.root) == before
+
+
+def test_an_undecodable_bronze_line_past_an_offset_is_refused_before_any_load_writes(
+        wh, feed):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    feed("visits", '{"person_id": 1, "visit_day": "2024-03-02T00:00:00Z", "note": "a", '
+         '"gone": 0, "captured_at": "2024-03-02T08:00:00Z"}\n')
+    load_all(wh, MODEL, now=NOW)
+    # The hubs' source has a new row, and the star's a line that does not decode.
+    feed("people", PEOPLE_HEADER + "2,Bo,Rio,D2,2024-03-01T09:00:00Z,0\n")
+    feed("visits", '{"person_id": 1, "visit_day": "2024-03-03T00:00:00Z", "note": "b", '
+         '"gone": 0, "captured_at": "2024-03-03T08:00:00Z"}\n')
+    visits = wh.table_dir(MODEL.schema_names["bronze"], "visits") / "data"
+    lines = visits.read_bytes().split(b"\n")
+    assert lines[1].count(b'"note":"b"') == 1
+    lines[1] = lines[1].replace(b'"note":"b"', b'"note":sNaN')
+    visits.write_bytes(b"\n".join(lines))
+    before = file_bytes(wh.root)
+    for through in (wh, Warehouse(wh.root)):
+        with pytest.raises(StorageError, match=rf"^{SILVER}\.star_person_visit <- "
+                                               rf"{MODEL.schema_names['bronze']}\.visits: line 2 "
+                                               r"does not decode: .*; nothing written$"):
+            load_all(through, MODEL, now=NOW)
+        assert file_bytes(wh.root) == before
+
+
+def test_a_deleted_bronze_file_reads_as_empty_from_the_first_line(wh, feed):
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    (wh.table_dir(MODEL.schema_names["bronze"], "people") / "data").unlink()
+    results = load_all(wh, MODEL, now=NOW)
+    assert [(r.table, r.scanned) for r in results] == [(r.table, 0) for r in results]
+    assert people_rows(wh) == {}
 
 
 # A buyer and a seller from one orders feed: two mappings of one source.
@@ -1273,6 +1307,72 @@ def test_a_value_that_does_not_coerce_to_its_column_type_fails_the_load(
     with pytest.raises(error, match=f"^{silver}.hub_{hub} <- {bronze}.s: line 1: {message}"):
         load_all(warehouse, COERCED, now=NOW, only=hub)
     assert warehouse.read_rows(silver, f"hub_{hub}") == before
+
+
+# A boolean and a collection, each mapped into a string descriptive.
+STRINGS = parse_model('''product strings
+
+source s {
+  load_source 1
+  format ndjson
+  column code string
+  column flag boolean
+  column parts array(part string)
+  column at timestamp
+  capture cdc_column at
+}
+
+hub flagged {
+  key computed code
+  business_key global (code string)
+  descriptive flag_text string
+  source_mapping s {
+    map code = code
+    map flag_text = flag
+  }
+}
+
+hub joined {
+  key computed code
+  business_key global (code string)
+  descriptive label string
+  source_mapping s {
+    map code = code
+    map label = concat("-", parts)
+  }
+}
+''').spec
+
+
+def strings_wh(tmp_path, *rows: dict) -> Warehouse:
+    assert validate_model(STRINGS).ok
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, STRINGS)
+    path = tmp_path / "s.ndjson"
+    path.write_text("".join(json.dumps({"at": "2024-01-01T00:00:00Z", **row}) + "\n"
+                            for row in rows), encoding="utf-8")
+    ingest_file(warehouse, STRINGS, "s", path, now=NOW)
+    return warehouse
+
+
+def test_a_boolean_mapped_into_a_string_column_loads_as_true_or_false(tmp_path):
+    warehouse = strings_wh(tmp_path, {"code": "a", "flag": True}, {"code": "b", "flag": False})
+    load_all(warehouse, STRINGS, now=NOW)
+    rows = warehouse.read_rows(STRINGS.schema_names["silver"], "hub_flagged")
+    assert {r["flagged_key"]: r["flag_text"] for r in rows if r["flagged_key"] != "-1"} == \
+        {"a": "true", "b": "false"}
+    assert check_against_oracle(warehouse, STRINGS) == []
+
+
+def test_a_concat_over_a_collection_fails_the_load_by_line(tmp_path):
+    warehouse = strings_wh(tmp_path, {"code": "a", "parts": [{"part": "x"}]})
+    silver_schema, bronze = STRINGS.schema_names["silver"], STRINGS.schema_names["bronze"]
+    before = file_bytes(warehouse.root)
+    with pytest.raises(EvalError) as error:
+        load_all(warehouse, STRINGS, now=NOW, only="joined")
+    assert str(error.value) == \
+        f"{silver_schema}.hub_joined <- {bronze}.s: line 1: cannot stringify list"
+    assert file_bytes(warehouse.root) == before
 
 
 # -- version ranking ------------------------------------------------------------

@@ -961,6 +961,8 @@ ITEM = {"sku": "a", "price": Decimal("1.50")}
     (manifest(), full(count=True, fresh=1, price=Decimal("1E+2")), True),
     (manifest(), {"sample_id": "s-1"}, False),  # the missing columns read back as null
     (manifest(), full(note="x"), False),  # a column the manifest lacks is not stored
+    # as many keys as columns, but one renamed: that column reads back as null
+    (manifest(), {**{k: v for k, v in ROW.items() if k != "count"}, "counts": 3}, False),
     (manifest(), full(price=2), False),  # an int in a decimal column reads back a Decimal
     (manifest(), full(price=Decimal("-0")), False),  # stored as 0
     (manifest(), full(taken_at=datetime(2024, 5, 1, 12, 30)), False),  # naive
@@ -972,8 +974,9 @@ ITEM = {"sku": "a", "price": Decimal("1.50")}
     (BASKETS, {"basket_id": "b", "items": (ITEM,)}, False),  # a tuple reads back a list
     (BASKETS, {"basket_id": "b", "items": [{"sku": "a"}]}, False),
     (BASKETS, {"basket_id": "b", "items": [{**ITEM, "price": 2}]}, False),
-], ids=["exact", "exact plain values", "missing", "extra", "int decimal", "negative zero",
-        "naive", "offset", "str subclass", "items", "tuple", "missing field", "int field"])
+], ids=["exact", "exact plain values", "missing", "extra", "renamed", "int decimal",
+        "negative zero", "naive", "offset", "str subclass", "items", "tuple", "missing field",
+        "int field"])
 def test_a_splice_keeps_a_copy_of_a_row_only_when_it_reads_back_exactly(
         tmp_path, decoded, table, row, kept):
     row = deepcopy(row)  # the test changes it
