@@ -43,7 +43,6 @@ from .values import SCALAR_TYPES
 @dataclass(frozen=True)
 class ModelDocument:
     spec: ModelSpec
-    spans: dict[tuple[str, str], tuple[int, int]]
 
 
 def parse_model(text: str) -> ModelDocument:
@@ -57,7 +56,6 @@ def load_model(path: Path | str) -> ModelDocument:
 class _Parser:
     def __init__(self, stream: TokenStream):
         self.s = stream
-        self.spans: dict[tuple[str, str], tuple[int, int]] = {}
         self.names: dict[str, Token] = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -131,13 +129,12 @@ class _Parser:
         self.s.expect(SYMBOL, "}")
         return found
 
-    def claim_name(self, kind: str, what: str) -> Token:
+    def claim_name(self, what: str) -> Token:
         tok = self.ident(f"{what} name")
         if tok.text in self.names:
             prev = self.names[tok.text]
             self.fail(f"duplicate name {tok.text!r} (first used at line {prev.line})", tok)
         self.names[tok.text] = tok
-        self.spans[(kind, tok.text)] = (tok.line, tok.column)
         return tok
 
     def comma_list(self, parse_item, parenthesised: bool = True) -> tuple:
@@ -195,7 +192,7 @@ class _Parser:
             stars=tuple(definitions["star"]),
             gold_views=tuple(definitions["gold"]),
         )
-        return ModelDocument(spec, self.spans)
+        return ModelDocument(spec)
 
     def parse_schemas(self) -> dict[str, str]:
         self.open_block()
@@ -218,7 +215,7 @@ class _Parser:
     # -- source -----------------------------------------------------------
 
     def parse_source(self) -> SourceDef:
-        name_tok = self.claim_name("source", "source")
+        name_tok = self.claim_name("source")
         found = self.block("source", {
             "load_source": lambda: self.s.expect(INT).value,
             "format": lambda: self.choice("format", ("csv", "ndjson"), "unknown format"),
@@ -256,7 +253,7 @@ class _Parser:
     # -- hub ----------------------------------------------------------------
 
     def parse_hub(self) -> HubDef:
-        name_tok = self.claim_name("hub", "hub")
+        name_tok = self.claim_name("hub")
         found = self.block("hub", {
             "key": self.parse_hub_key,
             "business_key": self.parse_business_key,
@@ -324,7 +321,7 @@ class _Parser:
     # -- star ---------------------------------------------------------------
 
     def parse_star(self) -> StarDef:
-        name_tok = self.claim_name("star", "star")
+        name_tok = self.claim_name("star")
         found = self.block("star", {
             "participant": self.parse_participant,
             "key": lambda: self.comma_list(self.column_name),
@@ -380,7 +377,7 @@ class _Parser:
     # -- gold -----------------------------------------------------------------
 
     def parse_gold(self) -> GoldViewDef:
-        name_tok = self.claim_name("gold", "view")
+        name_tok = self.claim_name("view")
         joins: list[HubJoin | StarJoin] = []
         found = self.block("gold", {
             "kind": lambda: self.choice("view kind", ("scd1_dim", "scd2_dim", "fact"),

@@ -683,9 +683,13 @@ def _check_expr_columns(ck: _Checker, loc: str, source: SourceDef | None,
                         expression: ex.Expr, exploding: bool, collection: ColumnSpec | None):
     if source is None:
         return
-    declared = {c.name for c in source.columns}
-    for name in sorted(ex.column_refs(expression) - declared):
-        ck.add("mapping_unknown_column", loc, f"expression references unknown column {name!r}")
+    declared = {c.name: c.type for c in source.columns}
+    for name in sorted(ex.column_refs(expression)):
+        if name not in declared:
+            ck.add("mapping_unknown_column", loc, f"expression references unknown column {name!r}")
+        elif declared[name] == "collection":  # its items are read through `explode`
+            ck.add("mapping_collection_column", loc,
+                   f"expression reads collection column {name!r}, which holds no scalar")
     if not exploding and ex.uses_function(expression, "item_seq"):
         ck.add("item_ref_outside_collection", loc, "item_seq() requires an exploded collection")
     item_fields = ex.item_field_refs(expression)

@@ -8,10 +8,10 @@ new rows and update changed columns of a match its capture time lets
 replace, under null-safe comparison — unchanged re-deliveries touch
 nothing, which keeps repeated loads byte-stable. The steps of one command
 share one `Reads`: each bronze source's one read and decode, each table's
-state record, and each system-keyed hub's key index, held until the command
-returns. `load_all` reads every state record and every source it loads from
-before its first write, so a command that a record or a bronze file refuses
-writes nothing.
+state record, and each silver table a load or a key lookup reads, with its
+one identity index, held until the command returns. `load_all` reads all of
+them before its first write, so a command that a record, a bronze file or a
+silver table refuses writes nothing.
 
 Deviation from the paper, whose loads take bronze above a capture-time
 watermark: a load takes its source's bronze past the byte offset it last
@@ -44,7 +44,7 @@ from .model import (
     StarDef,
     resolve_load_order,
 )
-from .storage import Position, Record, Snapshot, TableState, Warehouse
+from .storage import Position, Record, TableState, Warehouse
 from .tables import bronze_manifest, check_stored_manifest, silver_manifest
 from .values import (
     EPOCH,
@@ -127,17 +127,18 @@ class Reads:
     """What the steps of one command (`load_all`, `check_against_oracle`)
     share, held until it returns: each bronze source's read, each silver
     table's state record (`load_all` reads them all first; a load moves
-    its own), and an index of each system-generated-key hub that a
-    reference looks up. Bronze does not change within a command, and a
-    loading command may share the indexes because `resolve_load_order`
-    loads a hub before any element that references it, so no load writes a
-    hub after its first lookup."""
+    its own), and each silver table a load or a key lookup reads, with its
+    identity index (`table`), which a load keeps equal to its file. Bronze
+    does not change within a command, and `resolve_load_order` loads a hub
+    before any element that references it, so a lookup finds the hub as
+    its loads left it."""
 
     def __init__(self, warehouse: Warehouse, spec: ModelSpec):
         self.warehouse, self.spec = warehouse, spec
-        # Each bronze source's tail and its rows, read on the first ask.
-        self._bronze: dict[str, tuple[Snapshot, list[Record]]] = {}
-        self._keys: dict[str, dict[tuple, str]] = {}
+        # Each bronze source's positions and rows, and each silver table's
+        # rows and index, read on the first ask.
+        self._bronze: dict[str, tuple[list[Position], list[Record]]] = {}
+        self._tables: dict[str, tuple[list[Record], dict[tuple, int]]] = {}
         # Each silver table's state record as read, or as a load moved it.
         self.states: dict[str, TableState | None] = {}
 
@@ -145,33 +146,54 @@ class Reads:
         """The source's bronze rows past `start`, in file order, and the
         position past the last of them. The first ask reads the source's
         data file from `start` (`Warehouse.tail`) and decodes it; every ask
-        shares that read, so the mappings of a source share one decode, and
-        none may ask below the first: `load_all` asks every position lowest
-        first, and the oracle only from the first line. A `start` no line of
-        the read ends at (`Snapshot.skipped`: the file was cut or rewritten)
-        and a line that does not decode raise StorageError."""
+        shares that read, so the mappings of a source share one decode. A
+        `start` must be a position the read passed, offset and line count
+        alike, so none may ask below the first: `load_all` asks every
+        position lowest first, and the oracle only from the first line. Any
+        other `start` (the file was cut or rewritten) and a line that does
+        not decode raise StorageError."""
         bronze = self.spec.schema_names["bronze"]
-        tail, rows = self._bronze.get(source) or (self.warehouse.tail(bronze, source, start), None)
-        skipped = tail.skipped(f"{bronze}.{source}", start)
-        if rows is None:
+        if source not in self._bronze:
+            tail = self.warehouse.tail(bronze, source, start)
             rows = self.warehouse.read_rows(bronze, source, snapshot=tail)
-            self._bronze[source] = tail, rows
-        stop = Position(tail.ends[-1], tail.start.lines + len(rows)) if rows else tail.start
-        return rows[skipped:], stop
+            self._bronze[source] = tail.positions, rows
+        positions, rows = self._bronze[source]
+        try:
+            skipped = positions.index(start)
+        except ValueError:
+            raise StorageError(f"{bronze}.{source}: no line ends at byte {start.offset}, where "
+                               f"{start.lines} lines were consumed; the data file was cut or "
+                               "rewritten") from None
+        return rows[skipped:], positions[-1]
+
+    def table(self, element: HubDef | StarDef) -> tuple[list[Record], dict[tuple, int]]:
+        """The element's silver rows, and the position of the first member
+        (every row but a hub's default row) of each `element.identity`, from
+        one read on the first ask; a load puts what it writes into both. A
+        hub with no row at all was never initialized, and a member with a
+        null capture time cannot be ranked: either raises StorageError."""
+        name = element.table_name
+        if name not in self._tables:
+            silver = self.spec.schema_names["silver"]
+            rows, index = self.warehouse.read_rows(silver, name), {}
+            if isinstance(element, HubDef) and not rows:
+                raise StorageError(f"{silver}.{name}: holds no row; initialize default rows first")
+            for position, row in _members(rows):
+                if row["capture_timestamp"] is None:
+                    raise StorageError(f"{silver}.{name}: line {position + 1}: column "
+                                       "capture_timestamp is null")
+                index.setdefault(row_key(row, element.identity), position)
+            self._tables[name] = rows, index
+        return self._tables[name]
 
     def hub_key(self, hub: HubDef, bk_record: Record, load_source: int) -> str:
         """The key of the first member, in file order, of a
         system-generated-key hub whose identity these business keys and
-        load source give, or "-1". Such keys cannot be recomputed, so the
-        hub is read once, on its first lookup."""
-        index = self._keys.get(hub.name)
-        if index is None:
-            index = self._keys[hub.name] = {}
-            rows = self.warehouse.read_rows(self.spec.schema_names["silver"], hub.table_name)
-            for _position, row in _members(rows):
-                index.setdefault(row_key(row, hub.identity), row[hub.key_column])
-        return index.get(row_key({**bk_record, "load_source": load_source}, hub.identity),
-                         DEFAULT_HUB_KEY)
+        load source give, or "-1": such keys cannot be recomputed, so they
+        are looked up in the hub's `table`."""
+        rows, index = self.table(hub)
+        position = index.get(row_key({**bk_record, "load_source": load_source}, hub.identity))
+        return DEFAULT_HUB_KEY if position is None else rows[position][hub.key_column]
 
 
 def _fk_resolver(find_key, spec: ModelSpec, res: FkResolution) -> ex.Evaluator:
@@ -409,30 +431,29 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
     """One load of a hub or star from one mapping, written in one splice.
 
     `load_all` has checked the stored manifests it reads, and has read the
-    bronze past every offset its loads start from. The table's state record
-    (`Reads.states`) gives the position the mapping consumed its source to
-    (under `record_key`), and the mark: the latest capture among the
-    table's members (every row but a hub's default row). A table without a
-    record starts every mapping at its source's first line. With a record
-    and nothing past the position, the load returns the record's mark
-    without reading the table. Otherwise `stage` gives the candidates past
-    it, a computed hub's with their keys, and a load with candidates or
-    without a record reads the table's rows: a hub with no row at all was
-    never initialized, and fails; a member with a null capture time fails;
-    and the mark becomes the latest member capture. One candidate survives
-    per partition: a hub's by the mapping's `dedup_by` terms, latest
-    capture, then the earliest bronze row; a star's by latest capture, then
-    the last bronze row. A survivor matches the member with the same
+    bronze past every offset its loads start from and every table they
+    read. The table's state record (`Reads.states`) gives the position the
+    mapping consumed its source to (under `record_key`), and the mark: the
+    latest capture among the table's members (every row but a hub's
+    default row). A table without a record starts every mapping at its
+    source's first line. With a record and nothing past the position, the
+    load returns the record's mark without reading the table. Otherwise
+    `stage` gives the candidates past it, a computed hub's with their keys,
+    and the mark becomes the latest member capture of `Reads.table`. One
+    candidate survives per partition: a hub's by the mapping's `dedup_by` terms, latest capture,
+    then the earliest bronze row; a star's by latest capture, then the last
+    bronze row. A survivor matches the first member with the same
     `element.identity`: with none it goes on the end (a hub row with its
     first capture time, and a minted key in a system-keyed hub); a match is
     rewritten in place, keeping its load source, when captured after it (a
     hub's, whose earlier bronze row wins a tie) or not before it (a star's,
     whose later row does), and only when some `element.tracked_columns`
     value differs under null-safe equality. Two writes to one row fail the
-    load before anything is written. Then the record moves the mapping's
-    position past the rows read and the mark to the latest of the mark and
-    the captures written, and is written when its bytes change; the load
-    reports the mark, or the epoch for a table still without members."""
+    load before anything is written, and what is written goes into
+    `Reads.table` too. Then the record moves the mapping's position past the
+    rows read and the mark to the latest of the mark and the captures
+    written, and is written when its bytes change; the load reports the
+    mark, or the epoch for a table still without members."""
     silver = spec.schema_names["silver"]
     table = f"{silver}.{element.table_name}"
     hub = element if isinstance(element, HubDef) else None
@@ -445,14 +466,8 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
         return LoadResult(table=table, source=mapping.source, scanned=0, inserted=0,
                           updated=0, unchanged_skipped=0, new_hwm=mark or EPOCH)
     staged = stage(spec, element, mapping, start, reads)
-    # With a record and no candidates there is nothing to merge, so no row
-    # is decoded, and the record's mark stands.
-    rows = []
-    if staged or state is None:
-        rows, mark = warehouse.read_rows(silver, element.table_name), None
-        if hub is not None and not rows:
-            raise StorageError(f"{table}: holds no row; initialize default rows first")
-    members = _members(rows)
+    rows, index = reads.table(element)
+    mark = max((row["capture_timestamp"] for _position, row in _members(rows)), default=None)
     partition = hub.business_key_names if hub is not None else element.identity
 
     # rn = 1 per partition, over positions in `staged`; ties go to the
@@ -467,14 +482,6 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
         minted = count(1 + max([0, *(int(row[hub.key_column]) for row in rows)]))
 
     identity, tracked = element.identity, element.tracked_columns
-    index = {}
-    for position, row in members:
-        capture = row["capture_timestamp"]
-        if capture is None:
-            raise StorageError(f"{table}: line {position + 1}: column capture_timestamp is null")
-        if mark is None or capture > mark:
-            mark = capture
-        index[row_key(row, identity)] = position
     inserted = updated = unchanged = 0
     writes: dict[tuple, Record] = {}
     for candidate in candidates:
@@ -507,6 +514,12 @@ def _load(warehouse: Warehouse, spec: ModelSpec, element: HubDef | StarDef,
                               replace={index[key]: row for key, row in writes.items()
                                        if key in index},
                               lines=len(rows))
+        for key, row in writes.items():
+            if key in index:
+                rows[index[key]] = row
+            else:
+                index[key] = len(rows)
+                rows.append(row)
     # The latest of the mark, if any, and the captures written.
     mark = max(filter(None, (mark, *(row["capture_timestamp"] for row in writes.values()))),
                default=None)
@@ -528,11 +541,12 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
     """Load every hub and star in dependency order (or one, by model or
     table name). The stored manifest of each target and each source is
     checked against the model once, before the first load. Then every
-    target's state record is read, and every source is read and decoded
-    from the lowest position a load starts from, each position checked
-    against that read, so a mismatch, a missing table, or a cut, rewritten
-    or undecodable bronze file writes nothing. Every load shares one
-    `Reads`."""
+    target's state record is read, every source is read and decoded from
+    the lowest position a load starts from, each position checked against
+    that read, and every target with bronze past a position or without a
+    record is read (`Reads.table`), so a mismatch, a missing table, a cut,
+    rewritten or undecodable bronze file, or a silver table that a load
+    refuses writes nothing. Every load shares one `Reads`."""
     elements = [spec.hub(name) or spec.star(name) for name in resolve_load_order(spec)]
     if only is not None:
         elements = [e for e in elements if only in (e.name, e.table_name)]
@@ -548,10 +562,8 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
             layer, remedy = ("bronze", "init or ingest") if source else ("silver", "init")
             raise LoadError(f"{layer} table {manifest.schema}.{manifest.table} is missing; "
                             f"run {remedy} first")
-    # Every state record is read, and every position a load starts from is
-    # asked of `Reads.bronze` lowest first, so each source is read and
-    # decoded once, and a cut, rewritten or undecodable bronze file is
-    # refused before any load writes.
+    # Every position a load starts from is asked of `Reads.bronze` lowest
+    # first, so each source is read and decoded once.
     reads, silver = Reads(warehouse, spec), spec.schema_names["silver"]
     starts = []
     for element in elements:
@@ -560,11 +572,16 @@ def load_all(warehouse: Warehouse, spec: ModelSpec, now: datetime,
         starts += [(state.sources.get(record_key(element, mapping), Position()) if state
                     else Position(), mapping.source, table)
                    for mapping in element.source_mappings]
+    fed = set()  # the tables with bronze past a position
     for start, source, table in sorted(starts):
         try:
-            reads.bronze(source, start)
+            if reads.bronze(source, start)[0]:
+                fed.add(table)
         except StorageError as exc:
             raise StorageError(f"{silver}.{table} <- {exc}; nothing written") from exc
+    for element in elements:
+        if element.table_name in fed or reads.states[element.table_name] is None:
+            reads.table(element)
     results = []
     for element in elements:
         load = load_hub if isinstance(element, HubDef) else load_star

@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 from functools import cached_property
 from hashlib import sha256
-from itertools import accumulate, compress, islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
@@ -377,27 +375,12 @@ class Position(NamedTuple):
 
 class Snapshot(NamedTuple):
     """One read of a table's files: its manifest and its data file's
-    non-blank lines, stripped. A `Warehouse.tail` holds the lines past
-    `start` (None when no line ends there) and, for each, the byte offset
-    just past it."""
+    non-blank lines, stripped. A `Warehouse.tail` lists the positions it
+    passed: its start, then the position past each of its lines; a read of
+    the whole file lists none."""
     manifest: TableManifest
     lines: list[bytes]
-    start: Position | None = Position()
-    ends: tuple[int, ...] = ()
-
-    def skipped(self, table: str, start: Position) -> int:
-        """How many of this tail's lines lie before `start`, which must be
-        its own start or the end of one of its lines, counted alike; any
-        other raises StorageError naming `table`: its data file was cut or
-        rewritten past the bytes a state record consumed."""
-        skipped = bisect_right(self.ends, start.offset)
-        if (self.start is None
-                or start.offset != (self.ends[skipped - 1] if skipped else self.start.offset)
-                or self.start.lines + skipped != start.lines):
-            raise StorageError(f"{table}: no line ends at byte {start.offset}, where "
-                               f"{start.lines} lines were consumed; the data file was cut "
-                               "or rewritten")
-        return skipped
+    positions: list[Position]
 
 
 class TableState(NamedTuple):
@@ -507,24 +490,15 @@ class Warehouse:
             self._manifests[content] = TableManifest.from_json(json.loads(content.decode("utf-8")))
         return self._manifests[content]
 
-    def _snapshot(self, schema: str, table: str) -> Snapshot:
-        """The table's manifest and its data file's non-blank lines,
-        stripped (none without a data file), each file read once."""
-        manifest = self.manifest(schema, table)
-        data = self.table_dir(schema, table) / DATA_FILE
-        if not data.is_file():
-            return Snapshot(manifest, [])
-        return Snapshot(manifest, [line for line in map(bytes.strip, data.read_bytes().split(b"\n"))
-                                   if line])
-
     def tail(self, schema: str, table: str, start: Position) -> Snapshot:
         """The table's manifest and the non-blank lines, stripped, of its
-        data file's complete lines past `start`, each with the offset just
-        past it, from one read that begins at the byte before `start` (none
-        without a data file). A last line without its newline is not yet
-        complete, so it is left for a later read. When no line ends at
-        `start` (the file is shorter, or was rewritten) the tail holds no
-        line and its start is None, which `Snapshot.skipped` refuses."""
+        data file's complete lines past `start`, from one read that begins
+        at the byte before `start` (none without a data file), with the
+        positions the read passed: `start`, then the position past each of
+        those lines. A last line without its newline is not yet complete,
+        so it is left for a later read. When no line ends at `start` (the
+        file is shorter, or was rewritten) the tail holds no line and no
+        position."""
         manifest = self.manifest(schema, table)
         offset, before = start.offset, max(start.offset - 1, 0)
         try:
@@ -534,13 +508,14 @@ class Warehouse:
         except FileNotFoundError:
             content = b""
         if offset and content[:1] != b"\n":
-            return Snapshot(manifest, [], start=None)
-        pieces = content[offset - before:content.rfind(b"\n") + 1].split(b"\n")[:-1]
-        stripped = list(map(bytes.strip, pieces))
-        # The offset past each piece's newline, kept for the non-blank ones.
-        ends = islice(accumulate(map((1).__add__, map(len, pieces)), initial=offset), 1, None)
-        return Snapshot(manifest, list(filter(None, stripped)), start=start,
-                        ends=tuple(compress(ends, stripped)))
+            return Snapshot(manifest, [], [])
+        lines, positions = [], [start]
+        for piece in content[offset - before:content.rfind(b"\n") + 1].split(b"\n")[:-1]:
+            offset += len(piece) + 1
+            if line := piece.strip():
+                lines.append(line)
+                positions.append(Position(offset, start.lines + len(lines)))
+        return Snapshot(manifest, lines, positions)
 
     def read_rows(self, schema: str, table: str,
                   snapshot: Snapshot | None = None) -> list[Record]:
@@ -554,12 +529,17 @@ class Warehouse:
         it returned, and only those. A line that does not decode raises
         StorageError naming its number among the non-blank lines of the
         file (a `tail`'s count from its start)."""
-        manifest, lines, start, _ends = snapshot or self._snapshot(schema, table)
+        if snapshot is None:
+            manifest = self.manifest(schema, table)
+            data = self.table_dir(schema, table) / DATA_FILE
+            pieces = data.read_bytes().split(b"\n") if data.is_file() else []
+            snapshot = Snapshot(manifest, list(filter(None, map(bytes.strip, pieces))), [])
+        manifest, lines, positions = snapshot
         kept = manifest.kept
         read: dict[bytes, Record] = {}  # each line of this read and its row
         rows = []
         try:
-            for number, line in enumerate(lines, start=start.lines + 1):
+            for number, line in enumerate(lines, start=positions[0].lines + 1 if positions else 1):
                 row = read.get(line)
                 if row is None:
                     row = kept.get(line)

@@ -65,14 +65,6 @@ def test_tokens_hold_one_newline_between_lines_and_one_before_eof(text):
     assert kinds == [EOF] or kinds[-2:] == [NEWLINE, EOF]
 
 
-def test_document_spans_point_at_definitions():
-    doc = parse_model("product p\n\nhub h {\n  key system_generated\n"
-                      "  business_key global (x integer)\n}\n")
-    line, column = doc.spans[("hub", "h")]
-    assert line == 3
-    assert column > 1
-
-
 def test_output_shorthand_round_trips():
     text = ('product p\n\nhub h {\n  key system_generated\n'
             '  business_key global (x integer)\n}\n\n'

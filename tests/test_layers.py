@@ -3,24 +3,26 @@ not borrow.
 
 The oracle is a reference the loads are checked against: it may share
 their staging (`silver.stage`, and `silver.Reads`, the one object a
-command's stagings share: its bronze reads and system-keyed hub indexes)
-and the default row, but it ranks, matches and merges on its own, so it
-imports nothing else of `silver` and nothing of the engine's ranking.
-Staging also makes a computed hub's own key: in `silver` only `stage` and
-the reference resolver read a key formula, and the oracle reads none.
-Bronze is read past an offset only through `Reads`, where the mappings of
-one source share the read, and a load decodes its own table once, only
-after staging, and only when staging gives it candidates or the table has
-no state record. Storage sits below every layer and imports none, tells a
-hub's default row only by its load source and keeps no state per table in
-a `Warehouse`; a timestamp crosses its row
-codec only through the codec's memos, and one compiler branches on a
-column's type for both directions of the codec.
+command's stagings share: its bronze reads and the silver tables its key
+lookups read) and the default row, but it ranks, matches and merges on its
+own, so it imports nothing else of `silver` and nothing of the engine's
+ranking. Staging also makes a computed hub's own key: in `silver` only
+`stage` and the reference resolver read a key formula, and the oracle
+reads none. Bronze is read past an offset only through `Reads`, where the
+mappings of one source share the read, and a silver table only through
+`Reads.table`, once per command and only for a table with bronze past a
+position or without a state record; its loads and key lookups share that
+read. The package imports nothing outside the standard library. Storage
+sits below every layer and imports none, tells a hub's default row only by
+its load source and keeps no state per table in a `Warehouse`; a timestamp
+crosses its row codec only through the codec's memos, and one compiler
+branches on a column's type for both directions of the codec.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hubstar"
@@ -72,6 +74,19 @@ def readers(module: str, attribute: str) -> set[str]:
 def test_a_computed_hubs_key_is_made_only_while_staging():
     assert readers("silver", "key_formula") == {"stage", "_fk_resolver"}
     assert readers("oracle", "key_formula") == set()
+
+
+def test_the_package_imports_only_the_standard_library():
+    # hubstar is standard-library Python: it installs with no dependency.
+    imported = set()  # (file, module) for each absolute import
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(tree(path.stem)):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module))
+    assert {(file, module) for file, module in imported
+            if module.partition(".")[0] not in sys.stdlib_module_names} == set()
 
 
 def test_storage_imports_no_layer():
@@ -130,23 +145,35 @@ def test_bronze_is_read_after_a_mark_only_while_staging():
     assert calls == {("silver", "Reads")}
 
 
-def test_a_load_decodes_its_table_only_after_staging_gives_candidates():
-    # A load without candidates would otherwise decode every row of its
-    # table to merge nothing; a table without a state record is read once,
-    # as any load with candidates reads it, and the rows give its mark.
-    load = next(node for node in tree("silver").body if getattr(node, "name", None) == "_load")
+def calls(nodes, name: str) -> list[ast.Call]:
+    """The calls of a function or method `name` within `nodes`."""
+    return [inner for node in nodes for inner in ast.walk(node)
+            if isinstance(inner, ast.Call)
+            and name in (getattr(inner.func, "attr", None), getattr(inner.func, "id", None))]
 
-    def calls(nodes, name: str) -> list[ast.Call]:
-        return [inner for node in nodes for inner in ast.walk(node)
-                if isinstance(inner, ast.Call)
-                and name in (getattr(inner.func, "attr", None), getattr(inner.func, "id", None))]
 
-    [staging] = [node for node in ast.walk(load) if isinstance(node, ast.Assign)
-                 and [getattr(target, "id", None) for target in node.targets] == ["staged"]
-                 and calls([node.value], "stage")]
-    guarded = [call for node in ast.walk(load)
-               if isinstance(node, ast.If) and ast.unparse(node.test) == "staged or state is None"
-               for call in calls(node.body, "read_rows")]
-    assert len(guarded) == 1 and calls([load], "read_rows") == guarded
-    assert staging.lineno < guarded[0].lineno
+def test_only_reads_table_reads_a_silver_table_and_only_for_a_table_with_new_bronze():
+    # A load without new bronze would otherwise decode every row of its
+    # table to merge nothing; a second reader would decode a table that a
+    # load, a later mapping of its table or a key lookup has read already.
+    body = {getattr(node, "name", None): node for node in tree("silver").body}
+    reads = {node.name: node for node in body["Reads"].body if isinstance(node, ast.FunctionDef)}
+    assert {name for name, node in reads.items() if calls([node], "read_rows")} == {
+        "bronze", "table"}
+    [bronze] = calls([reads["bronze"]], "read_rows")
+    assert [keyword.arg for keyword in bronze.keywords] == ["snapshot"]  # a tail's
+    assert calls([node for name, node in body.items() if name != "Reads"], "read_rows") == []
+    # `load_all` reads a table before any load writes, when a load will.
+    guarded = [call for node in ast.walk(body["load_all"]) if isinstance(node, ast.If)
+               and ast.unparse(node.test) == ("element.table_name in fed or "
+                                              "reads.states[element.table_name] is None")
+               for call in calls(node.body, "table")]
+    assert len(guarded) == 1 and calls([body["load_all"]], "table") == guarded
+    # A load takes the table only past its return for a record with no new bronze.
+    load = body["_load"]
+    [early] = [node for node in load.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "not bronze_rows and state is not None"]
+    assert isinstance(early.body[-1], ast.Return)
+    [table] = calls([load], "table")
+    assert early.lineno < table.lineno
     assert calls([load], "max_capture_timestamp") == []

@@ -294,6 +294,28 @@ star lines {
 ''') == ["mapping_unknown_column"]
 
 
+def test_a_mapping_expression_may_not_read_a_collection_column():
+    # Its value is a list, which no expression turns into a scalar, so
+    # every row that holds one would fail the load.
+    for text in (WITH_PARTS.replace("map thing_name = thing_name",
+                                    'map thing_name = concat("-", parts)'),
+                 WITH_PARTS + '''
+star tagged {
+  participant thing
+  participant time updated_at
+  key (thing_key, updated_at)
+  source_mapping things {
+    key thing_key = thing(coalesce(parts, thing_id))
+    map updated_at = updated_at
+  }
+}
+'''):
+        violations = validate_model(parse_model(text).spec).violations
+        assert [(v.rule, v.message) for v in violations] == [
+            ("mapping_collection_column",
+             "expression reads collection column 'parts', which holds no scalar")]
+
+
 def test_item_references_need_an_exploded_collection():
     assert check(MINI.replace("map thing_name = thing_name",
                               "map thing_name = item.label")) == \

@@ -411,6 +411,29 @@ def test_a_cut_or_rewritten_bronze_file_is_refused_and_nothing_written(wh, feed,
         assert file_bytes(wh.root) == before
 
 
+def test_a_shared_bronze_read_gives_rows_only_from_a_position_it_passed(wh, feed):
+    bronze = MODEL.schema_names["bronze"]
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n"
+         + "2,Bo,Rio,D2,2024-03-01T09:00:00Z,0\n")
+    people = wh.table_dir(bronze, "people") / "data"
+    ends = [n + 1 for n, byte in enumerate(people.read_bytes()) if byte == ord("\n")]
+    reads = silver.Reads(wh, MODEL)
+    rows, stop = reads.bronze("people", Position(ends[0], 1))
+    assert ([row["person_id"] for row in rows], stop) == ([2], Position(ends[1], 2))
+    assert reads.bronze("people", stop) == ([], stop)
+    # A wrong line count, a start within a line or past the end, and a start
+    # below the first ask's are no position the read passed.
+    for start in (Position(ends[1], 1), Position(ends[0] + 1, 1), Position(ends[1] + 1, 2),
+                  Position()):
+        with pytest.raises(StorageError, match=rf"^{bronze}\.people: no line ends at byte "
+                                               rf"{start.offset}, where {start.lines} lines "
+                                               "were consumed; the data file was cut or "
+                                               "rewritten$"):
+            reads.bronze("people", start)
+    with pytest.raises(StorageError, match="no line ends at byte"):
+        silver.Reads(wh, MODEL).bronze("people", Position(ends[1] + 1, 2))
+
+
 def test_an_undecodable_bronze_line_past_an_offset_is_refused_before_any_load_writes(
         wh, feed):
     feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
@@ -431,6 +454,34 @@ def test_an_undecodable_bronze_line_past_an_offset_is_refused_before_any_load_wr
         with pytest.raises(StorageError, match=rf"^{SILVER}\.star_person_visit <- "
                                                rf"{MODEL.schema_names['bronze']}\.visits: line 2 "
                                                r"does not decode: .*; nothing written$"):
+            load_all(through, MODEL, now=NOW)
+        assert file_bytes(wh.root) == before
+
+
+@pytest.mark.parametrize("damage", ["undecodable", "null capture"])
+def test_a_silver_table_a_load_refuses_is_refused_before_any_load_writes(wh, feed, damage):
+    # Every table a load will read is read before the first load writes.
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    feed("visits", '{"person_id": 1, "visit_day": "2024-03-02T00:00:00Z", "note": "a", '
+         '"gone": 0, "captured_at": "2024-03-02T08:00:00Z"}\n')
+    load_all(wh, MODEL, now=NOW)
+    # Both sources have a new row, so the hubs' loads would write first.
+    feed("people", PEOPLE_HEADER + "2,Bo,Rio,D2,2024-03-01T09:00:00Z,0\n")
+    feed("visits", '{"person_id": 1, "visit_day": "2024-03-03T00:00:00Z", "note": "b", '
+         '"gone": 0, "captured_at": "2024-03-03T08:00:00Z"}\n')
+    if damage == "undecodable":
+        data = wh.table_dir(SILVER, "star_person_visit") / "data"
+        assert data.read_bytes().count(b'"note":"a"') == 1
+        data.write_bytes(data.read_bytes().replace(b'"note":"a"', b'"note":sNaN'))
+        table, error = "star_person_visit", "line 1 does not decode: .*"
+    else:
+        rows = [dict(row) for row in wh.read_rows(SILVER, "hub_person")]
+        rows[1]["capture_timestamp"] = None
+        wh.replace_table(wh.manifest(SILVER, "hub_person"), rows)
+        table, error = "hub_person", "line 2: column capture_timestamp is null"
+    before = file_bytes(wh.root)
+    for through in (wh, Warehouse(wh.root)):
+        with pytest.raises(StorageError, match=rf"^{SILVER}\.{table}: {error}$"):
             load_all(through, MODEL, now=NOW)
         assert file_bytes(wh.root) == before
 
@@ -496,6 +547,21 @@ def test_two_mappings_of_one_source_each_keep_their_own_position(tmp_path):
         b'{"length": %d, "mark": "2024-01-01T00:00:00Z", "sources": {"orders": {"lines": 2, '
         b'"offset": %d}, "orders#2": {"lines": 2, "offset": %d}}}\n' % (length, size, size))
     assert [r.scanned for r in load_all(Warehouse(warehouse.root), TWICE, now=NOW)] == [0, 0]
+
+
+def test_the_mappings_of_one_table_share_one_read_of_it(tmp_path, decoded):
+    # The second mapping merges against the rows the first one read and
+    # wrote, so a fresh object decodes each stored row once.
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, TWICE)
+    feed_orders(warehouse, tmp_path, 0, "1,ana,bo,2024-01-01T00:00:00Z\n"
+                "2,cy,dan,2024-01-02T00:00:00Z\n")
+    load_all(warehouse, TWICE, now=NOW)
+    feed_orders(warehouse, tmp_path, 1, "3,eve,ana,2024-01-03T00:00:00Z\n")
+    decoded.clear()
+    results = load_all(Warehouse(warehouse.root), TWICE, now=NOW)
+    assert [(r.inserted, r.updated) for r in results] == [(1, 0), (0, 0)]
+    assert decoded[TWICE.schema_names["silver"], "hub_party"] == 5
 
 
 def test_reloading_retail_without_its_state_records_gives_identical_files(
@@ -790,13 +856,28 @@ def test_fk_to_system_generated_hub_resolves_by_business_key_lookup(wh, feed):
     assert rows[person_key(2)]["device_key"] == devices["D1"]
 
 
+def test_a_load_updates_the_first_member_of_an_identity_as_a_lookup_resolves_it(wh, feed):
+    # A duplicate made by hand: a load matches the member a key lookup
+    # finds, the first in file order, and `check` still reports both.
+    feed("people", PEOPLE_HEADER + "1,Ana,Oslo,D1,2024-03-01T08:00:00Z,0\n")
+    load_all(wh, MODEL, now=NOW)
+    [member] = [row for row in wh.read_rows(SILVER, "hub_person") if row["person_key"] != "-1"]
+    wh.append_rows(SILVER, "hub_person", [{**member, "city": "Bergen"}])
+    feed("people", PEOPLE_HEADER + "1,Ana,Rome,D1,2024-03-02T08:00:00Z,0\n")
+    load_all(Warehouse(wh.root), MODEL, now=NOW)
+    assert [row["city"] for row in wh.read_rows(SILVER, "hub_person")][1:] == ["Rome", "Bergen"]
+    assert wh.check_constraints(SILVER, "hub_person") == [
+        f"{SILVER}.hub_person: duplicate primary key ({person_key(1)!r})",
+        f"{SILVER}.hub_person: duplicate value (1) for unique (person_id)"]
+
+
 def test_references_into_a_system_keyed_hub_read_it_once_per_mapping(wh, feed, table_reads):
     feed("people", PEOPLE_HEADER + "".join(
         f"{i},P{i},Oslo,D{i % 2},2024-03-01T08:00:0{i}Z,0\n" for i in range(1, 6)))
     load_all(wh, MODEL, now=NOW)
-    # The device load itself, then the person load's business-key index,
-    # which a command reads once however many mappings reference the hub.
-    assert table_reads[SILVER, "hub_device"] == 2
+    # The device load and the person load's lookups share one read of the
+    # hub, which holds what the device load wrote.
+    assert table_reads[SILVER, "hub_device"] == 1
     table_reads.clear()
     assert check_against_oracle(wh, MODEL) == []
     # The oracle's device element, then its person element's one index.
@@ -855,9 +936,9 @@ def test_references_into_a_system_keyed_hub_read_it_once_per_command(tmp_path, t
     ingest_file(warehouse, DEVICES, "people", path, now=NOW)
     silver = DEVICES.schema_names["silver"]
     load_all(warehouse, DEVICES, now=NOW)
-    # The device load itself, then one business-key index for both the
-    # person and the badge mapping.
-    assert table_reads[silver, "hub_device"] == 2
+    # One read serves the device load and the lookups of both the person
+    # and the badge mapping.
+    assert table_reads[silver, "hub_device"] == 1
     devices = {row["device_code"]: row["device_key"]
                for row in warehouse.read_rows(silver, "hub_device")}
     for table in ("hub_person", "hub_badge"):
@@ -1309,8 +1390,8 @@ def test_a_value_that_does_not_coerce_to_its_column_type_fails_the_load(
     assert warehouse.read_rows(silver, f"hub_{hub}") == before
 
 
-# A boolean and a collection, each mapped into a string descriptive.
-STRINGS = parse_model('''product strings
+# A boolean mapped into a string descriptive.
+STRINGS_TEXT = '''product strings
 
 source s {
   load_source 1
@@ -1331,7 +1412,10 @@ hub flagged {
     map flag_text = flag
   }
 }
-
+'''
+STRINGS = parse_model(STRINGS_TEXT).spec
+# A collection mapped into a string descriptive, which `validate` refuses.
+JOINED = parse_model(STRINGS_TEXT + '''
 hub joined {
   key computed code
   business_key global (code string)
@@ -1344,19 +1428,20 @@ hub joined {
 ''').spec
 
 
-def strings_wh(tmp_path, *rows: dict) -> Warehouse:
-    assert validate_model(STRINGS).ok
+def strings_wh(tmp_path, spec, *rows: dict) -> Warehouse:
     warehouse = Warehouse(tmp_path / "wh")
-    init_warehouse(warehouse, STRINGS)
+    init_warehouse(warehouse, spec)
     path = tmp_path / "s.ndjson"
     path.write_text("".join(json.dumps({"at": "2024-01-01T00:00:00Z", **row}) + "\n"
                             for row in rows), encoding="utf-8")
-    ingest_file(warehouse, STRINGS, "s", path, now=NOW)
+    ingest_file(warehouse, spec, "s", path, now=NOW)
     return warehouse
 
 
 def test_a_boolean_mapped_into_a_string_column_loads_as_true_or_false(tmp_path):
-    warehouse = strings_wh(tmp_path, {"code": "a", "flag": True}, {"code": "b", "flag": False})
+    assert validate_model(STRINGS).ok
+    warehouse = strings_wh(tmp_path, STRINGS, {"code": "a", "flag": True},
+                           {"code": "b", "flag": False})
     load_all(warehouse, STRINGS, now=NOW)
     rows = warehouse.read_rows(STRINGS.schema_names["silver"], "hub_flagged")
     assert {r["flagged_key"]: r["flag_text"] for r in rows if r["flagged_key"] != "-1"} == \
@@ -1365,11 +1450,16 @@ def test_a_boolean_mapped_into_a_string_column_loads_as_true_or_false(tmp_path):
 
 
 def test_a_concat_over_a_collection_fails_the_load_by_line(tmp_path):
-    warehouse = strings_wh(tmp_path, {"code": "a", "parts": [{"part": "x"}]})
-    silver_schema, bronze = STRINGS.schema_names["silver"], STRINGS.schema_names["bronze"]
+    # `validate` refuses the mapping by its column; a load under a model it
+    # was not asked about refuses the row.
+    assert [(v.rule, v.location, v.message) for v in validate_model(JOINED).violations] == [
+        ("mapping_collection_column", "hub joined mapping s",
+         "expression reads collection column 'parts', which holds no scalar")]
+    warehouse = strings_wh(tmp_path, JOINED, {"code": "a", "parts": [{"part": "x"}]})
+    silver_schema, bronze = JOINED.schema_names["silver"], JOINED.schema_names["bronze"]
     before = file_bytes(warehouse.root)
     with pytest.raises(EvalError) as error:
-        load_all(warehouse, STRINGS, now=NOW, only="joined")
+        load_all(warehouse, JOINED, now=NOW, only="joined")
     assert str(error.value) == \
         f"{silver_schema}.hub_joined <- {bronze}.s: line 1: cannot stringify list"
     assert file_bytes(warehouse.root) == before

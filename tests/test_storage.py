@@ -369,27 +369,24 @@ def test_a_tail_read_decodes_only_the_complete_lines_past_its_start(tmp_path, de
                  '{"label": "4"')
     decoded.clear()
     tail = warehouse.tail("raw", "events", Position(ends[0], 1))
-    assert tail.start == Position(ends[0], 1)
-    assert tail.ends == (ends[1], ends[2], len(data.read_bytes()) - len('{"label": "4"'))
+    # Its start, then each line end with the lines before it: the blank
+    # line counts as no line, and the unfinished last line is not passed.
+    complete = len(data.read_bytes()) - len('{"label": "4"')
+    assert tail.positions == [Position(ends[0], 1), Position(ends[1], 2), Position(ends[2], 3),
+                              Position(complete, 4)]
     rows = warehouse.read_rows("raw", "events", snapshot=tail)
     assert [r["label"] for r in rows] == ["1", "2", "3"]
     assert len(decoded.lines) == 3  # the lines past the start, and only those
-    assert warehouse.tail("raw", "events", Position(tail.ends[-1], 4)).lines == []
-    # Counting past a start: each line end, with the lines before it.
-    assert [tail.skipped("raw.events", Position(end, lines))
-            for end, lines in zip((ends[0], *tail.ends), range(1, 5))] == [0, 1, 2, 3]
-    # A start that no line ends at, or past the end, reads no line and is
-    # refused, as is a count that does not match an offset.
+    last = warehouse.tail("raw", "events", tail.positions[-1])
+    assert (last.lines, last.positions) == ([], [Position(complete, 4)])
+    # A start that no line ends at, or past the end, reads no line and
+    # passes no position.
     for start in (Position(ends[0] - 1, 1), Position(len(data.read_bytes()) + 1, 1)):
-        refused = warehouse.tail("raw", "events", start)
-        assert (refused.start, refused.lines) == (None, [])
-        with pytest.raises(StorageError, match=rf"^raw\.events: no line ends at byte "
-                                               rf"{start.offset}, where 1 lines were consumed; "
-                                               "the data file was cut or rewritten$"):
-            refused.skipped("raw.events", start)
-    for start in (Position(ends[1], 1), Position(ends[1] + 1, 2)):
-        with pytest.raises(StorageError, match="no line ends at byte"):
-            tail.skipped("raw.events", start)
+        assert warehouse.tail("raw", "events", start)[1:] == ([], [])
+    # A count that does not match its offset is not a position the read
+    # passed; nor is an offset within a line.
+    assert Position(ends[1], 1) not in tail.positions
+    assert all(position.offset != ends[1] + 1 for position in tail.positions)
 
 
 def test_a_manifest_is_parsed_once_for_each_content(wh, monkeypatch):
