@@ -1,7 +1,9 @@
 """File-backed warehouse: schemas are directories, tables are a manifest
 plus a JSON-lines data file (and, for a gold view, a trace of what it was
-built from; for a silver table, a state record of the bronze it consumed),
-and every write is a whole-file atomic rename.
+built from; for a silver table, a state record of the bronze it consumed).
+A write that only adds rows (every bronze ingest, a silver load that only
+inserts) appends them in place; every other write renames a new file into
+place. A write that fails and returns leaves the old bytes either way.
 Stored lines are canonical, so writes splice encoded lines into a file's
 bytes, and refuse, before touching a file, a value no read would give
 back. Every read starts from one snapshot of a table's files and makes
@@ -357,13 +359,40 @@ _UNDECODABLE = (ValueError, ArithmeticError, AttributeError, TypeError)
 
 def _atomic_write(path: Path, content: bytes, current: bytes | None = None):
     """Replace the file with `content` by a rename, unless it holds them
-    already (`current`, if the caller has read it); then it is left alone."""
+    already (`current`, if the caller has read it); then it is left alone.
+    A temp write or rename that raises deletes the temp file and leaves the
+    old file as it was."""
     if current is None and path.exists():
         current = path.read_bytes()
     if current != content:
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(content)
-        os.replace(tmp, path)
+        try:
+            tmp.write_bytes(content)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+
+def _append(path: Path, content: bytes):
+    """Add `content` at the end of the file, made empty if missing, in one
+    `os.write` on an `O_APPEND` descriptor; a non-empty file whose last byte
+    is not a newline has one written first, in the same write. A write that
+    raises or returns short truncates the file back to its old size before
+    it raises, so a failure that returns leaves the old bytes."""
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            content = b"\n" + content
+        try:
+            if os.write(fd, content) != len(content):
+                raise OSError(f"{path}: short write")
+        except BaseException:
+            os.ftruncate(fd, size)
+            raise
+    finally:
+        os.close(fd)
 
 
 class Position(NamedTuple):
@@ -582,7 +611,7 @@ class Warehouse:
 
     def write_state(self, schema: str, table: str, state: TableState):
         """Write the table's state record, one line of JSON with sorted
-        keys, as every file is written (`_atomic_write`), with the data
+        keys, by a rename (`_atomic_write`), with the data
         file's size in bytes as its `length`. A load calls it after the data
         file's write, so a crash in between leaves the previous record,
         whose length no longer holds (`read_state`) when that write changed
@@ -602,7 +631,11 @@ class Warehouse:
         decoded: the file holds canonical lines, so this equals encoding every
         row. A last line without its newline is ended before `rows`. `lines`
         is the number of lines the caller read; a file that holds another
-        number raises StorageError and is left as it is.
+        number raises StorageError and is left as it is. Every row is encoded
+        before the file is touched. Without `replace` the write appends in
+        place (`_append`), reading no byte of the file but its last when
+        `lines` is None; a splice renames a new file into place
+        (`_atomic_write`). A write that fails leaves the old bytes either way.
 
         With `lines`, the table's manifest keeps its rows (`kept`): the row
         of each line written here, and from the next `read_rows` on the row
@@ -616,9 +649,9 @@ class Warehouse:
             return
         manifest = self.manifest(schema, table)
         data = self.table_dir(schema, table) / DATA_FILE
-        existing = content = data.read_bytes() if data.is_file() else b""
         written: list[tuple[bytes, Record]] = []  # (line, row) for each row of this write
         if replace or lines is not None:
+            existing = data.read_bytes() if data.is_file() else b""
             stored = [line for line in existing.split(b"\n") if line.strip()]
             if lines is not None and len(stored) != lines:
                 raise StorageError(f"{schema}.{table}: data holds {len(stored)} rows, "
@@ -628,11 +661,11 @@ class Warehouse:
                     raise StorageError(f"{schema}.{table}: no row at position {position}")
                 stored[position] = _encode_rows(manifest, [row])[:-1]
                 written.append((stored[position], row))
-            content = b"".join(line + b"\n" for line in stored)
-        elif content and not content.endswith(b"\n"):
-            content += b"\n"
         added = _encode_rows(manifest, rows)
-        _atomic_write(data, content + added, existing)
+        if replace:
+            _atomic_write(data, b"".join(line + b"\n" for line in stored) + added, existing)
+        else:
+            _append(data, added)
         if lines is None:
             return
         kept, exact = manifest.kept, manifest.codec.exact

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +45,13 @@ def file_bytes(root: Path) -> dict[str, bytes]:
     """Every file under `root`, by relative path."""
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
             if p.is_file()}
+
+
+def storage_os(**calls) -> SimpleNamespace:
+    """The `os` module as `storage` calls it, with `calls` in place of some
+    of its functions: patched in as `storage.os`, they reach storage's
+    calls and no other code's."""
+    return SimpleNamespace(**{**vars(os), **calls})
 
 
 @pytest.fixture(scope="session")

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import builtins
 import json
+import os
 import re
 import shutil
 from collections import Counter
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -39,7 +41,14 @@ from hubstar.storage import Position
 from hubstar.tables import silver_manifest
 from hubstar.values import EPOCH, coerce_scalar, row_key, top_per_partition
 
-from conftest import FIXTURE_MODEL, SHIP_TO, edited_retail, file_bytes, run_pipeline
+from conftest import (
+    FIXTURE_MODEL,
+    SHIP_TO,
+    edited_retail,
+    file_bytes,
+    run_pipeline,
+    storage_os,
+)
 
 MODEL = parse_model('''product mergetest
 
@@ -583,38 +592,50 @@ def test_reloading_retail_without_its_state_records_gives_identical_files(
         assert file_bytes(warehouse.root) == before
 
 
-def crash_points_that_differ(base: Path, spec, now: datetime, monkeypatch) -> tuple[int, list]:
-    """How many renames `load_all` makes on a copy of the warehouse at
-    `base`, and each k at which, on another copy, its k-th `os.replace`
-    raises, and running the command again through a fresh `Warehouse`
-    leaves some file, state records included, other than the clean load's."""
-    replace, renames = storage.os.replace, []
-    clean = shutil.copytree(base, base.with_name("clean"))
+def crash_points_that_differ(base: Path, command: Callable[[Warehouse], Any],
+                             monkeypatch) -> tuple[list[str], list[int], dict[int, dict]]:
+    """The writes `command` makes on a copy of the warehouse at `base`, in
+    order, each a "rename" (`os.replace`) or an "append" (`os.write`); each
+    k at which, on another copy, its k-th write fails and running the
+    command again through a fresh `Warehouse` leaves some file, state
+    records included, other than the clean run's; and by k, the files the
+    failed run left. A failing rename raises; a failing append writes half
+    its bytes and then raises, so the append has to take them back."""
+    clean, writes = shutil.copytree(base, base.with_name("clean")), []
     with monkeypatch.context() as patch:
-        patch.setattr(storage.os, "replace", lambda *args: (renames.append(args),
-                                                            replace(*args))[1])
-        load_all(Warehouse(clean), spec, now=now)
-    want, differ = file_bytes(clean), []
-    for k in range(1, len(renames) + 1):
+        patch.setattr(storage, "os", storage_os(
+            replace=lambda *args: (writes.append("rename"), os.replace(*args))[1],
+            write=lambda fd, content: (writes.append("append"), os.write(fd, content))[1]))
+        command(Warehouse(clean))
+    want, differ, left = file_bytes(clean), [], {}
+    for k in range(1, len(writes) + 1):
         root, calls = shutil.copytree(base, base.with_name(f"crash{k}")), []
 
-        def crashing(*args):
+        def replace(*args):
             calls.append(args)
             if len(calls) == k:
                 raise OSError("crash")
-            replace(*args)
+            os.replace(*args)
+
+        def write(fd, content):
+            calls.append(fd)
+            if len(calls) == k:
+                os.write(fd, content[:len(content) // 2])
+                raise OSError("crash")
+            return os.write(fd, content)
 
         with monkeypatch.context() as patch:
-            patch.setattr(storage.os, "replace", crashing)
+            patch.setattr(storage, "os", storage_os(replace=replace, write=write))
             with pytest.raises(OSError, match="^crash$"):
-                load_all(Warehouse(root), spec, now=now)
-        load_all(Warehouse(root), spec, now=now)
+                command(Warehouse(root))
+        left[k] = file_bytes(root)
+        command(Warehouse(root))
         if file_bytes(root) != want:
             differ.append(k)
-    return len(renames), differ
+    return writes, differ, left
 
 
-def test_a_load_that_crashes_at_any_rename_gives_a_clean_loads_files_when_run_again(
+def test_a_load_that_crashes_at_any_write_gives_a_clean_loads_files_when_run_again(
         tmp_path, monkeypatch, retail_spec, retail_data):
     # A crash between a table's data write and its record write leaves a
     # record whose length no longer holds, or whose bronze is merged again:
@@ -628,11 +649,14 @@ def test_a_load_that_crashes_at_any_rename_gives_a_clean_loads_files_when_run_ag
                         now=rf.DEFAULT_NOW, mtime=job.mtime)
         if n < 4:
             load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW)
-    renames, differ = crash_points_that_differ(base, retail_spec, rf.DEFAULT_NOW, monkeypatch)
-    assert renames and differ == []
+    writes, differ, left = crash_points_that_differ(
+        base, lambda warehouse: load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW),
+        monkeypatch)
+    assert len(writes) >= 12 and "append" in writes and differ == []
+    assert not [path for files in left.values() for path in files if path.endswith(".tmp")]
 
 
-def test_a_two_mapping_load_that_crashes_at_any_rename_gives_a_clean_loads_files_when_run_again(
+def test_a_two_mapping_load_that_crashes_at_any_write_gives_a_clean_loads_files(
         tmp_path, monkeypatch):
     # A crash after the second mapping's data write leaves the record the
     # first mapping wrote, whose length no longer holds: the table replays
@@ -646,8 +670,59 @@ def test_a_two_mapping_load_that_crashes_at_any_rename_gives_a_clean_loads_files
         feed_orders(warehouse, tmp_path, batch, text)
         if batch < 2:
             load_all(warehouse, TWICE, now=NOW)
-    renames, differ = crash_points_that_differ(base, TWICE, NOW, monkeypatch)
-    assert renames and differ == []
+    writes, differ, _ = crash_points_that_differ(
+        base, lambda warehouse: load_all(warehouse, TWICE, now=NOW), monkeypatch)
+    assert len(writes) >= 3 and "append" in writes and differ == []
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "new"])
+def test_an_ingest_that_crashes_at_any_write_leaves_its_bronze_and_reruns_clean(
+        tmp_path, monkeypatch, exists):
+    # Into an existing table an ingest only appends; into a new one it
+    # renames the manifest and an empty data file into place first.
+    base = tmp_path / "base"
+    base.mkdir()
+    if exists:
+        feed_orders(Warehouse(base), tmp_path, 0, "1,ana,bo,2024-01-01T00:00:00Z\n")
+    path = tmp_path / "orders1.csv"
+    path.write_text("order_id,buyer,seller,at\n2,cy,dan,2023-01-01T00:00:00Z\n"
+                    "3,bo,eve,2024-02-01T00:00:00Z\n", encoding="utf-8")
+    writes, differ, left = crash_points_that_differ(
+        base, lambda warehouse: ingest_file(warehouse, TWICE, "orders", path, now=NOW),
+        monkeypatch)
+    assert writes == (["append"] if exists else ["rename", "rename", "append"])
+    assert differ == []
+    data = f"{TWICE.schema_names['bronze']}/orders/data"
+    before = file_bytes(base)
+    for files in left.values():
+        assert files.get(data, b"") == before.get(data, b"")
+        assert not [path for path in files if path.endswith(".tmp")]
+
+
+def test_an_ingest_or_an_insert_only_load_renames_no_data_file(
+        tmp_path, monkeypatch, retail_spec, retail_data):
+    warehouse = Warehouse(tmp_path / "wh")
+    init_warehouse(warehouse, retail_spec)
+    renamed: list[Path] = []
+    replace = os.replace
+    monkeypatch.setattr(storage, "os", storage_os(replace=lambda *args: (
+        renamed.append(Path(args[1])), replace(*args))[1]))
+    silver, inserts_only = retail_spec.schema_names["silver"], 0
+    for jobs in rf.write_batches(retail_data, tmp_path / "inbox", 5):
+        for job in jobs:
+            ingest_file(warehouse, retail_spec, job.source, job.path,
+                        now=rf.DEFAULT_NOW, mtime=job.mtime)
+        assert renamed == []
+        updated: Counter = Counter()
+        for result in load_all(warehouse, retail_spec, now=rf.DEFAULT_NOW):
+            updated[result.table] += result.updated
+        for table, n in updated.items():
+            data = warehouse.root / silver / table.split(".")[1] / "data"
+            assert (data in renamed) == bool(n), table
+            inserts_only += not n
+        assert {path.name for path in renamed} <= {"data", "state"}
+        renamed.clear()
+    assert inserts_only
 
 
 def test_a_no_op_load_through_a_fresh_object_opens_no_silver_data_file(

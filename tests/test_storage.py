@@ -33,6 +33,7 @@ from hubstar.storage import (
     ForeignKeySpec,
     TableManifest,
     Position,
+    TableState,
     Warehouse,
     decode_row,
     encode_row,
@@ -40,7 +41,7 @@ from hubstar.storage import (
 from hubstar.tables import bronze_manifest, check_stored_manifest, silver_manifest
 from hubstar.values import format_timestamp
 
-from conftest import file_bytes, run_pipeline
+from conftest import file_bytes, run_pipeline, storage_os
 from randmodels import random_model_text
 
 
@@ -343,13 +344,106 @@ def test_an_append_reads_its_data_file_once(wh, monkeypatch):
 
     monkeypatch.setattr(Path, "open", recorded)
     for rows, replace, rewritten in (([], {0: ROW}, False),  # the same bytes: left alone
-                                     ([], {1: {"sample_id": "s-2", "count": 2}}, True),
-                                     ([{"sample_id": "s-3"}], {}, True)):
+                                     ([], {1: {"sample_id": "s-2", "count": 2}}, True)):
         before = data.stat().st_ino
         opened.clear()
         wh.append_rows("lab", "samples", rows, replace=replace, lines=2)
         assert [mode for path, mode in opened if path == data] == ["rb"]
         assert (data.stat().st_ino != before) == rewritten
+
+    # Inserts alone append in place: one read to count the lines (none
+    # without `lines`), then one write of every row on an appending
+    # descriptor, which ends a last line that lost its newline first.
+    appended: list = []
+    monkeypatch.setattr(storage, "os", storage_os(
+        open=lambda path, flags, *args: (appended.append((Path(path), flags & os.O_APPEND)),
+                                         os.open(path, flags, *args))[1],
+        write=lambda fd, content: (appended.append(content), os.write(fd, content))[1]))
+    for n, (lines, cut) in enumerate([(2, False), (4, True), (None, False), (None, True)]):
+        rows = [full(sample_id=f"s-{n}-{k}") for k in range(2)]
+        added = b"".join(encode_row(manifest(), row).encode() + b"\n" for row in rows)
+        if cut:
+            data.write_bytes(data.read_bytes()[:-1])
+        before, inode = data.read_bytes(), data.stat().st_ino
+        opened.clear()
+        appended.clear()
+        wh.append_rows("lab", "samples", rows, lines=lines)
+        assert [mode for path, mode in opened if path == data] == ([] if lines is None
+                                                                   else ["rb"])
+        assert appended == [(data, os.O_APPEND), b"\n" * cut + added]
+        assert (data.read_bytes(), data.stat().st_ino) == (before + b"\n" * cut + added, inode)
+    # An ingest into a missing data file makes it, holding just its rows.
+    data.unlink()
+    appended.clear()
+    wh.append_rows("lab", "samples", [ROW])
+    added = encode_row(manifest(), ROW).encode() + b"\n"
+    assert appended == [(data, os.O_APPEND), added]
+    assert data.read_bytes() == added
+    assert wh.read_rows("lab", "samples") == [ROW]
+
+
+def test_an_append_that_fails_leaves_the_old_bytes(wh, monkeypatch):
+    wh.append_rows("lab", "samples", [ROW])
+    data = wh.table_dir("lab", "samples") / "data"
+    data.write_bytes(data.read_bytes()[:-1])  # the newline it ends goes back too
+    before, inode = data.read_bytes(), data.stat().st_ino
+
+    def short(fd, content):  # half the bytes, as a full disk may give
+        return os.write(fd, content[:len(content) // 2])
+
+    def crash(fd, content):
+        os.write(fd, content[:len(content) // 2])
+        raise OSError("crash")
+
+    for write, error in ((short, "short write"), (crash, "^crash$")):
+        with monkeypatch.context() as patch:
+            patch.setattr(storage, "os", storage_os(write=write))
+            for lines in (None, 1):
+                with pytest.raises(OSError, match=error):
+                    wh.append_rows("lab", "samples", [full(sample_id="s-2")], lines=lines)
+                assert (data.read_bytes(), data.stat().st_ino) == (before, inode)
+    wh.append_rows("lab", "samples", [full(sample_id="s-2")], lines=1)
+    assert wh.read_rows("lab", "samples") == [ROW, full(sample_id="s-2")]
+
+
+def test_a_rename_that_fails_leaves_no_temp_file_and_the_old_bytes(wh, monkeypatch):
+    wh.append_rows("lab", "samples", [ROW, full(sample_id="s-2")])
+    wh.write_state("lab", "samples", TableState(None, {"feed": Position(7, 1)}))
+    table = wh.table_dir("lab", "samples")
+    before = file_bytes(table)
+
+    def crash(*args):
+        raise OSError("crash")
+
+    write_bytes = Path.write_bytes
+
+    def torn(self, content):  # the temp write stops half way
+        write_bytes(self, content[:len(content) // 2])
+        raise OSError("crash")
+
+    writes = [lambda: wh.append_rows("lab", "samples", [], replace={0: full(count=9)}, lines=2),
+              lambda: wh.replace_table(manifest(), [ROW]),
+              lambda: wh.replace_table(manifest(unique=(("count",),)), [ROW]),
+              lambda: wh.write_trace(manifest(), "inputs", 1, "output"),
+              lambda: wh.write_state("lab", "samples", TableState(None, {}))]
+    for patched in ((storage, "os", storage_os(replace=crash)), (Path, "write_bytes", torn)):
+        for write in writes:
+            with monkeypatch.context() as patch:
+                patch.setattr(*patched)
+                with pytest.raises(OSError, match="^crash$"):
+                    write()
+            assert file_bytes(table) == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_a_pipeline_leaves_no_descriptor_open(tmp_path, retail_spec, retail_data):
+    # An append opens a raw descriptor, which no ResourceWarning reports
+    # when it leaks: so count the process's open descriptors instead.
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    run_pipeline(tmp_path / "wh", retail_spec, retail_data, batches=25, gold=False)
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) <= before
 
 
 def test_a_tail_read_decodes_only_the_complete_lines_past_its_start(tmp_path, decoded):
